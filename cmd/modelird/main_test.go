@@ -255,6 +255,25 @@ func TestAppendEndpoint(t *testing.T) {
 		}
 	}
 
+	// Three more one-row appends make a run of four for the tier rule;
+	// Close waits the background merge out, and /stats shows it by name.
+	for i := 0; i < 3; i++ {
+		postJSON(t, srv, "/append", wireAppend{Dataset: "tuples", Tuples: [][]float64{{1, 2, 3}}}).Body.Close()
+	}
+	if err := engine.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range decode[struct{ Datasets []map[string]any }](t, resp).Datasets {
+		if ds["name"] == "tuples" && (ds["deltas"] != 1.0 || ds["compactions"] != 1.0 ||
+			ds["merged_segments"] != 4.0 || ds["reindexed_rows"] != 4.0) {
+			t.Fatalf("tuples after four appends: %v", ds)
+		}
+	}
+
 	// Unknown dataset → 404; ambiguous payload → 400; empty → 400.
 	resp = postJSON(t, srv, "/append", wireAppend{Dataset: "nope", Tuples: [][]float64{{1, 2, 3}}})
 	if resp.StatusCode != http.StatusNotFound {

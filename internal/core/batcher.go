@@ -151,7 +151,9 @@ func (a *Appender) enqueue(ctx context.Context, key dsName, n int, add func(*pen
 
 // flushKey closes key's window (if still open — the size path and the
 // timer can race; the loser finds nothing) and applies its rows as one
-// engine append, broadcasting the outcome to every waiter.
+// engine append, broadcasting the outcome to every waiter. The append
+// builds and indexes the delta before publishing it (ingest.go), on
+// this goroutine, so waiters return to a dataset no read has to index.
 func (a *Appender) flushKey(key dsName) {
 	a.mu.Lock()
 	p := a.pend[key]

@@ -265,7 +265,7 @@ func TestCacheDisabled(t *testing.T) {
 	if st := e.CacheStats(); st != (qcache.Stats{}) {
 		t.Fatalf("disabled cache counted: %+v", st)
 	}
-	resultsEqual(t, "cacheless repeat", r2, r1)
+	rerunEqual(t, "cacheless repeat", r2, r1)
 }
 
 // TestCacheInvalidationStress is the race suite: concurrent Register +

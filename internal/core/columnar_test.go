@@ -23,7 +23,7 @@ func TestSeriesShardEventPlaneMatchesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := newSeriesSet(arch, 4)
+	ss := newSet(arch, 4, newSeriesShard)
 	seen := 0
 	for _, sh := range ss.shards {
 		for i, reg := range sh.regions {
@@ -52,7 +52,7 @@ func TestWellShardColumnsMatchStrata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newWellSet(wells, 3)
+	ws := newSet(wells, 3, newWellShard)
 	seen := 0
 	for _, sh := range ws.shards {
 		for i, w := range sh.wells {
@@ -84,7 +84,7 @@ func TestGeoScannerMatchesRowQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newWellSet(wells, 2)
+	ws := newSet(wells, 2, newWellShard)
 	q := GeologyQuery{
 		Sequence:     []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt:     10,

@@ -124,6 +124,9 @@ type Engine struct {
 	// compactWG tracks background compactor goroutines so Close can
 	// wait them out.
 	compactWG sync.WaitGroup
+	// onIndex, when set (tests only, before any append), observes the
+	// row count of every Onion build the write path runs.
+	onIndex func(rows int)
 
 	// closers release resources a snapshot restore attached to the
 	// engine (mmap'd segment files in Map mode); see Close.
@@ -249,7 +252,7 @@ func (e *Engine) AddTuples(name string, points [][]float64) error {
 	if err := e.reserve(dsTuples, name); err != nil {
 		return err
 	}
-	ts := newTupleSet(points, e.shards)
+	ts := newSet(points, e.shards, newTupleShard)
 	e.commit(dsTuples, name, func() { e.tuples[name] = ts })
 	return nil
 }
@@ -280,7 +283,7 @@ func (e *Engine) AddSeries(name string, rs []synth.RegionSeries) error {
 	if err := e.reserve(dsSeries, name); err != nil {
 		return err
 	}
-	ss := newSeriesSet(rs, e.shards)
+	ss := newSet(rs, e.shards, newSeriesShard)
 	e.commit(dsSeries, name, func() { e.series[name] = ss })
 	return nil
 }
@@ -293,7 +296,7 @@ func (e *Engine) AddWells(name string, ws []synth.WellLog) error {
 	if err := e.reserve(dsWells, name); err != nil {
 		return err
 	}
-	s := newWellSet(ws, e.shards)
+	s := newSet(ws, e.shards, newWellShard)
 	e.commit(dsWells, name, func() { e.wells[name] = s })
 	return nil
 }

@@ -1,18 +1,27 @@
 // Live ingest: registered datasets stay appendable under traffic.
 // AppendTuples/AppendSeries/AppendWells land new rows as immutable
 // in-memory delta segments — one more shard value of the dataset's
-// existing columnar type, built OUTSIDE the engine lock — and swap in
-// a new set value that shares the base shards, so the write lock is
-// held only for the pointer swap. Queries scan base + deltas through
-// the set's scan list; per-shard indexes over deltas derive lazily,
-// exactly like a base shard's (the Onion index builds on first use).
+// existing columnar type — and swap in a new set value that shares the
+// base shards. Queries scan base + deltas through the set's scan list.
 //
-// A background compactor folds deltas back into balanced base shards
-// when a dataset accumulates enough of them (segment count or row
-// fraction): full rebuild when the raw registration rows are at hand,
-// delta-merge on snapshot-restored bases. Compaction changes layout,
-// never content — answers and the dataset's cache generation are
-// unchanged, so live cache entries stay valid across it.
+// Invariant: every segment the write path publishes is already
+// indexed. A delta (and for tuples its Onion index, whose local IDs do
+// not depend on the offset) is built OUTSIDE the engine lock, which is
+// held only to assign the offset and swap the pointer; the compactor
+// builds its replacement segments the same way while readers go on
+// using the old, fully indexed set. No read ever waits on an index
+// build for a segment created by append, compaction, restore or resync
+// install — the one lazy build left is a registration-time base tuple
+// shard nobody has queried yet (request.go).
+//
+// A background compactor keeps the delta list short by size tier: when
+// compactDeltaSegments adjacent deltas merge into a higher size class,
+// just those are merged (set.tierRun), on raw-row and snapshot-restored
+// engines alike, and base shards are never touched. Adjacent-only
+// merges keep tuple IDs: the merged delta starts at its first member's
+// offset and covers the same contiguous row range. Compaction changes
+// layout, never content — answers and the dataset's cache generation
+// are unchanged, so live cache entries stay valid across it.
 //
 // Equivalence contract (pinned by TestDeltaEquivalenceAllFamilies):
 // a dataset holding any mix of base and delta segments answers every
@@ -25,43 +34,64 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"modelir/internal/synth"
 )
 
-// Compaction triggers: a dataset is scheduled for background
-// compaction when it holds at least compactDeltaSegments delta
-// segments, or its delta rows reach compactDeltaFraction of the total.
-const (
-	compactDeltaSegments = 4
-	compactDeltaFraction = 0.25
-)
+// compactDeltaSegments is the tier fan-in: how many adjacent deltas one
+// background merge takes (set.tierRun).
+const compactDeltaSegments = 4
 
-// AppendTuples appends rows to a registered tuple dataset as one
-// immutable delta segment. New rows take IDs continuing the dataset's
-// global row space (exactly the IDs they would have had in a single
-// registration); queries observe either the pre- or post-append world,
-// never a partial one, and the dataset's cache generation advances so
-// no stale cached result is ever served. The rows are not copied; the
-// caller must not mutate them afterwards.
-func (e *Engine) AppendTuples(name string, points [][]float64) error {
-	if len(points) == 0 {
-		return errors.New("core: empty tuple append")
+// appendDelta is the write path every kind shares: build the delta and
+// its index outside the lock, then take the lock to place it at base —
+// the current row count when base is negative — and swap the new set
+// value in.
+func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set[S, R], name string, base int, rows []R, mk func([]R) S) error {
+	if len(rows) == 0 {
+		return errors.New("core: empty append")
 	}
-	e.mu.Lock()
-	ts, ok := e.tuples[name]
-	if !ok {
-		e.mu.Unlock()
+	if !e.hasDataset(k, name) {
 		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	// The tuple delta is cheap to construct (its Onion index builds
-	// lazily on first query), so it happens under the lock where the
-	// offset assignment is race-free.
-	e.tuples[name] = ts.withDelta(points)
+	d := mk(rows)
+	if err := d.buildIndex(e); err != nil {
+		return fmt.Errorf("core: append to %q: %w", name, err)
+	}
+	e.mu.Lock()
+	s, ok := sets[name]
+	switch {
+	case !ok:
+		e.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	case base < 0:
+		base = s.rows
+	case base < s.rows:
+		e.mu.Unlock()
+		return fmt.Errorf("core: append base %d overlaps rows [0,%d) of %q", base, s.rows, name)
+	}
+	d.place(base)
+	sets[name] = s.withDeltaAt(base, d)
 	e.epoch.Add(1)
+	start := e.claimCompactorLocked(k, name)
 	e.mu.Unlock()
-	e.maybeCompact(dsTuples, name)
+	if start {
+		go e.runCompactor(k, name)
+	}
 	return nil
+}
+
+// AppendTuples appends rows to a registered tuple dataset as one
+// immutable, indexed delta segment. New rows take IDs continuing the
+// dataset's global row space (exactly the IDs they would have had in a
+// single registration); queries observe either the pre- or post-append
+// world, never a partial one, and the dataset's cache generation
+// advances so no stale cached result is ever served. Rows the Onion
+// index cannot be built over (ragged or non-finite) are refused and
+// leave the dataset untouched. The rows are not copied; the caller
+// must not mutate them afterwards.
+func (e *Engine) AppendTuples(name string, points [][]float64) error {
+	return appendDelta(e, dsTuples, e.tuples, name, -1, points, newTupleShard)
 }
 
 // AppendTuplesAt is AppendTuples with an explicit global row base: the
@@ -75,257 +105,187 @@ func (e *Engine) AppendTuples(name string, points [][]float64) error {
 // current row watermark leaves a gap in the local ID space, which pins
 // the dataset against compaction (offsets must survive verbatim).
 func (e *Engine) AppendTuplesAt(name string, base int64, points [][]float64) error {
-	if len(points) == 0 {
-		return errors.New("core: empty tuple append")
-	}
 	if base < 0 {
 		return fmt.Errorf("core: negative append base %d", base)
 	}
-	e.mu.Lock()
-	ts, ok := e.tuples[name]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	if int(base) < ts.rows {
-		e.mu.Unlock()
-		return fmt.Errorf("core: append base %d overlaps rows [0,%d) of %q", base, ts.rows, name)
-	}
-	e.tuples[name] = ts.withDeltaAt(int(base), points)
-	e.epoch.Add(1)
-	e.mu.Unlock()
-	e.maybeCompact(dsTuples, name)
-	return nil
+	return appendDelta(e, dsTuples, e.tuples, name, int(base), points, newTupleShard)
 }
 
 // AppendSeries appends regions to a registered series dataset as one
-// immutable delta segment. Summaries and the columnar event plane are
-// precomputed outside the engine lock. See AppendTuples for the
-// visibility and generation contract.
+// immutable delta segment (summaries and the columnar event plane
+// precomputed). See AppendTuples for the visibility and generation
+// contract.
 func (e *Engine) AppendSeries(name string, rs []synth.RegionSeries) error {
-	if len(rs) == 0 {
-		return errors.New("core: empty series append")
-	}
-	if !e.hasDataset(dsSeries, name) {
-		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	sh := newSeriesShard(rs)
-	e.mu.Lock()
-	ss, ok := e.series[name]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	e.series[name] = ss.withDelta(sh)
-	e.epoch.Add(1)
-	e.mu.Unlock()
-	e.maybeCompact(dsSeries, name)
-	return nil
+	return appendDelta(e, dsSeries, e.series, name, -1, rs, newSeriesShard)
 }
 
 // AppendWells appends wells to a registered well-log dataset as one
-// immutable delta segment. The columnar strata planes are flattened
-// outside the engine lock. See AppendTuples for the visibility and
-// generation contract.
+// immutable delta segment (columnar strata planes flattened). See
+// AppendTuples for the visibility and generation contract.
 func (e *Engine) AppendWells(name string, ws []synth.WellLog) error {
-	if len(ws) == 0 {
-		return errors.New("core: empty well append")
-	}
-	if !e.hasDataset(dsWells, name) {
-		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	sh := newWellShard(ws)
-	e.mu.Lock()
-	s, ok := e.wells[name]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	e.wells[name] = s.withDelta(sh)
-	e.epoch.Add(1)
-	e.mu.Unlock()
-	e.maybeCompact(dsWells, name)
-	return nil
+	return appendDelta(e, dsWells, e.wells, name, -1, ws, newWellShard)
 }
 
-// hasDataset is the cheap pre-build existence probe for the append
-// paths that construct their delta outside the lock.
+// hasDataset is the cheap pre-build existence probe of the append path.
 func (e *Engine) hasDataset(k dsKind, name string) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.takenLocked(k, name)
 }
 
-// maybeCompact schedules a background compaction when the dataset's
-// delta accumulation crosses a trigger. At most one compaction per
-// dataset runs at a time; triggers observed while one is in flight
-// are re-checked by the next append.
-func (e *Engine) maybeCompact(k dsKind, name string) {
-	var deltas, deltaRows, rows int
-	e.mu.RLock()
+// mergeDueLocked reports whether the tier rule has a run to merge.
+// Caller holds e.mu.
+func (e *Engine) mergeDueLocked(k dsKind, name string) bool {
+	var lo, hi int
 	switch k {
 	case dsTuples:
-		// A pinned set (explicit-base deltas) never compacts; reporting
-		// zero deltas here skips the no-op scheduling entirely.
-		if ts := e.tuples[name]; ts != nil && !ts.pinned {
-			deltas, deltaRows, rows = len(ts.deltas), ts.deltaRows(), ts.rows
-		}
+		lo, hi = e.tuples[name].tierRun()
 	case dsSeries:
-		if ss := e.series[name]; ss != nil {
-			deltas, deltaRows, rows = len(ss.deltas), ss.deltaRows(), ss.total
-		}
+		lo, hi = e.series[name].tierRun()
 	case dsWells:
-		if s := e.wells[name]; s != nil {
-			deltas, deltaRows, rows = len(s.deltas), s.deltaRows(), s.total
-		}
+		lo, hi = e.wells[name].tierRun()
 	}
-	e.mu.RUnlock()
-	if deltas == 0 {
-		return
-	}
-	if deltas < compactDeltaSegments && float64(deltaRows) < compactDeltaFraction*float64(rows) {
-		return
-	}
+	return hi > lo
+}
+
+// claimCompactorLocked marks the dataset's background compactor as
+// running when a merge is due and none is in flight, and reports
+// whether the caller must start it. One goroutine per dataset at a
+// time. Caller holds e.mu for writing.
+func (e *Engine) claimCompactorLocked(k dsKind, name string) bool {
 	key := dsName{k, name}
-	e.mu.Lock()
-	if e.compacting[key] {
-		e.mu.Unlock()
-		return
+	if e.compacting[key] || !e.mergeDueLocked(k, name) {
+		return false
 	}
 	e.compacting[key] = true
 	e.compactWG.Add(1)
-	e.mu.Unlock()
-	go func() {
-		defer e.compactWG.Done()
-		e.compactOne(k, name)
-		e.mu.Lock()
-		delete(e.compacting, key)
-		e.mu.Unlock()
-	}()
+	return true
 }
 
-// compactOne builds the compacted replacement outside the lock, then
-// swaps it in. Appends racing the build only extend the captured set's
-// delta list (base shards are immutable and only one compactor per
-// dataset runs), so the deltas landed since the capture carry over
-// verbatim: for tuples their offsets already continue the captured
-// row space the merged base covers.
-func (e *Engine) compactOne(k dsKind, name string) {
-	switch k {
-	case dsTuples:
-		e.mu.RLock()
-		old := e.tuples[name]
-		e.mu.RUnlock()
-		if old == nil {
-			return
-		}
-		merged := old.compact(e.shards)
-		if merged == nil {
-			return
-		}
+// runCompactor merges until the tier rule is satisfied. It re-evaluates
+// the rule under the same lock that clears its in-flight mark, so
+// deltas landed while it was building are never left waiting for an
+// append that may not come.
+func (e *Engine) runCompactor(k dsKind, name string) {
+	defer e.compactWG.Done()
+	for {
+		merged := e.compactOne(k, name, false)
 		e.mu.Lock()
-		cur := e.tuples[name]
-		if cur == nil || len(cur.deltas) < len(old.deltas) {
+		if !merged || !e.mergeDueLocked(k, name) {
+			delete(e.compacting, dsName{k, name})
 			e.mu.Unlock()
 			return
 		}
-		extra := cur.deltas[len(old.deltas):]
-		nt := &tupleSet{
-			points: merged.points,
-			rows:   cur.rows,
-			shards: merged.shards,
-			deltas: append(merged.deltas[:len(merged.deltas):len(merged.deltas)], extra...),
-			gen:    cur.gen,
-			pinned: cur.pinned,
-		}
-		nt.scan = append(merged.shards[:len(merged.shards):len(merged.shards)], nt.deltas...)
-		e.tuples[name] = nt
-		e.mu.Unlock()
-	case dsSeries:
-		e.mu.RLock()
-		old := e.series[name]
-		e.mu.RUnlock()
-		if old == nil {
-			return
-		}
-		merged := old.compact(e.shards)
-		if merged == nil {
-			return
-		}
-		e.mu.Lock()
-		cur := e.series[name]
-		if cur == nil || len(cur.deltas) < len(old.deltas) {
-			e.mu.Unlock()
-			return
-		}
-		extra := cur.deltas[len(old.deltas):]
-		ns := &seriesSet{
-			total:  cur.total,
-			shards: merged.shards,
-			deltas: append(merged.deltas[:len(merged.deltas):len(merged.deltas)], extra...),
-			raw:    merged.raw,
-			gen:    cur.gen,
-		}
-		ns.scan = append(merged.shards[:len(merged.shards):len(merged.shards)], ns.deltas...)
-		e.series[name] = ns
-		e.mu.Unlock()
-	case dsWells:
-		e.mu.RLock()
-		old := e.wells[name]
-		e.mu.RUnlock()
-		if old == nil {
-			return
-		}
-		merged := old.compact(e.shards)
-		if merged == nil {
-			return
-		}
-		e.mu.Lock()
-		cur := e.wells[name]
-		if cur == nil || len(cur.deltas) < len(old.deltas) {
-			e.mu.Unlock()
-			return
-		}
-		extra := cur.deltas[len(old.deltas):]
-		nw := &wellSet{
-			total:  cur.total,
-			shards: merged.shards,
-			deltas: append(merged.deltas[:len(merged.deltas):len(merged.deltas)], extra...),
-			raw:    merged.raw,
-			gen:    cur.gen,
-		}
-		nw.scan = append(merged.shards[:len(merged.shards):len(merged.shards)], nw.deltas...)
-		e.wells[name] = nw
 		e.mu.Unlock()
 	}
 }
 
-// Compact synchronously folds every dataset's delta segments into its
-// base segments (full rebuild when the raw registration rows are at
-// hand, delta-merge on restored bases). Answers before and after are
-// bit-identical and dataset generations are unchanged, so live cache
-// entries stay valid across the call. Appends may proceed
-// concurrently; deltas landed mid-compaction simply survive it.
+// compactOne runs one compaction of a dataset: the tier rule's run, or
+// with fold every delta. It reports whether a replacement was swapped
+// in; false means nothing was due or the build failed.
+func (e *Engine) compactOne(k dsKind, name string, fold bool) bool {
+	switch k {
+	case dsTuples:
+		return compactSet(e, e.tuples, name, fold, newTupleShard)
+	case dsSeries:
+		return compactSet(e, e.series, name, fold, newSeriesShard)
+	case dsWells:
+		return compactSet(e, e.wells, name, fold, newWellShard)
+	}
+	return false
+}
+
+// compactSet is capture -> build -> swap for every kind. It captures
+// the set, builds the replacement segments outside the lock — the run
+// deltas[lo:hi] merged into one delta, or, folding a set that still
+// holds its registration rows, the whole dataset as balanced base
+// shards — indexes them, and swaps them in. Appends and merges racing
+// the build only ever change deltas past the captured ones, so when the
+// captured deltas are still a prefix of the current list the set
+// descends from the capture and that suffix carries over verbatim (for
+// tuples its offsets already continue the row space the replacement
+// covers). Otherwise the dataset was compacted or installed meanwhile:
+// the build is dropped and the compaction starts over from the current
+// set, so neither a background merge nor Compact() is lost to the other.
+// A build error (a merge over deltas of mixed dimension, which already
+// fail every query) leaves the set as it is.
+func compactSet[S rowShard[R], R any](e *Engine, sets map[string]*set[S, R], name string, fold bool, mk func([]R) S) bool {
+	for {
+		e.mu.RLock()
+		old := sets[name]
+		e.mu.RUnlock()
+		lo, hi := old.tierRun()
+		if fold && old != nil && !old.pinned {
+			lo, hi = 0, len(old.deltas)
+		}
+		rebase := fold && hi > 0 && old.raw != nil
+		if hi-lo < 2 && !rebase {
+			return false
+		}
+
+		var rows []R
+		if rebase {
+			rows = append(make([]R, 0, old.rows), old.raw...)
+		}
+		for _, d := range old.deltas[lo:hi] {
+			rows = append(rows, d.rawRows()...)
+		}
+		var built []S // the new base shards when rebasing, else the one merged delta
+		if rebase {
+			built = newSet(rows, e.shards, mk).shards
+		} else {
+			built = []S{mk(rows)}
+			built[0].place(old.rows - rowsIn[S, R](old.deltas[lo:]))
+		}
+		for _, sh := range built {
+			if sh.buildIndex(e) != nil {
+				return false
+			}
+		}
+
+		e.mu.Lock()
+		cur := sets[name]
+		if cur == nil || len(cur.deltas) < len(old.deltas) || !slices.Equal(cur.deltas[:len(old.deltas)], old.deltas) {
+			e.mu.Unlock()
+			continue
+		}
+		n := *cur
+		if rebase {
+			n.raw, n.shards, built = rows, built, nil
+		}
+		n.deltas = append(append(old.deltas[:lo:lo], built...), cur.deltas[hi:]...)
+		n.scan = append(n.shards[:len(n.shards):len(n.shards)], n.deltas...)
+		n.compactions++
+		n.mergedSegments += uint64(hi - lo)
+		n.reindexedRows += uint64(len(rows))
+		sets[name] = &n
+		e.mu.Unlock()
+		return true
+	}
+}
+
+// Compact synchronously folds every dataset's delta segments away: a
+// full rebuild into balanced base shards where the registration rows
+// are at hand, one merged delta on restored bases — indexed before
+// they are published, like everything else the write path builds.
+// Answers before and after are bit-identical and dataset generations
+// are unchanged, so live cache entries stay valid across the call.
+// Appends may proceed concurrently; deltas landed mid-compaction simply
+// survive it.
 func (e *Engine) Compact() {
 	e.mu.RLock()
 	var targets []dsName
-	for name, ts := range e.tuples {
-		if len(ts.deltas) > 0 {
-			targets = append(targets, dsName{dsTuples, name})
-		}
+	for name := range e.tuples {
+		targets = append(targets, dsName{dsTuples, name})
 	}
-	for name, ss := range e.series {
-		if len(ss.deltas) > 0 {
-			targets = append(targets, dsName{dsSeries, name})
-		}
+	for name := range e.series {
+		targets = append(targets, dsName{dsSeries, name})
 	}
-	for name, s := range e.wells {
-		if len(s.deltas) > 0 {
-			targets = append(targets, dsName{dsWells, name})
-		}
+	for name := range e.wells {
+		targets = append(targets, dsName{dsWells, name})
 	}
 	e.mu.RUnlock()
 	for _, t := range targets {
-		e.compactOne(t.kind, t.name)
+		e.compactOne(t.kind, t.name, true)
 	}
 }

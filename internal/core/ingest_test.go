@@ -9,7 +9,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,16 +88,27 @@ func TestAppendTuplesAtExplicitBase(t *testing.T) {
 	}
 }
 
-// appendArchivesInChunks registers a prefix of every appendable
-// archive and feeds the remainder through Append* in several chunks,
-// leaving the engine with live delta segments. Scenes are registered
-// whole (not appendable). The 4/5 base keeps delta volume below both
-// compaction triggers so the deltas deterministically survive until
-// the equivalence queries run.
-func appendArchivesInChunks(t *testing.T, shards int, a testArchives) *Engine {
+// settle waits out the engine's background compactors.
+func settle(e *Engine) { e.compactWG.Wait() }
+
+// deltaLayout is one way of growing the test archives through appends:
+// register num/den of every appendable archive up front (scenes are
+// registered whole — not appendable), optionally round-trip that engine
+// through a snapshot so the bases are restored ones, then feed the rest
+// through Append* in `chunks` near-equal chunks.
+type deltaLayout struct {
+	num, den, chunks int
+	restored         bool
+}
+
+func (l deltaLayout) String() string {
+	return fmt.Sprintf("base=%d/%d chunks=%d restored=%v", l.num, l.den, l.chunks, l.restored)
+}
+
+func (l deltaLayout) grow(t *testing.T, shards int, a testArchives) *Engine {
 	t.Helper()
 	e := NewEngineWith(Options{Shards: shards})
-	basePts, baseRegions, baseWells := len(a.pts)*4/5, len(a.arch)*4/5, len(a.wells)*4/5
+	basePts, baseRegions, baseWells := len(a.pts)*l.num/l.den, len(a.arch)*l.num/l.den, len(a.wells)*l.num/l.den
 	if err := e.AddTuples("gauss", a.pts[:basePts]); err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +121,22 @@ func appendArchivesInChunks(t *testing.T, shards int, a testArchives) *Engine {
 	if err := e.AddWells("basin", a.wells[:baseWells]); err != nil {
 		t.Fatal(err)
 	}
+	if l.restored {
+		dir, err := segment.NewDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Snapshot(context.Background(), dir); err != nil {
+			t.Fatal(err)
+		}
+		e = openRestored(t, dir, segment.Copy)
+	}
 	chunked := func(n, base int, appendChunk func(lo, hi int) error) {
 		t.Helper()
 		rest := n - base
-		for c := 0; c < 3; c++ {
-			lo := base + rest*c/3
-			hi := base + rest*(c+1)/3
+		for c := 0; c < l.chunks; c++ {
+			lo := base + rest*c/l.chunks
+			hi := base + rest*(c+1)/l.chunks
 			if lo == hi {
 				continue
 			}
@@ -125,6 +148,7 @@ func appendArchivesInChunks(t *testing.T, shards int, a testArchives) *Engine {
 	chunked(len(a.pts), basePts, func(lo, hi int) error { return e.AppendTuples("gauss", a.pts[lo:hi]) })
 	chunked(len(a.arch), baseRegions, func(lo, hi int) error { return e.AppendSeries("weather", a.arch[lo:hi]) })
 	chunked(len(a.wells), baseWells, func(lo, hi int) error { return e.AppendWells("basin", a.wells[lo:hi]) })
+	settle(e)
 	return e
 }
 
@@ -132,36 +156,48 @@ func appendArchivesInChunks(t *testing.T, shards int, a testArchives) *Engine {
 // engine that grew its datasets through appends (base + live delta
 // segments) answers every query family bit-identically to an engine
 // that registered the full archives up front — for shard counts 1, 4
-// and 7, both before and after compaction.
+// and 7, both before and after Compact. The layouts cover three flat
+// deltas (too few for the tier rule) and 21 chunks, which the
+// background compactor leaves as a multi-tier delta list, over raw-row
+// and over snapshot-restored bases.
 func TestDeltaEquivalenceAllFamilies(t *testing.T) {
 	a := buildArchives(t)
+	layouts := []deltaLayout{
+		{num: 4, den: 5, chunks: 3},
+		{num: 1, den: 2, chunks: 21},
+		{num: 1, den: 2, chunks: 21, restored: true},
+	}
 	for _, shards := range []int{1, 4, 7} {
 		full := engineWithArchives(t, shards, a)
 		want := runSixFamilies(t, full, a.pm)
-
-		grown := appendArchivesInChunks(t, shards, a)
-		anyDeltas := false
-		for _, ds := range grown.Datasets() {
-			if ds.Deltas > 0 {
-				anyDeltas = true
+		for _, l := range layouts {
+			label := fmt.Sprintf("shards=%d %v", shards, l)
+			grown := l.grow(t, shards, a)
+			for _, ds := range grown.Datasets() {
+				if ds.Kind == kindScenes {
+					continue
+				}
+				// 21 near-equal chunks count in base 4 up to 16 + 4 + 1;
+				// unequal ones may leave up to three per size class.
+				if tiered := ds.Compactions > 0; tiered != (l.chunks == 21) || ds.Deltas < 1 || ds.Deltas > 9 {
+					t.Fatalf("%s: %s/%s holds %d deltas after %d compactions", label, ds.Kind, ds.Name, ds.Deltas, ds.Compactions)
+				}
 			}
-		}
-		if !anyDeltas {
-			t.Fatalf("shards=%d: background compaction consumed every delta before the query ran", shards)
-		}
-		compareSix(t, fmt.Sprintf("shards=%d deltas", shards), runSixFamilies(t, grown, a.pm), want)
+			compareSix(t, label+" deltas", runSixFamilies(t, grown, a.pm), want)
 
-		// Compaction folds the deltas back into base shards without
-		// changing a single answer.
-		grown.Compact()
-		for _, ds := range grown.Datasets() {
-			if ds.Deltas != 0 {
-				t.Fatalf("shards=%d: %s/%s still holds %d deltas after Compact", shards, ds.Kind, ds.Name, ds.Deltas)
+			// Compact folds the deltas away — into the base where the
+			// registration rows are at hand, into one delta on restored
+			// bases — without changing a single answer.
+			grown.Compact()
+			for _, ds := range grown.Datasets() {
+				if left := ds.Deltas; (l.restored && left > 1) || (!l.restored && left != 0) {
+					t.Fatalf("%s: %s/%s still holds %d deltas after Compact", label, ds.Kind, ds.Name, left)
+				}
 			}
-		}
-		compareSix(t, fmt.Sprintf("shards=%d compacted", shards), runSixFamilies(t, grown, a.pm), want)
-		if err := grown.Close(); err != nil {
-			t.Fatal(err)
+			compareSix(t, label+" compacted", runSixFamilies(t, grown, a.pm), want)
+			if err := grown.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -200,8 +236,8 @@ func TestAppenderCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 100 delta rows on a 400-row base stay under both compaction
-	// triggers, so the one delta segment deterministically survives.
+	// One delta segment is no run for the tier rule, so it
+	// deterministically survives.
 	e := NewEngine()
 	if err := e.AddTuples("gauss", base); err != nil {
 		t.Fatal(err)
@@ -557,9 +593,9 @@ func TestCompactionPreservesCache(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompaction pins the automatic trigger: enough small
-// appends eventually fold into base shards without any explicit
-// Compact call, and answers are unchanged throughout.
+// TestBackgroundCompaction pins the automatic trigger: four equal
+// appends merge into one delta without any explicit Compact call, on
+// a raw-row engine as on a restored one, and the base is left alone.
 func TestBackgroundCompaction(t *testing.T) {
 	pts, err := synth.GaussianTuples(17, 400, 3)
 	if err != nil {
@@ -574,9 +610,8 @@ func TestBackgroundCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Close waits for in-flight compactions; after it, at least one
-	// trigger must have fired (6 appends on a 100-row base crosses both
-	// the segment-count and the row-fraction thresholds).
+	// Close waits for in-flight compactions. Six 50-row appends are one
+	// 200-row merge of the first four plus two live 50-row deltas.
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +619,357 @@ func TestBackgroundCompaction(t *testing.T) {
 	if ds.Rows != len(pts) {
 		t.Fatalf("rows = %d, want %d", ds.Rows, len(pts))
 	}
-	if ds.Deltas >= 6 {
-		t.Fatalf("background compaction never fired: %d deltas after 6 appends", ds.Deltas)
+	if ds.Deltas != 3 || ds.Compactions != 1 || ds.MergedSegments != 4 || ds.ReindexedRows != 200 {
+		t.Fatalf("after 6 appends: %+v, want 3 deltas from 1 compaction of 4 segments / 200 rows", ds)
+	}
+}
+
+// indexState counts gauss's base shards and deltas that hold no Onion
+// index yet. It runs no query, so it never builds one.
+func indexState(e *Engine) (lazyBase, bases, lazyDeltas, deltas int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	ts := e.tuples["gauss"]
+	for _, sh := range ts.shards {
+		if sh.index == nil {
+			lazyBase++
+		}
+	}
+	for _, sh := range ts.deltas {
+		if sh.index == nil {
+			lazyDeltas++
+		}
+	}
+	return lazyBase, len(ts.shards), lazyDeltas, len(ts.deltas)
+}
+
+// TestPublishedSegmentsAreIndexed pins the write-path invariant: every
+// segment published by AppendTuples, AppendTuplesAt, an Appender flush,
+// a background merge or Compact already holds its Onion index — checked
+// before any query has run, so no read can be the one that builds it.
+// The only shards without an index are a raw-row engine's
+// registration-time base shards, which stay lazy until Compact rebuilds
+// them.
+func TestPublishedSegmentsAreIndexed(t *testing.T) {
+	pts, err := synth.GaussianTuples(23, 1200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, restored := range []bool{false, true} {
+		e := NewEngineWith(Options{Shards: 3})
+		for _, name := range []string{"gauss", "pinned"} {
+			if err := e.AddTuples(name, pts[:600]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if restored {
+			dir, err := segment.NewDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Snapshot(ctx, dir); err != nil {
+				t.Fatal(err)
+			}
+			e = openRestored(t, dir, segment.Copy)
+		}
+		check := func(step string, wantDeltas int, baseIndexed bool) {
+			t.Helper()
+			lazyBase, bases, lazyDeltas, deltas := indexState(e)
+			if lazyDeltas != 0 || deltas != wantDeltas {
+				t.Fatalf("restored=%v %s: %d of %d deltas unindexed, want 0 of %d", restored, step, lazyDeltas, deltas, wantDeltas)
+			}
+			wantLazy := bases // a registration-time base stays lazy
+			if baseIndexed {
+				wantLazy = 0
+			}
+			if lazyBase != wantLazy {
+				t.Fatalf("restored=%v %s: %d of %d base shards unindexed, want %d", restored, step, lazyBase, bases, wantLazy)
+			}
+		}
+		check("registration", 0, restored)
+
+		if err := e.AppendTuples("gauss", pts[600:700]); err != nil {
+			t.Fatal(err)
+		}
+		check("AppendTuples", 1, restored)
+
+		ap := NewAppender(e, AppenderOptions{MaxRows: 100, MaxWait: time.Hour})
+		if err := ap.AppendTuples(ctx, "gauss", pts[700:800]); err != nil {
+			t.Fatal(err)
+		}
+		ap.Close()
+		check("Appender flush", 2, restored)
+
+		for lo := 800; lo < 1000; lo += 100 {
+			if err := e.AppendTuples("gauss", pts[lo:lo+100]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settle(e)
+		check("background merge", 1, restored)
+
+		if err := e.AppendTuples("gauss", pts[1000:1100]); err != nil {
+			t.Fatal(err)
+		}
+		e.Compact()
+		if restored {
+			check("Compact", 1, true) // no registration rows: one merged delta
+		} else {
+			check("Compact", 0, true) // rebuilt base shards arrive indexed too
+		}
+
+		// The cluster landing path: an explicit base past the watermark.
+		if err := e.AppendTuplesAt("pinned", 5000, pts[1100:]); err != nil {
+			t.Fatal(err)
+		}
+		e.mu.RLock()
+		d := e.tuples["pinned"].deltas[0]
+		e.mu.RUnlock()
+		if d.index == nil || d.offset != 5000 {
+			t.Fatalf("restored=%v AppendTuplesAt: delta index %v at offset %d, want built at 5000", restored, d.index != nil, d.offset)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTieredCompactionBounds pins the cost of the tier rule on a
+// restored engine: after 256 equal appends at most 4*ceil(log4 256)
+// deltas are live, and the rows handed to onion.Build — counted by the
+// engine's hook, once per append plus once per merge a row took part in
+// — stay within rows*(1 + log4 256). The dataset's reindexed_rows
+// counter is exactly the merge share of that count.
+func TestTieredCompactionBounds(t *testing.T) {
+	const appends, batch, levels = 256, 8, 4 // log4 256 = 4
+	pts, err := synth.GaussianTuples(29, 64+appends*batch, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	b := NewEngineWith(Options{Shards: 2})
+	if err := b.AddTuples("gauss", pts[:64]); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := segment.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Snapshot(ctx, dir); err != nil {
+		t.Fatal(err)
+	}
+	e := openRestored(t, dir, segment.Copy)
+	defer e.Close()
+	var built atomic.Int64
+	e.onIndex = func(rows int) { built.Add(int64(rows)) }
+
+	for lo := 64; lo < len(pts); lo += batch {
+		if err := e.AppendTuples("gauss", pts[lo:lo+batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(e)
+	ds := e.Datasets()[0]
+	rows := appends * batch
+	if ds.Rows != 64+rows {
+		t.Fatalf("rows = %d, want %d", ds.Rows, 64+rows)
+	}
+	if ds.Deltas < 1 || ds.Deltas > 4*levels {
+		t.Fatalf("%d live deltas after %d appends, want 1..%d", ds.Deltas, appends, 4*levels)
+	}
+	if got := built.Load(); got > int64(rows*(1+levels)) {
+		t.Fatalf("onion.Build saw %d rows for %d appended, want <= %d", got, rows, rows*(1+levels))
+	}
+	if got := built.Load() - int64(rows); got != int64(ds.ReindexedRows) || ds.Compactions == 0 {
+		t.Fatalf("reindexed_rows = %d over %d compactions, hook counted %d merged rows", ds.ReindexedRows, ds.Compactions, got)
+	}
+
+	// The tiered layout answers like a from-scratch build.
+	ref := NewEngineWith(Options{Shards: 2})
+	if err := ref.AddTuples("gauss", pts); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Dataset: "gauss", Query: LinearQuery{Model: testLinearModel(t)}, K: 25}
+	got, err := e.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	itemsEqual(t, "tiered vs rebuilt", got.Items, want.Items)
+
+	// Mixed append sizes: the live delta count stays within three per
+	// size class plus the newest three, and a large delta that absorbs
+	// smaller older ones is rebuilt in its own class ([1,300,300,300]
+	// merges into one 901-row delta although only the 1 rises).
+	t.Run("mixed sizes", func(t *testing.T) {
+		m := NewEngineWith(Options{Shards: 2})
+		defer m.Close()
+		if err := m.AddTuples("gauss", pts[:64]); err != nil {
+			t.Fatal(err)
+		}
+		lo := 64
+		land := func(n int) {
+			t.Helper()
+			if err := m.AppendTuples("gauss", pts[lo:lo+n]); err != nil {
+				t.Fatal(err)
+			}
+			lo += n
+		}
+		for _, n := range []int{1, 300, 300, 300} {
+			land(n)
+		}
+		settle(m)
+		if ds := m.Datasets()[0]; ds.Deltas != 1 || ds.ReindexedRows != 901 {
+			t.Fatalf("[1,300,300,300]: %+v, want one 901-row delta", ds)
+		}
+		rng := rand.New(rand.NewSource(41))
+		for lo+300 <= len(pts) {
+			land(1 + rng.Intn(300)>>uint(rng.Intn(9)))
+			settle(m)
+			ds := m.Datasets()[0]
+			if limit := 3*(sizeClass(ds.Rows)+1) + 3; ds.Deltas > limit {
+				t.Fatalf("%d live deltas over %d rows, want <= %d", ds.Deltas, ds.Rows, limit)
+			}
+		}
+		mixed, err := m.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := NewEngineWith(Options{Shards: 2})
+		if err := part.AddTuples("gauss", pts[:lo]); err != nil {
+			t.Fatal(err)
+		}
+		wantMixed, err := part.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		itemsEqual(t, "mixed tiers vs rebuilt", mixed.Items, wantMixed.Items)
+	})
+}
+
+// TestCompactionRetriesDroppedBuild pins what happens when a compaction
+// finds, at its swap, that another one replaced the deltas it captured:
+// it starts over from the current set instead of giving up. Neither a
+// background merge racing Compact() nor the reverse loses its work.
+func TestCompactionRetriesDroppedBuild(t *testing.T) {
+	const batch = 8
+	pts, err := synth.GaussianTuples(43, 64+8*batch, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stage returns an engine whose first index build over `rows` rows
+	// signals building and then waits for release.
+	stage := func(t *testing.T, rows int) (e *Engine, building, release chan struct{}, land func(from, to int)) {
+		e = NewEngineWith(Options{Shards: 2})
+		if err := e.AddTuples("gauss", pts[:64]); err != nil {
+			t.Fatal(err)
+		}
+		building, release = make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		e.onIndex = func(n int) {
+			if n == rows {
+				once.Do(func() {
+					close(building)
+					<-release
+				})
+			}
+		}
+		land = func(from, to int) {
+			t.Helper()
+			for i := from; i < to; i++ {
+				lo := 64 + i*batch
+				if err := e.AppendTuples("gauss", pts[lo:lo+batch]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return e, building, release, land
+	}
+
+	t.Run("background merge dropped by Compact", func(t *testing.T) {
+		e, building, release, land := stage(t, 4*batch)
+		land(0, 4)
+		<-building  // the tier merge of deltas 0-3 is mid-build
+		e.Compact() // folds them into the base under it
+		land(4, 8)  // a new run, and no append after it
+		close(release)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ds := e.Datasets()[0]; ds.Deltas != 1 || ds.Compactions != 2 || ds.MergedSegments != 8 {
+			t.Fatalf("after Close: %+v, want the second run merged by the retried compactor", ds)
+		}
+	})
+
+	t.Run("Compact dropped by background merge", func(t *testing.T) {
+		e, building, release, land := stage(t, (64+3*batch)/2)
+		land(0, 3)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			e.Compact()
+		}()
+		<-building // the fold of deltas 0-2 is mid-build
+		land(3, 7) // delta 3 completes a run; the tier merge swaps first
+		settle(e)
+		close(release)
+		<-done
+		if ds := e.Datasets()[0]; ds.Deltas != 0 || ds.Compactions != 2 || ds.Rows != 64+7*batch {
+			t.Fatalf("after Compact: %+v, want every delta folded", ds)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCompactionTriggerNotLost pins the re-check at the end of a
+// compaction: four appends land while a merge is building and then the
+// appends stop for good. The compactor must notice the new run itself
+// — Close returns with both runs merged — instead of leaving it for a
+// next append that never comes.
+func TestCompactionTriggerNotLost(t *testing.T) {
+	const batch = 8
+	pts, err := synth.GaussianTuples(37, 64+8*batch, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngineWith(Options{Shards: 2})
+	if err := e.AddTuples("gauss", pts[:64]); err != nil {
+		t.Fatal(err)
+	}
+	building, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e.onIndex = func(rows int) {
+		if rows > batch { // a merge, not an append
+			once.Do(func() {
+				close(building)
+				<-release
+			})
+		}
+	}
+	appendBatches := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			lo := 64 + i*batch
+			if err := e.AppendTuples("gauss", pts[lo:lo+batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendBatches(0, 4)
+	<-building // the first merge is mid-build
+	appendBatches(4, 8)
+	close(release)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds := e.Datasets()[0]
+	if ds.Deltas != 2 || ds.Compactions != 2 || ds.ReindexedRows != 8*batch {
+		t.Fatalf("after Close: %+v, want 2 merged deltas from 2 compactions", ds)
 	}
 }

@@ -39,13 +39,13 @@ func (e *Engine) ScanTopKTuplesParallel(dataset string, coeffs []float64, interc
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, dataset)
 	}
-	pts := ts.points
+	pts := ts.raw
 	if pts == nil {
 		// A snapshot-restored engine persists only the built indexes;
 		// the raw rows the scan baseline walks were never written.
 		return nil, fmt.Errorf("core: %q: sequential-scan baseline unavailable on a restored engine", dataset)
 	}
-	if ts.deltaRows() > 0 {
+	if len(ts.deltas) > 0 {
 		// Live delta segments carry their raw rows; walk base + deltas
 		// in global row order so IDs match the indexed path.
 		all := make([][]float64, 0, ts.rows)

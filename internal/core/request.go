@@ -463,8 +463,7 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 	}
 	meter := topk.NewMeter(req.Budget)
 	// Plans fan out over the scan list — base shards plus any live
-	// delta segments; a delta's Onion index builds lazily on first
-	// query exactly like a base shard's.
+	// delta segments.
 	perShardP := onionStatsArena.get(len(ts.scan))
 	perShard := *perShardP
 	return queryPlan{
@@ -475,8 +474,11 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 		shift: m.Intercept,
 		run: func(si int, sb *topk.Bound) ([]topk.Item, error) {
 			sh := ts.scan[si]
-			// First query builds this shard's index inside the fan-out we
-			// already pay for; afterwards this is a sync.Once hit.
+			// The only index this can build is a registration-time base
+			// shard's, on its first query, inside the fan-out we already pay
+			// for. Everything the write path publishes (appends, compaction,
+			// restore, resync install) arrives indexed (ingest.go), so
+			// otherwise this is a sync.Once hit.
 			ix, err := sh.ensureIndex(e.onionOpt)
 			if err != nil {
 				return nil, err
@@ -727,7 +729,7 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapsh
 			return nil
 		},
 		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			det := FSMStats{RegionsTotal: ss.total}
+			det := FSMStats{RegionsTotal: ss.rows}
 			scanned := 0
 			for si, s := range perShard {
 				det.RegionsPruned += s.RegionsPruned
@@ -798,7 +800,7 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, snap
 			return nil
 		},
 		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			det := FSMStats{RegionsTotal: ss.total}
+			det := FSMStats{RegionsTotal: ss.rows}
 			scanned := 0
 			for si, s := range perShard {
 				det.DaysScanned += s.DaysScanned

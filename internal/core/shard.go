@@ -1,5 +1,5 @@
 // Shard plumbing for the engine: every dataset is partitioned into N
-// contiguous shards at ingest, each shard carrying its own lazily built
+// contiguous shards at ingest, each shard carrying its own
 // model-specific index (Onion layers for tuple archives, an assigned
 // slice of pyramid root cells for scenes, precomputed metadata
 // summaries for series). Queries fan out one worker per shard and merge
@@ -9,12 +9,12 @@
 // path.
 //
 // Live ingest rides on the same invariant: an append never mutates a
-// set in place. It builds an immutable delta segment (one more shard
-// value of the same type) and swaps in a new set value that shares the
-// base shards, extends the scan list, and advances the dataset's
-// generation. In-flight queries keep the set pointer they resolved and
-// see a consistent world; the next query sees base + deltas. A
-// background compactor folds deltas back into balanced base shards
+// set in place. It builds an immutable, already indexed delta segment
+// (one more shard value of the same type) and swaps in a new set value
+// that shares the base shards, extends the scan list, and advances the
+// dataset's generation. In-flight queries keep the set pointer they
+// resolved and see a consistent world; the next query sees base +
+// deltas. A background compactor merges adjacent deltas by size tier
 // (see ingest.go) without changing the generation — compaction changes
 // layout, never content.
 
@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"modelir/internal/archive"
@@ -59,10 +60,136 @@ func partition(n, want int) [][2]int {
 	return out
 }
 
+// rowShard is what the three appendable shard kinds share: an
+// immutable segment over a run of raw rows of type R (tuples, regions,
+// wells). Pointer identity tells the compactor whether a set still
+// descends from the one it captured.
+type rowShard[R any] interface {
+	comparable
+	// rawRows is the run the segment was built over. Delta segments
+	// always hold it (appends supply the rows); a snapshot-restored base
+	// tuple shard does not.
+	rawRows() []R
+	// place sets the global row the segment's IDs start at. Only tuple
+	// IDs are positional; region and well IDs are intrinsic to the rows.
+	place(base int)
+	// buildIndex builds the segment's query index now, for the kind that
+	// has one (tuples: the Onion layers). Every segment the write path
+	// creates passes through here before it is published.
+	buildIndex(e *Engine) error
+}
+
+// set is a registered appendable dataset, sharded at ingest. raw
+// retains the registration rows (base shards alias its backing array)
+// for the sequential-scan baseline and Engine.Compact's full rebuild;
+// it is nil on a snapshot-restored set, where only built state is
+// persisted. scan — base shards followed by deltas — is the only shard
+// list query plans fan out over.
+type set[S rowShard[R], R any] struct {
+	// rows is the logical row count including delta rows (for a pinned
+	// tuple set, the row watermark).
+	rows   int
+	raw    []R
+	shards []S
+	// deltas are immutable delta segments landed by Append* after
+	// registration, in append order. Tuple deltas' offsets continue the
+	// global row space, so item IDs are identical to a from-scratch
+	// build; series and well IDs are intrinsic to the rows.
+	deltas []S
+	// scan is shards + deltas (aliased when there are no deltas).
+	scan []S
+	// gen is the dataset's cache-invalidation generation: 1 at
+	// registration, +1 per append, unchanged by compaction.
+	gen uint64
+	// pinned marks a tuple set holding at least one delta whose offset
+	// does not continue the local row space contiguously (a cluster
+	// append landed rows at an explicit global base, see
+	// AppendTuplesAt). Merging would reassign those offsets — and with
+	// them the result IDs the cluster contract pins — so a pinned set is
+	// never compacted.
+	pinned bool
+	// Compaction counters since registration or install (DatasetInfo).
+	compactions, mergedSegments, reindexedRows uint64
+}
+
+type (
+	tupleSet  = set[*tupleShard, []float64]
+	seriesSet = set[*seriesShard, synth.RegionSeries]
+	wellSet   = set[*wellShard, synth.WellLog]
+)
+
+// newSet partitions raw into `shards` balanced base shards, each built
+// by mk from its run and placed at the run's global row offset.
+func newSet[S rowShard[R], R any](raw []R, shards int, mk func(part []R) S) *set[S, R] {
+	s := &set[S, R]{rows: len(raw), raw: raw, gen: 1}
+	for _, r := range partition(len(raw), shards) {
+		sh := mk(raw[r[0]:r[1]])
+		sh.place(r[0])
+		s.shards = append(s.shards, sh)
+	}
+	s.scan = s.shards
+	return s
+}
+
+// rowsIn counts the rows living in segs.
+func rowsIn[S rowShard[R], R any](segs []S) int {
+	n := 0
+	for _, d := range segs {
+		n += len(d.rawRows())
+	}
+	return n
+}
+
+// withDeltaAt returns a new set value with d appended as one more
+// delta segment whose rows take IDs base..base+len-1; d is built by
+// the caller outside the engine lock. The receiver is untouched
+// (in-flight queries keep their consistent view), base shards are
+// shared and the generation advances. A base beyond s.rows leaves a
+// gap in the local row space (legal — IDs are just labels to every
+// scan path) but pins the set; rows becomes the row watermark.
+func (s *set[S, R]) withDeltaAt(base int, d S) *set[S, R] {
+	n := *s
+	n.rows = max(s.rows, base+len(d.rawRows()))
+	n.deltas = append(s.deltas[:len(s.deltas):len(s.deltas)], d)
+	n.scan = append(s.shards[:len(s.shards):len(s.shards)], n.deltas...)
+	n.gen++
+	n.pinned = s.pinned || base != s.rows
+	return &n
+}
+
+// sizeClass is floor(log4 n): the tier a segment of n rows sits in.
+func sizeClass(n int) int { return (bits.Len(uint(n)) - 1) / 2 }
+
+// tierRun is the one background compaction policy, shared by every
+// kind: the oldest run [lo, hi) of compactDeltaSegments adjacent deltas
+// whose merge lands in a higher size class than the run's first delta
+// — which four deltas of one class always do, so equal appends count
+// in base 4 and a row is rebuilt O(log rows) times. Once no run
+// qualifies every delta is at least the class of the three after it,
+// so at most compactDeltaSegments-1 deltas per class stay live (plus
+// the newest three) whatever the append sizes. Only the run's first
+// delta is sure to rise: with mixed sizes a large delta that absorbs
+// smaller older ones ([1,300,300,300]) is rebuilt in its own class.
+// lo == hi means nothing is due.
+func (s *set[S, R]) tierRun() (lo, hi int) {
+	if s == nil || s.pinned {
+		return 0, 0
+	}
+	for i := 0; i+compactDeltaSegments <= len(s.deltas); i++ {
+		run := s.deltas[i : i+compactDeltaSegments]
+		if sizeClass(rowsIn[S, R](run)) > sizeClass(len(run[0].rawRows())) {
+			return i, i + compactDeltaSegments
+		}
+	}
+	return 0, 0
+}
+
 // tupleShard is one partition of a tuple archive. Its Onion index is
-// built on first use (sync.Once makes concurrent first queries safe)
-// over the shard's sub-slice, so result IDs are local and must be
-// shifted by offset into the global index space.
+// built over the shard's sub-slice, so result IDs are local and must be
+// shifted by offset into the global index space. Every shard the write
+// path publishes (append, compaction, restore, resync install) already
+// holds its index; only a registration-time base shard builds it on
+// first use (sync.Once makes concurrent first queries safe).
 type tupleShard struct {
 	offset int
 	points [][]float64
@@ -72,6 +199,17 @@ type tupleShard struct {
 	err   error
 }
 
+func (s *tupleShard) rawRows() [][]float64 { return s.points }
+func (s *tupleShard) place(base int)       { s.offset = base }
+
+func (s *tupleShard) buildIndex(e *Engine) error {
+	if e.onIndex != nil {
+		e.onIndex(len(s.points))
+	}
+	_, err := s.ensureIndex(e.onionOpt)
+	return err
+}
+
 func (s *tupleShard) ensureIndex(opt onion.Options) (*onion.Index, error) {
 	s.once.Do(func() {
 		s.index, s.err = onion.Build(s.points, opt)
@@ -79,126 +217,9 @@ func (s *tupleShard) ensureIndex(opt onion.Options) (*onion.Index, error) {
 	return s.index, s.err
 }
 
-// tupleSet is a registered tuple archive, sharded at ingest. The flat
-// base-row slice is retained (base shards alias its backing array) for
-// the sequential-scan baseline and full recompaction; a
-// snapshot-restored set has points == nil (only the built indexes are
-// persisted). rows carries the logical count including delta rows on
-// every path, and scan — base shards followed by deltas — is the only
-// shard list query plans fan out over.
-type tupleSet struct {
-	points [][]float64
-	rows   int
-	shards []*tupleShard
-	// deltas are immutable delta segments landed by AppendTuples after
-	// registration, in append order; their offsets continue the global
-	// row space, so item IDs are identical to a from-scratch build.
-	deltas []*tupleShard
-	// scan is shards + deltas (aliased when there are no deltas).
-	scan []*tupleShard
-	// gen is the dataset's cache-invalidation generation: 1 at
-	// registration, +1 per append, unchanged by compaction.
-	gen uint64
-	// pinned marks a set holding at least one delta whose offset does
-	// not continue the local row space contiguously (a cluster append
-	// landed rows at an explicit global base, see AppendTuplesAt).
-	// Compaction would reassign those offsets — and with them the
-	// result IDs the cluster contract pins — so a pinned set is never
-	// compacted.
-	pinned bool
-}
-
-func newTupleSet(points [][]float64, shards int) *tupleSet {
-	ts := &tupleSet{points: points, rows: len(points), gen: 1}
-	for _, r := range partition(len(points), shards) {
-		ts.shards = append(ts.shards, &tupleShard{
-			offset: r[0],
-			points: points[r[0]:r[1]],
-		})
-	}
-	ts.scan = ts.shards
-	return ts
-}
-
-// deltaRows counts the rows living in delta segments.
-func (ts *tupleSet) deltaRows() int {
-	n := 0
-	for _, d := range ts.deltas {
-		n += len(d.points)
-	}
-	return n
-}
-
-// withDelta returns a new set value with one more delta segment
-// holding rows. The receiver is untouched (in-flight queries keep
-// their consistent view); base shards are shared, the delta's offset
-// continues the global row space, and the generation advances.
-func (ts *tupleSet) withDelta(rows [][]float64) *tupleSet {
-	return ts.withDeltaAt(ts.rows, rows)
-}
-
-// withDeltaAt is withDelta with an explicit base offset for the new
-// delta segment: the rows take IDs base..base+len(rows)-1. A base
-// beyond ts.rows leaves a gap in the local row space (legal — IDs are
-// just labels to every scan path) but pins the set against compaction,
-// which could not preserve per-delta offsets. rows becomes the row
-// watermark: max(old rows, base+len).
-func (ts *tupleSet) withDeltaAt(base int, rows [][]float64) *tupleSet {
-	d := &tupleShard{offset: base, points: rows}
-	watermark := ts.rows
-	if base+len(rows) > watermark {
-		watermark = base + len(rows)
-	}
-	nt := &tupleSet{
-		points: ts.points,
-		rows:   watermark,
-		shards: ts.shards,
-		deltas: append(ts.deltas[:len(ts.deltas):len(ts.deltas)], d),
-		gen:    ts.gen + 1,
-		pinned: ts.pinned || base != ts.rows,
-	}
-	nt.scan = append(ts.shards[:len(ts.shards):len(ts.shards)], nt.deltas...)
-	return nt
-}
-
-// compact folds the set's deltas away: with base rows at hand, a full
-// rebuild into `shards` balanced base shards (indexes re-derive lazily
-// on next query); on a restored base (raw rows never persisted), the
-// deltas merge into ONE delta segment instead. Returns nil when there
-// is nothing productive to do. The generation is preserved — content
-// is unchanged, so live cache entries stay valid.
-func (ts *tupleSet) compact(shards int) *tupleSet {
-	if len(ts.deltas) == 0 || ts.pinned {
-		return nil
-	}
-	if ts.points != nil {
-		all := make([][]float64, 0, ts.rows)
-		all = append(all, ts.points...)
-		for _, d := range ts.deltas {
-			all = append(all, d.points...)
-		}
-		nt := newTupleSet(all, shards)
-		nt.gen = ts.gen
-		return nt
-	}
-	if len(ts.deltas) == 1 {
-		return nil
-	}
-	dr := ts.deltaRows()
-	rows := make([][]float64, 0, dr)
-	for _, d := range ts.deltas {
-		rows = append(rows, d.points...)
-	}
-	d := &tupleShard{offset: ts.rows - dr, points: rows}
-	nt := &tupleSet{
-		rows:   ts.rows,
-		shards: ts.shards,
-		deltas: []*tupleShard{d},
-		gen:    ts.gen,
-	}
-	nt.scan = append(ts.shards[:len(ts.shards):len(ts.shards)], d)
-	return nt
-}
+// newTupleShard is the tuple shard constructor newSet and the write
+// path share; the index is not built here.
+func newTupleShard(part [][]float64) *tupleShard { return &tupleShard{points: part} }
 
 // restoredTupleShard wraps a snapshot-restored Onion index. The build
 // Once is burned immediately so ensureIndex returns the restored index
@@ -209,7 +230,7 @@ func restoredTupleShard(offset int, ix *onion.Index) *tupleShard {
 	return sh
 }
 
-// restoredTupleSet assembles a tuple set from restored shards. points
+// restoredTupleSet assembles a tuple set from restored shards. raw
 // stays nil: the sequential-scan baseline is unavailable on a restored
 // engine (the raw rows were never persisted), which parallel.go turns
 // into an explicit error rather than a panic.
@@ -238,23 +259,15 @@ func (s *seriesShard) eventsOf(i int) []fsm.Event {
 	return s.events[s.evOff[i]:s.evOff[i+1]:s.evOff[i+1]]
 }
 
-// seriesSet is a registered series archive, sharded at ingest. As with
-// tuples, scan (base shards + deltas) is what query plans fan out
-// over; raw retains the registration rows for full recompaction and is
-// nil on snapshot-restored sets (raw days are never persisted).
-type seriesSet struct {
-	total  int
-	shards []*seriesShard
-	deltas []*seriesShard
-	scan   []*seriesShard
-	raw    []synth.RegionSeries
-	gen    uint64
-}
+func (s *seriesShard) rawRows() []synth.RegionSeries { return s.regions }
+func (s *seriesShard) place(int)                     {}
+func (s *seriesShard) buildIndex(*Engine) error      { return nil }
 
 // newSeriesShard builds one shard over part: metadata summaries plus
 // the flat day-classified event plane. This is the only constructor —
-// base shards at registration, delta segments at append — so deltas
-// are bit-identical to the shards a from-scratch build would hold.
+// base shards at registration, delta segments at append, merged deltas
+// at compaction — so every segment is bit-identical to the shard a
+// from-scratch build would hold.
 func newSeriesShard(part []synth.RegionSeries) *seriesShard {
 	sums := make([]synth.DrySpellStats, len(part))
 	total := 0
@@ -271,88 +284,6 @@ func newSeriesShard(part []synth.RegionSeries) *seriesShard {
 		evOff = append(evOff, len(events))
 	}
 	return &seriesShard{regions: part, sums: sums, events: events, evOff: evOff}
-}
-
-func newSeriesSet(rs []synth.RegionSeries, shards int) *seriesSet {
-	ss := &seriesSet{total: len(rs), raw: rs, gen: 1}
-	for _, r := range partition(len(rs), shards) {
-		ss.shards = append(ss.shards, newSeriesShard(rs[r[0]:r[1]]))
-	}
-	ss.scan = ss.shards
-	return ss
-}
-
-// withDelta returns a new set value with sh appended as one more delta
-// segment; sh is built by the caller outside the engine lock.
-func (ss *seriesSet) withDelta(sh *seriesShard) *seriesSet {
-	ns := &seriesSet{
-		total:  ss.total + len(sh.regions),
-		shards: ss.shards,
-		deltas: append(ss.deltas[:len(ss.deltas):len(ss.deltas)], sh),
-		raw:    ss.raw,
-		gen:    ss.gen + 1,
-	}
-	ns.scan = append(ss.shards[:len(ss.shards):len(ss.shards)], ns.deltas...)
-	return ns
-}
-
-// deltaRows counts regions living in delta segments.
-func (ss *seriesSet) deltaRows() int {
-	n := 0
-	for _, d := range ss.deltas {
-		n += len(d.regions)
-	}
-	return n
-}
-
-// compact folds deltas away (see tupleSet.compact): full rebuild when
-// the raw registration rows are at hand (delta shards always carry
-// raw regions — appends supply them), else a merge of all deltas into
-// one segment. Returns nil when nothing productive can be done.
-func (ss *seriesSet) compact(shards int) *seriesSet {
-	if len(ss.deltas) == 0 {
-		return nil
-	}
-	if ss.raw != nil {
-		all := make([]synth.RegionSeries, 0, ss.total)
-		all = append(all, ss.raw...)
-		for _, d := range ss.deltas {
-			all = append(all, d.regions...)
-		}
-		return newSeriesSet(all, shards).withGen(ss.gen)
-	}
-	if len(ss.deltas) == 1 {
-		return nil
-	}
-	nr := ss.deltaRows()
-	regions := make([]synth.RegionSeries, 0, nr)
-	sums := make([]synth.DrySpellStats, 0, nr)
-	var events []fsm.Event
-	evOff := make([]int, 1, nr+1)
-	for _, d := range ss.deltas {
-		regions = append(regions, d.regions...)
-		sums = append(sums, d.sums...)
-		for i := range d.regions {
-			events = append(events, d.eventsOf(i)...)
-			evOff = append(evOff, len(events))
-		}
-	}
-	d := &seriesShard{regions: regions, sums: sums, events: events, evOff: evOff}
-	ns := &seriesSet{
-		total:  ss.total,
-		shards: ss.shards,
-		deltas: []*seriesShard{d},
-		gen:    ss.gen,
-	}
-	ns.scan = append(ss.shards[:len(ss.shards):len(ss.shards)], d)
-	return ns
-}
-
-// withGen overrides the generation on a freshly built set (compaction
-// preserves the pre-compaction generation: content is unchanged).
-func (ss *seriesSet) withGen(gen uint64) *seriesSet {
-	ss.gen = gen
-	return ss
 }
 
 // restoredSeriesSet assembles a series set from snapshot planes: the
@@ -380,7 +311,7 @@ func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, events []fsm.Event
 	for i, id := range ids {
 		regions[i] = synth.RegionSeries{Region: id}
 	}
-	ss := &seriesSet{total: n, gen: 1}
+	ss := &seriesSet{rows: n, gen: 1}
 	for _, r := range partition(n, shards) {
 		lo, hi := r[0], r[1]
 		evOff := make([]int, hi-lo+1)
@@ -416,20 +347,12 @@ type wellShard struct {
 // strataLen returns well i's stratum count.
 func (s *wellShard) strataLen(i int) int { return s.off[i+1] - s.off[i] }
 
-// wellSet is a registered well-log archive, sharded at ingest. scan
-// (base shards + deltas) is what query plans fan out over; raw retains
-// the registration rows for full recompaction (nil on restored sets).
-type wellSet struct {
-	total  int
-	shards []*wellShard
-	deltas []*wellShard
-	scan   []*wellShard
-	raw    []synth.WellLog
-	gen    uint64
-}
+func (s *wellShard) rawRows() []synth.WellLog { return s.wells }
+func (s *wellShard) place(int)                {}
+func (s *wellShard) buildIndex(*Engine) error { return nil }
 
 // newWellShard flattens part's strata into the columnar planes — the
-// one constructor base shards and delta segments share.
+// one constructor base shards, delta segments and merged deltas share.
 func newWellShard(part []synth.WellLog) *wellShard {
 	total := 0
 	for _, w := range part {
@@ -453,83 +376,6 @@ func newWellShard(part []synth.WellLog) *wellShard {
 		sh.off = append(sh.off, len(sh.lith))
 	}
 	return sh
-}
-
-func newWellSet(ws []synth.WellLog, shards int) *wellSet {
-	s := &wellSet{total: len(ws), raw: ws, gen: 1}
-	for _, r := range partition(len(ws), shards) {
-		s.shards = append(s.shards, newWellShard(ws[r[0]:r[1]]))
-	}
-	s.scan = s.shards
-	return s
-}
-
-// withDelta returns a new set value with sh appended as one more delta
-// segment; sh is built by the caller outside the engine lock.
-func (s *wellSet) withDelta(sh *wellShard) *wellSet {
-	ns := &wellSet{
-		total:  s.total + len(sh.wells),
-		shards: s.shards,
-		deltas: append(s.deltas[:len(s.deltas):len(s.deltas)], sh),
-		raw:    s.raw,
-		gen:    s.gen + 1,
-	}
-	ns.scan = append(s.shards[:len(s.shards):len(s.shards)], ns.deltas...)
-	return ns
-}
-
-// deltaRows counts wells living in delta segments.
-func (s *wellSet) deltaRows() int {
-	n := 0
-	for _, d := range s.deltas {
-		n += len(d.wells)
-	}
-	return n
-}
-
-// compact folds deltas away (see tupleSet.compact): full rebuild when
-// the raw registration rows are at hand, else a merge of all deltas
-// into one segment. Returns nil when nothing productive can be done.
-func (s *wellSet) compact(shards int) *wellSet {
-	if len(s.deltas) == 0 {
-		return nil
-	}
-	if s.raw != nil {
-		all := make([]synth.WellLog, 0, s.total)
-		all = append(all, s.raw...)
-		for _, d := range s.deltas {
-			all = append(all, d.wells...)
-		}
-		ns := newWellSet(all, shards)
-		ns.gen = s.gen
-		return ns
-	}
-	if len(s.deltas) == 1 {
-		return nil
-	}
-	nw := s.deltaRows()
-	sh := &wellShard{
-		wells: make([]synth.WellLog, 0, nw),
-		off:   make([]int, 1, nw+1),
-	}
-	for _, d := range s.deltas {
-		sh.wells = append(sh.wells, d.wells...)
-		sh.lith = append(sh.lith, d.lith...)
-		sh.topFt = append(sh.topFt, d.topFt...)
-		sh.thickFt = append(sh.thickFt, d.thickFt...)
-		sh.gamma = append(sh.gamma, d.gamma...)
-		for i := range d.wells {
-			sh.off = append(sh.off, sh.off[len(sh.off)-1]+d.strataLen(i))
-		}
-	}
-	ns := &wellSet{
-		total:  s.total,
-		shards: s.shards,
-		deltas: []*wellShard{sh},
-		gen:    s.gen,
-	}
-	ns.scan = append(s.shards[:len(s.shards):len(s.shards)], sh)
-	return ns
 }
 
 // restoredWellSet assembles a well set from snapshot planes: well IDs,
@@ -558,7 +404,7 @@ func restoredWellSet(ids []int, counts []int, lith []synth.Lithology, topFt, thi
 	for i, id := range ids {
 		wells[i] = synth.WellLog{Well: id}
 	}
-	s := &wellSet{total: n, gen: 1}
+	s := &wellSet{rows: n, gen: 1}
 	for _, r := range partition(n, shards) {
 		lo, hi := r[0], r[1]
 		off := make([]int, hi-lo+1)

@@ -54,9 +54,24 @@ type DatasetInfo struct {
 	// Gen is the dataset's cache-invalidation generation: 1 at
 	// registration, +1 per append (cache.go).
 	Gen uint64 `json:"gen"`
-	// Deltas counts the dataset's live delta segments awaiting
-	// compaction (always 0 for scenes, which are not appendable).
+	// Deltas counts the dataset's live delta segments (always 0 for
+	// scenes, which are not appendable). The tier rule keeps it
+	// O(log rows).
 	Deltas int `json:"deltas"`
+	// Compactions, MergedSegments and ReindexedRows count, since the
+	// dataset was registered or installed, the compactions swapped in,
+	// the delta segments they consumed and the rows they rebuilt
+	// segments over.
+	Compactions    uint64 `json:"compactions"`
+	MergedSegments uint64 `json:"merged_segments"`
+	ReindexedRows  uint64 `json:"reindexed_rows"`
+}
+
+func (s *set[S, R]) info(name, kind string) DatasetInfo {
+	return DatasetInfo{
+		Name: name, Kind: kind, Rows: s.rows, Gen: s.gen, Deltas: len(s.deltas),
+		Compactions: s.compactions, MergedSegments: s.mergedSegments, ReindexedRows: s.reindexedRows,
+	}
 }
 
 // Datasets lists every registered dataset sorted by name (then kind —
@@ -70,16 +85,16 @@ func (e *Engine) Datasets() []DatasetInfo {
 func (e *Engine) datasetsLocked() []DatasetInfo {
 	out := make([]DatasetInfo, 0, len(e.tuples)+len(e.scenes)+len(e.series)+len(e.wells))
 	for name, ts := range e.tuples {
-		out = append(out, DatasetInfo{Name: name, Kind: kindTuples, Rows: ts.rows, Gen: ts.gen, Deltas: len(ts.deltas)})
+		out = append(out, ts.info(name, kindTuples))
 	}
 	for name, ss := range e.scenes {
 		out = append(out, DatasetInfo{Name: name, Kind: kindScenes, Rows: len(ss.scene.Tiles), Gen: ss.gen})
 	}
 	for name, ss := range e.series {
-		out = append(out, DatasetInfo{Name: name, Kind: kindSeries, Rows: ss.total, Gen: ss.gen, Deltas: len(ss.deltas)})
+		out = append(out, ss.info(name, kindSeries))
 	}
 	for name, ws := range e.wells {
-		out = append(out, DatasetInfo{Name: name, Kind: kindWells, Rows: ws.total, Gen: ws.gen, Deltas: len(ws.deltas)})
+		out = append(out, ws.info(name, kindWells))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -188,10 +203,9 @@ func (e *Engine) SnapshotDatasets(ctx context.Context, b segment.Backend, names 
 // installed dataset's generation is bumped strictly past the replaced
 // one so cached results over the old state invalidate. Snapshot
 // datasets that are not named are ignored; a named dataset missing
-// from the snapshot is an error. An in-flight background compaction of
-// a replaced dataset aborts on its own re-check (the installed set has
-// no deltas, so the compactor's splice guard refuses to fold stale
-// state over it).
+// from the snapshot is an error. An in-flight compaction of a replaced
+// dataset drops its build at the swap (the installed set does not hold
+// the deltas it captured, so it does not descend from the capture).
 func (e *Engine) InstallDatasets(b segment.Backend, names []string) error {
 	if len(names) == 0 {
 		return nil

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"modelir/internal/core"
 	"modelir/internal/linear"
 	"modelir/internal/synth"
+	"modelir/internal/topk"
 )
 
 // IngestBaseline is the BENCH_ingest.json artifact.
@@ -200,11 +202,22 @@ func ingestSweep(cfg Config) (IngestBaseline, error) {
 		return base, err
 	}
 
+	// The racing writers land the tail chunks in scheduler order, so a
+	// tail row's ID in grown is not its index in pts. toRef is that
+	// permutation, recovered from the engines themselves; with it the
+	// tuple family is compared on exact IDs like the other five.
+	toRef, err := tailIDMap(ctx, grown, full, basePts, chunk)
+	if err != nil {
+		return base, err
+	}
 	identical := true
 	check := func(label string) error {
 		got, err := persistFamilies(ctx, grown, pm)
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
+		}
+		for i, it := range got[0] {
+			got[0][i].ID = toRef[it.ID]
 		}
 		for i := range want {
 			if !itemsMatch(got[i], want[i]) {
@@ -224,6 +237,63 @@ func ingestSweep(cfg Config) (IngestBaseline, error) {
 	}
 	base.ResultsIdentical = identical
 	return base, grown.Close()
+}
+
+// tailIDMap maps every "gauss" tuple ID of grown to the ID the same row
+// has in full, which registered the rows in slice order. It ranks all
+// rows of both engines under one tie-free model and joins the two
+// rankings on score. The IDs grown assigned must be a permutation of
+// full's that fixes the base rows and moves each appended chunk as one
+// contiguous block; anything else is a wrong delta offset and an error.
+func tailIDMap(ctx context.Context, grown, full *core.Engine, basePts, chunk int) ([]int64, error) {
+	lm, err := linear.New([]string{"a", "b", "c"}, []float64{0.7, 1.3, -0.9}, 0)
+	if err != nil {
+		return nil, err
+	}
+	rows := 0
+	for _, ds := range full.Datasets() {
+		if ds.Name == "gauss" {
+			rows = ds.Rows
+		}
+	}
+	rank := func(e *core.Engine) ([]topk.Item, error) {
+		res, err := e.Run(ctx, core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: rows})
+		if err == nil && len(res.Items) != rows {
+			err = fmt.Errorf("tail id map: ranked %d of %d rows", len(res.Items), rows)
+		}
+		return res.Items, err
+	}
+	g, err := rank(grown)
+	if err != nil {
+		return nil, err
+	}
+	f, err := rank(full)
+	if err != nil {
+		return nil, err
+	}
+	toRef := make([]int64, rows)
+	for i := range toRef {
+		toRef[i] = -1
+	}
+	for i := range f {
+		if i > 0 && f[i].Score == f[i-1].Score {
+			return nil, fmt.Errorf("tail id map: rows %d and %d tie under the join model", f[i-1].ID, f[i].ID)
+		}
+		id := g[i].ID
+		if g[i].Score != f[i].Score || id < 0 || id >= int64(rows) || toRef[id] != -1 {
+			return nil, fmt.Errorf("tail id map: rank %d: grown (%d, %v) vs full (%d, %v)", i, id, g[i].Score, f[i].ID, f[i].Score)
+		}
+		toRef[id] = f[i].ID
+	}
+	for id, ref := range toRef {
+		switch {
+		case id < basePts && ref != int64(id):
+			return nil, fmt.Errorf("tail id map: base row %d answers as row %d", id, ref)
+		case id >= basePts && (ref < int64(basePts) || (int(ref)-basePts)%chunk != 0 && toRef[id-1] != ref-1):
+			return nil, fmt.Errorf("tail id map: appended row %d landed at %d, outside its chunk", ref, id)
+		}
+	}
+	return toRef, nil
 }
 
 // datasetGen reads one dataset's cache generation from the engine's

@@ -392,13 +392,15 @@ func GenerateTuples(seed int64, n, d int) ([][]float64, error) {
 
 // Live ingest (DESIGN.md §11): registered tuple, series and well
 // datasets grow under traffic via Engine.AppendTuples / AppendSeries /
-// AppendWells. New rows land in immutable in-memory delta segments
-// that every query family scans alongside the base shards — answers
-// are bit-identical to re-registering the grown dataset from scratch —
-// and a background compactor folds deltas back into base shards once
-// they accumulate. Each dataset carries its own cache generation
-// (DatasetInfo.Gen), so appends to one dataset never evict another's
-// cached results. Engine.Compact forces compaction synchronously.
+// AppendWells. New rows land in immutable in-memory delta segments,
+// indexed before they are published, that every query family scans
+// alongside the base shards — answers are bit-identical to
+// re-registering the grown dataset from scratch — and a background
+// compactor merges adjacent deltas by size tier, so their number stays
+// logarithmic in the rows appended (DatasetInfo.Deltas, Compactions).
+// Each dataset carries its own cache generation (DatasetInfo.Gen), so
+// appends to one dataset never evict another's cached results.
+// Engine.Compact folds every delta away synchronously.
 type (
 	// Appender coalesces concurrent small appends into one delta
 	// segment per flush window (size + max-wait thresholds); every

@@ -680,15 +680,15 @@ func BenchmarkRunOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := parallel.ShardTopK(4, 10, 0, func(si int, sb *topk.Bound) ([]topk.Item, error) {
-				its, _, err := ixs[si].TopKShared(d.m.Coeffs, 10, sb)
+			_, err := parallel.ShardTopK(4, 10, 0, func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
+				dst, _, err := ixs[si].ScanUnordered(d.m.Coeffs, 10, onion.ScanOpts{Bound: sb}, dst)
 				if err != nil {
-					return nil, err
+					return dst, err
 				}
-				for j := range its {
-					its[j].ID += int64(offs[si])
+				for j := range dst {
+					dst[j].ID += int64(offs[si])
 				}
-				return its, nil
+				return dst, nil
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,70 +71,6 @@ type wireRequest struct {
 	MinScore *float64  `json:"min_score,omitempty"`
 }
 
-type wireItem struct {
-	ID     int64   `json:"id"`
-	Score  float64 `json:"score"`
-	Strata []int   `json:"strata,omitempty"`
-}
-
-type wireCache struct {
-	Hit           bool   `json:"hit"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-}
-
-type wireStats struct {
-	Kind        string    `json:"kind"`
-	Evaluations int       `json:"evaluations"`
-	Examined    int       `json:"examined"`
-	Pruned      int       `json:"pruned"`
-	Shards      int       `json:"shards"`
-	WallNS      int64     `json:"wall_ns"`
-	Truncated   bool      `json:"truncated"`
-	Cache       wireCache `json:"cache"`
-}
-
-type wireResult struct {
-	Items []wireItem `json:"items"`
-	Stats wireStats  `json:"stats"`
-	Error string     `json:"error,omitempty"`
-}
-
-func toWireResult(res modelir.Result, err error) wireResult {
-	if err != nil {
-		return wireResult{Error: err.Error()}
-	}
-	out := wireResult{
-		Items: make([]wireItem, len(res.Items)),
-		Stats: wireStats{
-			Kind:        res.Stats.Kind.String(),
-			Evaluations: res.Stats.Evaluations,
-			Examined:    res.Stats.Examined,
-			Pruned:      res.Stats.Pruned,
-			Shards:      res.Stats.Shards,
-			WallNS:      res.Stats.Wall.Nanoseconds(),
-			Truncated:   res.Stats.Truncated,
-			Cache: wireCache{
-				Hit:           res.Stats.Cache.Hit,
-				Hits:          res.Stats.Cache.Hits,
-				Misses:        res.Stats.Cache.Misses,
-				Evictions:     res.Stats.Cache.Evictions,
-				Invalidations: res.Stats.Cache.Invalidations,
-			},
-		},
-	}
-	for i, it := range res.Items {
-		w := wireItem{ID: it.ID, Score: it.Score}
-		if strata, ok := it.Payload.([]int); ok {
-			w.Strata = strata
-		}
-		out.Items[i] = w
-	}
-	return out
-}
-
 // compileRequest turns a wire request into an engine request.
 func compileRequest(wr wireRequest) (modelir.Request, error) {
 	q, err := compileQuery(wr.Query)
@@ -149,6 +87,45 @@ func compileRequest(wr wireRequest) (modelir.Request, error) {
 	}, nil
 }
 
+// The built-in models a wire query can name, built once at start-up.
+// They are immutable and queries only read them, so every request that
+// names one shares it instead of rebuilding it.
+var (
+	fireAnts = modelir.FireAntsModel()
+	hpsRules = modelir.HPSTileRules()
+	// hpsScene is the paper's HPS risk model over Landsat bands +
+	// elevation, decomposed with a 2-term coarse level.
+	hpsScene = func() *modelir.ProgressiveLinearModel {
+		pm, err := modelir.DecomposeLinear(modelir.HPSRiskModel(),
+			[]float64{0, 0, 0, 0}, []float64{255, 255, 255, 1500}, 2, 4)
+		if err != nil {
+			panic(err) // static construction cannot fail
+		}
+		return pm
+	}()
+	// defaultAttrs is the table behind defaultAttrNames.
+	defaultAttrs = xNames(64)
+)
+
+// xNames returns the names x0..xn-1.
+func xNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = "x" + strconv.Itoa(i)
+	}
+	return names
+}
+
+// defaultAttrNames names a linear model's n attributes when the query
+// gives none: a prefix of the shared table (NewLinearModel copies what
+// it is given), or fresh names for a model wider than the table.
+func defaultAttrNames(n int) []string {
+	if n <= len(defaultAttrs) {
+		return defaultAttrs[:n]
+	}
+	return xNames(n)
+}
+
 func compileQuery(wq wireQuery) (modelir.Query, error) {
 	switch strings.ToLower(wq.Kind) {
 	case "linear":
@@ -159,14 +136,7 @@ func compileQuery(wq wireQuery) (modelir.Query, error) {
 		return modelir.LinearQuery{Model: m}, nil
 	case "scene":
 		if len(wq.Coeffs) == 0 {
-			// The built-in demo: the paper's HPS risk model over
-			// Landsat bands + elevation, 2-term coarse level.
-			pm, err := modelir.DecomposeLinear(modelir.HPSRiskModel(),
-				[]float64{0, 0, 0, 0}, []float64{255, 255, 255, 1500}, 2, 4)
-			if err != nil {
-				return nil, err
-			}
-			return modelir.SceneQuery{Model: pm}, nil
+			return modelir.SceneQuery{Model: hpsScene}, nil // the built-in demo
 		}
 		m, err := linearModelOf(wq)
 		if err != nil {
@@ -220,7 +190,7 @@ func compileQuery(wq wireQuery) (modelir.Query, error) {
 	case "knowledge":
 		switch wq.Rules {
 		case "", "hps":
-			return modelir.KnowledgeQuery{Rules: modelir.HPSTileRules()}, nil
+			return modelir.KnowledgeQuery{Rules: hpsRules}, nil
 		default:
 			return nil, fmt.Errorf("unknown rule set %q (built-in: hps)", wq.Rules)
 		}
@@ -235,10 +205,7 @@ func linearModelOf(wq wireQuery) (*modelir.LinearModel, error) {
 	}
 	attrs := wq.Attrs
 	if len(attrs) == 0 {
-		attrs = make([]string, len(wq.Coeffs))
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("x%d", i)
-		}
+		attrs = defaultAttrNames(len(wq.Coeffs))
 	}
 	return modelir.NewLinearModel(attrs, wq.Coeffs, wq.Intercept)
 }
@@ -246,7 +213,7 @@ func linearModelOf(wq wireQuery) (*modelir.LinearModel, error) {
 func machineOf(name string) (*modelir.Machine, error) {
 	switch name {
 	case "", "fireants":
-		return modelir.FireAntsModel(), nil
+		return fireAnts, nil
 	default:
 		return nil, fmt.Errorf("unknown machine %q (built-in: fireants)", name)
 	}
@@ -516,7 +483,7 @@ func (s *server) notReady(w http.ResponseWriter) bool {
 	if s.ready.Load() {
 		return false
 	}
-	writeJSON(w, http.StatusServiceUnavailable, wireResult{Error: "engine not ready (restore/build in progress)"})
+	writeJSON(w, http.StatusServiceUnavailable, errorBody("engine not ready (restore/build in progress)"))
 	return true
 }
 
@@ -561,25 +528,56 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.snapshotFn == nil {
-		writeJSON(w, http.StatusNotFound, wireResult{Error: "persistence disabled (start with -data-dir)"})
+		writeJSON(w, http.StatusNotFound, errorBody("persistence disabled (start with -data-dir)"))
 		return
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	start := time.Now()
 	if err := s.snapshotFn(r.Context()); err != nil {
-		writeJSON(w, http.StatusInternalServerError, wireResult{Error: "snapshot: " + err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorBody("snapshot: "+err.Error()))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "wall_ns": time.Since(start).Nanoseconds()})
 }
 
+// writeJSON answers with v through encoding/json: every cold endpoint
+// and every body that carries free text. The value is encoded before the
+// header goes out, so one that cannot be encoded becomes a 500 with an
+// error member instead of a 200 with half a body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // a failed write means the client is gone
+	buf := getRespBuf()
+	defer putRespBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.b = appendErrorResult(buf.b[:0], "encode response: "+err.Error())
+	}
+	// Encode ends the value with a newline; result bodies have none, so
+	// no body does.
+	send(w, status, bytes.TrimSuffix(buf.b, []byte("\n")))
+}
+
+// maxBodyBytes caps a request body. The largest legitimate one is an
+// /append batch: the benchmark's are about 30 KiB (128 rows), the
+// README's one row, so 32 MiB leaves three orders of magnitude of
+// headroom while keeping an accepted batch well inside the cluster's
+// 64 MiB replication frame.
+const maxBodyBytes = 32 << 20
+
+// readBody decodes a request body of at most maxBodyBytes into v. On
+// failure it returns the status to answer with: 413 for an oversized
+// body, 400 for anything else.
+func readBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
 }
 
 // statusClientClosedRequest is the de-facto status (nginx's 499) for a
@@ -629,8 +627,8 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wa wireAppend
-	if err := json.NewDecoder(r.Body).Decode(&wa); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireAppendResponse{Error: "bad append JSON: " + err.Error()})
+	if status, err := readBody(w, r, &wa); err != nil {
+		writeJSON(w, status, wireAppendResponse{Error: "bad append JSON: " + err.Error()})
 		return
 	}
 	resp, err := s.backend.appendRows(r.Context(), wa)
@@ -653,13 +651,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wr wireRequest
-	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireResult{Error: "bad request JSON: " + err.Error()})
+	if status, err := readBody(w, r, &wr); err != nil {
+		writeJSON(w, status, errorBody("bad request JSON: "+err.Error()))
 		return
 	}
 	req, err := compileRequest(wr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wireResult{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorBody(err.Error()))
 		return
 	}
 	// r.Context() ends when the client disconnects: the engine aborts
@@ -669,19 +667,22 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // client gone; the response writer is dead
 		}
-		writeErr(w, err, wireResult{Error: err.Error()})
+		writeErr(w, err, errorBody(err.Error()))
 		return
 	}
-	writeJSON(w, http.StatusOK, toWireResult(res, nil))
+	buf := getRespBuf()
+	defer putRespBuf(buf)
+	if buf.b, err = appendResult(buf.b, &res); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody("encode response: "+err.Error()))
+		return
+	}
+	send(w, http.StatusOK, buf.b)
 }
 
-// wireBatch is the /batch request and response envelope.
+// wireBatch is the /batch request envelope; the response is
+// {"results":[...]} with one result or error result per request.
 type wireBatch struct {
 	Requests []wireRequest `json:"requests"`
-}
-
-type wireBatchResponse struct {
-	Results []wireResult `json:"results"`
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -693,8 +694,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wb wireBatch
-	if err := json.NewDecoder(r.Body).Decode(&wb); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireResult{Error: "bad batch JSON: " + err.Error()})
+	if status, err := readBody(w, r, &wb); err != nil {
+		writeJSON(w, status, errorBody("bad batch JSON: "+err.Error()))
 		return
 	}
 	reqs := make([]modelir.Request, len(wb.Requests))
@@ -708,18 +709,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil && r.Context().Err() != nil {
 		return // client gone
 	}
-	resp := wireBatchResponse{Results: make([]wireResult, len(batch))}
-	for i, br := range batch {
-		switch {
-		case compileErrs[i] != nil:
-			resp.Results[i] = wireResult{Error: compileErrs[i].Error()}
-		case br.Err != nil:
-			resp.Results[i] = wireResult{Error: br.Err.Error()}
-		default:
-			resp.Results[i] = toWireResult(br.Result, nil)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getRespBuf()
+	defer putRespBuf(buf)
+	buf.b = appendBatch(buf.b, batch, compileErrs)
+	send(w, http.StatusOK, buf.b)
 }
 
 // wireServerStats is the /stats response. Role-specific fields are

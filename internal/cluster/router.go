@@ -298,10 +298,14 @@ func (r *Router) Run(ctx context.Context, req Request) (core.Result, error) {
 		}
 	}
 
-	h, err := topk.NewHeap(req.K)
+	// The partials arrive best-first (a node orders and caches its own
+	// answer), but the merge reads them as unordered sets: the pooled
+	// heap's one ordering pass below is the router's only sort.
+	h, err := topk.GetHeap(req.K)
 	if err != nil {
 		return core.Result{}, fmt.Errorf("cluster: %w", err)
 	}
+	defer topk.PutHeap(h)
 	var st core.QueryStats
 	st.Kind = req.Query.Kind()
 	for _, p := range partials {

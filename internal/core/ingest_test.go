@@ -973,3 +973,52 @@ func TestCompactionTriggerNotLost(t *testing.T) {
 		t.Fatalf("after Close: %+v, want 2 merged deltas from 2 compactions", ds)
 	}
 }
+
+// TestRunAllocsIndependentOfDeltas is the regression guard of the
+// per-delta read cost (ROADMAP item 2a): a live delta adds a scan, not
+// garbage. Segment runners append their unordered heap contents into
+// pooled partial slots and only the merged heap is ordered, so a linear
+// Run over six live deltas allocates what it does over none.
+func TestRunAllocsIndependentOfDeltas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector; allocation counts are only meaningful without it")
+	}
+	pts, err := synth.GaussianTuples(23, 2000+1365, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := linear.New([]string{"a", "b", "c"}, []float64{0.5, -0.2, 0.3}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Dataset: "gauss", Query: LinearQuery{Model: m}, K: 50, Workers: 1}
+	allocs := func(appends ...int) float64 {
+		// No cache: every Run must execute.
+		e := NewEngineWith(Options{Shards: 2, CacheEntries: -1})
+		defer e.Close()
+		if err := e.AddTuples("gauss", pts[:2000]); err != nil {
+			t.Fatal(err)
+		}
+		lo := 2000
+		for _, n := range appends {
+			if err := e.AppendTuples("gauss", pts[lo:lo+n]); err != nil {
+				t.Fatal(err)
+			}
+			lo += n
+		}
+		if ds := e.Datasets()[0]; ds.Deltas != len(appends) {
+			t.Fatalf("%d live deltas after %d appends", ds.Deltas, len(appends))
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := e.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Appends shrinking by a size class each never form a run the tier
+	// rule merges, so all six stay live.
+	none, six := allocs(), allocs(1024, 256, 64, 16, 4, 1)
+	if six > none {
+		t.Fatalf("linear Run: %v allocs over 6 live deltas, %v over none", six, none)
+	}
+}

@@ -472,7 +472,7 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 		// MinScore floor is shifted into that scale.
 		floor: floorOf(req, m.Intercept),
 		shift: m.Intercept,
-		run: func(si int, sb *topk.Bound) ([]topk.Item, error) {
+		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			sh := ts.scan[si]
 			// The only index this can build is a registration-time base
 			// shard's, on its first query, inside the fan-out we already pay
@@ -481,7 +481,7 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 			// otherwise this is a sync.Once hit.
 			ix, err := sh.ensureIndex(e.onionOpt)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			opt := onion.ScanOpts{Ctx: ctx, Bound: sb, Meter: meter}
 			if snap != nil {
@@ -495,17 +495,18 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 					return snap.publish(layer, "onion layer", sofar)
 				}
 			}
-			its, ost, err := ix.Scan(m.Coeffs, req.K, opt)
+			start := len(dst)
+			dst, ost, err := ix.ScanUnordered(m.Coeffs, req.K, opt, dst)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			perShard[si] = ost
 			// Shard indexes number points locally; lift IDs into the
 			// global tuple index space.
-			for i := range its {
-				its[i].ID += int64(sh.offset)
+			for i := start; i < len(dst); i++ {
+				dst[i].ID += int64(sh.offset)
 			}
-			return its, nil
+			return dst, nil
 		},
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			var det LinearTupleStats
@@ -567,19 +568,16 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request, snap *snap
 	return queryPlan{
 		shards: len(ss.roots),
 		floor:  floorOf(req, 0),
-		run: func(si int, sb *topk.Bound) ([]topk.Item, error) {
+		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			opt := progressive.DescendOpts{Ctx: ctx, Bound: sb, Meter: meter}
 			if snap != nil {
 				opt.OnLevel = func(level int, sofar []topk.Item) error {
 					return snap.publish(level, "pyramid level", sofar)
 				}
 			}
-			res, err := progressive.CombinedShardOpts(q.Model, ss.scene.Pyramid(), req.K, ss.roots[si], opt)
-			if err != nil {
-				return nil, err
-			}
-			perShard[si] = res.Stats
-			return res.Items, nil
+			dst, st, err := progressive.CombinedShardUnordered(q.Model, ss.scene.Pyramid(), req.K, ss.roots[si], opt, dst)
+			perShard[si] = st
+			return dst, err
 		},
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			var det progressive.Stats
@@ -641,7 +639,7 @@ func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 	return queryPlan{
 		shards: nShards,
 		floor:  floorOf(req, 0),
-		run: func(si int, _ *topk.Bound) ([]topk.Item, error) {
+		run: func(si int, _ *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			h := topk.MustGetHeap(req.K)
 			defer topk.PutHeap(h)
 			n := shardSize(si)
@@ -649,7 +647,7 @@ func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 				if i&ctxCheckMask == 0 {
 					select {
 					case <-done:
-						return nil, ctx.Err()
+						return dst, ctx.Err()
 					default:
 					}
 				}
@@ -657,23 +655,24 @@ func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 					break // budget exhausted: keep what this shard has
 				}
 				if err := scan(si, i, h); err != nil {
-					return nil, err
+					return dst, err
 				}
 				if snap != nil && (i+1)%snapEveryRegions == 0 {
-					if err := snap.publish(si, stage, h.Results()); err != nil {
-						return nil, err
+					if err := snap.publish(si, stage, h.AppendUnordered(nil)); err != nil {
+						return dst, err
 					}
 				}
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return dst, err
 			}
+			dst = h.AppendUnordered(dst)
 			if snap != nil {
-				if err := snap.publish(si, stage, h.Results()); err != nil {
-					return nil, err
+				if err := snap.publish(si, stage, dst); err != nil {
+					return dst, err
 				}
 			}
-			return h.Results(), nil
+			return dst, nil
 		},
 		finish: finish,
 	}

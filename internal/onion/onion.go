@@ -245,13 +245,29 @@ type ScanOpts struct {
 // results, plus cooperative cancellation, work budgeting, and per-layer
 // progressive delivery via opts.
 func (ix *Index) Scan(w []float64, k int, opt ScanOpts) ([]topk.Item, Stats, error) {
+	return ix.scan(w, k, opt, nil, (*topk.Heap).AppendResults)
+}
+
+// ScanUnordered is Scan for a caller that merges the result into a
+// larger top-K (one shard of a sharded dataset): the exact top-K is
+// appended to dst in arbitrary order, so the merge orders the items
+// once instead of every shard ordering its own. Pass a reused dst[:0]
+// and a warmed-up scan allocates nothing.
+func (ix *Index) ScanUnordered(w []float64, k int, opt ScanOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
+	return ix.scan(w, k, opt, dst, (*topk.Heap).AppendUnordered)
+}
+
+// scan runs the layer scan and hands the final heap to extract
+// (AppendResults for best-first callers, AppendUnordered for merges).
+func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
+	extract func(*topk.Heap, []topk.Item) []topk.Item) ([]topk.Item, Stats, error) {
 	var st Stats
 	if len(w) != ix.dim {
-		return nil, st, fmt.Errorf("onion: weight dim %d, want %d", len(w), ix.dim)
+		return dst, st, fmt.Errorf("onion: weight dim %d, want %d", len(w), ix.dim)
 	}
 	h, err := topk.GetHeap(k)
 	if err != nil {
-		return nil, st, err
+		return dst, st, err
 	}
 	defer topk.PutHeap(h)
 	sb := opt.Bound
@@ -267,7 +283,7 @@ func (ix *Index) Scan(w []float64, k int, opt ScanOpts) ([]topk.Item, Stats, err
 		if done != nil {
 			select {
 			case <-done:
-				return nil, st, opt.Ctx.Err()
+				return dst, st, opt.Ctx.Err()
 			default:
 			}
 		}
@@ -330,7 +346,7 @@ func (ix *Index) Scan(w []float64, k int, opt ScanOpts) ([]topk.Item, Stats, err
 		}
 		if opt.OnLayer != nil {
 			if err := opt.OnLayer(li, h.Results()); err != nil {
-				return nil, st, err
+				return dst, st, err
 			}
 		}
 	}
@@ -338,7 +354,7 @@ func (ix *Index) Scan(w []float64, k int, opt ScanOpts) ([]topk.Item, Stats, err
 	st.PointsZonePruned = cst.RowsZonePruned
 	st.BlocksZonePruned = cst.BlocksZonePruned
 	st.PointsSkippedByBudget += cst.RowsSkippedByBudget
-	return h.Results(), st, nil
+	return extract(h, dst), st, nil
 }
 
 // ScanTopK is the sequential-scan baseline the paper measures against:

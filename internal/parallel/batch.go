@@ -45,7 +45,7 @@ func BatchShardTopKCtx(ctx context.Context, workers int, specs []BatchSpec) ([][
 	type cell struct{ spec, shard int }
 	var cells []cell
 	bounds := make([]*topk.Bound, len(specs))
-	partials := make([][][]topk.Item, len(specs))
+	partials := make([]*[][]topk.Item, len(specs))
 	merged := make([]*topk.Heap, len(specs))
 	failed := make([]atomic.Bool, len(specs))
 	for i, sp := range specs {
@@ -65,7 +65,7 @@ func BatchShardTopKCtx(ctx context.Context, workers int, specs []BatchSpec) ([][
 		merged[i] = h
 		bounds[i] = topk.NewBound()
 		bounds[i].Raise(sp.Floor)
-		partials[i] = make([][]topk.Item, sp.Shards)
+		partials[i] = getPartials(sp.Shards)
 		for s := 0; s < sp.Shards; s++ {
 			cells = append(cells, cell{spec: i, shard: s})
 		}
@@ -77,7 +77,9 @@ func BatchShardTopKCtx(ctx context.Context, workers int, specs []BatchSpec) ([][
 		if failed[c.spec].Load() {
 			return nil
 		}
-		items, err := specs[c.spec].Run(c.shard, bounds[c.spec])
+		slot := &(*partials[c.spec])[c.shard]
+		items, err := specs[c.spec].Run(c.shard, bounds[c.spec], *slot)
+		*slot = items
 		if err != nil {
 			// Cancellation aborts the whole batch; any other failure is
 			// confined to its spec.
@@ -92,7 +94,6 @@ func BatchShardTopKCtx(ctx context.Context, workers int, specs []BatchSpec) ([][
 			errMu.Unlock()
 			return nil
 		}
-		partials[c.spec][c.shard] = items
 		return nil
 	})
 
@@ -106,11 +107,12 @@ func BatchShardTopKCtx(ctx context.Context, workers int, specs []BatchSpec) ([][
 		if errs[i] == nil {
 			// Merge in shard order — the same order ShardTopKCtx uses —
 			// so batched results match solo runs bit for bit.
-			for _, items := range partials[i] {
+			for _, items := range *partials[i] {
 				topk.MergeItems(merged[i], items)
 			}
 			results[i] = merged[i].Results()
 		}
+		putPartials(partials[i])
 		topk.PutHeap(merged[i])
 	}
 	return results, errs

@@ -17,13 +17,13 @@ func scoreSpec(shards, k, perShard int, score func(id int64) float64) BatchSpec 
 		Shards: shards,
 		K:      k,
 		Floor:  math.Inf(-1),
-		Run: func(shard int, bound *topk.Bound) ([]topk.Item, error) {
+		Run: func(shard int, bound *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			h := topk.MustHeap(k)
 			for i := 0; i < perShard; i++ {
 				id := int64(shard*perShard + i)
 				h.OfferScore(id, score(id))
 			}
-			return h.Results(), nil
+			return h.AppendUnordered(dst), nil
 		},
 	}
 }
@@ -71,7 +71,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 		scoreSpec(3, 4, 10, func(id int64) float64 { return float64(id) }),
 		{
 			Shards: 3, K: 4, Floor: math.Inf(-1),
-			Run: func(shard int, _ *topk.Bound) ([]topk.Item, error) {
+			Run: func(shard int, _ *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 				if shard == 1 {
 					return nil, boom
 				}
@@ -98,8 +98,8 @@ func TestBatchErrorIsolation(t *testing.T) {
 // TestBatchSpecValidation pins per-spec construction errors.
 func TestBatchSpecValidation(t *testing.T) {
 	specs := []BatchSpec{
-		{Shards: 1, K: 0, Run: func(int, *topk.Bound) ([]topk.Item, error) { return nil, nil }},
-		{Shards: -1, K: 1, Run: func(int, *topk.Bound) ([]topk.Item, error) { return nil, nil }},
+		{Shards: 1, K: 0, Run: func(int, *topk.Bound, []topk.Item) ([]topk.Item, error) { return nil, nil }},
+		{Shards: -1, K: 1, Run: func(int, *topk.Bound, []topk.Item) ([]topk.Item, error) { return nil, nil }},
 		{Shards: 1, K: 1, Run: nil},
 		scoreSpec(2, 1, 3, func(id int64) float64 { return float64(id) }),
 	}
@@ -122,7 +122,7 @@ func TestBatchCancellation(t *testing.T) {
 	specs := []BatchSpec{
 		{
 			Shards: 4, K: 2, Floor: math.Inf(-1),
-			Run: func(shard int, _ *topk.Bound) ([]topk.Item, error) {
+			Run: func(shard int, _ *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 				started <- struct{}{}
 				<-ctx.Done()
 				return nil, ctx.Err()
@@ -153,11 +153,11 @@ func TestBatchScreeningFloor(t *testing.T) {
 	mk := func(saw *float64, floor float64) BatchSpec {
 		return BatchSpec{
 			Shards: 1, K: 1, Floor: floor,
-			Run: func(_ int, bound *topk.Bound) ([]topk.Item, error) {
+			Run: func(_ int, bound *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 				*saw = bound.Get()
 				h := topk.MustHeap(1)
 				h.OfferScore(1, 50)
-				return h.Results(), nil
+				return h.AppendUnordered(dst), nil
 			},
 		}
 	}

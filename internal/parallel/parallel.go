@@ -108,11 +108,16 @@ func TopK(n, k, workers int, score Scorer) ([]topk.Item, error) {
 	return merged.Results(), nil
 }
 
-// ShardRunner produces one shard's partial top-K. The shared bound
-// carries the highest full-heap threshold published by any shard; a
-// runner should Raise it whenever its local heap fills and may prune
-// any candidate whose upper bound falls strictly below Get().
-type ShardRunner func(shard int, bound *topk.Bound) ([]topk.Item, error)
+// ShardRunner produces one shard's partial top-K, appended to dst in
+// any order (the merge heap orders the request's items once; a sorted
+// partial is wasted work) and returned. dst is the shard's pooled
+// partial slot, and the returned slice takes its place: both belong to
+// the fan-out, which zeroes and reuses them once it has merged, so a
+// runner must not retain either. The shared bound carries the highest
+// full-heap threshold published by any shard; a runner should Raise it
+// whenever its local heap fills and may prune any candidate whose upper
+// bound falls strictly below Get().
+type ShardRunner func(shard int, bound *topk.Bound, dst []topk.Item) ([]topk.Item, error)
 
 // ShardTopK evaluates one runner per shard on a pool of `workers`
 // goroutines (0 = GOMAXPROCS) and merges the partial top-Ks into the
@@ -168,12 +173,9 @@ func ShardTopKBoundCtx(ctx context.Context, shards, k, workers int, bound *topk.
 	defer putPartials(partialsP)
 	partials := *partialsP
 	err = ForEachCtx(ctx, shards, workers, func(s int) error {
-		items, err := run(s, bound)
-		if err != nil {
-			return err
-		}
+		items, err := run(s, bound, partials[s])
 		partials[s] = items
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -192,17 +194,16 @@ func ShardTopKBoundCtx(ctx context.Context, shards, k, workers int, bound *topk.
 }
 
 // partialsPool recycles the per-shard partial-result table across
-// requests; entries are nilled on reuse so a recycled table never pins
-// a previous request's items.
+// requests, slots included: a slot keeps its backing array, so in steady
+// state a shard runner appends its items without allocating. The table
+// is owned by the fan-out that drew it, and slots are emptied and their
+// items zeroed on return so a pooled table never pins a previous
+// request's payloads.
 var partialsPool sync.Pool
 
 func getPartials(n int) *[][]topk.Item {
 	if v, ok := partialsPool.Get().(*[][]topk.Item); ok && cap(*v) >= n {
-		s := (*v)[:n]
-		for i := range s {
-			s[i] = nil
-		}
-		*v = s
+		*v = (*v)[:n]
 		return v
 	}
 	s := make([][]topk.Item, n)
@@ -212,7 +213,8 @@ func getPartials(n int) *[][]topk.Item {
 func putPartials(p *[][]topk.Item) {
 	s := *p
 	for i := range s {
-		s[i] = nil
+		clear(s[i])
+		s[i] = s[i][:0]
 	}
 	partialsPool.Put(p)
 }

@@ -154,7 +154,7 @@ func TestForEach(t *testing.T) {
 }
 
 func TestShardTopKValidation(t *testing.T) {
-	run := func(s int, sb *topk.Bound) ([]topk.Item, error) { return nil, nil }
+	run := func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) { return nil, nil }
 	if _, err := ShardTopK(-1, 1, 0, run); err == nil {
 		t.Fatal("want negative shards error")
 	}
@@ -179,7 +179,7 @@ func TestShardTopKMergesExactly(t *testing.T) {
 	want := topk.SelectTopK(scores, 13)
 	for _, shards := range []int{1, 2, 3, 7, 16} {
 		chunk := (len(scores) + shards - 1) / shards
-		got, err := ShardTopK(shards, 13, 4, func(s int, sb *topk.Bound) ([]topk.Item, error) {
+		got, err := ShardTopK(shards, 13, 4, func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			lo := s * chunk
 			hi := lo + chunk
 			if hi > len(scores) {
@@ -192,7 +192,7 @@ func TestShardTopKMergesExactly(t *testing.T) {
 			if tr, ok := h.Threshold(); ok {
 				sb.Raise(tr)
 			}
-			return h.Results(), nil
+			return h.AppendUnordered(dst), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -213,10 +213,10 @@ func TestShardTopKBoundIsShared(t *testing.T) {
 	// with 1 worker the shards run in order, so shard 1 must see the
 	// floor shard 0 raised.
 	sawFloor := false
-	_, err := ShardTopK(2, 1, 1, func(s int, sb *topk.Bound) ([]topk.Item, error) {
+	_, err := ShardTopK(2, 1, 1, func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 		if s == 0 {
 			sb.Raise(41)
-			return []topk.Item{{ID: 0, Score: 41}}, nil
+			return append(dst, topk.Item{ID: 0, Score: 41}), nil
 		}
 		if sb.Get() == 41 {
 			sawFloor = true
@@ -233,7 +233,7 @@ func TestShardTopKBoundIsShared(t *testing.T) {
 
 func TestShardTopKErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	if _, err := ShardTopK(4, 2, 2, func(s int, sb *topk.Bound) ([]topk.Item, error) {
+	if _, err := ShardTopK(4, 2, 2, func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 		if s == 2 {
 			return nil, boom
 		}
@@ -270,11 +270,11 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 func TestShardTopKCtxFloorAndCancel(t *testing.T) {
 	// Floor seeding: shards see the floor before any heap fills.
 	items, err := ShardTopKCtx(context.Background(), 3, 5, 0, 41.5,
-		func(s int, b *topk.Bound) ([]topk.Item, error) {
+		func(s int, b *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			if got := b.Get(); got != 41.5 {
 				return nil, fmt.Errorf("shard %d saw floor %v", s, got)
 			}
-			return []topk.Item{{ID: int64(s), Score: 42}}, nil
+			return append(dst, topk.Item{ID: int64(s), Score: 42}), nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestShardTopKCtxFloorAndCancel(t *testing.T) {
 	defer cancel()
 	cancel()
 	_, err = ShardTopKCtx(ctx, 4, 5, 0, math.Inf(-1),
-		func(s int, b *topk.Bound) ([]topk.Item, error) {
+		func(s int, b *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			return nil, ctx.Err()
 		})
 	if !errors.Is(err, context.Canceled) {

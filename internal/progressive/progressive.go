@@ -273,11 +273,18 @@ func CombinedShardOpts(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid
 // zero allocations. Results and stats are bit-identical to
 // CombinedShardOpts.
 func CombinedShardAppend(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
-	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst)
+	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst, (*topk.Heap).AppendResults)
+}
+
+// CombinedShardUnordered is CombinedShardAppend for a caller that
+// merges the shard's top-K into a larger one: the items are appended in
+// arbitrary order, leaving the one ordering pass to the merge.
+func CombinedShardUnordered(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
+	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst, (*topk.Heap).AppendUnordered)
 }
 
 func descend(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts) (Result, error) {
-	items, st, err := descendInto(m, pm, mp, k, roots, opt, nil)
+	items, st, err := descendInto(m, pm, mp, k, roots, opt, nil, (*topk.Heap).AppendResults)
 	return Result{Items: items, Stats: st}, err
 }
 
@@ -462,7 +469,10 @@ func (d *descender) evalPixel(px, py int) {
 	d.h.OfferScore(id, d.m.EvalUnchecked(d.sc.x))
 }
 
-func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
+// descendInto runs the descent and hands the final heap to extract
+// (AppendResults for best-first callers, AppendUnordered for merges).
+func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item,
+	extract func(*topk.Heap, []topk.Item) []topk.Item) ([]topk.Item, Stats, error) {
 	h, err := topk.GetHeap(k)
 	if err != nil {
 		return dst, Stats{}, err
@@ -548,7 +558,7 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 			return dst, *st, err
 		}
 	}
-	return h.AppendResults(dst), *st, nil
+	return extract(h, dst), *st, nil
 }
 
 // Speedups summarizes an E5-style four-cell comparison.

@@ -195,3 +195,39 @@ func FuzzHeapMerge(f *testing.F) {
 		}
 	})
 }
+
+// TestSingleSortOrdersHeavyTies is the property behind the one ordering
+// pass of the result path: whatever order items were offered in and
+// however few distinct scores there are, AppendResults (and Results on
+// top of it) yields exactly the (score desc, ID asc) order of the
+// oracle, appends after dst's existing items without touching them,
+// leaves the heap usable, and AppendUnordered hands back the same set.
+func TestSingleSortOrdersHeavyTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(400)
+		k := 1 + rng.Intn(220)
+		distinct := 1 + rng.Intn(4) // 1..4 score values: almost all ties
+		items := make([]Item, n)
+		for i, id := range rng.Perm(n) {
+			items[i] = Item{ID: int64(id) - int64(n/2), Score: float64(rng.Intn(distinct)) - 1}
+		}
+		h := MustHeap(k)
+		MergeItems(h, items)
+		want := refTopK(items, k)
+
+		sameItems(t, h.Results(), want)
+		prefix := []Item{{ID: -7, Score: 99}}
+		got := h.AppendResults(prefix)
+		if got[0] != prefix[0] {
+			t.Fatalf("trial %d: AppendResults disturbed dst's items", trial)
+		}
+		sameItems(t, got[1:], want)
+
+		unordered := h.AppendUnordered(nil)
+		sameItems(t, refTopK(unordered, k), want)
+		// The heap is still a heap: one more offer behaves.
+		h.Offer(Item{ID: math.MinInt64, Score: 5})
+		sameItems(t, h.Results(), refTopK(append(items, Item{ID: math.MinInt64, Score: 5}), k))
+	}
+}

@@ -9,11 +9,7 @@
 // finite-state and knowledge model engines.
 package topk
 
-import (
-	"errors"
-	"slices"
-	"sort"
-)
+import "errors"
 
 // Item is a scored retrieval candidate. ID identifies the underlying datum
 // (tuple index, tile coordinate hash, region id...); Payload optionally
@@ -95,7 +91,7 @@ func (h *Heap) Offer(it Item) bool {
 		return false
 	}
 	h.items[0] = it
-	h.siftDown(0)
+	siftDown(h.items, 0)
 	return true
 }
 
@@ -119,31 +115,33 @@ func (h *Heap) WouldAccept(score float64) bool {
 // Results returns the retained items ordered best-first (descending score,
 // ascending ID on ties). The heap is unchanged; the returned slice is fresh.
 func (h *Heap) Results() []Item {
-	out := make([]Item, len(h.items))
-	copy(out, h.items)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
-	return out
+	return h.AppendResults(make([]Item, 0, len(h.items)))
 }
 
 // AppendResults appends the retained items to dst ordered best-first
 // (descending score, ascending ID on ties) and returns the extended
-// slice. It is Results for allocation-free steady-state callers: pass
-// a reused dst[:0] and no garbage is produced.
+// slice. Pass a reused dst[:0] and no garbage is produced. This is the
+// one place results are put in order: the copy is already a min-heap on
+// `worse`, so heapsort finishes in place - each step moves the worst
+// remaining item behind the shrinking heap - with the comparison
+// inlined rather than called through a closure or a reflected swapper.
 func (h *Heap) AppendResults(dst []Item) []Item {
 	start := len(dst)
 	dst = append(dst, h.items...)
 	out := dst[start:]
-	slices.SortFunc(out, func(a, b Item) int {
-		switch {
-		case worse(b, a):
-			return -1
-		case worse(a, b):
-			return 1
-		default:
-			return 0
-		}
-	})
+	for n := len(out) - 1; n > 0; n-- {
+		out[0], out[n] = out[n], out[0]
+		siftDown(out[:n], 0)
+	}
 	return dst
+}
+
+// AppendUnordered appends the retained items to dst in heap order, which
+// callers must treat as arbitrary. It is how a partial result (one
+// shard's, one node's) is handed to a merge: MergeItems ignores order,
+// so sorting a partial is work the merged heap's AppendResults repeats.
+func (h *Heap) AppendUnordered(dst []Item) []Item {
+	return append(dst, h.items...)
 }
 
 // Reset empties the heap, retaining capacity.
@@ -160,21 +158,22 @@ func (h *Heap) siftUp(i int) {
 	}
 }
 
-func (h *Heap) siftDown(i int) {
-	n := len(h.items)
+// siftDown restores the min-heap property of items below index i.
+func siftDown(items []Item, i int) {
+	n := len(items)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && worse(h.items[l], h.items[smallest]) {
+		if l < n && worse(items[l], items[smallest]) {
 			smallest = l
 		}
-		if r < n && worse(h.items[r], h.items[smallest]) {
+		if r < n && worse(items[r], items[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
 			return
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		items[i], items[smallest] = items[smallest], items[i]
 		i = smallest
 	}
 }

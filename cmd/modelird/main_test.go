@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"modelir"
 )
@@ -373,9 +374,9 @@ func TestRouterRoleBatchMatchesSingle(t *testing.T) {
 		t.Cleanup(n.Close)
 	}
 
-	router := httptest.NewServer(newServer(routerBackend{
-		router: modelir.NewClusterRouter(topo), peers: len(addrs),
-	}))
+	cr := modelir.NewClusterRouter(topo)
+	defer cr.Close()
+	router := httptest.NewServer(newServer(routerBackend{router: cr, peers: len(addrs)}))
 	defer router.Close()
 	single := httptest.NewServer(newServer(engineBackend{engine: testEngine(t)}))
 	defer single.Close()
@@ -407,6 +408,22 @@ func TestRouterRoleBatchMatchesSingle(t *testing.T) {
 	st := decode[wireServerStats](t, resp)
 	if st.Role != "router" || st.Peers != len(addrs) {
 		t.Fatalf("router stats %+v", st)
+	}
+	// Every peer is listed and none was re-dialled; a peer the batch
+	// reached (placement may home every dataset on one node, and the
+	// connection is dialled lazily) has been up since before now.
+	connected := 0
+	for _, addr := range addrs {
+		pc, ok := st.PeerConns[addr]
+		if !ok || pc.Reconnects != 0 || (pc.ConnectedSince != nil && pc.ConnectedSince.After(time.Now())) {
+			t.Fatalf("peer_conns[%s] = %+v (present %v), want listed, 0 reconnects", addr, pc, ok)
+		}
+		if pc.ConnectedSince != nil {
+			connected++
+		}
+	}
+	if connected == 0 {
+		t.Fatalf("no peer connected after a served batch: %+v", st.PeerConns)
 	}
 }
 

@@ -421,6 +421,7 @@ func (b routerBackend) serverStats() wireServerStats {
 	for addr, st := range health {
 		out.PeerHealth[addr] = st.String()
 	}
+	out.PeerConns = b.router.PeerConns()
 	out.PeerErrors = b.router.PeerErrors()
 	out.AppendSeqs = b.router.AppendSeqs()
 	out.Degraded = b.router.Degraded()
@@ -720,19 +721,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // epoch, shards, or cache; a single engine has no peers.
 type wireServerStats struct {
 	Role string `json:"role"`
-	// Router role: peer count, each peer's health state, and every
-	// sequenced dataset partition's last append sequence number.
-	Peers      int                         `json:"peers,omitempty"`
-	PeerHealth map[string]string           `json:"peer_health,omitempty"`
-	PeerErrors map[string]string           `json:"peer_errors,omitempty"`
-	AppendSeqs map[string]map[int]uint64   `json:"append_seqs,omitempty"`
-	Degraded   bool                        `json:"degraded,omitempty"`
-	Resync     *modelir.ClusterResyncStats `json:"resync,omitempty"`
-	UptimeS    float64                     `json:"uptime_s"`
-	Epoch      uint64                      `json:"epoch"`
-	Shards     int                         `json:"shards"`
-	GOMAXPROCS int                         `json:"gomaxprocs"`
-	Datasets   []modelir.DatasetInfo       `json:"datasets,omitempty"`
+	// Router role: peer count, each peer's health state and connection
+	// (up since when, re-established how often), and every sequenced
+	// dataset partition's last append sequence number.
+	Peers      int                                     `json:"peers,omitempty"`
+	PeerHealth map[string]string                       `json:"peer_health,omitempty"`
+	PeerConns  map[string]modelir.ClusterPeerConnStats `json:"peer_conns,omitempty"`
+	PeerErrors map[string]string                       `json:"peer_errors,omitempty"`
+	AppendSeqs map[string]map[int]uint64               `json:"append_seqs,omitempty"`
+	Degraded   bool                                    `json:"degraded,omitempty"`
+	Resync     *modelir.ClusterResyncStats             `json:"resync,omitempty"`
+	UptimeS    float64                                 `json:"uptime_s"`
+	Epoch      uint64                                  `json:"epoch"`
+	Shards     int                                     `json:"shards"`
+	GOMAXPROCS int                                     `json:"gomaxprocs"`
+	Datasets   []modelir.DatasetInfo                   `json:"datasets,omitempty"`
 	Cache      struct {
 		Hits          uint64 `json:"hits"`
 		Misses        uint64 `json:"misses"`

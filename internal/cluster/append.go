@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 
@@ -362,54 +361,38 @@ func (r *Router) sendAppend(ctx context.Context, addr string, seq uint64, payloa
 		if !transport {
 			return appendAck{}, err
 		}
-		r.health.fault(addr)
 		lastErr = err
 	}
 	return appendAck{}, fmt.Errorf("cluster: append to %s failed after %d attempts: %w",
 		addr, r.opt.AppendAttempts, lastErr)
 }
 
-// appendOnce is one delivery attempt. transport reports whether the
-// failure was connection-level (retryable) rather than node-reported.
+// appendOnce is one delivery attempt: an 'A' stream on the replica's
+// connection, its ack awaited on a per-call AckTimeout timer. transport
+// reports whether the failure was connection-level (retryable) rather
+// than node-reported.
 func (r *Router) appendOnce(ctx context.Context, addr string, seq uint64, payload []byte) (_ appendAck, err error, transport bool) {
-	d := net.Dialer{Timeout: r.opt.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	rep, err, transport := r.roundTrip(ctx, addr, frameAppend, payload, nil, 0, r.opt.AckTimeout)
 	if err != nil {
-		if ctx.Err() != nil {
-			return appendAck{}, ctx.Err(), false
-		}
-		return appendAck{}, err, true
+		return appendAck{}, err, transport
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-	if err := writeFrame(conn, frameAppend, payload); err != nil {
-		return appendAck{}, err, true
-	}
-	typ, reply, err := readFrame(conn)
-	if err != nil {
-		if ctx.Err() != nil {
-			return appendAck{}, ctx.Err(), false
-		}
-		return appendAck{}, err, true
-	}
+	ack, err := parseAppendAck(addr, rep.typ, rep.payload, seq)
+	return ack, err, false
+}
+
+// parseAppendAck reads the reply to an 'A' frame carrying seq.
+func parseAppendAck(addr string, typ byte, payload []byte, seq uint64) (appendAck, error) {
 	switch typ {
 	case frameAppendAck:
-		ack, err := decodeAppendAck(reply)
-		if err != nil {
-			return appendAck{}, err, false
+		ack, err := decodeAppendAck(payload)
+		if err == nil && ack.Seq != seq {
+			err = fmt.Errorf("%w: ack for seq %d, want %d", ErrFrame, ack.Seq, seq)
 		}
-		if ack.Seq != seq {
-			return appendAck{}, fmt.Errorf("%w: ack for seq %d, want %d", ErrFrame, ack.Seq, seq), false
-		}
-		return ack, nil, false
+		return ack, err
 	case frameError:
-		code, msg, derr := decodeError(reply)
-		if derr != nil {
-			return appendAck{}, derr, false
-		}
-		return appendAck{}, &RemoteError{Addr: addr, Code: code, Msg: msg}, false
+		return appendAck{}, remoteError(addr, payload)
 	default:
-		return appendAck{}, fmt.Errorf("%w: unexpected frame %q", ErrFrame, typ), false
+		return appendAck{}, fmt.Errorf("%w: unexpected frame %q", ErrFrame, typ)
 	}
 }
 
@@ -439,7 +422,7 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 	if ds.synced {
 		return ds, nil
 	}
-	placements := r.topo.Layout(dataset, kind)
+	placements := r.place.layout(dataset, kind)
 	if len(placements) == 0 {
 		return nil, errors.New("cluster: empty topology")
 	}
@@ -456,7 +439,6 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 		for _, addr := range pl.Nodes {
 			entries, err := r.seqStateOf(ctx, addr, dataset)
 			if err != nil {
-				r.health.fault(addr)
 				continue
 			}
 			r.health.ok(addr)
@@ -532,7 +514,6 @@ func (r *Router) SyncIngest(ctx context.Context) error {
 	for _, addr := range r.topo.Nodes {
 		entries, err := r.seqStateOf(ctx, addr, "")
 		if err != nil {
-			r.health.fault(addr)
 			continue
 		}
 		r.health.ok(addr)

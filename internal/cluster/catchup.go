@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 )
 
@@ -48,74 +47,49 @@ func ackDeadline(ctx context.Context, timeout time.Duration) time.Time {
 	return dl
 }
 
-// dialIngest opens an ingest-session connection to addr.
-func (r *Router) dialIngest(ctx context.Context, addr string) (net.Conn, error) {
-	d := net.Dialer{Timeout: r.opt.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+// dialRepair opens a short-lived repair connection for bulk traffic that
+// must stay off the shared peer connection: catch-up's log replay and
+// the resync transfers. The caller owns the socket alone, so it reads
+// replies inline and bounds each exchange with a deadline.
+func (r *Router) dialRepair(ctx context.Context, addr string) (*fconn, error) {
+	conn, err := r.dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
 	_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-	return conn, nil
+	return newFconn(conn, 0), nil
 }
 
-// Probe checks liveness: one 'H' frame, echoed back. The result feeds
-// the health tracker (ok can lift Down back to Healthy; it never lifts
-// Stale — reachability is not consistency).
+// Probe checks liveness: one 'H' stream on the peer's connection,
+// echoed back within AckTimeout. Success feeds the health tracker (ok
+// can lift Down back to Healthy; it never lifts Stale — reachability is
+// not consistency); a failure was already counted by the transport.
 func (r *Router) Probe(ctx context.Context, addr string) error {
-	conn, err := r.dialIngest(ctx, addr)
+	rep, err, _ := r.roundTrip(ctx, addr, frameHealth, nil, nil, 0, r.opt.AckTimeout)
 	if err != nil {
-		r.health.fault(addr)
 		return err
 	}
-	defer conn.Close()
-	if err := writeFrame(conn, frameHealth, nil); err != nil {
+	if rep.typ != frameHealth {
 		r.health.fault(addr)
-		return err
-	}
-	typ, _, err := readFrame(conn)
-	if err != nil || typ != frameHealth {
-		r.health.fault(addr)
-		if err == nil {
-			err = fmt.Errorf("%w: probe answered %q", ErrFrame, typ)
-		}
-		return err
+		return fmt.Errorf("%w: probe answered %q", ErrFrame, rep.typ)
 	}
 	r.health.ok(addr)
 	return nil
 }
 
-// seqStateOf asks addr for its append cursors ('U' exchange on a fresh
-// connection). dataset filters to one dataset; "" asks for all.
+// seqStateOf asks addr for its append cursors (a 'U' stream on the
+// peer's connection). dataset filters to one dataset; "" asks for all.
 func (r *Router) seqStateOf(ctx context.Context, addr, dataset string) ([]SeqEntry, error) {
-	conn, err := r.dialIngest(ctx, addr)
-	if err != nil {
+	rep, err, _ := r.roundTrip(ctx, addr, frameSeqState, encodeSeqStateReq(dataset), nil, 0, r.opt.AckTimeout)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	defer conn.Close()
-	return seqStateOn(conn, dataset)
-}
-
-// seqStateOn runs one 'U' exchange on an established connection.
-func seqStateOn(conn net.Conn, dataset string) ([]SeqEntry, error) {
-	if err := writeFrame(conn, frameSeqState, encodeSeqStateReq(dataset)); err != nil {
-		return nil, err
-	}
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case frameSeqState:
-		return decodeSeqState(payload)
-	case frameError:
-		code, msg, derr := decodeError(payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, &RemoteError{Addr: conn.RemoteAddr().String(), Code: code, Msg: msg}
+	case rep.typ == frameSeqState:
+		return decodeSeqState(rep.payload)
+	case rep.typ == frameError:
+		return nil, remoteError(addr, rep.payload)
 	default:
-		return nil, fmt.Errorf("%w: unexpected frame %q", ErrFrame, typ)
+		return nil, fmt.Errorf("%w: unexpected frame %q", ErrFrame, rep.typ)
 	}
 }
 
@@ -201,24 +175,17 @@ type catchUpResult struct {
 	watermark int64
 }
 
-// catchUpPart brings addr current on one partition. It holds the
-// partition lock across the replay so no new batch can interleave;
-// appends to other partitions proceed. A pruned gap returns
-// ErrLogPruned for the caller to escalate.
+// catchUpPart brings addr current on one partition: its cursor is read
+// over the peer's connection, and a gap is replayed over a repair
+// connection. It holds the partition lock across both so no new batch
+// can interleave; appends to other partitions proceed. A pruned gap
+// returns ErrLogPruned for the caller to escalate.
 func (r *Router) catchUpPart(ctx context.Context, addr, dataset string, pa *partIngestState) (catchUpResult, error) {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
 
-	conn, err := r.dialIngest(ctx, addr)
+	entries, err := r.seqStateOf(ctx, addr, dataset)
 	if err != nil {
-		r.health.fault(addr)
-		return catchUpResult{}, err
-	}
-	defer conn.Close()
-
-	entries, err := seqStateOn(conn, dataset)
-	if err != nil {
-		r.health.fault(addr)
 		return catchUpResult{}, err
 	}
 	var lastSeq uint64
@@ -249,7 +216,13 @@ func (r *Router) catchUpPart(ctx context.Context, addr, dataset string, pa *part
 		return catchUpResult{}, fmt.Errorf("%w: %s needs %q part %d seq %d, log starts at %d",
 			ErrLogPruned, addr, dataset, pa.part, lastSeq+1, first)
 	}
-	replayed, err := r.replayLog(ctx, conn, addr, pa, lastSeq)
+	fc, err := r.dialRepair(ctx, addr)
+	if err != nil {
+		r.health.fault(addr)
+		return catchUpResult{}, err
+	}
+	defer fc.c.Close()
+	replayed, err := r.replayLog(ctx, fc, addr, pa, lastSeq)
 	if err != nil {
 		return catchUpResult{}, err
 	}
@@ -258,10 +231,10 @@ func (r *Router) catchUpPart(ctx context.Context, addr, dataset string, pa *part
 	return catchUpResult{replayed: replayed, watermark: watermark}, nil
 }
 
-// replayLog replays every logged batch above fromSeq to addr on conn,
-// acked one by one. Caller holds pa.mu. Shared by log catch-up and the
-// post-install tail replay of a snapshot resync.
-func (r *Router) replayLog(ctx context.Context, conn net.Conn, addr string, pa *partIngestState, fromSeq uint64) (int, error) {
+// replayLog replays every logged batch above fromSeq to addr on its
+// repair connection, acked one by one. Caller holds pa.mu. Shared by log
+// catch-up and the post-install tail replay of a snapshot resync.
+func (r *Router) replayLog(ctx context.Context, fc *fconn, addr string, pa *partIngestState, fromSeq uint64) (int, error) {
 	replayed := 0
 	for _, rec := range pa.log {
 		if rec.seq <= fromSeq {
@@ -269,33 +242,18 @@ func (r *Router) replayLog(ctx context.Context, conn net.Conn, addr string, pa *
 		}
 		// Refresh the deadline per batch so a long replay doesn't trip
 		// the ack timeout.
-		_ = conn.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-		if err := writeFrame(conn, frameAppend, rec.payload); err != nil {
+		_ = fc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+		if err := fc.send(frameAppend, 0, rec.payload); err != nil {
 			r.health.fault(addr)
 			return replayed, err
 		}
-		typ, payload, err := readFrame(conn)
+		typ, _, payload, err := readFrame(fc.br)
 		if err != nil {
 			r.health.fault(addr)
 			return replayed, err
 		}
-		switch typ {
-		case frameAppendAck:
-			ack, err := decodeAppendAck(payload)
-			if err != nil {
-				return replayed, err
-			}
-			if ack.Seq != rec.seq {
-				return replayed, fmt.Errorf("%w: replay ack for seq %d, want %d", ErrFrame, ack.Seq, rec.seq)
-			}
-		case frameError:
-			code, msg, derr := decodeError(payload)
-			if derr != nil {
-				return replayed, derr
-			}
-			return replayed, &RemoteError{Addr: addr, Code: code, Msg: msg}
-		default:
-			return replayed, fmt.Errorf("%w: unexpected frame %q during replay", ErrFrame, typ)
+		if _, err := parseAppendAck(addr, typ, payload, rec.seq); err != nil {
+			return replayed, err
 		}
 		replayed++
 	}
@@ -354,7 +312,9 @@ func (r *Router) StartHealthLoop(interval time.Duration) {
 	}()
 }
 
-// Close stops the health loop, if running.
+// Close stops the health loop, closes every peer connection (failing
+// the calls in flight on them) and returns once the connections' reader
+// goroutines have exited. A closed router refuses further calls.
 func (r *Router) Close() error {
 	r.loopMu.Lock()
 	stop, done := r.loopStop, r.loopDone
@@ -363,6 +323,9 @@ func (r *Router) Close() error {
 	if stop != nil {
 		close(stop)
 		<-done
+	}
+	for _, p := range r.peers {
+		p.close()
 	}
 	return nil
 }

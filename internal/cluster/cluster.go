@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // DataKind is the archive family a dataset belongs to; it decides both
@@ -122,22 +123,57 @@ func prefer(ring []ringEntry, nodes []string, key string, r int) []string {
 // node for partitioned kinds (the fan-out width that keeps every
 // machine busy), a single whole-dataset placement for scenes. The same
 // function runs on the router (to route) and on every node (to decide
-// what to ingest), so agreement is structural.
+// what to ingest), so agreement is structural. Each call builds the
+// ring afresh; the router and nodes hold a placer instead.
 func (t Topology) Layout(dataset string, kind DataKind) []Placement {
-	if len(t.Nodes) == 0 {
-		return nil
+	return newPlacer(t).layout(dataset, kind)
+}
+
+// placer is a Topology with its ring built once and its layouts
+// memoised per (dataset, kind) — a Topology is immutable. The returned
+// slices are shared; callers must not modify them.
+type placer struct {
+	topo Topology
+	ring []ringEntry
+
+	mu   sync.RWMutex
+	memo map[placeKey][]Placement
+}
+
+type placeKey struct {
+	dataset string
+	kind    DataKind
+}
+
+// maxPlaceMemo bounds the memo: dataset names arrive in requests, and a
+// client inventing names must not grow router memory without limit.
+const maxPlaceMemo = 4096
+
+func newPlacer(topo Topology) *placer {
+	return &placer{topo: topo, ring: topo.ring(), memo: make(map[placeKey][]Placement)}
+}
+
+func (p *placer) layout(dataset string, kind DataKind) []Placement {
+	key := placeKey{dataset, kind}
+	p.mu.RLock()
+	out, ok := p.memo[key]
+	p.mu.RUnlock()
+	if ok || len(p.topo.Nodes) == 0 {
+		return out
 	}
 	parts := 1
 	if kind.Partitioned() {
-		parts = len(t.Nodes)
+		parts = len(p.topo.Nodes)
 	}
-	ring := t.ring()
-	r := t.replicas()
-	out := make([]Placement, parts)
-	for p := range out {
-		key := dataset + "#" + strconv.Itoa(p)
-		out[p] = Placement{Part: p, Nodes: prefer(ring, t.Nodes, key, r)}
+	out = make([]Placement, parts)
+	for i := range out {
+		out[i] = Placement{Part: i, Nodes: prefer(p.ring, p.topo.Nodes, dataset+"#"+strconv.Itoa(i), p.topo.replicas())}
 	}
+	p.mu.Lock()
+	if len(p.memo) < maxPlaceMemo {
+		p.memo[key] = out
+	}
+	p.mu.Unlock()
 	return out
 }
 
@@ -163,18 +199,18 @@ type Assignment struct {
 	Lo, Hi int
 }
 
-// Assignments lists the partitions of an n-item dataset that `self`
+// assignments lists the partitions of an n-item dataset that `self`
 // holds under this topology.
-func (t Topology) Assignments(self, dataset string, kind DataKind, n int) []Assignment {
+func (p *placer) assignments(self, dataset string, kind DataKind, n int) []Assignment {
 	var out []Assignment
-	for _, pl := range t.Layout(dataset, kind) {
+	for _, pl := range p.layout(dataset, kind) {
 		for _, node := range pl.Nodes {
 			if node != self {
 				continue
 			}
 			a := Assignment{Part: pl.Part}
 			if kind.Partitioned() {
-				a.Lo, a.Hi = partRange(n, len(t.Nodes), pl.Part)
+				a.Lo, a.Hi = partRange(n, len(p.topo.Nodes), pl.Part)
 			} else {
 				a.Hi = n
 			}

@@ -31,11 +31,12 @@ func queryNode(t *testing.T, addr string, req Request, part int, floor float64) 
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, frameQuery, payload); err != nil {
+	fc := newFconn(conn, 0)
+	if err := fc.send(frameQuery, 1, payload); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, _, payload, err := readFrame(fc.br)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,21 @@
-// Fuzzing for the partial-result wire codec, alongside the
-// FuzzRequestFingerprint pattern in internal/qcache: round-trips must
-// be exact, and malformed frames must be rejected with an error — never
-// a panic, never an oversized allocation. The committed seed corpus in
-// testdata/fuzz covers well-formed partials (empty, multi-item, geology
-// payloads) plus truncation shapes.
+// Fuzzing for every byte decoder that faces the network, alongside the
+// FuzzRequestFingerprint pattern in internal/qcache. FuzzPartialCodec:
+// partial-result round-trips must be exact, and malformed payloads must
+// be rejected with an error — never a panic, never an oversized
+// allocation. FuzzFrameStream: arbitrary bytes fed to the node's
+// connection loop and to the router's demux end in a typed refusal or a
+// clean close. The committed seed corpora in testdata/fuzz cover
+// well-formed inputs plus truncation and misuse shapes.
 
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -17,8 +23,49 @@ import (
 	"testing"
 	"time"
 
+	"modelir/internal/core"
+	"modelir/internal/linear"
 	"modelir/internal/topk"
 )
+
+// frameStreamSeeds is FuzzFrameStream's seed corpus: whole byte streams
+// as a router (or anyone who can reach the listener) might send them.
+func frameStreamSeeds(t testing.TB) map[string][]byte {
+	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := encodeQuery(Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, 0, math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := encodeAppend(AppendBatch{Dataset: "gauss", Part: 0, Seq: 1, Base: 64, Tuples: [][]float64{{1, 2, 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeK, err := encodeQuery(Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 1 << 30}, 0, math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	query, floor, cancel := frameBytes(frameQuery, 1, q), frameBytes(frameFloor, 1, encodeFloor(2.5)), frameBytes(frameCancel, 1, nil)
+	return map[string][]byte{
+		"seed-query-floor-cancel": cat(query, floor, cancel),
+		"seed-append":             frameBytes(frameAppend, 2, a),
+		"seed-interleaved": cat(query, frameBytes(frameQuery, 2, q), frameBytes(frameHealth, 3, nil),
+			frameBytes(frameFloor, 2, encodeFloor(1)), frameBytes(frameSeqState, 4, encodeSeqStateReq("")), floor),
+		"seed-truncated-header": query[:5],
+		"seed-truncated-body":   query[:len(query)-3],
+		"seed-unknown-type":     cat(frameBytes(frameHealth, 1, nil), frameBytes('z', 2, []byte("x"))),
+		"seed-stream-reuse":     cat(query, query),
+		// A K that would size a 32 GiB heap: found by this fuzzer.
+		"seed-huge-k":   frameBytes(frameQuery, 1, hugeK),
+		"seed-over-cap": cat(frameBytes(frameHealth, 9, nil), []byte{0xff, 0xff, 0xff, 0xff, frameFloor, 0, 0, 0, 1}),
+		// The same shapes as a node would send them back.
+		"seed-replies": cat(frameBytes(frameFloor, 1, encodeFloor(3)), frameBytes(frameResult, 1, encodePartial(Partial{Floor: 3})),
+			frameBytes(frameError, 2, encodeError("exec", "boom")), frameBytes(frameFloor, 1, encodeFloor(9))),
+	}
+}
 
 // TestRegenerateFuzzCorpus rewrites the committed seed corpus from the
 // current codec when REGEN_CORPUS is set; otherwise it verifies every
@@ -45,13 +92,16 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzPartialCodec")
 	if os.Getenv("REGEN_CORPUS") != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for name, b := range seeds {
-			content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		streamDir := filepath.Join("testdata", "fuzz", "FuzzFrameStream")
+		for d, set := range map[string]map[string][]byte{dir: seeds, streamDir: frameStreamSeeds(t)} {
+			if err := os.MkdirAll(d, 0o755); err != nil {
 				t.Fatal(err)
+			}
+			for name, b := range set {
+				content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+				if err := os.WriteFile(filepath.Join(d, name), []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return
@@ -71,6 +121,15 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		}
 		if _, err := decodePartial([]byte(b)); err != nil {
 			t.Fatalf("%s no longer decodes: %v", name, err)
+		}
+	}
+	// The frame-stream seeds are byte streams in the current framing: a
+	// header change must regenerate them, or the fuzzer starts from noise.
+	for name, b := range frameStreamSeeds(t) {
+		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzFrameStream", name))
+		if err != nil || string(raw) != want {
+			t.Fatalf("FuzzFrameStream/%s missing or stale (run with REGEN_CORPUS=1): %v", name, err)
 		}
 	}
 }
@@ -111,6 +170,90 @@ func FuzzPartialCodec(f *testing.F) {
 		}
 		if len(q.Items) != len(p.Items) || q.Stats != p.Stats {
 			t.Fatalf("partial drifted: %+v vs %+v", q, p)
+		}
+	})
+}
+
+// FuzzFrameStream feeds arbitrary bytes to both ends of the transport:
+// the node's per-connection read loop (over a net.Pipe, replies
+// drained) and the router's demux with live streams registered. Neither
+// may panic or hang; no frame may come back larger than its type's cap
+// or than the bytes that were actually sent; the node's loop must
+// return and every goroutine it started must finish; the demux must end
+// in a clean close, a truncation, or ErrFrame, with every registered
+// stream handed exactly one outcome.
+func FuzzFrameStream(f *testing.F) {
+	for _, seed := range frameStreamSeeds(f) {
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+
+	topo := Topology{Nodes: []string{"fuzz-node:1"}, Replication: 1}
+	node := NewNode(topo.Nodes[0], topo, NodeOptions{Shards: 1})
+	pts := make([][]float64, 64)
+	for i := range pts {
+		pts[i] = []float64{float64(i), float64(i % 7), float64(i % 3)}
+	}
+	if err := node.AddTuples("gauss", pts); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(node.Close)
+	router := NewRouter(topo)
+	f.Cleanup(func() { router.Close() })
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The framing layer on its own: caps hold, nothing is invented.
+		for br := bufio.NewReader(bytes.NewReader(data)); ; {
+			typ, _, payload, err := readFrame(br)
+			if err != nil {
+				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrFrame) {
+					t.Fatalf("readFrame: untyped error %v", err)
+				}
+				break
+			}
+			if len(payload) > frameCap(typ) || len(payload) > len(data) {
+				t.Fatalf("%q frame of %d bytes from %d input bytes (cap %d)", typ, len(payload), len(data), frameCap(typ))
+			}
+		}
+
+		// Node side.
+		client, server := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			node.handle(server)
+			server.Close()
+		}()
+		go io.Copy(io.Discard, client) // ends when either side closes
+		_, _ = client.Write(data)      // fails early when the node hangs up on a bad frame
+		client.Close()
+		<-served
+		node.wg.Wait()
+
+		// Router side.
+		p := router.peers[topo.Nodes[0]]
+		idle, _ := net.Pipe()
+		fc := newFconn(idle, 0)
+		fc.br = bufio.NewReader(bytes.NewReader(data))
+		pc := &peerConn{p: p, fc: fc, done: make(chan struct{}), calls: make(map[uint32]*call)}
+		var calls []*call
+		for i := 0; i < 4; i++ {
+			_, c, err := pc.open(newFloorGossip(math.Inf(-1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls = append(calls, c)
+		}
+		pc.readLoop()
+		if err := pc.err; err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrFrame) {
+			t.Fatalf("demux ended with untyped error %v", err)
+		}
+		for i, c := range calls {
+			select {
+			case <-c.done:
+			default:
+				t.Fatalf("stream %d was left without an outcome", i+1)
+			}
 		}
 	})
 }

@@ -30,7 +30,7 @@ type fixtures struct {
 	wells []synth.WellLog
 }
 
-func buildFixtures(t *testing.T) fixtures {
+func buildFixtures(t testing.TB) fixtures {
 	t.Helper()
 	var f fixtures
 	var err error
@@ -57,7 +57,7 @@ func buildFixtures(t *testing.T) fixtures {
 	return f
 }
 
-func ingest(t *testing.T, n *Node, f fixtures) {
+func ingest(t testing.TB, n *Node, f fixtures) {
 	t.Helper()
 	if err := n.AddTuples("gauss", f.pts); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func ingest(t *testing.T, n *Node, f fixtures) {
 // startCluster boots `count` nodes over loopback, ingests the fixtures
 // per the topology's placement, and returns a router over them. The
 // listeners bind first so the topology can use real dial addresses.
-func startCluster(t *testing.T, count, shards, replication int, f fixtures, opt NodeOptions) (*Router, []*Node) {
+func startCluster(t testing.TB, count, shards, replication int, f fixtures, opt NodeOptions) (*Router, []*Node) {
 	t.Helper()
 	opt.Shards = shards
 	// Placement keys on dial addresses, which only exist once the
@@ -105,12 +105,21 @@ func startCluster(t *testing.T, count, shards, replication int, f fixtures, opt 
 			n.Close()
 		}
 	})
-	return NewRouter(topo), nodes
+	return newTestRouter(t, topo, RouterOptions{}), nodes
+}
+
+// newTestRouter builds a router that is closed when the test ends: a
+// router owns sockets and reader goroutines.
+func newTestRouter(t testing.TB, topo Topology, opt RouterOptions) *Router {
+	t.Helper()
+	r := NewRouterWith(topo, opt)
+	t.Cleanup(func() { r.Close() })
+	return r
 }
 
 // familyRequests is the six-family query matrix, identical to what the
 // single-node reference runs.
-func familyRequests(t *testing.T, f fixtures) map[string]Request {
+func familyRequests(t testing.TB, f fixtures) map[string]Request {
 	t.Helper()
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {

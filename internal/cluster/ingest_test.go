@@ -81,9 +81,7 @@ func startIngestCluster(t *testing.T, count, shards, replication int, f fixtures
 			n.Close()
 		}
 	})
-	r := NewRouterWith(topo, ropt)
-	t.Cleanup(func() { r.Close() })
-	return r, nodes, addrs
+	return newTestRouter(t, topo, ropt), nodes, addrs
 }
 
 // appendTails streams every tail through the router in small batches,
@@ -263,8 +261,7 @@ func TestClusterIngestKillMidAppend(t *testing.T) {
 			n.Close()
 		}
 	})
-	router := NewRouterWith(topo, testRouterOptions())
-	t.Cleanup(func() { router.Close() })
+	router := newTestRouter(t, topo, testRouterOptions())
 	victim.Store(nodes[1])
 
 	res, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: tl.tuples[:200]})
@@ -379,23 +376,26 @@ func TestNodeAppendSeqDedup(t *testing.T) {
 }
 
 // flakyProxy fronts a node and drops the first `drops` connections cold
-// — the shape of a flaky network path — then pipes transparently.
-func flakyProxy(t *testing.T, backend string, drops int32) string {
+// — accepted, then closed before a byte moves, the shape of a flaky
+// network path — then pipes transparently. With one long-lived
+// connection per peer a dropped connection is a dropped dial: the
+// router sees the break, re-dials, and only the retried call pays. The
+// returned counter is the number of connections accepted so far.
+func flakyProxy(t *testing.T, backend string, drops int32) (string, *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var remaining atomic.Int32
-	remaining.Store(drops)
+	dials := new(atomic.Int32)
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			if remaining.Add(-1) >= 0 {
+			if dials.Add(1) <= drops {
 				c.Close()
 				continue
 			}
@@ -415,13 +415,15 @@ func flakyProxy(t *testing.T, backend string, drops int32) string {
 			}(c)
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), dials
 }
 
 // TestClusterReadRetryFlakyTransport pins the read-path retry: a
-// replica whose first connection attempts fail cold is retried with
-// backoff within ReadAttempts and still answers; a replica that never
-// accepts exhausts the attempts into ErrPartitionUnavailable.
+// replica whose first connections are dropped cold is re-dialled with
+// backoff within ReadAttempts and still answers — and once a connection
+// holds, later reads ride it without dialling again; a replica whose
+// every connection is dropped exhausts the attempts into
+// ErrPartitionUnavailable.
 func TestClusterReadRetryFlakyTransport(t *testing.T) {
 	pts, err := synth.GaussianTuples(51, 2000, 3)
 	if err != nil {
@@ -431,7 +433,7 @@ func TestClusterReadRetryFlakyTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxyAddr := flakyProxy(t, realLn.Addr().String(), 2)
+	proxyAddr, dials := flakyProxy(t, realLn.Addr().String(), 2)
 
 	topo := Topology{Nodes: []string{proxyAddr}, Replication: 1}
 	n := NewNode(proxyAddr, topo, NodeOptions{Shards: 2})
@@ -444,7 +446,7 @@ func TestClusterReadRetryFlakyTransport(t *testing.T) {
 	rq := familyRequests(t, fixtures{pts: pts})["linear"]
 	ropt := testRouterOptions()
 	ropt.ReadAttempts = 3 // two drops, third connection lands
-	r := NewRouterWith(topo, ropt)
+	r := newTestRouter(t, topo, ropt)
 	res, err := r.Run(context.Background(), rq)
 	if err != nil {
 		t.Fatalf("read through flaky transport: %v", err)
@@ -459,11 +461,23 @@ func TestClusterReadRetryFlakyTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	itemsEqual(t, "flaky-read", res.Items, want.Items)
+	for i := 0; i < 10; i++ {
+		if res, err = r.Run(context.Background(), rq); err != nil {
+			t.Fatalf("read %d on the held connection: %v", i, err)
+		}
+		itemsEqual(t, "held-connection read", res.Items, want.Items)
+	}
+	if got := dials.Load(); got != 3 {
+		t.Fatalf("proxy accepted %d connections, want 3 (two dropped, one held)", got)
+	}
+	if pc := r.PeerConns()[proxyAddr]; pc.ConnectedSince == nil || pc.Reconnects != 2 {
+		t.Fatalf("peer conn stats = %+v, want connected after 2 reconnects", pc)
+	}
 
 	// A path that drops everything exhausts ReadAttempts and fails typed.
-	deadAddr := flakyProxy(t, realLn.Addr().String(), 1<<30)
+	deadAddr, _ := flakyProxy(t, realLn.Addr().String(), 1<<30)
 	deadTopo := Topology{Nodes: []string{deadAddr}, Replication: 1}
-	dr := NewRouterWith(deadTopo, ropt)
+	dr := newTestRouter(t, deadTopo, ropt)
 	if _, err := dr.Run(context.Background(), Request{Dataset: "gauss", Query: rq.Query, K: rq.K}); !errors.Is(err, ErrPartitionUnavailable) {
 		t.Fatalf("err = %v, want ErrPartitionUnavailable", err)
 	}

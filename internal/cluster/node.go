@@ -1,9 +1,13 @@
 // The shard-server role: a Node owns a private engine holding its
-// assigned partitions of each dataset and serves one query per inbound
-// connection. While a query runs, the node and router exchange floor
-// raises ('F' frames) both ways: remote floors feed the query's
-// SharedBound and prune the local scan mid-flight, and local raises are
-// published back so the router can gossip them to the other nodes.
+// assigned partitions of each dataset and serves every inbound
+// connection with one read loop that demultiplexes the router's
+// streams: a 'Q' starts a query goroutine, 'F'/'C' reach that query's
+// SharedBound/cancel, appends, probes and seq-state requests are
+// answered on the same connection. While a query runs, the node and
+// router exchange floor raises ('F' frames) both ways: remote floors
+// feed the query's SharedBound and prune the local scan mid-flight, and
+// local raises are published back so the router can gossip them to the
+// other nodes.
 
 package cluster
 
@@ -11,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -23,9 +28,11 @@ import (
 )
 
 // floorPollInterval is how often the node checks whether its local
-// floor rose enough to publish. Floor frames are an optimization — the
-// result is bit-identical with or without them — so a coarse interval
-// costs only pruning opportunity, never correctness.
+// floor rose enough to publish, and how long a query must have run
+// before the first check: a read that finishes sooner has nothing worth
+// gossiping and never starts the publisher. Floor frames are an
+// optimization — the result is bit-identical with or without them — so
+// a coarse interval costs only pruning opportunity, never correctness.
 const floorPollInterval = 200 * time.Microsecond
 
 // NodeOptions configures a shard server.
@@ -54,10 +61,11 @@ type partEntry struct {
 // Node is one shard server: a listener plus the engine serving its
 // partitions.
 type Node struct {
-	self string
-	topo Topology
-	opt  NodeOptions
-	eng  *core.Engine
+	self  string
+	topo  Topology
+	place *placer
+	opt   NodeOptions
+	eng   *core.Engine
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -68,7 +76,7 @@ type Node struct {
 	ingests map[string]map[int]*partIngest
 
 	// appender coalesces concurrent series/well appends from multiple
-	// router connections into fewer delta segments (tuple batches land
+	// streams and routers into fewer delta segments (tuple batches land
 	// directly: their explicit global bases cannot be merged).
 	appender *core.Appender
 
@@ -76,6 +84,7 @@ type Node struct {
 	cancelled atomic.Int64
 	failed    atomic.Int64
 	appended  atomic.Int64
+	accepted  atomic.Int64 // inbound connections, lifetime
 
 	wg sync.WaitGroup
 }
@@ -83,10 +92,15 @@ type Node struct {
 // NewNode creates a node for `self` (its dial address in the topology).
 // Datasets must be added before Serve makes the node reachable.
 func NewNode(self string, topo Topology, opt NodeOptions) *Node {
-	eng := core.NewEngineWith(core.Options{Shards: opt.Shards, CacheEntries: opt.CacheEntries})
+	return newNodeOn(self, topo, opt, core.NewEngineWith(core.Options{Shards: opt.Shards, CacheEntries: opt.CacheEntries}))
+}
+
+// newNodeOn wraps an engine (fresh, or restored from a snapshot).
+func newNodeOn(self string, topo Topology, opt NodeOptions, eng *core.Engine) *Node {
 	return &Node{
 		self:     self,
 		topo:     topo,
+		place:    newPlacer(topo),
 		opt:      opt,
 		eng:      eng,
 		appender: core.NewAppender(eng, core.AppenderOptions{}),
@@ -118,7 +132,7 @@ func (n *Node) register(dataset string, part int, e partEntry) error {
 // result IDs are lifted by the range offset so they match the global
 // row indices a single-node engine would return.
 func (n *Node) AddTuples(dataset string, points [][]float64) error {
-	for _, a := range n.topo.Assignments(n.self, dataset, KindTuples, len(points)) {
+	for _, a := range n.place.assignments(n.self, dataset, KindTuples, len(points)) {
 		e := partEntry{offset: int64(a.Lo)}
 		if a.Lo < a.Hi {
 			e.local = n.localName(dataset, a.Part)
@@ -136,7 +150,7 @@ func (n *Node) AddTuples(dataset string, points [][]float64) error {
 // AddSeries ingests this node's partitions of a weather-series archive.
 // Region IDs are intrinsic to the records, so no offset lift is needed.
 func (n *Node) AddSeries(dataset string, rs []synth.RegionSeries) error {
-	for _, a := range n.topo.Assignments(n.self, dataset, KindSeries, len(rs)) {
+	for _, a := range n.place.assignments(n.self, dataset, KindSeries, len(rs)) {
 		var e partEntry
 		if a.Lo < a.Hi {
 			e.local = n.localName(dataset, a.Part)
@@ -154,7 +168,7 @@ func (n *Node) AddSeries(dataset string, rs []synth.RegionSeries) error {
 // AddWells ingests this node's partitions of a well-log archive. Well
 // IDs are intrinsic to the records, so no offset lift is needed.
 func (n *Node) AddWells(dataset string, ws []synth.WellLog) error {
-	for _, a := range n.topo.Assignments(n.self, dataset, KindWells, len(ws)) {
+	for _, a := range n.place.assignments(n.self, dataset, KindWells, len(ws)) {
 		var e partEntry
 		if a.Lo < a.Hi {
 			e.local = n.localName(dataset, a.Part)
@@ -173,7 +187,7 @@ func (n *Node) AddWells(dataset string, ws []synth.WellLog) error {
 // are not partitioned (raster geometry is scene-global); the whole
 // scene lives on Replication nodes.
 func (n *Node) AddScene(dataset string, sc *archive.Scene) error {
-	for _, a := range n.topo.Assignments(n.self, dataset, KindScene, 1) {
+	for _, a := range n.place.assignments(n.self, dataset, KindScene, 1) {
 		e := partEntry{local: n.localName(dataset, a.Part)}
 		if err := n.eng.AddScene(e.local, sc); err != nil {
 			return err
@@ -212,6 +226,7 @@ func (n *Node) ServeListener(ln net.Listener) {
 			if err != nil {
 				return
 			}
+			n.accepted.Add(1)
 			n.track(c, true)
 			n.wg.Add(1)
 			go func() {
@@ -292,34 +307,119 @@ func errorCode(err error) string {
 	}
 }
 
-// handle dispatches one connection on its first frame: a 'Q' starts a
-// query session (one query per connection), while 'A'/'H'/'U'/'S'/'I'
-// start an ingest session (a loop of appends, probes, seq-state
-// exchanges, and snapshot-resync transfers — the router's append,
-// catch-up, and resync paths reuse one connection for many frames).
+// nodeWriteTimeout bounds each frame write to a router: one that stopped
+// draining its connection must lose it (cancelling its queries), not
+// wedge every stream's reply behind the write mutex.
+const nodeWriteTimeout = 10 * time.Second
+
+// queryStream is what the read loop needs to reach a running query.
+type queryStream struct {
+	sb     *core.SharedBound
+	cancel context.CancelFunc
+}
+
+// handle is one connection's read loop. It executes nothing itself:
+// queries, appends, probes and seq-state requests run on their own
+// goroutines and write their terminal frame under the connection's
+// write mutex, so one stream cannot stall another's floor raise or
+// cancel. An append failure ends only its stream (the router
+// re-establishes sequencing through catch-up); a malformed frame or a
+// stream ID still in use ends the connection. Losing the connection
+// cancels every query registered on it. The resync frames ('S', 'I',
+// then 'D'/'J') arrive on a repair connection the router opened for
+// that transfer alone.
 func (n *Node) handle(c net.Conn) {
-	typ, payload, err := readFrame(c)
-	if err != nil {
+	fc := newFconn(c, nodeWriteTimeout)
+	var mu sync.Mutex // guards streams: the query goroutines unregister themselves
+	streams := make(map[uint32]*queryStream)
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, qs := range streams {
+			qs.cancel()
+		}
+	}()
+	refuse := func(stream uint32, msg string) {
 		n.failed.Add(1)
-		return
+		fc.send(frameError, stream, encodeError("bad-frame", msg))
 	}
-	switch typ {
-	case frameQuery:
-		n.handleQuery(c, payload)
-	case frameAppend, frameHealth, frameSeqState, frameResyncReq, frameInstall:
-		n.handleIngest(c, typ, payload)
-	default:
-		n.failed.Add(1)
+	for {
+		typ, stream, payload, err := readFrame(fc.br)
+		if err != nil {
+			if errors.Is(err, ErrFrame) || err == io.ErrUnexpectedEOF {
+				n.failed.Add(1)
+			}
+			return
+		}
+		mu.Lock()
+		qs := streams[stream]
+		mu.Unlock()
+		switch typ {
+		case frameQuery:
+			if qs != nil {
+				refuse(stream, "stream ID already in use")
+				return
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			qs = &queryStream{sb: core.NewSharedBound(), cancel: cancel}
+			mu.Lock()
+			streams[stream] = qs
+			mu.Unlock()
+			n.wg.Add(1)
+			go func() {
+				defer n.wg.Done()
+				typ, reply := n.serveQuery(ctx, fc, stream, qs.sb, payload)
+				// Unregister before the terminal frame leaves: once the
+				// router has it, the stream ID is free again.
+				mu.Lock()
+				delete(streams, stream)
+				mu.Unlock()
+				cancel()
+				fc.send(typ, stream, reply)
+			}()
+		case frameFloor:
+			if f, err := decodeFloor(payload); err == nil && qs != nil {
+				qs.sb.Raise(f)
+			}
+		case frameCancel:
+			if qs != nil {
+				qs.cancel()
+			}
+		case frameAppend, frameSeqState, frameHealth:
+			// An append applies off the read loop: per-partition order is
+			// enforced by sequence numbers and the router's partition
+			// lock, not by arrival order on this connection.
+			n.wg.Add(1)
+			go func() {
+				defer n.wg.Done()
+				typ, reply := n.serveIngest(typ, payload)
+				fc.send(typ, stream, reply)
+			}()
+		case frameResyncReq:
+			// Donor role: one transfer per repair connection; the router
+			// closes it after 'Y'.
+			n.serveResync(fc, payload)
+			return
+		case frameInstall:
+			// Receiver role: accumulate 'D' chunks, install on 'J', ack
+			// with 'Y'. The connection then stays open — the router
+			// replays the remaining log tail as ordinary 'A' frames.
+			if !n.handleInstall(fc, payload) {
+				return
+			}
+		default:
+			refuse(stream, fmt.Sprintf("unexpected frame %q from a router", typ))
+			return
+		}
 	}
 }
 
-// handleQuery serves one query on one connection.
-func (n *Node) handleQuery(c net.Conn, payload []byte) {
+// serveQuery executes one query stream and returns its terminal frame.
+func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, sb *core.SharedBound, payload []byte) (byte, []byte) {
 	q, err := decodeQuery(payload)
 	if err != nil {
 		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("bad-query", err.Error()))
-		return
+		return frameError, encodeError("bad-query", err.Error())
 	}
 
 	n.mu.Lock()
@@ -327,99 +427,65 @@ func (n *Node) handleQuery(c net.Conn, payload []byte) {
 	n.mu.Unlock()
 	if !ok {
 		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("unknown-dataset",
-			fmt.Sprintf("dataset %q part %d not on this node", q.Dataset, q.Part)))
-		return
+		return frameError, encodeError("unknown-dataset",
+			fmt.Sprintf("dataset %q part %d not on this node", q.Dataset, q.Part))
 	}
 	if entry.local == "" {
 		// Empty partition: nothing to scan, empty exact partial.
 		n.served.Add(1)
-		writeFrame(c, frameResult, encodePartial(Partial{Floor: q.Floor}))
-		return
+		return frameResult, encodePartial(Partial{Floor: q.Floor})
 	}
-
-	sb := core.NewSharedBound()
 	sb.Raise(q.Floor)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 
-	// Writes to c interleave from the floor publisher and the final
-	// result; serialize them.
-	var wmu sync.Mutex
-	send := func(typ byte, payload []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return writeFrame(c, typ, payload)
-	}
-
-	// Connection reader: remote floor raises feed the shared bound; a
-	// cancel frame, EOF, or severed connection aborts the query.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			typ, payload, err := readFrame(c)
-			if err != nil {
-				cancel()
-				return
-			}
-			switch typ {
-			case frameFloor:
-				if f, err := decodeFloor(payload); err == nil {
-					sb.Raise(f)
-				}
-			case frameCancel:
-				cancel()
-				return
-			}
-		}
-	}()
-
-	// The fault-injection hook runs with the connection reader already
-	// live: a cancel or kill arriving while the hook blocks is observed
-	// before execution starts, which is what makes the fault tests
-	// deterministic.
+	// The fault-injection hook runs with the stream registered and the
+	// connection's read loop live: a cancel or kill arriving while the
+	// hook blocks is observed before execution starts, which is what
+	// makes the fault tests deterministic.
 	if n.opt.BeforeExec != nil {
 		n.opt.BeforeExec(q.Dataset, q.Part)
 	}
 
-	// Floor publisher: piggyback local raises back to the router.
-	pubDone := make(chan struct{})
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		last := q.Floor
-		tick := time.NewTicker(floorPollInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
+	// Floor publisher: piggyback local raises back to the router — a
+	// timer that re-arms itself, so a read done within one poll interval
+	// stops it unfired and costs one goroutine (this one), nothing else.
+	// pub.mu orders the last publish before the terminal frame.
+	var pub struct {
+		mu   sync.Mutex
+		t    *time.Timer
+		done bool
+	}
+	last := q.Floor
+	pub.mu.Lock()
+	pub.t = time.AfterFunc(floorPollInterval, func() {
+		pub.mu.Lock()
+		defer pub.mu.Unlock()
+		if pub.done {
+			return
+		}
+		if f := sb.Floor(); f > last {
+			last = f
+			if fc.send(frameFloor, stream, encodeFloor(f)) != nil {
 				return
-			case <-pubDone:
-				return
-			case <-tick.C:
-				if f := sb.Floor(); f > last {
-					last = f
-					if send(frameFloor, encodeFloor(f)) != nil {
-						return
-					}
-				}
 			}
 		}
-	}()
+		pub.t.Reset(floorPollInterval)
+	})
+	pub.mu.Unlock()
 
 	req := q.Req
 	req.Dataset = entry.local
 	res, err := n.eng.RunShared(ctx, req, sb)
-	close(pubDone)
+	pub.mu.Lock()
+	pub.done = true
+	pub.mu.Unlock()
+	pub.t.Stop()
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			n.cancelled.Add(1)
 		} else {
 			n.failed.Add(1)
 		}
-		send(frameError, encodeError(errorCode(err), err.Error()))
-		return
+		return frameError, encodeError(errorCode(err), err.Error())
 	}
 	if entry.offset != 0 {
 		for i := range res.Items {
@@ -427,7 +493,7 @@ func (n *Node) handleQuery(c net.Conn, payload []byte) {
 		}
 	}
 	n.served.Add(1)
-	send(frameResult, encodePartial(Partial{
+	return frameResult, encodePartial(Partial{
 		Floor: sb.Floor(),
 		Items: res.Items,
 		Stats: PartialStats{
@@ -438,5 +504,5 @@ func (n *Node) handleQuery(c net.Conn, payload []byte) {
 			Truncated:   res.Stats.Truncated,
 			Wall:        res.Stats.Wall,
 		},
-	}))
+	})
 }

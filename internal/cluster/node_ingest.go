@@ -1,6 +1,6 @@
-// The node side of replicated ingest: an ingest session is a loop of
-// 'A' (append), 'H' (probe), and 'U' (seq-state) frames on one
-// connection. Every partition carries a monotone append cursor — the
+// The node side of replicated ingest: 'A' (append) and 'U' (seq-state)
+// streams arriving on a router's connection (node.go's read loop
+// dispatches them here). Every partition carries a monotone append cursor — the
 // last sequence number it applied — which makes appends idempotent:
 // a batch at or below the cursor acks as a duplicate without touching
 // the engine (safe router retries and catch-up replays), a batch one
@@ -14,8 +14,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
+	"sync/atomic"
 
 	"modelir/internal/core"
 )
@@ -29,8 +29,10 @@ var ErrSeqGap = errors.New("cluster: append sequence gap")
 // appends to the partition (sequence order is the correctness
 // invariant); different partitions apply in parallel.
 type partIngest struct {
-	mu      sync.Mutex
-	lastSeq uint64
+	mu sync.Mutex
+	// lastSeq is written under mu; it is atomic so a seq-state report
+	// can read it without queueing behind an append in progress.
+	lastSeq atomic.Uint64
 }
 
 func (n *Node) partIngest(dataset string, part int) *partIngest {
@@ -76,12 +78,12 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 	pi := n.partIngest(b.Dataset, b.Part)
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	switch {
-	case b.Seq <= pi.lastSeq:
+	switch last := pi.lastSeq.Load(); {
+	case b.Seq <= last:
 		return true, n.datasetGen(entry.local), nil
-	case b.Seq != pi.lastSeq+1:
+	case b.Seq != last+1:
 		return false, 0, fmt.Errorf("%w: %q part %d seq %d after %d",
-			ErrSeqGap, b.Dataset, b.Part, b.Seq, pi.lastSeq)
+			ErrSeqGap, b.Dataset, b.Part, b.Seq, last)
 	}
 
 	if entry.local == "" {
@@ -124,7 +126,7 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 			return false, 0, err
 		}
 	}
-	pi.lastSeq = b.Seq
+	pi.lastSeq.Store(b.Seq)
 	n.appended.Add(1)
 	return false, n.datasetGen(entry.local), nil
 }
@@ -181,7 +183,7 @@ func (n *Node) seqState(dataset string) []SeqEntry {
 		for part, entry := range parts {
 			e := SeqEntry{Dataset: ds, Part: part, Kind: dsKind}
 			if pi := n.ingests[ds][part]; pi != nil {
-				e.LastSeq = pi.lastSeq
+				e.LastSeq = pi.lastSeq.Load()
 			}
 			if entry.local != "" {
 				info, ok := infos[entry.local]
@@ -208,70 +210,34 @@ func appendErrorCode(err error) string {
 	}
 }
 
-// handleIngest serves one ingest session: appends, probes, and
-// seq-state exchanges until the peer hangs up. An append failure ends
-// the session after the error frame — the router must re-establish
-// sequencing state before sending more.
-func (n *Node) handleIngest(c net.Conn, typ byte, payload []byte) {
-	for {
-		switch typ {
-		case frameHealth:
-			if writeFrame(c, frameHealth, nil) != nil {
-				return
-			}
-		case frameSeqState:
-			ds, err := decodeSeqStateReq(payload)
-			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-seq-state", err.Error()))
-				return
-			}
-			if writeFrame(c, frameSeqState, encodeSeqState(n.seqState(ds))) != nil {
-				return
-			}
-		case frameAppend:
-			b, err := decodeAppend(payload)
-			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-append", err.Error()))
-				return
-			}
-			// The fault-injection hook runs with the batch decoded but
-			// nothing applied: a kill here loses the batch atomically.
-			if n.opt.BeforeAppend != nil {
-				n.opt.BeforeAppend(b.Dataset, b.Part, b.Seq)
-			}
-			dup, gen, err := n.AppendRows(context.Background(), b)
-			if err != nil {
-				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError(appendErrorCode(err), err.Error()))
-				return
-			}
-			if writeFrame(c, frameAppendAck, encodeAppendAck(appendAck{Seq: b.Seq, Dup: dup, Gen: gen})) != nil {
-				return
-			}
-		case frameResyncReq:
-			// Donor role: stream a consistent snapshot of the requested
-			// partitions and report their cursors. One transfer per
-			// session; the router closes the connection after 'Y'.
-			n.serveResync(c, payload)
-			return
-		case frameInstall:
-			// Receiver role: accumulate 'D' chunks, install on 'J', ack
-			// with 'Y'. The session then continues — the router replays
-			// the remaining log tail as ordinary 'A' frames.
-			if !n.handleInstall(c, payload) {
-				return
-			}
-		default:
+// serveIngest answers one 'H', 'U' or 'A' request with its terminal frame.
+func (n *Node) serveIngest(typ byte, payload []byte) (byte, []byte) {
+	switch typ {
+	case frameHealth:
+		return frameHealth, nil
+	case frameSeqState:
+		ds, err := decodeSeqStateReq(payload)
+		if err != nil {
 			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("bad-frame",
-				fmt.Sprintf("unexpected frame %q in ingest session", typ)))
-			return
+			return frameError, encodeError("bad-seq-state", err.Error())
 		}
-		var err error
-		if typ, payload, err = readFrame(c); err != nil {
-			return
-		}
+		return frameSeqState, encodeSeqState(n.seqState(ds))
 	}
+	b, err := decodeAppend(payload)
+	if err != nil {
+		n.failed.Add(1)
+		return frameError, encodeError("bad-append", err.Error())
+	}
+	// The fault-injection hook runs with the batch decoded but nothing
+	// applied or acked: a kill here severs the connection before the ack
+	// can be written, so the router cannot know whether it applied.
+	if n.opt.BeforeAppend != nil {
+		n.opt.BeforeAppend(b.Dataset, b.Part, b.Seq)
+	}
+	dup, gen, err := n.AppendRows(context.Background(), b)
+	if err != nil {
+		n.failed.Add(1)
+		return frameError, encodeError(appendErrorCode(err), err.Error())
+	}
+	return frameAppendAck, encodeAppendAck(appendAck{Seq: b.Seq, Dup: dup, Gen: gen})
 }

@@ -6,7 +6,10 @@
 // under the partition locks, so the donor cut, the install, and the
 // replay form one linearizable repair.
 //
-// Five frame types extend the ingest protocol:
+// Five frame types extend the ingest protocol. They travel on repair
+// connections the router opens for one transfer and closes after it —
+// never on the shared peer connection, where a train of 256 KiB chunks
+// would head-of-line-block reads:
 //
 //	'S' resync-request router → donor: the (dataset, part) list to
 //	                   snapshot; the donor locks those partitions'
@@ -33,7 +36,7 @@
 // across the engine snapshot, so the streamed state corresponds
 // exactly to the reported cursors. Donor selection is placement order:
 // the first servable replica of each owed partition; partitions that
-// share a donor transfer in one session.
+// share a donor transfer over one pair of repair connections.
 
 package cluster
 
@@ -42,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 	"sync/atomic"
 
@@ -221,7 +223,7 @@ func decodeResyncChunk(payload []byte) (name string, data []byte, err error) {
 
 // chunkWriter buffers one file's bytes into ≤resyncChunkSize frames.
 type chunkWriter struct {
-	c    net.Conn
+	c    *fconn
 	name string
 	buf  []byte
 }
@@ -245,7 +247,7 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 }
 
 func (w *chunkWriter) flush() error {
-	err := writeFrame(w.c, frameResyncChunk, encodeResyncChunk(w.name, w.buf))
+	err := w.c.send(frameResyncChunk, 0, encodeResyncChunk(w.name, w.buf))
 	w.buf = w.buf[:0]
 	return err
 }
@@ -281,7 +283,7 @@ func (n *Node) captureResync(refs []partRef) (entries []resyncEntry, locals []st
 		pis = append(pis, pi)
 		entries = append(entries, resyncEntry{
 			Dataset: ref.Dataset, Part: ref.Part,
-			Local: entry.local, Offset: entry.offset, LastSeq: pi.lastSeq,
+			Local: entry.local, Offset: entry.offset, LastSeq: pi.lastSeq.Load(),
 		})
 		if entry.local != "" {
 			locals = append(locals, entry.local)
@@ -293,28 +295,28 @@ func (n *Node) captureResync(refs []partRef) (entries []resyncEntry, locals []st
 // serveResync is the donor handler for one 'S' request: capture the
 // partitions' cursors, stream their snapshot as 'D' chunks, finish
 // with a 'Y' carrying the cursors.
-func (n *Node) serveResync(c net.Conn, payload []byte) {
+func (n *Node) serveResync(c *fconn, payload []byte) {
 	refs, err := decodePartRefs(payload)
 	if err != nil {
 		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+		c.send(frameError, 0, encodeError("bad-resync", err.Error()))
 		return
 	}
 	entries, locals, unlock, err := n.captureResync(refs)
 	if err != nil {
 		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("resync", err.Error()))
+		c.send(frameError, 0, encodeError("resync", err.Error()))
 		return
 	}
 	defer unlock()
 	if len(locals) > 0 {
 		if err := n.eng.SnapshotDatasets(context.Background(), donorBackend{c: c}, locals); err != nil {
 			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("resync", err.Error()))
+			c.send(frameError, 0, encodeError("resync", err.Error()))
 			return
 		}
 	}
-	writeFrame(c, frameResyncState, encodeResyncEntries(entries))
+	c.send(frameResyncState, 0, encodeResyncEntries(entries))
 }
 
 // donorBackend adapts the connection to segment.Backend for the donor
@@ -322,7 +324,7 @@ func (n *Node) serveResync(c net.Conn, payload []byte) {
 // still emits one (empty) chunk so the receiver creates it. Open is
 // unsupported — the stream is write-only.
 type donorBackend struct {
-	c net.Conn
+	c *fconn
 }
 
 func (db donorBackend) WriteFile(name string, write func(io.Writer) error) error {
@@ -344,18 +346,18 @@ func (db donorBackend) Open(string) (segment.Blob, error) {
 // and ack with 'Y'. Returns false when the session must end (error
 // already reported); true leaves the session open for the router's
 // log-tail replay.
-func (n *Node) handleInstall(c net.Conn, payload []byte) bool {
+func (n *Node) handleInstall(c *fconn, payload []byte) bool {
 	refs, err := decodePartRefs(payload)
 	if err != nil {
 		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+		c.send(frameError, 0, encodeError("bad-resync", err.Error()))
 		return false
 	}
 	files := make(map[string][]byte)
 	var entries []resyncEntry
 receive:
 	for {
-		typ, pl, err := readFrame(c)
+		typ, _, pl, err := readFrame(c.br)
 		if err != nil {
 			return false
 		}
@@ -364,20 +366,20 @@ receive:
 			name, data, err := decodeResyncChunk(pl)
 			if err != nil {
 				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+				c.send(frameError, 0, encodeError("bad-resync", err.Error()))
 				return false
 			}
 			files[name] = append(files[name], data...)
 		case frameInstallDone:
 			if entries, err = decodeResyncEntries(pl); err != nil {
 				n.failed.Add(1)
-				writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+				c.send(frameError, 0, encodeError("bad-resync", err.Error()))
 				return false
 			}
 			break receive
 		default:
 			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("bad-frame",
+			c.send(frameError, 0, encodeError("bad-frame",
 				fmt.Sprintf("unexpected frame %q during resync install", typ)))
 			return false
 		}
@@ -386,16 +388,16 @@ receive:
 	for name, data := range files {
 		if err := mem.Put(name, data); err != nil {
 			n.failed.Add(1)
-			writeFrame(c, frameError, encodeError("bad-resync", err.Error()))
+			c.send(frameError, 0, encodeError("bad-resync", err.Error()))
 			return false
 		}
 	}
 	if err := n.installResync(mem, refs, entries); err != nil {
 		n.failed.Add(1)
-		writeFrame(c, frameError, encodeError("resync", err.Error()))
+		c.send(frameError, 0, encodeError("resync", err.Error()))
 		return false
 	}
-	return writeFrame(c, frameResyncState, encodeResyncEntries(entries)) == nil
+	return c.send(frameResyncState, 0, encodeResyncEntries(entries)) == nil
 }
 
 // installResync swaps the received snapshot in. Validation follows
@@ -467,7 +469,7 @@ func (n *Node) installResync(b segment.Backend, refs []partRef, entries []resync
 	}
 	n.mu.Unlock()
 	for i, e := range sorted {
-		pis[i].lastSeq = e.LastSeq
+		pis[i].lastSeq.Store(e.LastSeq)
 	}
 	return nil
 }
@@ -609,23 +611,23 @@ func (r *Router) resyncFromDonor(ctx context.Context, addr, donor string, owed [
 	for i, op := range owed {
 		refs[i] = partRef{Dataset: op.dataset, Part: op.pa.part}
 	}
-	dc, err := r.dialIngest(ctx, donor)
+	dc, err := r.dialRepair(ctx, donor)
 	if err != nil {
 		r.health.fault(donor)
 		return err
 	}
-	defer dc.Close()
-	sc, err := r.dialIngest(ctx, addr)
+	defer dc.c.Close()
+	sc, err := r.dialRepair(ctx, addr)
 	if err != nil {
 		r.health.fault(addr)
 		return err
 	}
-	defer sc.Close()
-	if err := writeFrame(dc, frameResyncReq, encodePartRefs(refs)); err != nil {
+	defer sc.c.Close()
+	if err := dc.send(frameResyncReq, 0, encodePartRefs(refs)); err != nil {
 		r.health.fault(donor)
 		return err
 	}
-	if err := writeFrame(sc, frameInstall, encodePartRefs(refs)); err != nil {
+	if err := sc.send(frameInstall, 0, encodePartRefs(refs)); err != nil {
 		r.health.fault(addr)
 		return err
 	}
@@ -634,9 +636,9 @@ func (r *Router) resyncFromDonor(ctx context.Context, addr, donor string, owed [
 	var entries []resyncEntry
 	var streamed int64
 	for entries == nil {
-		_ = dc.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-		_ = sc.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-		typ, pl, err := readFrame(dc)
+		_ = dc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+		_ = sc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+		typ, _, pl, err := readFrame(dc.br)
 		if err != nil {
 			r.health.fault(donor)
 			return err
@@ -644,7 +646,7 @@ func (r *Router) resyncFromDonor(ctx context.Context, addr, donor string, owed [
 		switch typ {
 		case frameResyncChunk:
 			streamed += int64(len(pl))
-			if err := writeFrame(sc, frameResyncChunk, pl); err != nil {
+			if err := sc.send(frameResyncChunk, 0, pl); err != nil {
 				r.health.fault(addr)
 				return err
 			}
@@ -653,21 +655,17 @@ func (r *Router) resyncFromDonor(ctx context.Context, addr, donor string, owed [
 				return err
 			}
 		case frameError:
-			code, msg, derr := decodeError(pl)
-			if derr != nil {
-				return derr
-			}
-			return &RemoteError{Addr: donor, Code: code, Msg: msg}
+			return remoteError(donor, pl)
 		default:
 			return fmt.Errorf("%w: unexpected frame %q from resync donor", ErrFrame, typ)
 		}
 	}
-	if err := writeFrame(sc, frameInstallDone, encodeResyncEntries(entries)); err != nil {
+	if err := sc.send(frameInstallDone, 0, encodeResyncEntries(entries)); err != nil {
 		r.health.fault(addr)
 		return err
 	}
-	_ = sc.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
-	typ, pl, err := readFrame(sc)
+	_ = sc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+	typ, _, pl, err := readFrame(sc.br)
 	if err != nil {
 		r.health.fault(addr)
 		return err
@@ -678,11 +676,7 @@ func (r *Router) resyncFromDonor(ctx context.Context, addr, donor string, owed [
 			return err
 		}
 	case frameError:
-		code, msg, derr := decodeError(pl)
-		if derr != nil {
-			return derr
-		}
-		return &RemoteError{Addr: addr, Code: code, Msg: msg}
+		return remoteError(addr, pl)
 	default:
 		return fmt.Errorf("%w: unexpected frame %q from resync install", ErrFrame, typ)
 	}

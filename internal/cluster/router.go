@@ -1,4 +1,5 @@
-// The router role: fan a request out to every partition's node, gossip
+// The router role: fan a request out to every partition's node (one
+// stream per partition on the nodes' connections, peer.go), gossip
 // screening-floor raises among the in-flight partitions, fail over to
 // replicas on transport errors, and merge the partial top-Ks with the
 // exact (score, ID) rule — bit-identical to a single-node run.
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -46,6 +46,15 @@ type RemoteError struct {
 	Msg  string
 }
 
+// remoteError decodes an 'E' payload from addr into its typed error.
+func remoteError(addr string, payload []byte) error {
+	code, msg, err := decodeError(payload)
+	if err != nil {
+		return err
+	}
+	return &RemoteError{Addr: addr, Code: code, Msg: msg}
+}
+
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("cluster: node %s: %s: %s", e.Addr, e.Code, e.Msg)
 }
@@ -67,10 +76,11 @@ func (e *RemoteError) Unwrap() error {
 // selects production defaults; tests shrink the retry timings so fault
 // matrices run in milliseconds.
 type RouterOptions struct {
-	// DialTimeout bounds each replica connection attempt (default 5s).
+	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 	// AckTimeout bounds waiting for an append ack, probe echo, or
-	// seq-state reply on an established connection (default 10s).
+	// seq-state reply, and each frame write on a peer connection
+	// (default 10s).
 	AckTimeout time.Duration
 	// ReadAttempts is how many times one replica is tried on the read
 	// path before failing over to the next (default 2): transient
@@ -118,15 +128,18 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	return o
 }
 
-// Router scatter-gathers requests across a topology, tracks every
-// peer's health, and owns the replicated write path (append.go) plus
-// the catch-up protocol that re-admits quarantined replicas
-// (catchup.go). The zero value is not usable; construct with NewRouter
-// or NewRouterWith.
+// Router scatter-gathers requests across a topology over one
+// multiplexed connection per peer (peer.go), tracks every peer's
+// health, and owns the replicated write path (append.go) plus the
+// catch-up protocol that re-admits quarantined replicas (catchup.go).
+// The zero value is not usable; construct with NewRouter or
+// NewRouterWith, and Close it to release its connections.
 type Router struct {
 	topo   Topology
 	opt    RouterOptions
 	health *healthTracker
+	place  *placer
+	peers  map[string]*peer // one per topology node, fixed at construction
 
 	// ing is the append-side state: per-dataset ingest cursors and the
 	// client-token dedup table (append.go).
@@ -147,7 +160,11 @@ func NewRouter(topo Topology) *Router {
 
 // NewRouterWith returns a router with explicit fault-handling options.
 func NewRouterWith(topo Topology, opt RouterOptions) *Router {
-	r := &Router{topo: topo, opt: opt.withDefaults(), health: newHealthTracker()}
+	r := &Router{topo: topo, opt: opt.withDefaults(), health: newHealthTracker(), place: newPlacer(topo)}
+	r.peers = make(map[string]*peer, len(topo.Nodes))
+	for _, addr := range topo.Nodes {
+		r.peers[addr] = &peer{r: r, addr: addr}
+	}
 	r.ing.sets = make(map[string]*dsIngest)
 	r.ing.tokens = make(map[string]*tokenEntry)
 	return r
@@ -204,7 +221,8 @@ func dataKindOf(q core.Query) (DataKind, error) {
 
 // floorGossip is the router-side hub for one query's screening floor:
 // the running maximum over every node's published raises, with a
-// broadcast channel the per-node senders wait on.
+// broadcast channel the in-flight attempts wait on (each forwards a
+// raise to its own node).
 type floorGossip struct {
 	mu    sync.Mutex
 	floor float64
@@ -215,7 +233,7 @@ func newFloorGossip(seed float64) *floorGossip {
 	return &floorGossip{floor: seed, ch: make(chan struct{})}
 }
 
-// Raise lifts the gossiped floor and wakes every waiting sender.
+// Raise lifts the gossiped floor and wakes every waiting attempt.
 func (g *floorGossip) Raise(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -264,7 +282,7 @@ func (r *Router) Run(ctx context.Context, req Request) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	placements := r.topo.Layout(req.Dataset, kind)
+	placements := r.place.layout(req.Dataset, kind)
 	if len(placements) == 0 {
 		return core.Result{}, errors.New("cluster: empty topology")
 	}
@@ -368,7 +386,6 @@ func (r *Router) runPart(ctx context.Context, req Request, pl Placement, gossip 
 			if !transport {
 				return Partial{}, err
 			}
-			r.health.fault(addr)
 			lastErr = err
 		}
 	}
@@ -380,86 +397,31 @@ func (r *Router) runPart(ctx context.Context, req Request, pl Placement, gossip 
 		ErrPartitionUnavailable, req.Dataset, pl.Part, lastErr)
 }
 
-// attempt runs one partition on one node. transport reports whether the
-// failure was a connection-level fault (eligible for failover) rather
-// than a node-reported error or a local cancellation.
+// attempt runs one partition on one node, as one stream on the node's
+// connection. transport reports whether the failure was a
+// connection-level fault (eligible for failover) rather than a
+// node-reported error or a local cancellation.
 func (r *Router) attempt(ctx context.Context, req Request, part int, addr string, gossip *floorGossip) (_ Partial, err error, transport bool) {
 	floor, _ := gossip.Get()
 	payload, err := encodeQuery(req, part, floor)
 	if err != nil {
 		return Partial{}, err, false
 	}
-	d := net.Dialer{Timeout: r.opt.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	rep, err, transport := r.roundTrip(ctx, addr, frameQuery, payload, gossip, floor, 0)
 	if err != nil {
-		if ctx.Err() != nil {
-			return Partial{}, ctx.Err(), false
-		}
-		return Partial{}, err, true
+		return Partial{}, err, transport
 	}
-	defer conn.Close()
-	if err := writeFrame(conn, frameQuery, payload); err != nil {
-		return Partial{}, err, true
-	}
-
-	// Sender: forward gossip raises as floor frames; on cancellation,
-	// send a best-effort cancel and sever the connection so the reader
-	// unblocks. The sender is the connection's only writer from here.
-	senderDone := make(chan struct{})
-	defer close(senderDone)
-	go func() {
-		last := floor
-		for {
-			f, raised := gossip.Get()
-			if f > last {
-				last = f
-				if writeFrame(conn, frameFloor, encodeFloor(f)) != nil {
-					return
-				}
-			}
-			select {
-			case <-raised:
-			case <-ctx.Done():
-				writeFrame(conn, frameCancel, nil)
-				conn.Close()
-				return
-			case <-senderDone:
-				return
-			}
-		}
-	}()
-
-	for {
-		typ, payload, err := readFrame(conn)
+	switch rep.typ {
+	case frameResult:
+		p, err := decodePartial(rep.payload)
 		if err != nil {
-			if ctx.Err() != nil {
-				return Partial{}, ctx.Err(), false
-			}
-			return Partial{}, err, true
+			return Partial{}, err, false
 		}
-		switch typ {
-		case frameFloor:
-			if f, err := decodeFloor(payload); err == nil {
-				gossip.Raise(f)
-			}
-		case frameResult:
-			p, err := decodePartial(payload)
-			if err != nil {
-				return Partial{}, err, false
-			}
-			gossip.Raise(p.Floor)
-			return p, nil, false
-		case frameError:
-			code, msg, derr := decodeError(payload)
-			if derr != nil {
-				return Partial{}, derr, false
-			}
-			if ctx.Err() != nil && code == "cancelled" {
-				return Partial{}, ctx.Err(), false
-			}
-			return Partial{}, &RemoteError{Addr: addr, Code: code, Msg: msg}, false
-		default:
-			return Partial{}, fmt.Errorf("%w: unexpected frame %q", ErrFrame, typ), false
-		}
+		gossip.Raise(p.Floor)
+		return p, nil, false
+	case frameError:
+		return Partial{}, remoteError(addr, rep.payload), false
+	default:
+		return Partial{}, fmt.Errorf("%w: unexpected frame %q", ErrFrame, rep.typ), false
 	}
 }

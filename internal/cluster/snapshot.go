@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sort"
 
 	"modelir/internal/core"
@@ -124,16 +123,7 @@ func RestoreNode(self string, topo Topology, opt NodeOptions, b segment.Backend,
 	for _, ds := range eng.Datasets() {
 		restored[ds.Name] = true
 	}
-	n := &Node{
-		self:     self,
-		topo:     topo,
-		opt:      opt,
-		eng:      eng,
-		appender: core.NewAppender(eng, core.AppenderOptions{}),
-		conns:    make(map[net.Conn]struct{}),
-		parts:    make(map[string]map[int]partEntry),
-		ingests:  make(map[string]map[int]*partIngest),
-	}
+	n := newNodeOn(self, topo, opt, eng)
 	for _, p := range meta.Parts {
 		if p.Local != "" && !restored[p.Local] {
 			eng.Close()

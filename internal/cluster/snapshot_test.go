@@ -80,6 +80,7 @@ func TestNodeSnapshotRestoreServesIdentically(t *testing.T) {
 			}
 			itemsEqual(t, "restored "+mode.String()+" "+name, res.Items, want[name].Items)
 		}
+		router.Close()
 		for _, n := range nodes {
 			n.Close()
 		}

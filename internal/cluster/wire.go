@@ -1,23 +1,32 @@
-// The cluster wire protocol: length-prefixed frames over TCP, with
+// The cluster wire protocol: framed, multiplexed streams over TCP, with
 // payloads in the canonical encoding (internal/canon) the cache
 // fingerprints already use — big-endian fixed-width integers, IEEE-754
-// float bits, length-prefixed strings. One connection carries one
-// query: the router sends a 'Q' frame, floor raises flow both ways as
-// 'F' frames while the node executes, and the exchange ends with one
-// 'R' (partial result) or 'E' (typed error) frame. Decoding is
-// bounds-checked end to end (canon.Reader), so a truncated or hostile
-// frame fails with canon.ErrCorrupt instead of panicking — the property
-// FuzzPartialCodec pins.
+// float bits, length-prefixed strings. Every frame is
+//
+//	len u32 | type u8 | stream u32 | payload (len bytes)
+//
+// and one connection carries many streams at once: the router opens a
+// stream with a request frame ('Q', 'A', 'H', 'U') under an ID it
+// allocates, floor raises flow both ways as 'F' frames on a query's
+// stream while the node executes, 'C' cancels that stream alone, and a
+// stream ends with one terminal frame from the node ('R', 'E', 'K', or
+// the 'H'/'U' echo). Decoding is bounds-checked end to end
+// (canon.Reader), so a truncated or hostile frame fails with
+// canon.ErrCorrupt instead of panicking — the property FuzzPartialCodec
+// and FuzzFrameStream pin.
 
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"reflect"
+	"sync"
 	"time"
 
 	"modelir/internal/bayes"
@@ -31,49 +40,125 @@ import (
 
 // Frame types.
 const (
-	frameQuery  = 'Q' // router → node: one encoded query
-	frameFloor  = 'F' // both ways: 8-byte result-scale floor raise
-	frameResult = 'R' // node → router: encoded partial result
-	frameError  = 'E' // node → router: code + message strings
-	frameCancel = 'C' // router → node: abort the in-flight query
+	frameQuery  = 'Q' // router → node: one encoded query, opens a stream
+	frameFloor  = 'F' // both ways: 8-byte result-scale floor raise on a query stream
+	frameResult = 'R' // node → router: encoded partial result, ends the stream
+	frameError  = 'E' // node → router: code + message strings, ends the stream
+	frameCancel = 'C' // router → node: abort this stream's query; the connection stays up
 )
 
-// maxFrame bounds a frame payload; anything larger is corrupt by
-// definition (partials carry at most K items).
-const maxFrame = 64 << 20
+// frameHeader is the fixed header size: payload length, type, stream.
+const frameHeader = 9
+
+// Payload caps by frame type: only append batches and snapshot chunks
+// are bulk, a partial carries at most K items, the rest is a handful of
+// strings and integers. Any TCP peer can reach the listener, so even a
+// bulk payload's buffer starts at payloadStep and grows only as bytes
+// arrive — nine header bytes cannot buy a 64 MiB allocation.
+const (
+	maxFrame       = 64 << 20
+	maxResultFrame = 16 << 20
+	maxSmallFrame  = 1 << 20
+	payloadStep    = 64 << 10
+	// maxWireK is the most items an 'R' frame can carry (17 bytes each at
+	// least): a 'Q' asking for more is refused before it sizes a heap.
+	maxWireK = maxResultFrame / 17
+)
 
 // wireVersion guards against mixed-version clusters: both query and
 // partial payloads lead with it and decoding rejects a mismatch.
 const wireVersion = 1
 
-// ErrFrame reports a malformed frame envelope (bad length or type).
+// ErrFrame reports a malformed frame envelope: an unknown type, or a
+// length over the type's cap. The connection it arrived on is closed.
 var ErrFrame = errors.New("cluster: malformed frame")
 
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// frameCap is a frame type's payload cap, -1 for an unknown type.
+func frameCap(typ byte) int {
+	switch typ {
+	case frameAppend, frameResyncChunk:
+		return maxFrame
+	case frameResult:
+		return maxResultFrame
+	case frameQuery, frameFloor, frameCancel, frameError, frameAppendAck, frameHealth,
+		frameSeqState, frameResyncReq, frameResyncState, frameInstall, frameInstallDone:
+		return maxSmallFrame
+	default:
+		return -1
 	}
-	_, err := w.Write(payload)
-	return err
 }
 
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// fconn is one framed connection. Reads go through a bufio.Reader and
+// belong to one goroutine; writes may come from many and leave through
+// a bufio.Writer flushed per frame under wmu — one Write for a frame
+// that fits its buffer, header and payload together (a bulk payload
+// follows its first buffer-full in a second Write, uncopied).
+type fconn struct {
+	c  net.Conn
+	br *bufio.Reader
+	// wtimeout, when set, bounds each frame write: a peer that stopped
+	// draining a shared connection must break it, not wedge every writer
+	// queued on wmu.
+	wtimeout time.Duration
+	wmu      sync.Mutex
+	bw       *bufio.Writer
+}
+
+func newFconn(c net.Conn, wtimeout time.Duration) *fconn {
+	return &fconn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c), wtimeout: wtimeout}
+}
+
+// send writes one frame. A failed write leaves the byte stream
+// unframed; the caller must abandon the connection.
+func (f *fconn) send(typ byte, stream uint32, payload []byte) error {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	if f.wtimeout > 0 {
+		_ = f.c.SetWriteDeadline(time.Now().Add(f.wtimeout)) // a conn without deadlines just writes unbounded
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: length %d", ErrFrame, n)
+	hdr := binary.BigEndian.AppendUint32(f.bw.AvailableBuffer(), uint32(len(payload)))
+	hdr = binary.BigEndian.AppendUint32(append(hdr, typ), stream)
+	f.bw.Write(hdr) // errors are sticky: Flush reports them
+	f.bw.Write(payload)
+	return f.bw.Flush()
+}
+
+// readFrame reads one frame. io.EOF means the peer closed between
+// frames; a close inside a frame is io.ErrUnexpectedEOF; an unknown
+// type or over-cap length is ErrFrame.
+func readFrame(br *bufio.Reader) (typ byte, stream uint32, payload []byte, err error) {
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, nil, err
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	n := binary.BigEndian.Uint32(hdr)
+	typ, stream = hdr[4], binary.BigEndian.Uint32(hdr[5:])
+	_, _ = br.Discard(frameHeader) // cannot fail: Peek just buffered these bytes
+	if limit := frameCap(typ); limit < 0 || n > uint32(limit) {
+		return 0, 0, nil, fmt.Errorf("%w: %q frame of %d bytes (cap %d, -1: unknown type)", ErrFrame, typ, n, limit)
 	}
-	return hdr[4], payload, nil
+	payload, err = readPayload(br, int(n))
+	return typ, stream, payload, err
+}
+
+// readPayload reads exactly n bytes, growing the buffer only as bytes
+// arrive so a lying header costs at most payloadStep.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	var buf []byte
+	for len(buf) < n {
+		got := len(buf)
+		buf = append(buf, make([]byte, min(n-got, max(got, payloadStep)))...)
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Query kind tags inside a 'Q' payload.
@@ -229,6 +314,9 @@ func decodeQuery(payload []byte) (nodeQuery, error) {
 			return q, canon.ErrCorrupt
 		}
 		*dst = int(u)
+	}
+	if q.Req.K > maxWireK {
+		return q, fmt.Errorf("%w: K %d over the wire limit %d", canon.ErrCorrupt, q.Req.K, maxWireK)
 	}
 	hasMin, err := r.Byte()
 	if err != nil {

@@ -136,6 +136,7 @@ func clusterPoint(ctx context.Context, count int, base ClusterBaseline, reps int
 		nodes[i] = node
 	}
 	router := cluster.NewRouter(topo)
+	defer router.Close()
 
 	check := func() error {
 		res, err := router.Run(ctx, req)

@@ -427,8 +427,9 @@ type (
 	ClusterNode = cluster.Node
 	// ClusterNodeOptions configures a shard server.
 	ClusterNodeOptions = cluster.NodeOptions
-	// ClusterRouter fans requests out across a topology and merges the
-	// per-node top-K partials exactly.
+	// ClusterRouter fans requests out across a topology, over one
+	// multiplexed connection per node, and merges the per-node top-K
+	// partials exactly. Close it to release the connections.
 	ClusterRouter = cluster.Router
 	// ClusterRequest is the router-level request shape.
 	ClusterRequest = cluster.Request
@@ -445,6 +446,9 @@ type (
 	// ClusterHealthState is one peer's position in the router's health
 	// machine (healthy / suspect / down / stale / resyncing).
 	ClusterHealthState = cluster.HealthState
+	// ClusterPeerConnStats describes the router's one connection to a
+	// peer: established when, re-established how many times.
+	ClusterPeerConnStats = cluster.PeerConnStats
 	// ClusterResyncStats counts the router's replica-resync and crash-
 	// recovery events (DESIGN.md §13): snapshot resyncs run, bytes
 	// streamed, batches replayed, forced log prunes.

@@ -7,6 +7,7 @@ package modelir_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -728,6 +729,68 @@ func BenchmarkRunProgressiveDrain(b *testing.B) {
 			if snap.Err != nil {
 				b.Fatal(snap.Err)
 			}
+		}
+	}
+}
+
+// ---- Linear reads over live delta segments ----
+
+// BenchmarkRunLinearDeltas is the in-process shape of the load
+// benchmark's ingest_reads workload: unique linear reads of a 20,000 x 3
+// stream-shaped tuple set on 2 shards carrying 6 live 128-row deltas,
+// K log-uniform in 10-200, cache off. Every base shard and delta scans
+// under the request's shared floor, so this is where rows below that
+// floor used to churn the shard-local heaps. The first append leaves a
+// one-row gap in the ID space, which pins the set against compaction
+// (the tier rule would fold four equal deltas into one): all six stay
+// live for the whole run.
+func BenchmarkRunLinearDeltas(b *testing.B) {
+	const rows, dim, deltas, deltaRows = 20_000, 3, 6, 128
+	pts, err := synth.GaussianTuples(41, rows+deltas*deltaRows, dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := core.NewEngineWith(core.Options{Shards: 2, CacheEntries: -1})
+	defer e.Close()
+	if err := e.AddTuples("stream", pts[:rows]); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < deltas; i++ {
+		batch := pts[rows+i*deltaRows : rows+(i+1)*deltaRows]
+		if i == 0 {
+			err = e.AppendTuplesAt("stream", rows+1, batch)
+		} else {
+			err = e.AppendTuples("stream", batch)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if ds := e.Datasets()[0]; ds.Deltas != deltas {
+		b.Fatalf("%d live deltas, want %d", ds.Deltas, deltas)
+	}
+	rng := rand.New(rand.NewSource(43))
+	reqs := make([]core.Request, 256)
+	for i := range reqs {
+		m, err := linear.New([]string{"a", "b", "c"},
+			[]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := int(math.Round(10 * math.Pow(20, rng.Float64()))) // log-uniform in [10, 200]
+		reqs[i] = core.Request{Dataset: "stream", Query: core.LinearQuery{Model: m}, K: k}
+	}
+	ctx := context.Background()
+	for _, req := range reqs { // builds the base indexes and warms the pools
+		if _, err := e.Run(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(ctx, reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,6 +203,56 @@ func TestEndpointErrors(t *testing.T) {
 	}
 	if batch.Results[1].Error == "" {
 		t.Fatal("bad slot served")
+	}
+}
+
+// TestHugeKCostsOnlyTheRows: K comes straight off the request, so it
+// must not size an allocation. /run and /batch asking for four billion
+// results answer 200 with every row of the dataset, best first, and the
+// daemon allocates what the rows cost, not what K asks for.
+func TestHugeKCostsOnlyTheRows(t *testing.T) {
+	srv := httptest.NewServer(newServer(engineBackend{engine: testEngine(t)}))
+	defer srv.Close()
+	const rows = 3000 // testEngine's tuples
+	run := `{"dataset":"tuples","query":{"kind":"linear","coeffs":[1,2,3]},"k":4000000000}`
+	batch := `{"requests":[` + run + `,` +
+		`{"dataset":"tuples","query":{"kind":"linear","coeffs":[-1,0.5,2]},"k":4000000000}]}`
+	post := func(path, body string) *http.Response {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s with K 4e9: status %d", path, resp.StatusCode)
+		}
+		return resp
+	}
+	everyRow := func(label string, res wireResult) {
+		t.Helper()
+		if res.Error != "" || len(res.Items) != rows {
+			t.Fatalf("%s: %d items (error %q), want all %d rows", label, len(res.Items), res.Error, rows)
+		}
+		seen := make(map[int64]bool, rows)
+		for i, it := range res.Items {
+			if seen[it.ID] || it.ID < 0 || it.ID >= rows {
+				t.Fatalf("%s: item %d has id %d (repeated or out of range)", label, i, it.ID)
+			}
+			seen[it.ID] = true
+			if i > 0 && it.Score > res.Items[i-1].Score {
+				t.Fatalf("%s: not best-first at %d", label, i)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	everyRow("/run", decode[wireResult](t, post("/run", run)))
+	for i, res := range decode[wireBatchResponse](t, post("/batch", batch)).Results {
+		everyRow(fmt.Sprintf("/batch slot %d", i), res)
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<20 {
+		t.Fatalf("three K-4e9 reads over %d rows allocated %d MiB", rows, grown>>20)
 	}
 }
 
@@ -398,6 +450,16 @@ func TestRouterRoleBatchMatchesSingle(t *testing.T) {
 				t.Fatalf("%s item %d: %d/%v vs %d/%v", label, j, g[j].ID, g[j].Score, w[j].ID, w[j].Score)
 			}
 		}
+	}
+
+	// A K past what one result frame can carry is a typed refusal on the
+	// router role (the single role answers it with every row, see
+	// TestHugeKCostsOnlyTheRows).
+	hugeResp := postJSON(t, router, "/run", wireRequest{Dataset: "tuples", K: 1 << 30,
+		Query: wireQuery{Kind: "linear", Coeffs: []float64{1, 2, 3}}})
+	if huge := decode[wireResult](t, hugeResp); hugeResp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(huge.Error, "wire limit") || len(huge.Items) != 0 {
+		t.Fatalf("router role with K 1<<30: status %d, %+v; want 400 and the wire-limit refusal", hugeResp.StatusCode, huge)
 	}
 
 	// The router's /stats reports its role, not a phantom engine.

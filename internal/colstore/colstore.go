@@ -343,14 +343,15 @@ func (s *Store) blockBound(b int, w []float64, wNorm float64) float64 {
 }
 
 // ScanSegment scores segment si's rows into h, block by block. Before
-// each block it reads the screening floor — the local heap's threshold
-// once the heap is full, lifted to the cross-shard bound sb when that
-// is higher — and skips the block when its zone-map bound is strictly
-// below the floor (a tied bound still scans: the tied row can win the
-// smaller-id tie-break). After each scored block the heap threshold is
-// re-published to sb, the meter is charged the block's rows, and the
-// next block gates on Meter exhaustion, attributing the unscanned
-// remainder of the segment to the budget.
+// each block it reads the cross-shard bound sb once and skips the block
+// when its zone-map bound is strictly below the screening floor
+// (topk.Floor: the local heap's threshold once full, lifted to sb); a
+// tied bound still scans, since the tied row can win the smaller-id
+// tie-break. Inside a scored block the same floor screens every row
+// before it reaches h (see scoreBlock). After each scored block the
+// heap threshold is re-published to sb, the meter is charged the
+// block's rows, and the next block gates on Meter exhaustion,
+// attributing the unscanned remainder of the segment to the budget.
 //
 // The returned segMax upper-bounds the segment's true maximum score:
 // it is exact when every block was scored, and stands in the skipped
@@ -368,11 +369,8 @@ func (s *Store) ScanSegment(si int, w []float64, wNorm float64, h *topk.Heap, sb
 			putScratch(sc)
 			return segMax, true
 		}
-		floor := sb.Get()
-		if t, ok := h.Threshold(); ok && t > floor {
-			floor = t
-		}
-		if bound := s.blockBound(b, w, wNorm); bound < floor {
+		shared := sb.Get()
+		if bound := s.blockBound(b, w, wNorm); bound < topk.Floor(h, shared) {
 			// Strictly below the floor: no row here can enter the
 			// merged top-K, but the bound still owes segMax its vote.
 			if bound > segMax {
@@ -382,7 +380,7 @@ func (s *Store) ScanSegment(si int, w []float64, wNorm float64, h *topk.Heap, sb
 			st.RowsZonePruned += hi - lo
 			continue
 		}
-		if m := s.scoreBlock(kern, lo, hi, w, h, sc.scores[:hi-lo]); m > segMax {
+		if m := s.scoreBlock(kern, lo, hi, w, h, shared, sc.scores[:hi-lo]); m > segMax {
 			segMax = m
 		}
 		st.RowsScored += hi - lo
@@ -417,16 +415,13 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 			st.RowsSkippedByBudget += s.rows - lo
 			return false, true
 		}
-		floor := sb.Get()
-		if t, ok := h.Threshold(); ok && t > floor {
-			floor = t
-		}
-		if s.blockBound(b, w, wNorm) < floor {
+		shared := sb.Get()
+		if s.blockBound(b, w, wNorm) < topk.Floor(h, shared) {
 			st.BlocksZonePruned++
 			st.RowsZonePruned += hi - lo
 			continue
 		}
-		s.scoreBlock(kern, lo, hi, w, h, sc.scores[:hi-lo])
+		s.scoreBlock(kern, lo, hi, w, h, shared, sc.scores[:hi-lo])
 		st.RowsScored += hi - lo
 		meter.Charge(hi - lo)
 		if t, ok := h.Threshold(); ok {
@@ -437,25 +432,27 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 }
 
 // scoreBlock runs the scan's selected dot-product kernel over the
-// block (see kernel.go) and offers each score. The running heap
-// threshold screens offers so the common case — a full heap rejecting
-// a weak row — is one comparison, not a method call.
-func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, h *topk.Heap, scores []float64) float64 {
+// block (see kernel.go) and offers each score that is not strictly
+// below the scan's floor — topk.Floor over h and shared, the bound
+// reading the block gate took. A row under the floor loses to K items
+// already retained here or published by a sibling, so it cannot reach
+// the merged top-K and never costs a heap operation; a tied row is
+// offered, since its smaller id can still win. The floor only rises, so
+// the local part is refreshed only after an offer h accepts.
+func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, h *topk.Heap, shared float64, scores []float64) float64 {
 	kern(s.cols, lo, hi, w, scores)
 	blockMax := math.Inf(-1)
-	thr, full := h.Threshold()
+	floor := topk.Floor(h, shared)
 	for i, v := range scores {
 		if v > blockMax {
 			blockMax = v
 		}
-		// v < thr on a full heap loses to every retained item (ties
-		// keep going — the smaller id can still win), so the offer
-		// would be rejected; skip the call.
-		if full && v < thr {
+		if v < floor {
 			continue
 		}
-		h.OfferScore(s.ids[lo+i], v)
-		thr, full = h.Threshold()
+		if h.OfferScore(s.ids[lo+i], v) {
+			floor = topk.Floor(h, shared)
+		}
 	}
 	return blockMax
 }

@@ -56,6 +56,18 @@ func filterAtLeast(items []topk.Item, floor float64) []topk.Item {
 	return out
 }
 
+// noneBelow is the row-gate guarantee: a scan under a raised floor
+// hands back nothing strictly below it — such a row never reached the
+// heap, even while the heap had room.
+func noneBelow(t *testing.T, items []topk.Item, floor float64) {
+	t.Helper()
+	for _, it := range items {
+		if it.Score < floor {
+			t.Fatalf("scan kept item %d at %v, strictly below the floor %v", it.ID, it.Score, floor)
+		}
+	}
+}
+
 func itemsEqual(t *testing.T, label string, got, want []topk.Item) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -163,7 +175,8 @@ func TestLayoutRoundTrip(t *testing.T) {
 // TestBlockedScanMatchesNaive is the zone-map soundness property: the
 // blocked, zone-pruned scan returns bit-identical top-K (IDs and
 // scores) to a scan that looks at every row, across random data,
-// models, K, score floors, block sizes, and both row orders.
+// models, K, score floors, block sizes, and both row orders — and,
+// under a floor, keeps no row strictly below it.
 func TestBlockedScanMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -189,7 +202,9 @@ func TestBlockedScanMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st Stats
-		got := filterAtLeast(scanAll(s, w, k, floor, nil, &st), floor)
+		raw := scanAll(s, w, k, floor, nil, &st)
+		noneBelow(t, raw, floor)
+		got := filterAtLeast(raw, floor)
 		want := filterAtLeast(naiveTopK(pts, w, k), floor)
 		itemsEqual(t, "blocked vs naive", got, want)
 		if st.RowsScored+st.RowsZonePruned != n {
@@ -311,7 +326,8 @@ func TestSteadyStateScanZeroAllocs(t *testing.T) {
 
 // FuzzBlockedScanEquivalence drives the soundness property from fuzzed
 // shape parameters: whatever the data, weights, block size, floor, and
-// K, the blocked scan equals the row-by-row reference.
+// K, the blocked scan equals the row-by-row reference and keeps nothing
+// strictly below the floor.
 func FuzzBlockedScanEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(5), uint16(32), false, 0.0)
 	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(1), true, -1.5)
@@ -335,7 +351,9 @@ func FuzzBlockedScanEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		var st Stats
-		got := filterAtLeast(scanAll(s, w, k, floor, nil, &st), floor)
+		raw := scanAll(s, w, k, floor, nil, &st)
+		noneBelow(t, raw, floor)
+		got := filterAtLeast(raw, floor)
 		want := filterAtLeast(naiveTopK(pts, w, k), floor)
 		if len(got) != len(want) {
 			t.Fatalf("blocked %d items, naive %d", len(got), len(want))

@@ -290,8 +290,7 @@ func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
 		// Bounds are only worth computing once a break is possible:
 		// the local heap is full, or a sibling shard has published a
 		// real floor (Get is nil-safe and -Inf when unshared).
-		gf := sb.Get()
-		if h.Full() || !math.IsInf(gf, -1) {
+		if floor := topk.Floor(h, sb.Get()); !math.IsInf(floor, -1) {
 			// Box/norm suffix bound: sound for any layering.
 			bound := ix.suffixBound(li, w, wNorm)
 			// Convex-layer bound: with true convex layers, everything
@@ -308,22 +307,13 @@ func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
 					bound = cb
 				}
 			}
-			if h.Full() {
-				floor, _ := h.Threshold()
-				// Strictly below the floor only: a deeper point tied
-				// with the floor can still win the smaller-ID
-				// tie-break, and which layers hold the tied points
-				// depends on shard boundaries — a non-strict break
-				// would make results shard-dependent on ties.
-				if floor > bound {
-					break // nothing deeper can beat the current top K
-				}
-			}
-			// Strictly below the cross-shard floor: nothing deeper can
-			// enter the *merged* top-K, even though the local heap may
-			// still have room (ties keep scanning — they can win the
-			// smaller-ID tie-break at merge).
-			if bound < gf {
+			// Strictly below the floor only: nothing deeper can enter
+			// the merged top-K, even when the local heap still has room.
+			// A deeper point tied with the floor can still win the
+			// smaller-ID tie-break, and which layers hold the tied
+			// points depends on shard boundaries — a non-strict break
+			// would make results shard-dependent on ties.
+			if bound < floor {
 				break
 			}
 		}

@@ -394,6 +394,49 @@ func TestTopKSharedBoundPrunesColdShard(t *testing.T) {
 	}
 }
 
+// TestSharedBoundScreensRows: a 128-row index (the size of a small live
+// delta) scanned under a bound raised above most of its rows hands back
+// exactly the rows at or above the bound. K leaves the heap room for
+// every row, so only the row gate keeps the rest out; the row tied with
+// the bound is kept, since it can still win the smaller-ID tie-break.
+func TestSharedBoundScreensRows(t *testing.T) {
+	pts, err := synth.GaussianTuples(37, 128, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(pts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{0.7, -0.4, 1.1}
+	const k = 128
+	all, _, err := ScanTopK(pts, w, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := all[9].Score
+	sb := topk.NewBound()
+	sb.Raise(floor)
+	got, _, err := ix.TopKShared(w, k, sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []topk.Item
+	for _, it := range all {
+		if it.Score >= floor {
+			want = append(want, it)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d items under the bound %v, want the %d at or above it: %+v", len(got), floor, len(want), got)
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+			t.Fatalf("pos %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // A context cancelled mid-scan (here: from the per-layer progressive
 // hook) aborts the scan at the next layer boundary with ctx.Err().
 func TestScanCancelMidLayers(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"modelir/internal/linear"
@@ -405,18 +404,6 @@ func (d *descender) bound(level, cx, cy int) (float64, error) {
 	return ub, err
 }
 
-// floor is the score a candidate must beat to matter: the local heap's
-// threshold or the cross-shard bound, whichever is higher. Both are
-// lower bounds on the (merged) K-th best, so pruning strictly below
-// the floor never drops a global winner.
-func (d *descender) floor() (float64, bool) {
-	f, ok := d.h.Threshold()
-	if g := d.sb.Get(); !math.IsInf(g, -1) && (!ok || g > f) {
-		f, ok = g, true
-	}
-	return f, ok
-}
-
 // emit fires the OnLevel hook when the first result lands, when the
 // top-K first fills, and whenever the coarsest still-outstanding level
 // drains from the frontier.
@@ -446,27 +433,32 @@ func (d *descender) emit() error {
 }
 
 // evalPixel scores the base-level cell (px, py), with progressive
-// sub-model screening when a progressive model is present.
+// sub-model screening when a progressive model is present. Both the
+// optimistic completion and the final score are screened by the scan's
+// floor (topk.Floor): strictly below it, the pixel cannot enter the
+// merged top-K and never reaches the heap.
 func (d *descender) evalPixel(px, py int) {
 	id := int64(py*d.w + px)
 	d.st.PixelsVisited++
 	d.base.Means(px, py, d.sc.bind, d.sc.x)
+	floor := topk.Floor(d.h, d.sb.Get())
 	if d.pm == nil {
 		d.st.PixelTermEvals += d.nTerms
 		d.meter.Charge(d.nTerms)
-		d.h.OfferScore(id, d.m.EvalUnchecked(d.sc.x))
-		return
+	} else {
+		// Progressive pixel refinement: coarse sub-model first.
+		c := d.pm.EvalLevelUnchecked(0, d.sc.x)
+		d.st.PixelTermEvals += d.pm.CostAt(0)
+		d.meter.Charge(d.pm.CostAt(0))
+		if c+d.pm.Resid(0) < floor {
+			return // even the optimistic completion cannot enter
+		}
+		d.st.PixelTermEvals += d.nTerms - d.pm.CostAt(0)
+		d.meter.Charge(d.nTerms - d.pm.CostAt(0))
 	}
-	// Progressive pixel refinement: coarse sub-model first.
-	c := d.pm.EvalLevelUnchecked(0, d.sc.x)
-	d.st.PixelTermEvals += d.pm.CostAt(0)
-	d.meter.Charge(d.pm.CostAt(0))
-	if f, ok := d.floor(); ok && c+d.pm.Resid(0) < f {
-		return // even the optimistic completion cannot enter
+	if v := d.m.EvalUnchecked(d.sc.x); !(v < floor) {
+		d.h.OfferScore(id, v)
 	}
-	d.st.PixelTermEvals += d.nTerms - d.pm.CostAt(0)
-	d.meter.Charge(d.nTerms - d.pm.CostAt(0))
-	d.h.OfferScore(id, d.m.EvalUnchecked(d.sc.x))
 }
 
 // descendInto runs the descent and hands the final heap to extract
@@ -526,7 +518,7 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 		// Strict comparison: a cell whose bound equals the floor may
 		// still hold an equal-scoring pixel with a smaller ID, which
 		// wins the deterministic tie-break.
-		if f, ok := d.floor(); ok && e.upper < f {
+		if e.upper < topk.Floor(h, d.sb.Get()) {
 			break // best-first: nothing left can improve the result
 		}
 		if e.level == 0 {

@@ -52,3 +52,17 @@ func (b *Bound) Raise(v float64) {
 		}
 	}
 }
+
+// Floor is the screening floor of a scan filling h under a shared bound
+// currently at shared (a Bound.Get reading, -Inf when unshared): h's
+// threshold once h is full, raised to shared when that is higher. It is
+// the one rule every scan gates on — blocks, layers, cells and single
+// candidates alike: whatever scores strictly below it cannot enter the
+// merged top-K, so it never reaches a heap, while a candidate tied with
+// it can still win the smaller-ID tie-break and is kept.
+func Floor(h *Heap, shared float64) float64 {
+	if len(h.items) == h.k && h.items[0].Score > shared {
+		return h.items[0].Score
+	}
+	return shared
+}

@@ -1,7 +1,9 @@
 // Heap pooling: every query allocates per-shard and merge heaps, and a
 // serving engine runs the same K over and over. The pool recycles the
-// heap structs (and their item backing arrays) across requests so the
-// steady-state hot path allocates nothing for selection state.
+// heap structs (and their item backing arrays, at whatever size they
+// grew to) across requests so the steady-state hot path allocates
+// nothing for selection state. Nothing is sized from k up front: K comes
+// off the request, and a heap only grows with the items it retains.
 
 package topk
 
@@ -9,7 +11,7 @@ import "sync"
 
 var heapPool = sync.Pool{New: func() any { return &Heap{} }}
 
-// GetHeap returns a pooled empty heap reinitialized to capacity k.
+// GetHeap returns a pooled empty heap reinitialized to keep k items.
 // Return it with PutHeap once its results have been extracted (Results
 // copies, so the heap can be released before the copy is used).
 func GetHeap(k int) (*Heap, error) {
@@ -18,11 +20,6 @@ func GetHeap(k int) (*Heap, error) {
 	}
 	h := heapPool.Get().(*Heap)
 	h.k = k
-	if cap(h.items) < k {
-		h.items = make([]Item, 0, k)
-	} else {
-		h.items = h.items[:0]
-	}
 	return h, nil
 }
 
@@ -35,16 +32,12 @@ func MustGetHeap(k int) *Heap {
 	return h
 }
 
-// PutHeap returns a heap to the pool. The items are cleared first so a
-// pooled heap never pins caller payloads across requests.
+// PutHeap returns a heap to the pool, emptied by Reset so a pooled heap
+// never pins caller payloads across requests.
 func PutHeap(h *Heap) {
 	if h == nil {
 		return
 	}
-	full := h.items[:cap(h.items)]
-	for i := range full {
-		full[i] = Item{}
-	}
-	h.items = h.items[:0]
+	h.Reset()
 	heapPool.Put(h)
 }

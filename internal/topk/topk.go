@@ -26,7 +26,9 @@ var ErrBadCapacity = errors.New("topk: capacity must be >= 1")
 // Heap is a bounded min-heap over Item scores. It retains the K items with
 // the largest scores among all offered items. Ties on score are broken by
 // smaller ID winning, which makes retrieval results deterministic across
-// runs and platforms.
+// runs and platforms. Storage grows with the items actually retained, so
+// a K far above the candidate count (a request asking for "everything")
+// costs only the candidates.
 //
 // The zero value is not usable; construct with NewHeap.
 type Heap struct {
@@ -39,7 +41,7 @@ func NewHeap(k int) (*Heap, error) {
 	if k < 1 {
 		return nil, ErrBadCapacity
 	}
-	return &Heap{k: k, items: make([]Item, 0, k)}, nil
+	return &Heap{k: k}, nil
 }
 
 // MustHeap is NewHeap for statically known valid capacities.
@@ -100,18 +102,6 @@ func (h *Heap) OfferScore(id int64, score float64) bool {
 	return h.Offer(Item{ID: id, Score: score})
 }
 
-// WouldAccept reports whether an item with the given score could enter the
-// heap right now. Progressive executors use this with upper bounds: if even
-// the most optimistic score would be rejected, a whole candidate region can
-// be pruned without refinement.
-func (h *Heap) WouldAccept(score float64) bool {
-	if len(h.items) < h.k {
-		return true
-	}
-	floor := h.items[0]
-	return floor.Score < score || (floor.Score == score && floor.ID > 0)
-}
-
 // Results returns the retained items ordered best-first (descending score,
 // ascending ID on ties). The heap is unchanged; the returned slice is fresh.
 func (h *Heap) Results() []Item {
@@ -144,8 +134,12 @@ func (h *Heap) AppendUnordered(dst []Item) []Item {
 	return append(dst, h.items...)
 }
 
-// Reset empties the heap, retaining capacity.
-func (h *Heap) Reset() { h.items = h.items[:0] }
+// Reset empties the heap, retaining capacity. The items are cleared so
+// a reused heap never pins payloads it no longer holds.
+func (h *Heap) Reset() {
+	clear(h.items)
+	h.items = h.items[:0]
+}
 
 func (h *Heap) siftUp(i int) {
 	for i > 0 {

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -69,17 +70,70 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestWouldAccept(t *testing.T) {
-	h := MustHeap(1)
-	if !h.WouldAccept(-1e18) {
-		t.Fatal("non-full heap must accept anything")
+// TestFloor pins the one screening-floor rule: -Inf with neither part,
+// the shared reading while the heap has room, the heap's threshold once
+// full, and whichever is higher when both exist.
+func TestFloor(t *testing.T) {
+	inf := math.Inf(-1)
+	h := MustHeap(2)
+	if f := Floor(h, inf); !math.IsInf(f, -1) {
+		t.Fatalf("empty heap, no bound: floor %v, want -Inf", f)
 	}
 	h.OfferScore(1, 10)
-	if h.WouldAccept(9.999) {
-		t.Fatal("should reject score below floor")
+	if f := Floor(h, 3); f != 3 {
+		t.Fatalf("heap with room: floor %v, want the shared 3", f)
 	}
-	if !h.WouldAccept(10.001) {
-		t.Fatal("should accept score above floor")
+	h.OfferScore(2, 5)
+	for _, c := range []struct{ shared, want float64 }{{inf, 5}, {3, 5}, {5, 5}, {7, 7}} {
+		if f := Floor(h, c.shared); f != c.want {
+			t.Fatalf("full heap (threshold 5), shared %v: floor %v, want %v", c.shared, f, c.want)
+		}
+	}
+	if f := Floor(h, NewBound().Get()); f != 5 {
+		t.Fatalf("fresh bound: floor %v, want the threshold 5", f)
+	}
+}
+
+// TestHugeKSizesNothing pins that K never sizes an allocation: K comes
+// off the request, so a heap asking for 2^40 items costs nothing up
+// front and only the items it retains afterwards.
+func TestHugeKSizesNothing(t *testing.T) {
+	if !raceEnabled {
+		PutHeap(MustGetHeap(1)) // the pool's first struct is not the point
+		if allocs := testing.AllocsPerRun(20, func() { PutHeap(MustGetHeap(1 << 40)) }); allocs != 0 {
+			t.Fatalf("GetHeap(1<<40) allocates %.1f times, want 0", allocs)
+		}
+	}
+	for _, h := range []*Heap{MustGetHeap(1 << 40), MustHeap(1 << 40)} {
+		if cap(h.items) > 16 {
+			t.Fatalf("empty heap of K 1<<40 holds capacity %d", cap(h.items))
+		}
+		for i := 0; i < 100; i++ {
+			h.OfferScore(int64(i), float64(i))
+		}
+		if h.Len() != 100 || h.Full() || cap(h.items) > 256 {
+			t.Fatalf("100 offers into K 1<<40: len %d, full %v, capacity %d", h.Len(), h.Full(), cap(h.items))
+		}
+	}
+}
+
+// TestPutHeapClearsRetainedItems: a pooled heap keeps the capacity it
+// grew to but pins no payload, including after a Reset.
+func TestPutHeapClearsRetainedItems(t *testing.T) {
+	h := MustHeap(8)
+	for i := 0; i < 8; i++ {
+		h.Offer(Item{ID: int64(i), Score: float64(i), Payload: &i})
+	}
+	h.Reset()
+	h.OfferScore(9, 9)
+	PutHeap(h)
+	for i, it := range h.items[:cap(h.items)] {
+		if it != (Item{}) {
+			t.Fatalf("pooled heap slot %d still holds %+v", i, it)
+		}
+	}
+	if cap(h.items) < 8 {
+		t.Fatalf("pooled heap dropped its capacity: %d", cap(h.items))
 	}
 }
 

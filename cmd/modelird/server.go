@@ -565,7 +565,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // 64 MiB replication frame.
 const maxBodyBytes = 32 << 20
 
-// readBody decodes a request body of at most maxBodyBytes into v. On
+// readBody decodes an /append body of at most maxBodyBytes into v. On
 // failure it returns the status to answer with: 413 for an oversized
 // body, 400 for anything else.
 func readBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
@@ -652,7 +652,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wr wireRequest
-	if status, err := readBody(w, r, &wr); err != nil {
+	if status, err := readWire(w, r, &wr, nil); err != nil {
 		writeJSON(w, status, errorBody("bad request JSON: "+err.Error()))
 		return
 	}
@@ -680,8 +680,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	send(w, http.StatusOK, buf.b)
 }
 
-// wireBatch is the /batch request envelope; the response is
-// {"results":[...]} with one result or error result per request.
+// wireBatch is the /batch envelope, of at most maxBatchRequests requests;
+// the response is {"results":[...]}, one result or error result each.
 type wireBatch struct {
 	Requests []wireRequest `json:"requests"`
 }
@@ -695,7 +695,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wb wireBatch
-	if status, err := readBody(w, r, &wb); err != nil {
+	if status, err := readWire(w, r, nil, &wb); err != nil {
 		writeJSON(w, status, errorBody("bad batch JSON: "+err.Error()))
 		return
 	}

@@ -240,6 +240,44 @@ func TestClusterMinScoreAndBudget(t *testing.T) {
 	}
 }
 
+// TestClusterLinearMinScoreFloorRoundsDown is core's rounding repro at 2
+// nodes: both rows score exactly 2^53 after an intercept of 2^53-1, and
+// MinScore 2^53 travels to each node as the request's floor and as the
+// router's gossip seed, so both translations must round down.
+func TestClusterLinearMinScoreFloorRoundsDown(t *testing.T) {
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	topo := Topology{Nodes: addrs, Replication: 1}
+	for i := range lns {
+		n := NewNode(addrs[i], topo, NodeOptions{Shards: 2})
+		if err := n.AddTuples("t", [][]float64{{0.9999999999999999}, {0.5}}); err != nil {
+			t.Fatal(err)
+		}
+		n.ServeListener(lns[i])
+		t.Cleanup(n.Close)
+	}
+	router := newTestRouter(t, topo, RouterOptions{})
+	lm, err := linear.New([]string{"x0"}, []float64{1}, 1<<53-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	min := float64(1 << 53)
+	res, err := router.Run(context.Background(), Request{Dataset: "t", Query: core.LinearQuery{Model: lm}, K: 5, MinScore: &min})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 2 || res.Items[0].Score != min || res.Items[1].Score != min {
+		t.Fatalf("MinScore 2^53 over 2 nodes: %+v, want both rows at 2^53", res.Items)
+	}
+}
+
 // TestClusterReplicatedEquivalence runs the matrix's corner with
 // replication > 1: placement changes, answers must not.
 func TestClusterReplicatedEquivalence(t *testing.T) {

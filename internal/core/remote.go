@@ -21,7 +21,10 @@ import (
 // arrive via Raise; the local floor is read via Floor. Internally the
 // engine screens some families on a shifted scale (the linear family
 // scores pre-intercept), so the bound attaches to the query plan's
-// topk.Bound together with the plan's shift and translates both ways.
+// topk.Bound together with the plan's shift and translates both ways:
+// inbound floors go down to the least internal score that can still
+// reach them (screenFloor), outbound ones up by adding the shift, so
+// neither direction prunes a row whose shifted score ties the floor.
 //
 // Raises that arrive before the plan is compiled are buffered and
 // applied at attach time, so an early remote floor is never dropped.
@@ -55,7 +58,7 @@ func (s *SharedBound) Raise(v float64) {
 		s.pending = v
 	}
 	if s.b != nil {
-		s.b.Raise(v - s.shift)
+		s.b.Raise(screenFloor(v, s.shift))
 	}
 }
 
@@ -104,7 +107,7 @@ func (s *SharedBound) attach(b *topk.Bound, shift float64) {
 	defer s.mu.Unlock()
 	s.b, s.shift = b, shift
 	if !math.IsInf(s.pending, -1) {
-		b.Raise(s.pending - shift)
+		b.Raise(screenFloor(s.pending, shift))
 	}
 }
 

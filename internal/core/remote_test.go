@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"modelir/internal/linear"
@@ -31,8 +32,10 @@ func TestSharedBoundTranslation(t *testing.T) {
 	sb.Raise(3) // lower: ignored
 	b := topk.NewBound()
 	sb.attach(b, 2) // result = internal + 2
-	if got := b.Get(); got != 3 {
-		t.Fatalf("internal floor after attach = %v, want 3", got)
+	// Translated down, never up: 3-2^-51 plus 2 ties halfway below 5 and
+	// rounds to 5, so the least internal score that reaches 5 is under 3.
+	if got, want := b.Get(), math.Nextafter(3, math.Inf(-1)); got != want {
+		t.Fatalf("internal floor after attach = %v, want %v", got, want)
 	}
 	sb.Raise(7)
 	if got := b.Get(); got != 5 {
@@ -52,6 +55,52 @@ func TestSharedBoundTranslation(t *testing.T) {
 	}
 	if NewSharedBound().foreignRaised() {
 		t.Fatal("foreignRaised = true on fresh bound")
+	}
+}
+
+// TestScreenFloorIsLeastReaching pins screenFloor's rule on random and
+// adversarial scales: the floor's shifted value reaches min, and the
+// next float below it does not.
+func TestScreenFloorIsLeastReaching(t *testing.T) {
+	cases := [][2]float64{{1 << 53, 1<<53 - 1}, {5, 2}, {7, 2}, {0, 0.1}, {-3, 1e300}, {1e-300, -1}, {math.Inf(1), 1}}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		scale := math.Pow(2, float64(r.Intn(120)-60))
+		cases = append(cases, [2]float64{r.NormFloat64() * scale, r.NormFloat64() * scale * math.Pow(2, float64(r.Intn(60)))})
+	}
+	for _, c := range cases {
+		min, shift := c[0], c[1]
+		f := screenFloor(min, shift)
+		if f+shift < min || math.Nextafter(f, math.Inf(-1))+shift >= min {
+			t.Fatalf("screenFloor(%v, %v) = %v: not the least score reaching min", min, shift, f)
+		}
+	}
+}
+
+// TestLinearMinScoreFloorRoundsDown is the rounding repro: both rows
+// score exactly 2^53 after an intercept of 2^53-1, so MinScore 2^53 must
+// return both, though MinScore minus the intercept is 1 and both
+// pre-intercept scores are below it.
+func TestLinearMinScoreFloorRoundsDown(t *testing.T) {
+	lm, err := linear.New([]string{"x0"}, []float64{1}, 1<<53-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		e := NewEngineWith(Options{Shards: shards})
+		if err := e.AddTuples("t", [][]float64{{0.9999999999999999}, {0.5}}); err != nil {
+			t.Fatal(err)
+		}
+		min := float64(1 << 53)
+		for _, ms := range []*float64{nil, &min} {
+			res, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: lm}, K: 5, MinScore: ms})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Items) != 2 || res.Items[0].Score != min || res.Items[1].Score != min {
+				t.Fatalf("shards=%d MinScore=%v: %+v, want both rows at 2^53", shards, ms != nil, res.Items)
+			}
+		}
 	}
 }
 

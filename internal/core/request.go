@@ -354,7 +354,54 @@ func floorOf(req Request, shift float64) float64 {
 	if req.MinScore == nil {
 		return math.Inf(-1)
 	}
-	return *req.MinScore - shift
+	return screenFloor(*req.MinScore, shift)
+}
+
+// screenFloor translates a result-scale floor min into the scale a plan
+// screens on, where finish adds shift to every score: it is the least f
+// whose f+shift rounds to at least min. A row screened out below it ends
+// below min; every row at or above it is kept. min-shift alone rounds
+// and can land above that: with shift 2^53-1 and min 2^53 it is 1, yet
+// 0.5+shift rounds to 2^53. Rounding is monotone in f, so the least f is
+// found by bisecting the float64 order, which the exact common case
+// skips.
+func screenFloor(min, shift float64) float64 {
+	f := min - shift
+	if shift == 0 || math.IsInf(min, -1) || math.IsNaN(shift) || math.IsInf(shift, 0) {
+		return f // exact, no floor, or every shifted score is non-finite
+	}
+	reaches := func(f float64) bool { return f+shift >= min }
+	if reaches(f) && !reaches(math.Nextafter(f, math.Inf(-1))) {
+		return f
+	}
+	// -Inf never reaches a min above -Inf; +Inf always does.
+	lo, hi := floatKey(math.Inf(-1)), floatKey(math.Inf(1))
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if reaches(keyFloat(mid)) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return keyFloat(hi)
+}
+
+// floatKey maps a non-NaN float64 to a uint64 that orders the same way;
+// keyFloat inverts it.
+func floatKey(f float64) uint64 {
+	u := math.Float64bits(f)
+	if u>>63 == 1 {
+		return ^u
+	}
+	return u | 1<<63
+}
+
+func keyFloat(k uint64) float64 {
+	if k>>63 == 1 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // snapshotter assembles the global progressive view for RunProgressive:

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"reflect"
 
 	"modelir"
 	"modelir/internal/synth"
@@ -54,16 +55,20 @@ func run() error {
 			i+1, m.Well, m.Score, s.TopFt)
 	}
 
-	// Work comparison across evaluators (Stats.Evaluations counts
-	// unary+pair grades; the pruned evaluator does strictly less).
-	query.Method = modelir.GeoPruned
-	pruned, err := engine.Run(ctx, modelir.Request{Dataset: "basin", Query: query, K: 10})
+	// Work comparison against the brute-force oracle (Stats.Evaluations
+	// counts unary+pair grades). GeoDP and GeoPruned run the same
+	// floored DP: a well with a slot no stratum can fill at the running
+	// top-10 floor is rejected before its pair DP (Stats.Pruned).
+	query.Method = modelir.GeoBruteForce
+	brute, err := engine.Run(ctx, modelir.Request{Dataset: "basin", Query: query, K: 10})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nfuzzy-grade evaluations: DP %d, pruned %d (%.1fx less)\n",
-		dp.Stats.Evaluations, pruned.Stats.Evaluations,
-		float64(dp.Stats.Evaluations)/float64(pruned.Stats.Evaluations))
+	fmt.Printf("\nfuzzy-grade evaluations: brute force %d, DP %d (%.1fx less), same answer: %v\n",
+		brute.Stats.Evaluations, dp.Stats.Evaluations,
+		float64(brute.Stats.Evaluations)/float64(dp.Stats.Evaluations),
+		reflect.DeepEqual(brute.Items, dp.Items))
+	fmt.Printf("wells rejected before the pair DP: %d of %d\n", dp.Stats.Pruned, len(wells))
 
 	// Validation against the oracle on the planted ground truth. A
 	// MinScore floor retrieves exactly the full-score wells.

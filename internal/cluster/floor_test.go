@@ -1,8 +1,9 @@
 // Cross-node floor propagation, pinned deterministically: a hand-built
 // skewed archive where one partition (hot) scores far above the other
 // (cold). The hot node's published floor, delivered to the cold node in
-// the query frame, must let the cold node's Onion index prune whole
-// layers it would otherwise scan — observable in QueryStats.Pruned.
+// the query frame, must let the cold node prune work it would otherwise
+// do — whole Onion layers of tuples, whole wells before their pair DP —
+// observable in QueryStats.Pruned.
 // The test drives the wire protocol directly (a raw client instead of
 // the router) so the floor's arrival is ordered, not raced.
 
@@ -11,11 +12,13 @@ package cluster
 import (
 	"math"
 	"net"
+	"reflect"
 	"testing"
 
 	"modelir/internal/core"
 	"modelir/internal/linear"
 	"modelir/internal/synth"
+	"modelir/internal/topk"
 )
 
 // queryNode runs one partition query over a raw connection, exactly as
@@ -59,6 +62,49 @@ func queryNode(t *testing.T, addr string, req Request, part int, floor float64) 
 	}
 }
 
+// startFloorNodes serves a two-node, unreplicated cluster, each node
+// ingesting its partitions through add, and returns partition → node
+// address. Caching is disabled so a floored and an unfloored query of
+// the same partition both execute (they share a fingerprint; a cache
+// hit would replay the first run's stats and mask the pruning
+// difference).
+func startFloorNodes(t *testing.T, add func(*Node) error) map[int]string {
+	t.Helper()
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	var err error
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = lns[i].Addr().String()
+	}
+	topo := Topology{Nodes: addrs, Replication: 1}
+	opt := NodeOptions{Shards: 2, CacheEntries: -1}
+	byPart := make(map[int]string)
+	for i := range lns {
+		n := NewNode(addrs[i], topo, opt)
+		if err := add(n); err != nil {
+			t.Fatal(err)
+		}
+		n.mu.Lock()
+		for _, parts := range n.parts {
+			for part, e := range parts {
+				if e.local != "" {
+					byPart[part] = addrs[i]
+				}
+			}
+		}
+		n.mu.Unlock()
+		n.ServeListener(lns[i])
+		t.Cleanup(n.Close)
+	}
+	if len(byPart) != 2 {
+		t.Fatalf("expected 2 partitions placed, got %v", byPart)
+	}
+	return byPart
+}
+
 func TestCrossNodeFloorPrunesColdOnionLayers(t *testing.T) {
 	// First half of the rows: hot, scores around 3×100. Second half:
 	// cold, Gaussian scores within a few units of zero. With two
@@ -76,38 +122,7 @@ func TestCrossNodeFloorPrunesColdOnionLayers(t *testing.T) {
 	}
 	pts = append(pts, cold...)
 
-	lns := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range lns {
-		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = lns[i].Addr().String()
-	}
-	topo := Topology{Nodes: addrs, Replication: 1}
-	// Caching is disabled so the floored and unfloored cold queries
-	// both execute (they share a fingerprint; a cache hit would replay
-	// the first run's stats and mask the pruning difference).
-	opt := NodeOptions{Shards: 2, CacheEntries: -1}
-	byPart := make(map[int]string) // partition → node address
-	for i := range lns {
-		n := NewNode(addrs[i], topo, opt)
-		if err := n.AddTuples("skew", pts); err != nil {
-			t.Fatal(err)
-		}
-		n.mu.Lock()
-		for part, e := range n.parts["skew"] {
-			if e.local != "" {
-				byPart[part] = addrs[i]
-			}
-		}
-		n.mu.Unlock()
-		n.ServeListener(lns[i])
-		t.Cleanup(n.Close)
-	}
-	if len(byPart) != 2 {
-		t.Fatalf("expected 2 partitions placed, got %v", byPart)
-	}
+	byPart := startFloorNodes(t, func(n *Node) error { return n.AddTuples("skew", pts) })
 
 	lm, err := linear.New([]string{"x", "y", "z"}, []float64{1, 1, 1}, 0)
 	if err != nil {
@@ -141,5 +156,67 @@ func TestCrossNodeFloorPrunesColdOnionLayers(t *testing.T) {
 	if pruned.Stats.Evaluations >= base.Stats.Evaluations {
 		t.Fatalf("foreign floor did not reduce evaluations: %d vs %d",
 			pruned.Stats.Evaluations, base.Stats.Evaluations)
+	}
+}
+
+// TestCrossNodeFloorPrunesColdWells is the geology sibling: the hot
+// partition holds planted wells scoring exactly 1 (shale, sandstone,
+// siltstone, all hot and adjacent), the cold partition synthetic wells
+// whose gamma ramp grades mostly below 1. Under the hot node's floor
+// of 1, the cold node rejects every well with a slot that cannot reach
+// it before its pair DP — observable as QueryStats.Pruned — and the
+// merged answer is the one the unfloored cold partition gives.
+func TestCrossNodeFloorPrunesColdWells(t *testing.T) {
+	const half = 32
+	wells := make([]synth.WellLog, 0, 2*half)
+	for i := 0; i < half; i++ {
+		top := 5 + float64(i%7)
+		wells = append(wells, synth.WellLog{Well: i, Strata: []synth.Stratum{
+			{Lith: synth.Limestone, TopFt: 0, ThickFt: top, GammaAPI: 20},
+			{Lith: synth.Shale, TopFt: top, ThickFt: 10, GammaAPI: 100},
+			{Lith: synth.Sandstone, TopFt: top + 12, ThickFt: 8, GammaAPI: 90},
+			{Lith: synth.Siltstone, TopFt: top + 22, ThickFt: 5, GammaAPI: 80},
+		}})
+	}
+	cold, _, err := synth.WellArchive(synth.WellConfig{Seed: 79, Wells: half})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range cold {
+		w.Well += half
+		wells = append(wells, w)
+	}
+	byPart := startFloorNodes(t, func(n *Node) error { return n.AddWells("basin", wells) })
+
+	req := Request{Dataset: "basin", K: 8, Query: core.GeologyQuery{
+		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
+		MaxGapFt: 10, MinGamma: 45, GammaRampAPI: 20,
+	}}
+	hot := queryNode(t, byPart[0], req, 0, math.Inf(-1))
+	if hot.Floor != 1 {
+		t.Fatalf("hot floor = %v, want 1", hot.Floor)
+	}
+	base := queryNode(t, byPart[1], req, 1, math.Inf(-1))
+	pruned := queryNode(t, byPart[1], req, 1, hot.Floor)
+	if pruned.Stats.Pruned <= base.Stats.Pruned {
+		t.Fatalf("foreign floor did not increase pruning: %d vs %d",
+			pruned.Stats.Pruned, base.Stats.Pruned)
+	}
+	if pruned.Stats.Evaluations >= base.Stats.Evaluations {
+		t.Fatalf("foreign floor did not reduce evaluations: %d vs %d",
+			pruned.Stats.Evaluations, base.Stats.Evaluations)
+	}
+	t.Logf("cold partition under the hot floor: pruned %d -> %d wells, evaluations %d -> %d",
+		base.Stats.Pruned, pruned.Stats.Pruned, base.Stats.Evaluations, pruned.Stats.Evaluations)
+	merge := func(parts ...Partial) []topk.Item {
+		h := topk.MustHeap(req.K)
+		for _, p := range parts {
+			topk.MergeItems(h, p.Items)
+		}
+		return h.Results()
+	}
+	want, got := merge(hot, base), merge(hot, pruned)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged answer changed under the floor:\n got %v\nwant %v", got, want)
 	}
 }

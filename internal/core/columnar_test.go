@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"modelir/internal/archive"
@@ -280,32 +282,77 @@ func TestScanBudgetBoundariesExact(t *testing.T) {
 	}
 }
 
-// TestGeologyDPScratchStatsMatchDPCtx: the engine's scratch-backed DP
-// must report exactly the stats the plain DPCtx reports (the
-// accounting contract TestStatsGeologyExact pins for brute force).
+// TestGeologyDPScratchStatsMatchDPCtx pins the floored top-1 DP's
+// accounting on hand-built wells, one shard, one worker, wells visited
+// in ID order. Evaluations are every unary grade (M·L per well) plus
+// the pair evaluations actually made; a well with a slot no stratum
+// grades at or above the floor is rejected before its pair DP and
+// counts as Pruned, every other well as Examined. GeoDP and GeoPruned
+// are one evaluator and must report the same numbers; the answers must
+// equal the unfloored DPCtx's best match per well.
 func TestGeologyDPScratchStatsMatchDPCtx(t *testing.T) {
-	e := NewEngineWith(Options{Shards: 1})
-	wells := geoStatsWells()
+	wells := append(geoStatsWells(), synth.WellLog{Well: 3, Strata: []synth.Stratum{
+		{Lith: synth.Shale, TopFt: 0, ThickFt: 10, GammaAPI: 100},
+		{Lith: synth.Sandstone, TopFt: 12, ThickFt: 8, GammaAPI: 32},
+	}})
+	e := NewEngineWith(Options{Shards: 1, CacheEntries: -1})
 	if err := e.AddWells("g", wells); err != nil {
 		t.Fatal(err)
 	}
-	gq := GeologyQuery{
-		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone},
-		MaxGapFt: 10, MinGamma: 45, Method: GeoDP,
+	seq := []synth.Lithology{synth.Shale, synth.Sandstone}
+	crisp45 := GeologyQuery{Sequence: seq, MaxGapFt: 10, MinGamma: 45}
+	crisp25 := GeologyQuery{Sequence: seq, MaxGapFt: 10, MinGamma: 25}
+	// Grades ramp from 0 at 20 API to 1 at 40: sandstone at 30, 35 and
+	// 32 API grades 0.5 (well 0), 0.75 (well 2) and 0.6 (well 3).
+	ramp := GeologyQuery{Sequence: seq, MaxGapFt: 10, MinGamma: 30, GammaRampAPI: 10}
+	minScore := 0.6
+	cases := []struct {
+		name              string
+		q                 GeologyQuery
+		k                 int
+		min               *float64
+		evals, ex, pruned int
+		wells             []int
+	}{
+		// No sandstone grades above zero anywhere: four wells of
+		// 6+4+8+4 unary grades, none reaches a pair.
+		{"crisp45", crisp45, 3, nil, 22, 0, 4, nil},
+		// Well 1 has no sandstone; well 0 pays 1 pair, well 2 pays
+		// 2x2, well 3 pays 1.
+		{"crisp25", crisp25, 3, nil, 22 + 1 + 4 + 1, 3, 1, []int{0, 2, 3}},
+		// K=1: well 2's 0.75 fills the heap, so well 3's 0.6 sandstone
+		// falls strictly below the floor and its pair DP never runs.
+		{"ramp-k1", ramp, 1, nil, 22 + 1 + 4, 2, 2, []int{2}},
+		// MinScore 0.6 rejects well 0 (0.5) before its pairs and keeps
+		// well 3, whose score is exactly the floor.
+		{"ramp-min", ramp, 3, &minScore, 22 + 4 + 1, 2, 2, []int{2, 3}},
 	}
-	wantEvals := 0
-	for _, w := range wells {
-		_, wst, err := sproc.DPCtx(context.Background(), len(w.Strata), geologySprocQuery(w, gq), 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range cases {
+		for _, method := range []GeologyMethod{GeoDP, GeoPruned} {
+			q := c.q
+			q.Method = method
+			res, err := e.Run(context.Background(), Request{Dataset: "g", Query: q, K: c.k, MinScore: c.min, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertStats(t, fmt.Sprintf("%s method %d", c.name, method), res.Stats, KindKnowledge, c.evals, c.ex, c.pruned, false)
+			got, err := WellMatches(res.Items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(c.wells) {
+				t.Fatalf("%s method %d: %+v, want wells %v", c.name, method, got, c.wells)
+			}
+			for i, m := range got {
+				w := wells[c.wells[i]]
+				want, _, err := sproc.DPCtx(context.Background(), len(w.Strata), geologySprocQuery(w, c.q), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Well != w.Well || m.Score != want[0].Score || !reflect.DeepEqual(m.Strata, want[0].Items) {
+					t.Fatalf("%s method %d pos %d: %+v, want well %d %+v", c.name, method, i, m, w.Well, want[0])
+				}
+			}
 		}
-		wantEvals += wst.UnaryEvals + wst.PairEvals
-	}
-	res, err := e.Run(context.Background(), Request{Dataset: "g", Query: gq, K: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Evaluations != wantEvals || res.Stats.Examined != len(wells) {
-		t.Fatalf("stats %+v, want evals %d examined %d", res.Stats, wantEvals, len(wells))
 	}
 }

@@ -480,7 +480,11 @@ type WellMatch struct {
 // GeologyMethod selects the SPROC evaluator.
 type GeologyMethod int
 
-// Evaluator choices for GeologyTopK.
+// Evaluator choices for GeologyTopK. GeoDP and GeoPruned are served by
+// one evaluator, the floored top-1 DP (sproc.DP1FloorCtx): every well
+// is screened against the merged top-K floor before its pair DP, so
+// both return the same answer at the same cost. GeoBruteForce
+// enumerates every tuple of every well, unfloored: the oracle.
 const (
 	GeoBruteForce GeologyMethod = iota + 1
 	GeoDP

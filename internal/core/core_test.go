@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/synth"
+	"modelir/internal/topk"
 )
 
 func engineWithTuples(t *testing.T) (*Engine, [][]float64) {
@@ -243,8 +246,86 @@ func TestGeologyTopKFindsPlantedWells(t *testing.T) {
 			t.Fatalf("well %d scored 1 but fails the oracle", m.Well)
 		}
 	}
-	if prSt.PairEvals > dpSt.PairEvals {
-		t.Fatal("pruned method did more pair work than DP")
+	// One floored evaluator serves both methods. K covers every well,
+	// so no heap fills and the floor stays at the least positive score
+	// whatever the scheduling: the work is equal, not merely bounded.
+	if prSt.UnaryEvals != dpSt.UnaryEvals || prSt.PairEvals != dpSt.PairEvals {
+		t.Fatalf("pruned method did different work than DP: %+v vs %+v", prSt, dpSt)
+	}
+}
+
+// TestGeologyMatchesBruteForce: GeoDP and GeoPruned, one floored top-1
+// DP screening every well against the merged top-K floor, must return
+// exactly what the unfloored brute-force oracle returns — well IDs,
+// scores and strata — for every shard count, worker count, crisp and
+// ramped gamma, K from 1 to above the well count, and a MinScore equal
+// to some well's score. The oracle's full ranking is computed once per
+// archive and query; a request's answer is its first K items, then
+// those at or above MinScore.
+func TestGeologyMatchesBruteForce(t *testing.T) {
+	ctx := context.Background()
+	queries := []GeologyQuery{
+		{Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone}, MaxGapFt: 10, MinGamma: 45},
+		{Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone}, MaxGapFt: 10, MinGamma: 45, GammaRampAPI: 6},
+		{Sequence: []synth.Lithology{synth.Sandstone, synth.Shale}, MaxGapFt: 15, MinGamma: 50, GammaRampAPI: 12},
+	}
+	for _, seed := range []int64{31, 32} {
+		wells, _, err := synth.WellArchive(synth.WellConfig{Seed: seed, Wells: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := NewEngineWith(Options{Shards: 1, CacheEntries: -1})
+		if err := oracle.AddWells("b", wells); err != nil {
+			t.Fatal(err)
+		}
+		engines := map[int]*Engine{}
+		for _, shards := range []int{1, 3} {
+			engines[shards] = NewEngineWith(Options{Shards: shards, CacheEntries: -1})
+			if err := engines[shards].AddWells("b", wells); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for qi, q := range queries {
+			bq := q
+			bq.Method = GeoBruteForce
+			full, err := oracle.Run(ctx, Request{Dataset: "b", Query: bq, K: len(wells), Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(full.Items) < 4 {
+				t.Fatalf("seed %d query %d: only %d matching wells", seed, qi, len(full.Items))
+			}
+			atWell := full.Items[len(full.Items)/2].Score
+			for _, k := range []int{1, 3, 10, len(wells) + 7} {
+				for _, minScore := range []*float64{nil, &atWell} {
+					want := append([]topk.Item(nil), full.Items[:min(k, len(full.Items))]...)
+					if minScore != nil {
+						want = filterMinScore(want, *minScore)
+					}
+					for shards, e := range engines {
+						for _, workers := range []int{1, 2, 8} {
+							for _, method := range []GeologyMethod{GeoDP, GeoPruned} {
+								fq := q
+								fq.Method = method
+								res, err := e.Run(ctx, Request{Dataset: "b", Query: fq, K: k, MinScore: minScore, Workers: workers})
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(res.Items, want) {
+									t.Fatalf("seed %d query %d k %d min %v shards %d workers %d method %d:\n got %v\nwant %v",
+										seed, qi, k, minScore != nil, shards, workers, method, res.Items, want)
+								}
+								// The floor is doing the work: at K=1 a
+								// serial scan rejects wells before pairs.
+								if k == 1 && shards == 1 && res.Stats.Pruned == 0 {
+									t.Fatalf("seed %d query %d: K=1 pruned no well", seed, qi)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

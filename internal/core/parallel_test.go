@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"modelir/internal/fsm"
@@ -47,7 +48,9 @@ func TestFSMTopKParallelMatchesSerial(t *testing.T) {
 }
 
 func TestGeologyTopKParallelMatchesSerial(t *testing.T) {
-	e := NewEngine()
+	// Uncached, so every run executes; eight shards so eight workers
+	// race on the shared floor.
+	e := NewEngineWith(Options{Shards: 8, CacheEntries: -1})
 	wells, _, err := synth.WellArchive(synth.WellConfig{Seed: 13, Wells: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -60,24 +63,32 @@ func TestGeologyTopKParallelMatchesSerial(t *testing.T) {
 		MaxGapFt: 10,
 		MinGamma: 45,
 	}
-	serial, serialSt, err := e.GeologyTopK("b", q, 20, GeoPruned)
+	// With a cross-well floor the pair work depends on which shard
+	// raises first, so only the result bits are compared across worker
+	// counts; exact counters are compared at one worker, where GeoDP and
+	// GeoPruned run the same floored evaluator in the same order.
+	serial, serialSt, err := e.GeologyTopKParallel("b", q, 20, GeoPruned, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, dpSt, err := e.GeologyTopKParallel("b", q, 20, GeoDP, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dpSt.UnaryEvals != serialSt.UnaryEvals || dpSt.PairEvals != serialSt.PairEvals ||
+		dpSt.TuplesConsidered != serialSt.TuplesConsidered {
+		t.Fatalf("one worker: dp stats %+v vs pruned %+v", dpSt, serialSt)
 	}
 	par, parSt, err := e.GeologyTopKParallel("b", q, 20, GeoPruned, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) != len(serial) {
-		t.Fatalf("%d vs %d results", len(par), len(serial))
+	if !reflect.DeepEqual(par, serial) {
+		t.Fatalf("8 workers: %+v\nvs 1 worker: %+v", par, serial)
 	}
-	for i := range serial {
-		if par[i].Well != serial[i].Well || math.Abs(par[i].Score-serial[i].Score) > 1e-12 {
-			t.Fatalf("pos %d: %+v vs %+v", i, par[i], serial[i])
-		}
-	}
-	if parSt.PairEvals != serialSt.PairEvals {
-		t.Fatalf("stats diverged: %d vs %d pair evals", parSt.PairEvals, serialSt.PairEvals)
+	// Every well's unary grades are evaluated whatever the floor.
+	if parSt.UnaryEvals != serialSt.UnaryEvals {
+		t.Fatalf("unary evals diverged: %d vs %d", parSt.UnaryEvals, serialSt.UnaryEvals)
 	}
 	bad := GeologyQuery{}
 	if _, _, err := e.GeologyTopKParallel("b", bad, 1, GeoDP, 2); err == nil {

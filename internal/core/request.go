@@ -664,8 +664,12 @@ const ctxCheckMask = 31
 
 // scanPlan builds the fan-out for a scan-shaped family (series
 // regions, wells, tiles) with the shared per-candidate scaffold: an
-// amortized context check and a budget gate before each candidate, and
-// batched progressive publication. The scan hook owns the meter: a
+// amortized context check and a budget gate before each candidate,
+// publication of the local heap's threshold to the shared bound
+// whenever it rises (as the linear and scene scans do), and batched
+// progressive publication. The scan hook receives the shared bound; a
+// hook that can screen a candidate reads the one floor rule,
+// topk.Floor(h, sb.Get()). The scan hook owns the meter: a
 // family whose candidate cost is known up front (series days, rule
 // count) charges the meter BEFORE scoring, so concurrent workers see
 // the spend the moment the work is committed rather than after it
@@ -679,16 +683,17 @@ const ctxCheckMask = 31
 func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 	nShards int, stage string, meter *topk.Meter,
 	shardSize func(si int) int,
-	scan func(si, i int, h *topk.Heap) error,
+	scan func(si, i int, h *topk.Heap, sb *topk.Bound) error,
 	finish func(items []topk.Item) ([]topk.Item, QueryStats, error),
 ) queryPlan {
 	done := ctx.Done()
 	return queryPlan{
 		shards: nShards,
 		floor:  floorOf(req, 0),
-		run: func(si int, _ *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
+		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			h := topk.MustGetHeap(req.K)
 			defer topk.PutHeap(h)
+			raised := math.Inf(-1)
 			n := shardSize(si)
 			for i := 0; i < n; i++ {
 				if i&ctxCheckMask == 0 {
@@ -701,8 +706,12 @@ func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 				if meter.Exhausted() {
 					break // budget exhausted: keep what this shard has
 				}
-				if err := scan(si, i, h); err != nil {
+				if err := scan(si, i, h, sb); err != nil {
 					return dst, err
+				}
+				if t, ok := h.Threshold(); ok && t > raised {
+					sb.Raise(t)
+					raised = t
 				}
 				if snap != nil && (i+1)%snapEveryRegions == 0 {
 					if err := snap.publish(si, stage, h.AppendUnordered(nil)); err != nil {
@@ -752,7 +761,7 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapsh
 	perShard, examined := *perShardP, *examinedP
 	return scanPlan(ctx, req, snap, len(ss.scan), "series shard", meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(si, i int, h *topk.Heap) error {
+		func(si, i int, h *topk.Heap, _ *topk.Bound) error {
 			sh := ss.scan[si]
 			if q.Prefilter != nil && !q.Prefilter(sh.sums[i]) {
 				perShard[si].RegionsPruned++
@@ -825,7 +834,7 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, snap
 	perShard, examined := *perShardP, *examinedP
 	return scanPlan(ctx, req, snap, len(ss.scan), "series shard", meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(si, i int, h *topk.Heap) error {
+		func(si, i int, h *topk.Heap, _ *topk.Bound) error {
 			sh := ss.scan[si]
 			events := sh.eventsOf(i)
 			meter.Charge(len(events))
@@ -890,8 +899,9 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	perShardP, examinedP := sprocStatsArena.get(len(ws.scan)), intArena.get(len(ws.scan))
-	perShard, examined := *perShardP, *examinedP
+	perShardP := sprocStatsArena.get(len(ws.scan))
+	examinedP, prunedP := intArena.get(len(ws.scan)), intArena.get(len(ws.scan))
+	perShard, examined, pruned := *perShardP, *examinedP, *prunedP
 	// One columnar scanner per shard: the grade closures bind once and
 	// walk the shard's flat strata planes; per well only the base
 	// offset moves.
@@ -901,60 +911,52 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 	}
 	return scanPlan(ctx, req, snap, len(ws.scan), "well shard", meter,
 		func(si int) int { return len(ws.scan[si].wells) },
-		func(si, i int, h *topk.Heap) error {
+		func(si, i int, h *topk.Heap, sb *topk.Bound) error {
 			g := scanners[si]
 			n := g.setWell(i)
 			var (
-				best sproc.Match
-				wst  sproc.Stats
-				err  error
+				best     sproc.Match
+				ok       bool
+				rejected bool
+				wst      sproc.Stats
+				err      error
 			)
-			switch method {
-			case GeoBruteForce:
+			if method == GeoBruteForce {
+				// The oracle: every tuple of every well, unfloored.
 				var matches []sproc.Match
 				matches, wst, err = sproc.BruteForceCtx(ctx, n, g.sq, 1)
-				if err == nil && len(matches) > 0 {
-					best = matches[0]
+				if err == nil && len(matches) > 0 && matches[0].Score > 0 {
+					best, ok = matches[0], true
 				}
-			case GeoDP:
-				// The serving path: scratch-backed top-1 DP,
-				// bit-identical to DPCtx(…, 1) at zero steady-state
-				// allocations. The match aliases the scratch and is
-				// copied below only if it can enter the heap.
+			} else {
+				// GeoDP and GeoPruned: the floored top-1 DP, which
+				// reports only a match that can still enter the merged
+				// top-K (positive and not strictly below the floor) and
+				// rejects a well with an empty slot before its pair DP.
+				// The match aliases the scratch, so it is copied.
 				sc := sprocScratchPool.Get().(*sproc.Scratch)
-				best, wst, err = sproc.DP1Ctx(ctx, n, g.sq, sc)
-				if err != nil {
-					sprocScratchPool.Put(sc)
-					break
-				}
-				if best.Score > 0 {
-					if thr, full := h.Threshold(); !full || best.Score >= thr {
-						best.Items = append([]int(nil), best.Items...)
-					} else {
-						// A full heap strictly above this score rejects
-						// it for sure; skip the copy and the offer.
-						best.Score = 0
-					}
+				best, ok, wst, err = sproc.DP1FloorCtx(ctx, n, g.sq, topk.Floor(h, sb.Get()), sc)
+				if ok {
+					best.Items = append([]int(nil), best.Items...)
 				}
 				sprocScratchPool.Put(sc)
-			case GeoPruned:
-				var matches []sproc.Match
-				matches, wst, err = sproc.PrunedCtx(ctx, n, g.sq, 1)
-				if err == nil && len(matches) > 0 {
-					best = matches[0]
-				}
+				rejected = !ok && wst.PairEvals == 0
 			}
 			if err != nil {
 				return err
 			}
-			// The DP's work is emergent (it depends on pruning), so the
-			// meter is charged as soon as the evaluator reports it.
+			// The DP's work is emergent (it depends on the floor), so
+			// the meter is charged as soon as the evaluator reports it.
 			meter.Charge(wst.UnaryEvals + wst.PairEvals)
 			perShard[si].UnaryEvals += wst.UnaryEvals
 			perShard[si].PairEvals += wst.PairEvals
 			perShard[si].TuplesConsidered += wst.TuplesConsidered
-			examined[si]++
-			if best.Score > 0 {
+			if rejected {
+				pruned[si]++
+			} else {
+				examined[si]++
+			}
+			if ok {
 				h.Offer(topk.Item{
 					ID:      int64(g.sh.wells[i].Well),
 					Score:   best.Score,
@@ -965,18 +967,21 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 		},
 		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			var det sproc.Stats
-			scanned := 0
+			nExamined, nPruned := 0, 0
 			for si, s := range perShard {
 				det.UnaryEvals += s.UnaryEvals
 				det.PairEvals += s.PairEvals
 				det.TuplesConsidered += s.TuplesConsidered
-				scanned += examined[si]
+				nExamined += examined[si]
+				nPruned += pruned[si]
 			}
 			sprocStatsArena.put(perShardP)
 			intArena.put(examinedP)
+			intArena.put(prunedP)
 			st := QueryStats{
 				Evaluations: det.UnaryEvals + det.PairEvals,
-				Examined:    scanned,
+				Examined:    nExamined,
+				Pruned:      nPruned,
 				Shards:      len(ws.scan),
 				Truncated:   meter.Exhausted(),
 				Detail:      det,
@@ -1025,7 +1030,7 @@ func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request, snap *
 	// batched progressive publication).
 	return scanPlan(ctx, req, snap, 1, "feature tiles", meter,
 		func(int) int { return len(sc.Tiles) },
-		func(_, ti int, h *topk.Heap) error {
+		func(_, ti int, h *topk.Heap, _ *topk.Bound) error {
 			// Rule-evaluation cost is fixed per tile: charge before
 			// scoring so concurrent budget gates see committed work.
 			meter.Charge(cost)

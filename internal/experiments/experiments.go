@@ -741,7 +741,8 @@ func E8(cfg Config) (Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"claim C8 (Fig. 4): shale-on-sandstone-on-siltstone with gamma > 45;",
-		"shape: all methods retrieve every planted riverbed; pruned does least work.")
+		"shape: all methods retrieve every planted riverbed; dp and pruned are one",
+		"floored evaluator in the engine (equal work), far below brute force.")
 	return t, nil
 }
 

@@ -18,6 +18,10 @@
 //     discard every item that cannot beat it (sound under min semantics
 //     because a tuple's score never exceeds any of its unary grades),
 //     and the exact DP runs on the survivors: O(M·L·log L + DP on L').
+//
+// The engine serves k == 1 per well through top1.go's DP1FloorCtx: the
+// DP specialized to one match, screening items against the floor of
+// the scan's merged top-K (DP1Ctx is its unfloored case).
 package sproc
 
 import (
@@ -216,10 +220,12 @@ func DPCtx(ctx context.Context, l int, q Query, k int) ([]Match, Stats, error) {
 
 // Pruned runs the [16]-style sorted pruning, then exact DP on survivors:
 //  1. Beam pass (width k) finds a lower bound LB on the k-th best score.
-//  2. Any item with unary grade <= LB for its slot cannot appear in a
-//     better-than-LB tuple (min semantics), so it is discarded — unless
-//     fewer than k items survive a slot, in which case the slot keeps its
-//     k best items to preserve exact top-K.
+//  2. Any item with unary grade strictly below LB for its slot cannot
+//     appear in a tuple scoring at least LB (min semantics), so it is
+//     discarded, as is any item grading exactly 0 — unless fewer than k
+//     items survive a slot, in which case the slot keeps its k best
+//     items to preserve exact top-K. An item grading exactly LB is kept:
+//     the k-th best tuple's binding grade may equal LB.
 //  3. Exact DP over the surviving items.
 func Pruned(l int, q Query, k int) ([]Match, Stats, error) {
 	return PrunedCtx(context.Background(), l, q, k)

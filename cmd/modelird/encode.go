@@ -5,8 +5,10 @@
 // empty members, float text), minus indentation - encode_test.go holds
 // the reference structs and fuzzes the two against each other - so no
 // client can tell, but a warmed-up encode allocates nothing and reflects
-// on nothing. Free text (error messages) still goes through
-// encoding/json for its escaping rules, as does every cold endpoint.
+// on nothing. A cache hit's items array is not even re-encoded: it is
+// the copy the entry kept from its first hit (Result.AppendItems). Free
+// text (error messages) still goes through encoding/json for its
+// escaping rules, as does every cold endpoint.
 
 package main
 
@@ -61,12 +63,29 @@ func send(w http.ResponseWriter, status int, body []byte) {
 }
 
 // appendResult appends res as a JSON object. It fails only on a score
-// JSON cannot carry (NaN, ±Inf); dst is then returned unextended.
+// JSON cannot carry (NaN, ±Inf); dst is then returned unextended. The
+// items go through Result.AppendItems, so a cache hit appends the
+// entry's memoised encoding; stats are encoded fresh on every serve,
+// since their wall time and cache counters differ.
 func appendResult(dst []byte, res *modelir.Result) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, `{"items":[`...)
-	for i := range res.Items {
-		it := &res.Items[i]
+	dst = append(dst, `{"items":`...)
+	dst, err := res.AppendItems(dst, appendItems)
+	if err != nil {
+		return dst[:start], err
+	}
+	dst = append(dst, `,"stats":`...)
+	dst = appendStats(dst, res.Stats.Kind.String(), &res.Stats)
+	return append(dst, '}'), nil
+}
+
+// appendItems appends items as a JSON array. It fails only on a score
+// JSON cannot carry (NaN, ±Inf); dst is then returned unextended.
+func appendItems(dst []byte, items []modelir.Item) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '[')
+	for i := range items {
+		it := &items[i]
 		if math.IsNaN(it.Score) || math.IsInf(it.Score, 0) {
 			return dst[:start], fmt.Errorf("item %d: unsupported score %v", it.ID, it.Score)
 		}
@@ -90,9 +109,7 @@ func appendResult(dst []byte, res *modelir.Result) ([]byte, error) {
 		}
 		dst = append(dst, '}')
 	}
-	dst = append(dst, `],"stats":`...)
-	dst = appendStats(dst, res.Stats.Kind.String(), &res.Stats)
-	return append(dst, '}'), nil
+	return append(dst, ']'), nil
 }
 
 // appendBatch appends the /batch response: one result per slot, or an

@@ -489,16 +489,22 @@ func TestRouterRoleBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint pins /stats, including the dataset enumeration.
+// TestStatsEndpoint pins /stats, including the dataset enumeration and
+// the cached bytes: a miss stores a key, the first hit adds the
+// memoised items, and the entry an append invalidates takes its memo
+// with it.
 func TestStatsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newServer(engineBackend{engine: testEngine(t)}))
+	srv := httptest.NewServer(newServer(newEngineBackend(testEngine(t))))
 	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	stats := func() wireServerStats {
+		resp, err := http.Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[wireServerStats](t, resp)
 	}
-	st := decode[wireServerStats](t, resp)
+
+	st := stats()
 	if st.Epoch != 4 || st.Shards != 4 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -511,6 +517,20 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if fmt.Sprint(names) != "[basin scene tuples weather]" {
 		t.Fatalf("datasets %v, want sorted demo four", names)
+	}
+
+	wr := wireRequest{Dataset: "tuples", K: 5, Query: wireQuery{Kind: "linear", Coeffs: []float64{0.4, 0.3, 0.3}}}
+	var cached []int
+	for _, step := range []string{"miss", "hit", "append", "miss after append"} {
+		if step == "append" {
+			postJSON(t, srv, "/append", wireAppend{Dataset: "tuples", Tuples: [][]float64{{1, 2, 3}}}).Body.Close()
+		} else {
+			postJSON(t, srv, "/run", wr).Body.Close()
+		}
+		cached = append(cached, stats().Cache.Bytes)
+	}
+	if key, memo := cached[0], cached[1]; key <= 0 || memo <= key || cached[2] != memo || cached[3] != key {
+		t.Fatalf("cache.bytes after miss, hit, append, miss: %v", cached)
 	}
 }
 

@@ -355,6 +355,7 @@ func (b engineBackend) serverStats() wireServerStats {
 	out.Cache.Evictions = cs.Evictions
 	out.Cache.Invalidations = cs.Invalidations
 	out.Cache.Entries = cs.Entries
+	out.Cache.Bytes = cs.Bytes
 	return out
 }
 
@@ -743,6 +744,8 @@ type wireServerStats struct {
 		Evictions     uint64 `json:"evictions"`
 		Invalidations uint64 `json:"invalidations"`
 		Entries       int    `json:"entries"`
+		// Bytes is every cached key plus every memoised items encoding.
+		Bytes int `json:"bytes"`
 	} `json:"cache"`
 }
 

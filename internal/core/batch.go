@@ -3,7 +3,7 @@
 // applied in order:
 //
 //  1. cache — each request is probed against the result cache first;
-//  2. dedup — identical cacheable requests (same canonical fingerprint)
+//  2. dedup — identical cacheable requests (same canonical key bytes)
 //     execute once, with followers receiving copies of the leader's
 //     result;
 //  3. amortized fan-out — surviving requests are ordered into per-
@@ -37,12 +37,11 @@ type BatchResult struct {
 // batchEntry is one deduped unit of execution: a validated request plus
 // the batch positions its result must be copied to.
 type batchEntry struct {
-	idx       int     // position in the caller's request slice
-	req       Request // validated copy (defaults resolved)
-	key       qcache.Key
-	cacheable bool
-	gen       uint64 // target dataset's generation at probe time
-	followers []int  // positions holding identical requests
+	idx       int                 // position in the caller's request slice
+	req       Request             // validated copy (defaults resolved)
+	fp        *qcache.Fingerprint // cache key; nil when not cacheable
+	gen       uint64              // target dataset's generation at probe time
+	followers []int               // positions holding identical requests
 }
 
 // RunBatch executes many requests as one serving unit and returns one
@@ -67,37 +66,45 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	}
 	start := time.Now()
 
-	// Phase 1: validate, probe the cache, dedup identical requests.
+	// Phase 1: validate, probe the cache, dedup identical requests. A
+	// leader keeps its key until its result is stored.
 	var exec []*batchEntry
-	leaderByKey := make(map[qcache.Key]*batchEntry)
+	leaderByKey := make(map[string]*batchEntry)
+	defer func() {
+		for _, l := range leaderByKey {
+			l.fp.Release()
+		}
+	}()
 	for i := range reqs {
 		req := reqs[i]
 		if err := validateRequest(&req); err != nil {
 			out[i].Err = err
 			continue
 		}
-		var key qcache.Key
+		var fp *qcache.Fingerprint
 		var gen uint64
 		cacheable := false
 		if e.cache != nil {
-			key, cacheable = fingerprintRequest(req)
+			fp, cacheable = fingerprintRequest(req)
 		}
 		if cacheable {
 			// Per-dataset generation, sampled before the plan resolves
 			// the shard list — same staleness argument as runReq.
 			gen = e.generationOf(req)
-			if res, ok := e.cacheGet(key, gen, start); ok {
+			if res, ok := e.cacheGet(fp.Key(), gen, start); ok {
 				out[i].Result = res
+				fp.Release()
 				continue
 			}
-			if l, ok := leaderByKey[key]; ok {
+			if l, ok := leaderByKey[string(fp.Key())]; ok {
 				l.followers = append(l.followers, i)
+				fp.Release()
 				continue
 			}
 		}
-		en := &batchEntry{idx: i, req: req, key: key, cacheable: cacheable, gen: gen}
+		en := &batchEntry{idx: i, req: req, fp: fp, gen: gen}
 		if cacheable {
-			leaderByKey[key] = en
+			leaderByKey[string(fp.Key())] = en
 		}
 		exec = append(exec, en)
 	}
@@ -176,8 +183,8 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 			items = filterMinScore(items, *en.req.MinScore)
 		}
 		st.Kind = en.req.Query.Kind()
-		if en.cacheable {
-			e.cachePut(en.key, en.gen, items, st)
+		if en.fp != nil {
+			e.cachePut(en.fp.Key(), en.gen, items, st)
 		}
 		st.Wall = time.Since(start)
 		st.Cache = e.cacheInfo(false)

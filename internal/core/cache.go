@@ -1,7 +1,7 @@
 // Result-cache wiring: canonical Request fingerprinting,
-// generation-checked lookup, and defensive copying so cached results
-// stay immutable no matter what callers do with the slices they
-// receive.
+// generation-checked lookup, defensive copying so cached results stay
+// immutable no matter what callers do with the slices they receive,
+// and the per-entry memo of a serving layer's encoded items.
 //
 // What is cacheable: a request whose result is a pure function of
 // (dataset name, K, MinScore, query content). Three things opt a
@@ -36,6 +36,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"modelir/internal/qcache"
@@ -58,10 +59,44 @@ type CacheInfo struct {
 
 // cachedResult is one stored answer. Its items and stats are never
 // handed out directly: cacheGet clones on the way out exactly as
-// cachePut clones on the way in.
+// cachePut clones on the way in. memo holds the encoded items the first
+// hit's Result.AppendItems produced; a replaced or invalidated entry
+// takes its memo with it, so a memo always encodes these items.
 type cachedResult struct {
 	items []topk.Item
 	stats QueryStats // Wall and Cache zeroed; filled per serve
+	memo  atomic.Pointer[[]byte]
+}
+
+// Size reports the memoised bytes (qcache.Sized).
+func (cr *cachedResult) Size() int {
+	if m := cr.memo.Load(); m != nil {
+		return len(*m)
+	}
+	return 0
+}
+
+// AppendItems appends enc's encoding of r.Items to dst. For a result
+// served from the cache it encodes the entry's own items (r.Items is a
+// copy of them) once, keeps the bytes on the entry, and appends those
+// on every later serve of the entry, so enc must be a pure function of
+// the items and the same function on every call in a process. An enc
+// error is returned as is and nothing is kept.
+func (r *Result) AppendItems(dst []byte, enc func(dst []byte, items []topk.Item) ([]byte, error)) ([]byte, error) {
+	if r.cached == nil {
+		return enc(dst, r.Items)
+	}
+	if m := r.cached.memo.Load(); m != nil {
+		return append(dst, *m...), nil
+	}
+	start := len(dst)
+	dst, err := enc(dst, r.cached.items)
+	if err != nil {
+		return dst, err
+	}
+	memo := append([]byte(nil), dst[start:]...)
+	r.cached.memo.Store(&memo)
+	return dst, nil
 }
 
 // cloneItems deep-copies a result set far enough that no caller can
@@ -82,7 +117,7 @@ func cloneItems(items []topk.Item) []topk.Item {
 // cache counters onto otherwise bit-identical stats. gen is the target
 // dataset's current generation; entries stamped with any other
 // generation are refused (and dropped) by qcache.
-func (e *Engine) cacheGet(key qcache.Key, gen uint64, start time.Time) (Result, bool) {
+func (e *Engine) cacheGet(key []byte, gen uint64, start time.Time) (Result, bool) {
 	v, ok := e.cache.Get(key, gen)
 	if !ok {
 		return Result{}, false
@@ -91,12 +126,12 @@ func (e *Engine) cacheGet(key qcache.Key, gen uint64, start time.Time) (Result, 
 	st := cr.stats
 	st.Wall = time.Since(start)
 	st.Cache = e.cacheInfo(true)
-	return Result{Items: cloneItems(cr.items), Stats: st}, true
+	return Result{Items: cloneItems(cr.items), Stats: st, cached: cr}, true
 }
 
 // cachePut stores a cold result under the dataset generation observed
 // before its execution began.
-func (e *Engine) cachePut(key qcache.Key, gen uint64, items []topk.Item, st QueryStats) {
+func (e *Engine) cachePut(key []byte, gen uint64, items []topk.Item, st QueryStats) {
 	st.Wall = 0
 	st.Cache = CacheInfo{}
 	e.cache.Put(key, gen, &cachedResult{items: cloneItems(items), stats: st})
@@ -165,11 +200,12 @@ func (e *Engine) generationOf(req Request) uint64 {
 	return 0
 }
 
-// fingerprintRequest computes the canonical cache key of a validated
-// request, or ok=false when the request is not cacheable.
-func fingerprintRequest(req Request) (qcache.Key, bool) {
+// fingerprintRequest frames the canonical cache key of a validated
+// request into a pooled fingerprint, or returns ok=false when the
+// request is not cacheable. The caller releases the fingerprint.
+func fingerprintRequest(req Request) (*qcache.Fingerprint, bool) {
 	if req.Budget > 0 {
-		return qcache.Key{}, false
+		return nil, false
 	}
 	f := qcache.NewFingerprint()
 	f.Field("dataset").String(req.Dataset)
@@ -182,40 +218,43 @@ func fingerprintRequest(req Request) (qcache.Key, bool) {
 	}
 	f.Field("query")
 	if !fingerprintQuery(f, req.Query) {
-		return qcache.Key{}, false
+		f.Release()
+		return nil, false
 	}
-	return f.Key(), true
+	return f, true
 }
 
 // fingerprintQuery appends the query's family tag and canonical model
-// content. Unknown query shapes (including pointer-wrapped family
-// types) conservatively bypass the cache.
+// content, which each model's AppendCanonical writes straight into the
+// key. Unknown query shapes (including pointer-wrapped family types)
+// conservatively bypass the cache.
 func fingerprintQuery(f *qcache.Fingerprint, q Query) bool {
 	switch q := q.(type) {
 	case LinearQuery:
 		if q.Model == nil {
 			return false
 		}
-		f.String("linear").Bytes(q.Model.AppendCanonical(nil))
+		f.String("linear").BytesOf(q.Model.AppendCanonical)
 	case SceneQuery:
 		if q.Model == nil {
 			return false
 		}
-		f.String("scene").Bytes(q.Model.AppendCanonical(nil))
+		f.String("scene").BytesOf(q.Model.AppendCanonical)
 	case FSMQuery:
 		if q.Machine == nil || q.Prefilter != nil {
 			return false
 		}
-		f.String("fsm").Bytes(q.Machine.AppendCanonical(nil))
+		f.String("fsm").BytesOf(q.Machine.AppendCanonical)
 	case FSMDistanceQuery:
 		if q.Target == nil {
 			return false
 		}
-		f.String("fsm-distance").Bytes(q.Target.AppendCanonical(nil)).Int(int64(q.Horizon))
+		f.String("fsm-distance").BytesOf(q.Target.AppendCanonical).Int(int64(q.Horizon))
 	case GeologyQuery:
-		seq := make([]int, len(q.Sequence))
-		for i, l := range q.Sequence {
-			seq[i] = int(l)
+		var arr [16]int
+		seq := arr[:0]
+		for _, l := range q.Sequence {
+			seq = append(seq, int(l))
 		}
 		method := q.Method
 		if method == 0 {
@@ -228,11 +267,12 @@ func fingerprintQuery(f *qcache.Fingerprint, q Query) bool {
 		if q.Rules == nil {
 			return false
 		}
-		b, ok := q.Rules.AppendCanonical(nil)
-		if !ok {
-			return false
-		}
-		f.String("knowledge").Bytes(b)
+		ok := true
+		f.String("knowledge").BytesOf(func(b []byte) []byte {
+			b, ok = q.Rules.AppendCanonical(b)
+			return b
+		})
+		return ok
 	default:
 		return false
 	}

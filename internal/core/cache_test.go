@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/qcache"
+	"modelir/internal/topk"
 )
 
 // TestCacheHitMatchesMiss pins the acceptance criterion: a cache hit
@@ -139,6 +142,16 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	resultsEqual(t, "re-cache under new generation", again, stale)
 }
 
+// requestKey is fingerprintRequest's key bytes as a comparable value.
+func requestKey(req Request) (string, bool) {
+	f, ok := fingerprintRequest(req)
+	if !ok {
+		return "", false
+	}
+	defer f.Release()
+	return string(f.Key()), true
+}
+
 // TestFingerprintSemantics pins which requests share a cache line and
 // which never enter the cache at all.
 func TestFingerprintSemantics(t *testing.T) {
@@ -147,7 +160,7 @@ func TestFingerprintSemantics(t *testing.T) {
 	if err := validateRequest(&base); err != nil {
 		t.Fatal(err)
 	}
-	baseKey, ok := fingerprintRequest(base)
+	baseKey, ok := requestKey(base)
 	if !ok {
 		t.Fatal("plain linear request not cacheable")
 	}
@@ -155,7 +168,7 @@ func TestFingerprintSemantics(t *testing.T) {
 	// Workers changes scheduling only — it must share the cache line.
 	workers := base
 	workers.Workers = 7
-	if k, ok := fingerprintRequest(workers); !ok || k != baseKey {
+	if k, ok := requestKey(workers); !ok || k != baseKey {
 		t.Fatal("Workers changed the fingerprint")
 	}
 
@@ -173,39 +186,39 @@ func TestFingerprintSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	distinct = append(distinct, Request{Dataset: "gauss", Query: LinearQuery{Model: m2}, K: 5})
-	seen := map[string]int{string(baseKey[:]): -1}
+	seen := map[string]int{baseKey: -1}
 	for i := range distinct {
 		if err := validateRequest(&distinct[i]); err != nil {
 			t.Fatal(err)
 		}
-		k, ok := fingerprintRequest(distinct[i])
+		k, ok := requestKey(distinct[i])
 		if !ok {
 			t.Fatalf("variant %d not cacheable", i)
 		}
-		if j, dup := seen[string(k[:])]; dup {
+		if j, dup := seen[k]; dup {
 			t.Fatalf("variants %d and %d collide", i, j)
 		}
-		seen[string(k[:])] = i
+		seen[k] = i
 	}
 
 	// Uncacheable shapes: scheduling-dependent or unfingerprintable.
 	budget := base
 	budget.Budget = 100
-	if _, ok := fingerprintRequest(budget); ok {
+	if _, ok := requestKey(budget); ok {
 		t.Fatal("budgeted request fingerprinted (truncation is scheduling-dependent)")
 	}
 	pre := Request{Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts(), Prefilter: FireAntsPrefilter}, K: 5}
 	if err := validateRequest(&pre); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fingerprintRequest(pre); ok {
+	if _, ok := requestKey(pre); ok {
 		t.Fatal("prefiltered FSM request fingerprinted (func values have no content)")
 	}
 	custom := Request{Dataset: "hps", Query: KnowledgeQuery{Rules: customMembershipRules()}, K: 5}
 	if err := validateRequest(&custom); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fingerprintRequest(custom); ok {
+	if _, ok := requestKey(custom); ok {
 		t.Fatal("unknown membership fingerprinted")
 	}
 
@@ -220,8 +233,8 @@ func TestFingerprintSemantics(t *testing.T) {
 	if err := validateRequest(&gDP); err != nil {
 		t.Fatal(err)
 	}
-	k0, ok0 := fingerprintRequest(g0)
-	kDP, okDP := fingerprintRequest(gDP)
+	k0, ok0 := requestKey(g0)
+	kDP, okDP := requestKey(gDP)
 	if !ok0 || !okDP || k0 != kDP {
 		t.Fatal("geology Method zero and GeoDP fingerprint apart")
 	}
@@ -236,8 +249,8 @@ func TestFingerprintSemantics(t *testing.T) {
 	if err := validateRequest(&dq); err != nil {
 		t.Fatal(err)
 	}
-	fk, _ := fingerprintRequest(fq)
-	dk, _ := fingerprintRequest(dq)
+	fk, _ := requestKey(fq)
+	dk, _ := requestKey(dq)
 	if fk == dk {
 		t.Fatal("FSM and FSM-distance queries collide")
 	}
@@ -408,4 +421,120 @@ func (customMembership) Grade(float64) float64 { return 1 }
 
 func customMembershipRules() *bayes.RuleSet {
 	return bayes.NewRuleSet().Require("b4.mean", customMembership{})
+}
+
+// TestAppendItemsMemo pins the memo's life cycle on one entry: a miss
+// keeps nothing, the first hit keeps what enc made of the entry's
+// items, later hits append that without calling enc, a replacing put
+// drops it, a failing enc keeps nothing, and a run pruned by a foreign
+// floor leaves no entry for a memo to attach to.
+func TestAppendItemsMemo(t *testing.T) {
+	a := buildArchives(t)
+	e := engineWithArchivesOpts(t, Options{Shards: 4}, a)
+	ctx := context.Background()
+	calls := 0
+	enc := func(dst []byte, items []topk.Item) ([]byte, error) {
+		calls++
+		start := len(dst)
+		for _, it := range items {
+			if math.IsNaN(it.Score) {
+				return dst[:start], fmt.Errorf("item %d: NaN", it.ID)
+			}
+			dst = fmt.Appendf(dst, "%d:%x;", it.ID, math.Float64bits(it.Score))
+		}
+		return dst, nil
+	}
+	serve := func(label string, req Request, wantHit bool) ([]byte, error) {
+		t.Helper()
+		res, err := e.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Cache.Hit != wantHit {
+			t.Fatalf("%s: hit %v, want %v", label, res.Stats.Cache.Hit, wantHit)
+		}
+		out, err := res.AppendItems([]byte("<"), enc)
+		if err == nil {
+			fresh, _ := enc([]byte("<"), res.Items)
+			calls--
+			if !bytes.Equal(out, fresh) {
+				t.Fatalf("%s: AppendItems %q, fresh encode %q", label, out, fresh)
+			}
+		}
+		return out, err
+	}
+	bytesNow := func() int { return e.CacheStats().Bytes }
+
+	req := Request{Dataset: "gauss", Query: LinearQuery{Model: testLinearModel(t)}, K: 5}
+	serve("miss", req, false)
+	keyOnly := bytesNow()
+	if calls != 1 || keyOnly == 0 {
+		t.Fatalf("miss: %d encodes, %d cached bytes", calls, keyOnly)
+	}
+	first, _ := serve("first hit", req, true)
+	if calls != 2 || bytesNow() != keyOnly+len(first)-1 {
+		t.Fatalf("first hit: %d encodes, %d cached bytes, want %d", calls, bytesNow(), keyOnly+len(first)-1)
+	}
+	if again, _ := serve("second hit", req, true); calls != 2 || !bytes.Equal(again, first) {
+		t.Fatalf("second hit: %d encodes, %q vs %q", calls, again, first)
+	}
+
+	// A put over a live key replaces the entry and its memo.
+	if err := validateRequest(&req); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := fingerprintRequest(req)
+	defer f.Release()
+	gen := e.generationOf(req)
+	hit, _ := e.Run(ctx, req)
+	other := append([]topk.Item(nil), hit.Items[1:]...)
+	e.cachePut(f.Key(), gen, other, hit.Stats)
+	if bytesNow() != keyOnly {
+		t.Fatalf("replacing put kept %d memo bytes", bytesNow()-keyOnly)
+	}
+	if got, _ := serve("hit after replace", req, true); bytes.Equal(got, first) {
+		t.Fatal("replaced entry served the old memo")
+	}
+
+	// An encoding that fails keeps nothing: the next hit fails again.
+	nan := append([]topk.Item(nil), other...)
+	nan[0].Score = math.NaN()
+	e.cachePut(f.Key(), gen, nan, hit.Stats)
+	for i := 0; i < 2; i++ {
+		before := calls
+		if _, err := serve("NaN hit", req, true); err == nil || calls != before+1 {
+			t.Fatalf("NaN hit %d: err %v after %d encodes", i, err, calls-before)
+		}
+	}
+	if bytesNow() != keyOnly {
+		t.Fatalf("failed encode kept %d memo bytes", bytesNow()-keyOnly)
+	}
+
+	// A foreign-floored run is not stored, so the standalone request
+	// after it misses, and its first hit memoises the full answer.
+	wide := Request{Dataset: "gauss", Query: LinearQuery{Model: testLinearModel(t)}, K: 7}
+	full, err := engineWithArchivesOpts(t, Options{Shards: 4, CacheEntries: -1}, a).Run(ctx, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewSharedBound()
+	sb.Raise(full.Items[2].Score)
+	cut, err := e.RunShared(ctx, wide, sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cut.Items) >= len(full.Items) {
+		t.Fatalf("foreign floor pruned nothing: %d items", len(cut.Items))
+	}
+	if _, err := cut.AppendItems(nil, enc); err != nil {
+		t.Fatal(err)
+	}
+	serve("after foreign floor", wide, false)
+	want, _ := enc(nil, full.Items)
+	calls--
+	for i := 0; i < 2; i++ {
+		if got, _ := serve("hit after foreign floor", wide, true); !bytes.Equal(got[1:], want) {
+			t.Fatalf("hit %d after a foreign-floored run: %q, want %q", i, got[1:], want)
+		}
+	}
 }

@@ -114,6 +114,8 @@ type QueryStats struct {
 type Result struct {
 	Items []topk.Item
 	Stats QueryStats
+
+	cached *cachedResult // the cache entry a hit was served from, for AppendItems
 }
 
 // Snapshot is one progressive-delivery event from Engine.RunProgressive:
@@ -221,13 +223,14 @@ func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb 
 
 	// Result cache probe. Progressive streams bypass the cache: their
 	// contract is a stream of snapshots, not one result.
-	var key qcache.Key
+	var fp *qcache.Fingerprint
 	var gen uint64
 	cacheable := false
 	if snap == nil && e.cache != nil {
-		key, cacheable = fingerprintRequest(req)
+		fp, cacheable = fingerprintRequest(req)
 	}
 	if cacheable {
+		defer fp.Release()
 		// The target dataset's generation is sampled before the plan
 		// resolves its shard list, so an append racing this request
 		// either lands before the sample (the entry is stored under —
@@ -235,7 +238,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb 
 		// stamped stale the moment it is written). Other datasets'
 		// generations are untouched, so their entries stay live.
 		gen = e.generationOf(req)
-		if res, ok := e.cacheGet(key, gen, start); ok {
+		if res, ok := e.cacheGet(fp.Key(), gen, start); ok {
 			return res, nil
 		}
 	}
@@ -271,7 +274,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb 
 	// are hopeless only in the remote query's global merge; caching it
 	// would serve a truncated answer to a future standalone request.
 	if cacheable && !sb.foreignRaised() {
-		e.cachePut(key, gen, items, st)
+		e.cachePut(fp.Key(), gen, items, st)
 	}
 	st.Wall = time.Since(start)
 	st.Cache = e.cacheInfo(false)

@@ -9,23 +9,20 @@
 //     or process lifetime.
 //
 // Both come from framing: every write is tagged with its type and
-// length-prefixed before entering a SHA-256, so adjacent fields can
-// never re-associate (("ab","c") vs ("a","bc")), a missing optional
-// field is distinguishable from a zero value, and numeric types with
-// identical bit patterns but different meanings stay distinct. SHA-256
-// makes engineered collisions infeasible and accidental ones
-// negligible (2^-128 birthday bound dwarfs any fleet's query volume).
+// length-prefixed, so adjacent fields can never re-associate
+// (("ab","c") vs ("a","bc")), a missing optional field is
+// distinguishable from a zero value, and numeric types with identical
+// bit patterns but different meanings stay distinct. The framed bytes
+// are the key itself, compared exactly: two keys are equal iff their
+// encodings are, so there is no hash and no collision bound to argue.
 
 package qcache
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"sync"
 )
-
-// KeySize is the fingerprint digest width in bytes.
-const KeySize = sha256.Size
 
 // Type tags. Each framed write starts with one, so values of different
 // types never collide even when their payload bytes match.
@@ -35,26 +32,49 @@ const (
 	tagInt
 	tagUint
 	tagFloat
-	tagBool
 	tagNil
 	tagList
 	tagField
 )
 
-// Fingerprint accumulates a canonical encoding of one request and
-// digests it into a Key. The zero value is ready to use.
+// Fingerprint accumulates the canonical framed encoding of one request;
+// Key returns it. Fingerprints come from a pool (NewFingerprint) and
+// go back with Release once the key is no longer referenced.
 type Fingerprint struct {
 	buf []byte
 }
 
-// NewFingerprint returns an empty fingerprint builder.
-func NewFingerprint() *Fingerprint { return &Fingerprint{} }
+var fingerprintPool = sync.Pool{New: func() any { return new(Fingerprint) }}
+
+// maxPooledKey keeps a rare huge key (a large rule set) from pinning its
+// buffer in the pool; request keys are a few hundred bytes.
+const maxPooledKey = 64 << 10
+
+// NewFingerprint returns an empty fingerprint drawn from a pool.
+func NewFingerprint() *Fingerprint {
+	f := fingerprintPool.Get().(*Fingerprint)
+	f.buf = f.buf[:0]
+	return f
+}
+
+// Release returns the fingerprint to the pool. Its Key must not be used
+// afterwards.
+func (f *Fingerprint) Release() {
+	if cap(f.buf) <= maxPooledKey {
+		fingerprintPool.Put(f)
+	}
+}
 
 func (f *Fingerprint) frame(tag byte, payload int) {
 	f.buf = append(f.buf, tag)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(payload))
-	f.buf = append(f.buf, n[:]...)
+	f.buf = binary.BigEndian.AppendUint64(f.buf, uint64(payload))
+}
+
+// word appends one framed 8-byte big-endian value.
+func (f *Fingerprint) word(tag byte, v uint64) *Fingerprint {
+	f.frame(tag, 8)
+	f.buf = binary.BigEndian.AppendUint64(f.buf, v)
+	return f
 }
 
 // Field marks the start of a named field. Writing the field name as its
@@ -73,51 +93,33 @@ func (f *Fingerprint) String(s string) *Fingerprint {
 	return f
 }
 
-// Bytes appends a framed byte-slice value.
-func (f *Fingerprint) Bytes(b []byte) *Fingerprint {
-	f.frame(tagBytes, len(b))
-	f.buf = append(f.buf, b...)
+// BytesOf appends whatever fill appends as one framed byte-slice value,
+// written in place: the length prefix is reserved first and patched
+// once fill returns, so there is no intermediate slice. fill must only
+// append to its argument.
+func (f *Fingerprint) BytesOf(fill func([]byte) []byte) *Fingerprint {
+	f.frame(tagBytes, 0)
+	start := len(f.buf)
+	f.buf = fill(f.buf)
+	binary.BigEndian.PutUint64(f.buf[start-8:start], uint64(len(f.buf)-start))
 	return f
 }
 
 // Int appends a framed signed integer.
 func (f *Fingerprint) Int(v int64) *Fingerprint {
-	f.frame(tagInt, 8)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(v))
-	f.buf = append(f.buf, n[:]...)
-	return f
+	return f.word(tagInt, uint64(v))
 }
 
 // Uint appends a framed unsigned integer.
 func (f *Fingerprint) Uint(v uint64) *Fingerprint {
-	f.frame(tagUint, 8)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], v)
-	f.buf = append(f.buf, n[:]...)
-	return f
+	return f.word(tagUint, v)
 }
 
 // Float appends a framed float64 by IEEE-754 bit pattern. Distinct bit
 // patterns (including ±0) fingerprint distinctly; callers that treat
 // them as equal must normalize first.
 func (f *Fingerprint) Float(v float64) *Fingerprint {
-	f.frame(tagFloat, 8)
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], math.Float64bits(v))
-	f.buf = append(f.buf, n[:]...)
-	return f
-}
-
-// Bool appends a framed boolean.
-func (f *Fingerprint) Bool(v bool) *Fingerprint {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	f.frame(tagBool, 1)
-	f.buf = append(f.buf, b)
-	return f
+	return f.word(tagFloat, math.Float64bits(v))
 }
 
 // Nil appends an explicit absent-value marker, distinguishing "field
@@ -137,15 +139,6 @@ func (f *Fingerprint) Floats(vs []float64) *Fingerprint {
 	return f
 }
 
-// Strings appends a framed string list.
-func (f *Fingerprint) Strings(vs []string) *Fingerprint {
-	f.frame(tagList, len(vs))
-	for _, v := range vs {
-		f.String(v)
-	}
-	return f
-}
-
 // Ints appends a framed int list.
 func (f *Fingerprint) Ints(vs []int) *Fingerprint {
 	f.frame(tagList, len(vs))
@@ -155,8 +148,7 @@ func (f *Fingerprint) Ints(vs []int) *Fingerprint {
 	return f
 }
 
-// Key digests everything written so far. The builder may keep
-// accumulating afterwards (later Keys cover the longer prefix).
-func (f *Fingerprint) Key() Key {
-	return Key(sha256.Sum256(f.buf))
-}
+// Key returns everything written so far: the cache key itself. It
+// aliases the fingerprint's buffer, so it is valid until the next write or
+// Release; Cache.Put copies it.
+func (f *Fingerprint) Key() []byte { return f.buf }

@@ -1,31 +1,67 @@
 package qcache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// fingerprintRecord encodes a Request-shaped record the way the engine
-// does (dataset, options, query kind, model parameters): one framed
-// field at a time, in a fixed canonical order. The fuzz target below
-// pins the two cache-key properties on it: determinism (same record,
-// same key — regardless of how the record was assembled) and
-// distinctness (semantically different records never collide).
-func fingerprintRecord(dataset, kind string, k int64, hasMin bool, minScore float64, coeffs []float64, intercept float64) Key {
+// record is a Request-shaped value (dataset, options, query kind, model
+// content, model parameters) framed the way the engine frames one. The
+// model content is two adjacent byte values (model and spec), each
+// through BytesOf, the in-place framed append whose length prefix is
+// patched afterwards.
+type record struct {
+	dataset, kind string
+	k             int64
+	hasMin        bool
+	minScore      float64
+	model, spec   []byte
+	coeffs        []float64
+	intercept     float64
+}
+
+// key frames r into a pooled fingerprint and returns a copy of the key. The
+// model bytes are appended in two pieces, so fill grows the buffer
+// while the length prefix waits to be patched.
+func (r record) key() []byte {
 	f := NewFingerprint()
-	f.Field("dataset").String(dataset)
-	f.Field("k").Int(k)
+	defer f.Release()
+	f.Field("dataset").String(r.dataset)
+	f.Field("k").Int(r.k)
 	f.Field("minscore")
-	if hasMin {
-		f.Float(minScore)
+	if r.hasMin {
+		f.Float(r.minScore)
 	} else {
 		f.Nil()
 	}
-	f.Field("query").String(kind)
-	f.Field("coeffs").Floats(coeffs)
-	f.Field("intercept").Float(intercept)
-	return f.Key()
+	f.Field("query").String(r.kind).BytesOf(func(b []byte) []byte {
+		half := len(r.model) / 2
+		return append(append(b, r.model[:half]...), r.model[half:]...)
+	}).BytesOf(func(b []byte) []byte { return append(b, r.spec...) })
+	f.Field("coeffs").Floats(r.coeffs)
+	f.Field("intercept").Float(r.intercept)
+	return append([]byte(nil), f.Key()...)
+}
+
+// equal is field equality as the cache must see it: floats by bit
+// pattern, and MinScore's value only when it is present.
+func (r record) equal(o record) bool {
+	if r.dataset != o.dataset || r.kind != o.kind || r.k != o.k || r.hasMin != o.hasMin ||
+		!bytes.Equal(r.model, o.model) || !bytes.Equal(r.spec, o.spec) || len(r.coeffs) != len(o.coeffs) ||
+		math.Float64bits(r.intercept) != math.Float64bits(o.intercept) {
+		return false
+	}
+	if r.hasMin && math.Float64bits(r.minScore) != math.Float64bits(o.minScore) {
+		return false
+	}
+	for i := range r.coeffs {
+		if math.Float64bits(r.coeffs[i]) != math.Float64bits(o.coeffs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func coeffsFrom(b []byte) []float64 {
@@ -37,63 +73,88 @@ func coeffsFrom(b []byte) []float64 {
 	return out
 }
 
-// FuzzRequestFingerprint drives the record fingerprint with arbitrary
-// field values and checks that the key is a pure function of the
-// record's semantic content: rebuilding the identical record from
-// copied fields reproduces the key bit for bit, while perturbing any
-// single field — dataset, K, the optional MinScore (including merely
-// toggling its presence against an identical value), query kind, any
-// coefficient, the coefficient count, or the intercept — always
-// changes it.
+// FuzzRequestFingerprint checks that the key is an injective encoding
+// of the record: two fuzzed records give equal key bytes if and only if
+// their fields are equal. The model and spec bytes are framed by
+// BytesOf and may have any length, so the committed seeds try to move
+// bytes across the patched length prefixes in both directions. On top
+// of that, every single-field perturbation of the first record must
+// move its key, and the BytesOf frame must be exactly tag, big-endian
+// length, payload.
 func FuzzRequestFingerprint(f *testing.F) {
-	f.Add("gauss", "linear", int64(10), false, 0.0, []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00"), 3.0)
-	f.Add("", "", int64(0), true, 0.0, []byte{}, 0.0)
-	f.Add("weather", "fsm", int64(1), true, -1.5, []byte("abcdefghABCDEFGH"), -0.0)
-	// Re-association bait: dataset/kind boundary and coefficient
-	// framing are exactly what these seeds probe.
-	f.Add("ab", "c", int64(7), false, 0.0, []byte("\x00\x00\x00\x00\x00\x00\x00\x00"), 0.0)
-	f.Add("a", "bc", int64(7), false, 0.0, []byte{}, 0.0)
+	f.Add("gauss", "linear", int64(10), false, 0.0, []byte("LM"), []byte{}, []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00"), 3.0,
+		"gauss", "linear", int64(10), false, 1.0, []byte("LM"), []byte{}, []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00"), 3.0)
+	f.Add("", "", int64(0), true, 0.0, []byte{}, []byte{}, []byte{}, 0.0,
+		"", "", int64(0), true, 0.0, []byte{}, []byte{}, []byte{}, 0.0)
+	f.Add("weather", "fsm", int64(1), true, -1.5, []byte("FS"), []byte{}, []byte("abcdefghABCDEFGH"), math.Copysign(0, -1),
+		"weather", "fsm", int64(1), true, -1.5, []byte("FS"), []byte{}, []byte("abcdefghABCDEFGH"), 0.0)
+	// Re-association bait: the dataset/kind boundary, and bytes moved
+	// across the model/spec patched prefixes.
+	f.Add("ab", "c", int64(7), false, 0.0, []byte("xy"), []byte("z"), []byte{}, 0.0,
+		"a", "bc", int64(7), false, 0.0, []byte("xy"), []byte("z"), []byte{}, 0.0)
+	f.Add("ab", "c", int64(7), false, 0.0, []byte("xy"), []byte("z"), []byte{}, 0.0,
+		"ab", "c", int64(7), false, 0.0, []byte("x"), []byte("yz"), []byte{}, 0.0)
 
-	f.Fuzz(func(t *testing.T, dataset, kind string, k int64, hasMin bool, minScore float64, coeffBytes []byte, intercept float64) {
-		coeffs := coeffsFrom(coeffBytes)
-		key := fingerprintRecord(dataset, kind, k, hasMin, minScore, coeffs, intercept)
+	f.Fuzz(func(t *testing.T,
+		dataset, kind string, k int64, hasMin bool, minScore float64, model, spec, coeffBytes []byte, intercept float64,
+		dataset2, kind2 string, k2 int64, hasMin2 bool, minScore2 float64, model2, spec2, coeffBytes2 []byte, intercept2 float64,
+	) {
+		a := record{dataset, kind, k, hasMin, minScore, model, spec, coeffsFrom(coeffBytes), intercept}
+		b := record{dataset2, kind2, k2, hasMin2, minScore2, model2, spec2, coeffsFrom(coeffBytes2), intercept2}
+		ka, kb := a.key(), b.key()
+		if eq := a.equal(b); eq != bytes.Equal(ka, kb) {
+			t.Fatalf("fields equal %v, keys equal %v:\n%+v\n%+v\n%x\n%x", eq, !eq, a, b, ka, kb)
+		}
 
-		// Determinism: rebuilding from copied fields reproduces the key.
-		coeffs2 := append([]float64(nil), coeffs...)
-		if again := fingerprintRecord(dataset, kind, k, hasMin, minScore, coeffs2, intercept); again != key {
-			t.Fatalf("fingerprint not deterministic: %x vs %x", key, again)
+		// Determinism: a record rebuilt from copied fields keys the same.
+		c := a
+		c.model = append([]byte(nil), a.model...)
+		c.spec = append([]byte(nil), a.spec...)
+		c.coeffs = append([]float64(nil), a.coeffs...)
+		if !bytes.Equal(c.key(), ka) {
+			t.Fatal("fingerprint not deterministic")
 		}
 
 		// Distinctness: every single-field perturbation moves the key.
-		type variant struct {
-			name string
-			key  Key
+		flip := func(v float64) float64 { return math.Float64frombits(math.Float64bits(v) ^ 1) }
+		variants := map[string]func(*record){
+			"dataset":           func(r *record) { r.dataset += "x" },
+			"kind":              func(r *record) { r.kind += "x" },
+			"k":                 func(r *record) { r.k++ },
+			"minscore-presence": func(r *record) { r.hasMin = !r.hasMin },
+			"model-length":      func(r *record) { r.model = append(r.model, 0) },
+			"spec-length":       func(r *record) { r.spec = append(r.spec, 0) },
+			"coeff-count":       func(r *record) { r.coeffs = append(r.coeffs, 1) },
+			"intercept":         func(r *record) { r.intercept = flip(r.intercept) },
 		}
-		variants := []variant{
-			{"dataset", fingerprintRecord(dataset+"x", kind, k, hasMin, minScore, coeffs, intercept)},
-			{"kind", fingerprintRecord(dataset, kind+"x", k, hasMin, minScore, coeffs, intercept)},
-			{"k", fingerprintRecord(dataset, kind, k+1, hasMin, minScore, coeffs, intercept)},
-			{"minscore-presence", fingerprintRecord(dataset, kind, k, !hasMin, minScore, coeffs, intercept)},
-			{"coeff-count", fingerprintRecord(dataset, kind, k, hasMin, minScore, append(coeffs2, 1), intercept)},
+		if a.hasMin {
+			variants["minscore"] = func(r *record) { r.minScore = flip(r.minScore) }
 		}
-		if hasMin {
-			flipped := math.Float64frombits(math.Float64bits(minScore) ^ 1)
-			variants = append(variants,
-				variant{"minscore", fingerprintRecord(dataset, kind, k, hasMin, flipped, coeffs, intercept)})
+		if len(a.model) > 0 {
+			variants["model-bytes"] = func(r *record) { r.model[len(r.model)-1] ^= 1 }
 		}
-		if len(coeffs) > 0 {
-			mut := append([]float64(nil), coeffs...)
-			mut[0] = math.Float64frombits(math.Float64bits(mut[0]) ^ 1)
-			variants = append(variants,
-				variant{"coeff-bits", fingerprintRecord(dataset, kind, k, hasMin, minScore, mut, intercept)})
+		if len(a.coeffs) > 0 {
+			variants["coeff-bits"] = func(r *record) { r.coeffs[0] = flip(r.coeffs[0]) }
 		}
-		flippedIc := math.Float64frombits(math.Float64bits(intercept) ^ 1)
-		variants = append(variants,
-			variant{"intercept", fingerprintRecord(dataset, kind, k, hasMin, minScore, coeffs, flippedIc)})
-		for _, v := range variants {
-			if v.key == key {
-				t.Fatalf("perturbing %s did not change the fingerprint", v.name)
+		for name, mutate := range variants {
+			v := a
+			v.model = append([]byte(nil), a.model...)
+			v.spec = append([]byte(nil), a.spec...)
+			v.coeffs = append([]float64(nil), a.coeffs...)
+			mutate(&v)
+			if bytes.Equal(v.key(), ka) {
+				t.Fatalf("perturbing %s did not change the fingerprint", name)
 			}
+		}
+
+		// The patched frame is what a frame written up front would be.
+		want := binary.BigEndian.AppendUint64([]byte{tagBytes}, uint64(len(model)))
+		want = append(want, model...)
+		fp := NewFingerprint()
+		defer fp.Release()
+		got := fp.BytesOf(func(b []byte) []byte { return append(b, model...) }).Key()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("BytesOf frame %x, want %x", got, want)
 		}
 	})
 }

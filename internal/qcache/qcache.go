@@ -1,34 +1,33 @@
 // Package qcache is the engine's query-result cache: a sharded LRU
-// keyed by a canonical Request fingerprint (see Fingerprint) and
+// keyed by the exact canonical bytes of a request (see Fingerprint) and
 // invalidated by a generation counter the caller supplies — the engine
 // passes the target dataset's own generation, bumped on every append
 // to that dataset, so writes to one dataset never evict another's
-// entries. The paper's screening/pruning structure makes repeated
-// and near-duplicate queries highly cacheable — a model re-run against
-// an unchanged archive is, by the engine's determinism guarantee,
-// guaranteed to produce the same answer, so serving it from memory is
-// exact, not approximate.
+// entries. By the engine's determinism guarantee a model re-run against
+// an unchanged archive produces the same answer, so serving it from
+// memory is exact, not approximate.
 //
-// Concurrency: the cache is sharded by key prefix, each shard guarded
-// by its own mutex, so concurrent hits on different shards never
-// contend. Counters are engine-wide atomics.
+// Keys: Get takes the framed request bytes and looks them up without
+// copying or allocating; only Put keeps a copy. Two requests share an
+// entry iff their encodings are byte-equal. A seeded maphash of the key
+// picks the shard.
+//
+// Concurrency: each shard is guarded by its own mutex, so concurrent
+// hits on different shards never contend. Counters are cache-wide
+// atomics.
 //
 // Invalidation: every entry records the generation it was computed
-// under. Get compares the entry's generation against the caller's
-// current one and treats any mismatch as a miss, deleting the stale
-// entry — so after an append bumps the dataset's generation, no
-// pre-append result is ever served again. (The cache itself is
-// agnostic to what the counter means; the parameter is still named
-// epoch below.)
+// under. Get compares it against the caller's current one and treats
+// any mismatch as a miss, deleting the stale entry — so after an append
+// bumps the dataset's generation, no pre-append result is ever served
+// again. (The cache itself is agnostic to what the counter means.)
 package qcache
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
-
-// Key is a canonical request fingerprint (see Fingerprint.Key).
-type Key [KeySize]byte
 
 // Options tunes cache construction.
 type Options struct {
@@ -50,25 +49,33 @@ const (
 type Stats struct {
 	// Hits counts Gets that returned a live entry.
 	Hits uint64
-	// Misses counts Gets that found nothing (including epoch
+	// Misses counts Gets that found nothing (including generation
 	// invalidations, which are also counted separately).
 	Misses uint64
 	// Stores counts Puts (inserts and replacements both).
 	Stores uint64
 	// Evictions counts entries dropped by LRU capacity pressure.
 	Evictions uint64
-	// Invalidations counts entries dropped because their epoch was
-	// stale at lookup.
+	// Invalidations counts entries dropped because their generation
+	// was stale at lookup.
 	Invalidations uint64
 	// Entries is the number of currently cached results.
 	Entries int
+	// Bytes is what the entries hold beyond their fixed overhead: every
+	// key plus, for values implementing Sized, their Size.
+	Bytes int
 }
 
-// Cache is a sharded, epoch-checked LRU. The zero value is not usable;
-// construct with New.
+// Sized is implemented by cached values that hold bytes of their own
+// (the engine's memoised response fragments); Stats counts them.
+type Sized interface{ Size() int }
+
+// Cache is a sharded, generation-checked LRU. The zero value is not
+// usable; construct with New.
 type Cache struct {
 	shards []*cacheShard
 	mask   uint64
+	seed   maphash.Seed
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -89,33 +96,29 @@ func New(opt Options) *Cache {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
-	// Round shards up to a power of two so key-prefix masking is a
-	// single AND.
+	// Round shards up to a power of two so shard selection is a single
+	// AND.
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
 	perShard := (entries + n - 1) / n
-	c := &Cache{shards: make([]*cacheShard, n), mask: uint64(n - 1)}
+	c := &Cache{shards: make([]*cacheShard, n), mask: uint64(n - 1), seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i] = newCacheShard(perShard)
 	}
 	return c
 }
 
-func (c *Cache) shardFor(key Key) *cacheShard {
-	// The key is a cryptographic hash: any 8 bytes are uniformly
-	// distributed, so the low word picks shards evenly.
-	v := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-		uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-	return c.shards[v&c.mask]
+func (c *Cache) shardFor(key []byte) *cacheShard {
+	return c.shards[maphash.Bytes(c.seed, key)&c.mask]
 }
 
-// Get returns the value cached under key if it is live at the given
-// epoch. A stale entry (any epoch mismatch) is deleted and reported as
-// a miss.
-func (c *Cache) Get(key Key, epoch uint64) (any, bool) {
-	v, ok, stale := c.shardFor(key).get(key, epoch)
+// Get returns the value cached under key if it is live at generation
+// gen. A stale entry (any generation mismatch) is deleted and reported
+// as a miss. Get neither retains nor copies key.
+func (c *Cache) Get(key []byte, gen uint64) (any, bool) {
+	v, ok, stale := c.shardFor(key).get(key, gen)
 	if stale {
 		c.invalidations.Add(1)
 	}
@@ -127,37 +130,38 @@ func (c *Cache) Get(key Key, epoch uint64) (any, bool) {
 	return nil, false
 }
 
-// Put caches value under key at the given epoch, replacing any previous
-// entry for the key and evicting the least-recently-used entry when the
-// shard is full.
-func (c *Cache) Put(key Key, epoch uint64, value any) {
+// Put caches value under a copy of key at generation gen, replacing any
+// previous entry for the key and evicting the least-recently-used entry
+// when the shard is full.
+func (c *Cache) Put(key []byte, gen uint64, value any) {
 	c.stores.Add(1)
-	if c.shardFor(key).put(key, epoch, value) {
+	if c.shardFor(key).put(key, gen, value) {
 		c.evictions.Add(1)
 	}
 }
 
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.len()
-	}
-	return n
-}
-
-// Stats samples the counters including the entry count. Counting
-// entries locks every shard in turn; hot paths that only need the
-// atomic counters should use Counters.
+// Stats samples the counters plus the entry count and bytes. It locks
+// every shard in turn and walks its entries; hot paths that only need
+// the atomic counters should use Counters.
 func (c *Cache) Stats() Stats {
 	s := c.Counters()
-	s.Entries = c.Len()
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		s.Entries += len(sh.table)
+		for e := sh.head; e != nil; e = e.next {
+			s.Bytes += len(e.key)
+			if v, ok := e.value.(Sized); ok {
+				s.Bytes += v.Size()
+			}
+		}
+		sh.mu.Unlock()
+	}
 	return s
 }
 
-// Counters samples only the lock-free atomic counters (Entries stays
-// zero). This is the per-request sampling path: it takes no locks and
-// never contends with cache traffic on other shards.
+// Counters samples only the lock-free atomic counters (Entries and
+// Bytes stay zero). This is the per-request sampling path: it takes no
+// locks and never contends with cache traffic on other shards.
 func (c *Cache) Counters() Stats {
 	return Stats{
 		Hits:          c.hits.Load(),
@@ -170,8 +174,8 @@ func (c *Cache) Counters() Stats {
 
 // entry is one cached result on a shard's intrusive LRU list.
 type entry struct {
-	key        Key
-	epoch      uint64
+	key        string
+	gen        uint64
 	value      any
 	prev, next *entry
 }
@@ -181,7 +185,7 @@ type entry struct {
 type cacheShard struct {
 	mu         sync.Mutex
 	capacity   int
-	table      map[Key]*entry
+	table      map[string]*entry
 	head, tail *entry
 }
 
@@ -189,30 +193,30 @@ func newCacheShard(capacity int) *cacheShard {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &cacheShard{capacity: capacity, table: make(map[Key]*entry, capacity)}
+	return &cacheShard{capacity: capacity, table: make(map[string]*entry, capacity)}
 }
 
-func (s *cacheShard) get(key Key, epoch uint64) (v any, ok, stale bool) {
+func (s *cacheShard) get(key []byte, gen uint64) (v any, ok, stale bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, found := s.table[key]
+	e, found := s.table[string(key)]
 	if !found {
 		return nil, false, false
 	}
-	if e.epoch != epoch {
+	if e.gen != gen {
 		s.unlink(e)
-		delete(s.table, key)
+		delete(s.table, e.key)
 		return nil, false, true
 	}
 	s.moveToFront(e)
 	return e.value, true, false
 }
 
-func (s *cacheShard) put(key Key, epoch uint64, value any) (evicted bool) {
+func (s *cacheShard) put(key []byte, gen uint64, value any) (evicted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, found := s.table[key]; found {
-		e.epoch = epoch
+	if e, found := s.table[string(key)]; found {
+		e.gen = gen
 		e.value = value
 		s.moveToFront(e)
 		return false
@@ -223,16 +227,10 @@ func (s *cacheShard) put(key Key, epoch uint64, value any) (evicted bool) {
 		delete(s.table, lru.key)
 		evicted = true
 	}
-	e := &entry{key: key, epoch: epoch, value: value}
-	s.table[key] = e
+	e := &entry{key: string(key), gen: gen, value: value}
+	s.table[e.key] = e
 	s.pushFront(e)
 	return evicted
-}
-
-func (s *cacheShard) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.table)
 }
 
 func (s *cacheShard) pushFront(e *entry) {

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func keyOf(s string) Key {
+func keyOf(s string) []byte {
 	return NewFingerprint().String(s).Key()
 }
 
@@ -44,10 +44,10 @@ func TestEpochInvalidation(t *testing.T) {
 	if st.Invalidations != 1 || st.Misses != 1 || st.Entries != 0 {
 		t.Fatalf("stats after invalidation: %+v", st)
 	}
-	// Even a LOWER epoch invalidates: any mismatch is stale.
+	// Even a LOWER generation invalidates: any mismatch is stale.
 	c.Put(k, 5, "new")
 	if _, ok := c.Get(k, 4); ok {
-		t.Fatal("mismatched-epoch entry served")
+		t.Fatal("mismatched-generation entry served")
 	}
 }
 
@@ -66,7 +66,7 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.Get(kb, 0); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
-	for _, k := range []Key{ka, kc, kd} {
+	for _, k := range [][]byte{ka, kc, kd} {
 		if _, ok := c.Get(k, 0); !ok {
 			t.Fatalf("recently used entry evicted")
 		}
@@ -91,14 +91,14 @@ func TestShardRoundingAndDefaults(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.Put(keyOf(fmt.Sprint(i)), 0, i)
 	}
-	if c.Len() < 1 {
+	if c.Stats().Entries < 1 {
 		t.Fatal("cache lost everything")
 	}
 }
 
 // TestConcurrentMixedTraffic hammers all operations from many
 // goroutines; run with -race. Correctness invariant: a hit must return
-// the value put under that key and epoch.
+// the value put under that key and generation.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	c := New(Options{Entries: 64, Shards: 4})
 	var wg sync.WaitGroup
@@ -109,10 +109,10 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				id := (g*31 + i) % 40
 				k := keyOf(fmt.Sprint("key", id))
-				epoch := uint64(i % 3)
+				gen := uint64(i % 3)
 				if i%2 == 0 {
-					c.Put(k, epoch, id)
-				} else if v, ok := c.Get(k, epoch); ok && v.(int) != id {
+					c.Put(k, gen, id)
+				} else if v, ok := c.Get(k, gen); ok && v.(int) != id {
 					t.Errorf("key %d returned %v", id, v)
 				}
 			}
@@ -123,40 +123,84 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 }
 
 func TestFingerprintFraming(t *testing.T) {
+	key := func(f *Fingerprint) string { return string(f.Key()) }
 	// Adjacent strings must not re-associate.
-	a := NewFingerprint().String("ab").String("c").Key()
-	b := NewFingerprint().String("a").String("bc").Key()
+	a := key(NewFingerprint().String("ab").String("c"))
+	b := key(NewFingerprint().String("a").String("bc"))
 	if a == b {
 		t.Fatal("string framing collision")
 	}
+	// Nor may bytes move across a patched length prefix.
+	fill := func(p string) func([]byte) []byte {
+		return func(b []byte) []byte { return append(b, p...) }
+	}
+	a = key(NewFingerprint().BytesOf(fill("ab")).BytesOf(fill("c")))
+	b = key(NewFingerprint().BytesOf(fill("a")).BytesOf(fill("bc")))
+	if a == b {
+		t.Fatal("patched-prefix framing collision")
+	}
 	// List boundaries are part of the frame.
-	a = NewFingerprint().Floats([]float64{1, 2}).Floats([]float64{3}).Key()
-	b = NewFingerprint().Floats([]float64{1}).Floats([]float64{2, 3}).Key()
+	a = key(NewFingerprint().Floats([]float64{1, 2}).Floats([]float64{3}))
+	b = key(NewFingerprint().Floats([]float64{1}).Floats([]float64{2, 3}))
 	if a == b {
 		t.Fatal("list framing collision")
 	}
 	// Types with identical payload bytes stay distinct.
-	a = NewFingerprint().Int(0).Key()
-	b = NewFingerprint().Uint(0).Key()
+	a = key(NewFingerprint().Int(0))
+	b = key(NewFingerprint().Uint(0))
 	if a == b {
 		t.Fatal("int/uint collision")
 	}
 	// Absent is not zero.
-	a = NewFingerprint().Nil().Key()
-	b = NewFingerprint().Float(0).Key()
+	a = key(NewFingerprint().Nil())
+	b = key(NewFingerprint().Float(0))
 	if a == b {
 		t.Fatal("nil/zero collision")
 	}
 	// Field names bind to their values.
-	a = NewFingerprint().Field("k").Int(3).Key()
-	b = NewFingerprint().Field("budget").Int(3).Key()
+	a = key(NewFingerprint().Field("k").Int(3))
+	b = key(NewFingerprint().Field("budget").Int(3))
 	if a == b {
 		t.Fatal("field-name collision")
 	}
-	// Pure function of content: rebuilt fingerprints agree.
-	a = NewFingerprint().Field("q").Strings([]string{"x", "y"}).Bool(true).Key()
-	b = NewFingerprint().Field("q").Strings([]string{"x", "y"}).Bool(true).Key()
+	// Pure function of content: rebuilt fingerprints agree, including a
+	// pooled fingerprint that held a longer key before.
+	long := NewFingerprint().String("a much longer key than the next one")
+	long.Release()
+	a = key(NewFingerprint().Field("q").Ints([]int{4, 5}).String("x"))
+	b = key(NewFingerprint().Field("q").Ints([]int{4, 5}).String("x"))
 	if a != b {
 		t.Fatal("fingerprint not deterministic")
+	}
+}
+
+// TestGetDoesNotAllocate pins the hit path: the lookup by key bytes and
+// the shard pick allocate nothing.
+func TestGetDoesNotAllocate(t *testing.T) {
+	c := New(Options{Entries: 8, Shards: 4})
+	k := keyOf("a")
+	c.Put(k, 1, "v")
+	if n := testing.AllocsPerRun(100, func() { c.Get(k, 1) }); n != 0 {
+		t.Fatalf("Get: %v allocs per hit, want 0", n)
+	}
+}
+
+type sized int
+
+func (s sized) Size() int { return int(s) }
+
+// TestStatsBytes pins Stats.Bytes: every live key plus each Sized
+// value's own bytes, dropped with the entry.
+func TestStatsBytes(t *testing.T) {
+	c := New(Options{Entries: 8, Shards: 2})
+	ka, kb := keyOf("a"), keyOf("bb")
+	c.Put(ka, 1, "plain")
+	c.Put(kb, 1, sized(100))
+	if got, want := c.Stats().Bytes, len(ka)+len(kb)+100; got != want {
+		t.Fatalf("bytes %d, want %d", got, want)
+	}
+	c.Get(kb, 2) // stale: dropped
+	if got, want := c.Stats().Bytes, len(ka); got != want {
+		t.Fatalf("bytes after invalidation %d, want %d", got, want)
 	}
 }

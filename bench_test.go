@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation, one family per
-// experiment (E1-E9; see DESIGN.md §3). `go test -bench=. -benchmem`
-// reports the micro-level costs; `go run ./cmd/benchtab` prints the
-// corresponding tables with speedup ratios.
+// experiment (E1-E8; see DESIGN.md §3), plus the engine's shard-scaling
+// and serving costs. `go test -bench=. -benchmem` reports the
+// micro-level costs; `go run ./cmd/benchtab` prints the corresponding
+// tables with speedup ratios.
 package modelir_test
 
 import (
@@ -15,7 +16,6 @@ import (
 	"modelir/internal/bayes"
 	"modelir/internal/colstore"
 	"modelir/internal/core"
-	"modelir/internal/experiments"
 	"modelir/internal/features"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
@@ -576,13 +576,32 @@ func BenchmarkE8GeologyBruteForce(b *testing.B) { benchGeology(b, core.GeoBruteF
 func BenchmarkE8GeologyDP(b *testing.B)         { benchGeology(b, core.GeoDP) }
 func BenchmarkE8GeologyPruned(b *testing.B)     { benchGeology(b, core.GeoPruned) }
 
-// ---- E9: shard scaling of the tuple engine ----
+// ---- Shard scaling of the tuple engine ----
 
-// The workload is experiments.ShardWorkload — the same scan-bound
-// archive and model the CI-archived BENCH_shards.json measures. On a
-// multi-core host the sub-benchmarks trace the speedup curve;
+// shardWorkload is the scan-bound archive and model the shard-scaling,
+// serving and columnar-scan benchmarks share: 100,000 8-dimensional
+// Gaussian tuples. 8 dimensions put the Onion index in its
+// weak-pruning regime (direction-sampled layers bound loosely and
+// queries reach the core bucket), making the query scan-bound — the
+// workload shard fan-out exists for.
+func shardWorkload() ([][]float64, *linear.Model, error) {
+	pts, err := synth.GaussianTuples(91, 100_000, 8)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := linear.New(
+		[]string{"a", "b", "c", "d", "e", "f", "g", "h"},
+		[]float64{1, -0.5, 2, 0.25, -1.5, 0.75, -0.25, 1.25}, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pts, m, nil
+}
+
+// shardData is shardWorkload, built once. On a multi-core host the
+// sub-benchmarks of BenchmarkLinearTopKSharded trace the speedup curve;
 // GOMAXPROCS=1 shows break-even overhead.
-var e9Data = sync.OnceValues(func() (struct {
+var shardData = sync.OnceValues(func() (struct {
 	pts [][]float64
 	m   *linear.Model
 }, error) {
@@ -590,7 +609,7 @@ var e9Data = sync.OnceValues(func() (struct {
 		pts [][]float64
 		m   *linear.Model
 	}
-	pts, m, err := experiments.ShardWorkload(experiments.ShardWorkloadSize)
+	pts, m, err := shardWorkload()
 	if err != nil {
 		return out, err
 	}
@@ -599,7 +618,7 @@ var e9Data = sync.OnceValues(func() (struct {
 })
 
 func BenchmarkLinearTopKSharded(b *testing.B) {
-	d, err := e9Data()
+	d, err := shardData()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -633,7 +652,7 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 // The two share the execution path, so CI asserts they stay within
 // noise of each other — the API redesign must not tax the hot path.
 func BenchmarkRunOverhead(b *testing.B) {
-	d, err := e9Data()
+	d, err := shardData()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -803,7 +822,7 @@ func BenchmarkRunLinearDeltas(b *testing.B) {
 // are disabled on both engines so the comparison is pure execution;
 // the cache's own win is BenchmarkCacheHit's subject.
 func BenchmarkRunBatch(b *testing.B) {
-	d, err := e9Data()
+	d, err := shardData()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -861,10 +880,9 @@ func BenchmarkRunBatch(b *testing.B) {
 
 // BenchmarkCacheHit pins the acceptance criterion: on the linear
 // family, a cache hit must be at least 10x cheaper than the cold
-// execution it replays (CI compares the two ns/op lines; the
-// benchtab -servejson artifact records the ratio).
+// execution it replays (CI compares the two ns/op lines).
 func BenchmarkCacheHit(b *testing.B) {
-	d, err := e9Data()
+	d, err := shardData()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -912,10 +930,10 @@ func BenchmarkCacheHit(b *testing.B) {
 
 // ---- Columnar scan-bound hot path: layout and allocation pins ----
 
-// e10Store builds the E9 scan-bound workload into a columnar store
+// shardStore builds the shard workload into a columnar store
 // (norm-ordered blocks with zone maps) — the storage layout the tuple
 // engine's Onion index scans in its weak-pruning regime.
-var e10Store = sync.OnceValues(func() (struct {
+var shardStore = sync.OnceValues(func() (struct {
 	store *colstore.Store
 	w     []float64
 }, error) {
@@ -923,7 +941,7 @@ var e10Store = sync.OnceValues(func() (struct {
 		store *colstore.Store
 		w     []float64
 	}
-	pts, m, err := experiments.ShardWorkload(experiments.ShardWorkloadSize)
+	pts, m, err := shardWorkload()
 	if err != nil {
 		return out, err
 	}
@@ -940,7 +958,7 @@ var e10Store = sync.OnceValues(func() (struct {
 // pooled heap and a reused result buffer, must report 0 allocs/op — the
 // benchmark fails (not just reports) if a warmed-up scan allocates.
 func BenchmarkLinearScanSteadyState(b *testing.B) {
-	d, err := e10Store()
+	d, err := shardStore()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -967,23 +985,6 @@ func BenchmarkLinearScanSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkLinearScanRowLayout is the row-layout ([][]float64)
-// sequential scan over the same workload — the baseline the columnar
-// path's speedup is measured against (benchtab -memjson records both).
-func BenchmarkLinearScanRowLayout(b *testing.B) {
-	d, err := e9Data()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := onion.ScanTopK(d.pts, d.m.Coeffs, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestLinearScanSteadyStateUnderRace is the race-detector companion of
 // BenchmarkLinearScanSteadyState (satellite of the columnar-kernel
 // work): the zero-allocation assertion is meaningless under -race
@@ -993,7 +994,7 @@ func BenchmarkLinearScanRowLayout(b *testing.B) {
 // fresh non-pooled scan each iteration. `go test -race ./...` in CI
 // therefore covers the steady-state path in both build modes.
 func TestLinearScanSteadyStateUnderRace(t *testing.T) {
-	d, err := e10Store()
+	d, err := shardStore()
 	if err != nil {
 		t.Fatal(err)
 	}

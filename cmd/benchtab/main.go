@@ -1,30 +1,18 @@
 // benchtab regenerates the paper's evaluation tables (experiments E1-E8
-// plus the shard-scaling sweep E9; see DESIGN.md §3 and EXPERIMENTS.md).
+// and ablations A1-A4; see DESIGN.md §3).
 //
 // Usage:
 //
-//	benchtab                             # run all experiments at full scale
-//	benchtab -e e1,e5                    # run selected experiments
-//	benchtab -quick                      # small data sizes (seconds instead of minutes)
-//	benchtab -shardjson BENCH_shards.json  # also write the shard-scaling baseline
-//	benchtab -servejson BENCH_serve.json   # also write the serving-layer baseline
-//	benchtab -memjson BENCH_mem.json       # also write the scan-bound memory baseline
-//	benchtab -kerneljson BENCH_kernels.json  # also write the per-family scan-kernel baseline
-//	benchtab -clusterjson BENCH_cluster.json # also write the multi-node cluster baseline
-//	benchtab -persistjson BENCH_persist.json # also write the snapshot/restore durability baseline
-//	benchtab -ingestjson BENCH_ingest.json   # also write the live-ingest baseline
-//	benchtab -clusteringestjson BENCH_clusteringest.json # also write the replicated cluster-ingest baseline
-//	benchtab -resyncjson BENCH_resync.json   # also write the snapshot-resync (log-pruned recovery) baseline
-//	benchtab -cpuprofile cpu.pprof       # profile the run (go tool pprof)
-//	benchtab -memprofile mem.pprof       # heap profile at exit
-//	benchtab -timeout 30s                # bound the run with a context deadline
+//	benchtab                       # run all experiments at full scale
+//	benchtab -e e1,e5              # run selected experiments
+//	benchtab -quick                # small data sizes (seconds instead of minutes)
+//	benchtab -cpuprofile cpu.pprof # profile the run (go tool pprof)
+//	benchtab -memprofile mem.pprof # heap profile at exit
+//	benchtab -timeout 30s          # bound the run with a context deadline
 //
-// -timeout wires a context.WithTimeout through the experiment driver:
-// the shard sweep cancels its Engine.Run queries mid-shard when the
-// deadline fires and records the cancellation in the -shardjson
-// artifact (cancelled/cancel_error fields); remaining experiments are
-// skipped. A timed-out run prints what completed and exits 0 — the
-// deadline is an operational bound, not a failure.
+// -timeout is checked between tables: when the deadline fires, the
+// remaining tables are skipped, the run prints what completed and exits
+// 0. The deadline is an operational bound, not a failure.
 package main
 
 import (
@@ -49,20 +37,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
-	expList := fs.String("e", "all", "comma-separated ids (e1..e9 experiments, a1..a4 ablations), all, or ablations")
+	expList := fs.String("e", "all", "comma-separated ids (e1..e8 experiments, a1..a4 ablations), all, or ablations")
 	quick := fs.Bool("quick", false, "shrink data sizes for a fast smoke run")
-	shardJSON := fs.String("shardjson", "", "write the shard-scaling baseline (ShardBaseline JSON) to this path")
-	serveJSON := fs.String("servejson", "", "write the serving-layer baseline (ServeBaseline JSON: cache hit-vs-cold, batch-vs-solo) to this path")
-	memJSON := fs.String("memjson", "", "write the scan-bound memory baseline (MemBaseline JSON: columnar vs row-layout ns/op, B/op, allocs/op) to this path")
-	kernelJSON := fs.String("kerneljson", "", "write the per-family scan-kernel baseline (KernelBaseline JSON: columnar vs PR4-reference ns/op, allocs/op, steal speedups) to this path")
-	clusterJSON := fs.String("clusterjson", "", "write the multi-node cluster baseline (ClusterBaseline JSON: scatter-gather ns/req at node counts 1-3 plus the equivalence bit) to this path")
-	persistJSON := fs.String("persistjson", "", "write the durability baseline (PersistBaseline JSON: snapshot write time, cold-start restore Copy vs Map, restore-equivalence bit) to this path")
-	ingestJSON := fs.String("ingestjson", "", "write the live-ingest baseline (IngestBaseline JSON: mixed append+query throughput, appender flush count, delta-equivalence bit) to this path")
-	clusterIngestJSON := fs.String("clusteringestjson", "", "write the replicated cluster-ingest baseline (ClusterIngestBaseline JSON: mixed append+query throughput at node counts 1-3, kill+recover cycle time, fault-cycle equivalence bit) to this path")
-	resyncJSON := fs.String("resyncjson", "", "write the snapshot-resync baseline (ResyncBaseline JSON: log-pruned recovery bytes streamed, wall time, replica-alone equivalence bit) to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this path")
-	timeout := fs.Duration("timeout", 0, "overall deadline; cancels in-flight queries mid-shard and records it in -shardjson (0 = none)")
+	timeout := fs.Duration("timeout", 0, "overall deadline, checked between tables (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,72 +76,16 @@ func run(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	cfg := experiments.Config{Quick: *quick, Ctx: ctx, Timeout: *timeout}
-	// Validate the -e selection before any benchmark work (including
-	// the -shardjson sweep) so a typo'd id fails fast instead of after
-	// minutes of timing runs.
+	cfg := experiments.Config{Quick: *quick, Ctx: ctx}
+	// Validate the -e selection before any benchmark work so a typo'd
+	// id fails fast instead of after minutes of timing runs.
 	if *expList != "all" && *expList != "ablations" {
 		for _, id := range strings.Split(*expList, ",") {
 			if _, ok := experiments.ByID(strings.TrimSpace(id)); !ok {
-				return fmt.Errorf("unknown experiment %q (want e1..e9 or a1..a4)", id)
+				return fmt.Errorf("unknown experiment %q (want e1..e8 or a1..a4)", id)
 			}
 		}
 	}
-	if *shardJSON != "" {
-		if err := experiments.WriteShardBaseline(cfg, *shardJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *shardJSON)
-	}
-	if *serveJSON != "" {
-		if err := experiments.WriteServeBaseline(cfg, *serveJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *serveJSON)
-	}
-	if *memJSON != "" {
-		if err := experiments.WriteMemBaseline(cfg, *memJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *memJSON)
-	}
-	if *kernelJSON != "" {
-		if err := experiments.WriteKernelBaseline(cfg, *kernelJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *kernelJSON)
-	}
-	if *clusterJSON != "" {
-		if err := experiments.WriteClusterBaseline(cfg, *clusterJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *clusterJSON)
-	}
-	if *persistJSON != "" {
-		if err := experiments.WritePersistBaseline(cfg, *persistJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *persistJSON)
-	}
-	if *ingestJSON != "" {
-		if err := experiments.WriteIngestBaseline(cfg, *ingestJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *ingestJSON)
-	}
-	if *clusterIngestJSON != "" {
-		if err := experiments.WriteClusterIngestBaseline(cfg, *clusterIngestJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *clusterIngestJSON)
-	}
-	if *resyncJSON != "" {
-		if err := experiments.WriteResyncBaseline(cfg, *resyncJSON); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *resyncJSON)
-	}
-
 	var tables []experiments.Table
 	var runErr error
 	switch *expList {
@@ -175,7 +98,7 @@ func run(args []string) error {
 			id = strings.TrimSpace(id)
 			runner, ok := experiments.ByID(id)
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (want e1..e9 or a1..a4)", id)
+				return fmt.Errorf("unknown experiment %q (want e1..e8 or a1..a4)", id)
 			}
 			if runErr = ctx.Err(); runErr != nil {
 				break // deadline fired between experiments

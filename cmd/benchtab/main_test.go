@@ -1,11 +1,13 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
 	"os"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
-
-	"modelir/internal/experiments"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -28,97 +30,48 @@ func TestRunSelectedQuick(t *testing.T) {
 }
 
 func TestRunTimeoutRecordsCancellation(t *testing.T) {
-	// A microscopic deadline cancels the sweep mid-shard; the artifact
-	// must still be written, recording the cancellation, and the run
-	// must exit cleanly (a fired deadline is not a failure).
-	path := t.TempDir() + "/shards.json"
-	if err := run([]string{"-quick", "-timeout", "1ns", "-e", "e9", "-shardjson", path}); err != nil {
-		t.Fatalf("timed-out run failed: %v", err)
+	// -timeout is checked between tables, so a deadline that fires
+	// before the first one skips the rest. The run must still exit
+	// cleanly (a fired deadline is not a failure) and report how many
+	// tables completed, matching the tables it printed.
+	out := captureStdout(t, func() error {
+		return run([]string{"-quick", "-timeout", "1ns", "-e", "e3,e1"})
+	})
+	m := regexp.MustCompile(`timeout 1ns reached \(.+\): (\d+) experiment table\(s\) completed`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no timeout report in output:\n%s", out)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base experiments.ShardBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
-	}
-	if !base.Cancelled || base.CancelError == "" {
-		t.Fatalf("cancellation not recorded: %+v", base)
-	}
-	if base.TimeoutMS != 0 { // 1ns rounds to 0ms; the field still records intent
-		t.Fatalf("timeout_ms = %d", base.TimeoutMS)
+	done, _ := strconv.Atoi(m[1])
+	if printed := strings.Count(out, "== E"); done >= 2 || done != printed {
+		t.Fatalf("reported %d tables completed, printed %d, of 2 requested", done, printed)
 	}
 }
 
-func TestRunMemBaseline(t *testing.T) {
-	// -memjson writes the scan-bound memory baseline; the allocs==0
-	// gate itself lives in CI's non-race benchtab run (sync.Pool drops
-	// puts under the race detector), so here we pin shape and sanity.
-	path := t.TempDir() + "/mem.json"
-	if err := run([]string{"-quick", "-e", "e3", "-memjson", path}); err != nil {
-		t.Fatalf("memjson run failed: %v", err)
-	}
-	data, err := os.ReadFile(path)
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed; fn's error fails the test.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base experiments.MemBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
+	stdout := os.Stdout
+	os.Stdout = w
+	var buf bytes.Buffer
+	copied := make(chan struct{})
+	go func() {
+		io.Copy(&buf, r)
+		close(copied)
+	}()
+	runErr := fn()
+	os.Stdout = stdout
+	w.Close()
+	<-copied
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("run failed: %v\n%s", runErr, buf.String())
 	}
-	if base.RowScanNsPerOp <= 0 || base.ColScanNsPerOp <= 0 || base.EngineNsPerQuery <= 0 {
-		t.Fatalf("timings not populated: %+v", base)
-	}
-	if base.SpeedupVsRow <= 0 {
-		t.Fatalf("speedup not recorded: %+v", base)
-	}
-	if base.PointsTouched+base.PointsZonePruned > base.Tuples {
-		t.Fatalf("pruning accounting exceeds archive: %+v", base)
-	}
-}
-
-func TestRunKernelBaseline(t *testing.T) {
-	// -kerneljson writes the per-family scan-kernel baseline; the
-	// allocs==0 and scene-speedup gates live in CI's non-race benchtab
-	// run (sync.Pool drops puts under the race detector), so here we
-	// pin shape, coverage and the equality bits.
-	path := t.TempDir() + "/kernels.json"
-	if err := run([]string{"-quick", "-e", "e3", "-kerneljson", path}); err != nil {
-		t.Fatalf("kerneljson run failed: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base experiments.KernelBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"linear": false, "scene": false, "fsm": false,
-		"fsm-distance": false, "geology": false, "knowledge": false,
-	}
-	for _, f := range base.Families {
-		if _, ok := want[f.Family]; !ok {
-			t.Fatalf("unexpected family %q", f.Family)
-		}
-		want[f.Family] = true
-		if f.NsPerOp <= 0 || f.RefNsPerOp <= 0 {
-			t.Fatalf("%s: timings not populated: %+v", f.Family, f)
-		}
-		if !f.Identical {
-			t.Fatalf("%s: columnar scan diverged from reference", f.Family)
-		}
-	}
-	for fam, seen := range want {
-		if !seen {
-			t.Fatalf("family %q missing from baseline", fam)
-		}
-	}
-	if base.StealSpeedup1W <= 0 || base.StealSpeedup2W <= 0 || base.StealSpeedup4W <= 0 {
-		t.Fatalf("steal ratios not populated: %+v", base)
-	}
+	return buf.String()
 }
 
 func TestRunProfiles(t *testing.T) {

@@ -47,11 +47,6 @@ type Options struct {
 	// rows fill the heap early and the per-block norm bound then
 	// eliminates the low-norm tail block by block.
 	NormOrder bool
-	// ForceGenericKernel disables dimension-specialized scan kernels
-	// and scans with the generic 4-wide fallback regardless of
-	// dimension — a benchmarking hook (kernels are bit-identical, so
-	// this changes speed only).
-	ForceGenericKernel bool
 }
 
 func (o *Options) applyDefaults() {
@@ -147,7 +142,7 @@ func BuildSegmented(points [][]float64, segments [][]int, opt Options) (*Store, 
 		segStart: make([]int, 1, len(segments)+1),
 		segBlock: make([]int, 1, len(segments)+1),
 	}
-	s.kern, s.kernName = kernelFor(dim, opt.ForceGenericKernel)
+	s.kern, s.kernName = kernelFor(dim)
 	s.cols = make([][]float64, dim)
 	for d := 0; d < dim; d++ {
 		s.cols[d] = s.flat[d*total : (d+1)*total]
@@ -278,8 +273,7 @@ func (s *Store) ID(r int) int64 { return s.ids[r] }
 func (s *Store) At(r, d int) float64 { return s.cols[d][r] }
 
 // KernelName reports which scan kernel the store selected at build
-// time ("dim2", "dim4", "dim8", "dim16" or "generic4") — surfaced in
-// benchmark artifacts.
+// time ("dim2", "dim4", "dim8", "dim16" or "generic4").
 func (s *Store) KernelName() string { return s.kernName }
 
 // WeightNorm returns the Euclidean norm of w — the scan's

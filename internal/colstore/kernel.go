@@ -39,12 +39,8 @@ func (s *Store) scanKernel(w []float64) kernelFunc {
 	return s.kern
 }
 
-// kernelFor selects the scan kernel for a dimension. generic forces
-// the pre-specialization fallback (Options.ForceGenericKernel).
-func kernelFor(dim int, generic bool) (kernelFunc, string) {
-	if generic {
-		return kernelGeneric, "generic4"
-	}
+// kernelFor selects the scan kernel for a dimension.
+func kernelFor(dim int) (kernelFunc, string) {
 	switch dim {
 	case 2:
 		return kernelDim2, "dim2"

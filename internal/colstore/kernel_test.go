@@ -34,18 +34,17 @@ func TestKernelSelection(t *testing.T) {
 		if st.KernelName() != name {
 			t.Fatalf("dim %d: kernel %q, want %q", dim, st.KernelName(), name)
 		}
-		st, err = Build(randomPoints(rng, 8, dim), Options{ForceGenericKernel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.KernelName() != "generic4" {
-			t.Fatalf("dim %d forced: kernel %q, want generic4", dim, st.KernelName())
-		}
 	}
 }
 
+// forceGeneric switches a built store to the generic 4-wide fallback,
+// the reference every specialized kernel must match bit for bit.
+func forceGeneric(st *Store) {
+	st.kern, st.kernName = kernelGeneric, "generic4"
+}
+
 // TestKernelsBitIdentical scores every dimension 1..20 through the
-// selected kernel, the forced-generic kernel, and the naive row dot,
+// selected kernel, the generic kernel, and the naive row dot,
 // and requires exact score equality — including weight vectors with
 // zero, negative and tiny coefficients.
 func TestKernelsBitIdentical(t *testing.T) {
@@ -70,17 +69,13 @@ func TestKernelsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := Build(pts, Options{BlockRows: 256, ForceGenericKernel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		scoresSpec := make([]float64, n)
 		scoresGen := make([]float64, n)
 		scoresScan := make([]float64, n)
 		for b := 0; b < spec.NumBlocks(); b++ {
 			lo, hi := spec.blockStart[b], spec.blockStart[b+1]
 			spec.kern(spec.cols, lo, hi, w, scoresSpec[lo:hi])
-			gen.kern(gen.cols, lo, hi, w, scoresGen[lo:hi])
+			kernelGeneric(spec.cols, lo, hi, w, scoresGen[lo:hi])
 			// The per-scan selection (sparse body here — w has zeros).
 			spec.scanKernel(w)(spec.cols, lo, hi, w, scoresScan[lo:hi])
 		}
@@ -154,10 +149,11 @@ func TestKernelScanEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen, err := Build(pts, Options{BlockRows: 128, NormOrder: norm, ForceGenericKernel: true})
+			gen, err := Build(pts, Options{BlockRows: 128, NormOrder: norm})
 			if err != nil {
 				t.Fatal(err)
 			}
+			forceGeneric(gen)
 			hs, hg := topk.MustHeap(17), topk.MustHeap(17)
 			var sts, stg Stats
 			spec.Scan(w, wNorm, hs, nil, nil, nil, &sts)
@@ -176,8 +172,7 @@ func TestKernelScanEquivalence(t *testing.T) {
 }
 
 // BenchmarkKernel compares the specialized kernels against the generic
-// fallback on the dimensions that have unrolled bodies — the artifact
-// speedup benchtab's -kerneljson records at the store level.
+// fallback on the dimensions that have unrolled bodies.
 func BenchmarkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	for _, dim := range []int{2, 4, 8, 16} {
@@ -188,9 +183,12 @@ func BenchmarkKernel(b *testing.B) {
 		}
 		wNorm := WeightNorm(w)
 		for _, generic := range []bool{false, true} {
-			st, err := Build(pts, Options{ForceGenericKernel: generic})
+			st, err := Build(pts, Options{})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if generic {
+				forceGeneric(st)
 			}
 			h := topk.MustHeap(10)
 			var cst Stats

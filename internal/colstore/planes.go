@@ -106,7 +106,7 @@ func FromPlanes(p Planes) (*Store, error) {
 		segStart:   p.SegStart,
 		segBlock:   p.SegBlock,
 	}
-	s.kern, s.kernName = kernelFor(p.Dim, false)
+	s.kern, s.kernName = kernelFor(p.Dim)
 	s.cols = make([][]float64, p.Dim)
 	for d := 0; d < p.Dim; d++ {
 		s.cols[d] = p.Flat[d*p.Rows : (d+1)*p.Rows]

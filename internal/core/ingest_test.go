@@ -95,14 +95,17 @@ func settle(e *Engine) { e.compactWG.Wait() }
 // register num/den of every appendable archive up front (scenes are
 // registered whole — not appendable), optionally round-trip that engine
 // through a snapshot so the bases are restored ones, then feed the rest
-// through Append* in `chunks` near-equal chunks.
+// through Append* in `chunks` near-equal chunks. With appender set the
+// chunks go through an Appender instead, while readers run all six
+// families against the growing engine.
 type deltaLayout struct {
 	num, den, chunks int
 	restored         bool
+	appender         bool
 }
 
 func (l deltaLayout) String() string {
-	return fmt.Sprintf("base=%d/%d chunks=%d restored=%v", l.num, l.den, l.chunks, l.restored)
+	return fmt.Sprintf("base=%d/%d chunks=%d restored=%v appender=%v", l.num, l.den, l.chunks, l.restored, l.appender)
 }
 
 func (l deltaLayout) grow(t *testing.T, shards int, a testArchives) *Engine {
@@ -131,8 +134,16 @@ func (l deltaLayout) grow(t *testing.T, shards int, a testArchives) *Engine {
 		}
 		e = openRestored(t, dir, segment.Copy)
 	}
-	chunked := func(n, base int, appendChunk func(lo, hi int) error) {
-		t.Helper()
+	// One tail per appendable family, appended in row order.
+	tails := []struct {
+		n, base int
+		add     func(lo, hi int) error
+	}{
+		{len(a.pts), basePts, func(lo, hi int) error { return e.AppendTuples("gauss", a.pts[lo:hi]) }},
+		{len(a.arch), baseRegions, func(lo, hi int) error { return e.AppendSeries("weather", a.arch[lo:hi]) }},
+		{len(a.wells), baseWells, func(lo, hi int) error { return e.AppendWells("basin", a.wells[lo:hi]) }},
+	}
+	chunked := func(n, base int, appendChunk func(lo, hi int) error) error {
 		rest := n - base
 		for c := 0; c < l.chunks; c++ {
 			lo := base + rest*c/l.chunks
@@ -141,13 +152,72 @@ func (l deltaLayout) grow(t *testing.T, shards int, a testArchives) *Engine {
 				continue
 			}
 			if err := appendChunk(lo, hi); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if !l.appender {
+		for _, tl := range tails {
+			if err := chunked(tl.n, tl.base, tl.add); err != nil {
 				t.Fatal(err)
 			}
 		}
+		settle(e)
+		return e
 	}
-	chunked(len(a.pts), basePts, func(lo, hi int) error { return e.AppendTuples("gauss", a.pts[lo:hi]) })
-	chunked(len(a.arch), baseRegions, func(lo, hi int) error { return e.AppendSeries("weather", a.arch[lo:hi]) })
-	chunked(len(a.wells), baseWells, func(lo, hi int) error { return e.AppendWells("basin", a.wells[lo:hi]) })
+
+	// Under traffic: one appender goroutine per family, so each
+	// family's chunks still land in row order and take the IDs the
+	// synchronous layouts give them, racing two readers that run every
+	// family until the last chunk has landed.
+	ctx := context.Background()
+	ap := NewAppender(e, AppenderOptions{})
+	tails[0].add = func(lo, hi int) error { return ap.AppendTuples(ctx, "gauss", a.pts[lo:hi]) }
+	tails[1].add = func(lo, hi int) error { return ap.AppendSeries(ctx, "weather", a.arch[lo:hi]) }
+	tails[2].add = func(lo, hi int) error { return ap.AppendWells(ctx, "basin", a.wells[lo:hi]) }
+	reqs := sixRequests(t, a.pm)
+	const readers = 2
+	errs := make([]error, len(tails)+readers)
+	var writers, all sync.WaitGroup
+	for i, tl := range tails {
+		writers.Add(1)
+		all.Add(1)
+		go func(i, n, base int, add func(lo, hi int) error) {
+			defer all.Done()
+			defer writers.Done()
+			errs[i] = chunked(n, base, add)
+		}(i, tl.n, tl.base, tl.add)
+	}
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		all.Add(1)
+		go func(slot int) {
+			defer all.Done()
+			for {
+				for _, req := range reqs {
+					if _, err := e.Run(ctx, req); err != nil {
+						errs[slot] = fmt.Errorf("%T on %q under appends: %w", req.Query, req.Dataset, err)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(len(tails) + r)
+	}
+	writers.Wait()
+	close(done)
+	all.Wait()
+	ap.Close()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	settle(e)
 	return e
 }
@@ -159,13 +229,15 @@ func (l deltaLayout) grow(t *testing.T, shards int, a testArchives) *Engine {
 // and 7, both before and after Compact. The layouts cover three flat
 // deltas (too few for the tier rule) and 21 chunks, which the
 // background compactor leaves as a multi-tier delta list, over raw-row
-// and over snapshot-restored bases.
+// and over snapshot-restored bases, and 21 chunks flushed by an
+// Appender while queries race the appends.
 func TestDeltaEquivalenceAllFamilies(t *testing.T) {
 	a := buildArchives(t)
 	layouts := []deltaLayout{
 		{num: 4, den: 5, chunks: 3},
 		{num: 1, den: 2, chunks: 21},
 		{num: 1, den: 2, chunks: 21, restored: true},
+		{num: 1, den: 2, chunks: 21, appender: true},
 	}
 	for _, shards := range []int{1, 4, 7} {
 		full := engineWithArchives(t, shards, a)

@@ -21,11 +21,9 @@ type sixResults struct {
 	linear, scene, fsmRun, fsmDist, geo, know []topk.Item
 }
 
-// runSixFamilies executes every query family through the unified Run
-// API and returns the ranked items.
-func runSixFamilies(t *testing.T, e *Engine, pm *linear.ProgressiveModel) sixResults {
+// sixRequests is one request per query family, in sixResults order.
+func sixRequests(t *testing.T, pm *linear.ProgressiveModel) [6]Request {
 	t.Helper()
-	ctx := context.Background()
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -36,21 +34,31 @@ func runSixFamilies(t *testing.T, e *Engine, pm *linear.ProgressiveModel) sixRes
 		MaxGapFt: 10,
 		MinGamma: 45,
 	}
-	run := func(req Request) []topk.Item {
-		t.Helper()
-		res, err := e.Run(ctx, req)
+	return [6]Request{
+		{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 10},
+		{Dataset: "hps", Query: SceneQuery{Model: pm}, K: 10},
+		{Dataset: "weather", Query: FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, K: 10},
+		{Dataset: "weather", Query: FSMDistanceQuery{Target: machine, Horizon: 6}, K: 10},
+		{Dataset: "basin", Query: geoQ, K: 10},
+		{Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10},
+	}
+}
+
+// runSixFamilies executes every query family through the unified Run
+// API and returns the ranked items.
+func runSixFamilies(t *testing.T, e *Engine, pm *linear.ProgressiveModel) sixResults {
+	t.Helper()
+	var got [6][]topk.Item
+	for i, req := range sixRequests(t, pm) {
+		res, err := e.Run(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%T on %q: %v", req.Query, req.Dataset, err)
 		}
-		return res.Items
+		got[i] = res.Items
 	}
 	return sixResults{
-		linear:  run(Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 10}),
-		scene:   run(Request{Dataset: "hps", Query: SceneQuery{Model: pm}, K: 10}),
-		fsmRun:  run(Request{Dataset: "weather", Query: FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, K: 10}),
-		fsmDist: run(Request{Dataset: "weather", Query: FSMDistanceQuery{Target: machine, Horizon: 6}, K: 10}),
-		geo:     run(Request{Dataset: "basin", Query: geoQ, K: 10}),
-		know:    run(Request{Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10}),
+		linear: got[0], scene: got[1], fsmRun: got[2],
+		fsmDist: got[3], geo: got[4], know: got[5],
 	}
 }
 

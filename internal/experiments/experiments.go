@@ -44,13 +44,9 @@ type Table struct {
 type Config struct {
 	Quick bool
 	// Ctx bounds experiment execution (benchtab's -timeout flag); nil
-	// means context.Background(). The shard sweep honors it per query
-	// and records cancellation in its JSON baseline; the experiment
-	// driver checks it between experiments.
+	// means context.Background(). The experiment driver checks it
+	// between experiments.
 	Ctx context.Context
-	// Timeout is the deadline Ctx was built with, recorded in the
-	// shard-sweep JSON artifact for provenance; zero means none.
-	Timeout time.Duration
 }
 
 // ctx returns the configured context, defaulting to Background.
@@ -748,7 +744,7 @@ func E8(cfg Config) (Table, error) {
 
 // All runs every experiment in order.
 func All(cfg Config) ([]Table, error) {
-	runs := []func(Config) (Table, error){E1, E2, E3, E4, E5, E6, E7, E8, E9}
+	runs := []func(Config) (Table, error){E1, E2, E3, E4, E5, E6, E7, E8}
 	out := make([]Table, 0, len(runs))
 	for _, r := range runs {
 		if err := cfg.ctx().Err(); err != nil {
@@ -782,8 +778,6 @@ func ByID(id string) (func(Config) (Table, error), bool) {
 		return E7, true
 	case "e8", "E8":
 		return E8, true
-	case "e9", "E9":
-		return E9, true
 	case "a1", "A1":
 		return A1, true
 	case "a2", "A2":

@@ -349,8 +349,8 @@ func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
 
 // ScanTopK is the sequential-scan baseline the paper measures against:
 // evaluate the model on every point of the row-major archive. It is
-// deliberately kept on the row layout ([][]float64) — benchtab's
-// memory baseline compares it against the columnar kernel.
+// deliberately kept on the row layout ([][]float64), the layout the
+// paper's scan baseline reads; experiment E1 times the index against it.
 func ScanTopK(points [][]float64, w []float64, k int) ([]topk.Item, Stats, error) {
 	var st Stats
 	if len(points) == 0 {

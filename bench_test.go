@@ -513,11 +513,11 @@ func BenchmarkE7FSMFlatScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := fsm.FireAnts()
+	req := core.Request{Dataset: "w", Query: core.FSMQuery{Machine: fsm.FireAnts()}, K: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.FSMTopK("w", m, 10, nil); err != nil {
+		if _, err := e.Run(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -528,11 +528,15 @@ func BenchmarkE7FSMMetadataPruned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := fsm.FireAnts()
+	req := core.Request{
+		Dataset: "w",
+		Query:   core.FSMQuery{Machine: fsm.FireAnts(), Prefilter: core.FireAntsPrefilter},
+		K:       10,
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.FSMTopK("w", m, 10, core.FireAntsPrefilter); err != nil {
+		if _, err := e.Run(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -563,10 +567,13 @@ func benchGeology(b *testing.B, m core.GeologyMethod) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	q := e8Query
+	q.Method = m
+	req := core.Request{Dataset: "basin", Query: q, K: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.GeologyTopK("basin", e8Query, 10, m); err != nil {
+		if _, err := e.Run(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -630,13 +637,15 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 			}
 			// First query builds the per-shard indexes; keep that out
 			// of the timed region.
-			if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
+			ctx := context.Background()
+			req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: d.m}, K: 10}
+			if _, err := e.Run(ctx, req); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
+				if _, err := e.Run(ctx, req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -647,10 +656,9 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 // ---- Unified Run API overhead vs the direct shard fan-out ----
 
 // BenchmarkRunOverhead pins the cost of the Engine.Run request plumbing
-// (Request validation, ctx checks, stats normalization) against the
-// deprecated per-family entry point on the same engine and workload.
-// The two share the execution path, so CI asserts they stay within
-// noise of each other — the API redesign must not tax the hot path.
+// (Request validation, ctx checks, stats normalization) against a raw
+// shard fan-out over the same per-shard indexes and workload: the
+// difference is what the request API costs the hot path.
 func BenchmarkRunOverhead(b *testing.B) {
 	d, err := shardData()
 	if err != nil {
@@ -660,25 +668,17 @@ func BenchmarkRunOverhead(b *testing.B) {
 	if err := e.AddTuples("t", d.pts); err != nil {
 		b.Fatal(err)
 	}
-	// First query builds the per-shard indexes outside the timed region.
-	if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
-		b.Fatal(err)
-	}
 	ctx := context.Background()
 	req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: d.m}, K: 10}
+	// First query builds the per-shard indexes outside the timed region.
+	if _, err := e.Run(ctx, req); err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("unified-run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := e.Run(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy-wrapper", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := e.LinearTopKTuples("t", d.m, 10); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -715,41 +715,6 @@ func BenchmarkRunOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkRunProgressiveDrain measures the streaming variant with a
-// draining consumer, including snapshot assembly and delivery.
-func BenchmarkRunProgressiveDrain(b *testing.B) {
-	pts, err := synth.GaussianTuples(77, 20_000, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := linear.New([]string{"a", "b", "c"}, []float64{1, 0.5, -0.25}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := core.NewEngineWith(core.Options{Shards: 2})
-	if err := e.AddTuples("t", pts); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: m}, K: 10}
-	if _, err := e.Run(ctx, req); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch, err := e.RunProgressive(ctx, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for snap := range ch {
-			if snap.Err != nil {
-				b.Fatal(snap.Err)
-			}
-		}
-	}
 }
 
 // ---- Linear reads over live delta segments ----

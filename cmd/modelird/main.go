@@ -55,7 +55,7 @@
 //	             the router role sequences the batch and replicates it
 //	             to every replica of the owning partition (optional
 //	             "token" makes client retries idempotent)
-//	GET  /stats  cache counters, epoch, uptime, registered datasets
+//	GET  /stats  cache counters, uptime, registered datasets
 //	             (per-dataset cache generation and live delta count)
 //	GET  /healthz          readiness: 503 while restoring/building, 200 serving
 //	POST /admin/snapshot   persist current state to -data-dir on demand

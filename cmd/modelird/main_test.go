@@ -505,13 +505,13 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 
 	st := stats()
-	if st.Epoch != 4 || st.Shards != 4 {
+	if len(st.Datasets) != 4 || st.Shards != 4 {
 		t.Fatalf("stats %+v", st)
 	}
 	names := make([]string, len(st.Datasets))
 	for i, ds := range st.Datasets {
 		names[i] = ds.Name
-		if ds.Kind == "" || ds.Rows <= 0 {
+		if ds.Kind == "" || ds.Rows <= 0 || ds.Gen != 1 {
 			t.Fatalf("dataset %d incomplete: %+v", i, ds)
 		}
 	}

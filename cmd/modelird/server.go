@@ -345,7 +345,6 @@ func (b engineBackend) appendRows(ctx context.Context, wa wireAppend) (wireAppen
 func (b engineBackend) serverStats() wireServerStats {
 	var out wireServerStats
 	out.Role = "single"
-	out.Epoch = b.engine.Epoch()
 	out.Shards = b.engine.NumShards()
 	out.Datasets = b.engine.Datasets()
 	cs := b.engine.CacheStats()
@@ -719,7 +718,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // wireServerStats is the /stats response. Role-specific fields are
 // zero for the roles they do not apply to: a router has no engine
-// epoch, shards, or cache; a single engine has no peers.
+// shards or cache; a single engine has no peers.
 type wireServerStats struct {
 	Role string `json:"role"`
 	// Router role: peer count, each peer's health state and connection
@@ -733,7 +732,6 @@ type wireServerStats struct {
 	Degraded   bool                                    `json:"degraded,omitempty"`
 	Resync     *modelir.ClusterResyncStats             `json:"resync,omitempty"`
 	UptimeS    float64                                 `json:"uptime_s"`
-	Epoch      uint64                                  `json:"epoch"`
 	Shards     int                                     `json:"shards"`
 	GOMAXPROCS int                                     `json:"gomaxprocs"`
 	Datasets   []modelir.DatasetInfo                   `json:"datasets,omitempty"`

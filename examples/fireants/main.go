@@ -3,15 +3,10 @@
 // days, and a day at or above 25°C. The example retrieves the top
 // fly-risk regions, shows the metadata-level pruning win, and ranks a
 // corrupted-sensor region by FSM distance.
-//
-// This example deliberately stays on the deprecated per-family methods
-// (Engine.FSMTopK) as the compatibility demo: code written against the
-// pre-Run API keeps compiling and returns results bit-identical to
-// Engine.Run with an FSMQuery. New code should prefer Run — see
-// examples/quickstart and examples/credit.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,14 +33,19 @@ func run() error {
 		return err
 	}
 	machine := modelir.FireAntsModel()
+	ctx := context.Background()
 
 	// Baseline: run the machine over every region's full series.
-	top, base, err := engine.FSMTopK("plains", machine, 10, nil)
+	base, err := engine.Run(ctx, modelir.Request{
+		Dataset: "plains",
+		Query:   modelir.FSMQuery{Machine: machine},
+		K:       10,
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Println("top-10 fire-ant fly-risk regions:")
-	for i, it := range top {
+	for i, it := range base.Items {
 		st := synth.SummarizeSeries(archive[it.ID])
 		fmt.Printf("  %2d. region %3d  score %.3f  (max dry spell %d days)\n",
 			i+1, it.ID, it.Score, st.MaxDrySpell)
@@ -53,12 +53,17 @@ func run() error {
 
 	// Metadata pruning: regions whose summaries prove a zero score are
 	// skipped without scanning their days.
-	_, pruned, err := engine.FSMTopK("plains", machine, 10, modelir.FireAntsPrefilter)
+	pruned, err := engine.Run(ctx, modelir.Request{
+		Dataset: "plains",
+		Query:   modelir.FSMQuery{Machine: machine, Prefilter: modelir.FireAntsPrefilter},
+		K:       10,
+	})
 	if err != nil {
 		return err
 	}
+	ps := pruned.Stats
 	fmt.Printf("\nscan work: %d days flat, %d with metadata pruning (%d/%d regions skipped)\n",
-		base.DaysScanned, pruned.DaysScanned, pruned.RegionsPruned, pruned.RegionsTotal)
+		base.Stats.Evaluations, ps.Evaluations, ps.Pruned, ps.Examined+ps.Pruned)
 
 	// FSM distance: a hypothetical competing model that flies after only
 	// two dry days — how far is it behaviorally from Fig. 1?

@@ -1,6 +1,6 @@
 // Quickstart: build a tuple archive, pose a linear model query through
-// the unified Engine.Run entry point, and watch the same query stream
-// progressive snapshots — the smallest end-to-end use of the library.
+// the unified Engine.Run entry point, then batch several models in one
+// RunBatch call — the smallest end-to-end use of the library.
 package main
 
 import (
@@ -65,28 +65,31 @@ func run() error {
 		st.Kind, st.Examined, st.Examined+st.Pruned, st.Shards, st.Wall.Round(time.Microsecond),
 		float64(st.Examined+st.Pruned)/float64(st.Examined))
 
-	// 4. The same request, delivered progressively: snapshots improve
-	//    monotonically as Onion layers complete, ending with the exact
-	//    final answer.
-	ch, err := engine.RunProgressive(ctx, modelir.Request{
-		Dataset: "demo",
-		Query:   modelir.LinearQuery{Model: model},
-		K:       10,
+	// 4. Several models in one call: RunBatch runs them on one shared
+	//    worker pool, and each answer is the one Run would return. The
+	//    second model minimizes the first (negated coefficients).
+	low, err := modelir.NewLinearModel(
+		[]string{"x1", "x2", "x3"},
+		[]float64{-0.443, -0.222, -0.153},
+		0,
+	)
+	if err != nil {
+		return err
+	}
+	batch, err := engine.RunBatch(ctx, []modelir.Request{
+		{Dataset: "demo", Query: modelir.LinearQuery{Model: model}, K: 3},
+		{Dataset: "demo", Query: modelir.LinearQuery{Model: low}, K: 3},
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nprogressive delivery:")
-	for snap := range ch {
-		if snap.Err != nil {
-			return snap.Err
+	fmt.Println("\nbatch of two models:")
+	for i, br := range batch {
+		if br.Err != nil {
+			return br.Err
 		}
-		tag := fmt.Sprintf("%s %d", snap.Stage, snap.Level)
-		if snap.Final {
-			tag = "final"
-		}
-		fmt.Printf("  snapshot %d (%s): best %.4f, %d items\n",
-			snap.Seq, tag, snap.Items[0].Score, len(snap.Items))
+		fmt.Printf("  model %d: best tuple %6d  score %.4f  (%d examined)\n",
+			i+1, br.Result.Items[0].ID, br.Result.Items[0].Score, br.Result.Stats.Examined)
 	}
 	return nil
 }

@@ -38,12 +38,15 @@ func (sp *slicePool[T]) get(n int) *[]T {
 
 func (sp *slicePool[T]) put(s *[]T) { sp.p.Put(s) }
 
+// scanCounts is one shard's share of a scan-shaped family's work
+// report (see scanPlan): evaluation units spent, candidates examined,
+// candidates screened out.
+type scanCounts struct{ evals, examined, pruned int }
+
 var (
 	onionStatsArena slicePool[onion.Stats]
 	progStatsArena  slicePool[progressive.Stats]
-	fsmStatsArena   slicePool[FSMStats]
-	sprocStatsArena slicePool[sproc.Stats]
-	intArena        slicePool[int]
+	countsArena     slicePool[scanCounts]
 )
 
 // Evaluator scratch pools for the columnar scan kernels: machine

@@ -136,7 +136,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	specs := make([]parallel.BatchSpec, 0, len(exec))
 	want := 1
 	for _, en := range exec {
-		p, err := en.req.Query.plan(ctx, e, en.req, nil)
+		p, err := en.req.Query.plan(ctx, e, en.req)
 		if err != nil {
 			fillBatchErr(out, en, bareCtxErr(ctx, err))
 			continue

@@ -163,13 +163,6 @@ func (e *Engine) CacheStats() qcache.Stats {
 	return e.cache.Stats()
 }
 
-// Epoch reports the engine-wide content-change counter: the number of
-// successful dataset registrations plus appends. It is an
-// observability number (surfaced by /stats), not the cache key —
-// invalidation is per dataset via generation counters (DatasetInfo.Gen
-// reports those).
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
-
 // generationOf resolves the generation of the dataset a validated
 // request targets: the per-dataset cache-invalidation stamp sampled
 // before execution. Returns 0 for an unknown dataset — results are

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -72,10 +73,6 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	if _, err := e.Run(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	epoch := e.Epoch()
-	if epoch != 4 {
-		t.Fatalf("epoch after 4 registrations = %d", epoch)
-	}
 	// Warm entry serves.
 	warm, err := e.Run(ctx, req)
 	if err != nil {
@@ -85,13 +82,21 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 		t.Fatal("warm entry did not serve")
 	}
 
-	// A registration elsewhere bumps the engine epoch but NOT gauss's
-	// generation: the entry must keep serving.
+	// A registration elsewhere does not touch gauss's generation: the
+	// entry must keep serving. The new dataset starts at generation 1
+	// and answers from a cold run.
+	unrelated := Request{Dataset: "unrelated", Query: LinearQuery{Model: lm}, K: 1}
+	if _, err := e.Run(ctx, unrelated); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("query before registration: %v", err)
+	}
 	if err := e.AddTuples("unrelated", [][]float64{{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Epoch() != epoch+1 {
-		t.Fatalf("epoch not bumped: %d", e.Epoch())
+	if g, u := genOf(t, e, "gauss"), genOf(t, e, "unrelated"); g != 1 || u != 1 {
+		t.Fatalf("generations gauss %d unrelated %d, want 1 and 1", g, u)
+	}
+	if res, err := e.Run(ctx, unrelated); err != nil || res.Stats.Cache.Hit || len(res.Items) != 1 {
+		t.Fatalf("first query after registration: %+v, %v", res, err)
 	}
 	after, err := e.Run(ctx, req)
 	if err != nil {
@@ -99,6 +104,13 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	}
 	if !after.Stats.Cache.Hit {
 		t.Fatal("unrelated registration evicted gauss's entry")
+	}
+	// A failed registration (a duplicate name) changes nothing either.
+	if err := e.AddTuples("gauss", a.pts); !errors.Is(err, ErrDuplicateDataset) {
+		t.Fatalf("duplicate registration: %v", err)
+	}
+	if after, err = e.Run(ctx, req); err != nil || !after.Stats.Cache.Hit {
+		t.Fatalf("duplicate registration evicted gauss's entry (%v)", err)
 	}
 	// An append to another dataset likewise leaves gauss alone.
 	if err := e.AppendTuples("unrelated", [][]float64{{4, 5, 6}}); err != nil {
@@ -117,6 +129,9 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	row := make([]float64, len(a.pts[0]))
 	if err := e.AppendTuples("gauss", [][]float64{row}); err != nil {
 		t.Fatal(err)
+	}
+	if g := genOf(t, e, "gauss"); g != 2 {
+		t.Fatalf("gauss generation after append = %d, want 2", g)
 	}
 	stale, err := e.Run(ctx, req)
 	if err != nil {
@@ -140,6 +155,19 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 		t.Fatal("recomputed entry did not re-cache")
 	}
 	resultsEqual(t, "re-cache under new generation", again, stale)
+}
+
+// genOf reports the cache generation Datasets lists for the tuple
+// dataset name.
+func genOf(t *testing.T, e *Engine, name string) uint64 {
+	t.Helper()
+	for _, ds := range e.Datasets() {
+		if ds.Name == name && ds.Kind == kindTuples {
+			return ds.Gen
+		}
+	}
+	t.Fatalf("dataset %q not listed", name)
+	return 0
 }
 
 // requestKey is fingerprintRequest's key bytes as a comparable value.
@@ -278,11 +306,11 @@ func TestCacheDisabled(t *testing.T) {
 	if st := e.CacheStats(); st != (qcache.Stats{}) {
 		t.Fatalf("disabled cache counted: %+v", st)
 	}
-	rerunEqual(t, "cacheless repeat", r2, r1)
+	rerunEqual(t, "cacheless repeat", a, req.Query, r2, r1)
 }
 
 // TestCacheInvalidationStress is the race suite: concurrent Register +
-// RunBatch + Run traffic with continuous epoch invalidation, run under
+// RunBatch + Run traffic with continuous registrations, run under
 // -race in CI. Correctness pin: every served linear result equals the
 // immutable dataset's true answer, no matter how registrations
 // interleave.
@@ -357,8 +385,20 @@ func TestCacheInvalidationStress(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if e.Epoch() != 4+writers*iters {
-		t.Fatalf("epoch %d after %d registrations", e.Epoch(), 4+writers*iters)
+	// Every registration landed at generation 1, and none of them
+	// invalidated gauss's entry.
+	ds := e.Datasets()
+	if len(ds) != 4+writers*iters {
+		t.Fatalf("%d datasets listed after %d registrations", len(ds), 4+writers*iters)
+	}
+	for _, d := range ds {
+		if d.Gen != 1 {
+			t.Fatalf("dataset %q at generation %d, want 1", d.Name, d.Gen)
+		}
+	}
+	res, err := e.Run(ctx, Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 5})
+	if err != nil || !res.Stats.Cache.Hit {
+		t.Fatalf("gauss entry not served after the registrations (%v)", err)
 	}
 }
 

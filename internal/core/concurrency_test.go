@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -46,7 +47,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	machine := fsm.FireAnts()
 	gq := GeologyQuery{
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone},
-		MaxGapFt: 10, MinGamma: 45,
+		MaxGapFt: 10, MinGamma: 45, Method: GeoPruned,
 	}
 
 	const workers = 16
@@ -60,24 +61,27 @@ func TestEngineConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			items, _, err := e.LinearTopKTuples("t", m, 5)
+			ctx := context.Background()
+			res, err := e.Run(ctx, Request{Dataset: "t", Query: LinearQuery{Model: m}, K: 5})
 			if err != nil {
 				errs[w] = err
 				return
 			}
-			linearResults[w] = items
-			fitems, _, err := e.FSMTopK("w", machine, 5, FireAntsPrefilter)
+			linearResults[w] = res.Items
+			res, err = e.Run(ctx, Request{Dataset: "w", Query: FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, K: 5})
 			if err != nil {
 				errs[w] = err
 				return
 			}
-			fsmResults[w] = fitems
-			gitems, _, err := e.GeologyTopK("g", gq, 5, GeoPruned)
+			fsmResults[w] = res.Items
+			res, err = e.Run(ctx, Request{Dataset: "g", Query: gq, K: 5})
 			if err != nil {
 				errs[w] = err
 				return
 			}
-			geoResults[w] = gitems
+			if geoResults[w], err = WellMatches(res.Items); err != nil {
+				errs[w] = err
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -194,65 +198,53 @@ func TestShardEquivalenceAllFamilies(t *testing.T) {
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   GeoPruned,
 	}
 	machine := fsm.FireAnts()
+	linReq := Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 10}
+	sceneReq := Request{Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 10}
+	fsmReq := Request{Dataset: "weather", Query: FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, K: 10}
+	geoReq := Request{Dataset: "basin", Query: geoQ, K: 10}
+	geology := func(e *Engine) []WellMatch {
+		matches, err := WellMatches(mustRun(t, e, geoReq).Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches
+	}
 
 	ref := engineWithArchives(t, 1, a)
-	refLinear, refLinSt, err := ref.LinearTopKTuples("gauss", lm, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refScene, _, err := ref.SceneTopK("hps", a.pm, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFSM, refFSMSt, err := ref.FSMTopK("weather", machine, 10, FireAntsPrefilter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refGeo, _, err := ref.GeologyTopK("basin", geoQ, 10, GeoPruned)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refLin := mustRun(t, ref, linReq)
+	refScene := mustRun(t, ref, sceneReq).Items
+	refFSM := mustRun(t, ref, fsmReq)
+	refGeo := geology(ref)
 
 	for _, shards := range []int{1, 4, 7} {
 		e := engineWithArchives(t, shards, a)
 
-		lin, linSt, err := e.LinearTopKTuples("gauss", lm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("linear shards=%d", shards), lin, refLinear)
-		if linSt.ScanCost != refLinSt.ScanCost {
-			t.Fatalf("shards=%d scan cost %d vs %d", shards, linSt.ScanCost, refLinSt.ScanCost)
+		lin := mustRun(t, e, linReq)
+		itemsEqual(t, fmt.Sprintf("linear shards=%d", shards), lin.Items, refLin.Items)
+		if lin.Stats.Examined+lin.Stats.Pruned != refLin.Stats.Examined+refLin.Stats.Pruned {
+			t.Fatalf("shards=%d scan cost %d vs %d", shards,
+				lin.Stats.Examined+lin.Stats.Pruned, refLin.Stats.Examined+refLin.Stats.Pruned)
 		}
 
-		scene, sceneSt, err := e.SceneTopK("hps", a.pm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("scene shards=%d", shards), scene, refScene)
-		if sceneSt.Work() == 0 {
+		scene := mustRun(t, e, sceneReq)
+		itemsEqual(t, fmt.Sprintf("scene shards=%d", shards), scene.Items, refScene)
+		if scene.Stats.Evaluations == 0 {
 			t.Fatalf("shards=%d no scene work recorded", shards)
 		}
 
-		fsmItems, fsmSt, err := e.FSMTopK("weather", machine, 10, FireAntsPrefilter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("fsm shards=%d", shards), fsmItems, refFSM)
+		fsmRes := mustRun(t, e, fsmReq)
+		itemsEqual(t, fmt.Sprintf("fsm shards=%d", shards), fsmRes.Items, refFSM.Items)
 		// Prefilter decisions are per-region, so pruning stats are
 		// shard-invariant too.
-		if fsmSt.RegionsTotal != refFSMSt.RegionsTotal ||
-			fsmSt.RegionsPruned != refFSMSt.RegionsPruned ||
-			fsmSt.DaysScanned != refFSMSt.DaysScanned {
-			t.Fatalf("shards=%d fsm stats %+v vs %+v", shards, fsmSt, refFSMSt)
+		if fsmSt, refSt := fsmRes.Stats, refFSM.Stats; fsmSt.Examined != refSt.Examined ||
+			fsmSt.Pruned != refSt.Pruned || fsmSt.Evaluations != refSt.Evaluations {
+			t.Fatalf("shards=%d fsm stats %+v vs %+v", shards, fsmSt, refSt)
 		}
 
-		geo, _, err := e.GeologyTopK("basin", geoQ, 10, GeoPruned)
-		if err != nil {
-			t.Fatal(err)
-		}
+		geo := geology(e)
 		if len(geo) != len(refGeo) {
 			t.Fatalf("geology shards=%d: %d vs %d wells", shards, len(geo), len(refGeo))
 		}
@@ -281,12 +273,10 @@ func TestConcurrentRegistrationAndQueries(t *testing.T) {
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   GeoDP,
 	}
-
-	wantLinear, _, err := e.LinearTopKTuples("gauss", lm, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	linReq := Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 5}
+	wantLinear := mustRun(t, e, linReq).Items
 
 	const writers, readers, rounds = 4, 8, 6
 	var wg sync.WaitGroup
@@ -318,32 +308,33 @@ func TestConcurrentRegistrationAndQueries(t *testing.T) {
 		wg.Add(1)
 		go func(rd int) {
 			defer wg.Done()
+			ctx := context.Background()
 			for r := 0; r < rounds; r++ {
 				switch rd % 4 {
 				case 0:
-					items, _, err := e.LinearTopKTuples("gauss", lm, 5)
+					res, err := e.Run(ctx, linReq)
 					if err != nil {
 						errc <- err
 						return
 					}
 					for i := range wantLinear {
-						if items[i].ID != wantLinear[i].ID {
+						if res.Items[i].ID != wantLinear[i].ID {
 							errc <- fmt.Errorf("linear result drifted under load")
 							return
 						}
 					}
 				case 1:
-					if _, _, err := e.SceneTopK("hps", a.pm, 5); err != nil {
+					if _, err := e.Run(ctx, Request{Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 5}); err != nil {
 						errc <- err
 						return
 					}
 				case 2:
-					if _, _, err := e.FSMTopK("weather", machine, 5, FireAntsPrefilter); err != nil {
+					if _, err := e.Run(ctx, Request{Dataset: "weather", Query: FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter}, K: 5}); err != nil {
 						errc <- err
 						return
 					}
 				case 3:
-					if _, _, err := e.GeologyTopK("basin", geoQ, 5, GeoDP); err != nil {
+					if _, err := e.Run(ctx, Request{Dataset: "basin", Query: geoQ, K: 5}); err != nil {
 						errc <- err
 						return
 					}
@@ -382,12 +373,12 @@ func TestConcurrentFirstQueryBuildsIndexOnce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			items, _, err := e.LinearTopKTuples("t", lm, 8)
+			res, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: lm}, K: 8})
 			if err != nil {
 				errc <- err
 				return
 			}
-			results[c] = items
+			results[c] = res.Items
 		}(c)
 	}
 	wg.Wait()
@@ -469,10 +460,7 @@ func TestShardEquivalenceWithTies(t *testing.T) {
 		if err := e.AddTuples("dup", pts); err != nil {
 			t.Fatal(err)
 		}
-		items, _, err := e.LinearTopKTuples("dup", lm, 18)
-		if err != nil {
-			t.Fatal(err)
-		}
+		items := mustRun(t, e, Request{Dataset: "dup", Query: LinearQuery{Model: lm}, K: 18}).Items
 		if want == nil {
 			want = items
 			// With 5 prototypes and k=18, ties are certain; the order

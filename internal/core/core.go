@@ -23,19 +23,15 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
-	"modelir/internal/linear"
 	"modelir/internal/onion"
 	"modelir/internal/parallel"
-	"modelir/internal/progressive"
 	"modelir/internal/qcache"
 	"modelir/internal/sproc"
 	"modelir/internal/synth"
@@ -98,10 +94,6 @@ type Engine struct {
 	shards   int
 	onionOpt onion.Options
 
-	// epoch counts successful content changes (registrations and
-	// appends) engine-wide — an observability counter, no longer the
-	// cache-invalidation key (per-dataset generations are; cache.go).
-	epoch atomic.Uint64
 	// cache is the result cache (nil = disabled).
 	cache *qcache.Cache
 	// adm is the admission semaphore (nil = unbounded).
@@ -232,13 +224,12 @@ func (e *Engine) reserve(k dsKind, name string) error {
 	return nil
 }
 
-// commit installs a built set under its reservation and publishes the
-// content change (engine epoch; the set carries its own generation).
+// commit installs a built set under its reservation (the set carries
+// its own cache generation).
 func (e *Engine) commit(k dsKind, name string, install func()) {
 	e.mu.Lock()
 	delete(e.pending, dsName{k, name})
 	install()
-	e.epoch.Add(1)
 	e.mu.Unlock()
 }
 
@@ -312,73 +303,6 @@ func (e *Engine) Scene(name string) (*archive.Scene, error) {
 	return ss.scene, nil
 }
 
-// LinearTupleStats reports the work of a tuple-archive linear query.
-type LinearTupleStats struct {
-	Indexed onion.Stats
-	// ScanCost is the points a sequential scan would touch (the
-	// paper's baseline denominator).
-	ScanCost int
-}
-
-// legacyK rejects result counts Run's K-defaulting would otherwise
-// mask, preserving the deprecated wrappers' k >= 1 contract.
-func legacyK(k int) error {
-	if k < 1 {
-		return fmt.Errorf("core: k %d: %w", k, topk.ErrBadCapacity)
-	}
-	return nil
-}
-
-// LinearTopKTuples retrieves the top-K tuples maximizing the model over
-// a registered tuple archive. See LinearQuery for the execution notes.
-//
-// Deprecated: use Run with a LinearQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) LinearTopKTuples(dataset string, m *linear.Model, k int) ([]topk.Item, LinearTupleStats, error) {
-	var st LinearTupleStats
-	if err := legacyK(k); err != nil {
-		return nil, st, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   LinearQuery{Model: m},
-		K:       k,
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	st, _ = res.Stats.Detail.(LinearTupleStats)
-	return res.Items, st, nil
-}
-
-// SceneTopK retrieves the top-K locations of a linear risk model over a
-// registered raster archive. See SceneQuery for the execution notes.
-//
-// Deprecated: use Run with a SceneQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) SceneTopK(dataset string, pm *linear.ProgressiveModel, k int) ([]topk.Item, progressive.Stats, error) {
-	if err := legacyK(k); err != nil {
-		return nil, progressive.Stats{}, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   SceneQuery{Model: pm},
-		K:       k,
-	})
-	if err != nil {
-		return nil, progressive.Stats{}, err
-	}
-	st, _ := res.Stats.Detail.(progressive.Stats)
-	return res.Items, st, nil
-}
-
-// FSMStats reports finite-state retrieval work.
-type FSMStats struct {
-	RegionsTotal  int
-	RegionsPruned int
-	DaysScanned   int
-}
-
 // FSMPrefilter decides, from metadata alone, whether a region can
 // possibly satisfy the machine. Returning false skips the full scan.
 type FSMPrefilter func(synth.DrySpellStats) bool
@@ -388,54 +312,6 @@ type FSMPrefilter func(synth.DrySpellStats) bool
 // position >= 3.
 func FireAntsPrefilter(s synth.DrySpellStats) bool {
 	return s.MaxDrySpell >= 3 && s.MaxTempAfterDry3 >= fsm.FlyTempC
-}
-
-// FSMTopK ranks regions of a series archive by fsm.FlyScore under the
-// given machine. See FSMQuery for the execution notes.
-//
-// Deprecated: use Run with an FSMQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) FSMTopK(dataset string, m *fsm.Machine, k int, pre FSMPrefilter) ([]topk.Item, FSMStats, error) {
-	return e.fsmTopK(dataset, m, k, pre, 0)
-}
-
-func (e *Engine) fsmTopK(dataset string, m *fsm.Machine, k int, pre FSMPrefilter, workers int) ([]topk.Item, FSMStats, error) {
-	var st FSMStats
-	if err := legacyK(k); err != nil {
-		return nil, st, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   FSMQuery{Machine: m, Prefilter: pre},
-		K:       k,
-		Workers: workers,
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	st, _ = res.Stats.Detail.(FSMStats)
-	return res.Items, st, nil
-}
-
-// FSMDistanceRank ranks regions by how closely the machine their data
-// exhibits matches the target machine. See FSMDistanceQuery for the
-// execution notes.
-//
-// Deprecated: use Run with an FSMDistanceQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) FSMDistanceRank(dataset string, target *fsm.Machine, k, horizon int) ([]topk.Item, error) {
-	if err := legacyK(k); err != nil {
-		return nil, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   FSMDistanceQuery{Target: target, Horizon: horizon},
-		K:       k,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Items, nil
 }
 
 // GeologyQuery is the Fig. 4 knowledge model: an ordered lithology
@@ -480,7 +356,7 @@ type WellMatch struct {
 // GeologyMethod selects the SPROC evaluator.
 type GeologyMethod int
 
-// Evaluator choices for GeologyTopK. GeoDP and GeoPruned are served by
+// Evaluator choices for GeologyQuery. GeoDP and GeoPruned are served by
 // one evaluator, the floored top-1 DP (sproc.DP1FloorCtx): every well
 // is screened against the merged top-K floor before its pair DP, so
 // both return the same answer at the same cost. GeoBruteForce
@@ -490,46 +366,6 @@ const (
 	GeoDP
 	GeoPruned
 )
-
-// GeologyTopK retrieves the top-K wells whose strata best satisfy the
-// knowledge model. See GeologyQuery for the execution notes.
-//
-// Deprecated: use Run with a GeologyQuery (set its Method field); this
-// wrapper exists for callers that predate the unified request API and
-// adds no behavior beyond converting items to WellMatch values.
-func (e *Engine) GeologyTopK(dataset string, q GeologyQuery, k int, method GeologyMethod) ([]WellMatch, sproc.Stats, error) {
-	return e.geologyTopK(dataset, q, k, method, 0)
-}
-
-func (e *Engine) geologyTopK(dataset string, q GeologyQuery, k int, method GeologyMethod, workers int) ([]WellMatch, sproc.Stats, error) {
-	var agg sproc.Stats
-	if err := legacyK(k); err != nil {
-		return nil, agg, err
-	}
-	// The legacy signature takes the method positionally and never
-	// accepted zero; only the unified path defaults it to GeoDP.
-	switch method {
-	case GeoBruteForce, GeoDP, GeoPruned:
-	default:
-		return nil, agg, fmt.Errorf("core: unknown geology method %d", method)
-	}
-	q.Method = method
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   q,
-		K:       k,
-		Workers: workers,
-	})
-	if err != nil {
-		return nil, agg, err
-	}
-	agg, _ = res.Stats.Detail.(sproc.Stats)
-	out, err := WellMatches(res.Items)
-	if err != nil {
-		return nil, agg, err
-	}
-	return out, agg, nil
-}
 
 // WellMatches converts GeologyQuery result items (well IDs with strata
 // payloads) into WellMatch values.

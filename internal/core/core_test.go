@@ -26,6 +26,16 @@ func engineWithTuples(t *testing.T) (*Engine, [][]float64) {
 	return e, pts
 }
 
+// mustRun executes req and fails the test on error.
+func mustRun(t testing.TB, e *Engine, req Request) Result {
+	t.Helper()
+	res, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRegistrationErrors(t *testing.T) {
 	e := NewEngine()
 	if err := e.AddTuples("x", nil); err == nil {
@@ -65,10 +75,8 @@ func TestLinearTopKTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, st, err := e.LinearTopKTuples("gauss", m, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, e, Request{Dataset: "gauss", Query: LinearQuery{Model: m}, K: 5})
+	items, st := res.Items, res.Stats
 	if len(items) != 5 {
 		t.Fatalf("got %d items", len(items))
 	}
@@ -83,14 +91,12 @@ func TestLinearTopKTuples(t *testing.T) {
 	if items[0].ID != int64(bestID) || math.Abs(items[0].Score-bestScore) > 1e-12 {
 		t.Fatalf("top item %d/%v want %d/%v", items[0].ID, items[0].Score, bestID, bestScore)
 	}
-	if st.Indexed.PointsTouched >= st.ScanCost {
-		t.Fatalf("index touched %d >= scan %d", st.Indexed.PointsTouched, st.ScanCost)
+	if st.Examined+st.Pruned != len(pts) || st.Examined >= len(pts) {
+		t.Fatalf("index touched %d of %d (pruned %d)", st.Examined, len(pts), st.Pruned)
 	}
 	// Cached index reused on second query.
-	if _, _, err := e.LinearTopKTuples("gauss", m, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.LinearTopKTuples("missing", m, 1); err == nil {
+	mustRun(t, e, Request{Dataset: "gauss", Query: LinearQuery{Model: m}, K: 1})
+	if _, err := e.Run(context.Background(), Request{Dataset: "missing", Query: LinearQuery{Model: m}, K: 1}); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -113,17 +119,14 @@ func TestSceneTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, st, err := e.SceneTopK("hps", pm, 10)
-	if err != nil {
-		t.Fatal(err)
+	res := mustRun(t, e, Request{Dataset: "hps", Query: SceneQuery{Model: pm}, K: 10})
+	if len(res.Items) != 10 {
+		t.Fatalf("items=%d", len(res.Items))
 	}
-	if len(items) != 10 {
-		t.Fatalf("items=%d", len(items))
-	}
-	if st.Work() == 0 {
+	if res.Stats.Evaluations == 0 {
 		t.Fatal("no work recorded")
 	}
-	if _, _, err := e.SceneTopK("missing", pm, 1); err == nil {
+	if _, err := e.Run(context.Background(), Request{Dataset: "missing", Query: SceneQuery{Model: pm}, K: 1}); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -139,14 +142,10 @@ func TestFSMTopKWithPruning(t *testing.T) {
 	}
 	m := fsm.FireAnts()
 
-	base, baseSt, err := e.FSMTopK("weather", m, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, prunedSt, err := e.FSMTopK("weather", m, 10, FireAntsPrefilter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseRes := mustRun(t, e, Request{Dataset: "weather", Query: FSMQuery{Machine: m}, K: 10})
+	prunedRes := mustRun(t, e, Request{Dataset: "weather", Query: FSMQuery{Machine: m, Prefilter: FireAntsPrefilter}, K: 10})
+	base, baseSt := baseRes.Items, baseRes.Stats
+	pruned, prunedSt := prunedRes.Items, prunedRes.Stats
 	if len(base) != len(pruned) {
 		t.Fatalf("result sizes differ: %d vs %d", len(base), len(pruned))
 	}
@@ -155,13 +154,13 @@ func TestFSMTopKWithPruning(t *testing.T) {
 			t.Fatalf("pruning changed results at %d: %+v vs %+v", i, base[i], pruned[i])
 		}
 	}
-	if prunedSt.DaysScanned > baseSt.DaysScanned {
+	if prunedSt.Evaluations > baseSt.Evaluations {
 		t.Fatal("pruning increased scan work")
 	}
-	if baseSt.RegionsTotal != 40 {
-		t.Fatalf("regions total %d", baseSt.RegionsTotal)
+	if baseSt.Examined+baseSt.Pruned != 40 || prunedSt.Examined+prunedSt.Pruned != 40 {
+		t.Fatalf("regions total %d / %d", baseSt.Examined+baseSt.Pruned, prunedSt.Examined+prunedSt.Pruned)
 	}
-	if _, _, err := e.FSMTopK("missing", m, 1, nil); err == nil {
+	if _, err := e.Run(context.Background(), Request{Dataset: "missing", Query: FSMQuery{Machine: m}, K: 1}); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -175,10 +174,7 @@ func TestFSMDistanceRank(t *testing.T) {
 	if err := e.AddSeries("weather", arch); err != nil {
 		t.Fatal(err)
 	}
-	items, err := e.FSMDistanceRank("weather", fsm.FireAnts(), 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := mustRun(t, e, Request{Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 10}, K: 5}).Items
 	if len(items) != 5 {
 		t.Fatalf("items=%d", len(items))
 	}
@@ -189,7 +185,7 @@ func TestFSMDistanceRank(t *testing.T) {
 			t.Fatalf("region %d score %v want 1", it.ID, it.Score)
 		}
 	}
-	if _, err := e.FSMDistanceRank("missing", fsm.FireAnts(), 1, 5); err == nil {
+	if _, err := e.Run(context.Background(), Request{Dataset: "missing", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 5}, K: 1}); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -212,14 +208,18 @@ func TestGeologyTopKFindsPlantedWells(t *testing.T) {
 	// retrieve every well to check the planted ones are all present.
 	k := len(wells)
 
-	dp, dpSt, err := e.GeologyTopK("basin", q, k, GeoDP)
-	if err != nil {
-		t.Fatal(err)
+	geology := func(method GeologyMethod) ([]WellMatch, QueryStats) {
+		q := q
+		q.Method = method
+		res := mustRun(t, e, Request{Dataset: "basin", Query: q, K: k})
+		matches, err := WellMatches(res.Items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matches, res.Stats
 	}
-	pruned, prSt, err := e.GeologyTopK("basin", q, k, GeoPruned)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dp, dpSt := geology(GeoDP)
+	pruned, prSt := geology(GeoPruned)
 	if len(dp) != len(pruned) {
 		t.Fatalf("dp %d vs pruned %d wells", len(dp), len(pruned))
 	}
@@ -249,7 +249,7 @@ func TestGeologyTopKFindsPlantedWells(t *testing.T) {
 	// One floored evaluator serves both methods. K covers every well,
 	// so no heap fills and the floor stays at the least positive score
 	// whatever the scheduling: the work is equal, not merely bounded.
-	if prSt.UnaryEvals != dpSt.UnaryEvals || prSt.PairEvals != dpSt.PairEvals {
+	if prSt.Evaluations != dpSt.Evaluations || prSt.Examined != dpSt.Examined || prSt.Pruned != dpSt.Pruned {
 		t.Fatalf("pruned method did different work than DP: %+v vs %+v", prSt, dpSt)
 	}
 }
@@ -335,19 +335,24 @@ func TestGeologyValidation(t *testing.T) {
 	if err := e.AddWells("b", wells); err != nil {
 		t.Fatal(err)
 	}
-	bad := GeologyQuery{}
-	if _, _, err := e.GeologyTopK("b", bad, 1, GeoDP); err == nil {
+	run := func(dataset string, q GeologyQuery) error {
+		_, err := e.Run(context.Background(), Request{Dataset: dataset, Query: q, K: 1})
+		return err
+	}
+	bad := GeologyQuery{Method: GeoDP}
+	if err := run("b", bad); err == nil {
 		t.Fatal("want empty sequence error")
 	}
-	q := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MaxGapFt: -1}
-	if _, _, err := e.GeologyTopK("b", q, 1, GeoDP); err == nil {
+	q := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MaxGapFt: -1, Method: GeoDP}
+	if err := run("b", q); err == nil {
 		t.Fatal("want negative gap error")
 	}
-	ok := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MinGamma: 45}
-	if _, _, err := e.GeologyTopK("missing", ok, 1, GeoDP); err == nil {
+	ok := GeologyQuery{Sequence: []synth.Lithology{synth.Shale}, MinGamma: 45, Method: GeoDP}
+	if err := run("missing", ok); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
-	if _, _, err := e.GeologyTopK("b", ok, 1, GeologyMethod(99)); err == nil {
+	ok.Method = GeologyMethod(99)
+	if err := run("b", ok); err == nil {
 		t.Fatal("want unknown method error")
 	}
 }

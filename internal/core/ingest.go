@@ -72,7 +72,6 @@ func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set
 	}
 	d.place(base)
 	sets[name] = s.withDeltaAt(base, d)
-	e.epoch.Add(1)
 	start := e.claimCompactorLocked(k, name)
 	e.mu.Unlock()
 	if start {

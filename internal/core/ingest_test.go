@@ -421,6 +421,13 @@ func TestConcurrentDuplicateRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngineWith(Options{Shards: 4})
+	// A warm entry on another dataset: neither the winning registration
+	// nor the failed duplicates may invalidate it.
+	if err := e.AddTuples("other", pts); err != nil {
+		t.Fatal(err)
+	}
+	other := Request{Dataset: "other", Query: LinearQuery{Model: testLinearModel(t)}, K: 3}
+	mustRun(t, e, other)
 	const racers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, racers)
@@ -444,11 +451,11 @@ func TestConcurrentDuplicateRegistration(t *testing.T) {
 	if wins != 1 {
 		t.Fatalf("%d racers won, want exactly 1", wins)
 	}
-	if ds := e.Datasets(); len(ds) != 1 || ds[0].Rows != len(pts) {
+	if ds := e.Datasets(); len(ds) != 2 || ds[0].Name != "dup" || ds[0].Rows != len(pts) || ds[0].Gen != 1 {
 		t.Fatalf("registered state torn: %+v", ds)
 	}
-	if e.Epoch() != 1 {
-		t.Fatalf("epoch = %d after 1 successful registration", e.Epoch())
+	if !mustRun(t, e, other).Stats.Cache.Hit {
+		t.Fatal("registering another dataset evicted a warm entry")
 	}
 }
 
@@ -1050,7 +1057,9 @@ func TestCompactionTriggerNotLost(t *testing.T) {
 // per-delta read cost (ROADMAP item 2a): a live delta adds a scan, not
 // garbage. Segment runners append their unordered heap contents into
 // pooled partial slots and only the merged heap is ordered, so a linear
-// Run over six live deltas allocates what it does over none.
+// Run over six live deltas allocates what it does over none. The
+// absolute bound pins the request path itself: a linear Run with no
+// deltas makes at most 7 allocations.
 func TestRunAllocsIndependentOfDeltas(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; allocation counts are only meaningful without it")
@@ -1090,6 +1099,9 @@ func TestRunAllocsIndependentOfDeltas(t *testing.T) {
 	// Appends shrinking by a size class each never form a run the tier
 	// rule merges, so all six stay live.
 	none, six := allocs(), allocs(1024, 256, 64, 16, 4, 1)
+	if none > 7 {
+		t.Fatalf("linear Run: %v allocs with no deltas, want <= 7", none)
+	}
 	if six > none {
 		t.Fatalf("linear Run: %v allocs over 6 live deltas, %v over none", six, none)
 	}

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"modelir/internal/bayes"
-	"modelir/internal/topk"
-)
+import "modelir/internal/bayes"
 
 // Knowledge-model retrieval over the archive's *features* abstraction
 // level: a fuzzy RuleSet (Section 2.3) is evaluated per tile against
@@ -15,38 +10,8 @@ import (
 // Feature names follow "<band>.<stat>" with stat one of mean, std, min,
 // max (e.g. "b4.mean", "elev.max").
 
-// KnowledgeStats reports the work of a knowledge-model tile query.
-type KnowledgeStats struct {
-	TilesScored int
-	// RawBytesAvoided estimates the raw-level volume (float64 samples)
-	// the feature-level evaluation did not need to read.
-	RawSamplesAvoided int
-}
-
-// KnowledgeTopKTiles ranks a scene's tiles by rule-set score. See
-// KnowledgeQuery for the execution notes.
-//
-// Deprecated: use Run with a KnowledgeQuery; this wrapper exists for
-// callers that predate the unified request API and adds no behavior.
-func (e *Engine) KnowledgeTopKTiles(dataset string, rules *bayes.RuleSet, k int) ([]topk.Item, KnowledgeStats, error) {
-	var st KnowledgeStats
-	if err := legacyK(k); err != nil {
-		return nil, st, err
-	}
-	res, err := e.Run(context.Background(), Request{
-		Dataset: dataset,
-		Query:   KnowledgeQuery{Rules: rules},
-		K:       k,
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	st, _ = res.Stats.Detail.(KnowledgeStats)
-	return res.Items, st, nil
-}
-
 // HPSTileRules compiles the Fig. 3 knowledge model into a feature-level
-// rule set usable with KnowledgeTopKTiles on a Landsat-like archive:
+// rule set usable as a KnowledgeQuery on a Landsat-like archive:
 // vegetated surroundings (high b4), dry-season signal (high b5), modest
 // elevation. Thresholds are expressed as fuzzy ramps over digital
 // numbers / meters.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"modelir/internal/archive"
@@ -27,15 +28,14 @@ func knowledgeEngine(t *testing.T) (*Engine, *archive.Scene) {
 
 func TestKnowledgeTopKTiles(t *testing.T) {
 	e, ar := knowledgeEngine(t)
-	items, st, err := e.KnowledgeTopKTiles("s", HPSTileRules(), 5)
-	if err != nil {
-		t.Fatal(err)
+	rules := HPSTileRules()
+	res := mustRun(t, e, Request{Dataset: "s", Query: KnowledgeQuery{Rules: rules}, K: 5})
+	items, st := res.Items, res.Stats
+	if st.Examined != len(ar.Tiles) || st.Pruned != 0 {
+		t.Fatalf("scored %d of %d tiles (pruned %d)", st.Examined, len(ar.Tiles), st.Pruned)
 	}
-	if st.TilesScored != len(ar.Tiles) {
-		t.Fatalf("scored %d of %d tiles", st.TilesScored, len(ar.Tiles))
-	}
-	if st.RawSamplesAvoided != 128*128*ar.NumBands() {
-		t.Fatalf("raw samples avoided %d", st.RawSamplesAvoided)
+	if st.Evaluations != len(ar.Tiles)*rules.Len() {
+		t.Fatalf("rule evaluations %d", st.Evaluations)
 	}
 	// Scores are valid rule grades, descending.
 	for i, it := range items {
@@ -65,16 +65,20 @@ func TestKnowledgeTopKTiles(t *testing.T) {
 
 func TestKnowledgeTopKTilesValidation(t *testing.T) {
 	e, _ := knowledgeEngine(t)
-	if _, _, err := e.KnowledgeTopKTiles("s", nil, 5); err == nil {
+	run := func(dataset string, rules *bayes.RuleSet, k int) error {
+		_, err := e.Run(context.Background(), Request{Dataset: dataset, Query: KnowledgeQuery{Rules: rules}, K: k})
+		return err
+	}
+	if err := run("s", nil, 5); err == nil {
 		t.Fatal("want empty rules error")
 	}
-	if _, _, err := e.KnowledgeTopKTiles("s", bayes.NewRuleSet(), 5); err == nil {
+	if err := run("s", bayes.NewRuleSet(), 5); err == nil {
 		t.Fatal("want empty rules error")
 	}
-	if _, _, err := e.KnowledgeTopKTiles("missing", HPSTileRules(), 5); err == nil {
+	if err := run("missing", HPSTileRules(), 5); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
-	if _, _, err := e.KnowledgeTopKTiles("s", HPSTileRules(), 0); err == nil {
+	if err := run("s", HPSTileRules(), -1); err == nil {
 		t.Fatal("want k error")
 	}
 }
@@ -83,19 +87,13 @@ func TestKnowledgeRulesDiscriminate(t *testing.T) {
 	e, _ := knowledgeEngine(t)
 	// A rule set demanding impossible values returns nothing.
 	impossible := bayes.NewRuleSet().Require("b4.mean", bayes.Above{Lo: 10_000, Hi: 10_001})
-	items, _, err := e.KnowledgeTopKTiles("s", impossible, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := mustRun(t, e, Request{Dataset: "s", Query: KnowledgeQuery{Rules: impossible}, K: 5}).Items
 	if len(items) != 0 {
 		t.Fatalf("impossible rules matched %d tiles", len(items))
 	}
 	// A tautological rule set matches every tile at full grade.
 	always := bayes.NewRuleSet().Require("b4.mean", bayes.Above{Lo: -1, Hi: 0})
-	items, _, err = e.KnowledgeTopKTiles("s", always, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items = mustRun(t, e, Request{Dataset: "s", Query: KnowledgeQuery{Rules: always}, K: 1000}).Items
 	if len(items) != 64 {
 		t.Fatalf("tautology matched %d of 64 tiles", len(items))
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
+	"modelir/internal/parallel"
 	"modelir/internal/synth"
 )
 
@@ -20,15 +22,13 @@ func TestFSMTopKParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := fsm.FireAnts()
-	serial, serialSt, err := e.FSMTopK("w", m, 10, FireAntsPrefilter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := Request{Dataset: "w", Query: FSMQuery{Machine: m, Prefilter: FireAntsPrefilter}, K: 10}
+	serialRes := mustRun(t, e, req)
+	serial, serialSt := serialRes.Items, serialRes.Stats
 	for _, workers := range []int{1, 2, 8, 100} {
-		par, parSt, err := e.FSMTopKParallel("w", m, 10, FireAntsPrefilter, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		req.Workers = workers
+		parRes := mustRun(t, e, req)
+		par, parSt := parRes.Items, parRes.Stats
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d vs %d results", workers, len(par), len(serial))
 		}
@@ -37,12 +37,12 @@ func TestFSMTopKParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d pos %d: %+v vs %+v", workers, i, par[i], serial[i])
 			}
 		}
-		if parSt.RegionsPruned != serialSt.RegionsPruned ||
-			parSt.DaysScanned != serialSt.DaysScanned {
+		if parSt.Pruned != serialSt.Pruned || parSt.Evaluations != serialSt.Evaluations {
 			t.Fatalf("workers=%d stats diverged: %+v vs %+v", workers, parSt, serialSt)
 		}
 	}
-	if _, _, err := e.FSMTopKParallel("missing", m, 1, nil, 2); err == nil {
+	req.Dataset, req.K = "missing", 1
+	if _, err := e.Run(context.Background(), req); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
 }
@@ -63,41 +63,51 @@ func TestGeologyTopKParallelMatchesSerial(t *testing.T) {
 		MaxGapFt: 10,
 		MinGamma: 45,
 	}
+	geology := func(dataset string, q GeologyQuery, k int, method GeologyMethod, workers int) ([]WellMatch, QueryStats, error) {
+		q.Method = method
+		res, err := e.Run(context.Background(), Request{Dataset: dataset, Query: q, K: k, Workers: workers})
+		if err != nil {
+			return nil, QueryStats{}, err
+		}
+		matches, err := WellMatches(res.Items)
+		return matches, res.Stats, err
+	}
 	// With a cross-well floor the pair work depends on which shard
 	// raises first, so only the result bits are compared across worker
 	// counts; exact counters are compared at one worker, where GeoDP and
 	// GeoPruned run the same floored evaluator in the same order.
-	serial, serialSt, err := e.GeologyTopKParallel("b", q, 20, GeoPruned, 1)
+	serial, serialSt, err := geology("b", q, 20, GeoPruned, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dpSt, err := e.GeologyTopKParallel("b", q, 20, GeoDP, 1)
+	_, dpSt, err := geology("b", q, 20, GeoDP, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dpSt.UnaryEvals != serialSt.UnaryEvals || dpSt.PairEvals != serialSt.PairEvals ||
-		dpSt.TuplesConsidered != serialSt.TuplesConsidered {
+	if dpSt.Evaluations != serialSt.Evaluations || dpSt.Examined != serialSt.Examined ||
+		dpSt.Pruned != serialSt.Pruned {
 		t.Fatalf("one worker: dp stats %+v vs pruned %+v", dpSt, serialSt)
 	}
-	par, parSt, err := e.GeologyTopKParallel("b", q, 20, GeoPruned, 8)
+	par, parSt, err := geology("b", q, 20, GeoPruned, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(par, serial) {
 		t.Fatalf("8 workers: %+v\nvs 1 worker: %+v", par, serial)
 	}
-	// Every well's unary grades are evaluated whatever the floor.
-	if parSt.UnaryEvals != serialSt.UnaryEvals {
-		t.Fatalf("unary evals diverged: %d vs %d", parSt.UnaryEvals, serialSt.UnaryEvals)
+	// Every well is either examined or rejected by the floor, whatever
+	// the floor.
+	if parSt.Examined+parSt.Pruned != len(wells) || serialSt.Examined+serialSt.Pruned != len(wells) {
+		t.Fatalf("wells accounted: %d and %d of %d", parSt.Examined+parSt.Pruned,
+			serialSt.Examined+serialSt.Pruned, len(wells))
 	}
-	bad := GeologyQuery{}
-	if _, _, err := e.GeologyTopKParallel("b", bad, 1, GeoDP, 2); err == nil {
+	if _, _, err := geology("b", GeologyQuery{}, 1, GeoDP, 2); err == nil {
 		t.Fatal("want validation error")
 	}
-	if _, _, err := e.GeologyTopKParallel("missing", q, 1, GeoDP, 2); err == nil {
+	if _, _, err := geology("missing", q, 1, GeoDP, 2); err == nil {
 		t.Fatal("want unknown dataset error")
 	}
-	if _, _, err := e.GeologyTopKParallel("b", q, 1, GeologyMethod(99), 2); err == nil {
+	if _, _, err := geology("b", q, 1, GeologyMethod(99), 2); err == nil {
 		t.Fatal("want unknown method error")
 	}
 }
@@ -112,7 +122,14 @@ func TestScanTopKTuplesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	coeffs := []float64{1, -2, 0.5}
-	par, err := e.ScanTopKTuplesParallel("t", coeffs, 3, 10, 8)
+	// The oracle: a naive scan of every row, sharded across 8 workers.
+	par, err := parallel.TopK(len(pts), 10, 8, func(i int) (float64, bool, error) {
+		s := 3.0
+		for j, c := range coeffs {
+			s += c * pts[i][j]
+		}
+		return s, true, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +138,10 @@ func TestScanTopKTuplesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, _, err := e.LinearTopKTuples("t", m, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	indexed := mustRun(t, e, Request{Dataset: "t", Query: LinearQuery{Model: m}, K: 10}).Items
 	for i := range indexed {
 		if par[i].ID != indexed[i].ID || math.Abs(par[i].Score-indexed[i].Score) > 1e-12 {
 			t.Fatalf("pos %d: scan %+v vs indexed %+v", i, par[i], indexed[i])
 		}
-	}
-	if _, err := e.ScanTopKTuplesParallel("missing", coeffs, 0, 1, 2); err == nil {
-		t.Fatal("want unknown dataset error")
-	}
-	if _, err := e.ScanTopKTuplesParallel("t", []float64{1}, 0, 1, 2); err == nil {
-		t.Fatal("want dimension error")
 	}
 }

@@ -146,5 +146,5 @@ func (s *SharedBound) detach() {
 // still served, since a cached full local top-K is a superset whose
 // extra items simply lose the global merge.
 func (e *Engine) RunShared(ctx context.Context, req Request, sb *SharedBound) (Result, error) {
-	return e.runReq(ctx, req, nil, sb)
+	return e.runReq(ctx, req, sb)
 }

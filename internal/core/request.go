@@ -3,10 +3,10 @@
 // over tuples, linear over rasters, finite-state over series, knowledge
 // over composite objects or tiles — is a Query value executed through
 // one entry point, Engine.Run(ctx, Request), returning one Result shape
-// with one normalized QueryStats. RunProgressive streams monotonically
-// improving top-K snapshots as the paper's screening levels complete
-// (onion layers, pyramid levels, scanned shards), making progressive
-// retrieval user-visible instead of a hidden implementation detail.
+// with one normalized QueryStats. The paper's progressive screening
+// (onion layers, pyramid levels, metadata prefilters, floored DPs) runs
+// inside that one execution path; RunBatch schedules many requests on a
+// shared pool through the same compiled plans.
 
 package core
 
@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"modelir/internal/bayes"
@@ -66,7 +65,7 @@ type Request struct {
 
 // QueryStats is the normalized work report every family returns: what a
 // caller needs for observability without knowing which model family
-// ran. Family-specific counters remain available through Detail.
+// ran.
 type QueryStats struct {
 	// Kind is the model family that executed.
 	Kind ModelKind
@@ -101,10 +100,6 @@ type QueryStats struct {
 	// bit-identical between a cache hit and the cold run that populated
 	// it.
 	Cache CacheInfo
-	// Detail carries the family-specific stats struct
-	// (LinearTupleStats, progressive.Stats, FSMStats, sproc.Stats,
-	// KnowledgeStats) for callers that want the legacy counters.
-	Detail any
 }
 
 // Result is the uniform response of Engine.Run: ranked items plus the
@@ -118,33 +113,6 @@ type Result struct {
 	cached *cachedResult // the cache entry a hit was served from, for AppendItems
 }
 
-// Snapshot is one progressive-delivery event from Engine.RunProgressive:
-// the best top-K known so far, improving monotonically from snapshot to
-// snapshot (an item set never gets worse, only refines toward the final
-// answer). The last snapshot of a successful stream has Final set and
-// carries the full Result contents; a failed stream ends with a
-// snapshot whose Err is set.
-type Snapshot struct {
-	// Seq numbers snapshots from 0 in delivery order.
-	Seq int
-	// Level is the family-specific screening level the emitting worker
-	// had reached (pyramid level still outstanding, onion layer index,
-	// shard index); coarser levels emit first.
-	Level int
-	// Stage labels the screening mechanism that produced the event
-	// ("onion layer", "pyramid level", "series shard", ...).
-	Stage string
-	// Items is the current best-first top-K (already MinScore-filtered).
-	Items []topk.Item
-	// Stats is populated on the Final snapshot only.
-	Stats QueryStats
-	// Final marks the terminal snapshot: Items/Stats equal what
-	// Engine.Run would have returned for the same request.
-	Final bool
-	// Err is the terminal error, if the query failed or was cancelled.
-	Err error
-}
-
 // Query is one executable model query — the paper's "query is a model"
 // as a type. It is implemented by the family query types in this
 // package and sealed (the plan method is unexported): external packages
@@ -154,8 +122,8 @@ type Query interface {
 	// Kind reports the model family.
 	Kind() ModelKind
 	// plan compiles the query against the engine into a single-use
-	// shard fan-out. snap is nil except for RunProgressive.
-	plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error)
+	// shard fan-out.
+	plan(ctx context.Context, e *Engine, req Request) (queryPlan, error)
 }
 
 // queryPlan is one compiled request: a shard fan-out Run can execute on
@@ -182,8 +150,7 @@ type queryPlan struct {
 // Run executes one request: resolve the dataset, fan the query out
 // across its shards with cross-shard screening, honor ctx cancellation
 // and the request's budget, and merge the exact top-K. All model
-// families flow through this entry point; the per-family methods on
-// Engine are deprecated wrappers around it.
+// families flow through this entry point.
 //
 // Serving behavior: cacheable requests (see DESIGN.md §6) are answered
 // from the result cache when a live entry exists — bit-identical to a
@@ -197,7 +164,7 @@ type queryPlan struct {
 // per region, per well, per tile), so a cancelled or timed-out request
 // stops burning CPU mid-shard and returns ctx.Err().
 func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
-	return e.runReq(ctx, req, nil, nil)
+	return e.runReq(ctx, req, nil)
 }
 
 // bareCtxErr surfaces cancellation as the bare ctx.Err() the caller
@@ -209,7 +176,7 @@ func bareCtxErr(ctx context.Context, err error) error {
 	return err
 }
 
-func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb *SharedBound) (Result, error) {
+func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -221,12 +188,11 @@ func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb 
 	}
 	start := time.Now()
 
-	// Result cache probe. Progressive streams bypass the cache: their
-	// contract is a stream of snapshots, not one result.
+	// Result cache probe.
 	var fp *qcache.Fingerprint
 	var gen uint64
 	cacheable := false
-	if snap == nil && e.cache != nil {
+	if e.cache != nil {
 		fp, cacheable = fingerprintRequest(req)
 	}
 	if cacheable {
@@ -243,7 +209,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb 
 		}
 	}
 
-	p, err := req.Query.plan(ctx, e, req, snap)
+	p, err := req.Query.plan(ctx, e, req)
 	if err != nil {
 		return Result{}, bareCtxErr(ctx, err)
 	}
@@ -279,42 +245,6 @@ func (e *Engine) runReq(ctx context.Context, req Request, snap *snapshotter, sb 
 	st.Wall = time.Since(start)
 	st.Cache = e.cacheInfo(false)
 	return Result{Items: items, Stats: st}, nil
-}
-
-// RunProgressive executes the request like Run but streams monotonically
-// improving top-K snapshots as screening levels complete, ending with a
-// Final snapshot equal to Run's result (or a snapshot carrying the
-// terminal error). The channel is closed when the query ends; consumers
-// must drain it (snapshot delivery is flow-controlled, so an abandoned
-// consumer must cancel ctx to release the query's workers).
-func (e *Engine) RunProgressive(ctx context.Context, req Request) (<-chan Snapshot, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := validateRequest(&req); err != nil {
-		return nil, err
-	}
-	ch := make(chan Snapshot, 1)
-	snap := &snapshotter{
-		ctx:  ctx,
-		h:    topk.MustHeap(req.K),
-		best: make(map[int64]float64),
-		ch:   ch,
-		min:  req.MinScore,
-	}
-	go func() {
-		defer close(ch)
-		res, err := e.runReq(ctx, req, snap, nil)
-		fin := Snapshot{Final: true}
-		if err != nil {
-			fin.Err = err
-		} else {
-			fin.Items = res.Items
-			fin.Stats = res.Stats
-		}
-		snap.terminal(fin)
-	}()
-	return ch, nil
 }
 
 // validateRequest normalizes defaults and rejects malformed requests.
@@ -407,86 +337,6 @@ func keyFloat(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
-// snapshotter assembles the global progressive view for RunProgressive:
-// shard workers publish their partial heaps at screening-level
-// boundaries, and the snapshotter merges them into one monotonically
-// improving top-K, emitting a snapshot whenever the merged view
-// actually improved. Delivery blocks until the consumer receives (or
-// ctx is cancelled), which flow-controls the query to the consumer.
-type snapshotter struct {
-	ctx context.Context
-	ch  chan Snapshot
-	min *float64
-
-	mu sync.Mutex
-	h  *topk.Heap
-	// best dedups re-published items: workers publish cumulative heap
-	// contents, and an item must not enter the merged heap twice.
-	best map[int64]float64
-	seq  int
-}
-
-// publish merges a worker's current partial results and emits a
-// snapshot if the merged top-K improved. Returns ctx.Err() when the
-// consumer is gone, aborting the publishing worker.
-func (s *snapshotter) publish(level int, stage string, items []topk.Item) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	improved := false
-	for _, it := range items {
-		if prev, ok := s.best[it.ID]; ok && prev >= it.Score {
-			continue
-		}
-		s.best[it.ID] = it.Score
-		if s.h.Offer(it) {
-			improved = true
-		}
-	}
-	if !improved {
-		return nil
-	}
-	out := s.h.Results()
-	if s.min != nil {
-		out = filterMinScore(out, *s.min)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	snap := Snapshot{Seq: s.seq, Level: level, Stage: stage, Items: out}
-	select {
-	case s.ch <- snap:
-		s.seq++
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
-}
-
-// terminal delivers the final snapshot. Every stream ends with it:
-// when ctx is cancelled and the one-slot buffer still holds an
-// undelivered intermediate snapshot, that snapshot is evicted to make
-// room — all publishers have returned by the time terminal runs, so
-// the snapshotter owns the channel's send side and the non-blocking
-// send after eviction cannot fail.
-func (s *snapshotter) terminal(fin Snapshot) {
-	s.mu.Lock()
-	fin.Seq = s.seq
-	s.seq++
-	s.mu.Unlock()
-	select {
-	case s.ch <- fin:
-	case <-s.ctx.Done():
-		select {
-		case <-s.ch:
-		default:
-		}
-		select {
-		case s.ch <- fin:
-		default:
-		}
-	}
-}
-
 // ---- Linear models over tuple archives ----
 
 // LinearQuery retrieves the top-K tuples maximizing a linear model over
@@ -500,7 +350,7 @@ type LinearQuery struct {
 // Kind reports the linear model family.
 func (LinearQuery) Kind() ModelKind { return KindLinear }
 
-func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error) {
+func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if q.Model == nil {
 		return queryPlan{}, errors.New("core: LinearQuery needs a model")
 	}
@@ -534,17 +384,6 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 				return dst, err
 			}
 			opt := onion.ScanOpts{Ctx: ctx, Bound: sb, Meter: meter}
-			if snap != nil {
-				opt.OnLayer = func(layer int, sofar []topk.Item) error {
-					// Lift shard-local IDs and pre-intercept scores into
-					// the caller-visible scale before publishing.
-					for i := range sofar {
-						sofar[i].ID += int64(sh.offset)
-						sofar[i].Score += m.Intercept
-					}
-					return snap.publish(layer, "onion layer", sofar)
-				}
-			}
 			start := len(dst)
 			dst, ost, err := ix.ScanUnordered(m.Coeffs, req.K, opt, dst)
 			if err != nil {
@@ -559,16 +398,12 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 			return dst, nil
 		},
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			var det LinearTupleStats
+			touched, skipped := 0, 0
 			for _, s := range perShard {
-				det.Indexed.LayersScanned += s.LayersScanned
-				det.Indexed.PointsTouched += s.PointsTouched
-				det.Indexed.PointsZonePruned += s.PointsZonePruned
-				det.Indexed.BlocksZonePruned += s.BlocksZonePruned
-				det.Indexed.PointsSkippedByBudget += s.PointsSkippedByBudget
+				touched += s.PointsTouched
+				skipped += s.PointsSkippedByBudget
 			}
 			onionStatsArena.put(perShardP)
-			det.ScanCost = ts.rows
 			// The model's intercept shifts every score identically; add
 			// it so returned scores equal model values.
 			if m.Intercept != 0 {
@@ -577,12 +412,11 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, snap *sna
 				}
 			}
 			st := QueryStats{
-				Evaluations: det.Indexed.PointsTouched,
-				Examined:    det.Indexed.PointsTouched,
-				Pruned:      det.ScanCost - det.Indexed.PointsTouched - det.Indexed.PointsSkippedByBudget,
+				Evaluations: touched,
+				Examined:    touched,
+				Pruned:      ts.rows - touched - skipped,
 				Shards:      len(ts.scan),
 				Truncated:   meter.Exhausted(),
-				Detail:      det,
 			}
 			return items, st, nil
 		},
@@ -602,7 +436,7 @@ type SceneQuery struct {
 // Kind reports the linear model family.
 func (SceneQuery) Kind() ModelKind { return KindLinear }
 
-func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error) {
+func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if q.Model == nil {
 		return queryPlan{}, errors.New("core: SceneQuery needs a progressive model")
 	}
@@ -620,11 +454,6 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request, snap *snap
 		floor:  floorOf(req, 0),
 		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			opt := progressive.DescendOpts{Ctx: ctx, Bound: sb, Meter: meter}
-			if snap != nil {
-				opt.OnLevel = func(level int, sofar []topk.Item) error {
-					return snap.publish(level, "pyramid level", sofar)
-				}
-			}
 			dst, st, err := progressive.CombinedShardUnordered(q.Model, ss.scene.Pyramid(), req.K, ss.roots[si], opt, dst)
 			perShard[si] = st
 			return dst, err
@@ -644,7 +473,6 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request, snap *snap
 				Pruned:      ss.scene.W*ss.scene.H - det.PixelsVisited,
 				Shards:      len(ss.roots),
 				Truncated:   meter.Exhausted(),
-				Detail:      det,
 			}
 			return items, st, nil
 		},
@@ -652,11 +480,6 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request, snap *snap
 }
 
 // ---- Finite-state models over series archives ----
-
-// snapEveryRegions batches progressive publications for scan-shaped
-// families (series regions, wells, tiles): workers publish their
-// partial top-K after each batch and at shard end.
-const snapEveryRegions = 16
 
 // ctxCheckMask amortizes the per-candidate non-blocking ctx.Done()
 // select to one poll every 32 candidates (i&mask == 0). A final
@@ -669,9 +492,11 @@ const ctxCheckMask = 31
 // regions, wells, tiles) with the shared per-candidate scaffold: an
 // amortized context check and a budget gate before each candidate,
 // publication of the local heap's threshold to the shared bound
-// whenever it rises (as the linear and scene scans do), and batched
-// progressive publication. The scan hook receives the shared bound; a
-// hook that can screen a candidate reads the one floor rule,
+// whenever it rises (as the linear and scene scans do), and the
+// QueryStats the plan's finish reports: the scan hook counts its
+// shard's evaluations, examined and pruned candidates into c, and
+// finish sums them. The scan hook receives the shared bound; a hook
+// that can screen a candidate reads the one floor rule,
 // topk.Floor(h, sb.Get()). The scan hook owns the meter: a
 // family whose candidate cost is known up front (series days, rule
 // count) charges the meter BEFORE scoring, so concurrent workers see
@@ -683,13 +508,13 @@ const ctxCheckMask = 31
 // truncation points are unchanged either way: the gate reads the meter
 // before each candidate, and the previous candidate's charge is
 // visible at that gate under both disciplines.
-func scanPlan(ctx context.Context, req Request, snap *snapshotter,
-	nShards int, stage string, meter *topk.Meter,
+func scanPlan(ctx context.Context, req Request, nShards int, meter *topk.Meter,
 	shardSize func(si int) int,
-	scan func(si, i int, h *topk.Heap, sb *topk.Bound) error,
-	finish func(items []topk.Item) ([]topk.Item, QueryStats, error),
+	scan func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error,
 ) queryPlan {
 	done := ctx.Done()
+	countsP := countsArena.get(nShards)
+	counts := *countsP
 	return queryPlan{
 		shards: nShards,
 		floor:  floorOf(req, 0),
@@ -697,6 +522,7 @@ func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 			h := topk.MustGetHeap(req.K)
 			defer topk.PutHeap(h)
 			raised := math.Inf(-1)
+			c := &counts[si]
 			n := shardSize(si)
 			for i := 0; i < n; i++ {
 				if i&ctxCheckMask == 0 {
@@ -709,31 +535,29 @@ func scanPlan(ctx context.Context, req Request, snap *snapshotter,
 				if meter.Exhausted() {
 					break // budget exhausted: keep what this shard has
 				}
-				if err := scan(si, i, h, sb); err != nil {
+				if err := scan(si, i, h, sb, c); err != nil {
 					return dst, err
 				}
 				if t, ok := h.Threshold(); ok && t > raised {
 					sb.Raise(t)
 					raised = t
 				}
-				if snap != nil && (i+1)%snapEveryRegions == 0 {
-					if err := snap.publish(si, stage, h.AppendUnordered(nil)); err != nil {
-						return dst, err
-					}
-				}
 			}
 			if err := ctx.Err(); err != nil {
 				return dst, err
 			}
-			dst = h.AppendUnordered(dst)
-			if snap != nil {
-				if err := snap.publish(si, stage, dst); err != nil {
-					return dst, err
-				}
-			}
-			return dst, nil
+			return h.AppendUnordered(dst), nil
 		},
-		finish: finish,
+		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
+			st := QueryStats{Shards: nShards, Truncated: meter.Exhausted()}
+			for _, c := range counts {
+				st.Evaluations += c.evals
+				st.Examined += c.examined
+				st.Pruned += c.pruned
+			}
+			countsArena.put(countsP)
+			return items, st, nil
+		},
 	}
 }
 
@@ -749,7 +573,7 @@ type FSMQuery struct {
 // Kind reports the finite-state model family.
 func (FSMQuery) Kind() ModelKind { return KindFiniteState }
 
-func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error) {
+func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if q.Machine == nil {
 		return queryPlan{}, errors.New("core: FSMQuery needs a machine")
 	}
@@ -760,14 +584,12 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapsh
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	perShardP, examinedP := fsmStatsArena.get(len(ss.scan)), intArena.get(len(ss.scan))
-	perShard, examined := *perShardP, *examinedP
-	return scanPlan(ctx, req, snap, len(ss.scan), "series shard", meter,
+	return scanPlan(ctx, req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(si, i int, h *topk.Heap, _ *topk.Bound) error {
+		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
 			if q.Prefilter != nil && !q.Prefilter(sh.sums[i]) {
-				perShard[si].RegionsPruned++
+				c.pruned++
 				return nil
 			}
 			// The columnar event plane replaces per-query
@@ -775,8 +597,8 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapsh
 			// the budget is charged before the machine runs.
 			events := sh.eventsOf(i)
 			meter.Charge(len(events))
-			perShard[si].DaysScanned += len(events)
-			examined[si]++
+			c.evals += len(events)
+			c.examined++
 			score, err := fsm.FlyScore(q.Machine, events)
 			if err != nil {
 				return err
@@ -785,26 +607,6 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapsh
 				h.OfferScore(int64(sh.regions[i].Region), score)
 			}
 			return nil
-		},
-		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			det := FSMStats{RegionsTotal: ss.rows}
-			scanned := 0
-			for si, s := range perShard {
-				det.RegionsPruned += s.RegionsPruned
-				det.DaysScanned += s.DaysScanned
-				scanned += examined[si]
-			}
-			fsmStatsArena.put(perShardP)
-			intArena.put(examinedP)
-			st := QueryStats{
-				Evaluations: det.DaysScanned,
-				Examined:    scanned,
-				Pruned:      det.RegionsPruned,
-				Shards:      len(ss.scan),
-				Truncated:   meter.Exhausted(),
-				Detail:      det,
-			}
-			return items, st, nil
 		}), nil
 }
 
@@ -822,7 +624,7 @@ type FSMDistanceQuery struct {
 // Kind reports the finite-state model family.
 func (FSMDistanceQuery) Kind() ModelKind { return KindFiniteState }
 
-func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error) {
+func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if q.Target == nil {
 		return queryPlan{}, errors.New("core: FSMDistanceQuery needs a target machine")
 	}
@@ -833,16 +635,14 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, snap
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	perShardP, examinedP := fsmStatsArena.get(len(ss.scan)), intArena.get(len(ss.scan))
-	perShard, examined := *perShardP, *examinedP
-	return scanPlan(ctx, req, snap, len(ss.scan), "series shard", meter,
+	return scanPlan(ctx, req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(si, i int, h *topk.Heap, _ *topk.Bound) error {
+		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
 			events := sh.eventsOf(i)
 			meter.Charge(len(events))
-			perShard[si].DaysScanned += len(events)
-			examined[si]++
+			c.evals += len(events)
+			c.examined++
 			sc := fsmScratchPool.Get().(*fsm.Scratch)
 			extracted, err := fsm.ExtractWith(q.Target, events, sc)
 			if err != nil {
@@ -856,24 +656,6 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, snap
 			}
 			h.OfferScore(int64(sh.regions[i].Region), 1-d)
 			return nil
-		},
-		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			det := FSMStats{RegionsTotal: ss.rows}
-			scanned := 0
-			for si, s := range perShard {
-				det.DaysScanned += s.DaysScanned
-				scanned += examined[si]
-			}
-			fsmStatsArena.put(perShardP)
-			intArena.put(examinedP)
-			st := QueryStats{
-				Evaluations: det.DaysScanned,
-				Examined:    scanned,
-				Shards:      len(ss.scan),
-				Truncated:   meter.Exhausted(),
-				Detail:      det,
-			}
-			return items, st, nil
 		}), nil
 }
 
@@ -882,7 +664,7 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, snap
 // Kind reports the knowledge model family.
 func (GeologyQuery) Kind() ModelKind { return KindKnowledge }
 
-func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error) {
+func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if err := q.Validate(); err != nil {
 		return queryPlan{}, err
 	}
@@ -902,9 +684,6 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	perShardP := sprocStatsArena.get(len(ws.scan))
-	examinedP, prunedP := intArena.get(len(ws.scan)), intArena.get(len(ws.scan))
-	perShard, examined, pruned := *perShardP, *examinedP, *prunedP
 	// One columnar scanner per shard: the grade closures bind once and
 	// walk the shard's flat strata planes; per well only the base
 	// offset moves.
@@ -912,9 +691,9 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 	for si, sh := range ws.scan {
 		scanners[si] = newGeoShardScanner(sh, q)
 	}
-	return scanPlan(ctx, req, snap, len(ws.scan), "well shard", meter,
+	return scanPlan(ctx, req, len(ws.scan), meter,
 		func(si int) int { return len(ws.scan[si].wells) },
-		func(si, i int, h *topk.Heap, sb *topk.Bound) error {
+		func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error {
 			g := scanners[si]
 			n := g.setWell(i)
 			var (
@@ -951,13 +730,11 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 			// The DP's work is emergent (it depends on the floor), so
 			// the meter is charged as soon as the evaluator reports it.
 			meter.Charge(wst.UnaryEvals + wst.PairEvals)
-			perShard[si].UnaryEvals += wst.UnaryEvals
-			perShard[si].PairEvals += wst.PairEvals
-			perShard[si].TuplesConsidered += wst.TuplesConsidered
+			c.evals += wst.UnaryEvals + wst.PairEvals
 			if rejected {
-				pruned[si]++
+				c.pruned++
 			} else {
-				examined[si]++
+				c.examined++
 			}
 			if ok {
 				h.Offer(topk.Item{
@@ -967,29 +744,6 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, snap *sn
 				})
 			}
 			return nil
-		},
-		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			var det sproc.Stats
-			nExamined, nPruned := 0, 0
-			for si, s := range perShard {
-				det.UnaryEvals += s.UnaryEvals
-				det.PairEvals += s.PairEvals
-				det.TuplesConsidered += s.TuplesConsidered
-				nExamined += examined[si]
-				nPruned += pruned[si]
-			}
-			sprocStatsArena.put(perShardP)
-			intArena.put(examinedP)
-			intArena.put(prunedP)
-			st := QueryStats{
-				Evaluations: det.UnaryEvals + det.PairEvals,
-				Examined:    nExamined,
-				Pruned:      nPruned,
-				Shards:      len(ws.scan),
-				Truncated:   meter.Exhausted(),
-				Detail:      det,
-			}
-			return items, st, nil
 		}), nil
 }
 
@@ -1005,7 +759,7 @@ type KnowledgeQuery struct {
 // Kind reports the knowledge model family.
 func (KnowledgeQuery) Kind() ModelKind { return KindKnowledge }
 
-func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request, snap *snapshotter) (queryPlan, error) {
+func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if q.Rules == nil || q.Rules.Len() == 0 {
 		return queryPlan{}, errors.New("core: empty rule set")
 	}
@@ -1026,37 +780,23 @@ func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request, snap *
 		return queryPlan{}, fmt.Errorf("core: %w", err)
 	}
 	meter := topk.NewMeter(req.Budget)
-	det := &KnowledgeStats{}
 	cost := q.Rules.Len()
 	// The tile table is one un-sharded list; scanPlan with a single
-	// shard still supplies the scan scaffold (ctx checks, budget gate,
-	// batched progressive publication).
-	return scanPlan(ctx, req, snap, 1, "feature tiles", meter,
+	// shard still supplies the scan scaffold (ctx checks, budget gate).
+	// Tile scoring has no screening stage, so Pruned stays 0: every
+	// tile not examined was budget-skipped.
+	return scanPlan(ctx, req, 1, meter,
 		func(int) int { return len(sc.Tiles) },
-		func(_, ti int, h *topk.Heap, _ *topk.Bound) error {
+		func(_, ti int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			// Rule-evaluation cost is fixed per tile: charge before
 			// scoring so concurrent budget gates see committed work.
 			meter.Charge(cost)
+			c.evals += cost
+			c.examined++
 			score := comp.ScoreRow(ss.featRow(ti))
-			det.TilesScored++
-			det.RawSamplesAvoided += sc.Tiles[ti].Area() * sc.NumBands()
 			if score > 0 {
 				h.OfferScore(int64(ti), score)
 			}
 			return nil
-		},
-		func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			st := QueryStats{
-				Evaluations: det.TilesScored * q.Rules.Len(),
-				Examined:    det.TilesScored,
-				// Tile scoring has no screening stage: every tile not
-				// examined was budget-skipped, never pruned. The
-				// abstraction-level win is Detail's RawSamplesAvoided.
-				Pruned:    0,
-				Shards:    1,
-				Truncated: meter.Exhausted(),
-				Detail:    *det,
-			}
-			return items, st, nil
 		}), nil
 }

@@ -32,143 +32,6 @@ func testGeoQuery() GeologyQuery {
 	}
 }
 
-// TestRunMatchesLegacyAllFamilies pins the satellite invariant: Run
-// results are bit-identical (IDs and scores, ties included) to the
-// legacy per-family methods across shard counts 1, 4 and 7, and the
-// normalized stats carry the legacy detail shapes.
-func TestRunMatchesLegacyAllFamilies(t *testing.T) {
-	a := buildArchives(t)
-	lm := testLinearModel(t)
-	geoQ := testGeoQuery()
-	machine := fsm.FireAnts()
-	ctx := context.Background()
-
-	for _, shards := range []int{1, 4, 7} {
-		e := engineWithArchives(t, shards, a)
-
-		// Linear over tuples, cross-checked against direct evaluation.
-		legacy, legacySt, err := e.LinearTopKTuples("gauss", lm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(ctx, Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("linear shards=%d", shards), res.Items, legacy)
-		bestID, bestScore := -1, math.Inf(-1)
-		for i, p := range a.pts {
-			if s, _ := lm.Eval(p); s > bestScore {
-				bestID, bestScore = i, s
-			}
-		}
-		if res.Items[0].ID != int64(bestID) || res.Items[0].Score != bestScore {
-			t.Fatalf("shards=%d linear top %d/%v, brute force %d/%v",
-				shards, res.Items[0].ID, res.Items[0].Score, bestID, bestScore)
-		}
-		det, ok := res.Stats.Detail.(LinearTupleStats)
-		if !ok || det != legacySt {
-			t.Fatalf("shards=%d linear detail %+v vs legacy %+v", shards, res.Stats.Detail, legacySt)
-		}
-		if res.Stats.Kind != KindLinear || res.Stats.Shards != shards ||
-			res.Stats.Evaluations != det.Indexed.PointsTouched ||
-			res.Stats.Pruned != det.ScanCost-det.Indexed.PointsTouched ||
-			res.Stats.Truncated || res.Stats.Wall <= 0 {
-			t.Fatalf("shards=%d linear stats %+v", shards, res.Stats)
-		}
-
-		// Progressive linear over the scene.
-		sLegacy, sLegacySt, err := e.SceneTopK("hps", a.pm, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sRes, err := e.Run(ctx, Request{Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("scene shards=%d", shards), sRes.Items, sLegacy)
-		if sRes.Stats.Evaluations != sLegacySt.Work() || sRes.Stats.Kind != KindLinear {
-			t.Fatalf("shards=%d scene stats %+v vs work %d", shards, sRes.Stats, sLegacySt.Work())
-		}
-
-		// Finite-state score and distance ranking.
-		fLegacy, fLegacySt, err := e.FSMTopK("weather", machine, 10, FireAntsPrefilter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fRes, err := e.Run(ctx, Request{
-			Dataset: "weather",
-			Query:   FSMQuery{Machine: machine, Prefilter: FireAntsPrefilter},
-			K:       10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("fsm shards=%d", shards), fRes.Items, fLegacy)
-		if fRes.Stats.Pruned != fLegacySt.RegionsPruned ||
-			fRes.Stats.Evaluations != fLegacySt.DaysScanned ||
-			fRes.Stats.Kind != KindFiniteState {
-			t.Fatalf("shards=%d fsm stats %+v vs legacy %+v", shards, fRes.Stats, fLegacySt)
-		}
-
-		dLegacy, err := e.FSMDistanceRank("weather", machine, 5, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dRes, err := e.Run(ctx, Request{
-			Dataset: "weather",
-			Query:   FSMDistanceQuery{Target: machine, Horizon: 8},
-			K:       5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("fsm-distance shards=%d", shards), dRes.Items, dLegacy)
-
-		// Knowledge over wells (geology).
-		gLegacy, gLegacySt, err := e.GeologyTopK("basin", geoQ, 10, GeoPruned)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gq := geoQ
-		gq.Method = GeoPruned
-		gRes, err := e.Run(ctx, Request{Dataset: "basin", Query: gq, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gGot, err := WellMatches(gRes.Items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gGot) != len(gLegacy) {
-			t.Fatalf("geology shards=%d: %d vs %d wells", shards, len(gGot), len(gLegacy))
-		}
-		for i := range gLegacy {
-			if gGot[i].Well != gLegacy[i].Well || gGot[i].Score != gLegacy[i].Score {
-				t.Fatalf("geology shards=%d pos %d: %+v vs %+v", shards, i, gGot[i], gLegacy[i])
-			}
-		}
-		if gRes.Stats.Evaluations != gLegacySt.UnaryEvals+gLegacySt.PairEvals ||
-			gRes.Stats.Kind != KindKnowledge {
-			t.Fatalf("geology shards=%d stats %+v vs legacy %+v", shards, gRes.Stats, gLegacySt)
-		}
-
-		// Knowledge over scene tiles.
-		kLegacy, kLegacySt, err := e.KnowledgeTopKTiles("hps", HPSTileRules(), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kRes, err := e.Run(ctx, Request{Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		itemsEqual(t, fmt.Sprintf("knowledge shards=%d", shards), kRes.Items, kLegacy)
-		if kRes.Stats.Examined != kLegacySt.TilesScored || kRes.Stats.Kind != KindKnowledge {
-			t.Fatalf("knowledge shards=%d stats %+v vs legacy %+v", shards, kRes.Stats, kLegacySt)
-		}
-	}
-}
-
 // TestRunWorkerOverride pins that the worker-pool width changes
 // scheduling only, never results.
 func TestRunWorkerOverride(t *testing.T) {
@@ -224,19 +87,6 @@ func TestRunValidation(t *testing.T) {
 		if _, err := e.Run(ctx, c.req); err == nil {
 			t.Fatalf("%s: want error", c.name)
 		}
-		// RunProgressive rejects malformed requests synchronously;
-		// dataset and model errors surface on the stream instead.
-		ch, err := e.RunProgressive(ctx, c.req)
-		if err != nil {
-			continue
-		}
-		var last Snapshot
-		for s := range ch {
-			last = s
-		}
-		if last.Err == nil {
-			t.Fatalf("%s: progressive stream ended without error", c.name)
-		}
 	}
 
 	nan := math.NaN()
@@ -252,12 +102,12 @@ func TestRunValidation(t *testing.T) {
 	if len(res.Items) != DefaultK {
 		t.Fatalf("defaulted K returned %d items, want %d", len(res.Items), DefaultK)
 	}
-	// Legacy wrappers still reject k < 1 rather than defaulting.
-	if _, _, err := e.LinearTopKTuples("gauss", lm, 0); !errors.Is(err, topk.ErrBadCapacity) {
-		t.Fatalf("legacy k=0: got %v, want ErrBadCapacity", err)
+	// A negative K is rejected, not defaulted.
+	if _, err := e.Run(ctx, Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: -1}); !errors.Is(err, topk.ErrBadCapacity) {
+		t.Fatalf("linear K=-1: got %v, want ErrBadCapacity", err)
 	}
-	if _, _, err := e.FSMTopK("weather", fsm.FireAnts(), 0, nil); !errors.Is(err, topk.ErrBadCapacity) {
-		t.Fatalf("legacy fsm k=0: got %v, want ErrBadCapacity", err)
+	if _, err := e.Run(ctx, Request{Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts()}, K: -1}); !errors.Is(err, topk.ErrBadCapacity) {
+		t.Fatalf("fsm K=-1: got %v, want ErrBadCapacity", err)
 	}
 }
 
@@ -348,172 +198,6 @@ func (m cancellingMembership) Grade(float64) float64 {
 	return 1
 }
 
-// TestRunProgressiveSceneSnapshots pins the streaming contract on a
-// multi-level scene query: at least two snapshots, monotonically
-// improving, ending in a Final snapshot identical to Run's result.
-// Shards: 1 makes the emission sequence deterministic.
-func TestRunProgressiveSceneSnapshots(t *testing.T) {
-	a := buildArchives(t)
-	e := engineWithArchives(t, 1, a)
-	req := Request{Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 10}
-
-	want, err := e.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := e.RunProgressive(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []Snapshot
-	for s := range ch {
-		snaps = append(snaps, s)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("got %d snapshots, want >= 2", len(snaps))
-	}
-	fin := snaps[len(snaps)-1]
-	if !fin.Final || fin.Err != nil {
-		t.Fatalf("terminal snapshot %+v", fin)
-	}
-	itemsEqual(t, "final snapshot", fin.Items, want.Items)
-	if fin.Stats.Evaluations != want.Stats.Evaluations || fin.Stats.Kind != want.Stats.Kind {
-		t.Fatalf("final stats %+v vs run %+v", fin.Stats, want.Stats)
-	}
-	// Snapshots improve monotonically: the worst retained score never
-	// drops, items stay best-first, Seq increments, and at least one
-	// strict improvement separates the first snapshot from the final
-	// answer on a multi-level query.
-	for i, s := range snaps {
-		if s.Seq != i {
-			t.Fatalf("snapshot %d has Seq %d", i, s.Seq)
-		}
-		for j := 1; j < len(s.Items); j++ {
-			prev, cur := s.Items[j-1], s.Items[j]
-			if cur.Score > prev.Score || (cur.Score == prev.Score && cur.ID < prev.ID) {
-				t.Fatalf("snapshot %d not best-first at %d", i, j)
-			}
-		}
-		if i == 0 {
-			continue
-		}
-		prev, cur := snaps[i-1], s
-		if len(cur.Items) < len(prev.Items) {
-			t.Fatalf("snapshot %d shrank: %d -> %d items", i, len(prev.Items), len(cur.Items))
-		}
-		if len(prev.Items) > 0 && len(cur.Items) == len(prev.Items) {
-			if cur.Items[len(cur.Items)-1].Score < prev.Items[len(prev.Items)-1].Score {
-				t.Fatalf("snapshot %d regressed: kth score %v -> %v", i,
-					prev.Items[len(prev.Items)-1].Score, cur.Items[len(cur.Items)-1].Score)
-			}
-		}
-	}
-	first := snaps[0]
-	if len(first.Items) == len(fin.Items) {
-		same := true
-		for i := range first.Items {
-			if first.Items[i] != fin.Items[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("first snapshot already equals the final answer; no improvement streamed")
-		}
-	}
-}
-
-// TestRunProgressiveAllFamiliesStream smoke-tests that every family
-// streams and terminates with Run's exact result.
-func TestRunProgressiveAllFamiliesStream(t *testing.T) {
-	a := buildArchives(t)
-	e := engineWithArchives(t, 4, a)
-	lm := testLinearModel(t)
-	gq := testGeoQuery()
-	gq.Method = GeoDP
-	reqs := map[string]Request{
-		"linear":    {Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 8},
-		"scene":     {Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 8},
-		"fsm":       {Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts()}, K: 8},
-		"fsm-dist":  {Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 6}, K: 8},
-		"geology":   {Dataset: "basin", Query: gq, K: 8},
-		"knowledge": {Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 8},
-	}
-	for name, req := range reqs {
-		want, err := e.Run(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch, err := e.RunProgressive(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last Snapshot
-		n := 0
-		for s := range ch {
-			last = s
-			n++
-		}
-		if n < 1 || !last.Final || last.Err != nil {
-			t.Fatalf("%s: %d snapshots, terminal %+v", name, n, last)
-		}
-		itemsEqual(t, name+" progressive final", last.Items, want.Items)
-	}
-}
-
-// TestRunProgressiveConsumerCancel checks that abandoning a stream and
-// cancelling the context terminates the query instead of leaking its
-// workers.
-func TestRunProgressiveConsumerCancel(t *testing.T) {
-	a := buildArchives(t)
-	e := engineWithArchives(t, 2, a)
-	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := e.RunProgressive(ctx, Request{Dataset: "hps", Query: SceneQuery{Model: a.pm}, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, ok := <-ch
-	if !ok {
-		t.Fatal("stream closed before first snapshot")
-	}
-	if first.Err != nil {
-		t.Fatalf("first snapshot errored: %v", first.Err)
-	}
-	cancel()
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case s, ok := <-ch:
-			if !ok {
-				return // stream terminated: workers released
-			}
-			if s.Final && s.Err != nil && !errors.Is(s.Err, context.Canceled) {
-				t.Fatalf("terminal error %v, want context.Canceled", s.Err)
-			}
-		case <-deadline:
-			t.Fatal("stream did not terminate after cancel")
-		}
-	}
-}
-
-// TestRunProgressiveErrorStream pins that request failures surface as a
-// single terminal snapshot carrying the error.
-func TestRunProgressiveErrorStream(t *testing.T) {
-	e := NewEngine()
-	lm := testLinearModel(t)
-	ch, err := e.RunProgressive(context.Background(), Request{Dataset: "nope", Query: LinearQuery{Model: lm}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps []Snapshot
-	for s := range ch {
-		snaps = append(snaps, s)
-	}
-	if len(snaps) != 1 || !snaps[0].Final || !errors.Is(snaps[0].Err, ErrUnknownDataset) {
-		t.Fatalf("snapshots %+v", snaps)
-	}
-}
-
 // TestRunBudget pins the budget contract: a tiny budget truncates (the
 // scan stops early, flagged, no error), a generous budget changes
 // nothing.
@@ -537,18 +221,12 @@ func TestRunBudget(t *testing.T) {
 	if tiny.Stats.Evaluations >= full.Stats.Evaluations {
 		t.Fatalf("budgeted run did %d evals, unbudgeted %d", tiny.Stats.Evaluations, full.Stats.Evaluations)
 	}
-	// Pruned must credit screening only: examined + pruned +
-	// budget-skipped partition the archive exactly.
-	tdet, ok := tiny.Stats.Detail.(LinearTupleStats)
-	if !ok {
-		t.Fatalf("detail %T", tiny.Stats.Detail)
-	}
-	if tdet.Indexed.PointsSkippedByBudget == 0 {
-		t.Fatal("truncated run recorded no budget skips")
-	}
-	if tiny.Stats.Examined+tiny.Stats.Pruned+tdet.Indexed.PointsSkippedByBudget != tdet.ScanCost {
-		t.Fatalf("examined %d + pruned %d + skipped %d != scan cost %d",
-			tiny.Stats.Examined, tiny.Stats.Pruned, tdet.Indexed.PointsSkippedByBudget, tdet.ScanCost)
+	// Pruned must credit screening only: the budget-skipped remainder
+	// is neither examined nor pruned, so a truncated run accounts for
+	// strictly fewer rows than the archive holds.
+	if n := tiny.Stats.Examined + tiny.Stats.Pruned; n >= len(a.pts) || tiny.Stats.Pruned < 0 {
+		t.Fatalf("examined %d + pruned %d of %d rows: no budget skips",
+			tiny.Stats.Examined, tiny.Stats.Pruned, len(a.pts))
 	}
 	big, err := e.Run(ctx, Request{Dataset: "gauss", Query: LinearQuery{Model: lm}, K: 10, Budget: 1 << 30})
 	if err != nil {

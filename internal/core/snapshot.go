@@ -289,7 +289,6 @@ func (e *Engine) InstallDatasets(b segment.Backend, names []string) error {
 			e.wells[st.name] = st.ws
 		}
 	}
-	e.epoch.Add(1)
 	return nil
 }
 
@@ -384,7 +383,6 @@ func (e *Engine) restoreFrom(snap *segment.Snapshot) error {
 		default:
 			return fmt.Errorf("%w: dataset %q has unknown kind %q", segment.ErrCorrupt, ds.Name, ds.Kind)
 		}
-		e.epoch.Add(1)
 	}
 	return nil
 }

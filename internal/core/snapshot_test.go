@@ -188,25 +188,6 @@ func dirFileHashes(t *testing.T, dir string) map[string][32]byte {
 	return out
 }
 
-// TestSnapshotScanBaselineUnavailable pins the explicit error (not a
-// panic) when the raw-rows scan baseline is asked of a restored
-// engine.
-func TestSnapshotScanBaselineUnavailable(t *testing.T) {
-	a := buildArchives(t)
-	e := engineWithArchives(t, 2, a)
-	dir, err := segment.NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Snapshot(context.Background(), dir); err != nil {
-		t.Fatal(err)
-	}
-	re := openRestored(t, dir, segment.Copy)
-	if _, err := re.ScanTopKTuplesParallel("gauss", []float64{1, -0.5, 2}, 3, 5, 2); err == nil {
-		t.Fatal("scan baseline on restored engine should error")
-	}
-}
-
 // TestSnapshotCorruption flips payload bytes, truncates segment files,
 // and mangles the manifest: every case must surface a typed error —
 // never a wrong answer, never a panic.

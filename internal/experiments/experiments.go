@@ -623,29 +623,37 @@ func E7(cfg Config) (Table, error) {
 			return t, err
 		}
 		m := fsm.FireAnts()
-		flat, fst, err := e.FSMTopK("w", m, 10, nil)
+		run := func(pre core.FSMPrefilter) (core.Result, error) {
+			return e.Run(context.Background(), core.Request{
+				Dataset: "w",
+				Query:   core.FSMQuery{Machine: m, Prefilter: pre},
+				K:       10,
+			})
+		}
+		flat, err := run(nil)
 		if err != nil {
 			return t, err
 		}
-		pruned, pst, err := e.FSMTopK("w", m, 10, core.FireAntsPrefilter)
+		pruned, err := run(core.FireAntsPrefilter)
 		if err != nil {
 			return t, err
 		}
-		agree := len(flat) == len(pruned)
-		for i := range flat {
-			if !agree || flat[i].ID != pruned[i].ID {
+		agree := len(flat.Items) == len(pruned.Items)
+		for i := range flat.Items {
+			if !agree || flat.Items[i].ID != pruned.Items[i].ID {
 				agree = false
 				break
 			}
 		}
+		fst, pst := flat.Stats, pruned.Stats
 		speedup := "-"
-		if pst.DaysScanned > 0 {
-			speedup = f("%.1fx", float64(fst.DaysScanned)/float64(pst.DaysScanned))
+		if pst.Evaluations > 0 {
+			speedup = f("%.1fx", float64(fst.Evaluations)/float64(pst.Evaluations))
 		}
 		t.Rows = append(t.Rows, []string{
 			f("%d", wc.Regions), f("%d", wc.Days),
-			f("%d", fst.DaysScanned), f("%d", pst.DaysScanned),
-			f("%d/%d", pst.RegionsPruned, pst.RegionsTotal),
+			f("%d", fst.Evaluations), f("%d", pst.Evaluations),
+			f("%d/%d", pst.Pruned, pst.Examined+pst.Pruned),
 			speedup, f("%v", agree),
 		})
 	}
@@ -662,7 +670,7 @@ func E8(cfg Config) (Table, error) {
 		ID:    "E8",
 		Title: "Geology knowledge model (Fig. 4): riverbed retrieval from well logs via SPROC",
 		Columns: []string{
-			"wells", "method", "pair evals", "time", "planted recall", "top-K agree",
+			"wells", "method", "evaluations", "time", "planted recall", "top-K agree",
 		},
 	}
 	nWells := 300
@@ -684,7 +692,7 @@ func E8(cfg Config) (Table, error) {
 	}
 	type res struct {
 		matches []core.WellMatch
-		stats   sproc.Stats
+		stats   core.QueryStats
 		dur     time.Duration
 	}
 	methods := []struct {
@@ -696,11 +704,16 @@ func E8(cfg Config) (Table, error) {
 	results := make(map[string]res, len(methods))
 	for _, mm := range methods {
 		start := time.Now()
-		matches, st, err := e.GeologyTopK("basin", q, nWells, mm.m)
+		q.Method = mm.m
+		r, err := e.Run(context.Background(), core.Request{Dataset: "basin", Query: q, K: nWells})
 		if err != nil {
 			return t, err
 		}
-		results[mm.name] = res{matches: matches, stats: st, dur: time.Since(start)}
+		matches, err := core.WellMatches(r.Items)
+		if err != nil {
+			return t, err
+		}
+		results[mm.name] = res{matches: matches, stats: r.Stats, dur: time.Since(start)}
 	}
 	recallOf := func(r res) string {
 		got := make(map[int]bool)
@@ -730,7 +743,7 @@ func E8(cfg Config) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			f("%d", nWells), mm.name,
-			f("%d", r.stats.PairEvals),
+			f("%d", r.stats.Evaluations),
 			r.dur.Round(time.Microsecond).String(),
 			recallOf(r), f("%v", agree),
 		})

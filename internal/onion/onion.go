@@ -236,14 +236,16 @@ type ScanOpts struct {
 	// learn the result was truncated.
 	Meter *topk.Meter
 	// OnLayer, when non-nil, is invoked after each layer is scanned with
-	// the layer index and the heap's current best-first contents — the
-	// progressive-delivery hook. A non-nil error aborts the scan.
+	// the layer index and the heap's current best-first contents: an
+	// observation point at each layer boundary, where a caller can
+	// cancel the scan or read the budget spent so far. A non-nil error
+	// aborts the scan.
 	OnLayer func(layer int, sofar []topk.Item) error
 }
 
 // Scan is the full-control scan behind TopK and TopKShared: exact
-// results, plus cooperative cancellation, work budgeting, and per-layer
-// progressive delivery via opts.
+// results, plus cooperative cancellation, work budgeting, and a
+// per-layer observation hook via opts.
 func (ix *Index) Scan(w []float64, k int, opt ScanOpts) ([]topk.Item, Stats, error) {
 	return ix.scan(w, k, opt, nil, (*topk.Heap).AppendResults)
 }

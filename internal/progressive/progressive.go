@@ -253,13 +253,15 @@ type DescendOpts struct {
 	// OnLevel, when non-nil, is invoked with the heap's current
 	// best-first contents when the first result lands, when the top-K
 	// first fills, and whenever a pyramid level drains from the
-	// frontier (level = the coarsest level still outstanding) — the
-	// progressive-delivery hook. A non-nil error aborts the descent.
+	// frontier (level = the coarsest level still outstanding): an
+	// observation point at each level boundary, where a caller can
+	// cancel the descent or read the budget spent so far. A non-nil
+	// error aborts the descent.
 	OnLevel func(level int, sofar []topk.Item) error
 }
 
 // CombinedShardOpts is CombinedShard with cancellation, budgeting and
-// progressive delivery via opts.
+// the per-level observation hook via opts.
 func CombinedShardOpts(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts) (Result, error) {
 	return descend(pm.Full(), pm, mp, k, roots, opt)
 }

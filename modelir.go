@@ -21,8 +21,7 @@
 // value and execute it with Engine.Run, which honors context
 // cancellation and deadlines, per-request tuning (K, Workers, Budget,
 // MinScore), and returns one normalized Result/QueryStats shape.
-// Engine.RunProgressive streams monotonically improving top-K
-// snapshots as screening levels complete.
+// Engine.RunBatch runs many requests on one shared worker pool.
 //
 // Quick start:
 //
@@ -102,7 +101,7 @@ const (
 )
 
 // The unified query surface: one Request/Result shape for every model
-// family, executed via Engine.Run / Engine.RunProgressive.
+// family, executed via Engine.Run / Engine.RunBatch.
 type (
 	// Request describes one retrieval: dataset, query, and per-request
 	// options (K, Workers, Budget, MinScore).
@@ -112,8 +111,6 @@ type (
 	Result = core.Result
 	// QueryStats is the normalized work report shared by all families.
 	QueryStats = core.QueryStats
-	// Snapshot is one progressive-delivery event from RunProgressive.
-	Snapshot = core.Snapshot
 	// BatchResult is one request's outcome within Engine.RunBatch.
 	BatchResult = core.BatchResult
 	// CacheInfo reports the result cache's involvement in one request
@@ -254,7 +251,7 @@ func HPSNetwork() (*BayesNet, bayes.HPSVars, error) { return bayes.HPSNetwork() 
 func NewRuleSet() *RuleSet { return bayes.NewRuleSet() }
 
 // HPSTileRules compiles the Fig. 3 model into a feature-level rule set
-// for Engine.KnowledgeTopKTiles on Landsat-like archives.
+// for KnowledgeQuery on Landsat-like archives.
 func HPSTileRules() *RuleSet { return core.HPSTileRules() }
 
 // Geology evaluator choices.

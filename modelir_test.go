@@ -1,6 +1,7 @@
 package modelir_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,16 @@ import (
 // would: generate an archive, register it, query it with each model
 // family, and check the results are sane. Detailed behaviour is covered
 // by the internal package suites.
+
+// run executes req on e and fails the test on error.
+func run(t *testing.T, e *modelir.Engine, req modelir.Request) modelir.Result {
+	t.Helper()
+	res, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestPublicTupleRetrieval(t *testing.T) {
 	pts, err := modelir.GenerateTuples(1, 5000, 3)
@@ -26,14 +37,12 @@ func TestPublicTupleRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, st, err := e.LinearTopKTuples("t", m, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, e, modelir.Request{Dataset: "t", Query: modelir.LinearQuery{Model: m}, K: 5})
+	items := res.Items
 	if len(items) != 5 {
 		t.Fatalf("items=%d", len(items))
 	}
-	if st.Indexed.PointsTouched >= len(pts) {
+	if res.Stats.Examined >= len(pts) {
 		t.Fatal("index did not prune")
 	}
 	// Scores must be real model values, descending.
@@ -80,10 +89,7 @@ func TestPublicSceneWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := e.SceneTopK("s", pm, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := run(t, e, modelir.Request{Dataset: "s", Query: modelir.SceneQuery{Model: pm}, K: 5}).Items
 	if len(items) != 5 {
 		t.Fatalf("items=%d", len(items))
 	}
@@ -98,10 +104,7 @@ func TestPublicFSMAndKnowledge(t *testing.T) {
 	if err := e.AddSeries("w", weather); err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := e.FSMTopK("w", modelir.FireAntsModel(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := run(t, e, modelir.Request{Dataset: "w", Query: modelir.FSMQuery{Machine: modelir.FireAntsModel()}, K: 3}).Items
 	if len(items) == 0 {
 		t.Fatal("no fly-risk regions found in a warm archive")
 	}
@@ -117,8 +120,9 @@ func TestPublicFSMAndKnowledge(t *testing.T) {
 		Sequence: []modelir.Lithology{modelir.Shale, modelir.Sandstone, modelir.Siltstone},
 		MaxGapFt: 10,
 		MinGamma: 45,
+		Method:   modelir.GeoPruned,
 	}
-	matches, _, err := e.GeologyTopK("g", q, len(wells), modelir.GeoPruned)
+	matches, err := modelir.WellMatches(run(t, e, modelir.Request{Dataset: "g", Query: q, K: len(wells)}).Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +223,7 @@ func TestPublicShardedEngineOptions(t *testing.T) {
 		if err := e.AddTuples("t", pts); err != nil {
 			t.Fatal(err)
 		}
-		items, _, err := e.LinearTopKTuples("t", m, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		items := run(t, e, modelir.Request{Dataset: "t", Query: modelir.LinearQuery{Model: m}, K: 7}).Items
 		if want == nil {
 			want = items
 			continue

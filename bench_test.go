@@ -587,10 +587,9 @@ func BenchmarkE8GeologyPruned(b *testing.B)     { benchGeology(b, core.GeoPruned
 
 // shardWorkload is the scan-bound archive and model the shard-scaling,
 // serving and columnar-scan benchmarks share: 100,000 8-dimensional
-// Gaussian tuples. 8 dimensions put the Onion index in its
-// weak-pruning regime (direction-sampled layers bound loosely and
-// queries reach the core bucket), making the query scan-bound — the
-// workload shard fan-out exists for.
+// Gaussian tuples. At 8 dimensions the zone-map and norm bounds are
+// loose and a query scores a large share of the rows, making it
+// scan-bound — the workload shard fan-out exists for.
 func shardWorkload() ([][]float64, *linear.Model, error) {
 	pts, err := synth.GaussianTuples(91, 100_000, 8)
 	if err != nil {
@@ -657,7 +656,7 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 
 // BenchmarkRunOverhead pins the cost of the Engine.Run request plumbing
 // (Request validation, ctx checks, stats normalization) against a raw
-// shard fan-out over the same per-shard indexes and workload: the
+// shard fan-out over the same per-shard stores and workload: the
 // difference is what the request API costs the hot path.
 func BenchmarkRunOverhead(b *testing.B) {
 	d, err := shardData()
@@ -670,7 +669,7 @@ func BenchmarkRunOverhead(b *testing.B) {
 	}
 	ctx := context.Background()
 	req := core.Request{Dataset: "t", Query: core.LinearQuery{Model: d.m}, K: 10}
-	// First query builds the per-shard indexes outside the timed region.
+	// First query warms the scratch pools outside the timed region.
 	if _, err := e.Run(ctx, req); err != nil {
 		b.Fatal(err)
 	}
@@ -684,28 +683,31 @@ func BenchmarkRunOverhead(b *testing.B) {
 		}
 	})
 	b.Run("direct-shard-fanout", func(b *testing.B) {
-		// The pre-redesign execution core, bypassing Request plumbing:
-		// raw ShardTopK over the cached per-shard indexes.
-		ixs := make([]*onion.Index, 4)
+		// The execution core without Request plumbing: raw ShardTopK
+		// over per-shard norm-ordered stores like the engine's.
+		stores := make([]*colstore.Store, 4)
 		offs := make([]int, 4)
 		n := len(d.pts)
 		for s := 0; s < 4; s++ {
 			lo, hi := s*n/4, (s+1)*n/4
-			ix, err := onion.Build(d.pts[lo:hi], onion.Options{})
+			st, err := colstore.Build(d.pts[lo:hi], colstore.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			ixs[s], offs[s] = ix, lo
+			stores[s], offs[s] = st, lo
 		}
+		wNorm := colstore.WeightNorm(d.m.Coeffs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, err := parallel.ShardTopK(4, 10, 0, func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-				dst, _, err := ixs[si].ScanUnordered(d.m.Coeffs, 10, onion.ScanOpts{Bound: sb}, dst)
-				if err != nil {
-					return dst, err
-				}
-				for j := range dst {
+				h := topk.MustGetHeap(10)
+				defer topk.PutHeap(h)
+				var st colstore.Stats
+				stores[si].Scan(d.m.Coeffs, wNorm, h, sb, nil, nil, &st)
+				start := len(dst)
+				dst = h.AppendUnordered(dst)
+				for j := start; j < len(dst); j++ {
 					dst[j].ID += int64(offs[si])
 				}
 				return dst, nil
@@ -896,8 +898,8 @@ func BenchmarkCacheHit(b *testing.B) {
 // ---- Columnar scan-bound hot path: layout and allocation pins ----
 
 // shardStore builds the shard workload into a columnar store
-// (norm-ordered blocks with zone maps) — the storage layout the tuple
-// engine's Onion index scans in its weak-pruning regime.
+// (norm-ordered blocks with zone maps) — the storage layout every tuple
+// engine shard scans.
 var shardStore = sync.OnceValues(func() (struct {
 	store *colstore.Store
 	w     []float64
@@ -910,7 +912,7 @@ var shardStore = sync.OnceValues(func() (struct {
 	if err != nil {
 		return out, err
 	}
-	st, err := colstore.Build(pts, colstore.Options{NormOrder: true})
+	st, err := colstore.Build(pts, colstore.Options{})
 	if err != nil {
 		return out, err
 	}

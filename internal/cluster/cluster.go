@@ -6,7 +6,7 @@
 // like shard count one layer down, changes wall-clock time only, never
 // answers. The screening floor (topk.Bound) is piggybacked both ways on
 // the partial-result streams: a hot node's floor prunes cold nodes'
-// Onion layers and pyramid descents mid-flight (see DESIGN.md §9).
+// tuple blocks and pyramid descents mid-flight (see DESIGN.md §9).
 //
 // This file is placement: a consistent-hash ring with virtual nodes
 // mapping (dataset, partition) to a replica preference list. Placement

@@ -140,6 +140,11 @@ func TestCancelAbortsRemoteFanout(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("router did not observe cancellation")
 	}
+	// The node reads one connection in order: once it has echoed this
+	// probe it has already handled the cancel frame written before it.
+	if err := router.Probe(context.Background(), victim.Addr()); err != nil {
+		t.Fatalf("probe after cancel: %v", err)
+	}
 	close(release)
 
 	// The node's handler, released, starts RunShared with its context

@@ -2,8 +2,8 @@
 // skewed archive where one partition (hot) scores far above the other
 // (cold). The hot node's published floor, delivered to the cold node in
 // the query frame, must let the cold node prune work it would otherwise
-// do — whole Onion layers of tuples, whole wells before their pair DP —
-// observable in QueryStats.Pruned.
+// do — whole zone-mapped blocks of tuples, whole wells before their
+// pair DP — observable in QueryStats.Pruned.
 // The test drives the wire protocol directly (a raw client instead of
 // the router) so the floor's arrival is ordered, not raced.
 
@@ -105,7 +105,7 @@ func startFloorNodes(t *testing.T, add func(*Node) error) map[int]string {
 	return byPart
 }
 
-func TestCrossNodeFloorPrunesColdOnionLayers(t *testing.T) {
+func TestCrossNodeFloorPrunesColdBlocks(t *testing.T) {
 	// First half of the rows: hot, scores around 3×100. Second half:
 	// cold, Gaussian scores within a few units of zero. With two
 	// nodes, partition 0 is exactly the hot rows and partition 1 the
@@ -140,18 +140,18 @@ func TestCrossNodeFloorPrunesColdOnionLayers(t *testing.T) {
 	// Cold partition without the foreign floor: the baseline scan.
 	base := queryNode(t, byPart[1], req, 1, math.Inf(-1))
 	// Cold partition with the hot node's floor piggybacked in the
-	// query frame: whole Onion layers fall below the floor's upper
-	// bound and are pruned without evaluation.
+	// query frame: whole blocks fall below the floor's upper bound
+	// and are pruned without evaluation.
 	pruned := queryNode(t, byPart[1], req, 1, hot.Floor)
 
 	if pruned.Stats.Pruned <= base.Stats.Pruned {
 		t.Fatalf("foreign floor did not increase pruning: %d vs %d",
 			pruned.Stats.Pruned, base.Stats.Pruned)
 	}
-	// "≥ 1 Onion layer" at this scale: a substantial slice of the cold
+	// "≥ 1 block" at this scale: a substantial slice of the cold
 	// partition, not a rounding artifact.
 	if gain := pruned.Stats.Pruned - base.Stats.Pruned; gain < half/8 {
-		t.Fatalf("pruning gain %d too small for a layer of %d points", gain, half)
+		t.Fatalf("pruning gain %d too small for a cold partition of %d points", gain, half)
 	}
 	if pruned.Stats.Evaluations >= base.Stats.Evaluations {
 		t.Fatalf("foreign floor did not reduce evaluations: %d vs %d",

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -480,5 +481,27 @@ func TestClusterReadRetryFlakyTransport(t *testing.T) {
 	dr := newTestRouter(t, deadTopo, ropt)
 	if _, err := dr.Run(context.Background(), Request{Dataset: "gauss", Query: rq.Query, K: rq.K}); !errors.Is(err, ErrPartitionUnavailable) {
 		t.Fatalf("err = %v, want ErrPartitionUnavailable", err)
+	}
+}
+
+// TestNodeAddTuplesRefusesUnstorableRows: a node's tuple registration
+// returns the store build's error for rows no store can hold and
+// registers nothing — neither an engine dataset nor a partition entry.
+func TestNodeAddTuplesRefusesUnstorableRows(t *testing.T) {
+	topo := Topology{Nodes: []string{"solo:1"}, Replication: 1}
+	n := NewNode(topo.Nodes[0], topo, NodeOptions{Shards: 2})
+	t.Cleanup(n.Close)
+	rows := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, math.NaN()}}
+	if err := n.AddTuples("bad", rows); err == nil {
+		t.Fatal("node accepted a non-finite row")
+	}
+	if ds := n.eng.Datasets(); len(ds) != 0 {
+		t.Fatalf("engine registered %+v", ds)
+	}
+	n.mu.Lock()
+	parts := len(n.parts["bad"])
+	n.mu.Unlock()
+	if parts != 0 {
+		t.Fatalf("%d partition entries registered", parts)
 	}
 }

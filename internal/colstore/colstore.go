@@ -11,11 +11,12 @@
 // blocked and unblocked scans return bit-identical top-K sets.
 //
 // Stores are segmented: a segment is a row range blocks never span
-// (the Onion index stores one segment per layer). Within a segment,
-// rows may be reordered by descending norm (Options.NormOrder), which
-// clusters strong candidates into early blocks so the norm bound
-// prunes late blocks wholesale — scan order never changes a top-K
-// result, only how early the floor rises.
+// (the Onion index stores one segment per layer; an engine tuple shard
+// is one segment). Within a segment, rows are ordered by descending
+// Euclidean norm (ties: ascending id), which clusters strong
+// candidates into early blocks so the norm bound prunes late blocks
+// wholesale — scan order never changes a top-K result, only how early
+// the floor rises.
 //
 // The scan kernel is allocation-free in steady state: block scores
 // land in a pooled scratch buffer, and cancellation/budget charges are
@@ -41,12 +42,6 @@ const DefaultBlockRows = 1024
 type Options struct {
 	// BlockRows is the zone-map block size; 0 means DefaultBlockRows.
 	BlockRows int
-	// NormOrder reorders rows within each segment by descending
-	// Euclidean norm (ties: ascending id). Top-K results are order
-	// invariant, so this is purely a pruning optimization: high-norm
-	// rows fill the heap early and the per-block norm bound then
-	// eliminates the low-norm tail block by block.
-	NormOrder bool
 }
 
 func (o *Options) applyDefaults() {
@@ -148,54 +143,44 @@ func BuildSegmented(points [][]float64, segments [][]int, opt Options) (*Store, 
 		s.cols[d] = s.flat[d*total : (d+1)*total]
 	}
 
-	// Row order within a segment: as listed, or by descending norm.
-	var ptNorm []float64
-	if opt.NormOrder {
-		ptNorm = make([]float64, len(points))
-		for i, p := range points {
-			ptNorm[i] = normOf(p)
-		}
+	// Row order within a segment: by descending norm. High-norm rows
+	// fill the heap early and the per-block norm bound then eliminates
+	// the low-norm tail block by block.
+	ptNorm := make([]float64, len(points))
+	for i, p := range points {
+		ptNorm[i] = normOf(p)
 	}
-	norms := make([]float64, total)
 	order := make([]int, 0, total)
 	for _, seg := range segments {
 		start := len(order)
 		order = append(order, seg...)
-		if opt.NormOrder {
-			part := order[start:]
-			for _, pi := range part {
-				if pi < 0 || pi >= len(points) {
-					return nil, fmt.Errorf("colstore: segment row %d out of range", pi)
-				}
+		part := order[start:]
+		for _, pi := range part {
+			if pi < 0 || pi >= len(points) {
+				return nil, fmt.Errorf("colstore: segment row %d out of range", pi)
 			}
-			sort.Slice(part, func(a, b int) bool {
-				na, nb := ptNorm[part[a]], ptNorm[part[b]]
-				if na != nb {
-					return na > nb
-				}
-				return part[a] < part[b]
-			})
 		}
+		sort.Slice(part, func(a, b int) bool {
+			na, nb := ptNorm[part[a]], ptNorm[part[b]]
+			if na != nb {
+				return na > nb
+			}
+			return part[a] < part[b]
+		})
 		s.segStart = append(s.segStart, len(order))
 	}
 
 	for r, pi := range order {
-		if pi < 0 || pi >= len(points) {
-			return nil, fmt.Errorf("colstore: segment row %d out of range", pi)
-		}
 		p := points[pi]
 		if len(p) != dim {
 			return nil, fmt.Errorf("colstore: point %d has dim %d, want %d", pi, len(p), dim)
 		}
-		sq := 0.0
 		for d, v := range p {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("colstore: point %d has non-finite coordinate", pi)
 			}
 			s.cols[d][r] = v
-			sq += v * v
 		}
-		norms[r] = math.Sqrt(sq)
 		s.ids = append(s.ids, int64(pi))
 	}
 
@@ -231,8 +216,8 @@ func BuildSegmented(points [][]float64, segments [][]int, opt Options) (*Store, 
 					zh[d] = v
 				}
 			}
-			if norms[r] > maxNorm {
-				maxNorm = norms[r]
+			if n := ptNorm[order[r]]; n > maxNorm {
+				maxNorm = n
 			}
 		}
 		s.zoneNorm[b] = maxNorm

@@ -132,7 +132,7 @@ func TestBuildValidation(t *testing.T) {
 }
 
 // TestLayoutRoundTrip: every row id appears once and carries its source
-// values, under both row orders and across segment shapes.
+// values across segment shapes.
 func TestLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := randomPoints(rng, 300, 3)
@@ -148,25 +148,23 @@ func TestLayoutRoundTrip(t *testing.T) {
 		}
 		segs = append(segs, seg)
 	}
-	for _, normOrder := range []bool{false, true} {
-		s, err := BuildSegmented(pts, segs, Options{BlockRows: 32, NormOrder: normOrder})
-		if err != nil {
-			t.Fatal(err)
+	s, err := BuildSegmented(pts, segs, Options{BlockRows: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumRows() != len(pts) || s.NumSegments() != len(segs) {
+		t.Fatalf("store %dx%d segments, want %dx%d", s.NumRows(), s.NumSegments(), len(pts), len(segs))
+	}
+	seen := make(map[int64]bool, len(pts))
+	for r := 0; r < s.NumRows(); r++ {
+		id := s.ID(r)
+		if seen[id] {
+			t.Fatalf("id %d stored twice", id)
 		}
-		if s.NumRows() != len(pts) || s.NumSegments() != len(segs) {
-			t.Fatalf("store %dx%d segments, want %dx%d", s.NumRows(), s.NumSegments(), len(pts), len(segs))
-		}
-		seen := make(map[int64]bool, len(pts))
-		for r := 0; r < s.NumRows(); r++ {
-			id := s.ID(r)
-			if seen[id] {
-				t.Fatalf("normOrder=%v: id %d stored twice", normOrder, id)
-			}
-			seen[id] = true
-			for d := 0; d < s.Dim(); d++ {
-				if s.At(r, d) != pts[id][d] {
-					t.Fatalf("normOrder=%v: row %d dim %d mismatch", normOrder, r, d)
-				}
+		seen[id] = true
+		for d := 0; d < s.Dim(); d++ {
+			if s.At(r, d) != pts[id][d] {
+				t.Fatalf("row %d dim %d mismatch", r, d)
 			}
 		}
 	}
@@ -175,7 +173,7 @@ func TestLayoutRoundTrip(t *testing.T) {
 // TestBlockedScanMatchesNaive is the zone-map soundness property: the
 // blocked, zone-pruned scan returns bit-identical top-K (IDs and
 // scores) to a scan that looks at every row, across random data,
-// models, K, score floors, block sizes, and both row orders — and,
+// models, K, score floors and block sizes — and,
 // under a floor, keeps no row strictly below it.
 func TestBlockedScanMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -197,7 +195,7 @@ func TestBlockedScanMatchesNaive(t *testing.T) {
 			// A floor near the score distribution so pruning really fires.
 			floor = rng.NormFloat64() * 2
 		}
-		s, err := Build(pts, Options{BlockRows: blockRows, NormOrder: rng.Float64() < 0.5})
+		s, err := Build(pts, Options{BlockRows: blockRows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,29 +211,28 @@ func TestBlockedScanMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestNormOrderInvariance: reordering rows inside segments must not
-// change any result, only the work profile.
+// TestNormOrderInvariance: rows sit in descending norm order inside
+// every segment (ties by ascending id), and that order changes no
+// result — the norm-ordered scan equals the naive scan.
 func TestNormOrderInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randomPoints(rng, 4096, 5)
 	w := []float64{1, -0.5, 2, 0.25, -1.5}
-	plain, err := Build(pts, Options{BlockRows: 128, NormOrder: false})
+	sorted, err := Build(pts, Options{BlockRows: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := Build(pts, Options{BlockRows: 128, NormOrder: true})
-	if err != nil {
-		t.Fatal(err)
+	for r := 1; r < sorted.NumRows(); r++ {
+		prev, cur := sorted.ID(r-1), sorted.ID(r)
+		np, nc := normOf(pts[prev]), normOf(pts[cur])
+		if np < nc || (np == nc && prev > cur) {
+			t.Fatalf("row %d (id %d, norm %v) follows id %d with norm %v", r, cur, nc, prev, np)
+		}
 	}
 	for _, k := range []int{1, 10, 100} {
-		var stP, stS Stats
-		a := scanAll(plain, w, k, math.Inf(-1), nil, &stP)
-		b := scanAll(sorted, w, k, math.Inf(-1), nil, &stS)
-		itemsEqual(t, "norm-order invariance", a, b)
-		if stS.RowsScored > stP.RowsScored {
-			t.Logf("k=%d: norm order scored %d rows vs %d unsorted (informational)",
-				k, stS.RowsScored, stP.RowsScored)
-		}
+		var st Stats
+		got := scanAll(sorted, w, k, math.Inf(-1), nil, &st)
+		itemsEqual(t, "norm-ordered vs naive", got, naiveTopK(pts, w, k))
 	}
 }
 
@@ -301,7 +298,7 @@ func TestSteadyStateScanZeroAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	pts := randomPoints(rng, 20_000, 8)
-	s, err := Build(pts, Options{NormOrder: true})
+	s, err := Build(pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +326,10 @@ func TestSteadyStateScanZeroAllocs(t *testing.T) {
 // K, the blocked scan equals the row-by-row reference and keeps nothing
 // strictly below the floor.
 func FuzzBlockedScanEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(3), uint8(5), uint16(32), false, 0.0)
-	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(1), true, -1.5)
-	f.Add(int64(3), uint16(2000), uint8(8), uint8(40), uint16(1000), true, 2.0)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, dimRaw, kRaw uint8, blockRaw uint16, normOrder bool, floor float64) {
+	f.Add(int64(1), uint16(100), uint8(3), uint8(5), uint16(32), 0.0)
+	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(1), -1.5)
+	f.Add(int64(3), uint16(2000), uint8(8), uint8(40), uint16(1000), 2.0)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, dimRaw, kRaw uint8, blockRaw uint16, floor float64) {
 		n := int(nRaw)%3000 + 1
 		dim := int(dimRaw)%8 + 1
 		k := int(kRaw)%50 + 1
@@ -346,7 +343,7 @@ func FuzzBlockedScanEquivalence(f *testing.F) {
 		for d := range w {
 			w[d] = rng.NormFloat64()
 		}
-		s, err := Build(pts, Options{BlockRows: blockRows, NormOrder: normOrder})
+		s, err := Build(pts, Options{BlockRows: blockRows})
 		if err != nil {
 			t.Fatal(err)
 		}

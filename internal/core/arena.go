@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"modelir/internal/fsm"
-	"modelir/internal/onion"
 	"modelir/internal/progressive"
 	"modelir/internal/sproc"
 )
@@ -39,14 +38,13 @@ func (sp *slicePool[T]) get(n int) *[]T {
 func (sp *slicePool[T]) put(s *[]T) { sp.p.Put(s) }
 
 // scanCounts is one shard's share of a scan-shaped family's work
-// report (see scanPlan): evaluation units spent, candidates examined,
-// candidates screened out.
+// report (see scanPlan and the linear plan): evaluation units spent,
+// candidates examined, candidates screened out.
 type scanCounts struct{ evals, examined, pruned int }
 
 var (
-	onionStatsArena slicePool[onion.Stats]
-	progStatsArena  slicePool[progressive.Stats]
-	countsArena     slicePool[scanCounts]
+	progStatsArena slicePool[progressive.Stats]
+	countsArena    slicePool[scanCounts]
 )
 
 // Evaluator scratch pools for the columnar scan kernels: machine

@@ -25,7 +25,10 @@ func TestSeriesShardEventPlaneMatchesClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := newSet(arch, 4, newSeriesShard)
+	ss, err := newSet(arch, 4, newSeriesShard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := 0
 	for _, sh := range ss.shards {
 		for i, reg := range sh.regions {
@@ -54,7 +57,10 @@ func TestWellShardColumnsMatchStrata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newSet(wells, 3, newWellShard)
+	ws, err := newSet(wells, 3, newWellShard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := 0
 	for _, sh := range ws.shards {
 		for i, w := range sh.wells {
@@ -86,7 +92,10 @@ func TestGeoScannerMatchesRowQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newSet(wells, 2, newWellShard)
+	ws, err := newSet(wells, 2, newWellShard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := GeologyQuery{
 		Sequence:     []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt:     10,

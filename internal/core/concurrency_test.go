@@ -14,8 +14,8 @@ import (
 	"modelir/internal/topk"
 )
 
-// The engine promises safe concurrent readers, including the lazy Onion
-// index construction racing across first queries. Run with -race.
+// The engine promises safe concurrent readers across every family.
+// Run with -race.
 func TestEngineConcurrentQueries(t *testing.T) {
 	e := NewEngine()
 	pts, err := synth.GaussianTuples(21, 8000, 3)
@@ -349,64 +349,6 @@ func TestConcurrentRegistrationAndQueries(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstQueryBuildsIndexOnce races many first queries at
-// one dataset: every per-shard Onion index must be built exactly once
-// (sync.Once) and all callers must see identical results.
-func TestConcurrentFirstQueryBuildsIndexOnce(t *testing.T) {
-	pts, err := synth.GaussianTuples(55, 6000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := linear.New([]string{"a", "b", "c"}, []float64{0.3, 1, -2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngineWith(Options{Shards: 4})
-	if err := e.AddTuples("t", pts); err != nil {
-		t.Fatal(err)
-	}
-	const callers = 12
-	results := make([][]topk.Item, callers)
-	var wg sync.WaitGroup
-	errc := make(chan error, callers)
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			res, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: lm}, K: 8})
-			if err != nil {
-				errc <- err
-				return
-			}
-			results[c] = res.Items
-		}(c)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	for c := 1; c < callers; c++ {
-		itemsEqual(t, fmt.Sprintf("caller %d", c), results[c], results[0])
-	}
-	e.mu.RLock()
-	ts := e.tuples["t"]
-	e.mu.RUnlock()
-	if len(ts.shards) != 4 {
-		t.Fatalf("%d shards, want 4", len(ts.shards))
-	}
-	total := 0
-	for _, sh := range ts.shards {
-		if sh.index == nil {
-			t.Fatal("shard index not built")
-		}
-		total += sh.index.NumPoints()
-	}
-	if total != len(pts) {
-		t.Fatalf("shard indexes cover %d points, want %d", total, len(pts))
-	}
-}
-
 func TestPartition(t *testing.T) {
 	cases := []struct {
 		n, want int
@@ -434,8 +376,7 @@ func TestPartition(t *testing.T) {
 
 // TestShardEquivalenceWithTies is the adversarial version of the
 // equivalence invariant: duplicated rows guarantee exact score ties,
-// and which Onion layer holds each tied copy depends on shard
-// boundaries. The (score, ID) tie-break must still make every shard
+// and which block holds each tied copy depends on shard boundaries. The (score, ID) tie-break must still make every shard
 // count return the same winners.
 func TestShardEquivalenceWithTies(t *testing.T) {
 	base, err := synth.GaussianTuples(61, 5, 3)
@@ -443,9 +384,9 @@ func TestShardEquivalenceWithTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tile a tiny prototype set: every score occurs dozens of times and
-	// deep Onion suffixes degenerate to copies of one prototype, whose
-	// box bound equals the tied score exactly — the case where a
-	// non-strict layer break would skip tied smaller-ID winners.
+	// late norm-ordered blocks degenerate to copies of one prototype,
+	// whose zone bound equals the tied score exactly — the case where a
+	// non-strict block skip would drop tied smaller-ID winners.
 	pts := make([][]float64, 0, 300)
 	for len(pts) < 300 {
 		pts = append(pts, base[len(pts)%len(base)])

@@ -2,7 +2,9 @@
 // paper's primary contribution (Section 3). It unifies the three model
 // families of Section 2 behind one retrieval surface:
 //
-//   - linear models over tuple archives   → Onion index [11];
+//   - linear models over tuple archives   → norm-ordered zone-mapped
+//     column blocks (the Onion index [11] reproduces the paper's claim
+//     in experiment E1);
 //   - linear models over raster archives  → progressive model execution
 //     on progressive data representations (Section 3.1);
 //   - finite-state models over series     → metadata-pruned DFA runs
@@ -10,8 +12,8 @@
 //   - knowledge models over composite     → SPROC dynamic-programming
 //     objects (well logs, …)                pruning [15,16].
 //
-// The engine owns the archives and caches the model-specific indexes, so
-// repeated queries amortize index construction — the paper's premise
+// The engine owns the archives and builds the model-specific layouts at
+// ingest, so every query runs over indexed data — the paper's premise
 // that "indexing techniques specialized for the model" pay off at
 // archive scale.
 //
@@ -30,7 +32,6 @@ import (
 
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
-	"modelir/internal/onion"
 	"modelir/internal/parallel"
 	"modelir/internal/qcache"
 	"modelir/internal/sproc"
@@ -68,8 +69,6 @@ type Options struct {
 	// ingest; every query fans out one worker per shard. 0 means
 	// GOMAXPROCS. 1 reproduces the sequential engine exactly.
 	Shards int
-	// Onion tunes the per-shard Onion indexes built for tuple archives.
-	Onion onion.Options
 	// CacheEntries caps the result cache (see DESIGN.md §6): 0 means
 	// qcache.DefaultEntries, negative disables caching entirely.
 	CacheEntries int
@@ -91,8 +90,7 @@ type Options struct {
 // per dataset by generation counters) and a weighted admission
 // semaphore bounding total fan-out workers.
 type Engine struct {
-	shards   int
-	onionOpt onion.Options
+	shards int
 
 	// cache is the result cache (nil = disabled).
 	cache *qcache.Cache
@@ -117,7 +115,7 @@ type Engine struct {
 	// wait them out.
 	compactWG sync.WaitGroup
 	// onIndex, when set (tests only, before any append), observes the
-	// row count of every Onion build the write path runs.
+	// row count of every tuple store build the write path runs.
 	onIndex func(rows int)
 
 	// closers release resources a snapshot restore attached to the
@@ -153,7 +151,6 @@ func NewEngineWith(opt Options) *Engine {
 	}
 	e := &Engine{
 		shards:     shards,
-		onionOpt:   opt.Onion,
 		tuples:     make(map[string]*tupleSet),
 		scenes:     make(map[string]*sceneSet),
 		series:     make(map[string]*seriesSet),
@@ -233,19 +230,35 @@ func (e *Engine) commit(k dsKind, name string, install func()) {
 	e.mu.Unlock()
 }
 
+// addSet registers raw under name as a freshly sharded set: reserve the
+// name, build every base shard outside the lock, then install it — or,
+// when a shard build fails, release the name and register nothing.
+func addSet[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set[S, R], name string, raw []R, mk func([]R) (S, error)) error {
+	if err := e.reserve(k, name); err != nil {
+		return err
+	}
+	s, err := newSet(raw, e.shards, mk)
+	e.commit(k, name, func() {
+		if err == nil {
+			sets[name] = s
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("core: register %q: %w", name, err)
+	}
+	return nil
+}
+
 // AddTuples registers a tuple archive (rows of attribute vectors),
-// partitioning it into the engine's shard count. The rows are not
-// copied; the caller must not mutate them afterwards.
+// partitioning it into the engine's shard count and building every
+// shard's columnar store. Rows a store cannot hold — ragged, zero-width
+// or non-finite — fail the registration, which then registers nothing.
+// The rows are not copied; the caller must not mutate them afterwards.
 func (e *Engine) AddTuples(name string, points [][]float64) error {
 	if len(points) == 0 {
 		return errors.New("core: empty tuple set")
 	}
-	if err := e.reserve(dsTuples, name); err != nil {
-		return err
-	}
-	ts := newSet(points, e.shards, newTupleShard)
-	e.commit(dsTuples, name, func() { e.tuples[name] = ts })
-	return nil
+	return addSet(e, dsTuples, e.tuples, name, points, e.newTupleShard)
 }
 
 // AddScene registers a raster archive, partitioning its coarsest
@@ -271,12 +284,7 @@ func (e *Engine) AddSeries(name string, rs []synth.RegionSeries) error {
 	if len(rs) == 0 {
 		return errors.New("core: empty series archive")
 	}
-	if err := e.reserve(dsSeries, name); err != nil {
-		return err
-	}
-	ss := newSet(rs, e.shards, newSeriesShard)
-	e.commit(dsSeries, name, func() { e.series[name] = ss })
-	return nil
+	return addSet(e, dsSeries, e.series, name, rs, newSeriesShard)
 }
 
 // AddWells registers a well-log archive, sharded.
@@ -284,12 +292,7 @@ func (e *Engine) AddWells(name string, ws []synth.WellLog) error {
 	if len(ws) == 0 {
 		return errors.New("core: empty well archive")
 	}
-	if err := e.reserve(dsWells, name); err != nil {
-		return err
-	}
-	s := newSet(ws, e.shards, newWellShard)
-	e.commit(dsWells, name, func() { e.wells[name] = s })
-	return nil
+	return addSet(e, dsWells, e.wells, name, ws, newWellShard)
 }
 
 // Scene returns a registered raster archive.

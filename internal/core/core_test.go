@@ -9,6 +9,7 @@ import (
 	"modelir/internal/archive"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
+	"modelir/internal/segment"
 	"modelir/internal/synth"
 	"modelir/internal/topk"
 )
@@ -59,6 +60,115 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 	if _, err := e.Scene("missing"); err == nil {
 		t.Fatal("want unknown dataset error")
+	}
+}
+
+// TestAddTuplesRefusesUnstorableRows: rows no columnar store can hold
+// fail the registration itself. The name stays free, nothing is
+// registered under it, and every other dataset still serves and
+// snapshots.
+func TestAddTuplesRefusesUnstorableRows(t *testing.T) {
+	cases := []struct {
+		name string
+		rows [][]float64
+	}{
+		{"nan", [][]float64{{1, 2}, {3, 4}, {5, 6}, {math.NaN(), 8}}},
+		{"+inf", [][]float64{{1, 2}, {math.Inf(1), 4}, {5, 6}}},
+		{"-inf", [][]float64{{1, 2}, {3, 4}, {5, math.Inf(-1)}}},
+		{"ragged", [][]float64{{1, 2}, {3, 4, 5}, {6, 7}}},
+		{"ragged later shard", [][]float64{{1, 2}, {3, 4}, {5, 6}, {7}}},
+		{"zero-width", [][]float64{{}, {}, {}}},
+	}
+	good, err := synth.GaussianTuples(5, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngineWith(Options{Shards: 2})
+			if err := e.AddTuples("good", good); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AddTuples("bad", tc.rows); err == nil {
+				t.Fatal("AddTuples accepted rows no store can hold")
+			}
+			for _, ds := range e.Datasets() {
+				if ds.Name == "bad" {
+					t.Fatalf("refused dataset listed: %+v", ds)
+				}
+			}
+			dir, err := segment.NewDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Snapshot(context.Background(), dir); err != nil {
+				t.Fatalf("snapshot after a refused registration: %v", err)
+			}
+			// The refusal released the name.
+			if err := e.AddTuples("bad", good); err != nil {
+				t.Fatalf("name not released: %v", err)
+			}
+		})
+	}
+}
+
+// TestLinearModelDimMismatch: a model whose coefficient count differs
+// from a segment's attribute count is an error, never a panic or a
+// silently truncated score — on base shards and on a delta appended
+// with a different width.
+func TestLinearModelDimMismatch(t *testing.T) {
+	e := NewEngineWith(Options{Shards: 2})
+	pts, err := synth.GaussianTuples(4, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddTuples("t", pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 4} {
+		m, err := linear.New(make([]string, n), make([]float64, n), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: m}}); err == nil {
+			t.Fatalf("%d coefficients over 3 attributes: no error", n)
+		}
+	}
+	if err := e.AppendTuples("t", [][]float64{{1, 2, 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := linear.New([]string{"a", "b", "c"}, []float64{1, 1, 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: m}}); err == nil {
+		t.Fatal("3 coefficients over a 4-attribute delta: no error")
+	}
+}
+
+// TestSmallShardsPrune: shards and deltas far smaller than a default
+// block still split into several zone-mapped blocks, so a top-K scan
+// skips most of their rows. Workers: 1 runs the shards in order, which
+// makes the counts deterministic.
+func TestSmallShardsPrune(t *testing.T) {
+	pts, err := synth.GaussianTuples(3, 5128, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngineWith(Options{Shards: 8, CacheEntries: -1})
+	if err := e.AddTuples("t", pts[:5000]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AppendTuples("t", pts[5000:]); err != nil {
+		t.Fatal(err)
+	}
+	m, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mustRun(t, e, Request{Dataset: "t", Query: LinearQuery{Model: m}, K: 5, Workers: 1}).Stats
+	if st.Examined+st.Pruned != len(pts) || st.Examined > len(pts)/2 {
+		t.Fatalf("examined %d, pruned %d of %d rows in 625-row shards and a 128-row delta", st.Examined, st.Pruned, len(pts))
 	}
 }
 

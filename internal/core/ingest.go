@@ -4,15 +4,13 @@
 // existing columnar type — and swap in a new set value that shares the
 // base shards. Queries scan base + deltas through the set's scan list.
 //
-// Invariant: every segment the write path publishes is already
-// indexed. A delta (and for tuples its Onion index, whose local IDs do
-// not depend on the offset) is built OUTSIDE the engine lock, which is
+// Invariant: every segment is complete when it is constructed — for
+// tuples a norm-ordered columnar store, whose local IDs do not depend
+// on the offset. A delta is built OUTSIDE the engine lock, which is
 // held only to assign the offset and swap the pointer; the compactor
-// builds its replacement segments the same way while readers go on
-// using the old, fully indexed set. No read ever waits on an index
-// build for a segment created by append, compaction, restore or resync
-// install — the one lazy build left is a registration-time base tuple
-// shard nobody has queried yet (request.go).
+// builds its replacement segments the same way (sorting its rows
+// again) while readers go on using the old set. No read ever waits on
+// a build, and no query path builds anything.
 //
 // A background compactor keeps the delta list short by size tier: when
 // compactDeltaSegments adjacent deltas merge into a higher size class,
@@ -43,19 +41,19 @@ import (
 // background merge takes (set.tierRun).
 const compactDeltaSegments = 4
 
-// appendDelta is the write path every kind shares: build the delta and
-// its index outside the lock, then take the lock to place it at base —
-// the current row count when base is negative — and swap the new set
-// value in.
-func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set[S, R], name string, base int, rows []R, mk func([]R) S) error {
+// appendDelta is the write path every kind shares: build the delta
+// outside the lock, then take the lock to place it at base — the
+// current row count when base is negative — and swap the new set value
+// in.
+func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set[S, R], name string, base int, rows []R, mk func([]R) (S, error)) error {
 	if len(rows) == 0 {
 		return errors.New("core: empty append")
 	}
 	if !e.hasDataset(k, name) {
 		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	d := mk(rows)
-	if err := d.buildIndex(e); err != nil {
+	d, err := mk(rows)
+	if err != nil {
 		return fmt.Errorf("core: append to %q: %w", name, err)
 	}
 	e.mu.Lock()
@@ -81,16 +79,17 @@ func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set
 }
 
 // AppendTuples appends rows to a registered tuple dataset as one
-// immutable, indexed delta segment. New rows take IDs continuing the
-// dataset's global row space (exactly the IDs they would have had in a
-// single registration); queries observe either the pre- or post-append
-// world, never a partial one, and the dataset's cache generation
-// advances so no stale cached result is ever served. Rows the Onion
-// index cannot be built over (ragged or non-finite) are refused and
-// leave the dataset untouched. The rows are not copied; the caller
+// immutable delta segment with its own norm-ordered columnar store.
+// New rows take IDs continuing the dataset's global row space (exactly
+// the IDs they would have had in a single registration); queries
+// observe either the pre- or post-append world, never a partial one,
+// and the dataset's cache generation advances so no stale cached
+// result is ever served. Rows the store cannot hold (ragged,
+// zero-width or non-finite) are refused and leave the dataset
+// untouched. The rows are not copied; the caller
 // must not mutate them afterwards.
 func (e *Engine) AppendTuples(name string, points [][]float64) error {
-	return appendDelta(e, dsTuples, e.tuples, name, -1, points, newTupleShard)
+	return appendDelta(e, dsTuples, e.tuples, name, -1, points, e.newTupleShard)
 }
 
 // AppendTuplesAt is AppendTuples with an explicit global row base: the
@@ -107,7 +106,7 @@ func (e *Engine) AppendTuplesAt(name string, base int64, points [][]float64) err
 	if base < 0 {
 		return fmt.Errorf("core: negative append base %d", base)
 	}
-	return appendDelta(e, dsTuples, e.tuples, name, int(base), points, newTupleShard)
+	return appendDelta(e, dsTuples, e.tuples, name, int(base), points, e.newTupleShard)
 }
 
 // AppendSeries appends regions to a registered series dataset as one
@@ -185,7 +184,7 @@ func (e *Engine) runCompactor(k dsKind, name string) {
 func (e *Engine) compactOne(k dsKind, name string, fold bool) bool {
 	switch k {
 	case dsTuples:
-		return compactSet(e, e.tuples, name, fold, newTupleShard)
+		return compactSet(e, e.tuples, name, fold, e.newTupleShard)
 	case dsSeries:
 		return compactSet(e, e.series, name, fold, newSeriesShard)
 	case dsWells:
@@ -198,7 +197,7 @@ func (e *Engine) compactOne(k dsKind, name string, fold bool) bool {
 // the set, builds the replacement segments outside the lock — the run
 // deltas[lo:hi] merged into one delta, or, folding a set that still
 // holds its registration rows, the whole dataset as balanced base
-// shards — indexes them, and swaps them in. Appends and merges racing
+// shards — and swaps them in. Appends and merges racing
 // the build only ever change deltas past the captured ones, so when the
 // captured deltas are still a prefix of the current list the set
 // descends from the capture and that suffix carries over verbatim (for
@@ -208,7 +207,7 @@ func (e *Engine) compactOne(k dsKind, name string, fold bool) bool {
 // set, so neither a background merge nor Compact() is lost to the other.
 // A build error (a merge over deltas of mixed dimension, which already
 // fail every query) leaves the set as it is.
-func compactSet[S rowShard[R], R any](e *Engine, sets map[string]*set[S, R], name string, fold bool, mk func([]R) S) bool {
+func compactSet[S rowShard[R], R any](e *Engine, sets map[string]*set[S, R], name string, fold bool, mk func([]R) (S, error)) bool {
 	for {
 		e.mu.RLock()
 		old := sets[name]
@@ -231,15 +230,18 @@ func compactSet[S rowShard[R], R any](e *Engine, sets map[string]*set[S, R], nam
 		}
 		var built []S // the new base shards when rebasing, else the one merged delta
 		if rebase {
-			built = newSet(rows, e.shards, mk).shards
-		} else {
-			built = []S{mk(rows)}
-			built[0].place(old.rows - rowsIn[S, R](old.deltas[lo:]))
-		}
-		for _, sh := range built {
-			if sh.buildIndex(e) != nil {
+			ns, err := newSet(rows, e.shards, mk)
+			if err != nil {
 				return false
 			}
+			built = ns.shards
+		} else {
+			d, err := mk(rows)
+			if err != nil {
+				return false
+			}
+			d.place(old.rows - rowsIn[S, R](old.deltas[lo:]))
+			built = []S{d}
 		}
 
 		e.mu.Lock()
@@ -265,8 +267,9 @@ func compactSet[S rowShard[R], R any](e *Engine, sets map[string]*set[S, R], nam
 
 // Compact synchronously folds every dataset's delta segments away: a
 // full rebuild into balanced base shards where the registration rows
-// are at hand, one merged delta on restored bases — indexed before
-// they are published, like everything else the write path builds.
+// are at hand, one merged delta on restored bases — built complete
+// before they are published, like everything else the write path
+// builds.
 // Answers before and after are bit-identical and dataset generations
 // are unchanged, so live cache entries stay valid across the call.
 // Appends may proceed concurrently; deltas landed mid-compaction simply

@@ -703,19 +703,19 @@ func TestBackgroundCompaction(t *testing.T) {
 	}
 }
 
-// indexState counts gauss's base shards and deltas that hold no Onion
-// index yet. It runs no query, so it never builds one.
+// indexState counts gauss's base shards and deltas that hold no
+// columnar store. It runs no query, so it never builds one.
 func indexState(e *Engine) (lazyBase, bases, lazyDeltas, deltas int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ts := e.tuples["gauss"]
 	for _, sh := range ts.shards {
-		if sh.index == nil {
+		if sh.store == nil {
 			lazyBase++
 		}
 	}
 	for _, sh := range ts.deltas {
-		if sh.index == nil {
+		if sh.store == nil {
 			lazyDeltas++
 		}
 	}
@@ -723,12 +723,10 @@ func indexState(e *Engine) (lazyBase, bases, lazyDeltas, deltas int) {
 }
 
 // TestPublishedSegmentsAreIndexed pins the write-path invariant: every
-// segment published by AppendTuples, AppendTuplesAt, an Appender flush,
-// a background merge or Compact already holds its Onion index — checked
-// before any query has run, so no read can be the one that builds it.
-// The only shards without an index are a raw-row engine's
-// registration-time base shards, which stay lazy until Compact rebuilds
-// them.
+// segment published by AddTuples, AppendTuples, AppendTuplesAt, an
+// Appender flush, a background merge, Compact or a snapshot restore
+// already holds its columnar store — checked before any query has run,
+// so no read can be the one that builds it.
 func TestPublishedSegmentsAreIndexed(t *testing.T) {
 	pts, err := synth.GaussianTuples(23, 1200, 3)
 	if err != nil {
@@ -752,33 +750,29 @@ func TestPublishedSegmentsAreIndexed(t *testing.T) {
 			}
 			e = openRestored(t, dir, segment.Copy)
 		}
-		check := func(step string, wantDeltas int, baseIndexed bool) {
+		check := func(step string, wantDeltas int) {
 			t.Helper()
 			lazyBase, bases, lazyDeltas, deltas := indexState(e)
 			if lazyDeltas != 0 || deltas != wantDeltas {
 				t.Fatalf("restored=%v %s: %d of %d deltas unindexed, want 0 of %d", restored, step, lazyDeltas, deltas, wantDeltas)
 			}
-			wantLazy := bases // a registration-time base stays lazy
-			if baseIndexed {
-				wantLazy = 0
-			}
-			if lazyBase != wantLazy {
-				t.Fatalf("restored=%v %s: %d of %d base shards unindexed, want %d", restored, step, lazyBase, bases, wantLazy)
+			if lazyBase != 0 {
+				t.Fatalf("restored=%v %s: %d of %d base shards unindexed, want 0", restored, step, lazyBase, bases)
 			}
 		}
-		check("registration", 0, restored)
+		check("registration", 0)
 
 		if err := e.AppendTuples("gauss", pts[600:700]); err != nil {
 			t.Fatal(err)
 		}
-		check("AppendTuples", 1, restored)
+		check("AppendTuples", 1)
 
 		ap := NewAppender(e, AppenderOptions{MaxRows: 100, MaxWait: time.Hour})
 		if err := ap.AppendTuples(ctx, "gauss", pts[700:800]); err != nil {
 			t.Fatal(err)
 		}
 		ap.Close()
-		check("Appender flush", 2, restored)
+		check("Appender flush", 2)
 
 		for lo := 800; lo < 1000; lo += 100 {
 			if err := e.AppendTuples("gauss", pts[lo:lo+100]); err != nil {
@@ -786,16 +780,16 @@ func TestPublishedSegmentsAreIndexed(t *testing.T) {
 			}
 		}
 		settle(e)
-		check("background merge", 1, restored)
+		check("background merge", 1)
 
 		if err := e.AppendTuples("gauss", pts[1000:1100]); err != nil {
 			t.Fatal(err)
 		}
 		e.Compact()
 		if restored {
-			check("Compact", 1, true) // no registration rows: one merged delta
+			check("Compact", 1) // no registration rows: one merged delta
 		} else {
-			check("Compact", 0, true) // rebuilt base shards arrive indexed too
+			check("Compact", 0) // rebuilt base shards
 		}
 
 		// The cluster landing path: an explicit base past the watermark.
@@ -805,8 +799,8 @@ func TestPublishedSegmentsAreIndexed(t *testing.T) {
 		e.mu.RLock()
 		d := e.tuples["pinned"].deltas[0]
 		e.mu.RUnlock()
-		if d.index == nil || d.offset != 5000 {
-			t.Fatalf("restored=%v AppendTuplesAt: delta index %v at offset %d, want built at 5000", restored, d.index != nil, d.offset)
+		if d.store == nil || d.offset != 5000 {
+			t.Fatalf("restored=%v AppendTuplesAt: delta store %v at offset %d, want built at 5000", restored, d.store != nil, d.offset)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -816,7 +810,7 @@ func TestPublishedSegmentsAreIndexed(t *testing.T) {
 
 // TestTieredCompactionBounds pins the cost of the tier rule on a
 // restored engine: after 256 equal appends at most 4*ceil(log4 256)
-// deltas are live, and the rows handed to onion.Build — counted by the
+// deltas are live, and the rows handed to the store build — counted by the
 // engine's hook, once per append plus once per merge a row took part in
 // — stay within rows*(1 + log4 256). The dataset's reindexed_rows
 // counter is exactly the merge share of that count.
@@ -858,7 +852,7 @@ func TestTieredCompactionBounds(t *testing.T) {
 		t.Fatalf("%d live deltas after %d appends, want 1..%d", ds.Deltas, appends, 4*levels)
 	}
 	if got := built.Load(); got > int64(rows*(1+levels)) {
-		t.Fatalf("onion.Build saw %d rows for %d appended, want <= %d", got, rows, rows*(1+levels))
+		t.Fatalf("store builds saw %d rows for %d appended, want <= %d", got, rows, rows*(1+levels))
 	}
 	if got := built.Load() - int64(rows); got != int64(ds.ReindexedRows) || ds.Compactions == 0 {
 		t.Fatalf("reindexed_rows = %d over %d compactions, hook counted %d merged rows", ds.ReindexedRows, ds.Compactions, got)

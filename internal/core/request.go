@@ -4,9 +4,9 @@
 // over composite objects or tiles — is a Query value executed through
 // one entry point, Engine.Run(ctx, Request), returning one Result shape
 // with one normalized QueryStats. The paper's progressive screening
-// (onion layers, pyramid levels, metadata prefilters, floored DPs) runs
-// inside that one execution path; RunBatch schedules many requests on a
-// shared pool through the same compiled plans.
+// (zone-mapped tuple blocks, pyramid levels, metadata prefilters,
+// floored DPs) runs inside that one execution path; RunBatch schedules
+// many requests on a shared pool through the same compiled plans.
 
 package core
 
@@ -18,9 +18,9 @@ import (
 	"time"
 
 	"modelir/internal/bayes"
+	"modelir/internal/colstore"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
-	"modelir/internal/onion"
 	"modelir/internal/parallel"
 	"modelir/internal/progressive"
 	"modelir/internal/qcache"
@@ -160,7 +160,7 @@ type queryPlan struct {
 // results.
 //
 // Cancellation is cooperative and prompt: every family checks ctx
-// inside its per-shard scan loops (per onion layer, per pyramid cell,
+// inside its per-shard scan loops (per tuple block, per pyramid cell,
 // per region, per well, per tile), so a cancelled or timed-out request
 // stops burning CPU mid-shard and returns ctx.Err().
 func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
@@ -340,9 +340,11 @@ func keyFloat(k uint64) float64 {
 // ---- Linear models over tuple archives ----
 
 // LinearQuery retrieves the top-K tuples maximizing a linear model over
-// a tuple archive through the per-shard Onion indexes (Section 3.2).
-// Item IDs index the registered tuple slice; scores include the model's
-// intercept. To minimize the model, negate its coefficients.
+// a tuple archive (Section 3.2) by a blocked scan of each shard's
+// norm-ordered columnar store: a block whose zone-map bound falls
+// strictly below the shared screening floor is skipped unscored.
+// Item IDs index the registered tuple slice; scores include the
+// model's intercept. To minimize the model, negate its coefficients.
 type LinearQuery struct {
 	Model *linear.Model
 }
@@ -362,10 +364,12 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
+	w, wNorm := m.Coeffs, colstore.WeightNorm(m.Coeffs)
+	done := ctx.Done()
 	// Plans fan out over the scan list — base shards plus any live
 	// delta segments.
-	perShardP := onionStatsArena.get(len(ts.scan))
-	perShard := *perShardP
+	countsP := countsArena.get(len(ts.scan))
+	counts := *countsP
 	return queryPlan{
 		shards: len(ts.scan),
 		// The shared bound screens pre-intercept scores, so the
@@ -374,36 +378,26 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 		shift: m.Intercept,
 		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
 			sh := ts.scan[si]
-			// The only index this can build is a registration-time base
-			// shard's, on its first query, inside the fan-out we already pay
-			// for. Everything the write path publishes (appends, compaction,
-			// restore, resync install) arrives indexed (ingest.go), so
-			// otherwise this is a sync.Once hit.
-			ix, err := sh.ensureIndex(e.onionOpt)
-			if err != nil {
-				return dst, err
+			if len(w) != sh.store.Dim() {
+				return dst, fmt.Errorf("core: model has %d coefficients, tuples have %d attributes", len(w), sh.store.Dim())
 			}
-			opt := onion.ScanOpts{Ctx: ctx, Bound: sb, Meter: meter}
+			h := topk.MustGetHeap(req.K)
+			defer topk.PutHeap(h)
+			var st colstore.Stats
+			if cancelled, _ := sh.store.Scan(w, wNorm, h, sb, meter, done, &st); cancelled {
+				return dst, ctx.Err()
+			}
+			counts[si] = scanCounts{evals: st.RowsScored, examined: st.RowsScored, pruned: st.RowsZonePruned}
+			// Stores number rows locally; lift IDs into the global
+			// tuple index space.
 			start := len(dst)
-			dst, ost, err := ix.ScanUnordered(m.Coeffs, req.K, opt, dst)
-			if err != nil {
-				return dst, err
-			}
-			perShard[si] = ost
-			// Shard indexes number points locally; lift IDs into the
-			// global tuple index space.
+			dst = h.AppendUnordered(dst)
 			for i := start; i < len(dst); i++ {
 				dst[i].ID += int64(sh.offset)
 			}
 			return dst, nil
 		},
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			touched, skipped := 0, 0
-			for _, s := range perShard {
-				touched += s.PointsTouched
-				skipped += s.PointsSkippedByBudget
-			}
-			onionStatsArena.put(perShardP)
 			// The model's intercept shifts every score identically; add
 			// it so returned scores equal model values.
 			if m.Intercept != 0 {
@@ -411,14 +405,7 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 					items[i].Score += m.Intercept
 				}
 			}
-			st := QueryStats{
-				Evaluations: touched,
-				Examined:    touched,
-				Pruned:      ts.rows - touched - skipped,
-				Shards:      len(ts.scan),
-				Truncated:   meter.Exhausted(),
-			}
-			return items, st, nil
+			return items, sumCounts(countsP, meter), nil
 		},
 	}, nil
 }
@@ -549,16 +536,22 @@ func scanPlan(ctx context.Context, req Request, nShards int, meter *topk.Meter,
 			return h.AppendUnordered(dst), nil
 		},
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			st := QueryStats{Shards: nShards, Truncated: meter.Exhausted()}
-			for _, c := range counts {
-				st.Evaluations += c.evals
-				st.Examined += c.examined
-				st.Pruned += c.pruned
-			}
-			countsArena.put(countsP)
-			return items, st, nil
+			return items, sumCounts(countsP, meter), nil
 		},
 	}
+}
+
+// sumCounts totals per-shard counts into a plan's QueryStats and
+// returns them to the arena.
+func sumCounts(countsP *[]scanCounts, meter *topk.Meter) QueryStats {
+	st := QueryStats{Shards: len(*countsP), Truncated: meter.Exhausted()}
+	for _, c := range *countsP {
+		st.Evaluations += c.evals
+		st.Examined += c.examined
+		st.Pruned += c.pruned
+	}
+	countsArena.put(countsP)
+	return st
 }
 
 // FSMQuery ranks regions of a series archive by fsm.FlyScore under the

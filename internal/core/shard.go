@@ -1,12 +1,12 @@
 // Shard plumbing for the engine: every dataset is partitioned into N
 // contiguous shards at ingest, each shard carrying its own
-// model-specific index (Onion layers for tuple archives, an assigned
-// slice of pyramid root cells for scenes, precomputed metadata
-// summaries for series). Queries fan out one worker per shard and merge
-// partial top-K heaps; because shard data is immutable after
-// registration and index builds are guarded by sync.Once, the whole
-// structure is safe for concurrent queries without locks on the hot
-// path.
+// model-specific layout (a norm-ordered columnar store for tuple
+// archives, an assigned slice of pyramid root cells for scenes,
+// precomputed metadata summaries for series), all built when the shard
+// is constructed. Queries fan out one worker per shard and merge
+// partial top-K heaps; because shard data is immutable once built, the
+// whole structure is safe for concurrent queries without locks on the
+// hot path.
 //
 // Live ingest rides on the same invariant: an append never mutates a
 // set in place. It builds an immutable, already indexed delta segment
@@ -23,11 +23,10 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"modelir/internal/archive"
+	"modelir/internal/colstore"
 	"modelir/internal/fsm"
-	"modelir/internal/onion"
 	"modelir/internal/progressive"
 	"modelir/internal/synth"
 )
@@ -62,7 +61,8 @@ func partition(n, want int) [][2]int {
 
 // rowShard is what the three appendable shard kinds share: an
 // immutable segment over a run of raw rows of type R (tuples, regions,
-// wells). Pointer identity tells the compactor whether a set still
+// wells), built complete by its kind's constructor (a func([]R) (S,
+// error)). Pointer identity tells the compactor whether a set still
 // descends from the one it captured.
 type rowShard[R any] interface {
 	comparable
@@ -73,18 +73,13 @@ type rowShard[R any] interface {
 	// place sets the global row the segment's IDs start at. Only tuple
 	// IDs are positional; region and well IDs are intrinsic to the rows.
 	place(base int)
-	// buildIndex builds the segment's query index now, for the kind that
-	// has one (tuples: the Onion layers). Every segment the write path
-	// creates passes through here before it is published.
-	buildIndex(e *Engine) error
 }
 
 // set is a registered appendable dataset, sharded at ingest. raw
 // retains the registration rows (base shards alias its backing array)
-// for the sequential-scan baseline and Engine.Compact's full rebuild;
-// it is nil on a snapshot-restored set, where only built state is
-// persisted. scan — base shards followed by deltas — is the only shard
-// list query plans fan out over.
+// for Engine.Compact's full rebuild; it is nil on a snapshot-restored
+// set, where only built state is persisted. scan — base shards followed
+// by deltas — is the only shard list query plans fan out over.
 type set[S rowShard[R], R any] struct {
 	// rows is the logical row count including delta rows (for a pinned
 	// tuple set, the row watermark).
@@ -119,16 +114,20 @@ type (
 )
 
 // newSet partitions raw into `shards` balanced base shards, each built
-// by mk from its run and placed at the run's global row offset.
-func newSet[S rowShard[R], R any](raw []R, shards int, mk func(part []R) S) *set[S, R] {
+// by mk from its run and placed at the run's global row offset. A
+// failed shard build fails the whole set.
+func newSet[S rowShard[R], R any](raw []R, shards int, mk func(part []R) (S, error)) (*set[S, R], error) {
 	s := &set[S, R]{rows: len(raw), raw: raw, gen: 1}
 	for _, r := range partition(len(raw), shards) {
-		sh := mk(raw[r[0]:r[1]])
+		sh, err := mk(raw[r[0]:r[1]])
+		if err != nil {
+			return nil, fmt.Errorf("rows [%d,%d): %w", r[0], r[1], err)
+		}
 		sh.place(r[0])
 		s.shards = append(s.shards, sh)
 	}
 	s.scan = s.shards
-	return s
+	return s, nil
 }
 
 // rowsIn counts the rows living in segs.
@@ -184,56 +183,47 @@ func (s *set[S, R]) tierRun() (lo, hi int) {
 	return 0, 0
 }
 
-// tupleShard is one partition of a tuple archive. Its Onion index is
-// built over the shard's sub-slice, so result IDs are local and must be
-// shifted by offset into the global index space. Every shard the write
-// path publishes (append, compaction, restore, resync install) already
-// holds its index; only a registration-time base shard builds it on
-// first use (sync.Once makes concurrent first queries safe).
+// tupleShard is one partition of a tuple archive: a norm-ordered
+// colstore.Store built when the shard is constructed — at registration,
+// append, compaction, restore and resync install alike — so no query
+// ever builds one. The store numbers rows locally; result IDs are
+// shifted by offset into the global index space.
 type tupleShard struct {
 	offset int
+	// points is the run the store was built over; nil on a
+	// snapshot-restored shard, which persists only the store.
 	points [][]float64
-
-	once  sync.Once
-	index *onion.Index
-	err   error
+	store  *colstore.Store
 }
 
 func (s *tupleShard) rawRows() [][]float64 { return s.points }
 func (s *tupleShard) place(base int)       { s.offset = base }
 
-func (s *tupleShard) buildIndex(e *Engine) error {
+// newTupleShard builds the shard's store over part. Rows the store
+// cannot hold (empty, zero-width, ragged or non-finite) fail the build.
+func (e *Engine) newTupleShard(part [][]float64) (*tupleShard, error) {
 	if e.onIndex != nil {
-		e.onIndex(len(s.points))
+		e.onIndex(len(part))
 	}
-	_, err := s.ensureIndex(e.onionOpt)
-	return err
+	st, err := colstore.Build(part, colstore.Options{BlockRows: shardBlockRows(len(part))})
+	if err != nil {
+		return nil, err
+	}
+	return &tupleShard{points: part, store: st}, nil
 }
 
-func (s *tupleShard) ensureIndex(opt onion.Options) (*onion.Index, error) {
-	s.once.Do(func() {
-		s.index, s.err = onion.Build(s.points, opt)
-	})
-	return s.index, s.err
-}
-
-// newTupleShard is the tuple shard constructor newSet and the write
-// path share; the index is not built here.
-func newTupleShard(part [][]float64) *tupleShard { return &tupleShard{points: part} }
-
-// restoredTupleShard wraps a snapshot-restored Onion index. The build
-// Once is burned immediately so ensureIndex returns the restored index
-// without ever consulting points (which stay nil).
-func restoredTupleShard(offset int, ix *onion.Index) *tupleShard {
-	sh := &tupleShard{offset: offset}
-	sh.once.Do(func() { sh.index = ix })
-	return sh
+// shardBlockRows sizes a tuple segment's zone-map blocks from its row
+// count: a 32nd of the rows, between 32 and colstore.DefaultBlockRows.
+// A scan prunes whole blocks only, so a small shard or delta held in
+// one or two default-sized blocks would score every row under any
+// floor; at 32 blocks it prunes its norm-ordered tail like a large one.
+func shardBlockRows(n int) int {
+	return min(colstore.DefaultBlockRows, max(32, (n+31)/32))
 }
 
 // restoredTupleSet assembles a tuple set from restored shards. raw
-// stays nil: the sequential-scan baseline is unavailable on a restored
-// engine (the raw rows were never persisted), which parallel.go turns
-// into an explicit error rather than a panic.
+// stays nil: the registration rows were never persisted, so Compact
+// merges a restored set's deltas instead of rebuilding its base shards.
 func restoredTupleSet(rows int, shards []*tupleShard) *tupleSet {
 	return &tupleSet{rows: rows, shards: shards, scan: shards, gen: 1}
 }
@@ -261,14 +251,14 @@ func (s *seriesShard) eventsOf(i int) []fsm.Event {
 
 func (s *seriesShard) rawRows() []synth.RegionSeries { return s.regions }
 func (s *seriesShard) place(int)                     {}
-func (s *seriesShard) buildIndex(*Engine) error      { return nil }
 
 // newSeriesShard builds one shard over part: metadata summaries plus
 // the flat day-classified event plane. This is the only constructor —
 // base shards at registration, delta segments at append, merged deltas
 // at compaction — so every segment is bit-identical to the shard a
-// from-scratch build would hold.
-func newSeriesShard(part []synth.RegionSeries) *seriesShard {
+// from-scratch build would hold. It never fails; the error completes
+// the constructor shape every appendable kind shares.
+func newSeriesShard(part []synth.RegionSeries) (*seriesShard, error) {
 	sums := make([]synth.DrySpellStats, len(part))
 	total := 0
 	for i, reg := range part {
@@ -283,7 +273,7 @@ func newSeriesShard(part []synth.RegionSeries) *seriesShard {
 		}
 		evOff = append(evOff, len(events))
 	}
-	return &seriesShard{regions: part, sums: sums, events: events, evOff: evOff}
+	return &seriesShard{regions: part, sums: sums, events: events, evOff: evOff}, nil
 }
 
 // restoredSeriesSet assembles a series set from snapshot planes: the
@@ -349,11 +339,11 @@ func (s *wellShard) strataLen(i int) int { return s.off[i+1] - s.off[i] }
 
 func (s *wellShard) rawRows() []synth.WellLog { return s.wells }
 func (s *wellShard) place(int)                {}
-func (s *wellShard) buildIndex(*Engine) error { return nil }
 
 // newWellShard flattens part's strata into the columnar planes — the
 // one constructor base shards, delta segments and merged deltas share.
-func newWellShard(part []synth.WellLog) *wellShard {
+// Like newSeriesShard it never fails.
+func newWellShard(part []synth.WellLog) (*wellShard, error) {
 	total := 0
 	for _, w := range part {
 		total += len(w.Strata)
@@ -375,7 +365,7 @@ func newWellShard(part []synth.WellLog) *wellShard {
 		}
 		sh.off = append(sh.off, len(sh.lith))
 	}
-	return sh
+	return sh, nil
 }
 
 // restoredWellSet assembles a well set from snapshot planes: well IDs,

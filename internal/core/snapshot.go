@@ -1,6 +1,6 @@
 // Snapshot/restore wiring between the engine and internal/segment.
-// What is persisted is the *built* serving state — per-shard Onion
-// colstore planes and suffix boxes, flat pyramid planes, precomputed
+// What is persisted is the *built* serving state — per-shard
+// norm-ordered colstore planes, flat pyramid planes, precomputed
 // series summaries and event planes, columnar well strata, the scene
 // feature matrix — so OpenSnapshot reaches serving-ready without
 // re-running a single index build, sort, or classification pass.
@@ -12,9 +12,9 @@
 // Per-kind section layout (canonical metadata uses internal/canon
 // framing, tags "TS"/"PY"/"SS"/"WS"):
 //
-//	tuples  meta("TS": per-shard offset/rows/dim/flags) +
+//	tuples  meta("TS": per-shard offset/rows/dim) +
 //	        s<k>.{ids,flat,blockstart,zonelo,zonehi,zonenorm,
-//	               segstart,segblock,suffixlo,suffixhi,suffixnorm}
+//	               segstart,segblock}
 //	scenes  meta(gob scene metadata) + pyr("PY": band names, level
 //	        geometry) + pyr<l> planes + feat matrix
 //	series  meta("SS": region id/summary/day-count) + events plane
@@ -32,7 +32,6 @@ import (
 	"modelir/internal/canon"
 	"modelir/internal/colstore"
 	"modelir/internal/fsm"
-	"modelir/internal/onion"
 	"modelir/internal/pyramid"
 	"modelir/internal/segment"
 	"modelir/internal/synth"
@@ -106,10 +105,9 @@ func (e *Engine) datasetsLocked() []DatasetInfo {
 }
 
 // Snapshot persists every registered dataset's built serving state to
-// b. Tuple shards whose Onion index has not been demanded yet are
-// built here (a snapshot must capture serving-ready state, and lazy
-// builds after restore would need the raw points we don't persist).
-// Registrations, appends and compactions block for the duration
+// b: every shard is complete from construction, so the snapshot only
+// writes planes out. Registrations, appends and compactions block for
+// the duration
 // (Snapshot holds the read lock end to end, and all of those need the
 // write lock to swap state in); queries do not. A snapshot racing a
 // concurrent Add* or Append* therefore captures a consistent pre- or
@@ -130,7 +128,7 @@ func (e *Engine) Snapshot(ctx context.Context, b segment.Backend) error {
 		}
 		switch info.Kind {
 		case kindTuples:
-			err = snapTuples(w, info, e.tuples[info.Name], e.onionOpt)
+			err = snapTuples(w, info, e.tuples[info.Name])
 		case kindScenes:
 			err = snapScene(w, info, e.scenes[info.Name])
 		case kindSeries:
@@ -175,7 +173,7 @@ func (e *Engine) SnapshotDatasets(ctx context.Context, b segment.Backend, names 
 		seen[info.Name] = true
 		switch info.Kind {
 		case kindTuples:
-			err = snapTuples(w, info, e.tuples[info.Name], e.onionOpt)
+			err = snapTuples(w, info, e.tuples[info.Name])
 		case kindScenes:
 			err = snapScene(w, info, e.scenes[info.Name])
 		case kindSeries:
@@ -297,7 +295,7 @@ type RestoreOptions struct {
 	// Mode selects Copy (portable) or Map (zero-copy mmap) restore.
 	Mode segment.RestoreMode
 	// Options configures the restored engine's serving layer (cache,
-	// admission control, onion options for datasets added later).
+	// admission control).
 	// Shards is ignored: the manifest's shard count is authoritative,
 	// because persisted per-shard state must match the partition
 	// layout the engine serves with.
@@ -389,7 +387,7 @@ func (e *Engine) restoreFrom(snap *segment.Snapshot) error {
 
 // ---- tuples ----
 
-func snapTuples(w *segment.Writer, info DatasetInfo, ts *tupleSet, opt onion.Options) error {
+func snapTuples(w *segment.Writer, info DatasetInfo, ts *tupleSet) error {
 	dw, err := w.Dataset(info.Name, kindTuples, info.Rows)
 	if err != nil {
 		return err
@@ -397,16 +395,10 @@ func snapTuples(w *segment.Writer, info DatasetInfo, ts *tupleSet, opt onion.Opt
 	meta := []byte("TS")
 	meta = canon.AppendUint(meta, uint64(len(ts.scan)))
 	for k, sh := range ts.scan {
-		ix, err := sh.ensureIndex(opt)
-		if err != nil {
-			return fmt.Errorf("shard %d index: %w", k, err)
-		}
-		sp := ix.Store().Planes()
-		op := ix.Planes()
+		sp := sh.store.Planes()
 		meta = canon.AppendUint(meta, uint64(sh.offset))
 		meta = canon.AppendUint(meta, uint64(sp.Rows))
 		meta = canon.AppendUint(meta, uint64(sp.Dim))
-		meta = append(meta, boolByte(op.Exact), boolByte(op.CoreIsBucket))
 		pre := func(s string) string { return fmt.Sprintf("s%d.%s", k, s) }
 		if err := firstErr(
 			dw.Ints(pre("ids"), sp.IDs),
@@ -417,9 +409,6 @@ func snapTuples(w *segment.Writer, info DatasetInfo, ts *tupleSet, opt onion.Opt
 			dw.Floats(pre("zonenorm"), sp.ZoneNorm),
 			dw.Ints(pre("segstart"), intsToI64(sp.SegStart)),
 			dw.Ints(pre("segblock"), intsToI64(sp.SegBlock)),
-			dw.Floats(pre("suffixlo"), op.SuffixLo),
-			dw.Floats(pre("suffixhi"), op.SuffixHi),
-			dw.Floats(pre("suffixnorm"), op.SuffixNorm),
 		); err != nil {
 			return err
 		}
@@ -439,7 +428,7 @@ func restoreTuples(dr *segment.DatasetReader, rows int) (*tupleSet, error) {
 	if err := r.Expect("TS"); err != nil {
 		return nil, fmt.Errorf("%w: tuple meta tag", segment.ErrCorrupt)
 	}
-	nshards, err := r.Count(26) // 3 uints + 2 flag bytes per shard
+	nshards, err := r.Count(24) // 3 uints per shard
 	if err != nil || nshards < 1 {
 		return nil, fmt.Errorf("%w: tuple meta shard count", segment.ErrCorrupt)
 	}
@@ -449,9 +438,7 @@ func restoreTuples(dr *segment.DatasetReader, rows int) (*tupleSet, error) {
 		offset, err1 := r.Uint()
 		shRows, err2 := r.Uint()
 		dim, err3 := r.Uint()
-		exact, err4 := r.Byte()
-		coreIsBucket, err5 := r.Byte()
-		if err := firstErr(err1, err2, err3, err4, err5); err != nil {
+		if err := firstErr(err1, err2, err3); err != nil {
 			return nil, fmt.Errorf("%w: tuple meta shard %d", segment.ErrCorrupt, k)
 		}
 		// Shards tile the row space in monotone order. Gaps are legal:
@@ -465,10 +452,6 @@ func restoreTuples(dr *segment.DatasetReader, rows int) (*tupleSet, error) {
 		next = int(offset) + int(shRows)
 		pre := func(s string) string { return fmt.Sprintf("s%d.%s", k, s) }
 		sp := colstore.Planes{Dim: int(dim), Rows: int(shRows)}
-		var op onion.Planes
-		op.Dim = int(dim)
-		op.Exact = exact != 0
-		op.CoreIsBucket = coreIsBucket != 0
 		var ids, blockStart, segStart, segBlock []int64
 		if err := firstErr(
 			readI64(dr, pre("ids"), &ids),
@@ -479,9 +462,6 @@ func restoreTuples(dr *segment.DatasetReader, rows int) (*tupleSet, error) {
 			readF64(dr, pre("zonenorm"), &sp.ZoneNorm),
 			readI64(dr, pre("segstart"), &segStart),
 			readI64(dr, pre("segblock"), &segBlock),
-			readF64(dr, pre("suffixlo"), &op.SuffixLo),
-			readF64(dr, pre("suffixhi"), &op.SuffixHi),
-			readF64(dr, pre("suffixnorm"), &op.SuffixNorm),
 		); err != nil {
 			return nil, err
 		}
@@ -493,11 +473,7 @@ func restoreTuples(dr *segment.DatasetReader, rows int) (*tupleSet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: shard %d: %v", segment.ErrCorrupt, k, err)
 		}
-		ix, err := onion.FromParts(op, store)
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard %d: %v", segment.ErrCorrupt, k, err)
-		}
-		shards = append(shards, restoredTupleShard(int(offset), ix))
+		shards = append(shards, &tupleShard{offset: int(offset), store: store})
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: trailing tuple meta", segment.ErrCorrupt)
@@ -787,13 +763,6 @@ func restoreWells(dr *segment.DatasetReader, shards int) (*wellSet, error) {
 }
 
 // ---- small helpers ----
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 func firstErr(errs ...error) error {
 	return errors.Join(errs...)

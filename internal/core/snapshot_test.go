@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -278,6 +279,34 @@ func TestSnapshotCorruption(t *testing.T) {
 		_, err = OpenSnapshot(b, RestoreOptions{Mode: segment.Copy})
 		if !errors.Is(err, segment.ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
+
+	// A snapshot written by an older format is refused as a version
+	// mismatch, not as damage: the operator's remedy differs.
+	t.Run("version-1-manifest", func(t *testing.T) {
+		path := filepath.Join(dir, segment.ManifestName)
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restoreFile(t, path, orig)
+		cur := fmt.Sprintf(`"format_version": %d,`, segment.FormatVersion)
+		v1 := bytes.Replace(orig, []byte(cur), []byte(`"format_version": 1,`), 1)
+		if bytes.Equal(v1, orig) {
+			t.Fatalf("manifest has no %s field", cur)
+		}
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []segment.RestoreMode{segment.Copy, segment.Map} {
+			_, err := OpenSnapshot(b, RestoreOptions{Mode: mode})
+			if mode == segment.Map && errors.Is(err, segment.ErrMapUnsupported) {
+				continue
+			}
+			if !errors.Is(err, segment.ErrVersion) || errors.Is(err, segment.ErrCorrupt) {
+				t.Fatalf("mode %v: got %v, want ErrVersion and not ErrCorrupt", mode, err)
+			}
 		}
 	})
 

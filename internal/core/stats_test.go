@@ -34,7 +34,7 @@ func assertStats(t *testing.T, label string, st QueryStats, kind ModelKind, eval
 }
 
 // TestStatsLinearExact: K >= N with no floor disables all screening, so
-// the Onion scan must touch every point exactly once.
+// the blocked scan must score every point exactly once.
 func TestStatsLinearExact(t *testing.T) {
 	e := statsEngine(t)
 	pts := [][]float64{{1, 0}, {0, 1}, {2, 2}, {-1, 3}, {4, -2}}

@@ -132,9 +132,8 @@ func Build(points [][]float64, opt Options) (*Index, error) {
 	}
 	// One scratch set serves every peel iteration: the marks array
 	// backs ring-membership tests (subtract) and hull dedup, the int
-	// buffers back the 2-D chains and the per-direction argmax table —
-	// first-query index builds sit on the serving path, so Build
-	// allocates once, not once per layer.
+	// buffers back the 2-D chains and the per-direction argmax table,
+	// so Build allocates once, not once per layer.
 	scratch := newBuildScratch(len(points), len(dirs))
 	var layers [][]int
 	for layer := 0; layer < opt.MaxLayers && len(remaining) > 0; layer++ {
@@ -160,10 +159,7 @@ func Build(points [][]float64, opt Options) (*Index, error) {
 		layers = append(layers, core)
 		idx.coreIsBucket = true
 	}
-	store, err := colstore.BuildSegmented(points, layers, colstore.Options{
-		BlockRows: opt.BlockRows,
-		NormOrder: true,
-	})
+	store, err := colstore.BuildSegmented(points, layers, colstore.Options{BlockRows: opt.BlockRows})
 	if err != nil {
 		return nil, fmt.Errorf("onion: %w", err)
 	}

@@ -67,7 +67,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			"seed-full":        manEnc,
 			"seed-truncated":   manEnc[:len(manEnc)/2],
 			"seed-not-json":    []byte("{not json"),
-			"seed-bad-version": bytes.Replace(manEnc, []byte(`"format_version": 1`), []byte(`"format_version": 99`), 1),
+			"seed-bad-version": bytes.Replace(manEnc, []byte(`"format_version": `+strconv.Itoa(FormatVersion)), []byte(`"format_version": 99`), 1),
 		},
 		"FuzzSectionHeaderDecode": {
 			"seed-full":      hdrEnc,

@@ -1,9 +1,8 @@
 // Package segment implements durable columnar segments: the snapshot
-// format that persists an engine's *built* serving state — colstore
-// blocks and zone maps, Onion layer ordering and suffix bounds, flat
-// pyramid planes, FSM event planes, well strata columns, scene tile
-// matrices — so a process can restore to serving-ready without
-// re-running any index build.
+// format that persists an engine's *built* serving state — norm-ordered
+// colstore blocks and zone maps, flat pyramid planes, FSM event planes,
+// well strata columns, scene tile matrices — so a process can restore
+// to serving-ready without re-running any index build.
 //
 // A snapshot is a set of segment files plus one JSON manifest, all
 // living behind a narrow Backend interface (a local directory first;
@@ -40,8 +39,9 @@ import (
 )
 
 // FormatVersion is the current snapshot format version. A manifest or
-// section header carrying any other version is refused with ErrVersion.
-const FormatVersion = 1
+// section header carrying any other version is refused with ErrVersion,
+// so it changes whenever any dataset kind's section layout does.
+const FormatVersion = 2
 
 // ManifestName is the backend file name of the snapshot manifest. It
 // is written last, atomically, so a directory either has a complete

@@ -226,7 +226,8 @@ func TestManifestValidation(t *testing.T) {
 		mut   func(*Manifest)
 		want  error
 	}{
-		{"future version", func(m *Manifest) { m.FormatVersion = 2 }, ErrVersion},
+		{"future version", func(m *Manifest) { m.FormatVersion = FormatVersion + 1 }, ErrVersion},
+		{"previous version", func(m *Manifest) { m.FormatVersion = FormatVersion - 1 }, ErrVersion},
 		{"zero shards", func(m *Manifest) { m.Shards = 0 }, ErrCorrupt},
 		{"dup dataset", func(m *Manifest) { m.Datasets[1] = m.Datasets[0] }, ErrCorrupt},
 		{"path traversal", func(m *Manifest) { m.Datasets[0].File = "../evil" }, ErrCorrupt},

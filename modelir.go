@@ -12,9 +12,12 @@
 //   - progressive model decomposition (coarse sub-models screen first);
 //   - progressive data representations (resolution pyramids + feature /
 //     semantic / metadata abstraction levels);
-//   - model-specific indexes (Onion convex layers for linear
-//     optimization, SPROC dynamic programming for fuzzy composite
-//     queries).
+//   - model-specific indexes (norm-ordered zone-mapped column blocks
+//     for linear optimization, SPROC dynamic programming for fuzzy
+//     composite queries).
+//
+// The Onion convex-layer index the paper cites for linear queries [11]
+// lives in internal/onion, where experiment E1 reproduces its claim.
 //
 // Every query family flows through one entry point — "a query is a
 // model" made literal: build a Request around a family-specific Query
@@ -49,7 +52,6 @@ import (
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/metrics"
-	"modelir/internal/onion"
 	"modelir/internal/progressive"
 	"modelir/internal/raster"
 	"modelir/internal/segment"
@@ -66,14 +68,13 @@ type Engine = core.Engine
 
 // EngineOptions tunes engine construction; the zero value shards each
 // dataset GOMAXPROCS ways. Shards=1 reproduces a sequential engine.
-// The Onion field takes a modelir.OnionOptions value.
 type EngineOptions = core.Options
 
 // NewEngine returns an empty retrieval engine with default options.
 func NewEngine() *Engine { return core.NewEngine() }
 
 // NewEngineWithOptions returns an empty retrieval engine with the given
-// shard count and index tuning.
+// shard count, cache size and admission budget.
 func NewEngineWithOptions(opt EngineOptions) *Engine { return core.NewEngineWith(opt) }
 
 // Engine registration errors, for errors.Is against Run/RunBatch and
@@ -120,8 +121,8 @@ type (
 	// types below).
 	Query = core.Query
 
-	// LinearQuery runs a linear model over a tuple archive (Onion
-	// index).
+	// LinearQuery runs a linear model over a tuple archive (blocked
+	// scan of norm-ordered column stores).
 	LinearQuery = core.LinearQuery
 	// SceneQuery runs a progressive linear model over a raster archive
 	// (combined progressive execution).
@@ -284,21 +285,8 @@ func BuildSceneArchive(name string, m *Multiband, opt ArchiveOptions) (*SceneArc
 // LoadSceneArchive reads an archive file written by SceneArchive.Save.
 func LoadSceneArchive(path string) (*SceneArchive, error) { return archive.Load(path) }
 
-// Indexes.
-type (
-	// OnionIndex is the convex-layer index for linear optimization
-	// queries [11].
-	OnionIndex = onion.Index
-	// OnionOptions tunes Onion construction.
-	OnionOptions = onion.Options
-	// SprocQuery is a fuzzy Cartesian composite-object query [15,16].
-	SprocQuery = sproc.Query
-)
-
-// BuildOnion constructs an Onion index over tuple rows.
-func BuildOnion(points [][]float64, opt OnionOptions) (*OnionIndex, error) {
-	return onion.Build(points, opt)
-}
+// SprocQuery is a fuzzy Cartesian composite-object query [15,16].
+type SprocQuery = sproc.Query
 
 // Progressive execution.
 type (
@@ -473,8 +461,8 @@ func NewClusterRouterWith(topo ClusterTopology, opt ClusterRouterOptions) *Clust
 }
 
 // Durable snapshots (DESIGN.md §10): Engine.Snapshot persists every
-// registered dataset's built serving state — columnar planes, Onion
-// layer ordering, pyramid levels, event planes, strata columns — as
+// registered dataset's built serving state — norm-ordered columnar
+// planes, pyramid levels, event planes, strata columns — as
 // page-aligned checksummed sections behind a SnapshotBackend, and
 // OpenSnapshot restores a serving-ready engine from them without
 // re-running a single index build. Restored engines answer every query

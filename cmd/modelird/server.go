@@ -367,27 +367,12 @@ type routerBackend struct {
 	peers  int
 }
 
-func clusterRequest(req modelir.Request) modelir.ClusterRequest {
-	return modelir.ClusterRequest{
-		Dataset:  req.Dataset,
-		Query:    req.Query,
-		K:        req.K,
-		Workers:  req.Workers,
-		Budget:   req.Budget,
-		MinScore: req.MinScore,
-	}
-}
-
 func (b routerBackend) Run(ctx context.Context, req modelir.Request) (modelir.Result, error) {
-	return b.router.Run(ctx, clusterRequest(req))
+	return b.router.Run(ctx, req)
 }
 
 func (b routerBackend) RunBatch(ctx context.Context, reqs []modelir.Request) ([]modelir.BatchResult, error) {
-	creqs := make([]modelir.ClusterRequest, len(reqs))
-	for i, r := range reqs {
-		creqs[i] = clusterRequest(r)
-	}
-	return b.router.RunBatch(ctx, creqs), nil
+	return b.router.RunBatch(ctx, reqs), nil
 }
 
 // appendRows routes the batch through the cluster write path: the

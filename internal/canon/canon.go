@@ -1,9 +1,10 @@
 // Package canon holds the shared primitives for canonical byte
-// encodings used in cache fingerprinting (the AppendCanonical methods
-// in internal/{linear,fsm,bayes}) and, since the cluster layer, as the
-// model wire format between router and shard-server nodes. The cache
-// key's collision-freedom depends on every encoder framing fields the
-// same way, so the framing lives in exactly one place: lengths and
+// encodings: the AppendCanonical methods in internal/{linear,fsm,bayes},
+// the request encoding built from them in internal/core (both the
+// result-cache key and the body of a cluster 'Q' frame), and the other
+// cluster payloads. Decodability of those encodings depends on every
+// encoder framing fields the same way, so the framing lives in exactly
+// one place: lengths and
 // integers are fixed-width big-endian, floats are IEEE-754 bit
 // patterns, and variable-size values are length-prefixed so adjacent
 // fields can never re-associate.

@@ -144,7 +144,9 @@ func appendKindOf(req AppendRequest) (DataKind, int, error) {
 // that failed are quarantined (see package comment). If no replica
 // acks, the error wraps ErrPartitionUnavailable — the batch stays in
 // the append log, so it may still apply later through catch-up; a
-// caller retrying should carry a Token to stay idempotent.
+// caller retrying should carry a Token to stay idempotent. A batch
+// every reachable replica refused fails with ErrAppendRefused and
+// leaves no trace: no sequence number, no log record, no quarantine.
 func (r *Router) Append(ctx context.Context, req AppendRequest) (AppendResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -201,7 +203,8 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 
 	// Assign the batch's owning partition and (for tuples) its global
 	// ID base. The IDs are consumed even if the fan-out fails: the
-	// batch stays in the log and may still apply through catch-up.
+	// batch stays in the log and may still apply through catch-up. Only
+	// a batch every replica refused gives them back.
 	ds.mu.Lock()
 	pa := ds.parts[ds.rr%uint64(len(ds.parts))]
 	ds.rr++
@@ -215,11 +218,25 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 		Dataset: req.Dataset, Part: pa.part, Base: base,
 		Tuples: req.Tuples, Series: req.Series, Wells: req.Wells,
 	}
-	return r.replicate(ctx, pa, batch)
+	res, err := r.replicate(ctx, pa, batch)
+	if kind == KindTuples && errors.Is(err, ErrAppendRefused) {
+		// No replica holds the refused rows: hand their IDs back unless a
+		// later batch has already taken IDs past them.
+		ds.mu.Lock()
+		if ds.rows == base+int64(rows) {
+			ds.rows = base
+		}
+		ds.mu.Unlock()
+	}
+	return res, err
 }
 
 // replicate assigns the batch its sequence number, logs it, and fans
-// it out to the partition's replicas, all under the partition lock.
+// it out to the partition's replicas, all under the partition lock. A
+// batch every replica it reached refused (ErrAppendRefused) is held by
+// none: it gives its sequence number back, stays out of the log and
+// quarantines no one, so bad input cannot stall the partition or take
+// its nodes out of service.
 func (r *Router) replicate(ctx context.Context, pa *partIngestState, batch AppendBatch) (AppendResult, error) {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
@@ -229,41 +246,53 @@ func (r *Router) replicate(ctx context.Context, pa *partIngestState, batch Appen
 	if err != nil {
 		return AppendResult{}, err
 	}
-	pa.nextSeq++
 	rec := appendRecord{seq: batch.Seq, rows: batch.Rows(), payload: payload}
-	pa.log = append(pa.log, rec)
 
-	res := AppendResult{Rows: rec.rows, Part: pa.part, Seq: rec.seq}
 	type outcome struct {
 		addr string
 		ack  appendAck
 		err  error
 	}
-	outcomes := make([]outcome, 0, len(pa.nodes))
-	targets := make([]string, 0, len(pa.nodes))
+	var targets, missed []string
 	for _, addr := range pa.nodes {
 		if r.health.appendable(addr) {
 			targets = append(targets, addr)
 		} else {
-			// Unreachable or already-stale replicas miss this batch by
-			// construction; (re)quarantine so catch-up replays it.
-			r.health.missedAppend(addr)
-			res.Quarantined = append(res.Quarantined, addr)
+			missed = append(missed, addr)
 		}
 	}
-	results := make([]outcome, len(targets))
+	outcomes := make([]outcome, len(targets))
 	var wg sync.WaitGroup
 	for i, addr := range targets {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
 			ack, err := r.sendAppend(ctx, addr, rec.seq, payload)
-			results[i] = outcome{addr: addr, ack: ack, err: err}
+			outcomes[i] = outcome{addr: addr, ack: ack, err: err}
 		}(i, addr)
 	}
 	wg.Wait()
-	outcomes = append(outcomes, results...)
 
+	refused := 0
+	for _, o := range outcomes {
+		if errors.Is(o.err, ErrAppendRefused) {
+			refused++
+		}
+	}
+	if refused > 0 && refused == len(outcomes) {
+		return AppendResult{Rows: rec.rows, Part: pa.part}, fmt.Errorf("cluster: append %q part %d: %w",
+			batch.Dataset, pa.part, outcomes[0].err)
+	}
+	pa.nextSeq++
+	pa.log = append(pa.log, rec)
+
+	res := AppendResult{Rows: rec.rows, Part: pa.part, Seq: rec.seq}
+	// Unreachable or already-stale replicas miss this batch by
+	// construction; (re)quarantine so catch-up replays it.
+	for _, addr := range missed {
+		r.health.missedAppend(addr)
+		res.Quarantined = append(res.Quarantined, addr)
+	}
 	acks := 0
 	for _, o := range outcomes {
 		if o.err == nil {

@@ -16,13 +16,13 @@ import (
 	"modelir/internal/linear"
 )
 
-func linearRequest(t *testing.T) Request {
+func linearRequest(t *testing.T) core.Request {
 	t.Helper()
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 12}
+	return core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 12}
 }
 
 // holders returns the nodes holding a non-empty partition of dataset.

@@ -23,7 +23,7 @@ import (
 
 // queryNode runs one partition query over a raw connection, exactly as
 // the router would, with a fixed initial floor.
-func queryNode(t *testing.T, addr string, req Request, part int, floor float64) Partial {
+func queryNode(t *testing.T, addr string, req core.Request, part int, floor float64) Partial {
 	t.Helper()
 	payload, err := encodeQuery(req, part, floor)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestCrossNodeFloorPrunesColdBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Dataset: "skew", Query: core.LinearQuery{Model: lm}, K: 8}
+	req := core.Request{Dataset: "skew", Query: core.LinearQuery{Model: lm}, K: 8}
 
 	// The hot partition runs first and publishes its floor: the 8th
 	// best hot score, far above anything in the cold partition.
@@ -188,7 +188,7 @@ func TestCrossNodeFloorPrunesColdWells(t *testing.T) {
 	}
 	byPart := startFloorNodes(t, func(n *Node) error { return n.AddWells("basin", wells) })
 
-	req := Request{Dataset: "basin", K: 8, Query: core.GeologyQuery{
+	req := core.Request{Dataset: "basin", K: 8, Query: core.GeologyQuery{
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10, MinGamma: 45, GammaRampAPI: 20,
 	}}

@@ -1,11 +1,13 @@
-// Fuzzing for every byte decoder that faces the network, alongside the
-// FuzzRequestFingerprint pattern in internal/qcache. FuzzPartialCodec:
-// partial-result round-trips must be exact, and malformed payloads must
-// be rejected with an error — never a panic, never an oversized
-// allocation. FuzzFrameStream: arbitrary bytes fed to the node's
-// connection loop and to the router's demux end in a typed refusal or a
-// clean close. The committed seed corpora in testdata/fuzz cover
-// well-formed inputs plus truncation and misuse shapes.
+// Fuzzing for every byte decoder that faces the network, alongside
+// FuzzRequestCodec in internal/core (the body of a 'Q' frame). Each
+// codec fuzzer pins one property: malformed payloads are refused with
+// canon.ErrCorrupt — never a panic, never an oversized allocation — and
+// a payload that decodes re-encodes to the identical bytes.
+// FuzzPartialCodec covers 'R', FuzzAppendCodec 'A', FuzzSeqStateCodec
+// both directions of 'U'. FuzzFrameStream: arbitrary bytes fed to the
+// node's connection loop and to the router's demux end in a typed
+// refusal or a clean close. The committed seed corpora in testdata/fuzz
+// cover well-formed inputs plus truncation and misuse shapes.
 
 package cluster
 
@@ -18,13 +20,16 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"modelir/internal/canon"
 	"modelir/internal/core"
 	"modelir/internal/linear"
+	"modelir/internal/synth"
 	"modelir/internal/topk"
 )
 
@@ -35,7 +40,7 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := encodeQuery(Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, 0, math.Inf(-1))
+	q, err := encodeQuery(core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, 0, math.Inf(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +48,7 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hugeK, err := encodeQuery(Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 1 << 30}, 0, math.Inf(-1))
+	hugeK, err := encodeQuery(core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 1 << 30}, 0, math.Inf(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +72,56 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
-// TestRegenerateFuzzCorpus rewrites the committed seed corpus from the
-// current codec when REGEN_CORPUS is set; otherwise it verifies every
-// committed well-formed seed still decodes. Run with
+// appendSeeds is FuzzAppendCodec's seed corpus: one batch per row kind
+// plus truncation and misuse shapes.
+func appendSeeds(t testing.TB) map[string][]byte {
+	enc := func(b AppendBatch) []byte {
+		p, err := encodeAppend(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	tuples := enc(AppendBatch{Dataset: "gauss", Part: 1, Seq: 7, Base: 64, Tuples: [][]float64{{1, 2, 3}, {-0.5, math.Inf(1), 0}}})
+	empty := []byte{wireVersion}
+	empty = canon.AppendString(empty, "gauss")
+	empty = canon.AppendUint(canon.AppendUint(canon.AppendUint(empty, 0), 1), 0)
+	empty = canon.AppendUint(append(empty, appendTuples), 0)
+	return map[string][]byte{
+		"seed-tuples": tuples,
+		"seed-series": enc(AppendBatch{Dataset: "weather", Seq: 2, Series: []synth.RegionSeries{
+			{Region: 4, Days: []synth.DayWeather{{Rain: true, RainMM: 3.5, TempC: 21}, {TempC: 30}}},
+		}}),
+		"seed-wells": enc(AppendBatch{Dataset: "basin", Part: 2, Seq: 9, Wells: []synth.WellLog{
+			{Well: 11, Strata: []synth.Stratum{{Lith: synth.Shale, TopFt: 100, ThickFt: 12, GammaAPI: 80}}, Gamma: []float64{70, 82.5}},
+		}}),
+		"seed-truncated":   tuples[:len(tuples)-3],
+		"seed-bad-version": append([]byte{wireVersion + 1}, tuples[1:]...),
+		"seed-empty-batch": empty,
+	}
+}
+
+// seqStateSeeds is FuzzSeqStateCodec's seed corpus: the router's
+// request, the node's report, and misuse shapes of both.
+func seqStateSeeds() map[string][]byte {
+	report := encodeSeqState([]SeqEntry{
+		{Dataset: "gauss", Part: 0, LastSeq: 3, Watermark: 128, Kind: KindTuples},
+		{Dataset: "basin", Part: 1},
+	})
+	return map[string][]byte{
+		"seed-request-all":     encodeSeqStateReq(""),
+		"seed-request-dataset": encodeSeqStateReq("gauss"),
+		"seed-report":          report,
+		"seed-report-empty":    encodeSeqState(nil),
+		"seed-bad-kind":        encodeSeqState([]SeqEntry{{Dataset: "x", Kind: KindScene + 1}}),
+		"seed-trailing":        append(append([]byte(nil), report...), 0),
+	}
+}
+
+// TestRegenerateFuzzCorpus rewrites the committed seed corpora from the
+// current codecs when REGEN_CORPUS is set; otherwise it verifies every
+// committed well-formed partial still decodes and every other corpus is
+// current. Run with
 //
 //	REGEN_CORPUS=1 go test ./internal/cluster/ -run TestRegenerateFuzzCorpus
 //
@@ -91,9 +143,15 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"seed-bad-version": append([]byte{99}, full[1:]...),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzPartialCodec")
+	current := map[string]map[string][]byte{
+		"FuzzFrameStream":   frameStreamSeeds(t),
+		"FuzzAppendCodec":   appendSeeds(t),
+		"FuzzSeqStateCodec": seqStateSeeds(),
+	}
 	if os.Getenv("REGEN_CORPUS") != "" {
-		streamDir := filepath.Join("testdata", "fuzz", "FuzzFrameStream")
-		for d, set := range map[string]map[string][]byte{dir: seeds, streamDir: frameStreamSeeds(t)} {
+		current["FuzzPartialCodec"] = seeds
+		for fuzzer, set := range current {
+			d := filepath.Join("testdata", "fuzz", fuzzer)
 			if err := os.MkdirAll(d, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -123,15 +181,108 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			t.Fatalf("%s no longer decodes: %v", name, err)
 		}
 	}
-	// The frame-stream seeds are byte streams in the current framing: a
-	// header change must regenerate them, or the fuzzer starts from noise.
-	for name, b := range frameStreamSeeds(t) {
-		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzFrameStream", name))
-		if err != nil || string(raw) != want {
-			t.Fatalf("FuzzFrameStream/%s missing or stale (run with REGEN_CORPUS=1): %v", name, err)
+	// The other seeds are payloads and streams in the current encoding: a
+	// codec change must regenerate them, or the fuzzer starts from noise.
+	for fuzzer, set := range current {
+		for name, b := range set {
+			want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", fuzzer, name))
+			if err != nil || string(raw) != want {
+				t.Fatalf("%s/%s missing or stale (run with REGEN_CORPUS=1): %v", fuzzer, name, err)
+			}
 		}
 	}
+}
+
+// TestQueryBodyIsCanonicalRequest pins the 'Q' layout: a fixed header
+// (version, part, Workers, Budget, floor) and then the request's
+// canonical bytes from the encoder the result cache keys with, the same
+// whatever the header holds.
+func TestQueryBodyIsCanonicalRequest(t *testing.T) {
+	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}
+	key, err := core.AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type header struct {
+		part, workers, budget int
+		floor                 float64
+	}
+	for _, h := range []header{{0, 0, 0, math.Inf(-1)}, {3, 7, 0, 2.5}, {1, 2, 500, -1}} {
+		r := req
+		r.Workers, r.Budget = h.workers, h.budget
+		payload, err := encodeQuery(r, h.part, h.floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(payload[queryHeader:], key) {
+			t.Fatalf("header %+v: body differs from the request's canonical bytes", h)
+		}
+		q, err := decodeQuery(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Part != h.part || q.Req.Workers != h.workers || q.Req.Budget != h.budget || q.Floor != h.floor || q.Req.Dataset != "gauss" {
+			t.Fatalf("header %+v decoded as part %d, %+v, floor %v", h, q.Part, q.Req, q.Floor)
+		}
+	}
+	// A version-1 'Q' (the body before it was the canonical request) is
+	// refused, not misread.
+	payload, _ := encodeQuery(req, 0, 0)
+	payload[0] = 1
+	if _, err := decodeQuery(payload); !errors.Is(err, canon.ErrCorrupt) {
+		t.Fatalf("version-1 query: err %v, want canon.ErrCorrupt", err)
+	}
+}
+
+// FuzzAppendCodec: an 'A' payload either fails with canon.ErrCorrupt or
+// re-encodes to itself.
+func FuzzAppendCodec(f *testing.F) {
+	addSeeds(f, appendSeeds(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeAppend(data)
+		if err != nil {
+			if !errors.Is(err, canon.ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		enc, err := encodeAppend(b)
+		if err != nil {
+			t.Fatalf("decoded batch does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("re-encode differs:\n in: %x\nout: %x", data, enc)
+		}
+	})
+}
+
+// FuzzSeqStateCodec: both 'U' decoders — the router's request and the
+// node's report — either fail with canon.ErrCorrupt or re-encode to the
+// bytes they read.
+func FuzzSeqStateCodec(f *testing.F) {
+	addSeeds(f, seqStateSeeds())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(what string, err error, enc func() []byte) {
+			if err != nil {
+				if !errors.Is(err, canon.ErrCorrupt) {
+					t.Fatalf("%s: untyped decode error: %v", what, err)
+				}
+				return
+			}
+			if got := enc(); !bytes.Equal(got, data) {
+				t.Fatalf("%s re-encode differs:\n in: %x\nout: %x", what, data, got)
+			}
+		}
+		ds, err := decodeSeqStateReq(data)
+		check("request", err, func() []byte { return encodeSeqStateReq(ds) })
+		entries, err := decodeSeqState(data)
+		check("report", err, func() []byte { return encodeSeqState(entries) })
+	})
 }
 
 func FuzzPartialCodec(f *testing.F) {
@@ -256,4 +407,17 @@ func FuzzFrameStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// addSeeds adds a named seed set to f in name order, so the seed#N
+// numbering is stable from run to run.
+func addSeeds(f *testing.F, seeds map[string][]byte) {
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(seeds[name])
+	}
 }

@@ -119,13 +119,13 @@ func newTestRouter(t testing.TB, topo Topology, opt RouterOptions) *Router {
 
 // familyRequests is the six-family query matrix, identical to what the
 // single-node reference runs.
-func familyRequests(t testing.TB, f fixtures) map[string]Request {
+func familyRequests(t testing.TB, f fixtures) map[string]core.Request {
 	t.Helper()
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Request{
+	return map[string]core.Request{
 		"linear": {Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 12},
 		"scene":  {Dataset: "hps", Query: core.SceneQuery{Model: f.pm}, K: 12},
 		"fsm": {Dataset: "weather", Query: core.FSMQuery{
@@ -143,7 +143,7 @@ func familyRequests(t testing.TB, f fixtures) map[string]Request {
 }
 
 // reference runs the same requests on a plain single-process engine.
-func reference(t *testing.T, f fixtures, reqs map[string]Request) map[string]core.Result {
+func reference(t *testing.T, f fixtures, reqs map[string]core.Request) map[string]core.Result {
 	t.Helper()
 	e := core.NewEngineWith(core.Options{Shards: 1})
 	if err := e.AddTuples("gauss", f.pts); err != nil {
@@ -269,7 +269,7 @@ func TestClusterLinearMinScoreFloorRoundsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	min := float64(1 << 53)
-	res, err := router.Run(context.Background(), Request{Dataset: "t", Query: core.LinearQuery{Model: lm}, K: 5, MinScore: &min})
+	res, err := router.Run(context.Background(), core.Request{Dataset: "t", Query: core.LinearQuery{Model: lm}, K: 5, MinScore: &min})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestClusterUnknownDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = router.Run(context.Background(),
-		Request{Dataset: "no-such", Query: core.LinearQuery{Model: lm}})
+		core.Request{Dataset: "no-such", Query: core.LinearQuery{Model: lm}})
 	if !errors.Is(err, core.ErrUnknownDataset) {
 		t.Fatalf("err = %v, want ErrUnknownDataset", err)
 	}

@@ -112,7 +112,7 @@ func appendTails(t *testing.T, r *Router, tl tails) {
 
 // runSix runs the family matrix against the router and compares every
 // family bit-for-bit to the reference.
-func runSix(t *testing.T, label string, r *Router, reqs map[string]Request, want map[string]core.Result) {
+func runSix(t *testing.T, label string, r *Router, reqs map[string]core.Request, want map[string]core.Result) {
 	t.Helper()
 	for name, rq := range reqs {
 		res, err := r.Run(context.Background(), rq)
@@ -311,6 +311,53 @@ func TestClusterIngestAllReplicasDown(t *testing.T) {
 	}
 }
 
+// TestClusterIngestRefusedBatch pins that input every replica refuses
+// takes no node out of service: a tuple batch of the wrong width, and
+// a ragged one, fail with ErrAppendRefused, quarantine no replica and
+// take no sequence number or row IDs. Every dataset on those nodes
+// keeps answering, and the good tail appended afterwards lands at the
+// IDs a single-node engine would give it.
+func TestClusterIngestRefusedBatch(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	router, _, _ := startIngestCluster(t, 2, 4, 2, pre, NodeOptions{}, testRouterOptions())
+	if _, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: tl.tuples[:100]}); err != nil {
+		t.Fatal(err)
+	}
+	seqs := router.AppendSeqs()["gauss"]
+	for label, rows := range map[string][][]float64{
+		"wrong width": {{1, 2}, {3, 4}},
+		"ragged":      {{1, 2, 3}, {4, 5}},
+	} {
+		res, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: rows})
+		if !errors.Is(err, ErrAppendRefused) {
+			t.Fatalf("%s: err = %v, want ErrAppendRefused", label, err)
+		}
+		if len(res.Quarantined) != 0 {
+			t.Fatalf("%s: quarantined %v", label, res.Quarantined)
+		}
+	}
+	for addr, st := range router.PeerHealth() {
+		if st != Healthy {
+			t.Fatalf("peer %s is %v after refused appends", addr, st)
+		}
+	}
+	for part, seq := range router.AppendSeqs()["gauss"] {
+		if seq != seqs[part] {
+			t.Fatalf("part %d: refused appends moved the sequence from %d to %d", part, seqs[part], seq)
+		}
+	}
+	if _, err := router.Run(ctx, reqs["fsm"]); err != nil {
+		t.Fatalf("another dataset on the same nodes: %v", err)
+	}
+	appendTails(t, router, tails{tuples: tl.tuples[100:], series: tl.series, wells: tl.wells})
+	runSix(t, "after refused appends", router, reqs, want)
+}
+
 // TestClusterIngestTokenDedup pins client-retry idempotency: a retried
 // append carrying the same token returns the recorded outcome and adds
 // no rows.
@@ -479,7 +526,7 @@ func TestClusterReadRetryFlakyTransport(t *testing.T) {
 	deadAddr, _ := flakyProxy(t, realLn.Addr().String(), 1<<30)
 	deadTopo := Topology{Nodes: []string{deadAddr}, Replication: 1}
 	dr := newTestRouter(t, deadTopo, ropt)
-	if _, err := dr.Run(context.Background(), Request{Dataset: "gauss", Query: rq.Query, K: rq.K}); !errors.Is(err, ErrPartitionUnavailable) {
+	if _, err := dr.Run(context.Background(), core.Request{Dataset: "gauss", Query: rq.Query, K: rq.K}); !errors.Is(err, ErrPartitionUnavailable) {
 		t.Fatalf("err = %v, want ErrPartitionUnavailable", err)
 	}
 }

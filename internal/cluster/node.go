@@ -423,12 +423,12 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, sb *cor
 	}
 
 	n.mu.Lock()
-	entry, ok := n.parts[q.Dataset][q.Part]
+	entry, ok := n.parts[q.Req.Dataset][q.Part]
 	n.mu.Unlock()
 	if !ok {
 		n.failed.Add(1)
 		return frameError, encodeError("unknown-dataset",
-			fmt.Sprintf("dataset %q part %d not on this node", q.Dataset, q.Part))
+			fmt.Sprintf("dataset %q part %d not on this node", q.Req.Dataset, q.Part))
 	}
 	if entry.local == "" {
 		// Empty partition: nothing to scan, empty exact partial.
@@ -442,7 +442,7 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, sb *cor
 	// hook blocks is observed before execution starts, which is what
 	// makes the fault tests deterministic.
 	if n.opt.BeforeExec != nil {
-		n.opt.BeforeExec(q.Dataset, q.Part)
+		n.opt.BeforeExec(q.Req.Dataset, q.Part)
 	}
 
 	// Floor publisher: piggyback local raises back to the router — a

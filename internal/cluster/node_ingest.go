@@ -6,7 +6,8 @@
 // the engine (safe router retries and catch-up replays), a batch one
 // above applies and advances it, and anything further ahead is a
 // sequence gap the node refuses (the router quarantines the replica
-// and closes the gap via catch-up).
+// and closes the gap via catch-up). A batch the engine refuses leaves
+// the cursor where it was (ErrAppendRefused).
 
 package cluster
 
@@ -24,6 +25,11 @@ import (
 // of the partition's cursor: the node is missing earlier batches and
 // must catch up before it can accept this one.
 var ErrSeqGap = errors.New("cluster: append sequence gap")
+
+// ErrAppendRefused reports a batch the node's engine would not take
+// (rows of the wrong width, ragged or non-finite rows, malformed series
+// or wells). Nothing was applied and the cursor did not move.
+var ErrAppendRefused = errors.New("cluster: append refused")
 
 // partIngest is one partition's append cursor. Its lock serializes
 // appends to the partition (sequence order is the correctness
@@ -103,7 +109,7 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 			entry = partEntry{local: local}
 		}
 		if err != nil {
-			return false, 0, err
+			return false, 0, fmt.Errorf("%w: %w", ErrAppendRefused, err)
 		}
 		n.mu.Lock()
 		n.parts[b.Dataset][b.Part] = entry
@@ -113,8 +119,8 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 		case len(b.Tuples) > 0:
 			localBase := b.Base - entry.offset
 			if localBase < 0 {
-				return false, 0, fmt.Errorf("cluster: append base %d below partition offset %d",
-					b.Base, entry.offset)
+				return false, 0, fmt.Errorf("%w: append base %d below partition offset %d",
+					ErrAppendRefused, b.Base, entry.offset)
 			}
 			err = n.eng.AppendTuplesAt(entry.local, localBase, b.Tuples)
 		case len(b.Series) > 0:
@@ -123,7 +129,7 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 			err = n.appender.AppendWells(ctx, entry.local, b.Wells)
 		}
 		if err != nil {
-			return false, 0, err
+			return false, 0, fmt.Errorf("%w: %w", ErrAppendRefused, err)
 		}
 	}
 	pi.lastSeq.Store(b.Seq)
@@ -203,6 +209,8 @@ func appendErrorCode(err error) string {
 	switch {
 	case errors.Is(err, ErrSeqGap):
 		return "seq-gap"
+	case errors.Is(err, ErrAppendRefused):
+		return "refused"
 	case errors.Is(err, core.ErrUnknownDataset):
 		return "unknown-dataset"
 	default:

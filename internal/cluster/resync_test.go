@@ -223,13 +223,13 @@ func buildChaosFixtures(t *testing.T) chaosFixtures {
 	return f
 }
 
-func chaosRequests(t *testing.T) map[string]Request {
+func chaosRequests(t *testing.T) map[string]core.Request {
 	t.Helper()
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Request{
+	return map[string]core.Request{
 		"linear": {Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 10},
 		"fsm": {Dataset: "weather", Query: core.FSMQuery{
 			Machine: fsm.FireAnts(), Prefilter: core.FireAntsPrefilter}, K: 10},
@@ -256,7 +256,7 @@ type chaosWorld struct {
 	addrs  []string
 	router *Router
 	ref    *core.Engine
-	reqs   map[string]Request
+	reqs   map[string]core.Request
 	// pool cursors wrap: both sides append the same rows, so content
 	// equality holds regardless of repetition.
 	ptPos, arPos, wlPos int

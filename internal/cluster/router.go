@@ -19,18 +19,6 @@ import (
 	"modelir/internal/topk"
 )
 
-// Request is the router-level query: a core request plus the dataset's
-// cluster-wide name. All six core query families are supported; the
-// query must be wire-encodable (see ErrUnencodableQuery).
-type Request struct {
-	Dataset  string
-	Query    core.Query
-	K        int
-	Workers  int
-	Budget   int
-	MinScore *float64
-}
-
 // ErrPartitionUnavailable reports that a partition's every replica
 // failed at the transport level — the cluster cannot currently give an
 // exact answer, and a partial one is never returned instead.
@@ -67,6 +55,8 @@ func (e *RemoteError) Unwrap() error {
 		return core.ErrUnknownDataset
 	case "cancelled":
 		return context.Canceled
+	case "refused":
+		return ErrAppendRefused
 	default:
 		return nil
 	}
@@ -215,7 +205,7 @@ func dataKindOf(q core.Query) (DataKind, error) {
 	case core.GeologyQuery:
 		return KindWells, nil
 	default:
-		return 0, fmt.Errorf("%w: %T", ErrUnencodableQuery, q)
+		return 0, fmt.Errorf("%w: %T", core.ErrUnencodableQuery, q)
 	}
 }
 
@@ -257,11 +247,13 @@ func (g *floorGossip) Get() (float64, <-chan struct{}) {
 
 // Run executes one request across the cluster and returns a result
 // bit-identical (IDs and scores) to a single-node Engine.Run over the
-// union of the partitions. On a node error the affected partition fails
-// over to its replicas for transport faults; deterministic remote
-// errors surface as typed errors. ctx cancellation aborts the whole
-// fan-out, including remote execution.
-func (r *Router) Run(ctx context.Context, req Request) (core.Result, error) {
+// union of the partitions. req.Dataset is the dataset's cluster-wide
+// name, and the query must be encodable (core.ErrUnencodableQuery). On
+// a node error the affected partition fails over to its replicas for
+// transport faults; deterministic remote errors surface as typed
+// errors. ctx cancellation aborts the whole fan-out, including remote
+// execution.
+func (r *Router) Run(ctx context.Context, req core.Request) (core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -340,7 +332,7 @@ func (r *Router) Run(ctx context.Context, req Request) (core.Result, error) {
 
 // RunBatch executes the requests concurrently, one scatter-gather per
 // slot. Results and errors are positional.
-func (r *Router) RunBatch(ctx context.Context, reqs []Request) []core.BatchResult {
+func (r *Router) RunBatch(ctx context.Context, reqs []core.Request) []core.BatchResult {
 	out := make([]core.BatchResult, len(reqs))
 	var wg sync.WaitGroup
 	for i := range reqs {
@@ -361,7 +353,7 @@ func (r *Router) RunBatch(ctx context.Context, reqs []Request) []core.BatchResul
 // jittered exponential backoff (transient faults should not burn a
 // replica); transport faults then move on to the next replica and feed
 // the health tracker. A typed error from a live node is final.
-func (r *Router) runPart(ctx context.Context, req Request, pl Placement, gossip *floorGossip) (Partial, error) {
+func (r *Router) runPart(ctx context.Context, req core.Request, pl Placement, gossip *floorGossip) (Partial, error) {
 	var lastErr error
 	eligible := 0
 	for _, addr := range pl.Nodes {
@@ -401,7 +393,7 @@ func (r *Router) runPart(ctx context.Context, req Request, pl Placement, gossip 
 // connection. transport reports whether the failure was a
 // connection-level fault (eligible for failover) rather than a
 // node-reported error or a local cancellation.
-func (r *Router) attempt(ctx context.Context, req Request, part int, addr string, gossip *floorGossip) (_ Partial, err error, transport bool) {
+func (r *Router) attempt(ctx context.Context, req core.Request, part int, addr string, gossip *floorGossip) (_ Partial, err error, transport bool) {
 	floor, _ := gossip.Get()
 	payload, err := encodeQuery(req, part, floor)
 	if err != nil {

@@ -1,7 +1,10 @@
 // The cluster wire protocol: framed, multiplexed streams over TCP, with
-// payloads in the canonical encoding (internal/canon) the cache
-// fingerprints already use — big-endian fixed-width integers, IEEE-754
-// float bits, length-prefixed strings. Every frame is
+// payloads in the canonical encoding (internal/canon) — big-endian
+// fixed-width integers, IEEE-754 float bits, length-prefixed strings.
+// A 'Q' body is the request's canonical bytes (core.AppendRequest), the
+// encoder the result cache keys with; a node re-keys on its local
+// dataset name, so the body and the node's key differ in that field
+// alone. Every frame is
 //
 //	len u32 | type u8 | stream u32 | payload (len bytes)
 //
@@ -12,8 +15,9 @@
 // stream ends with one terminal frame from the node ('R', 'E', 'K', or
 // the 'H'/'U' echo). Decoding is bounds-checked end to end
 // (canon.Reader), so a truncated or hostile frame fails with
-// canon.ErrCorrupt instead of panicking — the property FuzzPartialCodec
-// and FuzzFrameStream pin.
+// canon.ErrCorrupt instead of panicking — the property the codec
+// fuzzers (core.FuzzRequestCodec, FuzzPartialCodec, FuzzAppendCodec,
+// FuzzSeqStateCodec) and FuzzFrameStream pin.
 
 package cluster
 
@@ -25,16 +29,11 @@ import (
 	"io"
 	"math"
 	"net"
-	"reflect"
 	"sync"
 	"time"
 
-	"modelir/internal/bayes"
 	"modelir/internal/canon"
 	"modelir/internal/core"
-	"modelir/internal/fsm"
-	"modelir/internal/linear"
-	"modelir/internal/synth"
 	"modelir/internal/topk"
 )
 
@@ -65,9 +64,10 @@ const (
 	maxWireK = maxResultFrame / 17
 )
 
-// wireVersion guards against mixed-version clusters: both query and
-// partial payloads lead with it and decoding rejects a mismatch.
-const wireVersion = 1
+// wireVersion guards against mixed-version clusters: every payload
+// leads with it and decoding rejects a mismatch. Version 2 made the 'Q'
+// body the canonical request encoding (core.AppendRequest).
+const wireVersion = 2
 
 // ErrFrame reports a malformed frame envelope: an unknown type, or a
 // length over the type's cap. The connection it arrived on is closed.
@@ -161,126 +161,29 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Query kind tags inside a 'Q' payload.
-const (
-	qLinear      = 'L'
-	qScene       = 'S'
-	qFSM         = 'M'
-	qFSMDistance = 'D'
-	qGeology     = 'G'
-	qKnowledge   = 'K'
-)
+// queryHeader is the fixed size of a 'Q' payload's header: version,
+// part, Workers, Budget and the floor. The canonical request follows.
+const queryHeader = 1 + 4*8
 
-// ErrUnencodableQuery reports a query the wire format cannot carry: an
-// unknown core.Query implementation, or an FSM prefilter that is not in
-// the named-prefilter registry.
-var ErrUnencodableQuery = errors.New("cluster: query not encodable")
-
-// prefilterName maps the known FSM metadata prefilters to wire names.
-// Functions have no structural encoding, so only registered prefilters
-// cross the wire; identity is by function pointer, which is stable for
-// the package-level funcs the registry holds.
-func prefilterName(f core.FSMPrefilter) (string, bool) {
-	if f == nil {
-		return "", true
-	}
-	if reflect.ValueOf(f).Pointer() == reflect.ValueOf(core.FireAntsPrefilter).Pointer() {
-		return "fireants", true
-	}
-	return "", false
-}
-
-func prefilterByName(name string) (core.FSMPrefilter, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "fireants":
-		return core.FireAntsPrefilter, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown prefilter %q", canon.ErrCorrupt, name)
-	}
-}
-
-// encodeQuery serializes one partition's slice of a request. floor is
-// the router's current screening floor (result scale) at send time, so
-// a node joining late starts pre-pruned.
-func encodeQuery(req Request, part int, floor float64) ([]byte, error) {
+// encodeQuery serializes one partition's slice of a request: a header
+// with what the request body leaves out (partition, Workers, Budget) or
+// what changes per send (floor: the router's current screening floor,
+// result scale, so a node joining late starts pre-pruned), then the
+// request's canonical bytes.
+func encodeQuery(req core.Request, part int, floor float64) ([]byte, error) {
 	b := []byte{wireVersion}
-	b = canon.AppendString(b, req.Dataset)
 	b = canon.AppendUint(b, uint64(part))
-	b = canon.AppendUint(b, uint64(req.K))
 	b = canon.AppendUint(b, uint64(req.Workers))
 	b = canon.AppendUint(b, uint64(req.Budget))
-	if req.MinScore != nil {
-		b = append(b, 1)
-		b = canon.AppendFloat(b, *req.MinScore)
-	} else {
-		b = append(b, 0)
-	}
 	b = canon.AppendFloat(b, floor)
-	switch q := req.Query.(type) {
-	case core.LinearQuery:
-		b = append(b, qLinear)
-		if q.Model == nil {
-			return nil, fmt.Errorf("%w: nil linear model", ErrUnencodableQuery)
-		}
-		b = q.Model.AppendCanonical(b)
-	case core.SceneQuery:
-		b = append(b, qScene)
-		if q.Model == nil {
-			return nil, fmt.Errorf("%w: nil progressive model", ErrUnencodableQuery)
-		}
-		b = q.Model.Spec().AppendCanonical(b)
-	case core.FSMQuery:
-		b = append(b, qFSM)
-		if q.Machine == nil {
-			return nil, fmt.Errorf("%w: nil machine", ErrUnencodableQuery)
-		}
-		name, ok := prefilterName(q.Prefilter)
-		if !ok {
-			return nil, fmt.Errorf("%w: unregistered FSM prefilter", ErrUnencodableQuery)
-		}
-		b = q.Machine.AppendCanonical(b)
-		b = canon.AppendString(b, name)
-	case core.FSMDistanceQuery:
-		b = append(b, qFSMDistance)
-		if q.Target == nil {
-			return nil, fmt.Errorf("%w: nil target machine", ErrUnencodableQuery)
-		}
-		b = q.Target.AppendCanonical(b)
-		b = canon.AppendUint(b, uint64(q.Horizon))
-	case core.GeologyQuery:
-		b = append(b, qGeology)
-		b = canon.AppendUint(b, uint64(len(q.Sequence)))
-		for _, l := range q.Sequence {
-			b = canon.AppendUint(b, uint64(l))
-		}
-		b = canon.AppendFloat(b, q.MaxGapFt)
-		b = canon.AppendFloat(b, q.MinGamma)
-		b = canon.AppendFloat(b, q.GammaRampAPI)
-		b = canon.AppendUint(b, uint64(q.Method))
-	case core.KnowledgeQuery:
-		b = append(b, qKnowledge)
-		if q.Rules == nil {
-			return nil, fmt.Errorf("%w: nil rule set", ErrUnencodableQuery)
-		}
-		enc, ok := q.Rules.AppendCanonical(b)
-		if !ok {
-			return nil, fmt.Errorf("%w: unserializable rule set membership", ErrUnencodableQuery)
-		}
-		b = enc
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnencodableQuery, req.Query)
-	}
-	return b, nil
+	return core.AppendRequest(b, req)
 }
 
 // nodeQuery is a decoded 'Q' payload: the request slice a node executes.
 type nodeQuery struct {
-	Dataset string
-	Part    int
-	Req     core.Request // Dataset left empty; node fills its local name
-	Floor   float64
+	Part  int
+	Req   core.Request // Dataset is the cluster-wide name
+	Floor float64
 }
 
 func decodeQuery(payload []byte) (nodeQuery, error) {
@@ -293,144 +196,25 @@ func decodeQuery(payload []byte) (nodeQuery, error) {
 	if v != wireVersion {
 		return q, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
-	if q.Dataset, err = r.String(); err != nil {
-		return q, err
-	}
-	part, err := r.Uint()
-	if err != nil {
-		return q, err
-	}
-	if part > math.MaxInt32 {
-		return q, canon.ErrCorrupt
-	}
-	q.Part = int(part)
-	ks := [3]*int{&q.Req.K, &q.Req.Workers, &q.Req.Budget}
-	for _, dst := range ks {
-		u, err := r.Uint()
-		if err != nil {
+	var hdr [3]uint64
+	for i := range hdr {
+		if hdr[i], err = r.Uint(); err != nil {
 			return q, err
 		}
-		if u > math.MaxInt32 {
+		if hdr[i] > math.MaxInt32 {
 			return q, canon.ErrCorrupt
 		}
-		*dst = int(u)
-	}
-	if q.Req.K > maxWireK {
-		return q, fmt.Errorf("%w: K %d over the wire limit %d", canon.ErrCorrupt, q.Req.K, maxWireK)
-	}
-	hasMin, err := r.Byte()
-	if err != nil {
-		return q, err
-	}
-	switch hasMin {
-	case 0:
-	case 1:
-		ms, err := r.Float()
-		if err != nil {
-			return q, err
-		}
-		q.Req.MinScore = &ms
-	default:
-		return q, canon.ErrCorrupt
 	}
 	if q.Floor, err = r.Float(); err != nil {
 		return q, err
 	}
-	kind, err := r.Byte()
-	if err != nil {
+	if q.Req, err = core.DecodeRequest(payload[queryHeader:]); err != nil {
 		return q, err
 	}
-	switch kind {
-	case qLinear:
-		m, err := linear.DecodeCanonical(r)
-		if err != nil {
-			return q, err
-		}
-		q.Req.Query = core.LinearQuery{Model: m}
-	case qScene:
-		spec, err := linear.DecodeDecomposeSpec(r)
-		if err != nil {
-			return q, err
-		}
-		pm, err := spec.Build()
-		if err != nil {
-			return q, fmt.Errorf("%w: %v", canon.ErrCorrupt, err)
-		}
-		q.Req.Query = core.SceneQuery{Model: pm}
-	case qFSM:
-		m, err := fsm.DecodeCanonical(r)
-		if err != nil {
-			return q, err
-		}
-		name, err := r.String()
-		if err != nil {
-			return q, err
-		}
-		pf, err := prefilterByName(name)
-		if err != nil {
-			return q, err
-		}
-		q.Req.Query = core.FSMQuery{Machine: m, Prefilter: pf}
-	case qFSMDistance:
-		m, err := fsm.DecodeCanonical(r)
-		if err != nil {
-			return q, err
-		}
-		h, err := r.Uint()
-		if err != nil {
-			return q, err
-		}
-		if h > math.MaxInt32 {
-			return q, canon.ErrCorrupt
-		}
-		q.Req.Query = core.FSMDistanceQuery{Target: m, Horizon: int(h)}
-	case qGeology:
-		var gq core.GeologyQuery
-		n, err := r.Count(8)
-		if err != nil {
-			return q, err
-		}
-		gq.Sequence = make([]synth.Lithology, n)
-		for i := range gq.Sequence {
-			u, err := r.Uint()
-			if err != nil {
-				return q, err
-			}
-			if u > math.MaxInt32 {
-				return q, canon.ErrCorrupt
-			}
-			gq.Sequence[i] = synth.Lithology(u)
-		}
-		if gq.MaxGapFt, err = r.Float(); err != nil {
-			return q, err
-		}
-		if gq.MinGamma, err = r.Float(); err != nil {
-			return q, err
-		}
-		if gq.GammaRampAPI, err = r.Float(); err != nil {
-			return q, err
-		}
-		u, err := r.Uint()
-		if err != nil {
-			return q, err
-		}
-		if u > math.MaxInt32 {
-			return q, canon.ErrCorrupt
-		}
-		gq.Method = core.GeologyMethod(u)
-		q.Req.Query = gq
-	case qKnowledge:
-		rs, err := bayes.DecodeRuleSet(r)
-		if err != nil {
-			return q, err
-		}
-		q.Req.Query = core.KnowledgeQuery{Rules: rs}
-	default:
-		return q, fmt.Errorf("%w: query kind %q", canon.ErrCorrupt, kind)
+	if q.Req.K > maxWireK {
+		return q, fmt.Errorf("%w: K %d over the wire limit %d", canon.ErrCorrupt, q.Req.K, maxWireK)
 	}
-	if r.Remaining() != 0 {
-		return q, fmt.Errorf("%w: %d trailing bytes", canon.ErrCorrupt, r.Remaining())
-	}
+	q.Part, q.Req.Workers, q.Req.Budget = int(hdr[0]), int(hdr[1]), int(hdr[2])
 	return q, nil
 }
 

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"modelir/internal/parallel"
-	"modelir/internal/qcache"
 )
 
 // BatchResult is one request's outcome within a batch: exactly one of
@@ -37,11 +36,11 @@ type BatchResult struct {
 // batchEntry is one deduped unit of execution: a validated request plus
 // the batch positions its result must be copied to.
 type batchEntry struct {
-	idx       int                 // position in the caller's request slice
-	req       Request             // validated copy (defaults resolved)
-	fp        *qcache.Fingerprint // cache key; nil when not cacheable
-	gen       uint64              // target dataset's generation at probe time
-	followers []int               // positions holding identical requests
+	idx       int     // position in the caller's request slice
+	req       Request // validated copy (defaults resolved)
+	key       *[]byte // cache key; nil when not cacheable
+	gen       uint64  // target dataset's generation at probe time
+	followers []int   // positions holding identical requests
 }
 
 // RunBatch executes many requests as one serving unit and returns one
@@ -72,7 +71,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	leaderByKey := make(map[string]*batchEntry)
 	defer func() {
 		for _, l := range leaderByKey {
-			l.fp.Release()
+			releaseKey(l.key)
 		}
 	}()
 	for i := range reqs {
@@ -81,30 +80,29 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 			out[i].Err = err
 			continue
 		}
-		var fp *qcache.Fingerprint
+		var key *[]byte
 		var gen uint64
-		cacheable := false
 		if e.cache != nil {
-			fp, cacheable = fingerprintRequest(req)
+			key = cacheKey(req)
 		}
-		if cacheable {
+		if key != nil {
 			// Per-dataset generation, sampled before the plan resolves
 			// the shard list — same staleness argument as runReq.
 			gen = e.generationOf(req)
-			if res, ok := e.cacheGet(fp.Key(), gen, start); ok {
+			if res, ok := e.cacheGet(*key, gen, start); ok {
 				out[i].Result = res
-				fp.Release()
+				releaseKey(key)
 				continue
 			}
-			if l, ok := leaderByKey[string(fp.Key())]; ok {
+			if l, ok := leaderByKey[string(*key)]; ok {
 				l.followers = append(l.followers, i)
-				fp.Release()
+				releaseKey(key)
 				continue
 			}
 		}
-		en := &batchEntry{idx: i, req: req, fp: fp, gen: gen}
-		if cacheable {
-			leaderByKey[string(fp.Key())] = en
+		en := &batchEntry{idx: i, req: req, key: key, gen: gen}
+		if key != nil {
+			leaderByKey[string(*key)] = en
 		}
 		exec = append(exec, en)
 	}
@@ -183,8 +181,8 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 			items = filterMinScore(items, *en.req.MinScore)
 		}
 		st.Kind = en.req.Query.Kind()
-		if en.fp != nil {
-			e.cachePut(en.fp.Key(), en.gen, items, st)
+		if en.key != nil {
+			e.cachePut(*en.key, en.gen, items, st)
 		}
 		st.Wall = time.Since(start)
 		st.Cache = e.cacheInfo(false)

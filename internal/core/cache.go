@@ -1,22 +1,20 @@
-// Result-cache wiring: canonical Request fingerprinting,
-// generation-checked lookup, defensive copying so cached results stay
-// immutable no matter what callers do with the slices they receive,
-// and the per-entry memo of a serving layer's encoded items.
+// Result-cache wiring: the cache key, generation-checked lookup,
+// defensive copying so cached results stay immutable no matter what
+// callers do with the slices they receive, and the per-entry memo of a
+// serving layer's encoded items.
 //
-// What is cacheable: a request whose result is a pure function of
-// (dataset name, K, MinScore, query content). Three things opt a
-// request out:
+// The key is the request's canonical encoding (AppendRequest, codec.go),
+// built in a pooled buffer: equal bytes mean equal requests, and the
+// encoding leaves out Workers, so requests that differ only in fan-out
+// width share a cache line. Three things opt a request out of the cache:
 //
 //   - Budget > 0 — truncation depends on scheduling, so two identical
 //     budgeted runs may legitimately differ;
-//   - an FSMQuery with a Prefilter — func values have no canonical
-//     content to fingerprint;
-//   - a KnowledgeQuery whose rule set uses a Membership implementation
-//     the bayes package cannot serialize.
-//
-// Workers is deliberately absent from the fingerprint: the engine
-// guarantees identical results for any worker count, so requests that
-// differ only in fan-out width share a cache line.
+//   - an FSMQuery with a Prefilter — a func value has no content of
+//     its own (the encoding names the registered ones only so the
+//     wire can carry them);
+//   - a request AppendRequest refuses, such as a KnowledgeQuery whose
+//     rule set uses a Membership the bayes package cannot serialize.
 //
 // Invalidation is generation-based and PER DATASET: every set carries
 // a generation counter (1 at registration, +1 per append; compaction
@@ -36,6 +34,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -193,81 +192,35 @@ func (e *Engine) generationOf(req Request) uint64 {
 	return 0
 }
 
-// fingerprintRequest frames the canonical cache key of a validated
-// request into a pooled fingerprint, or returns ok=false when the
-// request is not cacheable. The caller releases the fingerprint.
-func fingerprintRequest(req Request) (*qcache.Fingerprint, bool) {
+// keyPool holds the buffers cache keys are built in.
+var keyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledKey keeps a rare huge key (a large rule set) from pinning its
+// buffer in the pool; request keys are a few hundred bytes.
+const maxPooledKey = 64 << 10
+
+// cacheKey encodes a validated request's cache key into a pooled buffer,
+// or returns nil when the request is not cacheable. The caller hands a
+// key back with releaseKey once nothing references its bytes.
+func cacheKey(req Request) *[]byte {
 	if req.Budget > 0 {
-		return nil, false
+		return nil
 	}
-	f := qcache.NewFingerprint()
-	f.Field("dataset").String(req.Dataset)
-	f.Field("k").Int(int64(req.K))
-	f.Field("minscore")
-	if req.MinScore != nil {
-		f.Float(*req.MinScore)
-	} else {
-		f.Nil()
+	if q, ok := req.Query.(FSMQuery); ok && q.Prefilter != nil {
+		return nil
 	}
-	f.Field("query")
-	if !fingerprintQuery(f, req.Query) {
-		f.Release()
-		return nil, false
+	kp := keyPool.Get().(*[]byte)
+	b, err := AppendRequest((*kp)[:0], req)
+	*kp = b
+	if err != nil {
+		releaseKey(kp)
+		return nil
 	}
-	return f, true
+	return kp
 }
 
-// fingerprintQuery appends the query's family tag and canonical model
-// content, which each model's AppendCanonical writes straight into the
-// key. Unknown query shapes (including pointer-wrapped family types)
-// conservatively bypass the cache.
-func fingerprintQuery(f *qcache.Fingerprint, q Query) bool {
-	switch q := q.(type) {
-	case LinearQuery:
-		if q.Model == nil {
-			return false
-		}
-		f.String("linear").BytesOf(q.Model.AppendCanonical)
-	case SceneQuery:
-		if q.Model == nil {
-			return false
-		}
-		f.String("scene").BytesOf(q.Model.AppendCanonical)
-	case FSMQuery:
-		if q.Machine == nil || q.Prefilter != nil {
-			return false
-		}
-		f.String("fsm").BytesOf(q.Machine.AppendCanonical)
-	case FSMDistanceQuery:
-		if q.Target == nil {
-			return false
-		}
-		f.String("fsm-distance").BytesOf(q.Target.AppendCanonical).Int(int64(q.Horizon))
-	case GeologyQuery:
-		var arr [16]int
-		seq := arr[:0]
-		for _, l := range q.Sequence {
-			seq = append(seq, int(l))
-		}
-		method := q.Method
-		if method == 0 {
-			method = GeoDP // the execution default; fingerprint what runs
-		}
-		f.String("geology").Ints(seq).
-			Float(q.MaxGapFt).Float(q.MinGamma).Float(q.GammaRampAPI).
-			Int(int64(method))
-	case KnowledgeQuery:
-		if q.Rules == nil {
-			return false
-		}
-		ok := true
-		f.String("knowledge").BytesOf(func(b []byte) []byte {
-			b, ok = q.Rules.AppendCanonical(b)
-			return b
-		})
-		return ok
-	default:
-		return false
+func releaseKey(kp *[]byte) {
+	if cap(*kp) <= maxPooledKey {
+		keyPool.Put(kp)
 	}
-	return true
 }

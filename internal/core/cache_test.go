@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -170,14 +171,14 @@ func genOf(t *testing.T, e *Engine, name string) uint64 {
 	return 0
 }
 
-// requestKey is fingerprintRequest's key bytes as a comparable value.
+// requestKey is cacheKey's bytes as a comparable value.
 func requestKey(req Request) (string, bool) {
-	f, ok := fingerprintRequest(req)
-	if !ok {
+	kp := cacheKey(req)
+	if kp == nil {
 		return "", false
 	}
-	defer f.Release()
-	return string(f.Key()), true
+	defer releaseKey(kp)
+	return string(*kp), true
 }
 
 // TestFingerprintSemantics pins which requests share a cache line and
@@ -265,6 +266,46 @@ func TestFingerprintSemantics(t *testing.T) {
 	kDP, okDP := requestKey(gDP)
 	if !ok0 || !okDP || k0 != kDP {
 		t.Fatal("geology Method zero and GeoDP fingerprint apart")
+	}
+
+	// Adjacent strings and lists do not re-associate: attribute names
+	// ("ab","c") vs ("a","bc"), and level plans (2,4) vs (4).
+	mab, _ := linear.New([]string{"ab", "c", "d"}, []float64{1, 2, 3}, 0)
+	ma, _ := linear.New([]string{"a", "bc", "d"}, []float64{1, 2, 3}, 0)
+	ka, _ := requestKey(Request{Dataset: "gauss", Query: LinearQuery{Model: mab}, K: 5})
+	kb, _ := requestKey(Request{Dataset: "gauss", Query: LinearQuery{Model: ma}, K: 5})
+	if ka == kb {
+		t.Fatal("attribute names re-associate across a length prefix")
+	}
+	lo, hi := []float64{0, 0, 0, 0}, []float64{255, 255, 255, 1500}
+	sceneKey := func(levels ...int) string {
+		t.Helper()
+		pm, err := linear.Decompose(linear.HPSRisk(), lo, hi, levels...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, ok := requestKey(Request{Dataset: "hps", Query: SceneQuery{Model: pm}, K: 5})
+		if !ok {
+			t.Fatal("scene request not cacheable")
+		}
+		return k
+	}
+	// One scene spec compiled twice is one cache line: the key is the
+	// spec, not the decomposition's pointer or derived state.
+	if sceneKey(2, 4) != sceneKey(2, 4) {
+		t.Fatal("one scene spec compiled twice keys apart")
+	}
+	if sceneKey(2, 4) == sceneKey(4) {
+		t.Fatal("scene level plans (2,4) and (4) collide")
+	}
+
+	// Pure function of content: a pooled buffer that held a longer key
+	// leaves nothing behind.
+	if k, _ := requestKey(Request{Dataset: strings.Repeat("x", 4096), Query: LinearQuery{Model: lm}, K: 5}); k == baseKey {
+		t.Fatal("long dataset name collides with the base key")
+	}
+	if k, _ := requestKey(base); k != baseKey {
+		t.Fatal("key not deterministic across pooled buffers")
 	}
 
 	// FSM machine and distance queries over the same machine must not
@@ -523,12 +564,12 @@ func TestAppendItemsMemo(t *testing.T) {
 	if err := validateRequest(&req); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := fingerprintRequest(req)
-	defer f.Release()
+	key := cacheKey(req)
+	defer releaseKey(key)
 	gen := e.generationOf(req)
 	hit, _ := e.Run(ctx, req)
 	other := append([]topk.Item(nil), hit.Items[1:]...)
-	e.cachePut(f.Key(), gen, other, hit.Stats)
+	e.cachePut(*key, gen, other, hit.Stats)
 	if bytesNow() != keyOnly {
 		t.Fatalf("replacing put kept %d memo bytes", bytesNow()-keyOnly)
 	}
@@ -539,7 +580,7 @@ func TestAppendItemsMemo(t *testing.T) {
 	// An encoding that fails keeps nothing: the next hit fails again.
 	nan := append([]topk.Item(nil), other...)
 	nan[0].Score = math.NaN()
-	e.cachePut(f.Key(), gen, nan, hit.Stats)
+	e.cachePut(*key, gen, nan, hit.Stats)
 	for i := 0; i < 2; i++ {
 		before := calls
 		if _, err := serve("NaN hit", req, true); err == nil || calls != before+1 {

@@ -27,10 +27,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 
 	"modelir/internal/archive"
+	"modelir/internal/canon"
 	"modelir/internal/fsm"
 	"modelir/internal/parallel"
 	"modelir/internal/qcache"
@@ -86,7 +88,7 @@ type Options struct {
 // immutable — appends swap in a new set value sharing the base shards
 // plus one more delta segment — so the query hot path runs lock-free
 // over a consistent shard list. The serving layer rides on top: a
-// result cache keyed by canonical request fingerprints (invalidated
+// result cache keyed by canonical request bytes (invalidated
 // per dataset by generation counters) and a weighted admission
 // semaphore bounding total fan-out workers.
 type Engine struct {
@@ -315,6 +317,31 @@ type FSMPrefilter func(synth.DrySpellStats) bool
 // position >= 3.
 func FireAntsPrefilter(s synth.DrySpellStats) bool {
 	return s.MaxDrySpell >= 3 && s.MaxTempAfterDry3 >= fsm.FlyTempC
+}
+
+// prefilterName maps the registered FSM prefilters to the names the
+// request encoding carries; ok is false for any other function. A func
+// value has no content to encode, so identity is by function pointer,
+// which is stable for the package-level funcs registered here.
+func prefilterName(f FSMPrefilter) (name string, ok bool) {
+	switch {
+	case f == nil:
+		return "", true
+	case reflect.ValueOf(f).Pointer() == reflect.ValueOf(FireAntsPrefilter).Pointer():
+		return "fireants", true
+	}
+	return "", false
+}
+
+// prefilterByName inverts prefilterName.
+func prefilterByName(name string) (FSMPrefilter, error) {
+	switch name {
+	case "":
+		return nil, nil
+	case "fireants":
+		return FireAntsPrefilter, nil
+	}
+	return nil, fmt.Errorf("%w: unknown prefilter %q", canon.ErrCorrupt, name)
 }
 
 // GeologyQuery is the Fig. 4 knowledge model: an ordered lithology

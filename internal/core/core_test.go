@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -114,8 +115,8 @@ func TestAddTuplesRefusesUnstorableRows(t *testing.T) {
 
 // TestLinearModelDimMismatch: a model whose coefficient count differs
 // from a segment's attribute count is an error, never a panic or a
-// silently truncated score — on base shards and on a delta appended
-// with a different width.
+// silently truncated score; and a delta of a different width is
+// refused at append, so it can never leave a segment no model fits.
 func TestLinearModelDimMismatch(t *testing.T) {
 	e := NewEngineWith(Options{Shards: 2})
 	pts, err := synth.GaussianTuples(4, 50, 3)
@@ -134,15 +135,15 @@ func TestLinearModelDimMismatch(t *testing.T) {
 			t.Fatalf("%d coefficients over 3 attributes: no error", n)
 		}
 	}
-	if err := e.AppendTuples("t", [][]float64{{1, 2, 3, 4}}); err != nil {
-		t.Fatal(err)
+	if err := e.AppendTuples("t", [][]float64{{1, 2, 3, 4}}); !errors.Is(err, ErrWidthMismatch) {
+		t.Fatalf("4-attribute delta on a 3-attribute dataset: err %v, want ErrWidthMismatch", err)
 	}
 	m, err := linear.New([]string{"a", "b", "c"}, []float64{1, 1, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: m}}); err == nil {
-		t.Fatal("3 coefficients over a 4-attribute delta: no error")
+	if _, err := e.Run(context.Background(), Request{Dataset: "t", Query: LinearQuery{Model: m}}); err != nil {
+		t.Fatalf("3 coefficients after a refused 4-attribute delta: %v", err)
 	}
 }
 

@@ -37,6 +37,11 @@ import (
 	"modelir/internal/synth"
 )
 
+// ErrWidthMismatch reports an append whose rows are not as wide as the
+// dataset's: a linear model could then fit no segment and every read of
+// the dataset would fail.
+var ErrWidthMismatch = errors.New("core: appended rows differ in width from the dataset")
+
 // compactDeltaSegments is the tier fan-in: how many adjacent deltas one
 // background merge takes (set.tierRun).
 const compactDeltaSegments = 4
@@ -62,11 +67,15 @@ func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set
 	case !ok:
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	case base < 0:
-		base = s.rows
-	case base < s.rows:
+	case base >= 0 && base < s.rows:
 		e.mu.Unlock()
 		return fmt.Errorf("core: append base %d overlaps rows [0,%d) of %q", base, s.rows, name)
+	case len(s.scan) > 0 && d.width() != s.scan[0].width():
+		e.mu.Unlock()
+		return fmt.Errorf("%w: %q rows have %d attributes, the appended rows %d",
+			ErrWidthMismatch, name, s.scan[0].width(), d.width())
+	case base < 0:
+		base = s.rows
 	}
 	d.place(base)
 	sets[name] = s.withDeltaAt(base, d)
@@ -85,7 +94,8 @@ func appendDelta[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set
 // observe either the pre- or post-append world, never a partial one,
 // and the dataset's cache generation advances so no stale cached
 // result is ever served. Rows the store cannot hold (ragged,
-// zero-width or non-finite) are refused and leave the dataset
+// zero-width or non-finite) and rows whose width differs from the
+// dataset's (ErrWidthMismatch) are refused and leave the dataset
 // untouched. The rows are not copied; the caller
 // must not mutate them afterwards.
 func (e *Engine) AppendTuples(name string, points [][]float64) error {

@@ -298,6 +298,43 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// TestAppendWidthMismatch pins that a tuple delta narrower or wider
+// than its dataset is refused with ErrWidthMismatch by both append
+// paths and leaves the dataset untouched: same generation, same rows,
+// and linear reads still answer.
+func TestAppendWidthMismatch(t *testing.T) {
+	e := NewEngine()
+	if err := e.AddTuples("t", [][]float64{{1, 2, 3}, {4, 5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	lm := testLinearModel(t)
+	req := Request{Dataset: "t", Query: LinearQuery{Model: lm}, K: 5}
+	want, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, appendRows := range map[string]func() error{
+		"narrower":    func() error { return e.AppendTuples("t", [][]float64{{7, 8}}) },
+		"wider":       func() error { return e.AppendTuples("t", [][]float64{{7, 8, 9, 10}}) },
+		"narrower-at": func() error { return e.AppendTuplesAt("t", 100, [][]float64{{7, 8}}) },
+	} {
+		if err := appendRows(); !errors.Is(err, ErrWidthMismatch) {
+			t.Fatalf("%s append: err %v, want ErrWidthMismatch", label, err)
+		}
+	}
+	if ds := e.Datasets(); ds[0].Gen != 1 || ds[0].Rows != 2 {
+		t.Fatalf("refused appends changed the dataset: %+v", ds[0])
+	}
+	got, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatalf("linear read after refused appends: %v", err)
+	}
+	itemsEqual(t, "after refused appends", got.Items, want.Items)
+	if err := e.AppendTuples("t", [][]float64{{7, 8, 9}}); err != nil {
+		t.Fatalf("same-width append after refusals: %v", err)
+	}
+}
+
 // TestAppenderCoalesces pins the batching appender's size window:
 // twenty concurrent five-row appends with a size threshold of exactly
 // one hundred rows coalesce into ONE delta segment and ONE generation

@@ -23,7 +23,6 @@ import (
 	"modelir/internal/linear"
 	"modelir/internal/parallel"
 	"modelir/internal/progressive"
-	"modelir/internal/qcache"
 	"modelir/internal/sproc"
 	"modelir/internal/topk"
 )
@@ -189,14 +188,13 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	start := time.Now()
 
 	// Result cache probe.
-	var fp *qcache.Fingerprint
+	var key *[]byte
 	var gen uint64
-	cacheable := false
 	if e.cache != nil {
-		fp, cacheable = fingerprintRequest(req)
+		key = cacheKey(req)
 	}
-	if cacheable {
-		defer fp.Release()
+	if key != nil {
+		defer releaseKey(key)
 		// The target dataset's generation is sampled before the plan
 		// resolves its shard list, so an append racing this request
 		// either lands before the sample (the entry is stored under —
@@ -204,7 +202,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 		// stamped stale the moment it is written). Other datasets'
 		// generations are untouched, so their entries stay live.
 		gen = e.generationOf(req)
-		if res, ok := e.cacheGet(fp.Key(), gen, start); ok {
+		if res, ok := e.cacheGet(*key, gen, start); ok {
 			return res, nil
 		}
 	}
@@ -239,8 +237,8 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	// A run pruned by a foreign floor may omit locally-top-K items that
 	// are hopeless only in the remote query's global merge; caching it
 	// would serve a truncated answer to a future standalone request.
-	if cacheable && !sb.foreignRaised() {
-		e.cachePut(fp.Key(), gen, items, st)
+	if key != nil && !sb.foreignRaised() {
+		e.cachePut(*key, gen, items, st)
 	}
 	st.Wall = time.Since(start)
 	st.Cache = e.cacheInfo(false)

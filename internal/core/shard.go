@@ -73,6 +73,9 @@ type rowShard[R any] interface {
 	// place sets the global row the segment's IDs start at. Only tuple
 	// IDs are positional; region and well IDs are intrinsic to the rows.
 	place(base int)
+	// width is the row width every segment of one dataset shares: the
+	// attribute count for tuples, 0 for kinds without a fixed width.
+	width() int
 }
 
 // set is a registered appendable dataset, sharded at ingest. raw
@@ -198,6 +201,7 @@ type tupleShard struct {
 
 func (s *tupleShard) rawRows() [][]float64 { return s.points }
 func (s *tupleShard) place(base int)       { s.offset = base }
+func (s *tupleShard) width() int           { return s.store.Dim() }
 
 // newTupleShard builds the shard's store over part. Rows the store
 // cannot hold (empty, zero-width, ragged or non-finite) fail the build.
@@ -251,6 +255,7 @@ func (s *seriesShard) eventsOf(i int) []fsm.Event {
 
 func (s *seriesShard) rawRows() []synth.RegionSeries { return s.regions }
 func (s *seriesShard) place(int)                     {}
+func (s *seriesShard) width() int                    { return 0 }
 
 // newSeriesShard builds one shard over part: metadata summaries plus
 // the flat day-classified event plane. This is the only constructor —
@@ -339,6 +344,7 @@ func (s *wellShard) strataLen(i int) int { return s.off[i+1] - s.off[i] }
 
 func (s *wellShard) rawRows() []synth.WellLog { return s.wells }
 func (s *wellShard) place(int)                {}
+func (s *wellShard) width() int               { return 0 }
 
 // newWellShard flattens part's strata into the columnar planes — the
 // one constructor base shards, delta segments and merged deltas share.

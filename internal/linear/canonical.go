@@ -1,12 +1,12 @@
-// Canonical byte encodings for cache fingerprinting and, since the
-// cluster layer, for shipping models between router and shard-server
-// nodes. The serving layer's result cache keys requests by content, so
-// every model type a query can embed provides AppendCanonical: a
-// deterministic, framed encoding (internal/canon) in which
-// semantically different models never produce the same bytes.
-// DecodeCanonical is the exact inverse over a bounds-checked
-// canon.Reader, validating as strictly as New so a decoded model is
-// indistinguishable from a locally constructed one.
+// Canonical byte encodings of the linear models a request can embed.
+// core's request codec writes them into the one request encoding that
+// is both the result-cache key and the body of a cluster 'Q' frame, so
+// every model type provides AppendCanonical: a deterministic, framed
+// encoding (internal/canon) in which semantically different models
+// never produce the same bytes. The decoders are exact inverses over a
+// bounds-checked canon.Reader, validating as strictly as New and
+// Decompose so a decoded model is indistinguishable from a locally
+// constructed one.
 
 package linear
 
@@ -64,100 +64,63 @@ func DecodeCanonical(r *canon.Reader) (*Model, error) {
 	return m, nil
 }
 
-// DecomposeSpec is the wire form of a progressive model: the inputs to
-// Decompose rather than the decomposition itself. Shipping the inputs
-// keeps a remote node from having to trust residual bounds computed
-// elsewhere — it re-derives them locally, and Decompose is
-// deterministic, so every node (and the single-node reference) builds
-// the bit-identical ProgressiveModel.
-type DecomposeSpec struct {
-	Model      *Model
-	AttrLo     []float64
-	AttrHi     []float64
-	LevelTerms []int
-}
-
-// Spec returns the decomposition inputs this model was built from, in
-// wire-ready form.
-func (p *ProgressiveModel) Spec() DecomposeSpec {
-	return DecomposeSpec{
-		Model:      p.full,
-		AttrLo:     append([]float64(nil), p.attrLo...),
-		AttrHi:     append([]float64(nil), p.attrHi...),
-		LevelTerms: append([]int(nil), p.levels...),
-	}
-}
-
-// Build re-runs Decompose on the spec.
-func (s DecomposeSpec) Build() (*ProgressiveModel, error) {
-	return Decompose(s.Model, s.AttrLo, s.AttrHi, s.LevelTerms...)
-}
-
-// AppendCanonical appends the spec's canonical encoding.
-func (s DecomposeSpec) AppendCanonical(b []byte) []byte {
+// AppendCanonical appends the decomposition's canonical encoding: the
+// inputs to Decompose (model, attribute ranges, level term counts)
+// rather than the decomposition itself. A remote node then never has to
+// trust residual bounds computed elsewhere: DecodeProgressive re-runs
+// Decompose, which is deterministic, so every node (and the single-node
+// reference) builds the bit-identical ProgressiveModel. Two models with
+// equal inputs share their bytes; the derived order and residuals add
+// nothing a key could tell apart.
+func (p *ProgressiveModel) AppendCanonical(b []byte) []byte {
 	b = append(b, 'D', 'S')
-	b = s.Model.AppendCanonical(b)
-	b = canon.AppendFloats(b, s.AttrLo)
-	b = canon.AppendFloats(b, s.AttrHi)
-	b = canon.AppendUint(b, uint64(len(s.LevelTerms)))
-	for _, lt := range s.LevelTerms {
+	b = p.full.AppendCanonical(b)
+	b = canon.AppendFloats(b, p.attrLo)
+	b = canon.AppendFloats(b, p.attrHi)
+	b = canon.AppendUint(b, uint64(len(p.levels)))
+	for _, lt := range p.levels {
 		b = canon.AppendUint(b, uint64(lt))
 	}
 	return b
 }
 
-// DecodeDecomposeSpec consumes one canonical spec encoding from r. The
-// level-term values are validated by Build (via Decompose); here only
-// the framing is checked.
-func DecodeDecomposeSpec(r *canon.Reader) (DecomposeSpec, error) {
-	var s DecomposeSpec
+// DecodeProgressive consumes one canonical decomposition encoding from
+// r and rebuilds the model through Decompose, so a decoded model passes
+// every check a locally built one does.
+func DecodeProgressive(r *canon.Reader) (*ProgressiveModel, error) {
 	if err := r.Expect("DS"); err != nil {
-		return s, err
+		return nil, err
 	}
-	var err error
-	if s.Model, err = DecodeCanonical(r); err != nil {
-		return s, err
+	m, err := DecodeCanonical(r)
+	if err != nil {
+		return nil, err
 	}
-	if s.AttrLo, err = r.Floats(); err != nil {
-		return s, err
+	lo, err := r.Floats()
+	if err != nil {
+		return nil, err
 	}
-	if s.AttrHi, err = r.Floats(); err != nil {
-		return s, err
+	hi, err := r.Floats()
+	if err != nil {
+		return nil, err
 	}
 	n, err := r.Count(8)
 	if err != nil {
-		return s, err
+		return nil, err
 	}
-	s.LevelTerms = make([]int, n)
-	for i := range s.LevelTerms {
+	levels := make([]int, n)
+	for i := range levels {
 		v, err := r.Uint()
 		if err != nil {
-			return s, err
+			return nil, err
 		}
 		if v > math.MaxInt32 {
-			return s, canon.ErrCorrupt
+			return nil, canon.ErrCorrupt
 		}
-		s.LevelTerms[i] = int(v)
+		levels[i] = int(v)
 	}
-	return s, nil
-}
-
-// AppendCanonical appends the decomposition's canonical encoding: the
-// exact underlying model plus the level structure (term order, level
-// term counts, residual bounds). Two decompositions of the same model
-// with different level plans execute differently but return the same
-// answers; they still fingerprint distinctly, which is safe (a cache
-// can only under-share, never alias).
-func (p *ProgressiveModel) AppendCanonical(b []byte) []byte {
-	b = append(b, 'P', 'M')
-	b = p.full.AppendCanonical(b)
-	b = canon.AppendUint(b, uint64(len(p.order)))
-	for _, o := range p.order {
-		b = canon.AppendUint(b, uint64(o))
+	p, err := Decompose(m, lo, hi, levels...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", canon.ErrCorrupt, err)
 	}
-	b = canon.AppendUint(b, uint64(len(p.levels)))
-	for _, l := range p.levels {
-		b = canon.AppendUint(b, uint64(l))
-	}
-	return canon.AppendFloats(b, p.resid)
+	return p, nil
 }

@@ -3,6 +3,8 @@ package linear
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"modelir/internal/canon"
@@ -35,31 +37,38 @@ func TestDecomposeSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
-	enc := pm.Spec().AppendCanonical(nil)
+	enc := pm.AppendCanonical(nil)
 	r := canon.NewReader(enc)
-	spec, err := DecodeDecomposeSpec(r)
+	rebuilt, err := DecodeProgressive(r)
 	if err != nil {
-		t.Fatalf("DecodeDecomposeSpec: %v", err)
+		t.Fatalf("DecodeProgressive: %v", err)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("decode left %d bytes", r.Remaining())
 	}
-	rebuilt, err := spec.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
 	// The rebuilt decomposition must be bit-identical to the original:
 	// same order, levels, and residual bounds.
-	if !bytes.Equal(rebuilt.AppendCanonical(nil), pm.AppendCanonical(nil)) {
+	if !slices.Equal(rebuilt.Order(), pm.Order()) || rebuilt.NumLevels() != pm.NumLevels() {
 		t.Fatal("rebuilt decomposition differs from original")
 	}
-	if !bytes.Equal(spec.AppendCanonical(nil), enc) {
-		t.Fatal("re-encoded spec differs from original encoding")
+	for l := 0; l < pm.NumLevels(); l++ {
+		if rebuilt.TermsAt(l) != pm.TermsAt(l) || math.Float64bits(rebuilt.Resid(l)) != math.Float64bits(pm.Resid(l)) {
+			t.Fatalf("level %d differs after rebuild", l)
+		}
+	}
+	if !bytes.Equal(rebuilt.AppendCanonical(nil), enc) {
+		t.Fatal("re-encoded decomposition differs from original encoding")
 	}
 	for n := 0; n < len(enc); n++ {
-		if _, err := DecodeDecomposeSpec(canon.NewReader(enc[:n])); err == nil {
+		if _, err := DecodeProgressive(canon.NewReader(enc[:n])); err == nil {
 			t.Fatalf("decode of %d-byte prefix succeeded", n)
 		}
+	}
+	// Inputs Decompose refuses are refused at decode, as ErrCorrupt.
+	bad := append([]byte(nil), enc...)
+	bad[len(bad)-1] = 3 // last level no longer covers all four terms
+	if _, err := DecodeProgressive(canon.NewReader(bad)); !errors.Is(err, canon.ErrCorrupt) {
+		t.Fatalf("invalid level plan: err = %v, want ErrCorrupt", err)
 	}
 }
 

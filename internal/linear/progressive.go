@@ -26,8 +26,8 @@ type ProgressiveModel struct {
 	levels []int
 	// resid[l] = max absolute contribution of terms omitted at level l.
 	resid []float64
-	// attrLo/attrHi retain the Decompose inputs so the model can be
-	// shipped as a DecomposeSpec and re-derived remotely.
+	// attrLo/attrHi retain the Decompose inputs: the canonical
+	// encoding is those inputs, re-derived on decode.
 	attrLo, attrHi []float64
 }
 

@@ -1,5 +1,7 @@
 // Package qcache is the engine's query-result cache: a sharded LRU
-// keyed by the exact canonical bytes of a request (see Fingerprint) and
+// keyed by the exact canonical bytes of a request (core.AppendRequest,
+// which leaves out Workers and is decodable, so equal bytes mean equal
+// requests) and
 // invalidated by a generation counter the caller supplies — the engine
 // passes the target dataset's own generation, bumped on every append
 // to that dataset, so writes to one dataset never evict another's
@@ -7,7 +9,7 @@
 // an unchanged archive produces the same answer, so serving it from
 // memory is exact, not approximate.
 //
-// Keys: Get takes the framed request bytes and looks them up without
+// Keys: Get takes the request bytes and looks them up without
 // copying or allocating; only Put keeps a copy. Two requests share an
 // entry iff their encodings are byte-equal. A seeded maphash of the key
 // picks the shard.

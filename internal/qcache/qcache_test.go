@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"modelir/internal/canon"
 )
 
-func keyOf(s string) []byte {
-	return NewFingerprint().String(s).Key()
-}
+func keyOf(s string) []byte { return []byte(s) }
 
 func TestGetPutBasics(t *testing.T) {
 	c := New(Options{Entries: 8, Shards: 2})
@@ -122,57 +122,66 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	c.Stats() // must not race
 }
 
+// TestFingerprintFraming pins the cache's side of request keying: keys
+// framed with the canonical encoding stay on separate entries wherever
+// their fields would re-associate unframed, a key is matched on all of
+// its bytes (a prefix is another entry), and Put keeps its own copy, so
+// a pooled key buffer reused for a longer or different key later
+// leaves the stored entry intact.
 func TestFingerprintFraming(t *testing.T) {
-	key := func(f *Fingerprint) string { return string(f.Key()) }
-	// Adjacent strings must not re-associate.
-	a := key(NewFingerprint().String("ab").String("c"))
-	b := key(NewFingerprint().String("a").String("bc"))
-	if a == b {
-		t.Fatal("string framing collision")
+	c := New(Options{Entries: 64, Shards: 4})
+	str := func(ss ...string) []byte {
+		var b []byte
+		for _, s := range ss {
+			b = canon.AppendString(b, s)
+		}
+		return b
 	}
-	// Nor may bytes move across a patched length prefix.
-	fill := func(p string) func([]byte) []byte {
-		return func(b []byte) []byte { return append(b, p...) }
+	flts := func(ls ...[]float64) []byte {
+		var b []byte
+		for _, l := range ls {
+			b = canon.AppendFloats(b, l)
+		}
+		return b
 	}
-	a = key(NewFingerprint().BytesOf(fill("ab")).BytesOf(fill("c")))
-	b = key(NewFingerprint().BytesOf(fill("a")).BytesOf(fill("bc")))
-	if a == b {
-		t.Fatal("patched-prefix framing collision")
+	keys := map[string][]byte{
+		// Adjacent strings must not re-associate.
+		"ab|c": str("ab", "c"),
+		"a|bc": str("a", "bc"),
+		// List boundaries are part of the frame.
+		"12|3": flts([]float64{1, 2}, []float64{3}),
+		"1|23": flts([]float64{1}, []float64{2, 3}),
+		// Distinct float bit patterns stay distinct.
+		"+0": canon.AppendFloat(nil, 0),
+		"-0": canon.AppendFloat(nil, negZero()),
+		// A key and its own prefix are different entries.
+		"ab|c+": append(str("ab", "c"), 0),
 	}
-	// List boundaries are part of the frame.
-	a = key(NewFingerprint().Floats([]float64{1, 2}).Floats([]float64{3}))
-	b = key(NewFingerprint().Floats([]float64{1}).Floats([]float64{2, 3}))
-	if a == b {
-		t.Fatal("list framing collision")
+	for name, k := range keys {
+		c.Put(k, 1, name)
 	}
-	// Types with identical payload bytes stay distinct.
-	a = key(NewFingerprint().Int(0))
-	b = key(NewFingerprint().Uint(0))
-	if a == b {
-		t.Fatal("int/uint collision")
+	for name, k := range keys {
+		v, ok := c.Get(k, 1)
+		if !ok || v.(string) != name {
+			t.Fatalf("key %q: got %v/%v", name, v, ok)
+		}
 	}
-	// Absent is not zero.
-	a = key(NewFingerprint().Nil())
-	b = key(NewFingerprint().Float(0))
-	if a == b {
-		t.Fatal("nil/zero collision")
+
+	// Put copies: overwriting the caller's buffer after the store, as a
+	// pooled key buffer is, changes neither the entry nor its lookup.
+	pooled := append(make([]byte, 0, 256), str("q", "x")...)
+	want := append([]byte(nil), pooled...)
+	c.Put(pooled, 1, "qx")
+	pooled = append(pooled[:0], str("a much longer key than the last one")...)
+	if v, ok := c.Get(want, 1); !ok || v.(string) != "qx" {
+		t.Fatalf("stored key changed with the caller's buffer: %v/%v", v, ok)
 	}
-	// Field names bind to their values.
-	a = key(NewFingerprint().Field("k").Int(3))
-	b = key(NewFingerprint().Field("budget").Int(3))
-	if a == b {
-		t.Fatal("field-name collision")
-	}
-	// Pure function of content: rebuilt fingerprints agree, including a
-	// pooled fingerprint that held a longer key before.
-	long := NewFingerprint().String("a much longer key than the next one")
-	long.Release()
-	a = key(NewFingerprint().Field("q").Ints([]int{4, 5}).String("x"))
-	b = key(NewFingerprint().Field("q").Ints([]int{4, 5}).String("x"))
-	if a != b {
-		t.Fatal("fingerprint not deterministic")
+	if _, ok := c.Get(pooled, 1); ok {
+		t.Fatal("reused buffer hit an entry it was never stored under")
 	}
 }
+
+func negZero() float64 { z := 0.0; return -z }
 
 // TestGetDoesNotAllocate pins the hit path: the lookup by key bytes and
 // the shard pick allocate nothing.

@@ -416,8 +416,9 @@ type (
 	// multiplexed connection per node, and merges the per-node top-K
 	// partials exactly. Close it to release the connections.
 	ClusterRouter = cluster.Router
-	// ClusterRequest is the router-level request shape.
-	ClusterRequest = cluster.Request
+	// ClusterRequest is the router-level request: the engine's Request,
+	// with Dataset naming the dataset cluster-wide.
+	ClusterRequest = core.Request
 	// ClusterRouterOptions tunes the router's fault handling: dial/ack
 	// timeouts and the retry/backoff schedule for reads and appends.
 	ClusterRouterOptions = cluster.RouterOptions

@@ -652,11 +652,11 @@ func BenchmarkLinearTopKSharded(b *testing.B) {
 	}
 }
 
-// ---- Unified Run API overhead vs the direct shard fan-out ----
+// ---- Unified Run API overhead vs the direct unit queue ----
 
 // BenchmarkRunOverhead pins the cost of the Engine.Run request plumbing
 // (Request validation, ctx checks, stats normalization) against a raw
-// shard fan-out over the same per-shard stores and workload: the
+// block queue over the same per-shard stores and workload: the
 // difference is what the request API costs the hot path.
 func BenchmarkRunOverhead(b *testing.B) {
 	d, err := shardData()
@@ -682,9 +682,10 @@ func BenchmarkRunOverhead(b *testing.B) {
 			}
 		}
 	})
-	b.Run("direct-shard-fanout", func(b *testing.B) {
-		// The execution core without Request plumbing: raw ShardTopK
-		// over per-shard norm-ordered stores like the engine's.
+	b.Run("direct-queue", func(b *testing.B) {
+		// The execution core without Request plumbing: one block queue
+		// over per-shard norm-ordered stores like the engine's, drained
+		// by parallel.TopK.
 		stores := make([]*colstore.Store, 4)
 		offs := make([]int, 4)
 		n := len(d.pts)
@@ -700,23 +701,83 @@ func BenchmarkRunOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := parallel.ShardTopK(4, 10, 0, func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-				h := topk.MustGetHeap(10)
-				defer topk.PutHeap(h)
-				var st colstore.Stats
-				stores[si].Scan(d.m.Coeffs, wNorm, h, sb, nil, nil, &st)
-				start := len(dst)
-				dst = h.AppendUnordered(dst)
-				for j := start; j < len(dst); j++ {
-					dst[j].ID += int64(offs[si])
-				}
-				return dst, nil
-			})
+			q := colstore.GetBlockQueue(d.m.Coeffs, wNorm, nil, 4)
+			for s, st := range stores {
+				q.Add(st, int64(offs[s]))
+			}
+			_, err := parallel.TopK(ctx, q, 10, 4, nil, nil)
+			q.Release()
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// ---- When a helper pays: the join constant ----
+
+// BenchmarkHelperBreakEven measures parallel.BreakEven on two plans at
+// Workers 1 (the caller's goroutine alone) and Workers 2 (a helper may
+// join once the request has run BreakEven), over 2 shards:
+//   - fsm: a scan-shaped plan (8-region units from one cursor) over 64
+//     to 1024 regions, whose work per unit is even;
+//   - linear: best-first reads of 15,000 to 120,000 8-wide rows (64
+//     random weight vectors, K 10-200), whose work falls off as the
+//     floor rises.
+//
+// Run it at -cpu 1,2; the constant's comment quotes its output.
+func BenchmarkHelperBreakEven(b *testing.B) {
+	for _, regions := range []int{64, 128, 256, 1024} {
+		arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 21, Regions: regions, Days: 365})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := core.NewEngineWith(core.Options{Shards: 2, CacheEntries: -1})
+		if err := e.AddSeries("w", arch); err != nil {
+			b.Fatal(err)
+		}
+		req := core.Request{Dataset: "w", Query: core.FSMQuery{Machine: fsm.FireAnts()}, K: 10}
+		benchWorkers(b, fmt.Sprintf("fsm/regions=%d", regions), e, []core.Request{req})
+	}
+	rng := rand.New(rand.NewSource(22))
+	var reqs []core.Request
+	for i := 0; i < 64; i++ {
+		c := make([]float64, 8)
+		for d := range c {
+			c[d] = rng.NormFloat64()
+		}
+		m, err := linear.New([]string{"a", "b", "c", "d", "e", "f", "g", "h"}, c, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs = append(reqs, core.Request{Dataset: "t", Query: core.LinearQuery{Model: m}, K: 10 + rng.Intn(191)})
+	}
+	for _, rows := range []int{15_000, 30_000, 60_000, 120_000} {
+		pts, err := synth.GaussianTuples(23, rows, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := core.NewEngineWith(core.Options{Shards: 2, CacheEntries: -1})
+		if err := e.AddTuples("t", pts); err != nil {
+			b.Fatal(err)
+		}
+		benchWorkers(b, fmt.Sprintf("linear/rows=%d", rows), e, reqs)
+	}
+}
+
+// benchWorkers times reqs, round robin, at Workers 1 and 2.
+func benchWorkers(b *testing.B, name string, e *core.Engine, reqs []core.Request) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				req := reqs[i%len(reqs)]
+				req.Workers = workers
+				if _, err := e.Run(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---- Linear reads over live delta segments ----

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"modelir/internal/colstore"
 	"modelir/internal/core"
 	"modelir/internal/synth"
 )
@@ -550,5 +551,43 @@ func TestNodeAddTuplesRefusesUnstorableRows(t *testing.T) {
 	n.mu.Unlock()
 	if parts != 0 {
 		t.Fatalf("%d partition entries registered", parts)
+	}
+}
+
+// TestNodeAddTuplesChecksWholeSetFirst: a node holding two partitions of
+// a tuple dataset refuses a NaN in the later partition before it
+// registers the earlier one. The error wraps the store's, the node lists
+// no partition of the dataset, and the name then registers with good
+// rows.
+func TestNodeAddTuplesChecksWholeSetFirst(t *testing.T) {
+	topo := Topology{Nodes: []string{"a:1", "b:1"}, Replication: 2}
+	n := NewNode(topo.Nodes[0], topo, NodeOptions{Shards: 1})
+	t.Cleanup(n.Close)
+	if got := len(n.place.assignments(n.self, "bad", KindTuples, 8)); got < 2 {
+		t.Fatalf("node holds %d partitions, the test needs two", got)
+	}
+	rows := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {1, 1}, {2, 2}, {3, 3}, {4, math.NaN()}}
+	err := n.AddTuples("bad", rows)
+	if !errors.Is(err, colstore.ErrRows) {
+		t.Fatalf("err = %v, want one wrapping colstore.ErrRows", err)
+	}
+	n.mu.Lock()
+	parts := len(n.parts["bad"])
+	n.mu.Unlock()
+	if parts != 0 {
+		t.Fatalf("%d partition entries registered after the refusal", parts)
+	}
+	if ds := n.eng.Datasets(); len(ds) != 0 {
+		t.Fatalf("engine registered %+v", ds)
+	}
+	rows[7] = []float64{4, 4}
+	if err := n.AddTuples("bad", rows); err != nil {
+		t.Fatalf("good rows under the refused name: %v", err)
+	}
+	n.mu.Lock()
+	parts = len(n.parts["bad"])
+	n.mu.Unlock()
+	if parts != 2 {
+		t.Fatalf("%d partition entries after the good registration, want 2", parts)
 	}
 }

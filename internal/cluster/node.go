@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"modelir/internal/archive"
+	"modelir/internal/colstore"
 	"modelir/internal/core"
 	"modelir/internal/synth"
 )
@@ -130,8 +131,14 @@ func (n *Node) register(dataset string, part int, e partEntry) error {
 // AddTuples ingests this node's partitions of a tuple dataset. Every
 // node receives the full point set and keeps only its assigned ranges;
 // result IDs are lifted by the range offset so they match the global
-// row indices a single-node engine would return.
+// row indices a single-node engine would return. The whole set is
+// checked once before any partition registers, so every node refuses
+// exactly what a single Engine.AddTuples refuses and a refused set
+// leaves no partition behind.
 func (n *Node) AddTuples(dataset string, points [][]float64) error {
+	if err := colstore.Check(points); err != nil {
+		return fmt.Errorf("cluster: register %q: %w", dataset, err)
+	}
 	for _, a := range n.place.assignments(n.self, dataset, KindTuples, len(points)) {
 		e := partEntry{offset: int64(a.Lo)}
 		if a.Lo < a.Hi {

@@ -3,20 +3,21 @@
 // one flat []float64 per attribute — no per-row allocation, no pointer
 // chase — partitioned into fixed-size blocks that carry zone maps:
 // per-block min/max per attribute plus the block's largest Euclidean
-// norm. A linear top-K scan walks blocks, upper-bounds each block from
-// its zone map against the model's signed coefficients (box bound) and
-// the weight norm (Cauchy-Schwarz bound), and skips the whole block
-// when the bound falls strictly below the current screening floor —
-// the same strict-inequality rule the cross-shard bound uses, so
-// blocked and unblocked scans return bit-identical top-K sets.
+// norm. A linear top-K scan upper-bounds each block from its zone map
+// against the model's signed coefficients (box bound) and the weight
+// norm (Cauchy-Schwarz bound), scores blocks best-first by that bound
+// (BlockQueue, across any number of stores), and stops at the first
+// block whose bound falls strictly below the current screening floor —
+// the same strict-inequality rule the shared bound uses, so blocked and
+// unblocked scans return bit-identical top-K sets.
 //
 // Stores are segmented: a segment is a row range blocks never span
 // (the Onion index stores one segment per layer; an engine tuple shard
 // is one segment). Within a segment, rows are ordered by descending
 // Euclidean norm (ties: ascending id), which clusters strong
-// candidates into early blocks so the norm bound prunes late blocks
-// wholesale — scan order never changes a top-K result, only how early
-// the floor rises.
+// candidates into a few blocks with high norm bounds and lets the norm
+// bound prune the low-norm tail wholesale — scan order never changes a
+// top-K result, only how early the floor rises.
 //
 // The scan kernel is allocation-free in steady state: block scores
 // land in a pooled scratch buffer, and cancellation/budget charges are
@@ -89,6 +90,35 @@ type Store struct {
 	kernName string
 }
 
+// ErrRows is wrapped by every refusal of a point set a store cannot
+// hold: empty, zero-width, ragged or non-finite.
+var ErrRows = errors.New("colstore: unstorable rows")
+
+// Check refuses, in one pass and without building, exactly the point
+// sets Build refuses: an empty set, zero-width rows, a row whose width
+// differs from the first row's, or a non-finite coordinate. The error
+// wraps ErrRows.
+func Check(points [][]float64) error {
+	if len(points) == 0 {
+		return fmt.Errorf("%w: empty point set", ErrRows)
+	}
+	dim := len(points[0])
+	if dim < 1 {
+		return fmt.Errorf("%w: zero-dimensional points", ErrRows)
+	}
+	for i, p := range points {
+		if len(p) != dim {
+			return fmt.Errorf("%w: point %d has dim %d, want %d", ErrRows, i, len(p), dim)
+		}
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: point %d has non-finite coordinate", ErrRows, i)
+			}
+		}
+	}
+	return nil
+}
+
 // Build constructs a single-segment store over the given rows with ids
 // 0..n-1. Rows are copied into the columnar layout; the input is not
 // retained. All coordinates must be finite (zone maps are meaningless
@@ -96,7 +126,7 @@ type Store struct {
 // the check rides the copy loop.
 func Build(points [][]float64, opt Options) (*Store, error) {
 	if len(points) == 0 {
-		return nil, errors.New("colstore: empty point set")
+		return nil, fmt.Errorf("%w: empty point set", ErrRows)
 	}
 	seg := make([]int, len(points))
 	for i := range seg {
@@ -112,14 +142,14 @@ func Build(points [][]float64, opt Options) (*Store, error) {
 func BuildSegmented(points [][]float64, segments [][]int, opt Options) (*Store, error) {
 	opt.applyDefaults()
 	if len(points) == 0 {
-		return nil, errors.New("colstore: empty point set")
+		return nil, fmt.Errorf("%w: empty point set", ErrRows)
 	}
 	if len(segments) == 0 {
 		return nil, errors.New("colstore: no segments")
 	}
 	dim := len(points[0])
 	if dim < 1 {
-		return nil, errors.New("colstore: zero-dimensional points")
+		return nil, fmt.Errorf("%w: zero-dimensional points", ErrRows)
 	}
 	total := 0
 	for si, seg := range segments {
@@ -173,11 +203,11 @@ func BuildSegmented(points [][]float64, segments [][]int, opt Options) (*Store, 
 	for r, pi := range order {
 		p := points[pi]
 		if len(p) != dim {
-			return nil, fmt.Errorf("colstore: point %d has dim %d, want %d", pi, len(p), dim)
+			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrRows, pi, len(p), dim)
 		}
 		for d, v := range p {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("colstore: point %d has non-finite coordinate", pi)
+				return nil, fmt.Errorf("%w: point %d has non-finite coordinate", ErrRows, pi)
 			}
 			s.cols[d][r] = v
 		}
@@ -304,7 +334,13 @@ func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // blockBound upper-bounds w·x over block b: the tighter of the zone
 // box bound (signed coefficient against the matching extreme) and the
-// Cauchy-Schwarz norm bound |w|·max|x|.
+// Cauchy-Schwarz norm bound |w|·max|x|. The box bound adds its terms in
+// the kernels' order, so by monotone rounding it is at least every
+// row's rounded score. The norm bound is not: for a row parallel to w,
+// sqrt(18)·sqrt(18) rounds to 17.999999999999996 against a score of
+// exactly 18. It is widened by (4·dim+16)·2^-53, against a worst case
+// near (2·dim+5)·2^-53 for the rounding of both norms, their product
+// and the row's dot product.
 func (s *Store) blockBound(b int, w []float64, wNorm float64) float64 {
 	zl, zh := s.zoneLo[b*s.dim:], s.zoneHi[b*s.dim:]
 	box := 0.0
@@ -315,7 +351,7 @@ func (s *Store) blockBound(b int, w []float64, wNorm float64) float64 {
 			box += wd * zl[d]
 		}
 	}
-	if nb := wNorm * s.zoneNorm[b]; nb < box {
+	if nb := wNorm * s.zoneNorm[b] * (1 + float64(4*s.dim+16)*0x1p-53); nb < box {
 		return nb
 	}
 	return box
@@ -359,7 +395,7 @@ func (s *Store) ScanSegment(si int, w []float64, wNorm float64, h *topk.Heap, sb
 			st.RowsZonePruned += hi - lo
 			continue
 		}
-		if m := s.scoreBlock(kern, lo, hi, w, h, shared, sc.scores[:hi-lo]); m > segMax {
+		if m := s.scoreBlock(kern, lo, hi, w, 0, h, shared, sc.scores[:hi-lo]); m > segMax {
 			segMax = m
 		}
 		st.RowsScored += hi - lo
@@ -372,16 +408,20 @@ func (s *Store) ScanSegment(si int, w []float64, wNorm float64, h *topk.Heap, sb
 	return segMax, false
 }
 
-// Scan scores every segment in order — the whole-store scan behind the
-// sequential-scan regime and the steady-state benchmark. done, when
-// non-nil, is polled once per block; a fired done stops the scan and
-// reports cancelled (the caller maps it back to its context error).
+// Scan scores the store into h best-first: it is the one-store case of
+// the BlockQueue loop, popping the block with the highest zone bound
+// and stopping at the first block whose bound is strictly below
+// topk.Floor(h, sb.Get()). After each block the heap threshold is
+// published to sb. done, when non-nil, is polled once per block; a fired
+// done stops the scan and reports cancelled (the caller maps it back to
+// its context error). exhausted reports that the meter ran out with
+// rows still queued.
 func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, meter *topk.Meter, done <-chan struct{}, st *Stats) (cancelled, exhausted bool) {
-	sc := getScratch(s.maxBlock)
-	defer putScratch(sc)
-	kern := s.scanKernel(w)
-	nb := s.NumBlocks()
-	for b := 0; b < nb; b++ {
+	q := GetBlockQueue(w, wNorm, meter, 1)
+	defer q.Release()
+	q.Add(s, 0)
+	defer func() { st.add(q.st[0]) }()
+	for {
 		if done != nil {
 			select {
 			case <-done:
@@ -389,25 +429,15 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 			default:
 			}
 		}
-		lo, hi := s.blockStart[b], s.blockStart[b+1]
-		if meter.Exhausted() {
-			st.RowsSkippedByBudget += s.rows - lo
-			return false, true
+		unit, ok := q.Pop(0, topk.Floor(h, sb.Get()))
+		if !ok {
+			return false, q.st[0].RowsSkippedByBudget > 0
 		}
-		shared := sb.Get()
-		if s.blockBound(b, w, wNorm) < topk.Floor(h, shared) {
-			st.BlocksZonePruned++
-			st.RowsZonePruned += hi - lo
-			continue
-		}
-		s.scoreBlock(kern, lo, hi, w, h, shared, sc.scores[:hi-lo])
-		st.RowsScored += hi - lo
-		meter.Charge(hi - lo)
+		q.Run(0, unit, h, sb)
 		if t, ok := h.Threshold(); ok {
 			sb.Raise(t)
 		}
 	}
-	return false, false
 }
 
 // scoreBlock runs the scan's selected dot-product kernel over the
@@ -418,7 +448,7 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 // the merged top-K and never costs a heap operation; a tied row is
 // offered, since its smaller id can still win. The floor only rises, so
 // the local part is refreshed only after an offer h accepts.
-func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, h *topk.Heap, shared float64, scores []float64) float64 {
+func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, offset int64, h *topk.Heap, shared float64, scores []float64) float64 {
 	kern(s.cols, lo, hi, w, scores)
 	blockMax := math.Inf(-1)
 	floor := topk.Floor(h, shared)
@@ -429,7 +459,7 @@ func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, h *topk.Hea
 		if v < floor {
 			continue
 		}
-		if h.OfferScore(s.ids[lo+i], v) {
+		if h.OfferScore(s.ids[lo+i]+offset, v) {
 			floor = topk.Floor(h, shared)
 		}
 	}

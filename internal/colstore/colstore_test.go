@@ -3,6 +3,8 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"modelir/internal/topk"
@@ -321,45 +323,219 @@ func TestSteadyStateScanZeroAllocs(t *testing.T) {
 	}
 }
 
+// drainQueue pops q into h with one worker, the loop Store.Scan and
+// parallel.TopK run, and returns h's items best first.
+func drainQueue(q *BlockQueue, h *topk.Heap, sb *topk.Bound) []topk.Item {
+	for {
+		unit, ok := q.Pop(0, topk.Floor(h, sb.Get()))
+		if !ok {
+			return h.Results()
+		}
+		q.Run(0, unit, h, sb)
+		if t, ok := h.Threshold(); ok {
+			sb.Raise(t)
+		}
+	}
+}
+
 // FuzzBlockedScanEquivalence drives the soundness property from fuzzed
-// shape parameters: whatever the data, weights, block size, floor, and
-// K, the blocked scan equals the row-by-row reference and keeps nothing
-// strictly below the floor.
+// shape parameters over the best-first block queue: whatever the data,
+// weights, block size, number of stores (each with its own id offset),
+// foreign floor and K, draining one queue over every store equals the
+// row-by-row reference over all rows and keeps nothing strictly below
+// the floor. mode bit 0 rounds coordinates to integers (tied scores),
+// bit 1 repeats rows (duplicates), and bit 2 moves the floor onto a
+// block's zone bound. A budgeted drain (budgetRaw > 0) must return the
+// exact top-K of the rows its stats say were scored: the first blocks
+// in the queue's pop order, whose rows add up to RowsScored.
 func FuzzBlockedScanEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(3), uint8(5), uint16(32), 0.0)
-	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(1), -1.5)
-	f.Add(int64(3), uint16(2000), uint8(8), uint8(40), uint16(1000), 2.0)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, dimRaw, kRaw uint8, blockRaw uint16, floor float64) {
+	f.Add(int64(1), uint16(100), uint8(3), uint8(5), uint16(32), 0.0, uint8(0), uint8(0), uint16(0))
+	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(1), -1.5, uint8(0), uint8(0), uint16(0))
+	f.Add(int64(3), uint16(2000), uint8(8), uint8(40), uint16(1000), 2.0, uint8(0), uint8(0), uint16(0))
+	f.Add(int64(4), uint16(900), uint8(2), uint8(12), uint16(40), math.Inf(-1), uint8(3), uint8(1), uint16(300))
+	f.Add(int64(5), uint16(700), uint8(3), uint8(9), uint16(25), math.Inf(-1), uint8(2), uint8(2), uint16(0))
+	f.Add(int64(6), uint16(1200), uint8(4), uint8(20), uint16(60), 0.0, uint8(3), uint8(4), uint16(0))
+	f.Add(int64(7), uint16(1500), uint8(3), uint8(7), uint16(50), 0.0, uint8(2), uint8(7), uint16(410))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, dimRaw, kRaw uint8, blockRaw uint16, floor float64, segsRaw, mode uint8, budgetRaw uint16) {
 		n := int(nRaw)%3000 + 1
 		dim := int(dimRaw)%8 + 1
 		k := int(kRaw)%50 + 1
 		blockRows := int(blockRaw)%500 + 1
+		nStores := min(int(segsRaw)%4+1, n)
 		if math.IsNaN(floor) {
 			floor = math.Inf(-1)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		pts := randomPoints(rng, n, dim)
+		for i, p := range pts {
+			if mode&2 != 0 && i > 0 && rng.Intn(3) == 0 {
+				pts[i] = pts[rng.Intn(i)]
+				continue
+			}
+			if mode&1 != 0 {
+				q := make([]float64, dim)
+				for d, v := range p {
+					q[d] = math.Round(v)
+				}
+				pts[i] = q
+			}
+		}
 		w := make([]float64, dim)
 		for d := range w {
 			w[d] = rng.NormFloat64()
+			if mode&1 != 0 {
+				w[d] = math.Round(w[d] * 2)
+			}
 		}
-		s, err := Build(pts, Options{BlockRows: blockRows})
+		wNorm := WeightNorm(w)
+		// Split the rows into stores; store s numbers its rows locally
+		// and is added at its first row's global index.
+		stores := make([]*Store, nStores)
+		offsets := make([]int64, nStores)
+		for s := range stores {
+			lo, hi := s*n/nStores, (s+1)*n/nStores
+			st, err := Build(pts[lo:hi], Options{BlockRows: blockRows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[s], offsets[s] = st, int64(lo)
+		}
+		newQueue := func(meter *topk.Meter) *BlockQueue {
+			q := GetBlockQueue(w, wNorm, meter, 1)
+			for s, st := range stores {
+				q.Add(st, offsets[s])
+			}
+			return q
+		}
+		if mode&4 != 0 {
+			s := stores[rng.Intn(nStores)]
+			floor = s.blockBound(rng.Intn(s.NumBlocks()), w, wNorm)
+		}
+		foreign := func() *topk.Bound {
+			sb := topk.NewBound()
+			sb.Raise(floor)
+			return sb
+		}
+
+		q := newQueue(nil)
+		raw := drainQueue(q, topk.MustHeap(k), foreign())
+		st := q.Stats()
+		q.Release()
+		noneBelow(t, raw, floor)
+		itemsEqual(t, "queue vs naive", filterAtLeast(raw, floor), filterAtLeast(naiveTopK(pts, w, k), floor))
+		if st.RowsScored+st.RowsZonePruned != n {
+			t.Fatalf("scored %d + pruned %d rows of %d", st.RowsScored, st.RowsZonePruned, n)
+		}
+
+		if budgetRaw == 0 {
+			return
+		}
+		q = newQueue(topk.NewMeter(int(budgetRaw)))
+		q.built = false
+		order := append([]queuedBlock(nil), q.heap...)
+		raw = drainQueue(q, topk.MustHeap(k), foreign())
+		st = q.Stats()
+		q.Release()
+		sort.Slice(order, func(a, b int) bool { return ahead(order[a], order[b]) })
+		var scored [][]float64
+		var ids []int64
+		rows := 0
+		for _, qb := range order {
+			if rows == st.RowsScored {
+				break
+			}
+			s := stores[qb.seg]
+			for r := s.blockStart[qb.b]; r < s.blockStart[qb.b+1]; r++ {
+				p := make([]float64, dim)
+				for d := range p {
+					p[d] = s.At(r, d)
+				}
+				scored = append(scored, p)
+				ids = append(ids, s.ID(r)+offsets[qb.seg])
+				rows++
+			}
+		}
+		if rows != st.RowsScored {
+			t.Fatalf("no prefix of the pop order holds the %d rows scored", st.RowsScored)
+		}
+		h := topk.MustHeap(k)
+		for j, p := range scored {
+			sc := 0.0
+			for d, v := range w {
+				sc += v * p[d]
+			}
+			h.OfferScore(ids[j], sc)
+		}
+		itemsEqual(t, "budgeted queue vs the rows it scored", filterAtLeast(raw, floor), filterAtLeast(h.Results(), floor))
+	})
+}
+
+// TestNormBoundCoversParallelRow: the Cauchy-Schwarz block bound must
+// not round below a row parallel to w. Unwidened, |w|·|x| for
+// w = x = (-3, -3) is 17.999999999999996 against a score of exactly 18,
+// and a floor of 18 (a tie, which must be kept) pruned the row.
+func TestNormBoundCoversParallelRow(t *testing.T) {
+	s, err := Build([][]float64{{-3, -3}, {1, 0}}, Options{BlockRows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{-3, -3}
+	got := scanAll(s, w, 1, 18, nil, &Stats{})
+	itemsEqual(t, "floor tied with a parallel row", got, []topk.Item{{ID: 0, Score: 18}})
+}
+
+// TestBlockQueueConcurrentDrain: several workers popping one queue over
+// several stores, each into its own heap under one shared bound, merge
+// to the naive top-K, and their stats account for every row once.
+func TestBlockQueueConcurrentDrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pts := randomPoints(rng, 6000, 4)
+	w := []float64{0.5, -1, 2, 0.25}
+	const workers = 4
+	var stores []*Store
+	for lo := 0; lo < len(pts); lo += 1500 {
+		s, err := Build(pts[lo:lo+1500], Options{BlockRows: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Stats
-		raw := scanAll(s, w, k, floor, nil, &st)
-		noneBelow(t, raw, floor)
-		got := filterAtLeast(raw, floor)
-		want := filterAtLeast(naiveTopK(pts, w, k), floor)
-		if len(got) != len(want) {
-			t.Fatalf("blocked %d items, naive %d", len(got), len(want))
+		stores = append(stores, s)
+	}
+	for _, k := range []int{1, 10, 7000} {
+		q := GetBlockQueue(w, WeightNorm(w), nil, workers)
+		for i, s := range stores {
+			q.Add(s, int64(i*1500))
 		}
-		for i := range want {
-			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-				t.Fatalf("pos %d: blocked (%d, %v), naive (%d, %v)",
-					i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-			}
+		sb := topk.NewBound()
+		heaps := make([]*topk.Heap, workers)
+		var wg sync.WaitGroup
+		for wk := range heaps {
+			heaps[wk] = topk.MustHeap(k)
+			wg.Add(1)
+			go func(wk int) {
+				defer wg.Done()
+				h := heaps[wk]
+				for {
+					unit, ok := q.Pop(wk, topk.Floor(h, sb.Get()))
+					if !ok {
+						return
+					}
+					q.Run(wk, unit, h, sb)
+					if th, ok := h.Threshold(); ok {
+						sb.Raise(th)
+					}
+				}
+			}(wk)
 		}
-	})
+		wg.Wait()
+		merged := topk.MustHeap(k)
+		for _, h := range heaps {
+			topk.Merge(merged, h)
+		}
+		st := q.Stats()
+		q.Release()
+		itemsEqual(t, "concurrent drain", merged.Results(), naiveTopK(pts, w, k))
+		if st.RowsScored+st.RowsZonePruned != len(pts) {
+			t.Fatalf("k %d: scored %d + pruned %d rows of %d", k, st.RowsScored, st.RowsZonePruned, len(pts))
+		}
+	}
 }

@@ -1,11 +1,13 @@
-// Admission control: a weighted semaphore bounding the total fan-out
-// workers in flight across all concurrent requests. Without it, N
-// concurrent callers each spawning a GOMAXPROCS-wide pool oversubscribe
-// the scheduler N-fold; with it, contended requests degrade to narrower
-// fan-outs (down to one worker) instead of stacking goroutines, and
-// callers block only when the budget is fully committed. Clamping a
-// request's workers is always result-safe: every query path returns
-// identical items and scores for any worker count (DESIGN.md §2).
+// Admission control: a weighted semaphore bounding the total workers in
+// flight across all concurrent requests. A request waits for the one
+// unit its caller's goroutine runs on; helpers join it only on units
+// free right now (parallel.TopK), and a batch takes what the budget can
+// spare up to its pool width. Without it, N concurrent callers each
+// adding helpers oversubscribe the scheduler; with it, contended
+// requests run alone instead of stacking goroutines, and callers block
+// only when the budget is fully committed. Clamping a request's workers
+// is always result-safe: every query path returns identical items and
+// scores for any worker count (DESIGN.md §2).
 
 package core
 
@@ -20,9 +22,11 @@ import (
 // degrades width instead of exploding goroutine counts.
 func DefaultMaxWorkers() int { return 4 * runtime.GOMAXPROCS(0) }
 
-// effectiveWorkers resolves a request's fan-out width before admission:
-// the requested count (0 = GOMAXPROCS) clamped to the plan's shard
-// count, since workers beyond one-per-shard never get work.
+// effectiveWorkers resolves the widest a request may run: the requested
+// count (0 = GOMAXPROCS) clamped to the plan's segment count. Units are
+// finer than segments, but the cap keeps a one-segment dataset (an
+// engine built with Shards 1) on one goroutine, with work counters as
+// deterministic as the Workers 1 ones.
 func effectiveWorkers(requested, shards int) int {
 	w := requested
 	if w <= 0 {
@@ -37,9 +41,10 @@ func effectiveWorkers(requested, shards int) int {
 	return w
 }
 
-// admit reserves fan-out workers from the engine's admission budget,
-// returning the (possibly clamped) width to run at and a release func.
-// With admission disabled it grants the full want.
+// admit reserves up to want workers from the engine's admission budget,
+// waiting for at least one, and returns the (possibly clamped) width to
+// run at and a release func. With admission disabled it grants the full
+// want.
 func (e *Engine) admit(ctx context.Context, want int) (int, func(), error) {
 	if e.adm == nil {
 		return want, func() {}, nil

@@ -1,8 +1,8 @@
-// Request-scoped scratch arena: every Run/RunBatch execution needs a
-// handful of per-shard accounting slices (family stats, examined
-// counters). A serving engine answers thousands of requests with the
-// same shard count, so these come from sync.Pools and are returned
-// inside each plan's finish hook — the last point that reads them.
+// Request-scoped scratch arena: every Run/RunBatch execution of a
+// scan-shaped family needs a per-worker accounting slice. A serving
+// engine answers thousands of requests at the same width, so these come
+// from sync.Pools and are returned inside each plan's finish hook — the
+// last point that reads them.
 // Error paths that skip finish simply drop the slices; sync.Pool makes
 // that a lost reuse, never a leak.
 
@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"modelir/internal/fsm"
-	"modelir/internal/progressive"
 	"modelir/internal/sproc"
 )
 
@@ -37,15 +36,12 @@ func (sp *slicePool[T]) get(n int) *[]T {
 
 func (sp *slicePool[T]) put(s *[]T) { sp.p.Put(s) }
 
-// scanCounts is one shard's share of a scan-shaped family's work
-// report (see scanPlan and the linear plan): evaluation units spent,
-// candidates examined, candidates screened out.
+// scanCounts is one worker's share of a scan-shaped family's work
+// report (see scanPlan): evaluation units spent, candidates examined,
+// candidates screened out.
 type scanCounts struct{ evals, examined, pruned int }
 
-var (
-	progStatsArena slicePool[progressive.Stats]
-	countsArena    slicePool[scanCounts]
-)
+var countsArena slicePool[scanCounts]
 
 // Evaluator scratch pools for the columnar scan kernels: machine
 // extraction / behavioral distance buffers (FSM-distance family) and

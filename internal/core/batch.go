@@ -6,11 +6,11 @@
 //  2. dedup — identical cacheable requests (same canonical key bytes)
 //     execute once, with followers receiving copies of the leader's
 //     result;
-//  3. amortized fan-out — surviving requests are ordered into per-
-//     model-family groups and ALL of their (request, shard) cells are
-//     scheduled on ONE shared worker pool (parallel.BatchShardTopKCtx)
-//     under ONE admission grant, instead of a pool and a grant per
-//     request; mixed-family batches run their families concurrently.
+//  3. one pool — surviving requests are ordered into per-model-family
+//     groups and each runs as one unit of ONE shared worker pool
+//     (parallel.BatchTopK) under ONE admission grant, instead of a
+//     grant per request; mixed-family batches run their families
+//     concurrently.
 //
 // Every request's items and stats are bit-identical (modulo Wall and
 // Cache) to what a solo Engine.Run of the same request would return:
@@ -111,10 +111,10 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	}
 
 	// Phase 2: order the survivors family-major (compatible requests
-	// grouped per model family, first-appearance order), then plan and
-	// execute EVERY group's (request, shard) cells on one shared pool
-	// under one admission grant — a mixed-family batch runs its
-	// families concurrently, not back to back.
+	// grouped per model family, first-appearance order), then plan them
+	// and run each as one unit of one shared pool under one admission
+	// grant — a mixed-family batch runs its families concurrently, not
+	// back to back.
 	groups := make(map[ModelKind][]*batchEntry)
 	var order []ModelKind
 	for _, en := range exec {
@@ -142,17 +142,16 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 		// The batch admits once, at the widest width any member would
 		// have used solo — batching never consumes more of the worker
 		// budget than the largest single request.
-		if w := effectiveWorkers(en.req.Workers, p.shards); w > want {
-			want = w
-		}
+		want = max(want, p.workers)
 		live = append(live, en)
 		plans = append(plans, p)
-		specs = append(specs, parallel.BatchSpec{Shards: p.shards, K: en.req.K, Floor: p.floor, Run: p.run})
+		specs = append(specs, parallel.BatchSpec{Queue: p.q, K: en.req.K, Floor: p.floor})
 	}
 	if len(live) == 0 {
 		return out, nil
 	}
-	workers, release, err := e.admit(ctx, want)
+	// Workers beyond one per request never get a unit.
+	workers, release, err := e.admit(ctx, min(want, len(live)))
 	if err != nil {
 		for _, en := range live {
 			fillBatchErr(out, en, err)
@@ -161,7 +160,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	}
 	defer release()
 
-	results, errs := parallel.BatchShardTopKCtx(ctx, workers, specs)
+	results, errs := parallel.BatchTopK(ctx, workers, specs)
 	var ctxErr error
 	for gi, en := range live {
 		if errs[gi] != nil {

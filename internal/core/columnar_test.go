@@ -186,7 +186,7 @@ func TestKnowledgeFeatureMatrixMatchesArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := newSceneSet(arch, 2)
+	ss := newSceneSet(arch)
 	if len(ss.featCols) != arch.NumBands()*4 {
 		t.Fatalf("%d feature columns for %d bands", len(ss.featCols), arch.NumBands())
 	}

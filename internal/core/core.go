@@ -18,10 +18,13 @@
 // archive scale.
 //
 // Archives are sharded at ingest (Options.Shards partitions, default
-// GOMAXPROCS) and every query family fans out one worker per shard,
-// merging per-shard top-K heaps through the shared atomic screening
-// bound in parallel.ShardTopK. Sharding changes wall-clock time only:
-// results are identical to a single-shard scan (see DESIGN.md §2).
+// GOMAXPROCS). A query compiles to one queue of units — tuple blocks
+// of every shard and delta ordered by zone bound, one scene descent,
+// chunks of regions, wells or tiles — that parallel.TopK drains
+// best-first into one top-K heap on the caller's goroutine; helpers
+// join only requests that run longer than parallel.BreakEven. Sharding
+// and helpers change wall-clock time only: results are identical to a
+// single-shard scan (see DESIGN.md §2).
 package core
 
 import (
@@ -33,6 +36,7 @@ import (
 
 	"modelir/internal/archive"
 	"modelir/internal/canon"
+	"modelir/internal/colstore"
 	"modelir/internal/fsm"
 	"modelir/internal/parallel"
 	"modelir/internal/qcache"
@@ -68,17 +72,16 @@ func (k ModelKind) String() string {
 // Options tunes engine construction.
 type Options struct {
 	// Shards is the number of partitions each dataset is split into at
-	// ingest; every query fans out one worker per shard. 0 means
+	// ingest; it also caps a request's width (Request.Workers). 0 means
 	// GOMAXPROCS. 1 reproduces the sequential engine exactly.
 	Shards int
 	// CacheEntries caps the result cache (see DESIGN.md §6): 0 means
 	// qcache.DefaultEntries, negative disables caching entirely.
 	CacheEntries int
-	// MaxWorkers is the admission-control budget: the total fan-out
-	// workers allowed in flight across all concurrent requests. 0 means
-	// DefaultMaxWorkers(); negative disables admission control (every
-	// request gets the width it asked for, as in the pre-serving
-	// engine).
+	// MaxWorkers is the admission-control budget: the total workers
+	// (callers and helpers) in flight across all concurrent requests.
+	// 0 means DefaultMaxWorkers(); negative disables admission control
+	// (helpers then join on elapsed time and Request.Workers alone).
 	MaxWorkers int
 }
 
@@ -90,7 +93,7 @@ type Options struct {
 // over a consistent shard list. The serving layer rides on top: a
 // result cache keyed by canonical request bytes (invalidated
 // per dataset by generation counters) and a weighted admission
-// semaphore bounding total fan-out workers.
+// semaphore bounding the workers in flight.
 type Engine struct {
 	shards int
 
@@ -254,17 +257,22 @@ func addSet[S rowShard[R], R any](e *Engine, k dsKind, sets map[string]*set[S, R
 // AddTuples registers a tuple archive (rows of attribute vectors),
 // partitioning it into the engine's shard count and building every
 // shard's columnar store. Rows a store cannot hold — ragged, zero-width
-// or non-finite — fail the registration, which then registers nothing.
-// The rows are not copied; the caller must not mutate them afterwards.
+// or non-finite, checked over the whole set (colstore.Check) so the
+// refusal does not depend on the shard count — fail the registration,
+// which then registers nothing. The rows are not copied; the caller
+// must not mutate them afterwards.
 func (e *Engine) AddTuples(name string, points [][]float64) error {
 	if len(points) == 0 {
 		return errors.New("core: empty tuple set")
 	}
+	if err := colstore.Check(points); err != nil {
+		return fmt.Errorf("core: register %q: %w", name, err)
+	}
 	return addSet(e, dsTuples, e.tuples, name, points, e.newTupleShard)
 }
 
-// AddScene registers a raster archive, partitioning its coarsest
-// pyramid level into per-shard root-cell territories.
+// AddScene registers a raster archive. Scenes are not partitioned: a
+// scene query is one descent over the whole pyramid.
 func (e *Engine) AddScene(name string, sc *archive.Scene) error {
 	if sc == nil {
 		return errors.New("core: nil scene")
@@ -275,7 +283,7 @@ func (e *Engine) AddScene(name string, sc *archive.Scene) error {
 	if err := e.reserve(dsScenes, name); err != nil {
 		return err
 	}
-	ss := newSceneSet(sc, e.shards)
+	ss := newSceneSet(sc)
 	e.commit(dsScenes, name, func() { e.scenes[name] = ss })
 	return nil
 }

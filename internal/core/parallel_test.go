@@ -8,8 +8,8 @@ import (
 
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
-	"modelir/internal/parallel"
 	"modelir/internal/synth"
+	"modelir/internal/topk"
 )
 
 func TestFSMTopKParallelMatchesSerial(t *testing.T) {
@@ -122,17 +122,16 @@ func TestScanTopKTuplesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	coeffs := []float64{1, -2, 0.5}
-	// The oracle: a naive scan of every row, sharded across 8 workers.
-	par, err := parallel.TopK(len(pts), 10, 8, func(i int) (float64, bool, error) {
+	// The oracle: a naive scan of every row.
+	oracle := topk.MustHeap(10)
+	for i, p := range pts {
 		s := 3.0
 		for j, c := range coeffs {
-			s += c * pts[i][j]
+			s += c * p[j]
 		}
-		return s, true, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		oracle.OfferScore(int64(i), s)
 	}
+	par := oracle.Results()
 	// Cross-check against the indexed path.
 	m, err := linear.New([]string{"a", "b", "c"}, coeffs, 3)
 	if err != nil {

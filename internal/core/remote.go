@@ -1,7 +1,7 @@
 // Remote-execution hooks: the pieces the cluster layer needs to run one
 // logical query's partition on this process while exchanging screening
 // floors with partitions running elsewhere. The engine keeps its whole
-// execution pipeline (cache, admission, shard fan-out, budget) — the
+// execution pipeline (cache, admission, unit queue, budget) — the
 // only new surface is a SharedBound that splices external floor raises
 // into the query's internal topk.Bound and exposes local raises for
 // publication.

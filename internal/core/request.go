@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"modelir/internal/bayes"
@@ -23,6 +24,7 @@ import (
 	"modelir/internal/linear"
 	"modelir/internal/parallel"
 	"modelir/internal/progressive"
+	"modelir/internal/pyramid"
 	"modelir/internal/sproc"
 	"modelir/internal/topk"
 )
@@ -46,8 +48,12 @@ type Request struct {
 	Query Query
 	// K is the number of results wanted; 0 means DefaultK.
 	K int
-	// Workers bounds the goroutine pool the shard fan-out runs on;
-	// 0 means GOMAXPROCS. Results are identical for any worker count.
+	// Workers bounds the goroutines the request may run on: its
+	// caller's, plus helpers that join once it has run longer than
+	// parallel.BreakEven and admission has a spare unit. 0 means
+	// GOMAXPROCS; the width is also capped at the dataset's segment
+	// count, so Workers 1 and a one-segment dataset never get a helper.
+	// Results are identical for any worker count.
 	Workers int
 	// Budget caps the work the query may spend, measured in the
 	// family's evaluation unit (see QueryStats.Evaluations); 0 means
@@ -74,7 +80,9 @@ type QueryStats struct {
 	// (knowledge tiles).
 	Evaluations int
 	// Examined counts candidates actually inspected (points, pixels and
-	// cells, regions, wells, tiles).
+	// cells, regions, wells, tiles). Units run best-first, so it is the
+	// work done before the screening floor passed every unit left; with
+	// helpers it depends on how early their floors rose.
 	Examined int
 	// Pruned counts candidates the screening machinery ruled out
 	// without evaluating them (index pruning, metadata prefilters,
@@ -84,7 +92,9 @@ type QueryStats struct {
 	// (Scene queries are the one approximation: their unvisited-pixel
 	// count cannot split descent pruning from budget truncation.)
 	Pruned int
-	// Shards is the fan-out width the dataset was partitioned into.
+	// Shards counts the segments the plan's units came from: the
+	// dataset's base shards plus its live deltas (1 for scene queries,
+	// whose one descent covers the whole scene, and for tile queries).
 	Shards int
 	// Wall is the end-to-end execution time of the request.
 	Wall time.Duration
@@ -121,53 +131,59 @@ type Query interface {
 	// Kind reports the model family.
 	Kind() ModelKind
 	// plan compiles the query against the engine into a single-use
-	// shard fan-out.
+	// unit queue.
 	plan(ctx context.Context, e *Engine, req Request) (queryPlan, error)
 }
 
-// queryPlan is one compiled request: a shard fan-out Run can execute on
-// its own pool and RunBatch can schedule cell-by-cell on a shared pool.
-// Plans are single-use — the runner and finish closures carry the
-// per-execution accounting state (budget meter, per-shard stat slots).
+// queryPlan is one compiled request: a queue of units, each with an
+// upper bound, that Run drains on the caller's goroutine (and helpers,
+// see parallel.TopK) and RunBatch runs as one unit of its pool. Plans
+// are single-use — the queue carries the per-execution accounting state
+// (budget meter, per-worker counters).
 type queryPlan struct {
-	// shards is the fan-out width (one runner call per shard).
-	shards int
-	// floor seeds the cross-shard screening bound (-Inf for none).
+	// segments is how many segments the units come from
+	// (QueryStats.Shards).
+	segments int
+	// workers is the widest the request may run: Request.Workers capped
+	// at segments (see effectiveWorkers). The queue keeps one counter
+	// slot per worker.
+	workers int
+	// floor seeds the screening bound (-Inf for none).
 	floor float64
 	// shift is the offset between the internal screening-score scale the
-	// shard runners publish to the bound and the caller-visible result
-	// scale (the linear family screens pre-intercept; everyone else 0).
+	// units publish to the bound and the caller-visible result scale
+	// (the linear family screens pre-intercept; everyone else 0).
 	// RunShared uses it to translate floors exchanged across processes.
 	shift float64
-	// run scans one shard; see parallel.ShardRunner.
-	run parallel.ShardRunner
-	// finish turns the merged top-K into the caller-visible items and
-	// normalized stats (score shifts, per-shard stat aggregation).
+	q     parallel.Queue
+	// finish turns the top-K into the caller-visible items and
+	// normalized stats (score shifts, per-worker stat aggregation).
 	finish func(items []topk.Item) ([]topk.Item, QueryStats, error)
 }
 
-// Run executes one request: resolve the dataset, fan the query out
-// across its shards with cross-shard screening, honor ctx cancellation
-// and the request's budget, and merge the exact top-K. All model
-// families flow through this entry point.
+// Run executes one request: resolve the dataset, compile the query into
+// a queue of units, drain it best-first into one top-K heap under the
+// request's screening floor, honor ctx cancellation and the request's
+// budget, and return the exact top-K. All model families flow through
+// this entry point.
 //
 // Serving behavior: cacheable requests (see DESIGN.md §6) are answered
 // from the result cache when a live entry exists — bit-identical to a
 // cold run, with only Stats.Wall and Stats.Cache reflecting the hit —
-// and admission control clamps the fan-out width when the engine's
-// worker budget is contended, which changes scheduling only, never
-// results.
+// and admission control bounds the goroutines in flight: a request
+// waits for the one unit its caller runs on, and helpers join only on
+// units free right now, which changes scheduling only, never results.
 //
-// Cancellation is cooperative and prompt: every family checks ctx
-// inside its per-shard scan loops (per tuple block, per pyramid cell,
-// per region, per well, per tile), so a cancelled or timed-out request
-// stops burning CPU mid-shard and returns ctx.Err().
+// Cancellation is cooperative and prompt: ctx is checked before every
+// unit (a tuple block, a run of regions, wells or tiles) and inside the
+// scene descent per frontier pop, so a cancelled or timed-out request
+// stops burning CPU and returns ctx.Err().
 func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
 	return e.runReq(ctx, req, nil)
 }
 
 // bareCtxErr surfaces cancellation as the bare ctx.Err() the caller
-// acted on, not wrapped in shard-fanout annotations.
+// acted on, not wrapped in annotations.
 func bareCtxErr(ctx context.Context, err error) error {
 	if ce := ctx.Err(); ce != nil && errors.Is(err, ce) {
 		return ce
@@ -196,7 +212,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	if key != nil {
 		defer releaseKey(key)
 		// The target dataset's generation is sampled before the plan
-		// resolves its shard list, so an append racing this request
+		// resolves its segment list, so an append racing this request
 		// either lands before the sample (the entry is stored under —
 		// and valid for — the new generation) or after it (the entry is
 		// stamped stale the moment it is written). Other datasets'
@@ -211,7 +227,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	if err != nil {
 		return Result{}, bareCtxErr(ctx, err)
 	}
-	workers, release, err := e.admit(ctx, effectiveWorkers(req.Workers, p.shards))
+	_, release, err := e.admit(ctx, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -222,7 +238,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 		sb.attach(bound, p.shift)
 		defer sb.detach()
 	}
-	items, err := parallel.ShardTopKBoundCtx(ctx, p.shards, req.K, workers, bound, p.run)
+	items, err := parallel.TopK(ctx, p.q, req.K, p.workers, bound, e.adm)
 	if err != nil {
 		return Result{}, bareCtxErr(ctx, err)
 	}
@@ -361,40 +377,29 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 	if !ok {
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
+	for _, sh := range ts.scan {
+		if len(m.Coeffs) != sh.store.Dim() {
+			return queryPlan{}, fmt.Errorf("core: model has %d coefficients, tuples have %d attributes", len(m.Coeffs), sh.store.Dim())
+		}
+	}
 	meter := topk.NewMeter(req.Budget)
-	w, wNorm := m.Coeffs, colstore.WeightNorm(m.Coeffs)
-	done := ctx.Done()
-	// Plans fan out over the scan list — base shards plus any live
-	// delta segments.
-	countsP := countsArena.get(len(ts.scan))
-	counts := *countsP
+	workers := effectiveWorkers(req.Workers, len(ts.scan))
+	// The units are the blocks of every segment — base shards plus any
+	// live deltas — in one queue ordered by zone bound. Stores number
+	// rows locally; each segment's offset lifts its IDs into the global
+	// tuple index space.
+	bq := colstore.GetBlockQueue(m.Coeffs, colstore.WeightNorm(m.Coeffs), meter, workers)
+	for _, sh := range ts.scan {
+		bq.Add(sh.store, int64(sh.offset))
+	}
 	return queryPlan{
-		shards: len(ts.scan),
+		segments: len(ts.scan),
+		workers:  workers,
 		// The shared bound screens pre-intercept scores, so the
 		// MinScore floor is shifted into that scale.
 		floor: floorOf(req, m.Intercept),
 		shift: m.Intercept,
-		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			sh := ts.scan[si]
-			if len(w) != sh.store.Dim() {
-				return dst, fmt.Errorf("core: model has %d coefficients, tuples have %d attributes", len(w), sh.store.Dim())
-			}
-			h := topk.MustGetHeap(req.K)
-			defer topk.PutHeap(h)
-			var st colstore.Stats
-			if cancelled, _ := sh.store.Scan(w, wNorm, h, sb, meter, done, &st); cancelled {
-				return dst, ctx.Err()
-			}
-			counts[si] = scanCounts{evals: st.RowsScored, examined: st.RowsScored, pruned: st.RowsZonePruned}
-			// Stores number rows locally; lift IDs into the global
-			// tuple index space.
-			start := len(dst)
-			dst = h.AppendUnordered(dst)
-			for i := start; i < len(dst); i++ {
-				dst[i].ID += int64(sh.offset)
-			}
-			return dst, nil
-		},
+		q:     bq,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			// The model's intercept shifts every score identically; add
 			// it so returned scores equal model values.
@@ -403,7 +408,15 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 					items[i].Score += m.Intercept
 				}
 			}
-			return items, sumCounts(countsP, meter), nil
+			st := bq.Stats()
+			bq.Release()
+			return items, QueryStats{
+				Evaluations: st.RowsScored,
+				Examined:    st.RowsScored,
+				Pruned:      st.RowsZonePruned,
+				Shards:      len(ts.scan),
+				Truncated:   meter.Exhausted(),
+			}, nil
 		},
 	}, nil
 }
@@ -431,125 +444,134 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan
 	if !ok {
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
-	meter := topk.NewMeter(req.Budget)
-	perShardP := progStatsArena.get(len(ss.roots))
-	perShard := *perShardP
+	u := &sceneUnit{pm: q.Model, pyr: ss.scene.Pyramid(), ctx: ctx, meter: topk.NewMeter(req.Budget)}
 	return queryPlan{
-		shards: len(ss.roots),
-		floor:  floorOf(req, 0),
-		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			opt := progressive.DescendOpts{Ctx: ctx, Bound: sb, Meter: meter}
-			dst, st, err := progressive.CombinedShardUnordered(q.Model, ss.scene.Pyramid(), req.K, ss.roots[si], opt, dst)
-			perShard[si] = st
-			return dst, err
-		},
+		segments: 1,
+		workers:  1,
+		floor:    floorOf(req, 0),
+		q:        u,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			var det progressive.Stats
-			for _, s := range perShard {
-				det.PixelTermEvals += s.PixelTermEvals
-				det.CellTermEvals += s.CellTermEvals
-				det.PixelsVisited += s.PixelsVisited
-				det.CellsVisited += s.CellsVisited
-			}
-			progStatsArena.put(perShardP)
-			st := QueryStats{
-				Evaluations: det.Work(),
-				Examined:    det.PixelsVisited + det.CellsVisited,
-				Pruned:      ss.scene.W*ss.scene.H - det.PixelsVisited,
-				Shards:      len(ss.roots),
-				Truncated:   meter.Exhausted(),
-			}
-			return items, st, nil
+			return items, QueryStats{
+				Evaluations: u.st.Work(),
+				Examined:    u.st.PixelsVisited + u.st.CellsVisited,
+				Pruned:      ss.scene.W*ss.scene.H - u.st.PixelsVisited,
+				Shards:      1,
+				Truncated:   u.meter.Exhausted(),
+			}, nil
 		},
 	}, nil
 }
 
+// sceneUnit is a scene plan's queue: one unit, the branch-and-bound
+// descent over every root cell from one frontier, which orders its own
+// work best-first and stops at the floor itself.
+type sceneUnit struct {
+	taken atomic.Bool
+	pm    *linear.ProgressiveModel
+	pyr   *pyramid.MultibandPyramid
+	ctx   context.Context
+	meter *topk.Meter
+	st    progressive.Stats
+}
+
+func (u *sceneUnit) Pop(int, float64) (int, bool) { return 0, !u.taken.Swap(true) }
+
+func (u *sceneUnit) Run(_, _ int, h *topk.Heap, sb *topk.Bound) error {
+	var err error
+	u.st, err = progressive.CombinedInto(u.pm, u.pyr, h, progressive.DescendOpts{Ctx: u.ctx, Bound: sb, Meter: u.meter})
+	return err
+}
+
 // ---- Finite-state models over series archives ----
 
-// ctxCheckMask amortizes the per-candidate non-blocking ctx.Done()
-// select to one poll every 32 candidates (i&mask == 0). A final
-// ctx.Err() read before a shard returns keeps the contract that a
-// context cancelled mid-scan never yields a normal result, no matter
-// where between polls the cancellation landed.
-const ctxCheckMask = 31
+// chunkSize is how many candidates one unit of a scan-shaped family
+// (series regions, wells, tiles) holds: enough to amortize a pop and a
+// context check, few enough that a helper finds work to share.
+const chunkSize = 8
 
-// scanPlan builds the fan-out for a scan-shaped family (series
-// regions, wells, tiles) with the shared per-candidate scaffold: an
-// amortized context check and a budget gate before each candidate,
-// publication of the local heap's threshold to the shared bound
-// whenever it rises (as the linear and scene scans do), and the
-// QueryStats the plan's finish reports: the scan hook counts its
-// shard's evaluations, examined and pruned candidates into c, and
-// finish sums them. The scan hook receives the shared bound; a hook
-// that can screen a candidate reads the one floor rule,
-// topk.Floor(h, sb.Get()). The scan hook owns the meter: a
-// family whose candidate cost is known up front (series days, rule
-// count) charges the meter BEFORE scoring, so concurrent workers see
-// the spend the moment the work is committed rather than after it
-// completes — the overshoot window is one in-flight candidate's gate
-// race, not a whole candidate's worth of invisible work per worker.
-// Families whose cost is emergent (geology's DP work depends on
-// pruning) charge as soon as the evaluator reports it. Single-worker
-// truncation points are unchanged either way: the gate reads the meter
-// before each candidate, and the previous candidate's charge is
-// visible at that gate under both disciplines.
-func scanPlan(ctx context.Context, req Request, nShards int, meter *topk.Meter,
-	shardSize func(si int) int,
-	scan func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error,
+// scanPlan builds the queue of a scan-shaped family (series regions,
+// wells, tiles): fixed-size chunks of candidates in ID order, segment
+// by segment, handed out from one atomic cursor. The scan hook runs on
+// worker w; workers may share a segment, so state it keeps per segment
+// must be per worker too. These families have no per-chunk bound, so
+// no chunk is dropped by the floor; the scan hook may screen single
+// candidates against the shared bound with the one floor rule,
+// topk.Floor(h, sb.Get()), and counts its worker's evaluations,
+// examined and pruned candidates into c. The budget gate runs before
+// every candidate. The scan hook owns the meter: a family
+// whose candidate cost is known up front (series days, rule count)
+// charges the meter BEFORE scoring, so concurrent workers see the spend
+// the moment the work is committed rather than after it completes —
+// the overshoot window is one in-flight candidate's gate race, not a
+// whole candidate's worth of invisible work per worker. Families whose
+// cost is emergent (geology's DP work depends on pruning) charge as
+// soon as the evaluator reports it. Single-worker truncation points are
+// unchanged either way: the gate reads the meter before each candidate,
+// and the previous candidate's charge is visible at that gate under
+// both disciplines.
+func scanPlan(req Request, nSegs int, meter *topk.Meter,
+	segSize func(si int) int,
+	scan func(w, si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error,
 ) queryPlan {
-	done := ctx.Done()
-	countsP := countsArena.get(nShards)
-	counts := *countsP
+	workers := effectiveWorkers(req.Workers, nSegs)
+	q := &chunkQueue{meter: meter, segSize: segSize, scan: scan, counts: countsArena.get(workers)}
+	for si := 0; si < nSegs; si++ {
+		q.units += (segSize(si) + chunkSize - 1) / chunkSize
+	}
 	return queryPlan{
-		shards: nShards,
-		floor:  floorOf(req, 0),
-		run: func(si int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			h := topk.MustGetHeap(req.K)
-			defer topk.PutHeap(h)
-			raised := math.Inf(-1)
-			c := &counts[si]
-			n := shardSize(si)
-			for i := 0; i < n; i++ {
-				if i&ctxCheckMask == 0 {
-					select {
-					case <-done:
-						return dst, ctx.Err()
-					default:
-					}
-				}
-				if meter.Exhausted() {
-					break // budget exhausted: keep what this shard has
-				}
-				if err := scan(si, i, h, sb, c); err != nil {
-					return dst, err
-				}
-				if t, ok := h.Threshold(); ok && t > raised {
-					sb.Raise(t)
-					raised = t
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return dst, err
-			}
-			return h.AppendUnordered(dst), nil
-		},
+		segments: nSegs,
+		workers:  workers,
+		floor:    floorOf(req, 0),
+		q:        q,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			return items, sumCounts(countsP, meter), nil
+			st := QueryStats{Shards: nSegs, Truncated: meter.Exhausted()}
+			for _, c := range *q.counts {
+				st.Evaluations += c.evals
+				st.Examined += c.examined
+				st.Pruned += c.pruned
+			}
+			countsArena.put(q.counts)
+			return items, st, nil
 		},
 	}
 }
 
-// sumCounts totals per-shard counts into a plan's QueryStats and
-// returns them to the arena.
-func sumCounts(countsP *[]scanCounts, meter *topk.Meter) QueryStats {
-	st := QueryStats{Shards: len(*countsP), Truncated: meter.Exhausted()}
-	for _, c := range *countsP {
-		st.Evaluations += c.evals
-		st.Examined += c.examined
-		st.Pruned += c.pruned
+// chunkQueue is scanPlan's queue: unit u is the u-th chunk of
+// candidates, counting chunk by chunk through every segment in order.
+type chunkQueue struct {
+	next    atomic.Int64
+	units   int
+	meter   *topk.Meter
+	segSize func(si int) int
+	scan    func(w, si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error
+	counts  *[]scanCounts // one slot per worker
+}
+
+func (q *chunkQueue) Pop(int, float64) (int, bool) {
+	if q.meter.Exhausted() {
+		return 0, false
 	}
-	countsArena.put(countsP)
-	return st
+	u := int(q.next.Add(1) - 1)
+	return u, u < q.units
+}
+
+func (q *chunkQueue) Run(w, u int, h *topk.Heap, sb *topk.Bound) error {
+	si, n := 0, q.segSize(0)
+	for u >= (n+chunkSize-1)/chunkSize {
+		u -= (n + chunkSize - 1) / chunkSize
+		si++
+		n = q.segSize(si)
+	}
+	c := &(*q.counts)[w]
+	for i := u * chunkSize; i < min(n, (u+1)*chunkSize); i++ {
+		if q.meter.Exhausted() {
+			break // budget exhausted: keep what the heap has
+		}
+		if err := q.scan(w, si, i, h, sb, c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FSMQuery ranks regions of a series archive by fsm.FlyScore under the
@@ -575,9 +597,9 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, 
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	return scanPlan(ctx, req, len(ss.scan), meter,
+	return scanPlan(req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
+		func(_, si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
 			if q.Prefilter != nil && !q.Prefilter(sh.sums[i]) {
 				c.pruned++
@@ -626,9 +648,9 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (que
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	return scanPlan(ctx, req, len(ss.scan), meter,
+	return scanPlan(req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
+		func(_, si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
 			events := sh.eventsOf(i)
 			meter.Charge(len(events))
@@ -675,17 +697,23 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request) (queryPl
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	// One columnar scanner per shard: the grade closures bind once and
-	// walk the shard's flat strata planes; per well only the base
-	// offset moves.
-	scanners := make([]*geoShardScanner, len(ws.scan))
+	// One columnar scanner per segment and worker: the grade closures
+	// bind once and walk the segment's flat strata planes; per well only
+	// the base offset moves, so workers sharing a segment need their
+	// own. Helpers' scanners are made on first use, by the helper.
+	nSegs := len(ws.scan)
+	scanners := make([]*geoShardScanner, effectiveWorkers(req.Workers, nSegs)*nSegs)
 	for si, sh := range ws.scan {
 		scanners[si] = newGeoShardScanner(sh, q)
 	}
-	return scanPlan(ctx, req, len(ws.scan), meter,
+	return scanPlan(req, nSegs, meter,
 		func(si int) int { return len(ws.scan[si].wells) },
-		func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error {
-			g := scanners[si]
+		func(w, si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error {
+			g := scanners[w*nSegs+si]
+			if g == nil {
+				g = newGeoShardScanner(ws.scan[si], q)
+				scanners[w*nSegs+si] = g
+			}
 			n := g.setWell(i)
 			var (
 				best     sproc.Match
@@ -773,12 +801,12 @@ func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request) (query
 	meter := topk.NewMeter(req.Budget)
 	cost := q.Rules.Len()
 	// The tile table is one un-sharded list; scanPlan with a single
-	// shard still supplies the scan scaffold (ctx checks, budget gate).
+	// segment still supplies the scan scaffold (chunks, budget gate).
 	// Tile scoring has no screening stage, so Pruned stays 0: every
 	// tile not examined was budget-skipped.
-	return scanPlan(ctx, req, 1, meter,
+	return scanPlan(req, 1, meter,
 		func(int) int { return len(sc.Tiles) },
-		func(_, ti int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
+		func(_, _, ti int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			// Rule-evaluation cost is fixed per tile: charge before
 			// scoring so concurrent budget gates see committed work.
 			meter.Charge(cost)

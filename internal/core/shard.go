@@ -1,12 +1,12 @@
 // Shard plumbing for the engine: every dataset is partitioned into N
 // contiguous shards at ingest, each shard carrying its own
 // model-specific layout (a norm-ordered columnar store for tuple
-// archives, an assigned slice of pyramid root cells for scenes,
-// precomputed metadata summaries for series), all built when the shard
-// is constructed. Queries fan out one worker per shard and merge
-// partial top-K heaps; because shard data is immutable once built, the
-// whole structure is safe for concurrent queries without locks on the
-// hot path.
+// archives, precomputed metadata summaries and event planes for series,
+// flat strata planes for wells), all built when the shard is
+// constructed. A query's units come from every shard and delta of the
+// dataset (see queryPlan); because shard data is immutable once built,
+// the whole structure is safe for concurrent queries without locks on
+// the hot path.
 //
 // Live ingest rides on the same invariant: an append never mutates a
 // set in place. It builds an immutable, already indexed delta segment
@@ -27,7 +27,6 @@ import (
 	"modelir/internal/archive"
 	"modelir/internal/colstore"
 	"modelir/internal/fsm"
-	"modelir/internal/progressive"
 	"modelir/internal/synth"
 )
 
@@ -421,16 +420,15 @@ func restoredWellSet(ids []int, counts []int, lith []synth.Lithology, topFt, thi
 }
 
 // sceneSet is a registered raster archive. The scene's pyramid (built
-// by archive.BuildScene) is shared read-only across shards; what is
-// partitioned is the coarsest-level cell frontier, so each shard runs
-// branch-and-bound over its own territory of the scene. The tile
+// by archive.BuildScene) is read-only; a scene query is one
+// branch-and-bound descent over every root cell from one frontier, so
+// nothing is partitioned. The tile
 // feature matrix is the knowledge family's columnar plane: one flat
 // row of per-band statistics per tile, with a fixed column-name table
 // the query's rule set is compiled against once per request — no
 // per-tile map construction, no string hashing on the scan path.
 type sceneSet struct {
 	scene *archive.Scene
-	roots [][]progressive.Cell
 	// featCols names the feature matrix's columns ("<band>.mean",
 	// ".std", ".min", ".max" per band, band-major).
 	featCols []string
@@ -466,9 +464,8 @@ func validateSceneFeatures(sc *archive.Scene) error {
 	return nil
 }
 
-func newSceneSet(sc *archive.Scene, shards int) *sceneSet {
+func newSceneSet(sc *archive.Scene) *sceneSet {
 	ss := &sceneSet{scene: sc, gen: 1}
-	ss.shardRoots(shards)
 	nb := sc.NumBands()
 	ss.featCols = featColumns(sc)
 	ss.feat = make([]float64, len(sc.Tiles)*len(ss.featCols))
@@ -485,16 +482,6 @@ func newSceneSet(sc *archive.Scene, shards int) *sceneSet {
 	return ss
 }
 
-// shardRoots partitions the coarsest-level cell frontier. Roots reads
-// only the pyramid's flat planes, so this never materializes Grid
-// levels on a restored scene.
-func (ss *sceneSet) shardRoots(shards int) {
-	roots := progressive.Roots(ss.scene.Pyramid())
-	for _, r := range partition(len(roots), shards) {
-		ss.roots = append(ss.roots, roots[r[0]:r[1]])
-	}
-}
-
 // featColumns derives the fixed column-name table from the band list —
 // deterministic, so built and restored engines compile rules against
 // identical schemas.
@@ -507,16 +494,15 @@ func featColumns(sc *archive.Scene) []string {
 }
 
 // restoredSceneSet assembles a scene set around a restored archive and
-// the persisted feature matrix (adopted, possibly mmap-backed). Roots
-// and column names are recomputed — both are cheap and deterministic —
-// while the matrix itself is served from the snapshot.
-func restoredSceneSet(sc *archive.Scene, feat []float64, shards int) (*sceneSet, error) {
+// the persisted feature matrix (adopted, possibly mmap-backed). Column
+// names are recomputed — cheap and deterministic — while the matrix
+// itself is served from the snapshot.
+func restoredSceneSet(sc *archive.Scene, feat []float64) (*sceneSet, error) {
 	ss := &sceneSet{scene: sc, featCols: featColumns(sc), gen: 1}
 	if len(feat) != len(sc.Tiles)*len(ss.featCols) {
 		return nil, fmt.Errorf("core: scene planes: feature matrix len %d for %d tiles × %d cols",
 			len(feat), len(sc.Tiles), len(ss.featCols))
 	}
 	ss.feat = feat
-	ss.shardRoots(shards)
 	return ss, nil
 }

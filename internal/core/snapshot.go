@@ -242,7 +242,7 @@ func (e *Engine) InstallDatasets(b segment.Backend, names []string) error {
 		case kindTuples:
 			st.ts, err = restoreTuples(dr, ds.Rows)
 		case kindScenes:
-			st.sc, err = restoreScene(dr, e.shards)
+			st.sc, err = restoreScene(dr)
 		case kindSeries:
 			st.se, err = restoreSeries(dr, e.shards)
 		case kindWells:
@@ -361,7 +361,7 @@ func (e *Engine) restoreFrom(snap *segment.Snapshot) error {
 			}
 			e.tuples[ds.Name] = ts
 		case kindScenes:
-			ss, err := restoreScene(dr, e.shards)
+			ss, err := restoreScene(dr)
 			if err != nil {
 				return fmt.Errorf("core: restore scene %q: %w", ds.Name, err)
 			}
@@ -524,7 +524,7 @@ func snapScene(w *segment.Writer, info DatasetInfo, ss *sceneSet) error {
 	return dw.Close()
 }
 
-func restoreScene(dr *segment.DatasetReader, shards int) (*sceneSet, error) {
+func restoreScene(dr *segment.DatasetReader) (*sceneSet, error) {
 	pt, err := dr.Raw("pyr")
 	if err != nil {
 		return nil, err
@@ -588,7 +588,7 @@ func restoreScene(dr *segment.DatasetReader, shards int) (*sceneSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss, err := restoredSceneSet(sc, feat, shards)
+	ss, err := restoredSceneSet(sc, feat)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", segment.ErrCorrupt, err)
 	}

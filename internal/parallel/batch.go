@@ -1,119 +1,51 @@
-// Batched shard fan-out: the serving layer groups many compatible
-// requests and executes all of their (request, shard) scan cells on one
-// shared worker pool, instead of paying a goroutine pool per request.
-// Each request keeps its own screening bound and merge heap, so every
-// request's result is bit-identical to what its solo ShardTopKCtx run
-// would have produced — batching, like sharding, changes wall-clock
-// time only.
-
+// Batched execution: the serving layer runs many requests as the units
+// of one shared pool. Each request drains its own queue into its own
+// heap under its own bound, alone on whichever worker took it, so its
+// result is bit-identical to its solo TopK run.
 package parallel
 
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"modelir/internal/topk"
 )
 
-// BatchSpec describes one request's shard fan-out inside a batch: its
-// shard count, result count, screening-floor seed, and per-shard
-// runner. The runner sees the same Bound semantics as in ShardTopKCtx,
-// scoped to this spec only — specs never share screening state.
+// BatchSpec is one request of a batch: its unit queue, result count and
+// screening-floor seed. Specs never share screening state.
 type BatchSpec struct {
-	Shards int
-	K      int
-	Floor  float64
-	Run    ShardRunner
+	Queue Queue
+	K     int
+	Floor float64
 }
 
-// BatchShardTopKCtx evaluates every spec's shards on one pool of
-// `workers` goroutines (0 = GOMAXPROCS) and merges each spec's partial
-// top-Ks independently. Error isolation is per spec: a failing runner
-// poisons only its own spec (remaining cells of that spec are skipped,
-// its error lands in the returned slice) while other specs run to
-// completion. Context cancellation is global — once ctx ends, every
-// unfinished spec reports the context error.
+// BatchTopK runs each spec as one unit of one pool of `workers`
+// goroutines (0 = GOMAXPROCS): a worker takes a spec and drains its
+// queue with TopK at one worker. Errors are isolated per spec: a
+// failing spec reports its error in the returned slice while the others
+// run to completion. Context cancellation is global — once ctx ends,
+// every spec reports the context error.
 //
 // The returned slices are parallel to specs: results[i] is spec i's
-// merged top-K (nil when errs[i] != nil).
-func BatchShardTopKCtx(ctx context.Context, workers int, specs []BatchSpec) ([][]topk.Item, []error) {
+// top-K (nil when errs[i] != nil).
+func BatchTopK(ctx context.Context, workers int, specs []BatchSpec) ([][]topk.Item, []error) {
 	results := make([][]topk.Item, len(specs))
 	errs := make([]error, len(specs))
-
-	type cell struct{ spec, shard int }
-	var cells []cell
-	bounds := make([]*topk.Bound, len(specs))
-	partials := make([]*[][]topk.Item, len(specs))
-	merged := make([]*topk.Heap, len(specs))
-	failed := make([]atomic.Bool, len(specs))
-	for i, sp := range specs {
-		if sp.Run == nil {
-			errs[i] = errors.New("parallel: nil shard runner")
-			continue
+	poolErr := ForEachCtx(ctx, len(specs), workers, func(i int) error {
+		sp := specs[i]
+		bound := topk.NewBound()
+		bound.Raise(sp.Floor)
+		items, err := TopK(ctx, sp.Queue, sp.K, 1, bound, nil)
+		if ce := ctx.Err(); ce != nil && errors.Is(err, ce) {
+			return ce
 		}
-		if sp.Shards < 0 {
-			errs[i] = errors.New("parallel: negative shard count")
-			continue
-		}
-		h, err := topk.GetHeap(sp.K)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		merged[i] = h
-		bounds[i] = topk.NewBound()
-		bounds[i].Raise(sp.Floor)
-		partials[i] = getPartials(sp.Shards)
-		for s := 0; s < sp.Shards; s++ {
-			cells = append(cells, cell{spec: i, shard: s})
-		}
-	}
-
-	var errMu sync.Mutex
-	poolErr := ForEachCtx(ctx, len(cells), workers, func(ci int) error {
-		c := cells[ci]
-		if failed[c.spec].Load() {
-			return nil
-		}
-		slot := &(*partials[c.spec])[c.shard]
-		items, err := specs[c.spec].Run(c.shard, bounds[c.spec], *slot)
-		*slot = items
-		if err != nil {
-			// Cancellation aborts the whole batch; any other failure is
-			// confined to its spec.
-			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-				return err
-			}
-			failed[c.spec].Store(true)
-			errMu.Lock()
-			if errs[c.spec] == nil {
-				errs[c.spec] = err
-			}
-			errMu.Unlock()
-			return nil
-		}
+		results[i], errs[i] = items, err
 		return nil
 	})
-
-	for i := range specs {
-		if merged[i] == nil {
-			continue
+	if poolErr != nil {
+		for i := range specs {
+			results[i], errs[i] = nil, poolErr
 		}
-		if errs[i] == nil && poolErr != nil {
-			errs[i] = poolErr
-		}
-		if errs[i] == nil {
-			// Merge in shard order — the same order ShardTopKCtx uses —
-			// so batched results match solo runs bit for bit.
-			for _, items := range *partials[i] {
-				topk.MergeItems(merged[i], items)
-			}
-			results[i] = merged[i].Results()
-		}
-		putPartials(partials[i])
-		topk.PutHeap(merged[i])
 	}
 	return results, errs
 }

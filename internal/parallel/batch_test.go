@@ -5,32 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"modelir/internal/topk"
 )
 
-// scoreSpec builds a BatchSpec over a synthetic dataset: shard s yields
-// items with IDs s*stride..s*stride+perShard-1 scored by score(id).
-func scoreSpec(shards, k, perShard int, score func(id int64) float64) BatchSpec {
+// scoreSpec builds a BatchSpec over a synthetic dataset: unit u yields
+// items with IDs u*perUnit..u*perUnit+perUnit-1 scored by score(id).
+func scoreSpec(units, k, perUnit int, score func(id int64) float64) BatchSpec {
 	return BatchSpec{
-		Shards: shards,
-		K:      k,
-		Floor:  math.Inf(-1),
-		Run: func(shard int, bound *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			h := topk.MustHeap(k)
-			for i := 0; i < perShard; i++ {
-				id := int64(shard*perShard + i)
-				h.OfferScore(id, score(id))
-			}
-			return h.AppendUnordered(dst), nil
-		},
+		Queue: newScoreQueue(units*perUnit, perUnit, false, func(i int) (float64, bool, error) {
+			return score(int64(i)), true, nil
+		}),
+		K:     k,
+		Floor: math.Inf(-1),
 	}
 }
 
+// funcQueue is a one-unit Queue that runs fn.
+type funcQueue struct {
+	taken atomic.Bool
+	fn    func(h *topk.Heap, sb *topk.Bound) error
+}
+
+func (q *funcQueue) Pop(int, float64) (int, bool) { return 0, !q.taken.Swap(true) }
+
+func (q *funcQueue) Run(_, _ int, h *topk.Heap, sb *topk.Bound) error { return q.fn(h, sb) }
+
 // TestBatchMatchesSolo pins that a batched spec returns exactly what
-// its solo ShardTopKCtx run returns, across uneven shard counts and a
-// shared pool far narrower than the cell count.
+// its solo TopK drain returns, across uneven unit counts and a shared
+// pool far narrower than the spec count.
 func TestBatchMatchesSolo(t *testing.T) {
 	ctx := context.Background()
 	score1 := func(id int64) float64 { return math.Sin(float64(id)) * 100 }
@@ -41,13 +46,22 @@ func TestBatchMatchesSolo(t *testing.T) {
 		scoreSpec(4, 3, 25, score2),
 		scoreSpec(7, 10, 13, score3),
 	}
+	solo := []BatchSpec{
+		scoreSpec(1, 5, 40, score1),
+		scoreSpec(4, 3, 25, score2),
+		scoreSpec(7, 10, 13, score3),
+	}
 	for _, workers := range []int{1, 2, 8} {
-		got, errs := BatchShardTopKCtx(ctx, workers, specs)
-		for i, sp := range specs {
+		for i := range specs {
+			specs[i].Queue.(*scoreQueue).next.Store(0)
+			solo[i].Queue.(*scoreQueue).next.Store(0)
+		}
+		got, errs := BatchTopK(ctx, workers, specs)
+		for i, sp := range solo {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d spec %d: %v", workers, i, errs[i])
 			}
-			want, err := ShardTopKCtx(ctx, sp.Shards, sp.K, workers, sp.Floor, sp.Run)
+			want, err := TopK(ctx, sp.Queue, sp.K, 1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,17 +84,17 @@ func TestBatchErrorIsolation(t *testing.T) {
 	specs := []BatchSpec{
 		scoreSpec(3, 4, 10, func(id int64) float64 { return float64(id) }),
 		{
-			Shards: 3, K: 4, Floor: math.Inf(-1),
-			Run: func(shard int, _ *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-				if shard == 1 {
-					return nil, boom
+			Queue: newScoreQueue(30, 10, false, func(i int) (float64, bool, error) {
+				if i == 15 {
+					return 0, false, boom
 				}
-				return nil, nil
-			},
+				return float64(i), true, nil
+			}),
+			K: 4, Floor: math.Inf(-1),
 		},
 		scoreSpec(2, 2, 6, func(id int64) float64 { return float64(-id) }),
 	}
-	results, errs := BatchShardTopKCtx(context.Background(), 2, specs)
+	results, errs := BatchTopK(context.Background(), 2, specs)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("healthy specs errored: %v, %v", errs[0], errs[2])
 	}
@@ -98,19 +112,18 @@ func TestBatchErrorIsolation(t *testing.T) {
 // TestBatchSpecValidation pins per-spec construction errors.
 func TestBatchSpecValidation(t *testing.T) {
 	specs := []BatchSpec{
-		{Shards: 1, K: 0, Run: func(int, *topk.Bound, []topk.Item) ([]topk.Item, error) { return nil, nil }},
-		{Shards: -1, K: 1, Run: func(int, *topk.Bound, []topk.Item) ([]topk.Item, error) { return nil, nil }},
-		{Shards: 1, K: 1, Run: nil},
+		{Queue: newScoreQueue(3, 1, false, func(int) (float64, bool, error) { return 0, true, nil }), K: 0},
+		{Queue: nil, K: 1},
 		scoreSpec(2, 1, 3, func(id int64) float64 { return float64(id) }),
 	}
-	results, errs := BatchShardTopKCtx(context.Background(), 2, specs)
-	for i := 0; i < 3; i++ {
+	results, errs := BatchTopK(context.Background(), 2, specs)
+	for i := 0; i < 2; i++ {
 		if errs[i] == nil {
 			t.Fatalf("spec %d: want validation error", i)
 		}
 	}
-	if errs[3] != nil || len(results[3]) != 1 {
-		t.Fatalf("valid spec: %v, %v", errs[3], results[3])
+	if errs[2] != nil || len(results[2]) != 1 {
+		t.Fatalf("valid spec: %v, %v", errs[2], results[2])
 	}
 }
 
@@ -121,12 +134,12 @@ func TestBatchCancellation(t *testing.T) {
 	started := make(chan struct{}, 16)
 	specs := []BatchSpec{
 		{
-			Shards: 4, K: 2, Floor: math.Inf(-1),
-			Run: func(shard int, _ *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
+			Queue: &funcQueue{fn: func(*topk.Heap, *topk.Bound) error {
 				started <- struct{}{}
 				<-ctx.Done()
-				return nil, ctx.Err()
-			},
+				return ctx.Err()
+			}},
+			K: 2, Floor: math.Inf(-1),
 		},
 		scoreSpec(4, 2, 5, func(id int64) float64 { return float64(id) }),
 	}
@@ -134,7 +147,7 @@ func TestBatchCancellation(t *testing.T) {
 	var errs []error
 	go func() {
 		defer close(done)
-		_, errs = BatchShardTopKCtx(ctx, 2, specs)
+		_, errs = BatchTopK(ctx, 2, specs)
 	}()
 	<-started
 	cancel()
@@ -152,17 +165,16 @@ func TestBatchScreeningFloor(t *testing.T) {
 	var lowFloorSaw, highFloorSaw float64
 	mk := func(saw *float64, floor float64) BatchSpec {
 		return BatchSpec{
-			Shards: 1, K: 1, Floor: floor,
-			Run: func(_ int, bound *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
+			Queue: &funcQueue{fn: func(h *topk.Heap, bound *topk.Bound) error {
 				*saw = bound.Get()
-				h := topk.MustHeap(1)
 				h.OfferScore(1, 50)
-				return h.AppendUnordered(dst), nil
-			},
+				return nil
+			}},
+			K: 1, Floor: floor,
 		}
 	}
 	specs := []BatchSpec{mk(&lowFloorSaw, math.Inf(-1)), mk(&highFloorSaw, 42)}
-	_, errs := BatchShardTopKCtx(context.Background(), 2, specs)
+	_, errs := BatchTopK(context.Background(), 2, specs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
@@ -176,12 +188,12 @@ func TestBatchScreeningFloor(t *testing.T) {
 	}
 }
 
-func ExampleBatchShardTopKCtx() {
+func ExampleBatchTopK() {
 	specs := []BatchSpec{
 		scoreSpec(2, 2, 4, func(id int64) float64 { return float64(id) }),
 		scoreSpec(2, 1, 4, func(id int64) float64 { return -float64(id) }),
 	}
-	results, _ := BatchShardTopKCtx(context.Background(), 2, specs)
+	results, _ := BatchTopK(context.Background(), 2, specs)
 	fmt.Println(results[0][0].ID, results[1][0].ID)
 	// Output: 7 0
 }

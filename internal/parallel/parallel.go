@@ -1,246 +1,247 @@
-// Package parallel provides deterministic multi-core fan-out for the
-// library's scan-shaped workloads: score N items across W workers, merge
-// per-shard top-K heaps. Because each shard's heap is deterministic and
-// the merge uses the same (score, ID) ordering as a serial scan, the
-// result set is bit-identical to the sequential baseline no matter how
-// the scheduler interleaves workers — parallelism changes wall-clock
-// time only, never answers.
-//
-// The paper's archives are large enough that even the *indexed* paths
-// shard well (per-region FSM runs, per-well SPROC evaluations), and the
-// sequential-scan baselines the evaluation compares against benefit
-// symmetrically, keeping the reported speedup ratios honest.
+// Package parallel runs a request's work as one queue of units, each
+// with an upper bound on what it can score (Queue). TopK drains the
+// queue best-first on the caller's goroutine, and helpers join only
+// requests that run longer than BreakEven. Pruning is strict (a bound
+// tied with the floor still runs), so the result is the exact top-K
+// whatever the schedule: helpers change wall-clock time and work
+// counters, never answers. ForEachCtx runs independent items from one
+// atomic cursor (BatchTopK runs a batch's requests as its units), and
+// Weighted is the admission semaphore both draw their width from.
 package parallel
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"modelir/internal/topk"
 )
 
-// Scorer grades item i. Returning keep=false skips the item (it does
-// not enter the top-K); returning an error aborts the whole run.
-type Scorer func(i int) (score float64, keep bool, err error)
+// BreakEven is how long a request runs on its caller's goroutine alone
+// before a helper may join it. A helper costs a goroutine wake-up, a
+// pooled heap and a merge, and pays only if enough work is left when it
+// starts; on a VM a wake-up alone can take tens of microseconds. A
+// best-first linear read has little left by then, since its floor rises
+// with the first blocks; a scan-shaped plan has as much left as it has
+// candidates. Measured with BenchmarkHelperBreakEven (root
+// bench_test.go, 2 shards) on a 2-vCPU x86-64 VM at -cpu 2, us/op,
+// median of three runs of 2000 requests, Workers 1 -> Workers 2:
+//
+//	                  join at 100 us   join at 250 us
+//	fsm 256 regions    356 -> 314       348 -> 352
+//	fsm 1024 regions  1567 -> 920      1560 -> 1035
+//	linear 15k rows     88 -> 94        110 -> 111
+//	linear 60k rows    145 -> 169       165 -> 157
+//	linear 120k rows   214 -> 248       172 -> 191
+//
+// Joining at 100 us made linear reads of 60k-120k rows 16-17 % slower
+// (the daemon's `tuples8` is 60k rows); joining at 250 us keeps them
+// within noise and still takes a third off long scans. At -cpu 1
+// Workers 2 never gets a helper (see TopK).
+const BreakEven = 250 * time.Microsecond
 
-// TopK scores items 0..n-1 with `workers` goroutines (0 = GOMAXPROCS)
-// and returns the merged top-K, best first. IDs are the item indices.
-func TopK(n, k, workers int, score Scorer) ([]topk.Item, error) {
-	if n < 0 {
-		return nil, errors.New("parallel: negative item count")
-	}
-	if score == nil {
-		return nil, errors.New("parallel: nil scorer")
-	}
-	if k < 1 {
-		return nil, errors.New("parallel: k must be >= 1")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		h, err := topk.NewHeap(k)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			s, keep, err := score(i)
-			if err != nil {
-				return nil, fmt.Errorf("parallel: item %d: %w", i, err)
-			}
-			if keep {
-				h.OfferScore(int64(i), s)
-			}
-		}
-		return h.Results(), nil
-	}
-
-	heaps := make([]*topk.Heap, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			heaps[w] = topk.MustHeap(k)
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := topk.MustHeap(k)
-			for i := lo; i < hi; i++ {
-				s, keep, err := score(i)
-				if err != nil {
-					errs[w] = fmt.Errorf("parallel: item %d: %w", i, err)
-					return
-				}
-				if keep {
-					h.OfferScore(int64(i), s)
-				}
-			}
-			heaps[w] = h
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := topk.MustHeap(k)
-	for _, h := range heaps {
-		if h != nil {
-			topk.Merge(merged, h)
-		}
-	}
-	return merged.Results(), nil
+// Queue is one request's work, drained concurrently by workers numbered
+// from 0 (the caller's goroutine). Implementations keep per-worker
+// accounting in slots indexed by w.
+type Queue interface {
+	// Pop takes worker w's next unit. floor is w's screening floor,
+	// topk.Floor of its heap under the shared bound. Pop reports false
+	// once the queue is empty, once the request's budget is spent, or
+	// when the best unit's bound is strictly below floor: no unit left
+	// can enter the merged top-K, so the queue drops them all.
+	Pop(w int, floor float64) (unit int, ok bool)
+	// Run scores unit into worker w's heap h. sb is the shared bound; a
+	// unit that can screen its own candidates reads
+	// topk.Floor(h, sb.Get()).
+	Run(w, unit int, h *topk.Heap, sb *topk.Bound) error
 }
 
-// ShardRunner produces one shard's partial top-K, appended to dst in
-// any order (the merge heap orders the request's items once; a sorted
-// partial is wasted work) and returned. dst is the shard's pooled
-// partial slot, and the returned slice takes its place: both belong to
-// the fan-out, which zeroes and reuses them once it has merged, so a
-// runner must not retain either. The shared bound carries the highest
-// full-heap threshold published by any shard; a runner should Raise it
-// whenever its local heap fills and may prune any candidate whose upper
-// bound falls strictly below Get().
-type ShardRunner func(shard int, bound *topk.Bound, dst []topk.Item) ([]topk.Item, error)
-
-// ShardTopK evaluates one runner per shard on a pool of `workers`
-// goroutines (0 = GOMAXPROCS) and merges the partial top-Ks into the
-// global top-K, best first. Shards exchange progressive-screening
-// thresholds through a fresh atomic Bound, so a hot shard's results
-// prune cold shards' scans mid-flight. Because pruning is strict
-// (upper bound < floor), the merged result is exactly the top-K of the
-// union no matter how the scheduler interleaves shards.
-func ShardTopK(shards, k, workers int, run ShardRunner) ([]topk.Item, error) {
-	return ShardTopKCtx(context.Background(), shards, k, workers, math.Inf(-1), run)
-}
-
-// ShardTopKCtx is ShardTopK with cooperative cancellation and a seeded
-// screening floor. The context is checked between shard dispatches (and
-// runners are expected to check it inside their scan loops); once
-// ctx.Done() fires, no further shards start, in-flight runners abort at
-// their next check, and the first context error is returned. `floor`
-// pre-raises the shared bound — pass a minimum acceptable score to
-// prune candidates that could never be returned, or -Inf for none.
-func ShardTopKCtx(ctx context.Context, shards, k, workers int, floor float64, run ShardRunner) ([]topk.Item, error) {
-	bound := topk.NewBound()
-	bound.Raise(floor)
-	return ShardTopKBoundCtx(ctx, shards, k, workers, bound, run)
-}
-
-// ShardTopKBoundCtx is ShardTopKCtx over a caller-supplied bound
-// instead of a fresh one. The cluster layer uses it to splice one
-// logical query's screening floor across processes: raises published by
-// remote shards flow in through the shared bound, and local raises are
-// observable to whoever else holds it. The caller owns seeding (a
-// MinScore floor, a remote floor already in flight) and must not lower
-// or reuse the bound across queries. Determinism is unaffected — the
-// bound only ever tightens, and pruning against it stays strict.
-func ShardTopKBoundCtx(ctx context.Context, shards, k, workers int, bound *topk.Bound, run ShardRunner) ([]topk.Item, error) {
-	if shards < 0 {
-		return nil, errors.New("parallel: negative shard count")
+// TopK drains q into the top k items, best first. The caller's goroutine
+// pops units into one heap, publishing its threshold to bound after each
+// unit, and stops when Pop reports false. Once the request has run
+// longer than BreakEven, up to min(workers, GOMAXPROCS)-1 helpers join,
+// one per unit of adm (nil = unbounded) that can be taken without
+// waiting; Workers 1 never gets a helper. The context is checked before
+// every unit, and a cancelled context returns ctx.Err() bare. bound may
+// be nil; a caller that holds it (a MinScore floor, a floor spliced in
+// from other processes) must not reuse it across requests.
+func TopK(ctx context.Context, q Queue, k, workers int, bound *topk.Bound, adm *Weighted) ([]topk.Item, error) {
+	if q == nil {
+		return nil, errors.New("parallel: nil queue")
 	}
-	if run == nil {
-		return nil, errors.New("parallel: nil shard runner")
-	}
-	if bound == nil {
-		bound = topk.NewBound()
-	}
-	merged, err := topk.GetHeap(k)
+	h, err := topk.GetHeap(k)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	defer topk.PutHeap(merged)
-	if shards == 0 {
-		return merged.Results(), nil
+	defer topk.PutHeap(h)
+	if bound == nil {
+		bound = topk.NewBound()
 	}
-	partialsP := getPartials(shards)
-	defer putPartials(partialsP)
-	partials := *partialsP
-	err = ForEachCtx(ctx, shards, workers, func(s int) error {
-		items, err := run(s, bound, partials[s])
-		partials[s] = items
-		return err
-	})
-	if err != nil {
+	d := drainPool.Get().(*drain)
+	defer d.release()
+	d.ctx, d.done, d.q, d.k, d.bound, d.adm = ctx, ctx.Done(), q, k, bound, adm
+	// A helper on a runtime with one P would only take turns with the
+	// caller.
+	if workers = min(workers, runtime.GOMAXPROCS(0)); workers > 1 {
+		d.spare = workers - 1
+		d.start = time.Now()
+	}
+	errs := []error{d.loop(0, h)}
+	for _, hp := range d.helpers {
+		if hp.claimed.CompareAndSwap(false, true) {
+			// Scheduled too late to pop anything: the caller emptied
+			// the queue first. Its unit and heap go back unused.
+			if adm != nil {
+				adm.Release(1)
+			}
+			continue
+		}
+		<-hp.done
+		topk.Merge(h, hp.h)
+		errs = append(errs, hp.err)
+	}
+	if err := firstErr(ctx, errs); err != nil {
 		return nil, err
 	}
-	for _, items := range partials {
-		topk.MergeItems(merged, items)
-	}
-	// Publish the merged heap's threshold: the global K-th best over all
-	// shards, which can be tighter than any single shard's raise. The
-	// local scan is already done, but a caller-held bound may be feeding
-	// a concurrent consumer (the cluster layer piggybacks it to peers).
-	if t, ok := merged.Threshold(); ok {
+	// Publish the merged threshold: it can be tighter than any one
+	// worker's, and a caller-held bound may feed a concurrent consumer
+	// (the cluster layer piggybacks it to peers).
+	if t, ok := h.Threshold(); ok {
 		bound.Raise(t)
 	}
-	return merged.Results(), nil
+	return h.Results(), nil
 }
 
-// partialsPool recycles the per-shard partial-result table across
-// requests, slots included: a slot keeps its backing array, so in steady
-// state a shard runner appends its items without allocating. The table
-// is owned by the fan-out that drew it, and slots are emptied and their
-// items zeroed on return so a pooled table never pins a previous
-// request's payloads.
-var partialsPool sync.Pool
+// drain is one TopK call's shared state, pooled so a request that no
+// helper joins allocates nothing for it.
+type drain struct {
+	ctx     context.Context
+	done    <-chan struct{}
+	q       Queue
+	k       int
+	bound   *topk.Bound
+	adm     *Weighted
+	start   time.Time
+	spare   int       // helpers that may still join
+	helpers []*helper // helper w is helpers[w-1]
+	stop    atomic.Bool
+}
 
-func getPartials(n int) *[][]topk.Item {
-	if v, ok := partialsPool.Get().(*[][]topk.Item); ok && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
+// helper is one helper's hand-off with the caller. The helper claims
+// it to run; the caller, once it has emptied the queue, claims it to
+// cancel. A helper the scheduler starts too late finds it claimed and
+// returns without touching the drain, so the caller never waits out a
+// goroutine wake-up for nothing.
+type helper struct {
+	claimed atomic.Bool
+	h       *topk.Heap
+	err     error
+	done    chan struct{} // closed when a helper that ran has finished
+}
+
+var drainPool = sync.Pool{New: func() any { return new(drain) }}
+
+func (d *drain) release() {
+	for _, hp := range d.helpers {
+		topk.PutHeap(hp.h)
 	}
-	s := make([][]topk.Item, n)
-	return &s
+	clear(d.helpers)
+	d.helpers = d.helpers[:0]
+	d.ctx, d.done, d.q, d.bound, d.adm = nil, nil, nil, nil, nil
+	d.spare = 0
+	d.stop.Store(false)
+	drainPool.Put(d)
 }
 
-func putPartials(p *[][]topk.Item) {
-	s := *p
-	for i := range s {
-		clear(s[i])
-		s[i] = s[i][:0]
+// loop is one worker's drain: pop, run, publish, until the queue says
+// stop, a worker fails or the context ends. The caller's goroutine
+// (w == 0) also recruits helpers between units; only it touches spare
+// and helpers while helpers run.
+func (d *drain) loop(w int, h *topk.Heap) error {
+	for !d.stop.Load() {
+		if d.done != nil {
+			select {
+			case <-d.done:
+				d.stop.Store(true)
+				return d.ctx.Err()
+			default:
+			}
+		}
+		unit, ok := d.q.Pop(w, topk.Floor(h, d.bound.Get()))
+		if !ok {
+			break
+		}
+		if err := d.q.Run(w, unit, h, d.bound); err != nil {
+			d.stop.Store(true)
+			return err
+		}
+		if t, ok := h.Threshold(); ok {
+			d.bound.Raise(t)
+		}
+		if w == 0 && d.spare > 0 && time.Since(d.start) > BreakEven {
+			d.recruit()
+		}
 	}
-	partialsPool.Put(p)
+	// A context cancelled after the last unit still never yields a
+	// normal result.
+	return d.ctx.Err()
 }
 
-// ForEach runs fn over 0..n-1 with `workers` goroutines (0 = GOMAXPROCS)
-// and returns the first error encountered. The failing worker stops
-// and discards the chunks still queued to it; items another worker
-// already stole or is running complete normally (work-stealing moves
-// ownership, see steal.go).
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
+// recruit starts the helpers admission can spare right now. A refused
+// unit ends recruiting for the request: the budget is contended, and
+// asking again per unit would only add lock traffic to the contention.
+func (d *drain) recruit() {
+	for ; d.spare > 0; d.spare-- {
+		if d.adm != nil && !d.adm.TryAcquire() {
+			d.spare = 0
+			return
+		}
+		hp := &helper{h: topk.MustGetHeap(d.k), done: make(chan struct{})}
+		d.helpers = append(d.helpers, hp)
+		go d.help(len(d.helpers), hp)
+	}
 }
 
-// ForEachCtx is ForEach with cooperative cancellation: the context is
-// checked before every item, so a cancelled context stops each worker
-// at its next item boundary. Context errors are returned unwrapped
-// (ctx.Err() itself), so callers can compare with errors.Is without
-// peeling the per-item annotation other failures carry.
-//
-// Scheduling is work-stealing (steal.go): items are partitioned into
-// bounded per-worker chunk deques, and a worker that drains its own
-// deque steals the oldest chunk from a sibling, so a skewed item (one
-// slow shard, one heavy batch cell) no longer strands the rest of the
-// pool. With one worker items run in ascending order, exactly as
-// before; with many, only the item→worker assignment changes — results
-// are scheduling-invariant by the package's determinism contract.
+func (d *drain) help(w int, hp *helper) {
+	if !hp.claimed.CompareAndSwap(false, true) {
+		return // cancelled: d may already serve another request
+	}
+	hp.err = d.loop(w, hp.h)
+	if d.adm != nil {
+		d.adm.Release(1)
+	}
+	close(hp.done)
+}
+
+// firstErr picks the error to report of errs: the context's, bare, when
+// cancellation caused any failure (it is the one the caller acted on),
+// else the first.
+func firstErr(ctx context.Context, errs []error) error {
+	if ce := ctx.Err(); ce != nil {
+		for _, err := range errs {
+			if errors.Is(err, ce) {
+				return ce
+			}
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ForEachCtx runs fn over 0..n-1 with `workers` goroutines (0 =
+// GOMAXPROCS) taking items from one atomic cursor, so a slow item holds
+// up only its own worker; with one worker items run in ascending order.
+// The context is checked before every item. The first failure stops
+// every worker at its next item and is returned annotated with its
+// item; a context error is returned bare.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n < 0 {
 		return errors.New("parallel: negative item count")
@@ -251,41 +252,40 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	wrap := func(i int, err error) error {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return ctxErr
-		}
-		return fmt.Errorf("parallel: item %d: %w", i, err)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	return firstErr(ctx, forEachCursor(ctx, n, min(workers, n), fn))
+}
+
+// forEachCursor is ForEachCtx's pool: `workers` goroutines (the caller's
+// alone when workers <= 1) take items from one atomic cursor. It returns
+// each worker's error.
+func forEachCursor(ctx context.Context, n, workers int, fn func(i int) error) []error {
+	var next atomic.Int64
+	errs := make([]error, max(workers, 1))
+	work := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			if err := ctx.Err(); err != nil {
-				return err
+				errs[w] = err
+				return
 			}
 			if err := fn(i); err != nil {
-				return wrap(i, err)
-			}
-		}
-		return nil
-	}
-	errs := forEachSteal(ctx.Err, n, workers, fn, wrap)
-	// Prefer reporting the context error when cancellation is the cause:
-	// several workers may fail at once, and the ctx error is the one the
-	// caller acted on.
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		for _, err := range errs {
-			if err != nil && errors.Is(err, ctxErr) {
-				return ctxErr
+				errs[w] = fmt.Errorf("parallel: item %d: %w", i, err)
+				next.Store(int64(n))
+				return
 			}
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if workers <= 1 {
+		work(0)
+		return errs
 	}
-	return nil
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	wg.Wait()
+	return errs
 }

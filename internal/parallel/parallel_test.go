@@ -6,25 +6,84 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"modelir/internal/topk"
 )
 
+// scoreQueue is a test Queue over items 0..n-1 in units of `per` items,
+// handed out from an atomic cursor. score may skip an item (keep false)
+// or fail it. With slow set, the first unit spins past BreakEven so
+// helpers may join, and every unit yields, so a helper gets to run
+// even on one core. ran[w] counts the units worker w ran.
+type scoreQueue struct {
+	next   atomic.Int64
+	n, per int
+	score  func(i int) (float64, bool, error)
+	slow   bool
+	ran    [1024]atomic.Int32
+}
+
+func newScoreQueue(n, per int, slow bool, score func(i int) (float64, bool, error)) *scoreQueue {
+	return &scoreQueue{n: n, per: per, slow: slow, score: score}
+}
+
+func (q *scoreQueue) Pop(int, float64) (int, bool) {
+	u := int(q.next.Add(1) - 1)
+	return u, u*q.per < q.n
+}
+
+func (q *scoreQueue) Run(w, u int, h *topk.Heap, _ *topk.Bound) error {
+	q.ran[w].Add(1)
+	if q.slow {
+		if u == 0 {
+			for t0 := time.Now(); time.Since(t0) <= 2*BreakEven; {
+			}
+		}
+		runtime.Gosched()
+	}
+	for i := u * q.per; i < min(q.n, (u+1)*q.per); i++ {
+		s, keep, err := q.score(i)
+		if err != nil {
+			return fmt.Errorf("item %d: %w", i, err)
+		}
+		if keep {
+			h.OfferScore(int64(i), s)
+		}
+	}
+	return nil
+}
+
+// helped counts the units helpers ran.
+func (q *scoreQueue) helped() int {
+	n := 0
+	for w := 1; w < len(q.ran); w++ {
+		n += int(q.ran[w].Load())
+	}
+	return n
+}
+
+func topK(n, per, k, workers int, slow bool, score func(i int) (float64, bool, error)) ([]topk.Item, error) {
+	return TopK(context.Background(), newScoreQueue(n, per, slow, score), k, workers, nil, nil)
+}
+
 func TestTopKValidation(t *testing.T) {
-	if _, err := TopK(-1, 1, 1, func(int) (float64, bool, error) { return 0, true, nil }); err == nil {
-		t.Fatal("want negative count error")
+	if _, err := TopK(context.Background(), nil, 1, 1, nil, nil); err == nil {
+		t.Fatal("want nil queue error")
 	}
-	if _, err := TopK(5, 1, 1, nil); err == nil {
-		t.Fatal("want nil scorer error")
-	}
-	if _, err := TopK(5, 0, 1, func(int) (float64, bool, error) { return 0, true, nil }); err == nil {
-		t.Fatal("want k error")
+	q := newScoreQueue(5, 1, false, func(int) (float64, bool, error) { return 0, true, nil })
+	if _, err := TopK(context.Background(), q, 0, 1, nil, nil); !errors.Is(err, topk.ErrBadCapacity) {
+		t.Fatalf("k 0: got %v, want ErrBadCapacity", err)
 	}
 }
 
+// TestTopKMatchesSerial: helpers (forced past BreakEven) pop units
+// concurrently into their own heaps, and the merged result equals the
+// one-worker drain bit for bit, ties across units included.
 func TestTopKMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	scores := make([]float64, 10_000)
@@ -32,12 +91,9 @@ func TestTopKMatchesSerial(t *testing.T) {
 		scores[i] = float64(rng.Intn(100)) // deliberate ties
 	}
 	scorer := func(i int) (float64, bool, error) { return scores[i], true, nil }
-	want, err := TopK(len(scores), 25, 1, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 24, 1000} {
-		got, err := TopK(len(scores), 25, workers, scorer)
+	want := topk.SelectTopK(scores, 25)
+	for _, workers := range []int{1, 2, 3, 8, 24, 1000} {
+		got, err := topK(len(scores), 37, 25, workers, true, scorer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +109,7 @@ func TestTopKMatchesSerial(t *testing.T) {
 }
 
 func TestTopKSkip(t *testing.T) {
-	got, err := TopK(10, 5, 4, func(i int) (float64, bool, error) {
+	got, err := topK(10, 3, 5, 4, true, func(i int) (float64, bool, error) {
 		return float64(i), i%2 == 0, nil
 	})
 	if err != nil {
@@ -71,19 +127,21 @@ func TestTopKSkip(t *testing.T) {
 
 func TestTopKErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := TopK(1000, 5, 8, func(i int) (float64, bool, error) {
-		if i == 777 {
-			return 0, false, boom
+	for _, workers := range []int{1, 8} {
+		_, err := topK(1000, 10, 5, workers, true, func(i int) (float64, bool, error) {
+			if i == 777 {
+				return 0, false, boom
+			}
+			return float64(i), true, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: error not propagated: %v", workers, err)
 		}
-		return float64(i), true, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
 	}
 }
 
 func TestTopKZeroItems(t *testing.T) {
-	got, err := TopK(0, 5, 4, func(int) (float64, bool, error) { return 0, true, nil })
+	got, err := topK(0, 4, 5, 4, false, func(int) (float64, bool, error) { return 0, true, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +150,10 @@ func TestTopKZeroItems(t *testing.T) {
 	}
 }
 
-// Property: any worker count yields the exact serial result.
+// Property: any worker count and unit size yields the exact serial
+// result.
 func TestTopKDeterminismProperty(t *testing.T) {
-	f := func(seed int64, workersRaw uint8) bool {
+	f := func(seed int64, workersRaw, perRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(500)
 		k := 1 + rng.Intn(20)
@@ -105,7 +164,7 @@ func TestTopKDeterminismProperty(t *testing.T) {
 		}
 		scorer := func(i int) (float64, bool, error) { return scores[i], true, nil }
 		want := topk.SelectTopK(scores, k)
-		got, err := TopK(n, k, workers, scorer)
+		got, err := topK(n, int(perRaw)%50+1, k, workers, seed%2 == 0, scorer)
 		if err != nil || len(got) != len(want) {
 			return false
 		}
@@ -121,9 +180,132 @@ func TestTopKDeterminismProperty(t *testing.T) {
 	}
 }
 
+// TestTopKHelpersJoinOnlyWhenAllowed pins the conditions a helper joins
+// under: the request has run past BreakEven, Workers (and GOMAXPROCS)
+// allow more than one worker, and admission has a spare unit without
+// waiting.
+func TestTopKHelpersJoinOnlyWhenAllowed(t *testing.T) {
+	ctx := context.Background()
+	score := func(i int) (float64, bool, error) { return float64(i % 13), true, nil }
+	run := func(workers int, adm *Weighted) *scoreQueue {
+		q := newScoreQueue(2000, 10, true, score)
+		if _, err := TopK(ctx, q, 5, workers, nil, adm); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	if q := run(1, nil); q.helped() != 0 {
+		t.Fatalf("Workers 1: helpers ran %d units", q.helped())
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		if q := run(4, nil); q.helped() != 0 {
+			t.Fatalf("GOMAXPROCS 1: helpers ran %d units", q.helped())
+		}
+		return
+	}
+	if q := run(4, nil); q.helped() == 0 {
+		t.Fatal("Workers 4, unbounded admission: no helper ran a unit")
+	}
+	adm, err := NewWeighted(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := adm.AcquireUpTo(ctx, 2); err != nil || got != 2 {
+		t.Fatalf("acquire: %d, %v", got, err)
+	}
+	if q := run(4, adm); q.helped() != 0 {
+		t.Fatalf("admission exhausted: helpers ran %d units", q.helped())
+	}
+	adm.Release(1)
+	if q := run(4, adm); q.helped() == 0 {
+		t.Fatal("one spare unit: no helper ran a unit")
+	}
+	// The helper gave its unit back.
+	if !adm.TryAcquire() {
+		t.Fatal("helper leaked its admission unit")
+	}
+}
+
+// boundQueue is a test Queue of units with fixed bounds, popped in
+// order; unit u scores one item of score scores[u]. It records the
+// shared floor each unit saw and, like a best-first queue, stops at the
+// first unit whose bound is strictly below the caller's floor.
+type boundQueue struct {
+	next   int
+	bounds []float64
+	saw    []float64
+}
+
+func (q *boundQueue) Pop(_ int, floor float64) (int, bool) {
+	if q.next == len(q.bounds) || q.bounds[q.next] < floor {
+		return 0, false
+	}
+	q.next++
+	return q.next - 1, true
+}
+
+func (q *boundQueue) Run(_, u int, h *topk.Heap, sb *topk.Bound) error {
+	q.saw = append(q.saw, sb.Get())
+	h.OfferScore(int64(u), q.bounds[u])
+	return nil
+}
+
+// TestTopKPublishesBound: after each unit the caller's heap threshold
+// reaches the shared bound, so the next unit sees it, and the drain
+// stops at the first unit bounded strictly below the floor (a tie still
+// runs).
+func TestTopKPublishesBound(t *testing.T) {
+	q := &boundQueue{bounds: []float64{9, 7, 7, 6, 8}}
+	got, err := TopK(context.Background(), q, 1, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].ID != 0 || got[0].Score != 9 {
+		t.Fatalf("got %v", got)
+	}
+	if q.next != 1 || len(q.saw) != 1 || !math.IsInf(q.saw[0], -1) {
+		t.Fatalf("k=1: ran %d units, saw %v", q.next, q.saw)
+	}
+	q = &boundQueue{bounds: []float64{9, 7, 7, 6, 8}}
+	if _, err := TopK(context.Background(), q, 2, 1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Units 0 and 1 fill the heap (floor 7); unit 2 ties it and runs,
+	// unit 3 is below it and ends the drain.
+	if q.next != 3 || q.saw[2] != 7 {
+		t.Fatalf("k=2: ran %d units, saw %v", q.next, q.saw)
+	}
+}
+
+// TestTopKCtxFloorAndCancel: a caller-held bound seeds the floor every
+// unit sees, the merged threshold is published back to it, and a
+// cancelled context returns ctx.Err() unwrapped.
+func TestTopKCtxFloorAndCancel(t *testing.T) {
+	bound := topk.NewBound()
+	bound.Raise(41.5)
+	q := &boundQueue{bounds: []float64{50, 45, 42}}
+	items, err := TopK(context.Background(), q, 2, 1, bound, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 2 || q.saw[0] != 41.5 {
+		t.Fatalf("items %v, first unit saw %v", items, q.saw)
+	}
+	if bound.Get() != 45 {
+		t.Fatalf("bound %v after the drain, want the merged threshold 45", bound.Get())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = TopK(ctx, &boundQueue{bounds: []float64{1}}, 5, 4, nil, nil)
+	if err != context.Canceled {
+		t.Fatalf("got %v, want bare context.Canceled", err)
+	}
+}
+
 func TestForEach(t *testing.T) {
 	var count atomic.Int64
-	if err := ForEach(1000, 8, func(i int) error {
+	if err := ForEachCtx(context.Background(), 1000, 8, func(i int) error {
 		count.Add(1)
 		return nil
 	}); err != nil {
@@ -133,7 +315,7 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("ran %d of 1000", count.Load())
 	}
 	boom := errors.New("boom")
-	err := ForEach(100, 4, func(i int) error {
+	err := ForEachCtx(context.Background(), 100, 4, func(i int) error {
 		if i == 50 {
 			return boom
 		}
@@ -142,104 +324,14 @@ func TestForEach(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	if err := ForEach(5, 2, nil); err == nil {
+	if err := ForEachCtx(context.Background(), 5, 2, nil); err == nil {
 		t.Fatal("want nil fn error")
 	}
-	if err := ForEach(-1, 2, func(int) error { return nil }); err == nil {
+	if err := ForEachCtx(context.Background(), -1, 2, func(int) error { return nil }); err == nil {
 		t.Fatal("want negative count error")
 	}
-	if err := ForEach(0, 2, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 2, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal("zero items must be a no-op")
-	}
-}
-
-func TestShardTopKValidation(t *testing.T) {
-	run := func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) { return nil, nil }
-	if _, err := ShardTopK(-1, 1, 0, run); err == nil {
-		t.Fatal("want negative shards error")
-	}
-	if _, err := ShardTopK(1, 1, 0, nil); err == nil {
-		t.Fatal("want nil runner error")
-	}
-	if _, err := ShardTopK(1, 0, 0, run); err == nil {
-		t.Fatal("want bad capacity error")
-	}
-	items, err := ShardTopK(0, 3, 0, run)
-	if err != nil || len(items) != 0 {
-		t.Fatalf("zero shards: items=%v err=%v", items, err)
-	}
-}
-
-func TestShardTopKMergesExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	scores := make([]float64, 1000)
-	for i := range scores {
-		scores[i] = float64(rng.Intn(50)) // ties across shard boundaries
-	}
-	want := topk.SelectTopK(scores, 13)
-	for _, shards := range []int{1, 2, 3, 7, 16} {
-		chunk := (len(scores) + shards - 1) / shards
-		got, err := ShardTopK(shards, 13, 4, func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			lo := s * chunk
-			hi := lo + chunk
-			if hi > len(scores) {
-				hi = len(scores)
-			}
-			h := topk.MustHeap(13)
-			for i := lo; i < hi; i++ {
-				h.OfferScore(int64(i), scores[i])
-			}
-			if tr, ok := h.Threshold(); ok {
-				sb.Raise(tr)
-			}
-			return h.AppendUnordered(dst), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d items, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-				t.Fatalf("shards=%d pos %d: %+v vs %+v", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestShardTopKBoundIsShared(t *testing.T) {
-	// Every worker should observe raises published by earlier workers;
-	// with 1 worker the shards run in order, so shard 1 must see the
-	// floor shard 0 raised.
-	sawFloor := false
-	_, err := ShardTopK(2, 1, 1, func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-		if s == 0 {
-			sb.Raise(41)
-			return append(dst, topk.Item{ID: 0, Score: 41}), nil
-		}
-		if sb.Get() == 41 {
-			sawFloor = true
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sawFloor {
-		t.Fatal("shard 1 did not observe shard 0's raised floor")
-	}
-}
-
-func TestShardTopKErrorPropagates(t *testing.T) {
-	boom := errors.New("boom")
-	if _, err := ShardTopK(4, 2, 2, func(s int, sb *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-		if s == 2 {
-			return nil, boom
-		}
-		return nil, nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 }
 
@@ -262,38 +354,5 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 		if n := ran.Load(); n >= 10_000 {
 			t.Fatalf("workers=%d: all %d items ran despite cancel", workers, n)
 		}
-	}
-}
-
-// ShardTopKCtx returns ctx.Err() unwrapped when a shard aborts on
-// cancellation, and pre-seeds the shared bound with the floor.
-func TestShardTopKCtxFloorAndCancel(t *testing.T) {
-	// Floor seeding: shards see the floor before any heap fills.
-	items, err := ShardTopKCtx(context.Background(), 3, 5, 0, 41.5,
-		func(s int, b *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			if got := b.Get(); got != 41.5 {
-				return nil, fmt.Errorf("shard %d saw floor %v", s, got)
-			}
-			return append(dst, topk.Item{ID: int64(s), Score: 42}), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 3 {
-		t.Fatalf("%d items", len(items))
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cancel()
-	_, err = ShardTopKCtx(ctx, 4, 5, 0, math.Inf(-1),
-		func(s int, b *topk.Bound, dst []topk.Item) ([]topk.Item, error) {
-			return nil, ctx.Err()
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if err != context.Canceled {
-		t.Fatalf("context error arrived wrapped: %v", err)
 	}
 }

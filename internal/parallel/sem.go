@@ -1,10 +1,3 @@
-// Weighted admission semaphore for the serving layer: a fixed budget of
-// worker units shared by every in-flight request. Callers ask for the
-// fan-out width they would like and are granted what the budget can
-// spare right now — degrading a request's parallelism instead of
-// queueing it behind the full width it asked for. Because every query
-// path returns identical results for any worker count (DESIGN.md §2),
-// clamping a request's workers is always safe.
 package parallel
 
 import (
@@ -13,11 +6,13 @@ import (
 	"sync"
 )
 
-// Weighted is a counting semaphore with partial acquisition: AcquireUpTo
-// takes as many units as are free (at least one, at most the asked-for
-// want), blocking only when the budget is fully committed. Waiters are
-// woken FIFO so a steady stream of small requests cannot starve an
-// early large one.
+// Weighted is the serving layer's admission semaphore: a fixed budget
+// of worker units shared by every in-flight request. A request waits
+// for the unit its caller's goroutine runs on, a helper joins only on a
+// unit free right now (TryAcquire), and a batch takes as many units as
+// are free, at least one and at most its pool width (AcquireUpTo).
+// Waiters are woken FIFO so a steady stream of small requests cannot
+// starve an early large one.
 type Weighted struct {
 	mu      sync.Mutex
 	avail   int
@@ -48,10 +43,7 @@ func (w *Weighted) AcquireUpTo(ctx context.Context, want int) (int, error) {
 	for {
 		w.mu.Lock()
 		if w.avail > 0 && (woken || len(w.waiters) == 0) {
-			got := want
-			if got > w.avail {
-				got = w.avail
-			}
+			got := min(want, w.avail)
 			w.avail -= got
 			// A multi-unit Release wakes only the head waiter; if units
 			// remain after this grab, chain the wakeup onward.
@@ -90,6 +82,20 @@ func (w *Weighted) AcquireUpTo(ctx context.Context, want int) (int, error) {
 			return 0, ctx.Err()
 		}
 	}
+}
+
+// TryAcquire takes one unit if one is free and nobody is queued for
+// one, without waiting, and reports whether it did. The caller must
+// Release the unit. It is how a helper joins a running request: a
+// helper is worth starting only on a core that is idle now.
+func (w *Weighted) TryAcquire() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.avail < 1 || len(w.waiters) > 0 {
+		return false
+	}
+	w.avail--
+	return true
 }
 
 // Release returns n units to the budget and wakes waiters.

@@ -23,9 +23,9 @@ func spin(units int) uint64 {
 
 var spinSink atomic.Uint64
 
-// TestStealRunsEveryItemExactlyOnce: the stealing scheduler must cover
+// TestStealRunsEveryItemExactlyOnce: the shared-cursor pool must cover
 // 0..n-1 with no duplicates and no gaps for every pool width and item
-// count, including counts that exercise the chunked (coarse) path.
+// count.
 func TestStealRunsEveryItemExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64, 1000} {
 		for _, workers := range []int{1, 2, 3, 8, 16} {
@@ -45,13 +45,10 @@ func TestStealRunsEveryItemExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestStealSingleWorkerInOrder pins the in-order guarantee the shared
-// screening bound relies on: with one worker, items run strictly
-// ascending. ForEachCtx's sequential fast path covers the public
-// surface; forEachSteal is also driven directly at workers=1 so the
-// reverse-seeded LIFO deque ordering itself is pinned (a worker must
-// ascend through its own share even when the scheduler is the steal
-// pool).
+// TestStealSingleWorkerInOrder pins the in-order guarantee: with one
+// worker, items run strictly ascending. ForEachCtx covers the public
+// surface; forEachCursor is also driven directly at workers=1 so the
+// cursor's own order is pinned.
 func TestStealSingleWorkerInOrder(t *testing.T) {
 	for _, n := range []int{5, 64, 300} {
 		next := 0
@@ -67,23 +64,22 @@ func TestStealSingleWorkerInOrder(t *testing.T) {
 		if next != n {
 			t.Fatalf("ran %d of %d", next, n)
 		}
-		// Direct steal-pool path: one worker, no thieves — visits must
-		// still ascend.
+		// Direct cursor path: one worker — visits must still ascend.
 		next = 0
-		errs := forEachSteal(func() error { return nil }, n, 1, func(i int) error {
+		errs := forEachCursor(context.Background(), n, 1, func(i int) error {
 			if i != next {
-				return fmt.Errorf("steal pool: item %d ran out of order (want %d)", i, next)
+				return fmt.Errorf("cursor pool: item %d ran out of order (want %d)", i, next)
 			}
 			next++
 			return nil
-		}, func(i int, err error) error { return err })
+		})
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		if next != n {
-			t.Fatalf("steal pool ran %d of %d", next, n)
+			t.Fatalf("cursor pool ran %d of %d", next, n)
 		}
 	}
 }
@@ -91,8 +87,8 @@ func TestStealSingleWorkerInOrder(t *testing.T) {
 // TestStealSkewedWorkIsRedistributed: with a pathologically heavy
 // first item and idle siblings, every worker pool must still complete
 // all items, and under >= 2 workers the light items must not all be
-// executed by the heavy item's worker after it finishes — i.e. someone
-// stole them while item 0 was running.
+// executed by the heavy item's worker after it finishes — i.e. another
+// worker took them from the cursor while item 0 was running.
 func TestStealSkewedWorkIsRedistributed(t *testing.T) {
 	const n = 16
 	var mu sync.Mutex
@@ -139,8 +135,8 @@ func TestStealSkewedWorkIsRedistributed(t *testing.T) {
 }
 
 // TestStealErrorAndCancelSemantics: the first error is propagated with
-// its item annotation, and context cancellation surfaces as the bare
-// ctx error exactly as with the static scheduler.
+// its item annotation and stops the pool, and context cancellation
+// surfaces as the bare ctx error.
 func TestStealErrorAndCancelSemantics(t *testing.T) {
 	boom := errors.New("boom")
 	err := ForEachCtx(context.Background(), 200, 4, func(i int) error {
@@ -153,8 +149,8 @@ func TestStealErrorAndCancelSemantics(t *testing.T) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 
-	// A failing worker discards the chunks still queued to it: with one
-	// worker (no thieves), nothing after the failing item runs.
+	// A failure stops the pool: with one worker, nothing after the
+	// failing item runs.
 	ran0 := 0
 	err = ForEachCtx(context.Background(), 100, 1, func(i int) error {
 		ran0++
@@ -189,11 +185,11 @@ func TestStealErrorAndCancelSemantics(t *testing.T) {
 
 // BenchmarkStealSkewedBatch is the scheduler acceptance benchmark: a
 // 16-cell batch where cell 0 carries 8x the work of every other cell —
-// the shape of a mixed batch with one slow shard. Static assignment
+// the shape of a mixed batch with one slow request. Static assignment
 // pins the heavy cell plus half the light cells on one worker; the
-// stealing scheduler lets the idle worker take the light cells. On a
-// multi-core host the stealing pool wins wall-clock at >= 2 workers
-// and matches at 1 (same total work, same order).
+// shared cursor lets the idle worker take the light cells. On a
+// multi-core host the cursor pool wins wall-clock at >= 2 workers and
+// matches at 1 (same total work, same order).
 func BenchmarkStealSkewedBatch(b *testing.B) {
 	const cells = 16
 	const heavy = 8
@@ -205,8 +201,8 @@ func BenchmarkStealSkewedBatch(b *testing.B) {
 		spinSink.Add(spin(units))
 		return nil
 	}
-	// staticForEach reproduces the pre-work-stealing scheduler: one
-	// contiguous range per worker.
+	// staticForEach is the static scheduler: one contiguous range per
+	// worker.
 	staticForEach := func(n, workers int) {
 		var wg sync.WaitGroup
 		chunk := (n + workers - 1) / workers
@@ -229,7 +225,7 @@ func BenchmarkStealSkewedBatch(b *testing.B) {
 		wg.Wait()
 	}
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("steal/workers=%d", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("cursor/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := ForEachCtx(context.Background(), cells, workers, work); err != nil {
 					b.Fatal(err)

@@ -274,18 +274,22 @@ func CombinedShardOpts(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid
 // zero allocations. Results and stats are bit-identical to
 // CombinedShardOpts.
 func CombinedShardAppend(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
-	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst, (*topk.Heap).AppendResults)
+	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst)
 }
 
-// CombinedShardUnordered is CombinedShardAppend for a caller that
-// merges the shard's top-K into a larger one: the items are appended in
-// arbitrary order, leaving the one ordering pass to the merge.
-func CombinedShardUnordered(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
-	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst, (*topk.Heap).AppendUnordered)
+// CombinedInto runs Combined's descent over the whole scene, from one
+// frontier holding every root cell, into the caller's heap h: the
+// engine's scene unit. opt.Bound is read and raised as in
+// CombinedShard. Items land in h only; no result slice is built.
+func CombinedInto(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, h *topk.Heap, opt DescendOpts) (Stats, error) {
+	sc := descentScratchPool.Get().(*descentScratch)
+	defer descentScratchPool.Put(sc)
+	err := descendHeap(pm.Full(), pm, mp, h, nil, opt, sc)
+	return sc.st, err
 }
 
 func descend(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts) (Result, error) {
-	items, st, err := descendInto(m, pm, mp, k, roots, opt, nil, (*topk.Heap).AppendResults)
+	items, st, err := descendInto(m, pm, mp, k, roots, opt, nil)
 	return Result{Items: items, Stats: st}, err
 }
 
@@ -463,10 +467,9 @@ func (d *descender) evalPixel(px, py int) {
 	}
 }
 
-// descendInto runs the descent and hands the final heap to extract
-// (AppendResults for best-first callers, AppendUnordered for merges).
-func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item,
-	extract func(*topk.Heap, []topk.Item) []topk.Item) ([]topk.Item, Stats, error) {
+// descendInto runs the descent over roots into a pooled heap and
+// appends its items to dst best-first.
+func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
 	h, err := topk.GetHeap(k)
 	if err != nil {
 		return dst, Stats{}, err
@@ -474,12 +477,21 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 	defer topk.PutHeap(h)
 	sc := descentScratchPool.Get().(*descentScratch)
 	defer descentScratchPool.Put(sc)
+	if err := descendHeap(m, pm, mp, h, roots, opt, sc); err != nil {
+		return dst, sc.st, err
+	}
+	return h.AppendResults(dst), sc.st, nil
+}
+
+// descendHeap runs the branch-and-bound descent from roots (nil: every
+// coarsest-level cell) into h, accumulating its stats in sc.st.
+func descendHeap(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, h *topk.Heap, roots []Cell, opt DescendOpts, sc *descentScratch) error {
 	nTerms := m.NumTerms()
 	sc.reset(nTerms, mp.NumLevels())
 	st := &sc.st
 	*st = Stats{}
 	if err := bindAttrs(m.Attrs, mp, sc.bind); err != nil {
-		return dst, *st, err
+		return err
 	}
 
 	d := descender{
@@ -492,15 +504,34 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 		d.done = opt.Ctx.Done()
 	}
 
-	for _, c := range roots {
+	push := func(c Cell) error {
 		ub, err := d.bound(c.Level, c.X, c.Y)
 		if err != nil {
-			return dst, *st, err
+			return err
 		}
 		d.pqPush(cellEntry{level: c.Level, x: c.X, y: c.Y, upper: ub})
 		sc.outstanding[c.Level]++
 		if c.Level > d.coarsest {
 			d.coarsest = c.Level
+		}
+		return nil
+	}
+	if roots == nil {
+		// The whole scene: every coarsest-level cell, in Roots' order,
+		// without materializing the list.
+		top := mp.NumLevels() - 1
+		coarse := mp.Flat(top)
+		for cy := 0; cy < coarse.H; cy++ {
+			for cx := 0; cx < coarse.W; cx++ {
+				if err := push(Cell{Level: top, X: cx, Y: cy}); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for _, c := range roots {
+		if err := push(c); err != nil {
+			return err
 		}
 	}
 
@@ -508,7 +539,7 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 		if d.done != nil {
 			select {
 			case <-d.done:
-				return dst, *st, d.ctx.Err()
+				return d.ctx.Err()
 			default:
 			}
 		}
@@ -529,7 +560,7 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 				d.sb.Raise(t) // publish the local floor to sibling shards
 			}
 			if err := d.emit(); err != nil {
-				return dst, *st, err
+				return err
 			}
 			continue
 		}
@@ -542,17 +573,17 @@ func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 				}
 				ub, err := d.bound(e.level-1, nx, ny)
 				if err != nil {
-					return dst, *st, err
+					return err
 				}
 				d.pqPush(cellEntry{level: e.level - 1, x: nx, y: ny, upper: ub})
 				sc.outstanding[e.level-1]++
 			}
 		}
 		if err := d.emit(); err != nil {
-			return dst, *st, err
+			return err
 		}
 	}
-	return extract(h, dst), *st, nil
+	return nil
 }
 
 // Speedups summarizes an E5-style four-cell comparison.

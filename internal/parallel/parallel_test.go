@@ -303,6 +303,79 @@ func TestTopKCtxFloorAndCancel(t *testing.T) {
 	}
 }
 
+// shardTopK drains items 0..len(scores)-1 split into `shards`
+// contiguous units, one heap per worker, with the first unit slow
+// enough for helpers to join.
+func shardTopK(scores []float64, shards, k, workers int, fail func(i int) error) ([]topk.Item, error) {
+	chunk := max(1, (len(scores)+shards-1)/max(1, shards))
+	return topK(len(scores), chunk, k, workers, true, func(i int) (float64, bool, error) {
+		if fail != nil {
+			if err := fail(i); err != nil {
+				return 0, false, err
+			}
+		}
+		return scores[i], true, nil
+	})
+}
+
+// TestShardTopKValidation: a nil queue and a bad k are errors, and a
+// request with no shards is an empty result, not an error.
+func TestShardTopKValidation(t *testing.T) {
+	if _, err := TopK(context.Background(), nil, 3, 4, nil, nil); err == nil {
+		t.Fatal("want nil queue error")
+	}
+	for _, k := range []int{0, -1} {
+		if _, err := shardTopK([]float64{1, 2}, 2, k, 4, nil); !errors.Is(err, topk.ErrBadCapacity) {
+			t.Fatalf("k %d: got %v, want ErrBadCapacity", k, err)
+		}
+	}
+	items, err := shardTopK(nil, 0, 3, 4, nil)
+	if err != nil || len(items) != 0 {
+		t.Fatalf("zero shards: items=%v err=%v", items, err)
+	}
+}
+
+// TestShardTopKMergesExactly: shards drained into per-worker heaps merge
+// into the exact top-K, ties across shard boundaries included.
+func TestShardTopKMergesExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	scores := make([]float64, 1000)
+	for i := range scores {
+		scores[i] = float64(rng.Intn(50)) // ties across shard boundaries
+	}
+	want := topk.SelectTopK(scores, 13)
+	for _, shards := range []int{1, 2, 3, 7, 16} {
+		got, err := shardTopK(scores, shards, 13, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: %d items, want %d", shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+				t.Fatalf("shards=%d pos %d: %+v vs %+v", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestShardTopKErrorPropagates: a failing shard fails the request with
+// its error wrapped.
+func TestShardTopKErrorPropagates(t *testing.T) {
+	boom := errors.New("boom")
+	scores := make([]float64, 40)
+	_, err := shardTopK(scores, 4, 2, 2, func(i int) error {
+		if i/10 == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+}
+
 func TestForEach(t *testing.T) {
 	var count atomic.Int64
 	if err := ForEachCtx(context.Background(), 1000, 8, func(i int) error {

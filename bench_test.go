@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation, one family per
 // experiment (E1-E8; see DESIGN.md §3), plus the engine's shard-scaling
 // and serving costs. `go test -bench=. -benchmem` reports the
-// micro-level costs; `go run ./cmd/benchtab` prints the corresponding
+// micro-level costs; `go run ./repro/benchtab` prints the corresponding
 // tables with speedup ratios.
 package modelir_test
 
@@ -25,10 +25,10 @@ import (
 	"modelir/internal/progressive"
 	"modelir/internal/pyramid"
 	"modelir/internal/raster"
-	"modelir/internal/rtree"
 	"modelir/internal/sproc"
 	"modelir/internal/synth"
 	"modelir/internal/topk"
+	"modelir/repro/rtree"
 )
 
 // ---- E1: Onion vs scan vs R-tree on 3-attr Gaussian tuples ----
@@ -1054,7 +1054,7 @@ func TestLinearScanSteadyStateUnderRace(t *testing.T) {
 // ---- Columnar pyramid scan: layout and allocation pins ----
 
 // BenchmarkSceneScanSteadyState is the pyramid-family zero-allocation
-// acceptance pin: the flat-layout branch-and-bound descent with pooled
+// acceptance pin: the flat-layout branch-and-bound descent with a reused
 // heap, pooled scratch and a reused result buffer must report
 // 0 allocs/op — the benchmark fails (not just reports) if a warmed-up
 // descent allocates.
@@ -1063,14 +1063,14 @@ func BenchmarkSceneScanSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	roots := progressive.Roots(d.mp)
+	h := topk.MustHeap(10)
 	buf := make([]topk.Item, 0, 10)
 	scan := func() {
-		var err error
-		buf, _, err = progressive.CombinedShardAppend(d.pm, d.mp, 10, roots, progressive.DescendOpts{}, buf[:0])
-		if err != nil {
+		h.Reset()
+		if _, err := progressive.CombinedInto(d.pm, d.mp, h, progressive.DescendOpts{}); err != nil {
 			b.Fatal(err)
 		}
+		buf = h.AppendResults(buf[:0])
 	}
 	scan() // warm the pools
 	if allocs := testing.AllocsPerRun(5, scan); allocs != 0 {

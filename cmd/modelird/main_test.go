@@ -389,6 +389,38 @@ func TestAppendEndpoint(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestSingleRoleRefusesAppendToken: the single role keeps no token
+// record, so a tokened /append (whose retry would otherwise append
+// twice) is refused with 400 naming the router role, and no row lands.
+func TestSingleRoleRefusesAppendToken(t *testing.T) {
+	engine := testEngine(t)
+	srv := httptest.NewServer(newServer(newEngineBackend(engine)))
+	defer srv.Close()
+
+	rows := func() int {
+		for _, ds := range engine.Datasets() {
+			if ds.Name == "tuples" {
+				return ds.Rows
+			}
+		}
+		t.Fatal("no tuples dataset")
+		return 0
+	}
+	before := rows()
+	for i := 0; i < 2; i++ { // a client retry sends the same body again
+		resp := postJSON(t, srv, "/append", wireAppend{Dataset: "tuples", Tuples: [][]float64{{1, 2, 3}}, Token: "t-1"})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("tokened append to the single role: status %d, want 400", resp.StatusCode)
+		}
+		if ar := decode[wireAppendResponse](t, resp); !strings.Contains(ar.Error, "router") {
+			t.Fatalf("refusal %q does not name the router role", ar.Error)
+		}
+	}
+	if got := rows(); got != before {
+		t.Fatalf("refused appends changed the rows: %d -> %d", before, got)
+	}
+}
+
 // TestRouterRoleBatchMatchesSingle is the cluster e2e pin the CI smoke
 // job mirrors with real processes: the same /batch against a
 // router-role server over two nodes and against a single-role server

@@ -249,10 +249,11 @@ func methodOf(s string) (modelir.GeologyMethod, error) {
 
 // wireAppend is the POST /append request shape: a dataset name plus
 // exactly one non-empty payload (the payload kind must match the
-// dataset's kind; scenes are not appendable). Token, when set, makes
-// the append idempotent through the router role: a retried request
+// dataset's kind; scenes are not appendable). Token makes the append
+// idempotent, and only the router role accepts one: a retried request
 // carrying the same token returns the recorded outcome instead of
-// appending twice.
+// appending twice. The single role keeps no token record, so it
+// refuses a tokened append with 400 rather than risk a double append.
 type wireAppend struct {
 	Dataset string                 `json:"dataset"`
 	Tuples  [][]float64            `json:"tuples,omitempty"`
@@ -311,6 +312,11 @@ func (b engineBackend) RunBatch(ctx context.Context, reqs []modelir.Request) ([]
 }
 
 func (b engineBackend) appendRows(ctx context.Context, wa wireAppend) (wireAppendResponse, error) {
+	if wa.Token != "" {
+		// This role keeps no token record: honouring the request would
+		// append a retried one twice.
+		return wireAppendResponse{}, errors.New("append tokens are honoured by the router role only (-role=router); the single role refuses them")
+	}
 	kinds := 0
 	for _, nonEmpty := range []bool{len(wa.Tuples) > 0, len(wa.Series) > 0, len(wa.Wells) > 0} {
 		if nonEmpty {

@@ -72,24 +72,6 @@ func ExampleFireAntsModel() {
 	// ants fly after day 4
 }
 
-// Machine minimization: the Fig. 1 machine as drawn has a redundant
-// state.
-func ExampleMinimizeMachine() {
-	m := modelir.FireAntsModel()
-	min, err := modelir.MinimizeMachine(m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eq, err := modelir.MachinesEquivalent(m, min)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d states -> %d states, equivalent: %v\n",
-		m.NumStates(), min.NumStates(), eq)
-	// Output:
-	// 5 states -> 4 states, equivalent: true
-}
-
 // Credit scoring with the published calibration anchors.
 func ExampleForeclosureProbability() {
 	fmt.Printf("P(foreclose | 680) = %.0f%%\n", 100*modelir.ForeclosureProbability(680))
@@ -117,27 +99,4 @@ func ExampleNewWorkflow() {
 	fmt.Printf("activity = %.0f + %.0f·soil_temp\n", m.Intercept, m.Coeffs[0])
 	// Output:
 	// activity = 1 + 2·soil_temp
-}
-
-// A fuzzy knowledge-model clause: "gamma ray higher than 45", graded.
-func ExampleNewRuleSet() {
-	rules := modelir.NewRuleSet()
-	rules.Require("gamma", gammaAbove{})
-	score, err := rules.Score(map[string]float64{"gamma": 55})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("grade = %.1f\n", score)
-	// Output:
-	// grade = 1.0
-}
-
-// gammaAbove is a crisp "greater than 45" membership for the example.
-type gammaAbove struct{}
-
-func (gammaAbove) Grade(v float64) float64 {
-	if v > 45 {
-		return 1
-	}
-	return 0
 }

@@ -145,15 +145,6 @@ func BuildScene(name string, m *raster.Multiband, opt Options) (*Scene, error) {
 	return sc, nil
 }
 
-// SetTileLabels attaches a semantics-level label per tile.
-func (sc *Scene) SetTileLabels(labels []int) error {
-	if len(labels) != len(sc.Tiles) {
-		return fmt.Errorf("archive: %d labels for %d tiles", len(labels), len(sc.Tiles))
-	}
-	sc.TileLabels = append([]int(nil), labels...)
-	return nil
-}
-
 // Pyramid returns the raw-level multiband pyramid.
 func (sc *Scene) Pyramid() *pyramid.MultibandPyramid { return sc.pyr }
 

@@ -92,30 +92,13 @@ func TestTileFeaturesConsistent(t *testing.T) {
 	}
 }
 
-func TestSetTileLabels(t *testing.T) {
-	a := testScene(t)
-	if err := a.SetTileLabels([]int{1}); err == nil {
-		t.Fatal("want length error")
-	}
-	labels := make([]int, len(a.Tiles))
-	labels[3] = 7
-	if err := a.SetTileLabels(labels); err != nil {
-		t.Fatal(err)
-	}
-	if a.TileLabels[3] != 7 {
-		t.Fatal("labels lost")
-	}
-}
-
 func TestRoundTripSerialization(t *testing.T) {
 	a := testScene(t)
 	labels := make([]int, len(a.Tiles))
 	for i := range labels {
 		labels[i] = i % 3
 	}
-	if err := a.SetTileLabels(labels); err != nil {
-		t.Fatal(err)
-	}
+	a.TileLabels = labels
 	var buf bytes.Buffer
 	if err := a.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -86,9 +86,6 @@ func TrainGNB(classes int, xs [][]float64, labels []int) (*GNB, error) {
 	return g, nil
 }
 
-// NumClasses returns the class count.
-func (g *GNB) NumClasses() int { return g.classes }
-
 // LogPosteriors returns unnormalized log posteriors for one pixel.
 func (g *GNB) LogPosteriors(x []float64, out []float64) ([]float64, error) {
 	if len(x) != g.bands {
@@ -184,19 +181,14 @@ type ProgressiveOptions struct {
 	MaxRange float64
 }
 
-// ClassifyProgressive labels a scene coarse-to-fine on a multiband
+// ClassifyProgressiveOpts labels a scene coarse-to-fine on a multiband
 // pyramid: blocks whose coarse-level classification margin is at least
-// marginThreshold are labeled wholesale; ambiguous blocks are split and
-// re-examined at the next finer level, down to exact per-pixel
-// classification at level 0. With spatially coherent scenes, most blocks
-// resolve coarse, giving the [13]-style speedup while agreeing with the
-// flat classifier except near class boundaries.
-func (g *GNB) ClassifyProgressive(mp *pyramid.MultibandPyramid, marginThreshold float64) (*raster.Grid, ProgressiveStats, error) {
-	return g.ClassifyProgressiveOpts(mp, ProgressiveOptions{MarginThreshold: marginThreshold})
-}
-
-// ClassifyProgressiveOpts is ClassifyProgressive with the full option
-// set (margin + homogeneity gating).
+// opt.MarginThreshold (and that pass the homogeneity gate, if set) are
+// labeled wholesale; ambiguous blocks are split and re-examined at the
+// next finer level, down to exact per-pixel classification at level 0.
+// With spatially coherent scenes, most blocks resolve coarse, giving the
+// [13]-style speedup while agreeing with the flat classifier except near
+// class boundaries.
 func (g *GNB) ClassifyProgressiveOpts(mp *pyramid.MultibandPyramid, opt ProgressiveOptions) (*raster.Grid, ProgressiveStats, error) {
 	marginThreshold := opt.MarginThreshold
 	if mp.NumBands() != g.bands {

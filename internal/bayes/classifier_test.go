@@ -73,8 +73,8 @@ func TestTrainGNBValidation(t *testing.T) {
 func TestGNBClassifiesSeparableData(t *testing.T) {
 	mb, truth := twoClassScene(1, 64, 32)
 	g := trainFromScene(t, mb, truth)
-	if g.NumClasses() != 2 {
-		t.Fatalf("classes=%d", g.NumClasses())
+	if g.classes != 2 {
+		t.Fatalf("classes=%d", g.classes)
 	}
 	labels, evals, err := g.ClassifyScene(mb)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestProgressiveAgreesAndSavesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, st, err := g.ClassifyProgressive(mp, 50)
+	prog, st, err := g.ClassifyProgressiveOpts(mp, ProgressiveOptions{MarginThreshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestProgressiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.ClassifyProgressive(mp, 1); err == nil {
+	if _, _, err := g.ClassifyProgressiveOpts(mp, ProgressiveOptions{MarginThreshold: 1}); err == nil {
 		t.Fatal("want band count error")
 	}
 }
@@ -174,7 +174,7 @@ func TestProgressiveZeroThresholdResolvesCoarse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := g.ClassifyProgressive(mp, 0)
+	_, st, err := g.ClassifyProgressiveOpts(mp, ProgressiveOptions{MarginThreshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ func TestCompiledMatchesScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if comp.Len() != r.Len() {
-			t.Fatalf("trial %d: compiled %d clauses, rule set %d", trial, comp.Len(), r.Len())
+		if len(comp.cols) != r.Len() {
+			t.Fatalf("trial %d: compiled %d clauses, rule set %d", trial, len(comp.cols), r.Len())
 		}
 		row := make([]float64, len(columns))
 		vals := make(map[string]float64, len(columns))

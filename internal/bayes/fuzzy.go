@@ -1,3 +1,10 @@
+// Package bayes implements the paper's knowledge models (Section 2.3)
+// in the form this system serves them: fuzzy rule sets (RuleSet, and
+// CompiledRuleSet for columnar scoring) graded per tile by the knowledge
+// query family, plus the Gaussian naive-Bayes classifier behind
+// progressive classification [13]. The Fig. 3 Bayesian network is not
+// reproduced as a network: core.HPSTileRules carries its high-risk-house
+// knowledge as a feature-level rule set.
 package bayes
 
 import (
@@ -183,9 +190,6 @@ func (r *RuleSet) Compile(columns []string) (*CompiledRuleSet, error) {
 	}
 	return c, nil
 }
-
-// Len returns the number of compiled clauses.
-func (c *CompiledRuleSet) Len() int { return len(c.cols) }
 
 // ScoreRow grades one feature row (indexed by the column order Compile
 // was given). The arithmetic is identical to RuleSet.Score — min over

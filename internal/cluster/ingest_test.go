@@ -422,6 +422,67 @@ func TestNodeAppendSeqDedup(t *testing.T) {
 			t.Fatalf("rows = %d, want %d", ds.Rows, base+50)
 		}
 	}
+
+	// Series and wells ride the same cursor.
+	for _, k := range []struct {
+		dataset string
+		batch   func(seq uint64, i int) AppendBatch
+	}{
+		{"weather", func(seq uint64, i int) AppendBatch {
+			return AppendBatch{Dataset: "weather", Seq: seq, Series: tl.series[i : i+1]}
+		}},
+		{"basin", func(seq uint64, i int) AppendBatch {
+			return AppendBatch{Dataset: "basin", Seq: seq, Wells: tl.wells[i : i+1]}
+		}},
+	} {
+		local := n.localName(k.dataset, 0)
+		before := localRows(t, n, local)
+		first := k.batch(1, 0)
+		if dup, _, err := n.AppendRows(ctx, first); err != nil || dup {
+			t.Fatalf("%s first delivery: dup=%v err=%v", k.dataset, dup, err)
+		}
+		if dup, _, err := n.AppendRows(ctx, first); err != nil || !dup {
+			t.Fatalf("%s re-delivery: dup=%v err=%v, want dup", k.dataset, dup, err)
+		}
+		if _, _, err := n.AppendRows(ctx, k.batch(5, 1)); !errors.Is(err, ErrSeqGap) {
+			t.Fatalf("%s gap err = %v, want ErrSeqGap", k.dataset, err)
+		}
+		if rows := localRows(t, n, local); rows != before+1 {
+			t.Fatalf("%s rows = %d, want %d", k.dataset, rows, before+1)
+		}
+
+		// A deadline that runs out while the batch is in flight: whatever
+		// AppendRows answers, the engine's rows and the cursor agree. A
+		// failed batch that applied later would be applied twice by the
+		// router's redelivery of the same sequence number. Deferred work
+		// signals nothing a test can wait on, so the check runs after a
+		// pause well past a batching window (2 ms by default).
+		dctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+		_, _, err := n.AppendRows(dctx, k.batch(2, 1))
+		cancel()
+		time.Sleep(20 * time.Millisecond)
+		seq := n.partIngest(k.dataset, 0).lastSeq.Load()
+		rows := localRows(t, n, local)
+		if err == nil && (seq != 2 || rows != before+2) {
+			t.Fatalf("%s acked batch: cursor %d rows %d, want 2 and %d", k.dataset, seq, rows, before+2)
+		}
+		if err != nil && (seq != 1 || rows != before+1) {
+			t.Fatalf("%s batch failed with %v: cursor %d rows %d, want 1 and %d",
+				k.dataset, err, seq, rows, before+1)
+		}
+	}
+}
+
+// localRows is the logical row count of one engine-local dataset.
+func localRows(t *testing.T, n *Node, local string) int {
+	t.Helper()
+	for _, ds := range n.eng.Datasets() {
+		if ds.Name == local {
+			return ds.Rows
+		}
+	}
+	t.Fatalf("no local dataset %q", local)
+	return 0
 }
 
 // flakyProxy fronts a node and drops the first `drops` connections cold

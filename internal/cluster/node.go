@@ -76,11 +76,6 @@ type Node struct {
 	// sequence number); entries are created on first append.
 	ingests map[string]map[int]*partIngest
 
-	// appender coalesces concurrent series/well appends from multiple
-	// streams and routers into fewer delta segments (tuple batches land
-	// directly: their explicit global bases cannot be merged).
-	appender *core.Appender
-
 	served    atomic.Int64
 	cancelled atomic.Int64
 	failed    atomic.Int64
@@ -99,15 +94,14 @@ func NewNode(self string, topo Topology, opt NodeOptions) *Node {
 // newNodeOn wraps an engine (fresh, or restored from a snapshot).
 func newNodeOn(self string, topo Topology, opt NodeOptions, eng *core.Engine) *Node {
 	return &Node{
-		self:     self,
-		topo:     topo,
-		place:    newPlacer(topo),
-		opt:      opt,
-		eng:      eng,
-		appender: core.NewAppender(eng, core.AppenderOptions{}),
-		conns:    make(map[net.Conn]struct{}),
-		parts:    make(map[string]map[int]partEntry),
-		ingests:  make(map[string]map[int]*partIngest),
+		self:    self,
+		topo:    topo,
+		place:   newPlacer(topo),
+		opt:     opt,
+		eng:     eng,
+		conns:   make(map[net.Conn]struct{}),
+		parts:   make(map[string]map[int]partEntry),
+		ingests: make(map[string]map[int]*partIngest),
 	}
 }
 
@@ -273,7 +267,6 @@ func (n *Node) track(c net.Conn, add bool) {
 func (n *Node) Close() {
 	n.Kill()
 	n.wg.Wait()
-	n.appender.Close()
 	_ = n.eng.Close() // best-effort; nothing actionable at teardown
 }
 

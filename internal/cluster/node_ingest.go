@@ -66,12 +66,15 @@ func (n *Node) datasetGen(local string) uint64 {
 }
 
 // AppendRows lands one routed delta batch in the node's engine — the
-// cluster twin of Engine.Append*: rows enter the PR 8 delta-segment
-// path (tuples at the batch's explicit global base so result IDs match
-// a single-node build; series and wells through the node's batching
-// appender) and the dataset's generation advances, invalidating stale
-// cache entries. dup reports an idempotent no-op: the batch's sequence
-// number was already applied.
+// cluster twin of Engine.Append*: rows enter the delta-segment path
+// (tuples at the batch's explicit global base so result IDs match a
+// single-node build) and the dataset's generation advances,
+// invalidating stale cache entries. dup reports an idempotent no-op:
+// the batch's sequence number was already applied. The append is
+// synchronous under the partition's lock, so the cursor and the
+// engine's rows always agree: a nil error means both moved, and any
+// error means neither did. ctx is consulted once, before the batch
+// applies; a caller already cancelled by then gets ctx.Err().
 func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uint64, err error) {
 	n.mu.Lock()
 	entry, ok := n.parts[b.Dataset][b.Part]
@@ -90,6 +93,10 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 	case b.Seq != last+1:
 		return false, 0, fmt.Errorf("%w: %q part %d seq %d after %d",
 			ErrSeqGap, b.Dataset, b.Part, b.Seq, last)
+	}
+
+	if err := ctx.Err(); err != nil {
+		return false, 0, err
 	}
 
 	if entry.local == "" {
@@ -124,9 +131,9 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 			}
 			err = n.eng.AppendTuplesAt(entry.local, localBase, b.Tuples)
 		case len(b.Series) > 0:
-			err = n.appender.AppendSeries(ctx, entry.local, b.Series)
+			err = n.eng.AppendSeries(entry.local, b.Series)
 		default:
-			err = n.appender.AppendWells(ctx, entry.local, b.Wells)
+			err = n.eng.AppendWells(entry.local, b.Wells)
 		}
 		if err != nil {
 			return false, 0, fmt.Errorf("%w: %w", ErrAppendRefused, err)

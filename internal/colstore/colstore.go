@@ -85,7 +85,7 @@ type Store struct {
 
 	// kern is the dot-product kernel every scan of this store uses,
 	// selected once at build time from the (fixed) dimension; kernName
-	// labels it for benchmark artifacts.
+	// labels it for tests and benchmark names.
 	kern     kernelFunc
 	kernName string
 }
@@ -286,10 +286,6 @@ func (s *Store) ID(r int) int64 { return s.ids[r] }
 
 // At returns the value of attribute d at storage row r.
 func (s *Store) At(r, d int) float64 { return s.cols[d][r] }
-
-// KernelName reports which scan kernel the store selected at build
-// time ("dim2", "dim4", "dim8", "dim16" or "generic4").
-func (s *Store) KernelName() string { return s.kernName }
 
 // WeightNorm returns the Euclidean norm of w — the scan's
 // Cauchy-Schwarz factor, computed once per query.

@@ -31,8 +31,8 @@ func TestKernelSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.KernelName() != name {
-			t.Fatalf("dim %d: kernel %q, want %q", dim, st.KernelName(), name)
+		if st.kernName != name {
+			t.Fatalf("dim %d: kernel %q, want %q", dim, st.kernName, name)
 		}
 	}
 }
@@ -184,7 +184,7 @@ func BenchmarkKernel(b *testing.B) {
 			}
 			h := topk.MustHeap(10)
 			var cst Stats
-			name := fmt.Sprintf("dim=%d/kernel=%s", dim, st.KernelName())
+			name := fmt.Sprintf("dim=%d/kernel=%s", dim, st.kernName)
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -305,17 +305,6 @@ func (e *Engine) AddWells(name string, ws []synth.WellLog) error {
 	return addSet(e, dsWells, e.wells, name, ws, newWellShard)
 }
 
-// Scene returns a registered raster archive.
-func (e *Engine) Scene(name string) (*archive.Scene, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ss, ok := e.scenes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	return ss.scene, nil
-}
-
 // FSMPrefilter decides, from metadata alone, whether a region can
 // possibly satisfy the machine. Returning false skips the full scan.
 type FSMPrefilter func(synth.DrySpellStats) bool

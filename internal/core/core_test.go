@@ -59,9 +59,6 @@ func TestRegistrationErrors(t *testing.T) {
 	if err := e.AddWells("g", nil); err == nil {
 		t.Fatal("want empty wells error")
 	}
-	if _, err := e.Scene("missing"); err == nil {
-		t.Fatal("want unknown dataset error")
-	}
 }
 
 // TestAddTuplesRefusesUnstorableRows: rows no columnar store can hold
@@ -476,15 +473,6 @@ func TestWorkflowFig5(t *testing.T) {
 	if _, err := NewWorkflow(nil); err == nil {
 		t.Fatal("want attrs error")
 	}
-	// Hypothesize an expert model (step 1).
-	hyp, _ := linear.New([]string{"a", "b"}, []float64{1, 1}, 0)
-	if err := wf.Hypothesize(hyp); err != nil {
-		t.Fatal(err)
-	}
-	badHyp, _ := linear.New([]string{"a"}, []float64{1}, 0)
-	if err := wf.Hypothesize(badHyp); err == nil {
-		t.Fatal("want shape error")
-	}
 	// True model: y = 2a - b + 1.
 	gen := func(n int, seed int64) ([][]float64, []float64) {
 		xs := make([][]float64, n)
@@ -508,9 +496,9 @@ func TestWorkflowFig5(t *testing.T) {
 	if math.Abs(m.Coeffs[0]-2) > 0.01 || math.Abs(m.Coeffs[1]+1) > 0.01 {
 		t.Fatalf("calibrated coeffs %v", m.Coeffs)
 	}
-	// Revise with more data (step 4): still consistent, refit sharpens.
+	// Fold in more data (step 4): still consistent, refit sharpens.
 	xs2, ys2 := gen(100, 99)
-	m2, err := wf.Revise(xs2, ys2)
+	m2, err := wf.Calibrate(xs2, ys2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,18 +508,10 @@ func TestWorkflowFig5(t *testing.T) {
 	if math.Abs(m2.Intercept-1) > 0.01 {
 		t.Fatalf("revised intercept %v", m2.Intercept)
 	}
-	if wf.Model() != m2 {
-		t.Fatal("Model() stale")
-	}
-	// Revise-before-calibrate on a fresh workflow errors.
-	wf2, _ := NewWorkflow([]string{"a"})
-	if _, err := wf2.Revise([][]float64{{1}}, []float64{1}); err == nil {
-		t.Fatal("want revise-before-calibrate error")
-	}
 	if _, err := wf.Calibrate(nil, nil); err == nil {
 		t.Fatal("want bad rows error")
 	}
-	if _, err := wf.Revise([][]float64{{1}}, []float64{1}); err == nil {
+	if _, err := wf.Calibrate([][]float64{{1}}, []float64{1}); err == nil {
 		t.Fatal("want row shape error")
 	}
 }

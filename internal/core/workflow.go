@@ -16,15 +16,15 @@ import (
 //  5. apply the revised model to a much bigger data set;
 //  6. repeat 3-4 as necessary.
 //
-// The workflow accumulates calibration rows across revisions, so each
-// Revise call refits on everything seen so far — the paper's "generalize
-// the model through learning and relevance feedback".
+// The workflow accumulates calibration rows across fits, so each
+// Calibrate call — the first (step 2) or one folding in retrieved-and-
+// verified rows (step 4) — refits on everything seen so far: the paper's
+// "generalize the model through learning and relevance feedback".
 type Workflow struct {
 	attrs []string
 	xs    [][]float64
 	ys    []float64
-	model *linear.Model
-	// Revisions counts completed fits (calibration + revisions).
+	// Revisions counts completed fits.
 	Revisions int
 }
 
@@ -38,44 +38,14 @@ func NewWorkflow(attrs []string) (*Workflow, error) {
 	return &Workflow{attrs: a}, nil
 }
 
-// Hypothesize installs an expert-provided starting model (step 1) without
-// any data. Optional: Calibrate can also create the first model.
-func (w *Workflow) Hypothesize(m *linear.Model) error {
-	if m == nil {
-		return errors.New("core: nil hypothesis")
-	}
-	if len(m.Coeffs) != len(w.attrs) {
-		return fmt.Errorf("core: hypothesis has %d terms, workflow %d attributes",
-			len(m.Coeffs), len(w.attrs))
-	}
-	w.model = m
-	return nil
-}
-
-// Calibrate fits the initial model from training rows (step 2).
+// Calibrate folds training rows into the calibration set and refits
+// (step 2, and step 4 when the rows are retrieved-and-verified ones).
 func (w *Workflow) Calibrate(xs [][]float64, ys []float64) (*linear.Model, error) {
 	if err := w.absorb(xs, ys); err != nil {
 		return nil, err
 	}
 	return w.refit()
 }
-
-// Revise folds newly retrieved-and-verified rows into the calibration
-// set and refits (step 4). This is the cheap-loop the paper says existing
-// systems make expensive: the archive-side retrieval is indexed, so each
-// revision costs a refit plus an indexed query rather than a full scan.
-func (w *Workflow) Revise(xs [][]float64, ys []float64) (*linear.Model, error) {
-	if w.model == nil && len(w.xs) == 0 {
-		return nil, errors.New("core: revise before calibrate")
-	}
-	if err := w.absorb(xs, ys); err != nil {
-		return nil, err
-	}
-	return w.refit()
-}
-
-// Model returns the current model (nil before calibration).
-func (w *Workflow) Model() *linear.Model { return w.model }
 
 // TrainingSize returns the accumulated calibration rows.
 func (w *Workflow) TrainingSize() int { return len(w.xs) }
@@ -99,7 +69,6 @@ func (w *Workflow) refit() (*linear.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.model = m
 	w.Revisions++
 	return m, nil
 }

@@ -76,18 +76,6 @@ func (h Histogram) L1Distance(o Histogram) (float64, error) {
 	return d, nil
 }
 
-// Intersection returns the histogram-intersection similarity in [0,1].
-func (h Histogram) Intersection(o Histogram) (float64, error) {
-	if len(h.Bins) != len(o.Bins) {
-		return 0, errors.New("features: histogram binning mismatch")
-	}
-	var s float64
-	for i := range h.Bins {
-		s += math.Min(h.Bins[i], o.Bins[i])
-	}
-	return s, nil
-}
-
 // Texture is a gray-level co-occurrence (GLCM) texture descriptor computed
 // at offset (1,0) and (0,1), quantized to the given number of gray levels.
 // The four Haralick-style scalars capture the texture dimensions used by

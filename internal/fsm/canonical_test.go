@@ -19,7 +19,7 @@ func TestMachineCanonicalRoundTrip(t *testing.T) {
 	if r.Remaining() != 0 {
 		t.Fatalf("decode left %d bytes", r.Remaining())
 	}
-	if !Equal(m, got) {
+	if !machinesEqual(m, got) {
 		t.Fatal("decoded machine not structurally equal")
 	}
 	if !bytes.Equal(got.AppendCanonical(nil), enc) {
@@ -90,4 +90,32 @@ func acceptOffset(t *testing.T, b []byte) int {
 		t.Fatal(err)
 	}
 	return len(b) - r.Remaining()
+}
+
+// machinesEqual reports whether two machines are structurally
+// identical: same alphabet, state count, start, accepting flags and
+// transitions under the same numbering.
+func machinesEqual(a, b *Machine) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.NumStates() != b.NumStates() || a.NumEvents() != b.NumEvents() || a.start != b.start {
+		return false
+	}
+	for i, n := range a.alphabet {
+		if b.alphabet[i] != n {
+			return false
+		}
+	}
+	for s := range a.accept {
+		if a.accept[s] != b.accept[s] {
+			return false
+		}
+	}
+	for i, to := range a.trans {
+		if b.trans[i] != to {
+			return false
+		}
+	}
+	return true
 }

@@ -73,18 +73,6 @@ func (b *Builder) On(from int, e Event, to int) *Builder {
 	return b
 }
 
-// OnAll sets transitions from `from` to `to` for every event not already
-// mapped — a convenience for default/self-loop edges.
-func (b *Builder) OnAll(from, to int) *Builder {
-	for e := range b.alphabet {
-		key := [2]int{from, e}
-		if _, ok := b.trans[key]; !ok {
-			b.trans[key] = to
-		}
-	}
-	return b
-}
-
 // Build validates completeness and returns the machine.
 func (b *Builder) Build() (*Machine, error) {
 	if len(b.alphabet) == 0 {
@@ -130,33 +118,6 @@ func (m *Machine) NumStates() int { return len(m.states) }
 // NumEvents returns the alphabet size.
 func (m *Machine) NumEvents() int { return len(m.alphabet) }
 
-// StateName returns the name of state s.
-func (m *Machine) StateName(s int) string { return m.states[s] }
-
-// Alphabet returns a copy of the event names.
-func (m *Machine) Alphabet() []string {
-	out := make([]string, len(m.alphabet))
-	copy(out, m.alphabet)
-	return out
-}
-
-// Start returns the initial state.
-func (m *Machine) Start() int { return m.start }
-
-// IsAccept reports whether state s is accepting.
-func (m *Machine) IsAccept(s int) bool { return m.accept[s] }
-
-// Next returns the successor of state s on event e.
-func (m *Machine) Next(s int, e Event) (int, error) {
-	if s < 0 || s >= len(m.states) {
-		return 0, fmt.Errorf("fsm: state %d out of range", s)
-	}
-	if int(e) < 0 || int(e) >= len(m.alphabet) {
-		return 0, fmt.Errorf("fsm: event %d out of range", e)
-	}
-	return m.trans[s*len(m.alphabet)+int(e)], nil
-}
-
 // RunResult summarizes a machine run over an event series.
 type RunResult struct {
 	// FirstAccept is the 0-based index of the first event after which the
@@ -187,21 +148,4 @@ func (m *Machine) Run(events []Event) (RunResult, error) {
 	}
 	res.Final = s
 	return res, nil
-}
-
-// Trace returns the full state sequence (length len(events)+1, starting
-// with the start state). Used by machine extraction.
-func (m *Machine) Trace(events []Event) ([]int, error) {
-	out := make([]int, 0, len(events)+1)
-	s := m.start
-	out = append(out, s)
-	na := len(m.alphabet)
-	for i, e := range events {
-		if int(e) < 0 || int(e) >= na {
-			return nil, fmt.Errorf("fsm: event %d at position %d out of range", e, i)
-		}
-		s = m.trans[s*na+int(e)]
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -53,27 +53,7 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-func TestOnAll(t *testing.T) {
-	b := NewBuilder([]string{"a", "b", "c"})
-	s0 := b.State("s0")
-	s1 := b.State("s1")
-	b.Start(s0)
-	b.On(s0, 0, s1) // explicit edge survives OnAll
-	b.OnAll(s0, s0)
-	b.OnAll(s1, s1)
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := m.Next(s0, 0); n != s1 {
-		t.Fatal("OnAll overwrote explicit transition")
-	}
-	if n, _ := m.Next(s0, 1); n != s0 {
-		t.Fatal("OnAll default missing")
-	}
-}
-
-func TestRunAndTrace(t *testing.T) {
+func TestRun(t *testing.T) {
 	m := twoStateMachine(t)
 	res, err := m.Run([]Event{1, 0, 0, 1})
 	if err != nil {
@@ -83,40 +63,18 @@ func TestRunAndTrace(t *testing.T) {
 	if res.FirstAccept != 1 || res.AcceptCount != 2 || res.Final != 0 {
 		t.Fatalf("run=%+v", res)
 	}
-	tr, err := m.Trace([]Event{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 1}
-	for i := range want {
-		if tr[i] != want[i] {
-			t.Fatalf("trace=%v want %v", tr, want)
-		}
-	}
 	if _, err := m.Run([]Event{5}); err == nil {
 		t.Fatal("want error for out-of-range event")
 	}
-	if _, err := m.Trace([]Event{-1}); err == nil {
+	if _, err := m.Run([]Event{-1}); err == nil {
 		t.Fatal("want error for negative event")
 	}
 }
 
 func TestAccessors(t *testing.T) {
 	m := twoStateMachine(t)
-	if m.NumStates() != 2 || m.NumEvents() != 2 || m.Start() != 0 {
+	if m.NumStates() != 2 || m.NumEvents() != 2 {
 		t.Fatal("accessors wrong")
-	}
-	if m.StateName(1) != "s1" || !m.IsAccept(1) || m.IsAccept(0) {
-		t.Fatal("state metadata wrong")
-	}
-	if got := m.Alphabet(); len(got) != 2 || got[0] != "a" {
-		t.Fatalf("alphabet %v", got)
-	}
-	if _, err := m.Next(-1, 0); err == nil {
-		t.Fatal("want error for bad state")
-	}
-	if _, err := m.Next(0, 9); err == nil {
-		t.Fatal("want error for bad event")
 	}
 }
 
@@ -151,7 +109,7 @@ func TestFireAntsScenarios(t *testing.T) {
 	}
 	// ...but rain ends it.
 	res, _ = m.Run([]Event{EvRain, EvDryHot, EvDryHot, EvDryHot, EvRain})
-	if res.AcceptCount != 1 || m.IsAccept(res.Final) {
+	if res.AcceptCount != 1 || m.accept[res.Final] {
 		t.Fatalf("rain reset: %+v", res)
 	}
 }

@@ -1,7 +1,6 @@
 package linear
 
 import (
-	"errors"
 	"math"
 )
 
@@ -73,22 +72,4 @@ func ForeclosureProbability(score float64) float64 {
 	)
 	z := base + (score-mid)*slope
 	return 1 / (1 + math.Exp(z))
-}
-
-// ErrScoreRange is returned for scores outside [300, 900].
-var ErrScoreRange = errors.New("linear: score outside [300, 900]")
-
-// RiskBand classifies a score into the coarse bands lenders use; it
-// validates the score range.
-func RiskBand(score float64) (string, error) {
-	switch {
-	case score < 300 || score > 900:
-		return "", ErrScoreRange
-	case score >= 680:
-		return "prime", nil
-	case score >= 620:
-		return "near-prime", nil
-	default:
-		return "subprime", nil
-	}
 }

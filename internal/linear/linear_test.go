@@ -196,11 +196,14 @@ func TestDecomposeHPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumLevels() != 2 || p.TermsAt(0) != 2 || p.TermsAt(1) != 4 {
-		t.Fatalf("levels wrong: %d levels, terms %d/%d", p.NumLevels(), p.TermsAt(0), p.TermsAt(1))
+	if len(p.levels) != 2 || p.levels[0] != 2 || p.levels[1] != 4 {
+		t.Fatalf("levels wrong: %v", p.levels)
+	}
+	if p.Full() != m {
+		t.Fatal("Full() lost the model")
 	}
 	// With spans, elevation (0.183×1500) and b4 (0.443×255) dominate.
-	ord := p.Order()
+	ord := p.order
 	if m.Attrs[ord[0]] != "elev" || m.Attrs[ord[1]] != "b4" {
 		t.Fatalf("contribution order: %v %v", m.Attrs[ord[0]], m.Attrs[ord[1]])
 	}
@@ -270,14 +273,8 @@ func TestProgressiveBracketProperty(t *testing.T) {
 				x[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
 			}
 			exact, _ := m.Eval(x)
-			coarse, err := p.EvalLevel(0, x)
-			if err != nil {
-				return false
-			}
+			coarse := p.EvalLevelUnchecked(0, x)
 			if math.Abs(exact-coarse) > p.Resid(0)+1e-9 {
-				return false
-			}
-			if p.EvalLevelUnchecked(0, x) != coarse {
 				return false
 			}
 		}
@@ -287,28 +284,11 @@ func TestProgressiveBracketProperty(t *testing.T) {
 			x[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
 		}
 		exact, _ := m.Eval(x)
-		fin, _ := p.EvalLevel(p.NumLevels()-1, x)
+		fin := p.EvalLevelUnchecked(len(p.levels)-1, x)
 		return math.Abs(exact-fin) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEvalLevelValidation(t *testing.T) {
-	m := HPSRisk()
-	p, err := Decompose(m, []float64{0, 0, 0, 0}, []float64{1, 1, 1, 1}, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.EvalLevel(5, []float64{1, 1, 1, 1}); err == nil {
-		t.Fatal("want level range error")
-	}
-	if _, err := p.EvalLevel(0, []float64{1}); err == nil {
-		t.Fatal("want dimension error")
-	}
-	if p.Full() != m {
-		t.Fatal("Full() lost the model")
 	}
 }
 
@@ -348,24 +328,5 @@ func TestForeclosureCalibration(t *testing.T) {
 	}
 	if ForeclosureProbability(500) <= 0.08 {
 		t.Fatal("low scores must exceed 8%")
-	}
-}
-
-func TestRiskBand(t *testing.T) {
-	cases := []struct {
-		score float64
-		want  string
-	}{{700, "prime"}, {680, "prime"}, {650, "near-prime"}, {500, "subprime"}}
-	for _, c := range cases {
-		got, err := RiskBand(c.score)
-		if err != nil || got != c.want {
-			t.Fatalf("RiskBand(%v)=(%v,%v) want %v", c.score, got, err, c.want)
-		}
-	}
-	if _, err := RiskBand(100); err == nil {
-		t.Fatal("want range error")
-	}
-	if _, err := RiskBand(1000); err == nil {
-		t.Fatal("want range error")
 	}
 }

@@ -115,43 +115,16 @@ func Decompose(m *Model, attrLo, attrHi []float64, levelTerms ...int) (*Progress
 	}, nil
 }
 
-// NumLevels returns the number of refinement levels.
-func (p *ProgressiveModel) NumLevels() int { return len(p.levels) }
-
 // Full returns the exact underlying model.
 func (p *ProgressiveModel) Full() *Model { return p.full }
 
-// TermsAt returns how many terms level l evaluates.
-func (p *ProgressiveModel) TermsAt(l int) int { return p.levels[l] }
-
 // Resid returns the sound residual bound at level l: the exact model value
-// differs from EvalLevel(l, x) by at most this much.
+// differs from EvalLevelUnchecked(l, x) by at most this much.
 func (p *ProgressiveModel) Resid(l int) float64 { return p.resid[l] }
 
-// Order returns the term evaluation order (most contributing first).
-func (p *ProgressiveModel) Order() []int {
-	out := make([]int, len(p.order))
-	copy(out, p.order)
-	return out
-}
-
-// EvalLevel computes the level-l approximation for input x (full-length
-// attribute vector; omitted terms are simply skipped).
-func (p *ProgressiveModel) EvalLevel(l int, x []float64) (float64, error) {
-	if l < 0 || l >= len(p.levels) {
-		return 0, fmt.Errorf("linear: level %d out of range", l)
-	}
-	if len(x) != len(p.full.Coeffs) {
-		return 0, ErrDimension
-	}
-	s := p.full.Intercept
-	for _, idx := range p.order[:p.levels[l]] {
-		s += p.full.Coeffs[idx] * x[idx]
-	}
-	return s, nil
-}
-
-// EvalLevelUnchecked is EvalLevel without validation for hot loops.
+// EvalLevelUnchecked computes the level-l approximation for input x
+// (full-length attribute vector; omitted terms are simply skipped),
+// without validating l or len(x): the hot-loop form.
 func (p *ProgressiveModel) EvalLevelUnchecked(l int, x []float64) float64 {
 	s := p.full.Intercept
 	for _, idx := range p.order[:p.levels[l]] {

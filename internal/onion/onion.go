@@ -171,9 +171,6 @@ func Build(points [][]float64, opt Options) (*Index, error) {
 // NumLayers returns the layer count (including the core bucket, if any).
 func (ix *Index) NumLayers() int { return ix.store.NumSegments() }
 
-// NumPoints returns the indexed point count.
-func (ix *Index) NumPoints() int { return ix.store.NumRows() }
-
 // LayerSize returns the number of points in layer i.
 func (ix *Index) LayerSize(i int) int { return ix.store.SegmentLen(i) }
 
@@ -205,23 +202,17 @@ func (ix *Index) TopK(w []float64, k int) ([]topk.Item, Stats, error) {
 	return ix.Scan(w, k, ScanOpts{})
 }
 
-// TopKShared is TopK for an index that covers one shard of a larger
-// logical dataset: sb carries the progressive-screening floor shared
-// with the scans of the sibling shards. Whenever the local heap fills,
-// its threshold is published; layers and blocks whose upper bound falls
-// strictly below the shared floor are skipped even if the local heap
-// could still absorb them — those points cannot reach the merged global
-// top-K. A nil bound degrades to the plain single-index scan.
-func (ix *Index) TopKShared(w []float64, k int, sb *topk.Bound) ([]topk.Item, Stats, error) {
-	return ix.Scan(w, k, ScanOpts{Bound: sb})
-}
-
 // ScanOpts tunes one index scan. The zero value reproduces TopK.
 type ScanOpts struct {
 	// Ctx cancels the scan cooperatively: it is checked once per layer,
 	// and a cancelled scan returns ctx.Err(). Nil means no cancellation.
 	Ctx context.Context
-	// Bound is the cross-shard screening floor (see TopKShared).
+	// Bound is a screening floor shared with the scans of sibling
+	// shards of one logical dataset. Whenever the local heap fills, its
+	// threshold is published; layers and blocks whose upper bound falls
+	// strictly below the shared floor are skipped even if the local heap
+	// could still absorb them, because those points cannot reach the
+	// merged global top-K. Nil means unshared.
 	Bound *topk.Bound
 	// Meter is a shared work budget charged one unit per point scored.
 	// The scan gates on it block by block and charges after each scored
@@ -239,33 +230,17 @@ type ScanOpts struct {
 	OnLayer func(layer int, sofar []topk.Item) error
 }
 
-// Scan is the full-control scan behind TopK and TopKShared: exact
-// results, plus cooperative cancellation, work budgeting, and a
-// per-layer observation hook via opts.
+// Scan is the full-control scan behind TopK: exact results, plus a
+// shared screening floor, cooperative cancellation, work budgeting,
+// and a per-layer observation hook via opts.
 func (ix *Index) Scan(w []float64, k int, opt ScanOpts) ([]topk.Item, Stats, error) {
-	return ix.scan(w, k, opt, nil, (*topk.Heap).AppendResults)
-}
-
-// ScanUnordered is Scan for a caller that merges the result into a
-// larger top-K (one shard of a sharded dataset): the exact top-K is
-// appended to dst in arbitrary order, so the merge orders the items
-// once instead of every shard ordering its own. Pass a reused dst[:0]
-// and a warmed-up scan allocates nothing.
-func (ix *Index) ScanUnordered(w []float64, k int, opt ScanOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
-	return ix.scan(w, k, opt, dst, (*topk.Heap).AppendUnordered)
-}
-
-// scan runs the layer scan and hands the final heap to extract
-// (AppendResults for best-first callers, AppendUnordered for merges).
-func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
-	extract func(*topk.Heap, []topk.Item) []topk.Item) ([]topk.Item, Stats, error) {
 	var st Stats
 	if len(w) != ix.dim {
-		return dst, st, fmt.Errorf("onion: weight dim %d, want %d", len(w), ix.dim)
+		return nil, st, fmt.Errorf("onion: weight dim %d, want %d", len(w), ix.dim)
 	}
 	h, err := topk.GetHeap(k)
 	if err != nil {
-		return dst, st, err
+		return nil, st, err
 	}
 	defer topk.PutHeap(h)
 	sb := opt.Bound
@@ -281,7 +256,7 @@ func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
 		if done != nil {
 			select {
 			case <-done:
-				return dst, st, opt.Ctx.Err()
+				return nil, st, opt.Ctx.Err()
 			default:
 			}
 		}
@@ -334,7 +309,7 @@ func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
 		}
 		if opt.OnLayer != nil {
 			if err := opt.OnLayer(li, h.Results()); err != nil {
-				return dst, st, err
+				return nil, st, err
 			}
 		}
 	}
@@ -342,7 +317,7 @@ func (ix *Index) scan(w []float64, k int, opt ScanOpts, dst []topk.Item,
 	st.PointsZonePruned = cst.RowsZonePruned
 	st.BlocksZonePruned = cst.BlocksZonePruned
 	st.PointsSkippedByBudget += cst.RowsSkippedByBudget
-	return extract(h, dst), st, nil
+	return h.AppendResults(nil), st, nil
 }
 
 // ScanTopK is the sequential-scan baseline the paper measures against:

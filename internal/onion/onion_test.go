@@ -184,8 +184,8 @@ func TestLayersPartitionPoints(t *testing.T) {
 	for li := 0; li < ix.NumLayers(); li++ {
 		total += ix.LayerSize(li)
 	}
-	if total != ix.NumPoints() {
-		t.Fatalf("layers hold %d points, want %d", total, ix.NumPoints())
+	if total != ix.store.NumRows() {
+		t.Fatalf("layers hold %d points, want %d", total, ix.store.NumRows())
 	}
 	// Every original point id appears exactly once across the columnar
 	// rows, and each row's values match the source point — the layout
@@ -336,7 +336,7 @@ func TestTopKSharedPartitionsEqualWhole(t *testing.T) {
 				sb := topk.NewBound()
 				merged := topk.MustHeap(k)
 				for pi, ix := range ixs {
-					items, _, err := ix.TopKShared(w, k, sb)
+					items, _, err := ix.Scan(w, k, ScanOpts{Bound: sb})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -372,13 +372,13 @@ func TestTopKSharedBoundPrunesColdShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := []float64{1, 1, 1}
-	_, cold, err := ix.TopKShared(w, 10, nil)
+	_, cold, err := ix.Scan(w, 10, ScanOpts{Bound: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := topk.NewBound()
 	sb.Raise(1e9) // unreachably high cross-shard floor
-	items, hot, err := ix.TopKShared(w, 10, sb)
+	items, hot, err := ix.Scan(w, 10, ScanOpts{Bound: sb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestSharedBoundScreensRows(t *testing.T) {
 	floor := all[9].Score
 	sb := topk.NewBound()
 	sb.Raise(floor)
-	got, _, err := ix.TopKShared(w, k, sb)
+	got, _, err := ix.Scan(w, k, ScanOpts{Bound: sb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,9 +508,9 @@ func TestScanBudgetTruncates(t *testing.T) {
 	if got := int(meter.Used()); got != partSt.PointsTouched {
 		t.Fatalf("meter charged %d for %d points scored", got, partSt.PointsTouched)
 	}
-	if partSt.PointsTouched+partSt.PointsSkippedByBudget != ix.NumPoints() {
+	if partSt.PointsTouched+partSt.PointsSkippedByBudget != ix.store.NumRows() {
 		t.Fatalf("touched %d + budget-skipped %d != %d points",
-			partSt.PointsTouched, partSt.PointsSkippedByBudget, ix.NumPoints())
+			partSt.PointsTouched, partSt.PointsSkippedByBudget, ix.store.NumRows())
 	}
 	if fullSt.PointsSkippedByBudget != 0 {
 		t.Fatalf("unbudgeted scan reported %d budget skips", fullSt.PointsSkippedByBudget)

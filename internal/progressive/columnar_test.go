@@ -26,7 +26,7 @@ func levelBoundaryBudgets(t *testing.T) (budgets []int, full Result) {
 	t.Helper()
 	pm, mp := hpsSetup(t, 21, 16, 16)
 	meter := topk.NewMeter(1 << 40) // effectively unlimited, but readable
-	res, err := CombinedShardOpts(pm, mp, boundaryK, Roots(mp), DescendOpts{
+	res, err := combinedOpts(pm, mp, boundaryK, DescendOpts{
 		Meter: meter,
 		OnLevel: func(level int, sofar []topk.Item) error {
 			budgets = append(budgets, int(meter.Used()))
@@ -59,7 +59,7 @@ func TestDescendBudgetEveryLevelBoundary(t *testing.T) {
 	maxStep := 8 * nTerms
 	for _, b := range budgets {
 		meter := topk.NewMeter(b)
-		part, err := CombinedShardOpts(pm, mp, boundaryK, Roots(mp), DescendOpts{Meter: meter})
+		part, err := combinedOpts(pm, mp, boundaryK, DescendOpts{Meter: meter})
 		if err != nil {
 			t.Fatalf("budget %d: %v", b, err)
 		}
@@ -89,7 +89,7 @@ func TestDescendBudgetEveryLevelBoundary(t *testing.T) {
 	// must equal the unbudgeted run bit for bit.
 	total := full.Stats.Work()
 	meter := topk.NewMeter(total)
-	res, err := CombinedShardOpts(pm, mp, boundaryK, Roots(mp), DescendOpts{Meter: meter})
+	res, err := combinedOpts(pm, mp, boundaryK, DescendOpts{Meter: meter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDescendCancelEveryLevelBoundary(t *testing.T) {
 	for at := 1; at <= len(budgets); at++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		events := 0
-		_, err := CombinedShardOpts(pm, mp, boundaryK, Roots(mp), DescendOpts{
+		_, err := combinedOpts(pm, mp, boundaryK, DescendOpts{
 			Ctx: ctx,
 			OnLevel: func(level int, sofar []topk.Item) error {
 				events++
@@ -136,49 +136,50 @@ func TestDescendCancelEveryLevelBoundary(t *testing.T) {
 	}
 }
 
-// TestCombinedShardAppendMatchesOpts pins the zero-alloc entry point
-// against the allocating one, and — without the race detector — that a
-// warmed-up append-mode descent performs zero allocations.
-func TestCombinedShardAppendMatchesOpts(t *testing.T) {
+// TestCombinedIntoMatchesCombined pins the engine's entry point — the
+// caller's heap, pooled scratch — against the allocating whole-scene
+// descent: same items, same stats.
+func TestCombinedIntoMatchesCombined(t *testing.T) {
 	pm, mp := hpsSetup(t, 22, 64, 64)
-	want, err := CombinedShardOpts(pm, mp, 7, Roots(mp), DescendOpts{})
+	want, err := Combined(pm, mp, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]topk.Item, 0, 7)
-	buf, st, err := CombinedShardAppend(pm, mp, 7, Roots(mp), DescendOpts{}, buf[:0])
+	h := topk.MustHeap(7)
+	st, err := CombinedInto(pm, mp, h, DescendOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != len(want.Items) {
-		t.Fatalf("append returned %d items, want %d", len(buf), len(want.Items))
+	got := h.Results()
+	if len(got) != len(want.Items) {
+		t.Fatalf("CombinedInto returned %d items, want %d", len(got), len(want.Items))
 	}
 	for i := range want.Items {
-		if buf[i] != want.Items[i] {
-			t.Fatalf("append diverged at %d: %+v vs %+v", i, buf[i], want.Items[i])
+		if got[i] != want.Items[i] {
+			t.Fatalf("CombinedInto diverged at %d: %+v vs %+v", i, got[i], want.Items[i])
 		}
 	}
 	if st != want.Stats {
-		t.Fatalf("append stats %+v, want %+v", st, want.Stats)
+		t.Fatalf("CombinedInto stats %+v, want %+v", st, want.Stats)
 	}
 }
 
 // TestDescendSteadyStateZeroAllocs is the pyramid-family analogue of
-// colstore's zero-allocation pin: a warmed-up append-mode descent with
-// pooled heap and scratch must not allocate.
+// colstore's zero-allocation pin: a warmed-up CombinedInto descent into
+// a reused heap, with pooled scratch, must not allocate.
 func TestDescendSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; allocation counts are only meaningful without it")
 	}
 	pm, mp := hpsSetup(t, 23, 64, 64)
-	roots := Roots(mp)
+	h := topk.MustHeap(10)
 	buf := make([]topk.Item, 0, 10)
 	scan := func() {
-		var err error
-		buf, _, err = CombinedShardAppend(pm, mp, 10, roots, DescendOpts{}, buf[:0])
-		if err != nil {
+		h.Reset()
+		if _, err := CombinedInto(pm, mp, h, DescendOpts{}); err != nil {
 			t.Fatal(err)
 		}
+		buf = h.AppendResults(buf[:0])
 	}
 	scan() // warm the pools
 	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {

@@ -191,59 +191,25 @@ type cellEntry struct {
 // min/max envelopes; cells that cannot reach the current K-th best are
 // pruned without visiting their pixels. Exact.
 func ProgData(m *linear.Model, mp *pyramid.MultibandPyramid, k int) (Result, error) {
-	return descend(m, nil, mp, k, Roots(mp), DescendOpts{})
+	return descend(m, nil, mp, k)
 }
 
 // Combined is ProgData with a progressive model refinement at the pixel
 // level: pixels are first scored by the coarse sub-model and only
 // promising ones pay for the remaining terms. Exact.
 func Combined(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int) (Result, error) {
-	return descend(pm.Full(), pm, mp, k, Roots(mp), DescendOpts{})
-}
-
-// Cell identifies one pyramid cell by level and cell coordinates.
-type Cell struct {
-	Level, X, Y int
-}
-
-// Roots lists the coarsest-level cells of a pyramid in row-major order —
-// the starting frontier of a full descent, and the unit a sharded scene
-// scan partitions among workers.
-func Roots(mp *pyramid.MultibandPyramid) []Cell {
-	top := mp.NumLevels() - 1
-	// Read the coarsest geometry off the flat view, not the Grid bands,
-	// so a pyramid restored planes-only from a snapshot never
-	// materializes grids just to enumerate roots.
-	coarse := mp.Flat(top)
-	out := make([]Cell, 0, coarse.W*coarse.H)
-	for cy := 0; cy < coarse.H; cy++ {
-		for cx := 0; cx < coarse.W; cx++ {
-			out = append(out, Cell{Level: top, X: cx, Y: cy})
-		}
-	}
-	return out
-}
-
-// CombinedShard runs Combined's branch-and-bound over only the given
-// root cells — one shard of the scene — publishing and consulting the
-// shared cross-shard floor sb (nil = unshared). A shard's partial
-// result may be truncated when sb rises above its territory's scores,
-// but everything pruned is strictly below the floor and the floor
-// never exceeds the global K-th best, so merging shard results by the
-// usual (score, ID) order still reproduces the whole-scene top-K
-// exactly. Item IDs stay global (y*W + x of the base level).
-func CombinedShard(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, sb *topk.Bound) (Result, error) {
-	return descend(pm.Full(), pm, mp, k, roots, DescendOpts{Bound: sb})
+	return descend(pm.Full(), pm, mp, k)
 }
 
 // DescendOpts tunes one branch-and-bound descent. The zero value
-// reproduces Combined on the given roots.
+// reproduces Combined.
 type DescendOpts struct {
 	// Ctx cancels the descent cooperatively: it is checked once per
 	// frontier pop, and a cancelled descent returns ctx.Err(). Nil
 	// means no cancellation.
 	Ctx context.Context
-	// Bound is the cross-shard screening floor (see CombinedShard).
+	// Bound is the request's shared screening floor: the descent reads
+	// it to prune and raises it as its heap fills. Nil means unshared.
 	Bound *topk.Bound
 	// Meter is a shared work budget charged in term evaluations (the
 	// same unit Stats counts). When it runs out the descent stops and
@@ -260,37 +226,34 @@ type DescendOpts struct {
 	OnLevel func(level int, sofar []topk.Item) error
 }
 
-// CombinedShardOpts is CombinedShard with cancellation, budgeting and
-// the per-level observation hook via opts.
-func CombinedShardOpts(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts) (Result, error) {
-	return descend(pm.Full(), pm, mp, k, roots, opt)
-}
-
-// CombinedShardAppend is CombinedShardOpts for allocation-free serving
-// loops: the merged top-K is appended to dst (pass a reused dst[:0]),
-// the selection heap comes from the shared pool, and every scratch
-// structure of the descent — frontier queue, interval buffers, level
-// accounting — is drawn from a pooled arena. A warmed-up call performs
-// zero allocations. Results and stats are bit-identical to
-// CombinedShardOpts.
-func CombinedShardAppend(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
-	return descendInto(pm.Full(), pm, mp, k, roots, opt, dst)
-}
-
 // CombinedInto runs Combined's descent over the whole scene, from one
-// frontier holding every root cell, into the caller's heap h: the
-// engine's scene unit. opt.Bound is read and raised as in
-// CombinedShard. Items land in h only; no result slice is built.
+// frontier holding every coarsest-level cell, into the caller's heap
+// h: the engine's scene unit. Items land in h only; no result slice is
+// built, and the descent's scratch comes from a pool, so a warmed-up
+// call allocates nothing. Everything pruned is strictly below
+// opt.Bound's floor, which never exceeds the global K-th best, so a
+// caller merging h with other units' heaps still gets the exact top-K.
 func CombinedInto(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, h *topk.Heap, opt DescendOpts) (Stats, error) {
 	sc := descentScratchPool.Get().(*descentScratch)
 	defer descentScratchPool.Put(sc)
-	err := descendHeap(pm.Full(), pm, mp, h, nil, opt, sc)
+	err := descendHeap(pm.Full(), pm, mp, h, opt, sc)
 	return sc.st, err
 }
 
-func descend(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts) (Result, error) {
-	items, st, err := descendInto(m, pm, mp, k, roots, opt, nil)
-	return Result{Items: items, Stats: st}, err
+// descend runs one unshared descent over the whole scene into a pooled
+// heap.
+func descend(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int) (Result, error) {
+	h, err := topk.GetHeap(k)
+	if err != nil {
+		return Result{}, err
+	}
+	defer topk.PutHeap(h)
+	sc := descentScratchPool.Get().(*descentScratch)
+	defer descentScratchPool.Put(sc)
+	if err := descendHeap(m, pm, mp, h, DescendOpts{}, sc); err != nil {
+		return Result{Stats: sc.st}, err
+	}
+	return Result{Items: h.Results(), Stats: sc.st}, nil
 }
 
 // descentScratch is the pooled per-descent working set: the frontier
@@ -467,25 +430,9 @@ func (d *descender) evalPixel(px, py int) {
 	}
 }
 
-// descendInto runs the descent over roots into a pooled heap and
-// appends its items to dst best-first.
-func descendInto(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, roots []Cell, opt DescendOpts, dst []topk.Item) ([]topk.Item, Stats, error) {
-	h, err := topk.GetHeap(k)
-	if err != nil {
-		return dst, Stats{}, err
-	}
-	defer topk.PutHeap(h)
-	sc := descentScratchPool.Get().(*descentScratch)
-	defer descentScratchPool.Put(sc)
-	if err := descendHeap(m, pm, mp, h, roots, opt, sc); err != nil {
-		return dst, sc.st, err
-	}
-	return h.AppendResults(dst), sc.st, nil
-}
-
-// descendHeap runs the branch-and-bound descent from roots (nil: every
-// coarsest-level cell) into h, accumulating its stats in sc.st.
-func descendHeap(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, h *topk.Heap, roots []Cell, opt DescendOpts, sc *descentScratch) error {
+// descendHeap runs the branch-and-bound descent from every
+// coarsest-level cell into h, accumulating its stats in sc.st.
+func descendHeap(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, h *topk.Heap, opt DescendOpts, sc *descentScratch) error {
 	nTerms := m.NumTerms()
 	sc.reset(nTerms, mp.NumLevels())
 	st := &sc.st
@@ -504,36 +451,20 @@ func descendHeap(m *linear.Model, pm *linear.ProgressiveModel, mp *pyramid.Multi
 		d.done = opt.Ctx.Done()
 	}
 
-	push := func(c Cell) error {
-		ub, err := d.bound(c.Level, c.X, c.Y)
-		if err != nil {
-			return err
-		}
-		d.pqPush(cellEntry{level: c.Level, x: c.X, y: c.Y, upper: ub})
-		sc.outstanding[c.Level]++
-		if c.Level > d.coarsest {
-			d.coarsest = c.Level
-		}
-		return nil
-	}
-	if roots == nil {
-		// The whole scene: every coarsest-level cell, in Roots' order,
-		// without materializing the list.
-		top := mp.NumLevels() - 1
-		coarse := mp.Flat(top)
-		for cy := 0; cy < coarse.H; cy++ {
-			for cx := 0; cx < coarse.W; cx++ {
-				if err := push(Cell{Level: top, X: cx, Y: cy}); err != nil {
-					return err
-				}
+	// The frontier starts with every coarsest-level cell, row-major.
+	top := mp.NumLevels() - 1
+	coarse := mp.Flat(top)
+	for cy := 0; cy < coarse.H; cy++ {
+		for cx := 0; cx < coarse.W; cx++ {
+			ub, err := d.bound(top, cx, cy)
+			if err != nil {
+				return err
 			}
+			d.pqPush(cellEntry{level: top, x: cx, y: cy, upper: ub})
+			sc.outstanding[top]++
 		}
 	}
-	for _, c := range roots {
-		if err := push(c); err != nil {
-			return err
-		}
-	}
+	d.coarsest = top
 
 	for len(sc.pq) > 0 {
 		if d.done != nil {

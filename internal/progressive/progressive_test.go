@@ -190,63 +190,12 @@ func TestFlatConsistentWithSurface(t *testing.T) {
 	}
 }
 
-func TestCombinedShardPartitionsEqualWhole(t *testing.T) {
-	pm, mp := hpsSetup(t, 91, 96, 80)
-	const k = 15
-	want, err := Combined(pm, mp, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := Roots(mp)
-	if len(roots) < 2 {
-		t.Fatalf("scene too small to shard: %d roots", len(roots))
-	}
-	for _, parts := range []int{1, 2, 3, len(roots)} {
-		chunk := (len(roots) + parts - 1) / parts
-		sb := topk.NewBound()
-		merged := topk.MustHeap(k)
-		for lo := 0; lo < len(roots); lo += chunk {
-			hi := lo + chunk
-			if hi > len(roots) {
-				hi = len(roots)
-			}
-			res, err := CombinedShard(pm, mp, k, roots[lo:hi], sb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			topk.MergeItems(merged, res.Items)
-		}
-		got := merged.Results()
-		if len(got) != len(want.Items) {
-			t.Fatalf("parts=%d: %d vs %d items", parts, len(got), len(want.Items))
-		}
-		for i := range want.Items {
-			if got[i].ID != want.Items[i].ID || got[i].Score != want.Items[i].Score {
-				t.Fatalf("parts=%d pos %d: %+v vs %+v", parts, i, got[i], want.Items[i])
-			}
-		}
-	}
-}
-
-func TestRootsCoverCoarsestLevel(t *testing.T) {
-	_, mp := hpsSetup(t, 92, 64, 64)
-	roots := Roots(mp)
-	top := mp.NumLevels() - 1
-	coarse := mp.Band(0).Level(top).Mean
-	if len(roots) != coarse.Width()*coarse.Height() {
-		t.Fatalf("%d roots for %dx%d coarsest level",
-			len(roots), coarse.Width(), coarse.Height())
-	}
-	seen := make(map[Cell]bool, len(roots))
-	for _, c := range roots {
-		if c.Level != top {
-			t.Fatalf("root %+v not at top level %d", c, top)
-		}
-		if seen[c] {
-			t.Fatalf("duplicate root %+v", c)
-		}
-		seen[c] = true
-	}
+// combinedOpts runs CombinedInto over the whole scene into a fresh
+// K-heap: Combined with the descent options exposed.
+func combinedOpts(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int, opt DescendOpts) (Result, error) {
+	h := topk.MustHeap(k)
+	st, err := CombinedInto(pm, mp, h, opt)
+	return Result{Items: h.Results(), Stats: st}, err
 }
 
 // A context cancelled mid-descent (here: from the first OnLevel event)
@@ -256,7 +205,7 @@ func TestDescendCancelMidLevels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	events := 0
-	_, err := CombinedShardOpts(pm, mp, 5, Roots(mp), DescendOpts{
+	_, err := combinedOpts(pm, mp, 5, DescendOpts{
 		Ctx: ctx,
 		OnLevel: func(level int, sofar []topk.Item) error {
 			events++
@@ -281,7 +230,7 @@ func TestDescendOnLevelMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	var levels []int
-	res, err := CombinedShardOpts(pm, mp, 5, Roots(mp), DescendOpts{
+	res, err := combinedOpts(pm, mp, 5, DescendOpts{
 		OnLevel: func(level int, sofar []topk.Item) error {
 			levels = append(levels, level)
 			return nil
@@ -316,7 +265,7 @@ func TestDescendBudgetTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	meter := topk.NewMeter(pm.Full().NumTerms() * 8)
-	part, err := CombinedShardOpts(pm, mp, 5, Roots(mp), DescendOpts{Meter: meter})
+	part, err := combinedOpts(pm, mp, 5, DescendOpts{Meter: meter})
 	if err != nil {
 		t.Fatal(err)
 	}

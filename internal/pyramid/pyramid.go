@@ -4,17 +4,15 @@
 // approximations of information at low resolutions (low data volumes), with
 // more detailed views at higher resolutions."
 //
-// Two structures are provided:
-//
-//   - Pyramid: a mean pyramid (levels of Downsample2 averages) with exact
-//     per-cell min/max envelopes. The envelopes are what makes progressive
-//     pruning *sound*: a coarse cell's [min,max] brackets every fine sample
-//     beneath it, so a linear model's value over the block can be bounded
-//     without touching the fine data.
-//
-//   - Haar: a standard 2-D Haar wavelet decomposition (approximation +
-//     detail subbands per level) with exact reconstruction, modelling the
-//     compressed-domain storage of [3,13].
+// Pyramid is a mean pyramid (levels of Downsample2 averages) with exact
+// per-cell min/max envelopes. The envelopes are what makes progressive
+// pruning *sound*: a coarse cell's [min,max] brackets every fine sample
+// beneath it, so a linear model's value over the block can be bounded
+// without touching the fine data. MultibandPyramid stacks one per band,
+// and FlatLevel (flat.go) is the cell-major view the scene descent
+// reads. The paper's wavelet storage of [3,13] is not reproduced: no
+// query reads wavelet coefficients, so the mean pyramid is the one
+// multi-resolution representation.
 package pyramid
 
 import (
@@ -76,9 +74,6 @@ func (p *Pyramid) NumLevels() int { return len(p.levels) }
 
 // Level returns the i-th level (0 = full resolution).
 func (p *Pyramid) Level(i int) Level { return p.levels[i] }
-
-// Coarsest returns the last (smallest) level.
-func (p *Pyramid) Coarsest() Level { return p.levels[len(p.levels)-1] }
 
 // CellRect maps a coarse cell at level lvl to the rectangle of level-0
 // cells it covers (clipped to the base bounds).
@@ -214,13 +209,6 @@ func (mp *MultibandPyramid) materializeBands() {
 		bands[b] = p
 	}
 	mp.bands = bands
-}
-
-// BandNames returns the band names in order.
-func (mp *MultibandPyramid) BandNames() []string {
-	out := make([]string, len(mp.names))
-	copy(out, mp.names)
-	return out
 }
 
 // BandName returns the name of band i without copying the name table —

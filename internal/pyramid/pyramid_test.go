@@ -1,7 +1,6 @@
 package pyramid
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,7 +50,7 @@ func TestBuildStopsAt1x1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := p.Coarsest()
+	last := p.Level(p.NumLevels() - 1)
 	if last.Mean.Width() != 1 || last.Mean.Height() != 1 {
 		t.Fatalf("coarsest %dx%d", last.Mean.Width(), last.Mean.Height())
 	}
@@ -116,131 +115,6 @@ func TestEnvelopeSoundnessProperty(t *testing.T) {
 	}
 }
 
-func TestHaarRoundTrip(t *testing.T) {
-	g := randomGrid(5, 32, 16)
-	h, err := HaarDecompose(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := h.Reconstruct()
-	if r.Width() != 32 || r.Height() != 16 {
-		t.Fatalf("reconstructed dims %dx%d", r.Width(), r.Height())
-	}
-	for i, v := range g.Data() {
-		if math.Abs(v-r.Data()[i]) > 1e-9 {
-			t.Fatalf("sample %d: %v vs %v", i, v, r.Data()[i])
-		}
-	}
-}
-
-func TestHaarRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGrid(seed, 16, 16)
-		h, err := HaarDecompose(g, 2)
-		if err != nil {
-			return false
-		}
-		r := h.Reconstruct()
-		for i, v := range g.Data() {
-			if math.Abs(v-r.Data()[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHaarValidation(t *testing.T) {
-	g := randomGrid(1, 30, 30)
-	if _, err := HaarDecompose(g, 2); err == nil {
-		t.Fatal("30x30 with 2 levels should fail (not dyadic)")
-	}
-	if _, err := HaarDecompose(g, 0); err == nil {
-		t.Fatal("zero levels should fail")
-	}
-}
-
-func TestHaarApproxIsBlockMean(t *testing.T) {
-	g := randomGrid(9, 8, 8)
-	h, err := HaarDecompose(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Approx.Width() != 1 || h.Approx.Height() != 1 {
-		t.Fatalf("approx dims %dx%d", h.Approx.Width(), h.Approx.Height())
-	}
-	if math.Abs(h.Approx.At(0, 0)-g.Mean()) > 1e-9 {
-		t.Fatalf("approx %v != mean %v", h.Approx.At(0, 0), g.Mean())
-	}
-}
-
-func TestReconstructToIntermediate(t *testing.T) {
-	g := randomGrid(11, 16, 16)
-	h, err := HaarDecompose(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := h.ReconstructTo(1)
-	if mid.Width() != 8 || mid.Height() != 8 {
-		t.Fatalf("intermediate dims %dx%d", mid.Width(), mid.Height())
-	}
-	// Intermediate approximation equals 2x2 block means of the original.
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			want := g.SubMean(raster.Rect{X0: 2 * x, Y0: 2 * y, X1: 2*x + 2, Y1: 2*y + 2})
-			if math.Abs(mid.At(x, y)-want) > 1e-9 {
-				t.Fatalf("(%d,%d)=%v want %v", x, y, mid.At(x, y), want)
-			}
-		}
-	}
-}
-
-func TestDetailEnergyFlatImage(t *testing.T) {
-	g := raster.MustGrid(16, 16)
-	g.Fill(7)
-	h, err := HaarDecompose(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range h.DetailEnergy() {
-		if e != 0 {
-			t.Fatalf("flat image has detail energy %v at level %d", e, i)
-		}
-	}
-}
-
-func TestPadToDyadic(t *testing.T) {
-	g := randomGrid(13, 30, 17)
-	p, ow, oh := PadToDyadic(g, 3)
-	if ow != 30 || oh != 17 {
-		t.Fatalf("original dims %dx%d", ow, oh)
-	}
-	if p.Width()%8 != 0 || p.Height()%8 != 0 {
-		t.Fatalf("padded dims %dx%d not divisible by 8", p.Width(), p.Height())
-	}
-	// Interior preserved.
-	for y := 0; y < 17; y++ {
-		for x := 0; x < 30; x++ {
-			if p.At(x, y) != g.At(x, y) {
-				t.Fatal("padding changed interior")
-			}
-		}
-	}
-	// Edge replication.
-	if p.At(p.Width()-1, 0) != g.At(29, 0) {
-		t.Fatal("right edge not replicated")
-	}
-	// Already-dyadic input: exact copy.
-	d := randomGrid(14, 32, 32)
-	p2, _, _ := PadToDyadic(d, 3)
-	if !p2.Equal(d) {
-		t.Fatal("dyadic input should round-trip unchanged")
-	}
-}
-
 func TestBuildMultiband(t *testing.T) {
 	sc, err := synth.LandsatScene(synth.SceneConfig{Seed: 20, W: 64, H: 64})
 	if err != nil {
@@ -253,7 +127,7 @@ func TestBuildMultiband(t *testing.T) {
 	if mp.NumBands() != 4 || mp.NumLevels() != 4 {
 		t.Fatalf("bands=%d levels=%d", mp.NumBands(), mp.NumLevels())
 	}
-	if len(mp.BandNames()) != 4 {
+	if len(mp.names) != 4 {
 		t.Fatal("band names lost")
 	}
 	if _, err := BuildMultiband(nil, 2); err == nil {

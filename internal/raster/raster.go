@@ -90,13 +90,6 @@ func (g *Grid) Clone() *Grid {
 	return &Grid{w: g.w, h: g.h, data: data}
 }
 
-// Fill sets every sample to v.
-func (g *Grid) Fill(v float64) {
-	for i := range g.data {
-		g.data[i] = v
-	}
-}
-
 // Apply replaces every sample s with f(s).
 func (g *Grid) Apply(f func(float64) float64) {
 	for i, v := range g.data {
@@ -162,11 +155,6 @@ func (r Rect) Area() int { return r.W() * r.H() }
 
 // Empty reports whether the rectangle covers no cells.
 func (r Rect) Empty() bool { return r.X1 <= r.X0 || r.Y1 <= r.Y0 }
-
-// Contains reports whether (x, y) lies inside the rectangle.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X0 && x < r.X1 && y >= r.Y0 && y < r.Y1
-}
 
 // Intersect returns the overlap of two rectangles (possibly empty).
 func (r Rect) Intersect(o Rect) Rect {
@@ -290,23 +278,6 @@ type Multiband struct {
 	names []string
 }
 
-// NewMultiband creates a stack with the given band names, all zero-filled.
-func NewMultiband(w, h int, names []string) (*Multiband, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("%w: %dx%d", ErrBadDims, w, h)
-	}
-	if len(names) == 0 {
-		return nil, ErrBandCount
-	}
-	bands := make([]*Grid, len(names))
-	for i := range bands {
-		bands[i] = MustGrid(w, h)
-	}
-	ns := make([]string, len(names))
-	copy(ns, names)
-	return &Multiband{w: w, h: h, bands: bands, names: ns}, nil
-}
-
 // Stack builds a Multiband from existing grids, which must share a shape.
 // The stack aliases the grids (no copy).
 func Stack(names []string, grids ...*Grid) (*Multiband, error) {
@@ -373,20 +344,6 @@ func (m *Multiband) Pixel(x, y int, dst []float64) []float64 {
 
 // Bounds returns the scene's extent.
 func (m *Multiband) Bounds() Rect { return Rect{0, 0, m.w, m.h} }
-
-// Downsample2 downsamples every band by 2 and returns a new stack.
-func (m *Multiband) Downsample2() *Multiband {
-	bands := make([]*Grid, len(m.bands))
-	for i, b := range m.bands {
-		bands[i] = b.Downsample2()
-	}
-	out, err := Stack(m.names, bands...)
-	if err != nil {
-		// Cannot happen: shapes are uniform by construction.
-		panic(err)
-	}
-	return out
-}
 
 func minInt(a, b int) int {
 	if a < b {

@@ -54,9 +54,6 @@ func NewDir(path string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// Path returns the backing directory.
-func (d *Dir) Path() string { return d.path }
-
 // WriteFile streams write into name.tmp (1 MiB buffered), fsyncs,
 // renames over name, and fsyncs the directory so the rename itself is
 // durable before WriteFile returns.

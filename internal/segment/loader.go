@@ -100,9 +100,6 @@ func Open(b Backend, mode RestoreMode) (*Snapshot, error) {
 // Manifest returns the validated manifest (read-only).
 func (s *Snapshot) Manifest() *Manifest { return s.man }
 
-// Mode returns the restore mode the snapshot was opened with.
-func (s *Snapshot) Mode() RestoreMode { return s.mode }
-
 // Close releases every mapping and file handle. Idempotent. In Map
 // mode nothing restored from this snapshot may be touched afterwards.
 func (s *Snapshot) Close() error {
@@ -171,9 +168,6 @@ type DatasetReader struct {
 	s  *Snapshot
 	ds *Dataset
 }
-
-// Kind returns the dataset's kind tag.
-func (dr *DatasetReader) Kind() string { return dr.ds.Kind }
 
 // Rows returns the dataset's logical row count.
 func (dr *DatasetReader) Rows() int { return dr.ds.Rows }

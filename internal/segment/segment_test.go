@@ -83,8 +83,8 @@ func TestRoundTripCopyAndMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dr.Kind() != "tuples" || dr.Rows() != 512 {
-			t.Fatalf("kind/rows = %s/%d", dr.Kind(), dr.Rows())
+		if dr.ds.Kind != "tuples" || dr.Rows() != 512 {
+			t.Fatalf("kind/rows = %s/%d", dr.ds.Kind, dr.Rows())
 		}
 		gotRaw, err := dr.Raw("meta")
 		if err != nil {

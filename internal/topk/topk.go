@@ -54,9 +54,6 @@ func MustHeap(k int) *Heap {
 	return h
 }
 
-// K returns the heap's capacity.
-func (h *Heap) K() int { return h.k }
-
 // Len returns the number of items currently retained.
 func (h *Heap) Len() int { return len(h.items) }
 
@@ -124,14 +121,6 @@ func (h *Heap) AppendResults(dst []Item) []Item {
 		siftDown(out[:n], 0)
 	}
 	return dst
-}
-
-// AppendUnordered appends the retained items to dst in heap order, which
-// callers must treat as arbitrary. It is how a partial result (one
-// shard's, one node's) is handed to a merge: MergeItems ignores order,
-// so sorting a partial is work the merged heap's AppendResults repeats.
-func (h *Heap) AppendUnordered(dst []Item) []Item {
-	return append(dst, h.items...)
 }
 
 // Reset empties the heap, retaining capacity. The items are cleared so

@@ -4,7 +4,7 @@
 // Retrieval from Large Archives" (ICDCS 2000).
 //
 // Instead of retrieving by similarity to a template, queries here are
-// *models* — linear, finite-state, or knowledge (Bayesian/fuzzy) — and
+// *models* — linear, finite-state, or knowledge (fuzzy rule sets) — and
 // the system returns the top-K data subsets that maximize or satisfy the
 // model. Scaling to large archives comes from three mechanisms, all
 // implemented in this module:
@@ -52,7 +52,6 @@ import (
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/metrics"
-	"modelir/internal/progressive"
 	"modelir/internal/raster"
 	"modelir/internal/segment"
 	"modelir/internal/sproc"
@@ -167,13 +166,6 @@ func NewLinearModel(attrs []string, coeffs []float64, intercept float64) (*Linea
 	return linear.New(attrs, coeffs, intercept)
 }
 
-// FitLinearModel calibrates a model from training rows by ordinary least
-// squares (the paper's step 2, "fit the model and determine the model
-// coefficients").
-func FitLinearModel(attrs []string, xs [][]float64, ys []float64) (*LinearModel, error) {
-	return linear.Fit(attrs, xs, ys)
-}
-
 // DecomposeLinear orders terms by contribution over the given attribute
 // ranges and produces the progressive model with the requested per-level
 // term counts (ascending, last = all terms).
@@ -218,19 +210,8 @@ func MachineDistance(a, b *Machine, maxLen int) (float64, error) {
 	return fsm.Distance(a, b, maxLen)
 }
 
-// MinimizeMachine returns the canonical minimal DFA equivalent to m.
-func MinimizeMachine(m *Machine) (*Machine, error) { return fsm.Minimize(m) }
-
-// MachinesEquivalent reports whether two machines accept exactly the
-// same event sequences.
-func MachinesEquivalent(a, b *Machine) (bool, error) { return fsm.Equivalent(a, b) }
-
 // Knowledge models (Section 2.3).
 type (
-	// BayesNet is a discrete Bayesian network with exact inference.
-	BayesNet = bayes.Network
-	// BayesBuilder assembles networks.
-	BayesBuilder = bayes.Builder
 	// RuleSet is a fuzzy-AND rule set for knowledge models.
 	RuleSet = bayes.RuleSet
 	// Membership grades a scalar into [0,1].
@@ -240,16 +221,6 @@ type (
 	// WellMatch is a retrieved well with its matching strata.
 	WellMatch = core.WellMatch
 )
-
-// NewBayesBuilder starts a Bayesian network definition.
-func NewBayesBuilder() *BayesBuilder { return bayes.NewBuilder() }
-
-// HPSNetwork returns the Fig. 3 high-risk-house network and its variable
-// handle.
-func HPSNetwork() (*BayesNet, bayes.HPSVars, error) { return bayes.HPSNetwork() }
-
-// NewRuleSet starts an empty fuzzy rule set.
-func NewRuleSet() *RuleSet { return bayes.NewRuleSet() }
 
 // HPSTileRules compiles the Fig. 3 model into a feature-level rule set
 // for KnowledgeQuery on Landsat-like archives.
@@ -287,21 +258,6 @@ func LoadSceneArchive(path string) (*SceneArchive, error) { return archive.Load(
 
 // SprocQuery is a fuzzy Cartesian composite-object query [15,16].
 type SprocQuery = sproc.Query
-
-// Progressive execution.
-type (
-	// ProgressiveStats measures retrieval work in term evaluations.
-	ProgressiveStats = progressive.Stats
-	// Speedups is the four-cell flat/model/data/combined comparison.
-	Speedups = progressive.Speedups
-)
-
-// CompareProgressive runs flat, progressive-model, progressive-data and
-// combined retrieval, verifies they agree, and reports the speedups
-// (experiment E5).
-func CompareProgressive(pm *ProgressiveLinearModel, sc *SceneArchive, k int) (Speedups, []Item, error) {
-	return progressive.Compare(pm, sc.Pyramid(), k)
-}
 
 // Accuracy metrics (Section 4.1).
 type (

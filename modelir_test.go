@@ -152,18 +152,6 @@ func TestPublicModelHelpers(t *testing.T) {
 	if err != nil || d != 0 {
 		t.Fatalf("self distance %v err %v", d, err)
 	}
-	nw, vars, err := modelir.HPSNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := nw.ProbTrue(vars.HighRisk, map[int]int{vars.House: 1, vars.Bushes: 1,
-		vars.WetSeason: 1, vars.DrySeason: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < 0.5 {
-		t.Fatalf("evidenced HPS risk %v", p)
-	}
 	wf, err := modelir.NewWorkflow([]string{"x"})
 	if err != nil {
 		t.Fatal(err)
@@ -174,34 +162,6 @@ func TestPublicModelHelpers(t *testing.T) {
 	}
 	if math.Abs(m.Coeffs[0]-2) > 1e-9 || math.Abs(m.Intercept-1) > 1e-9 {
 		t.Fatalf("fit %v + %v", m.Coeffs, m.Intercept)
-	}
-}
-
-func TestPublicProgressiveCompare(t *testing.T) {
-	scene, err := modelir.GenerateScene(modelir.SceneConfig{Seed: 5, W: 96, H: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch, err := modelir.BuildSceneArchive("s", scene.Bands, modelir.ArchiveOptions{
-		TileSize: 16, PyramidLevels: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := modelir.DecomposeLinear(modelir.HPSRiskModel(),
-		[]float64{0, 0, 0, 0}, []float64{255, 255, 255, 1500}, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, items, err := modelir.CompareProgressive(pm, arch, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 10 {
-		t.Fatalf("items=%d", len(items))
-	}
-	if sp.PmPd() < 1 {
-		t.Fatalf("combined speedup %v < 1", sp.PmPd())
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"modelir/internal/experiments"
+	"modelir/repro/experiments"
 )
 
 func main() {

@@ -9,8 +9,8 @@ import (
 	"modelir/internal/onion"
 	"modelir/internal/pyramid"
 	"modelir/internal/raster"
-	"modelir/internal/svd"
 	"modelir/internal/synth"
+	"modelir/repro/svd"
 )
 
 // Ablations for the design choices DESIGN.md calls out: the Onion layer

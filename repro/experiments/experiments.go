@@ -1,6 +1,6 @@
 // Package experiments regenerates every quantitative claim of the paper
 // (DESIGN.md §1, C1–C8) as a table. Each experiment returns rows of
-// plain columns so cmd/benchtab can print them and the root benchmarks
+// plain columns so repro/benchtab can print them and the root benchmarks
 // can assert on their shape.
 //
 // Absolute numbers depend on the host; what must reproduce is the shape:
@@ -24,9 +24,9 @@ import (
 	"modelir/internal/progressive"
 	"modelir/internal/pyramid"
 	"modelir/internal/raster"
-	"modelir/internal/rtree"
 	"modelir/internal/sproc"
 	"modelir/internal/synth"
+	"modelir/repro/rtree"
 )
 
 // Table is one experiment's output.

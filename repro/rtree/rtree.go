@@ -1,7 +1,7 @@
 // Package rtree implements an STR (sort-tile-recursive) bulk-loaded
-// R-tree over d-dimensional points with range and nearest-neighbor
-// queries, and — for comparison with the Onion index — a best-first
-// linear-optimization query that uses MBR upper bounds.
+// R-tree over d-dimensional points with one query: for comparison with
+// the Onion index, a best-first linear-optimization top-K that uses MBR
+// upper bounds.
 //
 // Section 3.2 of the paper positions R*-tree-style spatial indexes as the
 // incumbent: "optimized for spatial range queries … sub-optimal for
@@ -36,7 +36,6 @@ type Tree struct {
 	dim    int
 	points [][]float64
 	root   *node
-	size   int
 }
 
 type node struct {
@@ -72,7 +71,7 @@ func Build(points [][]float64, opt Options) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	t := &Tree{dim: d, points: points, size: len(points)}
+	t := &Tree{dim: d, points: points}
 	leaves := t.packLeaves(idx, fanout)
 	for len(leaves) > 1 {
 		leaves = t.packNodes(leaves, fanout)
@@ -201,62 +200,10 @@ func (t *Tree) computeInnerMBR(n *node) {
 	}
 }
 
-// Size returns the number of indexed points.
-func (t *Tree) Size() int { return t.size }
-
-// Dim returns the dimensionality.
-func (t *Tree) Dim() int { return t.dim }
-
 // Stats counts query work.
 type Stats struct {
 	NodesVisited  int
 	PointsTouched int
-}
-
-// Range returns the indices of points inside the axis-aligned box
-// [lo, hi] (inclusive), sorted ascending.
-func (t *Tree) Range(lo, hi []float64) ([]int, Stats, error) {
-	var st Stats
-	if len(lo) != t.dim || len(hi) != t.dim {
-		return nil, st, fmt.Errorf("rtree: box dim mismatch (want %d)", t.dim)
-	}
-	for i := range lo {
-		if hi[i] < lo[i] {
-			return nil, st, fmt.Errorf("rtree: box dimension %d empty", i)
-		}
-	}
-	var out []int
-	var rec func(n *node)
-	rec = func(n *node) {
-		st.NodesVisited++
-		for i := 0; i < t.dim; i++ {
-			if n.hi[i] < lo[i] || n.lo[i] > hi[i] {
-				return
-			}
-		}
-		if n.children == nil {
-			for _, pi := range n.entries {
-				st.PointsTouched++
-				inside := true
-				for i, v := range t.points[pi] {
-					if v < lo[i] || v > hi[i] {
-						inside = false
-						break
-					}
-				}
-				if inside {
-					out = append(out, pi)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(t.root)
-	sort.Ints(out)
-	return out, st, nil
 }
 
 // pqItem is a best-first queue entry: either a node or a concrete point.
@@ -273,41 +220,6 @@ func (q pq) Less(i, j int) bool { return q[i].key < q[j].key }
 func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
 func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
-// NearestK returns the k nearest points to target (Euclidean), best
-// first, via best-first MBR search.
-func (t *Tree) NearestK(target []float64, k int) ([]topk.Item, Stats, error) {
-	var st Stats
-	if len(target) != t.dim {
-		return nil, st, fmt.Errorf("rtree: target dim %d, want %d", len(target), t.dim)
-	}
-	if k < 1 {
-		return nil, st, errors.New("rtree: k must be >= 1")
-	}
-	q := &pq{{node: t.root, key: minDist2(target, t.root.lo, t.root.hi)}}
-	heap.Init(q)
-	var out []topk.Item
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(q).(pqItem)
-		if it.node == nil {
-			out = append(out, topk.Item{ID: int64(it.point), Score: it.key})
-			continue
-		}
-		st.NodesVisited++
-		n := it.node
-		if n.children == nil {
-			for _, pi := range n.entries {
-				st.PointsTouched++
-				heap.Push(q, pqItem{node: nil, point: pi, key: dist2To(target, t.points[pi])})
-			}
-			continue
-		}
-		for _, c := range n.children {
-			heap.Push(q, pqItem{node: c, key: minDist2(target, c.lo, c.hi)})
-		}
-	}
-	return out, st, nil
-}
 
 // LinearTopK answers a linear-optimization query through the R-tree:
 // best-first search on the MBR upper bound of w·x. Exact, but — as the
@@ -362,24 +274,4 @@ func boxUpper(w, lo, hi []float64) float64 {
 		}
 	}
 	return s
-}
-
-func minDist2(p, lo, hi []float64) float64 {
-	d := 0.0
-	for i, v := range p {
-		if v < lo[i] {
-			d += (lo[i] - v) * (lo[i] - v)
-		} else if v > hi[i] {
-			d += (v - hi[i]) * (v - hi[i])
-		}
-	}
-	return d
-}
-
-func dist2To(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		d += (a[i] - b[i]) * (a[i] - b[i])
-	}
-	return d
 }

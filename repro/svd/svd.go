@@ -125,12 +125,6 @@ func Build(points [][]float64, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// NumClusters returns the cluster count.
-func (ix *Index) NumClusters() int { return len(ix.centroids) }
-
-// RetainedDims returns the retained dimensionality of cluster c.
-func (ix *Index) RetainedDims(c int) int { return len(ix.basis[c]) }
-
 // Stats counts query work.
 type Stats struct {
 	ClustersScanned int

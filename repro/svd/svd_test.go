@@ -140,8 +140,8 @@ func TestNearestKPrunesClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ClustersScanned >= ix.NumClusters() {
-		t.Fatalf("no cluster pruning: scanned %d of %d", st.ClustersScanned, ix.NumClusters())
+	if st.ClustersScanned >= len(ix.centroids) {
+		t.Fatalf("no cluster pruning: scanned %d of %d", st.ClustersScanned, len(ix.centroids))
 	}
 	if st.PointsCompared*2 > len(pts) {
 		t.Fatalf("compared %d of %d points", st.PointsCompared, len(pts))
@@ -165,8 +165,8 @@ func TestDimensionReductionHappens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.RetainedDims(0) > 3 {
-		t.Fatalf("retained %d dims for planar data", ix.RetainedDims(0))
+	if len(ix.basis[0]) > 3 {
+		t.Fatalf("retained %d dims for planar data", len(ix.basis[0]))
 	}
 }
 

@@ -51,7 +51,7 @@
 //	POST /append grow a dataset under traffic:
 //	             {"dataset":"tuples","tuples":[[1,2,3]]} — rows land in
 //	             a delta segment, queryable on return. The single role
-//	             coalesces concurrent calls through a batching appender;
+//	             coalesces concurrent calls by group commit;
 //	             the router role sequences the batch and replicates it
 //	             to every replica of the owning partition (optional
 //	             "token" makes client retries idempotent)

@@ -290,9 +290,9 @@ type backend interface {
 }
 
 // engineBackend serves from an in-process engine (the single role).
-// Appends flow through one shared batching appender so concurrent
-// small /append calls coalesce into one delta segment per flush
-// window.
+// Appends flow through one shared group-commit appender: a lone
+// /append applies at once, and calls that arrive during a flush land
+// together as one delta segment when it ends.
 type engineBackend struct {
 	engine   *modelir.Engine
 	appender *modelir.Appender
@@ -608,8 +608,8 @@ func writeErr(w http.ResponseWriter, err error, v any) {
 }
 
 // handleAppend grows a registered dataset under traffic: rows enter a
-// delta segment via the shared batching appender and are queryable the
-// moment the response is written.
+// delta segment via the shared group-commit appender and are queryable
+// the moment the response is written.
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -626,7 +626,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.backend.appendRows(r.Context(), wa)
 	if err != nil {
 		if r.Context().Err() != nil {
-			return // client gone; the rows still flush, but nobody is listening
+			return // client gone; an error means none of its rows landed
 		}
 		writeErr(w, err, wireAppendResponse{Error: err.Error()})
 		return

@@ -1,121 +1,103 @@
-// Appender: the batching front end for live ingest. Concurrent small
-// appends to the same dataset coalesce into ONE delta segment per
-// flush window — without batching, a thousand single-row appends make
-// a thousand delta segments (and a thousand generation bumps that each
-// invalidate the dataset's cached results); with it, they make a
-// handful. Flush windows close on size (MaxRows pending) or time
-// (MaxWait after the first pending row), whichever comes first, and
-// every caller observes its own rows' outcome through a per-caller
-// error channel: Append* returns only after the flush containing its
-// rows has been applied to the engine (or ctx gave up waiting).
+// Appender: group commit for live ingest. A caller whose dataset has
+// no flush running applies its rows at once, on its own goroutine;
+// callers that arrive during a flush queue behind it, and when it ends
+// the first of them applies the whole queue as one engine append (one
+// delta segment, one generation bump). A batch is what arrived during
+// the flush before it: no timer, nothing to tune, and no caller waits
+// longer than the running flush plus its own batch. Without coalescing,
+// a thousand concurrent single-row appends would make a thousand delta
+// segments and a thousand cache invalidations.
 
 package core
 
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"modelir/internal/synth"
-)
-
-// Appender defaults.
-const (
-	// DefaultAppenderMaxRows is the size flush threshold.
-	DefaultAppenderMaxRows = 256
-	// DefaultAppenderMaxWait is the time flush threshold, measured
-	// from the first row entering an empty buffer.
-	DefaultAppenderMaxWait = 2 * time.Millisecond
 )
 
 // ErrAppenderClosed reports an append after Close.
 var ErrAppenderClosed = errors.New("core: appender closed")
 
-// AppenderOptions tunes flush windows.
-type AppenderOptions struct {
-	// MaxRows flushes a dataset's pending buffer as soon as it holds
-	// this many rows; 0 means DefaultAppenderMaxRows.
-	MaxRows int
-	// MaxWait flushes a non-empty pending buffer this long after its
-	// first row arrived; 0 means DefaultAppenderMaxWait.
-	MaxWait time.Duration
-}
+// AppenderOptions configures an Appender. It has no fields: each batch
+// is what arrived during the flush before it, so there is nothing to
+// tune.
+type AppenderOptions struct{}
 
-// Appender coalesces concurrent appends into per-dataset delta
-// segments. Safe for concurrent use; one Appender per engine is the
+// Appender coalesces concurrent appends to one dataset by group
+// commit. Safe for concurrent use; one Appender per engine is the
 // intended shape (modelird owns one for its /append endpoint).
 type Appender struct {
-	e   *Engine
-	opt AppenderOptions
-
 	mu     sync.Mutex
 	closed bool
-	pend   map[dsName]*pendingAppend
+	tuples lane[[]float64]
+	series lane[synth.RegionSeries]
+	wells  lane[synth.WellLog]
 }
 
-// pendingAppend is one dataset's open flush window: the rows
-// accumulated so far plus the waiters to notify with the flush's
-// outcome. Exactly one of the row slices is in use (keyed by kind).
-type pendingAppend struct {
-	timer   *time.Timer
-	tuples  [][]float64
-	series  []synth.RegionSeries
-	wells   []synth.WellLog
-	rows    int
-	waiters []chan error
+// lane is the group commit state of one row kind, guarded by
+// Appender.mu.
+type lane[R any] struct {
+	apply func(name string, rows []R) error
+	// queued has an entry for each dataset with a flush running: the
+	// callers waiting behind that flush, in arrival order.
+	queued map[string][]*waiter[R]
 }
 
-// NewAppender returns a batching appender over e.
-func NewAppender(e *Engine, opt AppenderOptions) *Appender {
-	if opt.MaxRows <= 0 {
-		opt.MaxRows = DefaultAppenderMaxRows
+// waiter is one caller's rows in a batch. The channels, nil for a
+// caller that leads at once, are how a hand-off answers a queued one.
+type waiter[R any] struct {
+	rows []R
+	lead chan []*waiter[R] // the batch this caller is to apply
+	done chan error        // the outcome of the batch holding its rows
+}
+
+// NewAppender returns a group-commit appender over e.
+func NewAppender(e *Engine, _ AppenderOptions) *Appender {
+	return &Appender{
+		tuples: newLane(e.AppendTuples),
+		series: newLane(e.AppendSeries),
+		wells:  newLane(e.AppendWells),
 	}
-	if opt.MaxWait <= 0 {
-		opt.MaxWait = DefaultAppenderMaxWait
-	}
-	return &Appender{e: e, opt: opt, pend: make(map[dsName]*pendingAppend)}
 }
 
-// AppendTuples enqueues rows for dataset name and blocks until the
-// flush containing them has been applied (returning that flush's
-// outcome) or ctx is done (the rows still flush; the caller just
-// stops waiting).
+func newLane[R any](apply func(string, []R) error) lane[R] {
+	return lane[R]{apply: apply, queued: make(map[string][]*waiter[R])}
+}
+
+// AppendTuples appends rows to tuple dataset name and returns once
+// they are queryable. An error means none of them landed: the engine
+// refused them, the Appender is closed, or ctx ended while they were
+// still queued (ctx.Err()).
 func (a *Appender) AppendTuples(ctx context.Context, name string, rows [][]float64) error {
-	if len(rows) == 0 {
-		return errors.New("core: empty tuple append")
-	}
-	return a.enqueue(ctx, dsName{dsTuples, name}, len(rows), func(p *pendingAppend) {
-		p.tuples = append(p.tuples, rows...)
-	})
+	return commit(ctx, a, &a.tuples, name, rows)
 }
 
-// AppendSeries enqueues regions for dataset name; see AppendTuples for
-// the waiting contract.
+// AppendSeries appends regions to series dataset name; see AppendTuples
+// for the waiting contract.
 func (a *Appender) AppendSeries(ctx context.Context, name string, rs []synth.RegionSeries) error {
-	if len(rs) == 0 {
-		return errors.New("core: empty series append")
-	}
-	return a.enqueue(ctx, dsName{dsSeries, name}, len(rs), func(p *pendingAppend) {
-		p.series = append(p.series, rs...)
-	})
+	return commit(ctx, a, &a.series, name, rs)
 }
 
-// AppendWells enqueues wells for dataset name; see AppendTuples for
-// the waiting contract.
+// AppendWells appends wells to well-log dataset name; see AppendTuples
+// for the waiting contract.
 func (a *Appender) AppendWells(ctx context.Context, name string, ws []synth.WellLog) error {
-	if len(ws) == 0 {
-		return errors.New("core: empty well append")
-	}
-	return a.enqueue(ctx, dsName{dsWells, name}, len(ws), func(p *pendingAppend) {
-		p.wells = append(p.wells, ws...)
-	})
+	return commit(ctx, a, &a.wells, name, ws)
 }
 
-func (a *Appender) enqueue(ctx context.Context, key dsName, n int, add func(*pendingAppend)) error {
+// commit is one caller's side of group commit: lead a batch of its own
+// rows at once, or queue behind the running flush until a hand-off
+// makes it lead the queue or reports the outcome of the batch that
+// carried its rows.
+func commit[R any](ctx context.Context, a *Appender, l *lane[R], name string, rows []R) error {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if len(rows) == 0 {
+		return errors.New("core: empty append")
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -125,78 +107,86 @@ func (a *Appender) enqueue(ctx context.Context, key dsName, n int, add func(*pen
 		a.mu.Unlock()
 		return ErrAppenderClosed
 	}
-	p := a.pend[key]
-	if p == nil {
-		p = &pendingAppend{}
-		a.pend[key] = p
-		// First rows into an empty buffer arm the time window.
-		p.timer = time.AfterFunc(a.opt.MaxWait, func() { a.flushKey(key) })
+	q, running := l.queued[name]
+	if !running {
+		l.queued[name] = nil
+		a.mu.Unlock()
+		return lead(a, l, name, []*waiter[R]{{rows: rows}})
 	}
-	add(p)
-	p.rows += n
-	ch := make(chan error, 1)
-	p.waiters = append(p.waiters, ch)
-	full := p.rows >= a.opt.MaxRows
+	w := &waiter[R]{rows: rows, lead: make(chan []*waiter[R], 1), done: make(chan error, 1)}
+	l.queued[name] = append(q, w)
 	a.mu.Unlock()
-	if full {
-		a.flushKey(key)
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
+	cancelled := ctx.Done()
+	for {
+		select {
+		case b := <-w.lead:
+			return lead(a, l, name, b)
+		case err := <-w.done:
+			return err
+		case <-cancelled:
+			a.mu.Lock()
+			q := l.queued[name]
+			i := slices.Index(q, w)
+			if i >= 0 {
+				l.queued[name] = slices.Delete(q, i, i+1)
+			}
+			a.mu.Unlock()
+			if i >= 0 {
+				return ctx.Err()
+			}
+			// A hand-off already took the rows into a batch: wait out
+			// that one build.
+			cancelled = nil
+		}
 	}
 }
 
-// flushKey closes key's window (if still open — the size path and the
-// timer can race; the loser finds nothing) and applies its rows as one
-// engine append, broadcasting the outcome to every waiter. The append
-// builds and indexes the delta before publishing it (ingest.go), on
-// this goroutine, so waiters return to a dataset no read has to index.
-func (a *Appender) flushKey(key dsName) {
+// lead applies batch b as one engine append, tells every other caller
+// in it the outcome, and hands the dataset on. A refused batch of
+// several callers is applied again caller by caller, in arrival order,
+// so each gets the outcome of its own rows.
+func lead[R any](a *Appender, l *lane[R], name string, b []*waiter[R]) error {
+	rows := b[0].rows
+	if len(b) > 1 {
+		rows = nil
+		for _, w := range b {
+			rows = append(rows, w.rows...)
+		}
+	}
+	err := l.apply(name, rows)
+	if err != nil && len(b) > 1 {
+		err = l.apply(name, b[0].rows)
+		for _, w := range b[1:] {
+			w.done <- l.apply(name, w.rows)
+		}
+	} else {
+		for _, w := range b[1:] {
+			w.done <- err
+		}
+	}
+	handOff(a, l, name)
+	return err
+}
+
+// handOff ends name's running flush: the callers queued behind it
+// become the next batch, led by the first of them, or, with none
+// queued, name has no flush running.
+func handOff[R any](a *Appender, l *lane[R], name string) {
 	a.mu.Lock()
-	p := a.pend[key]
-	delete(a.pend, key)
-	a.mu.Unlock()
-	if p == nil {
+	defer a.mu.Unlock()
+	b := l.queued[name]
+	if len(b) == 0 {
+		delete(l.queued, name)
 		return
 	}
-	p.timer.Stop()
-	var err error
-	switch key.kind {
-	case dsTuples:
-		err = a.e.AppendTuples(key.name, p.tuples)
-	case dsSeries:
-		err = a.e.AppendSeries(key.name, p.series)
-	case dsWells:
-		err = a.e.AppendWells(key.name, p.wells)
-	default:
-		err = fmt.Errorf("core: appender: unappendable dataset kind %d", key.kind)
-	}
-	for _, ch := range p.waiters {
-		ch <- err // buffered; never blocks
-	}
+	l.queued[name] = nil
+	b[0].lead <- b // buffered, and sent once: never blocks
 }
 
-// Flush applies every open window now, regardless of thresholds.
-func (a *Appender) Flush() {
-	a.mu.Lock()
-	keys := make([]dsName, 0, len(a.pend))
-	for key := range a.pend {
-		keys = append(keys, key)
-	}
-	a.mu.Unlock()
-	for _, key := range keys {
-		a.flushKey(key)
-	}
-}
-
-// Close flushes everything pending and rejects further appends.
-// Idempotent.
+// Close rejects appends that arrive after it. Appends already accepted
+// still finish on their callers' goroutines. Idempotent.
 func (a *Appender) Close() {
 	a.mu.Lock()
 	a.closed = true
 	a.mu.Unlock()
-	a.Flush()
 }

@@ -9,12 +9,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"modelir/internal/colstore"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/segment"
@@ -335,38 +338,72 @@ func TestAppendWidthMismatch(t *testing.T) {
 	}
 }
 
-// TestAppenderCoalesces pins the batching appender's size window:
-// twenty concurrent five-row appends with a size threshold of exactly
-// one hundred rows coalesce into ONE delta segment and ONE generation
-// bump — deterministically, because the hundredth row triggers the
-// only flush (the time window is parked an hour out).
+// holdFirstBuild makes the first tuple store build e's write path runs
+// wait for release; building is closed once that build has started.
+func holdFirstBuild(e *Engine) (building, release chan struct{}) {
+	building, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e.onIndex = func(int) {
+		once.Do(func() {
+			close(building)
+			<-release
+		})
+	}
+	return building, release
+}
+
+// waitQueued returns once n tuple callers wait behind the running
+// flush of dataset name.
+func waitQueued(ap *Appender, name string, n int) {
+	for {
+		ap.mu.Lock()
+		queued := len(ap.tuples.queued[name])
+		ap.mu.Unlock()
+		if queued == n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestAppenderCoalesces pins group commit: nineteen five-row callers
+// that arrive while a first caller's flush is building queue behind it
+// and land, when it ends, as ONE more delta segment and ONE more
+// generation bump.
 func TestAppenderCoalesces(t *testing.T) {
 	base, err := synth.GaussianTuples(3, 400, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One delta segment is no run for the tier rule, so it
-	// deterministically survives.
+	// Two delta segments are no run for the tier rule, so both
+	// deterministically survive.
 	e := NewEngine()
 	if err := e.AddTuples("gauss", base); err != nil {
 		t.Fatal(err)
 	}
-	ap := NewAppender(e, AppenderOptions{MaxRows: 100, MaxWait: time.Hour})
+	building, release := holdFirstBuild(e)
+	ap := NewAppender(e, AppenderOptions{})
 	defer ap.Close()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 20)
-	for g := 0; g < 20; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rows := make([][]float64, 5)
-			for i := range rows {
-				rows[i] = []float64{float64(g), float64(i), 0}
-			}
-			errs[g] = ap.AppendTuples(context.Background(), "gauss", rows)
-		}(g)
+	appendFive := func(g int) {
+		defer wg.Done()
+		rows := make([][]float64, 5)
+		for i := range rows {
+			rows[i] = []float64{float64(g), float64(i), 0}
+		}
+		errs[g] = ap.AppendTuples(context.Background(), "gauss", rows)
 	}
+	wg.Add(1)
+	go appendFive(0)
+	<-building
+	for g := 1; g < 20; g++ {
+		wg.Add(1)
+		go appendFive(g)
+	}
+	waitQueued(ap, "gauss", 19)
+	close(release)
 	wg.Wait()
 	for g, err := range errs {
 		if err != nil {
@@ -377,11 +414,70 @@ func TestAppenderCoalesces(t *testing.T) {
 	if ds.Rows != len(base)+100 {
 		t.Fatalf("rows = %d, want %d", ds.Rows, len(base)+100)
 	}
-	if ds.Gen != 2 {
-		t.Fatalf("gen = %d, want 2 (one coalesced flush)", ds.Gen)
+	if ds.Gen != 3 {
+		t.Fatalf("gen = %d, want 3 (the first flush and one coalesced flush)", ds.Gen)
 	}
-	if ds.Deltas != 1 {
-		t.Fatalf("deltas = %d, want 1", ds.Deltas)
+	if ds.Deltas != 2 {
+		t.Fatalf("deltas = %d, want 2", ds.Deltas)
+	}
+}
+
+// TestAppenderLoneCallerNoWait pins that a caller with no flush to
+// queue behind applies its rows at once: 100 sequential single-row
+// appends finish in under 100 ms, which any batching window of 1 ms or
+// more would miss.
+func TestAppenderLoneCallerNoWait(t *testing.T) {
+	e := NewEngine()
+	if err := e.AddTuples("gauss", [][]float64{{0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	ap := NewAppender(e, AppenderOptions{})
+	defer ap.Close()
+	start := time.Now()
+	for i := 1; i <= 100; i++ {
+		if err := ap.AppendTuples(context.Background(), "gauss", [][]float64{{float64(i), 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Fatalf("100 lone appends took %v, want under 100ms", d)
+	}
+	if rows := e.Datasets()[0].Rows; rows != 101 {
+		t.Fatalf("rows = %d, want 101", rows)
+	}
+}
+
+// TestAppenderIsolatesRefusedRows pins the per-caller outcome of a
+// coalesced batch: a valid caller and one with a non-finite row queue
+// behind the same flush, the engine refuses their merged batch, and
+// only the bad caller fails; the valid caller's rows land.
+func TestAppenderIsolatesRefusedRows(t *testing.T) {
+	ctx := context.Background()
+	e := NewEngine()
+	if err := e.AddTuples("gauss", [][]float64{{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	building, release := holdFirstBuild(e)
+	ap := NewAppender(e, AppenderOptions{})
+	defer ap.Close()
+	first, valid, bad := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() { first <- ap.AppendTuples(ctx, "gauss", [][]float64{{2, 2}}) }()
+	<-building
+	go func() { valid <- ap.AppendTuples(ctx, "gauss", [][]float64{{3, 3}, {4, 4}}) }()
+	go func() { bad <- ap.AppendTuples(ctx, "gauss", [][]float64{{math.NaN(), 5}}) }()
+	waitQueued(ap, "gauss", 2)
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("first caller: %v", err)
+	}
+	if err := <-valid; err != nil {
+		t.Fatalf("valid caller batched with a refused one: %v", err)
+	}
+	if err := <-bad; !errors.Is(err, colstore.ErrRows) {
+		t.Fatalf("non-finite caller: %v, want colstore.ErrRows", err)
+	}
+	if rows := e.Datasets()[0].Rows; rows != 4 {
+		t.Fatalf("rows = %d, want 4 (base, first caller, valid caller)", rows)
 	}
 }
 
@@ -390,7 +486,7 @@ func TestAppenderCoalesces(t *testing.T) {
 // with the engine's error, and appends after Close are rejected.
 func TestAppenderErrorsAndClose(t *testing.T) {
 	e := NewEngine()
-	ap := NewAppender(e, AppenderOptions{MaxRows: 4, MaxWait: time.Hour})
+	ap := NewAppender(e, AppenderOptions{})
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	for g := 0; g < 2; g++ {
@@ -414,36 +510,84 @@ func TestAppenderErrorsAndClose(t *testing.T) {
 }
 
 // TestAppenderContextCancel pins the waiting contract: a caller whose
-// context dies while its window is still open stops waiting with the
-// context's error, and the rows still flush.
+// context ends while its rows are still queued behind a running flush
+// takes them back and returns the context's error, and the rows never
+// land.
 func TestAppenderContextCancel(t *testing.T) {
 	e := NewEngine()
 	if err := e.AddTuples("gauss", [][]float64{{1}}); err != nil {
 		t.Fatal(err)
 	}
-	ap := NewAppender(e, AppenderOptions{MaxRows: 1 << 30, MaxWait: time.Hour})
+	building, release := holdFirstBuild(e)
+	ap := NewAppender(e, AppenderOptions{})
 	defer ap.Close()
+	first := make(chan error, 1)
+	go func() { first <- ap.AppendTuples(context.Background(), "gauss", [][]float64{{2}}) }()
+	<-building
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- ap.AppendTuples(ctx, "gauss", [][]float64{{2}}) }()
-	// Cancel only once the row is pending, so the wait (not the
-	// enqueue) is what the cancellation interrupts.
-	for {
-		ap.mu.Lock()
-		pending := len(ap.pend)
-		ap.mu.Unlock()
-		if pending > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	queued := make(chan error, 1)
+	go func() { queued <- ap.AppendTuples(ctx, "gauss", [][]float64{{3}}) }()
+	waitQueued(ap, "gauss", 1)
 	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter: %v", err)
+	if err := <-queued; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller: %v", err)
 	}
-	ap.Flush()
-	if rows := e.Datasets()[0].Rows; rows != 2 {
-		t.Fatalf("rows after flush = %d, want 2 (cancel abandons the wait, not the rows)", rows)
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("first caller: %v", err)
+	}
+	// A later append must land alone, not carry the withdrawn row.
+	if err := ap.AppendTuples(context.Background(), "gauss", [][]float64{{4}}); err != nil {
+		t.Fatalf("later caller: %v", err)
+	}
+	if ds := e.Datasets()[0]; ds.Rows != 3 || ds.Gen != 3 {
+		t.Fatalf("rows = %d, gen = %d, want 3 and 3 (the cancelled row never lands)", ds.Rows, ds.Gen)
+	}
+}
+
+// TestAppenderHandOffAfterCancel pins the hand-off past a withdrawn
+// caller: the head of the queue cancels, and the caller behind it still
+// leads the next batch once the running flush ends, after which the
+// dataset has no flush running.
+func TestAppenderHandOffAfterCancel(t *testing.T) {
+	e := NewEngine()
+	if err := e.AddTuples("gauss", [][]float64{{1}}); err != nil {
+		t.Fatal(err)
+	}
+	building, release := holdFirstBuild(e)
+	ap := NewAppender(e, AppenderOptions{})
+	defer ap.Close()
+	first, head, tail := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() { first <- ap.AppendTuples(context.Background(), "gauss", [][]float64{{2}}) }()
+	<-building
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { head <- ap.AppendTuples(ctx, "gauss", [][]float64{{3}}) }()
+	waitQueued(ap, "gauss", 1)
+	go func() { tail <- ap.AppendTuples(context.Background(), "gauss", [][]float64{{4}}) }()
+	waitQueued(ap, "gauss", 2)
+	cancel()
+	if err := <-head; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled head: %v", err)
+	}
+	close(release)
+	for what, ch := range map[string]chan error{"first": first, "tail": tail} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s caller: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s caller still waiting 10s after the flush ahead of it ended", what)
+		}
+	}
+	if ds := e.Datasets()[0]; ds.Rows != 3 || ds.Gen != 3 {
+		t.Fatalf("rows = %d, gen = %d, want 3 and 3", ds.Rows, ds.Gen)
+	}
+	ap.mu.Lock()
+	running := len(ap.tuples.queued)
+	ap.mu.Unlock()
+	if running != 0 {
+		t.Fatalf("%d flushes still marked running", running)
 	}
 }
 
@@ -804,7 +948,7 @@ func TestPublishedSegmentsAreIndexed(t *testing.T) {
 		}
 		check("AppendTuples", 1)
 
-		ap := NewAppender(e, AppenderOptions{MaxRows: 100, MaxWait: time.Hour})
+		ap := NewAppender(e, AppenderOptions{})
 		if err := ap.AppendTuples(ctx, "gauss", pts[700:800]); err != nil {
 			t.Fatal(err)
 		}

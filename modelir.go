@@ -343,18 +343,19 @@ func GenerateTuples(seed int64, n, d int) ([][]float64, error) {
 // appends to one dataset never evict another's cached results.
 // Engine.Compact folds every delta away synchronously.
 type (
-	// Appender coalesces concurrent small appends into one delta
-	// segment per flush window (size + max-wait thresholds); every
-	// caller gets its own flush outcome.
+	// Appender coalesces concurrent appends by group commit: a caller
+	// with no flush running applies its rows at once, and callers that
+	// arrive during a flush land together as one delta segment when it
+	// ends. An append error means none of the caller's rows landed.
 	Appender = core.Appender
-	// AppenderOptions tunes the Appender's flush windows.
+	// AppenderOptions is empty: group commit has nothing to tune.
 	AppenderOptions = core.AppenderOptions
 )
 
 // ErrAppenderClosed reports an append after Appender.Close.
 var ErrAppenderClosed = core.ErrAppenderClosed
 
-// NewAppender returns a batching appender over e.
+// NewAppender returns a group-commit appender over e.
 func NewAppender(e *Engine, opt AppenderOptions) *Appender { return core.NewAppender(e, opt) }
 
 // Multi-node serving (DESIGN.md §9): datasets partitioned across shard

@@ -701,11 +701,11 @@ func BenchmarkRunOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q := colstore.GetBlockQueue(d.m.Coeffs, wNorm, nil, 4)
+			q := colstore.GetBlockQueue(d.m.Coeffs, wNorm, nil)
 			for s, st := range stores {
 				q.Add(st, int64(offs[s]))
 			}
-			_, err := parallel.TopK(ctx, q, 10, 4, nil, nil)
+			_, err := parallel.TopK(ctx, q, 10, nil)
 			q.Release()
 			if err != nil {
 				b.Fatal(err)
@@ -714,68 +714,51 @@ func BenchmarkRunOverhead(b *testing.B) {
 	})
 }
 
-// ---- When a helper pays: the join constant ----
+// ---- Group commit under concurrent appenders ----
 
-// BenchmarkHelperBreakEven measures parallel.BreakEven on two plans at
-// Workers 1 (the caller's goroutine alone) and Workers 2 (a helper may
-// join once the request has run BreakEven), over 2 shards:
-//   - fsm: a scan-shaped plan (8-region units from one cursor) over 64
-//     to 1024 regions, whose work per unit is even;
-//   - linear: best-first reads of 15,000 to 120,000 8-wide rows (64
-//     random weight vectors, K 10-200), whose work falls off as the
-//     floor rises.
-//
-// Run it at -cpu 1,2; the constant's comment quotes its output.
-func BenchmarkHelperBreakEven(b *testing.B) {
-	for _, regions := range []int{64, 128, 256, 1024} {
-		arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 21, Regions: regions, Days: 365})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := core.NewEngineWith(core.Options{Shards: 2, CacheEntries: -1})
-		if err := e.AddSeries("w", arch); err != nil {
-			b.Fatal(err)
-		}
-		req := core.Request{Dataset: "w", Query: core.FSMQuery{Machine: fsm.FireAnts()}, K: 10}
-		benchWorkers(b, fmt.Sprintf("fsm/regions=%d", regions), e, []core.Request{req})
+// BenchmarkAppenderConcurrent measures how many appends core.Appender's
+// group commit folds into one: 1, 4 and 16 goroutines append 1-row
+// batches to one 3-wide tuple dataset (2 shards, cache off).
+// gens/append is the dataset's generation bumps per append: 1 when every
+// append is its own flush, lower as concurrent callers share flushes.
+func BenchmarkAppenderConcurrent(b *testing.B) {
+	pts, err := synth.GaussianTuples(51, 1000, 3)
+	if err != nil {
+		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(22))
-	var reqs []core.Request
-	for i := 0; i < 64; i++ {
-		c := make([]float64, 8)
-		for d := range c {
-			c[d] = rng.NormFloat64()
-		}
-		m, err := linear.New([]string{"a", "b", "c", "d", "e", "f", "g", "h"}, c, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs = append(reqs, core.Request{Dataset: "t", Query: core.LinearQuery{Model: m}, K: 10 + rng.Intn(191)})
-	}
-	for _, rows := range []int{15_000, 30_000, 60_000, 120_000} {
-		pts, err := synth.GaussianTuples(23, rows, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := core.NewEngineWith(core.Options{Shards: 2, CacheEntries: -1})
-		if err := e.AddTuples("t", pts); err != nil {
-			b.Fatal(err)
-		}
-		benchWorkers(b, fmt.Sprintf("linear/rows=%d", rows), e, reqs)
-	}
-}
-
-// benchWorkers times reqs, round robin, at Workers 1 and 2.
-func benchWorkers(b *testing.B, name string, e *core.Engine, reqs []core.Request) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				req := reqs[i%len(reqs)]
-				req.Workers = workers
-				if _, err := e.Run(context.Background(), req); err != nil {
-					b.Fatal(err)
-				}
+	row := pts[:1]
+	for _, g := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			e := core.NewEngineWith(core.Options{Shards: 2, CacheEntries: -1})
+			defer e.Close()
+			if err := e.AddTuples("t", pts); err != nil {
+				b.Fatal(err)
 			}
+			a := core.NewAppender(e, core.AppenderOptions{})
+			defer a.Close()
+			gen0 := e.Datasets()[0].Gen
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < g; w++ {
+				n := b.N / g
+				if w < b.N%g {
+					n++
+				}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if err := a.AppendTuples(ctx, "t", row); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(e.Datasets()[0].Gen-gen0)/float64(b.N), "gens/append")
 		})
 	}
 }

@@ -101,7 +101,7 @@ func run(args []string) error {
 	replication := fs.Int("replication", 1, "replicas per partition, identical on every router and node (cluster roles)")
 	shards := fs.Int("shards", 0, "shards per dataset (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", 0, "result cache entries (0 = default, <0 = disabled)")
-	maxWorkers := fs.Int("maxworkers", 0, "admission budget: total fan-out workers in flight (0 = default, <0 = unbounded)")
+	maxWorkers := fs.Int("maxworkers", 0, "admission budget: requests and batch workers in flight (0 = default, <0 = unbounded)")
 	tuples := fs.Int("tuples", 20000, "demo tuple archive rows")
 	scene := fs.Int("scene", 128, "demo scene width and height")
 	regions := fs.Int("regions", 300, "demo weather archive regions")

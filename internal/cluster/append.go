@@ -144,9 +144,10 @@ func appendKindOf(req AppendRequest) (DataKind, int, error) {
 // that failed are quarantined (see package comment). If no replica
 // acks, the error wraps ErrPartitionUnavailable — the batch stays in
 // the append log, so it may still apply later through catch-up; a
-// caller retrying should carry a Token to stay idempotent. A batch
-// every reachable replica refused fails with ErrAppendRefused and
-// leaves no trace: no sequence number, no log record, no quarantine.
+// caller retrying should carry a Token to stay idempotent. A batch no
+// replica acked and at least one refused fails with ErrAppendRefused
+// and leaves no trace: no sequence number, no log record, no
+// quarantine.
 func (r *Router) Append(ctx context.Context, req AppendRequest) (AppendResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -204,7 +205,7 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 	// Assign the batch's owning partition and (for tuples) its global
 	// ID base. The IDs are consumed even if the fan-out fails: the
 	// batch stays in the log and may still apply through catch-up. Only
-	// a batch every replica refused gives them back.
+	// a refused batch gives them back.
 	ds.mu.Lock()
 	pa := ds.parts[ds.rr%uint64(len(ds.parts))]
 	ds.rr++
@@ -233,10 +234,13 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 
 // replicate assigns the batch its sequence number, logs it, and fans
 // it out to the partition's replicas, all under the partition lock. A
-// batch every replica it reached refused (ErrAppendRefused) is held by
-// none: it gives its sequence number back, stays out of the log and
+// batch no replica acked and at least one refused (ErrAppendRefused) is
+// held by none: replicas at the same cursor validate a batch
+// identically, so a replica that failed by transport would have refused
+// it too. It gives its sequence number back, stays out of the log and
 // quarantines no one, so bad input cannot stall the partition or take
-// its nodes out of service.
+// its nodes out of service, and catch-up never replays a batch every
+// replica refuses.
 func (r *Router) replicate(ctx context.Context, pa *partIngestState, batch AppendBatch) (AppendResult, error) {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
@@ -273,15 +277,18 @@ func (r *Router) replicate(ctx context.Context, pa *partIngestState, batch Appen
 	}
 	wg.Wait()
 
-	refused := 0
+	acked, refusal := false, error(nil)
 	for _, o := range outcomes {
-		if errors.Is(o.err, ErrAppendRefused) {
-			refused++
+		switch {
+		case o.err == nil:
+			acked = true
+		case refusal == nil && errors.Is(o.err, ErrAppendRefused):
+			refusal = o.err
 		}
 	}
-	if refused > 0 && refused == len(outcomes) {
+	if !acked && refusal != nil {
 		return AppendResult{Rows: rec.rows, Part: pa.part}, fmt.Errorf("cluster: append %q part %d: %w",
-			batch.Dataset, pa.part, outcomes[0].err)
+			batch.Dataset, pa.part, refusal)
 	}
 	pa.nextSeq++
 	pa.log = append(pa.log, rec)

@@ -359,6 +359,45 @@ func TestClusterIngestRefusedBatch(t *testing.T) {
 	runSix(t, "after refused appends", router, reqs, want)
 }
 
+// TestClusterIngestRefusedBatchReplicaDown pins the refusal rule when
+// another replica fails by transport: a batch no replica acked and one
+// refused is held by none. With one of two replicas stopped, a
+// wrong-width batch fails with ErrAppendRefused, the live replica stays
+// healthy and the sequence does not move, so catch-up has nothing to
+// replay and the stopped replica heals once it is back.
+func TestClusterIngestRefusedBatchReplicaDown(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	ctx := context.Background()
+
+	router, nodes, addrs := startIngestCluster(t, 2, 2, 2, pre, NodeOptions{}, testRouterOptions())
+	if _, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: tl.tuples[:10]}); err != nil {
+		t.Fatal(err)
+	}
+	seqs := router.AppendSeqs()["gauss"]
+	nodes[1].Kill()
+	_, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: [][]float64{{1, 2}}})
+	if !errors.Is(err, ErrAppendRefused) {
+		t.Fatalf("err = %v, want ErrAppendRefused", err)
+	}
+	if st := router.PeerHealth()[addrs[0]]; st != Healthy {
+		t.Fatalf("live replica %s is %v after a refused append", addrs[0], st)
+	}
+	for part, seq := range router.AppendSeqs()["gauss"] {
+		if seq != seqs[part] {
+			t.Fatalf("part %d: the refused append moved the sequence from %d to %d", part, seqs[part], seq)
+		}
+	}
+	if err := nodes[1].Serve(addrs[1]); err != nil {
+		t.Fatalf("recover node: %v", err)
+	}
+	for addr, st := range router.Reconcile(ctx) {
+		if st != Healthy {
+			t.Fatalf("after recovery, replica %s is %v", addr, st)
+		}
+	}
+}
+
 // TestClusterIngestTokenDedup pins client-retry idempotency: a retried
 // append carrying the same token returns the recorded outcome and adds
 // no rows.

@@ -413,10 +413,10 @@ func (s *Store) ScanSegment(si int, w []float64, wNorm float64, h *topk.Heap, sb
 // its context error). exhausted reports that the meter ran out with
 // rows still queued.
 func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, meter *topk.Meter, done <-chan struct{}, st *Stats) (cancelled, exhausted bool) {
-	q := GetBlockQueue(w, wNorm, meter, 1)
+	q := GetBlockQueue(w, wNorm, meter)
 	defer q.Release()
 	q.Add(s, 0)
-	defer func() { st.add(q.st[0]) }()
+	defer func() { st.add(q.st) }()
 	for {
 		if done != nil {
 			select {
@@ -425,11 +425,11 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 			default:
 			}
 		}
-		unit, ok := q.Pop(0, topk.Floor(h, sb.Get()))
+		unit, ok := q.Pop(topk.Floor(h, sb.Get()))
 		if !ok {
-			return false, q.st[0].RowsSkippedByBudget > 0
+			return false, q.st.RowsSkippedByBudget > 0
 		}
-		q.Run(0, unit, h, sb)
+		q.Run(unit, h, sb)
 		if t, ok := h.Threshold(); ok {
 			sb.Raise(t)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"modelir/internal/topk"
@@ -323,15 +322,15 @@ func TestSteadyStateScanZeroAllocs(t *testing.T) {
 	}
 }
 
-// drainQueue pops q into h with one worker, the loop Store.Scan and
-// parallel.TopK run, and returns h's items best first.
+// drainQueue pops q into h, the loop Store.Scan and parallel.TopK run,
+// and returns h's items best first.
 func drainQueue(q *BlockQueue, h *topk.Heap, sb *topk.Bound) []topk.Item {
 	for {
-		unit, ok := q.Pop(0, topk.Floor(h, sb.Get()))
+		unit, ok := q.Pop(topk.Floor(h, sb.Get()))
 		if !ok {
 			return h.Results()
 		}
-		q.Run(0, unit, h, sb)
+		q.Run(unit, h, sb)
 		if t, ok := h.Threshold(); ok {
 			sb.Raise(t)
 		}
@@ -401,7 +400,7 @@ func FuzzBlockedScanEquivalence(f *testing.F) {
 			stores[s], offsets[s] = st, int64(lo)
 		}
 		newQueue := func(meter *topk.Meter) *BlockQueue {
-			q := GetBlockQueue(w, wNorm, meter, 1)
+			q := GetBlockQueue(w, wNorm, meter)
 			for s, st := range stores {
 				q.Add(st, offsets[s])
 			}
@@ -482,60 +481,4 @@ func TestNormBoundCoversParallelRow(t *testing.T) {
 	w := []float64{-3, -3}
 	got := scanAll(s, w, 1, 18, nil, &Stats{})
 	itemsEqual(t, "floor tied with a parallel row", got, []topk.Item{{ID: 0, Score: 18}})
-}
-
-// TestBlockQueueConcurrentDrain: several workers popping one queue over
-// several stores, each into its own heap under one shared bound, merge
-// to the naive top-K, and their stats account for every row once.
-func TestBlockQueueConcurrentDrain(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pts := randomPoints(rng, 6000, 4)
-	w := []float64{0.5, -1, 2, 0.25}
-	const workers = 4
-	var stores []*Store
-	for lo := 0; lo < len(pts); lo += 1500 {
-		s, err := Build(pts[lo:lo+1500], Options{BlockRows: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores = append(stores, s)
-	}
-	for _, k := range []int{1, 10, 7000} {
-		q := GetBlockQueue(w, WeightNorm(w), nil, workers)
-		for i, s := range stores {
-			q.Add(s, int64(i*1500))
-		}
-		sb := topk.NewBound()
-		heaps := make([]*topk.Heap, workers)
-		var wg sync.WaitGroup
-		for wk := range heaps {
-			heaps[wk] = topk.MustHeap(k)
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				h := heaps[wk]
-				for {
-					unit, ok := q.Pop(wk, topk.Floor(h, sb.Get()))
-					if !ok {
-						return
-					}
-					q.Run(wk, unit, h, sb)
-					if th, ok := h.Threshold(); ok {
-						sb.Raise(th)
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		merged := topk.MustHeap(k)
-		for _, h := range heaps {
-			topk.Merge(merged, h)
-		}
-		st := q.Stats()
-		q.Release()
-		itemsEqual(t, "concurrent drain", merged.Results(), naiveTopK(pts, w, k))
-		if st.RowsScored+st.RowsZonePruned != len(pts) {
-			t.Fatalf("k %d: scored %d + pruned %d rows of %d", k, st.RowsScored, st.RowsZonePruned, len(pts))
-		}
-	}
 }

@@ -17,11 +17,9 @@ import (
 )
 
 // BlockQueue holds the blocks of the stores added to it for one weight
-// vector. Pop and Run are safe for concurrent use, so several workers
-// can drain one queue, each into its own heap, under one shared bound.
-// A unit number from Pop names one block; Run scores it.
+// vector, drained by one goroutine into one heap. A unit number from
+// Pop names one block; Run scores it.
 type BlockQueue struct {
-	mu     sync.Mutex
 	w      []float64
 	wNorm  float64
 	meter  *topk.Meter
@@ -29,7 +27,7 @@ type BlockQueue struct {
 	heap   []queuedBlock
 	built  bool
 	queued int // rows of the blocks still in heap
-	st     []Stats
+	st     Stats
 }
 
 // queueSeg is one store of the queue, the offset its row ids are
@@ -49,8 +47,7 @@ type queuedBlock struct {
 }
 
 // ahead orders the heap: higher bound first, then store and block order,
-// so the pop order is one total order and a one-worker scan is
-// deterministic.
+// so the pop order is one total order and a scan is deterministic.
 func ahead(a, b queuedBlock) bool {
 	if a.bound != b.bound {
 		return a.bound > b.bound
@@ -65,17 +62,11 @@ var queuePool = sync.Pool{New: func() any { return new(BlockQueue) }}
 
 // GetBlockQueue returns an empty pooled queue for one scan with weights
 // w (wNorm = WeightNorm(w)). The scan charges meter (nil = unlimited)
-// the rows it scores, and keeps one Stats slot per worker for `workers`
-// concurrent drainers, numbered from 0. Add the stores, drain it, read
-// Stats, then Release it.
-func GetBlockQueue(w []float64, wNorm float64, meter *topk.Meter, workers int) *BlockQueue {
+// the rows it scores. Add the stores, drain it, read Stats, then
+// Release it.
+func GetBlockQueue(w []float64, wNorm float64, meter *topk.Meter) *BlockQueue {
 	q := queuePool.Get().(*BlockQueue)
 	q.w, q.wNorm, q.meter = w, wNorm, meter
-	if cap(q.st) < workers {
-		q.st = make([]Stats, workers)
-	}
-	q.st = q.st[:workers]
-	clear(q.st)
 	return q
 }
 
@@ -83,7 +74,7 @@ func GetBlockQueue(w []float64, wNorm float64, meter *topk.Meter, workers int) *
 func (q *BlockQueue) Release() {
 	clear(q.segs)
 	q.segs, q.heap = q.segs[:0], q.heap[:0]
-	q.w, q.meter, q.built, q.queued = nil, nil, false, 0
+	q.w, q.meter, q.built, q.queued, q.st = nil, nil, false, 0, Stats{}
 	queuePool.Put(q)
 }
 
@@ -102,16 +93,14 @@ func (q *BlockQueue) Add(s *Store, offset int64) {
 	q.queued += s.rows
 }
 
-// Pop takes the best queued block for worker w, whose scan floor is
-// floor (topk.Floor of its heap under the shared bound). It reports
-// false once the queue is empty, once the meter has run out (the queued
-// rows count as RowsSkippedByBudget), or when the best block's bound is
-// strictly below floor: then no queued row can enter the merged top-K,
-// and every queued block is dropped as zone-pruned. A tied bound is
-// still popped, since a tied row can win the smaller-id tie-break.
-func (q *BlockQueue) Pop(w int, floor float64) (unit int, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// Pop takes the best queued block, given the drainer's scan floor
+// (topk.Floor of its heap under the shared bound). It reports false
+// once the queue is empty, once the meter has run out (the queued rows
+// count as RowsSkippedByBudget), or when the best block's bound is
+// strictly below floor: then no queued row can enter the top-K, and
+// every queued block is dropped as zone-pruned. A tied bound is still
+// popped, since a tied row can win the smaller-id tie-break.
+func (q *BlockQueue) Pop(floor float64) (unit int, ok bool) {
 	if !q.built {
 		for i := len(q.heap)/2 - 1; i >= 0; i-- {
 			q.down(i)
@@ -121,7 +110,7 @@ func (q *BlockQueue) Pop(w int, floor float64) (unit int, ok bool) {
 	if len(q.heap) == 0 {
 		return 0, false
 	}
-	st := &q.st[w]
+	st := &q.st
 	switch {
 	case q.meter.Exhausted():
 		st.RowsSkippedByBudget += q.queued
@@ -162,11 +151,11 @@ func (q *BlockQueue) down(i int) {
 	}
 }
 
-// Run scores the block unit names into worker w's heap h, screening
-// rows against h and sb (see scoreBlock), and charges the meter its
-// rows. Publishing h's threshold to sb is the caller's. It never fails;
-// the error completes the unit-queue shape.
-func (q *BlockQueue) Run(w, unit int, h *topk.Heap, sb *topk.Bound) error {
+// Run scores the block unit names into h, screening rows against h and
+// sb (see scoreBlock), and charges the meter its rows. Publishing h's
+// threshold to sb is the caller's. It never fails; the error completes
+// the unit-queue shape.
+func (q *BlockQueue) Run(unit int, h *topk.Heap, sb *topk.Bound) error {
 	i := len(q.segs) - 1
 	for q.segs[i].first > unit {
 		i--
@@ -177,19 +166,13 @@ func (q *BlockQueue) Run(w, unit int, h *topk.Heap, sb *topk.Bound) error {
 	sc := getScratch(hi - lo)
 	s.scoreBlock(seg.kern, lo, hi, q.w, seg.offset, h, sb.Get(), sc.scores[:hi-lo])
 	putScratch(sc)
-	q.st[w].RowsScored += hi - lo
+	q.st.RowsScored += hi - lo
 	q.meter.Charge(hi - lo)
 	return nil
 }
 
-// Stats sums the workers' stats. Call it once every drainer is done.
-func (q *BlockQueue) Stats() Stats {
-	var t Stats
-	for _, s := range q.st {
-		t.add(s)
-	}
-	return t
-}
+// Stats reports the scan's work so far.
+func (q *BlockQueue) Stats() Stats { return q.st }
 
 func (t *Stats) add(s Stats) {
 	t.RowsScored += s.RowsScored

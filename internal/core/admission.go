@@ -1,13 +1,9 @@
-// Admission control: a weighted semaphore bounding the total workers in
-// flight across all concurrent requests. A request waits for the one
-// unit its caller's goroutine runs on; helpers join it only on units
-// free right now (parallel.TopK), and a batch takes what the budget can
-// spare up to its pool width. Without it, N concurrent callers each
-// adding helpers oversubscribe the scheduler; with it, contended
-// requests run alone instead of stacking goroutines, and callers block
-// only when the budget is fully committed. Clamping a request's workers
-// is always result-safe: every query path returns identical items and
-// scores for any worker count (DESIGN.md §2).
+// Admission control: a weighted semaphore bounding the goroutines that
+// drain queues across all concurrent requests. A request waits for the
+// one unit its caller's goroutine runs on, and a batch takes what the
+// budget can spare up to its pool width. Callers block only when the
+// budget is fully committed. Admission changes when a request runs,
+// never what it returns (DESIGN.md §2).
 
 package core
 
@@ -17,34 +13,14 @@ import (
 )
 
 // DefaultMaxWorkers is the admission budget used when Options.MaxWorkers
-// is zero: enough oversubscription to keep cores busy through the
-// blocking-free scan loops, small enough that heavy concurrent traffic
-// degrades width instead of exploding goroutine counts.
+// is zero: four units per core, enough that no core idles while
+// admitted requests wait on the scheduler, few enough that a burst
+// queues at admission instead of stacking runnable goroutines.
 func DefaultMaxWorkers() int { return 4 * runtime.GOMAXPROCS(0) }
 
-// effectiveWorkers resolves the widest a request may run: the requested
-// count (0 = GOMAXPROCS) clamped to the plan's segment count. Units are
-// finer than segments, but the cap keeps a one-segment dataset (an
-// engine built with Shards 1) on one goroutine, with work counters as
-// deterministic as the Workers 1 ones.
-func effectiveWorkers(requested, shards int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if shards >= 1 && w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// admit reserves up to want workers from the engine's admission budget,
-// waiting for at least one, and returns the (possibly clamped) width to
-// run at and a release func. With admission disabled it grants the full
-// want.
+// admit reserves up to want units from the engine's admission budget,
+// waiting for at least one, and returns how many it granted and a
+// release func. With admission disabled it grants the full want.
 func (e *Engine) admit(ctx context.Context, want int) (int, func(), error) {
 	if e.adm == nil {
 		return want, func() {}, nil

@@ -14,13 +14,14 @@
 //
 // Every request's items and stats are bit-identical (modulo Wall and
 // Cache) to what a solo Engine.Run of the same request would return:
-// batching, like sharding and worker clamping, changes scheduling only.
+// batching, like sharding, changes scheduling only.
 
 package core
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"time"
 
 	"modelir/internal/parallel"
@@ -132,17 +133,12 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	live := make([]*batchEntry, 0, len(exec))
 	plans := make([]queryPlan, 0, len(exec))
 	specs := make([]parallel.BatchSpec, 0, len(exec))
-	want := 1
 	for _, en := range exec {
 		p, err := en.req.Query.plan(ctx, e, en.req)
 		if err != nil {
 			fillBatchErr(out, en, bareCtxErr(ctx, err))
 			continue
 		}
-		// The batch admits once, at the widest width any member would
-		// have used solo — batching never consumes more of the worker
-		// budget than the largest single request.
-		want = max(want, p.workers)
 		live = append(live, en)
 		plans = append(plans, p)
 		specs = append(specs, parallel.BatchSpec{Queue: p.q, K: en.req.K, Floor: p.floor})
@@ -150,8 +146,9 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	if len(live) == 0 {
 		return out, nil
 	}
-	// Workers beyond one per request never get a unit.
-	workers, release, err := e.admit(ctx, min(want, len(live)))
+	// The batch admits once, a unit per request it can run at a time: no
+	// more than one per request, which run alone, nor than one per core.
+	workers, release, err := e.admit(ctx, min(runtime.GOMAXPROCS(0), len(live)))
 	if err != nil {
 		for _, en := range live {
 			fillBatchErr(out, en, err)

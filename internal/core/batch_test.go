@@ -41,73 +41,6 @@ func resultsEqual(t *testing.T, label string, got, want Result) {
 	statsEqual(t, label, got.Stats, want.Stats)
 }
 
-// candidates is the number of candidates q ranks in a's dataset for
-// it: tuples, pixels, regions, wells or tiles.
-func (a testArchives) candidates(q Query) int {
-	switch q.(type) {
-	case LinearQuery:
-		return len(a.pts)
-	case SceneQuery:
-		return a.scene.W * a.scene.H
-	case FSMQuery, FSMDistanceQuery:
-		return len(a.arch)
-	case GeologyQuery:
-		return len(a.wells)
-	default:
-		return len(a.scene.Tiles)
-	}
-}
-
-// accounted checks the candidate count an untruncated run's stats add
-// up to, whatever the schedule: Examined + Pruned is every candidate.
-// A scene run is bounded, not pinned: its Examined also counts the
-// coarse pyramid cells the descent visited, a number the schedule
-// decides, while Pruned is the pixels never visited, so the sum is at
-// least the pixel count and exceeds it by the cells visited.
-func accounted(t *testing.T, label string, q Query, rows int, st QueryStats) {
-	t.Helper()
-	n := st.Examined + st.Pruned
-	if _, scene := q.(SceneQuery); scene {
-		if n < rows {
-			t.Fatalf("%s: stats account for %d of %d pixels", label, n, rows)
-		}
-		return
-	}
-	if n != rows {
-		t.Fatalf("%s: stats account for %d candidates, want %d", label, n, rows)
-	}
-}
-
-// rerunEqual compares two independent, untruncated executions of one
-// request q over a's datasets (not a result and its replay from the
-// cache or a dedup leader — those stay under resultsEqual). Items and
-// payloads must be bit-identical, and the stats must agree on Kind,
-// Shards and Truncated and account for every candidate. The work
-// counters (Evaluations, Examined, Pruned) depend on how early the
-// racing shards tightened the shared topk.Bound: they are compared
-// exactly only when the fan-out ran on one worker, and bounded by the
-// candidate count otherwise.
-func rerunEqual(t *testing.T, label string, a testArchives, q Query, got, want Result) {
-	t.Helper()
-	if effectiveWorkers(0, want.Stats.Shards) == 1 {
-		resultsEqual(t, label, got, want)
-		return
-	}
-	g, w := got.Stats, want.Stats
-	if g.Kind != w.Kind || g.Shards != w.Shards || g.Truncated != w.Truncated {
-		t.Fatalf("%s: stats differ in Kind/Shards/Truncated:\n got %+v\nwant %+v", label, g, w)
-	}
-	rows := a.candidates(q)
-	for _, st := range []QueryStats{g, w} {
-		accounted(t, label, q, rows, st)
-		if st.Evaluations < 1 || st.Examined < 1 || st.Pruned < 0 || st.Pruned > rows {
-			t.Fatalf("%s: work counters out of bounds for %d candidates: %+v", label, rows, st)
-		}
-	}
-	got.Stats, want.Stats = QueryStats{}, QueryStats{}
-	resultsEqual(t, label, got, want)
-}
-
 // batchRequests is the all-families request mix the equivalence pins
 // run: every query type, plus option variations (K, MinScore).
 func batchRequests(a testArchives, lm *linear.Model) []Request {
@@ -158,7 +91,7 @@ func TestBatchMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rerunEqual(t, label, a, req.Query, batch[i].Result, solo)
+			resultsEqual(t, label, batch[i].Result, solo)
 			if batch[i].Result.Stats.Wall <= 0 {
 				t.Fatalf("%s: missing wall time", label)
 			}

@@ -5,11 +5,12 @@
 //
 // The key is the request's canonical encoding (AppendRequest, codec.go),
 // built in a pooled buffer: equal bytes mean equal requests, and the
-// encoding leaves out Workers, so requests that differ only in fan-out
-// width share a cache line. Three things opt a request out of the cache:
+// encoding leaves out Workers, which is ignored, so requests that
+// differ only in Workers share a cache line. Three things opt a request
+// out of the cache:
 //
-//   - Budget > 0 — truncation depends on scheduling, so two identical
-//     budgeted runs may legitimately differ;
+//   - Budget > 0 — a truncated run is a best-effort answer, not the
+//     top-K the key names;
 //   - an FSMQuery with a Prefilter — a func value has no content of
 //     its own (the encoding names the registered ones only so the
 //     wire can carry them);

@@ -5,10 +5,10 @@
 // them as its body, so the cache and the wire can never disagree about
 // what a request means.
 //
-// Two options stay out of it. Workers changes scheduling only, so
-// requests that differ only in fan-out width share a cache line; the
-// 'Q' header carries it. Budget makes a result depend on scheduling, so
-// a budgeted request never enters the cache; the 'Q' header carries it
+// Two options stay out of it. Workers is ignored, so requests that
+// differ only in Workers share a cache line; the 'Q' header still
+// carries it. Budget makes a result a best-effort answer, so a
+// budgeted request never enters the cache; the 'Q' header carries it
 // too. A geology Method of zero is written as GeoDP, the evaluator it
 // runs.
 //

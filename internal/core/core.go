@@ -21,10 +21,9 @@
 // GOMAXPROCS). A query compiles to one queue of units — tuple blocks
 // of every shard and delta ordered by zone bound, one scene descent,
 // chunks of regions, wells or tiles — that parallel.TopK drains
-// best-first into one top-K heap on the caller's goroutine; helpers
-// join only requests that run longer than parallel.BreakEven. Sharding
-// and helpers change wall-clock time only: results are identical to a
-// single-shard scan (see DESIGN.md §2).
+// best-first into one top-K heap on the caller's goroutine. Sharding
+// changes wall-clock time only: results are identical to a single-shard
+// scan (see DESIGN.md §2).
 package core
 
 import (
@@ -72,16 +71,16 @@ func (k ModelKind) String() string {
 // Options tunes engine construction.
 type Options struct {
 	// Shards is the number of partitions each dataset is split into at
-	// ingest; it also caps a request's width (Request.Workers). 0 means
-	// GOMAXPROCS. 1 reproduces the sequential engine exactly.
+	// ingest. 0 means GOMAXPROCS. 1 reproduces the sequential engine
+	// exactly.
 	Shards int
 	// CacheEntries caps the result cache (see DESIGN.md §6): 0 means
 	// qcache.DefaultEntries, negative disables caching entirely.
 	CacheEntries int
-	// MaxWorkers is the admission-control budget: the total workers
-	// (callers and helpers) in flight across all concurrent requests.
-	// 0 means DefaultMaxWorkers(); negative disables admission control
-	// (helpers then join on elapsed time and Request.Workers alone).
+	// MaxWorkers is the admission-control budget: the units in flight
+	// across all concurrent requests, one per Run and one per RunBatch
+	// pool worker. 0 means DefaultMaxWorkers(); negative disables
+	// admission control.
 	MaxWorkers int
 }
 

@@ -37,18 +37,18 @@ type oracleCase struct {
 }
 
 // TestUnitQueueMatchesOracle checks the executor (units best-first on
-// the caller's goroutine, helpers from BreakEven on) against a naive
-// float64 scan of every candidate, for the three families with a
-// brute-force oracle: linear tuples, scenes and geology. The grid is
-// shards 1/4/7 x Workers 1/2/8 x 0 and 3 live deltas (tuples and
-// wells; scenes do not append) x K 1, 10 and rows+5 x MinScore absent
-// and exactly equal to a candidate's score. Items must be bit-identical
-// to the oracle's top-K, payloads included.
+// the caller's goroutine) against a naive float64 scan of every
+// candidate, for the three families with a brute-force oracle: linear
+// tuples, scenes and geology. The grid is shards 1/4/7 x Workers 1/2/8
+// x 0 and 3 live deltas (tuples and wells; scenes do not append) x K 1,
+// 10 and rows+5 x MinScore absent and exactly equal to a candidate's
+// score. Items must be bit-identical to the oracle's top-K, payloads
+// included, and the work counters (Evaluations, Examined, Pruned) must
+// not move with Workers.
 func TestUnitQueueMatchesOracle(t *testing.T) {
 	ctx := context.Background()
 
-	// Linear: 30,000 3-wide rows (enough for a K = rows+5 read to run
-	// past BreakEven) plus three 700-row deltas.
+	// Linear: 30,000 3-wide rows plus three 700-row deltas.
 	pts, err := synth.GaussianTuples(41, 32_100, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +168,7 @@ func TestUnitQueueMatchesOracle(t *testing.T) {
 						if minScore != nil {
 							want = filterMinScore(want, *minScore)
 						}
+						var first QueryStats
 						for _, workers := range []int{1, 2, 8} {
 							req := c.req
 							req.K, req.MinScore, req.Workers = k, minScore, workers
@@ -181,6 +182,13 @@ func TestUnitQueueMatchesOracle(t *testing.T) {
 							}
 							if want := shards + nDeltas; c.name == "linear" && res.Stats.Shards != want {
 								t.Fatalf("%s: Stats.Shards %d, want %d segments", label, res.Stats.Shards, want)
+							}
+							st := res.Stats
+							if workers == 1 {
+								first = st
+							} else if st.Evaluations != first.Evaluations || st.Examined != first.Examined || st.Pruned != first.Pruned {
+								t.Fatalf("%s: work counters %d/%d/%d, at Workers 1 %d/%d/%d", label,
+									st.Evaluations, st.Examined, st.Pruned, first.Evaluations, first.Examined, first.Pruned)
 							}
 						}
 					}

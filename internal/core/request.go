@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"modelir/internal/bayes"
@@ -34,8 +33,7 @@ const DefaultK = 10
 
 // Request describes one retrieval: which dataset, which model-query,
 // and per-request execution options. The zero values of the options are
-// sensible defaults (K=DefaultK, Workers=GOMAXPROCS, no budget, no
-// score floor).
+// sensible defaults (K=DefaultK, no budget, no score floor).
 type Request struct {
 	// Dataset names a registered archive of the kind the query expects
 	// (tuples for LinearQuery, a scene for SceneQuery and
@@ -48,12 +46,9 @@ type Request struct {
 	Query Query
 	// K is the number of results wanted; 0 means DefaultK.
 	K int
-	// Workers bounds the goroutines the request may run on: its
-	// caller's, plus helpers that join once it has run longer than
-	// parallel.BreakEven and admission has a spare unit. 0 means
-	// GOMAXPROCS; the width is also capped at the dataset's segment
-	// count, so Workers 1 and a one-segment dataset never get a helper.
-	// Results are identical for any worker count.
+	// Workers is accepted and ignored: every request runs on its
+	// caller's goroutine alone. It is kept so existing callers compile,
+	// and a negative value is still refused.
 	Workers int
 	// Budget caps the work the query may spend, measured in the
 	// family's evaluation unit (see QueryStats.Evaluations); 0 means
@@ -81,8 +76,9 @@ type QueryStats struct {
 	Evaluations int
 	// Examined counts candidates actually inspected (points, pixels and
 	// cells, regions, wells, tiles). Units run best-first, so it is the
-	// work done before the screening floor passed every unit left; with
-	// helpers it depends on how early their floors rose.
+	// work done before the screening floor passed every unit left. Like
+	// Evaluations and Pruned, it is the same on every run of a request
+	// over the same segments and floor.
 	Examined int
 	// Pruned counts candidates the screening machinery ruled out
 	// without evaluating them (index pruning, metadata prefilters,
@@ -136,18 +132,13 @@ type Query interface {
 }
 
 // queryPlan is one compiled request: a queue of units, each with an
-// upper bound, that Run drains on the caller's goroutine (and helpers,
-// see parallel.TopK) and RunBatch runs as one unit of its pool. Plans
-// are single-use — the queue carries the per-execution accounting state
-// (budget meter, per-worker counters).
+// upper bound, that Run drains on the caller's goroutine and RunBatch
+// runs as one unit of its pool. Plans are single-use — the queue
+// carries the per-execution accounting state (budget meter, counters).
 type queryPlan struct {
 	// segments is how many segments the units come from
 	// (QueryStats.Shards).
 	segments int
-	// workers is the widest the request may run: Request.Workers capped
-	// at segments (see effectiveWorkers). The queue keeps one counter
-	// slot per worker.
-	workers int
 	// floor seeds the screening bound (-Inf for none).
 	floor float64
 	// shift is the offset between the internal screening-score scale the
@@ -157,7 +148,7 @@ type queryPlan struct {
 	shift float64
 	q     parallel.Queue
 	// finish turns the top-K into the caller-visible items and
-	// normalized stats (score shifts, per-worker stat aggregation).
+	// normalized stats (score shifts, the queue's counters).
 	finish func(items []topk.Item) ([]topk.Item, QueryStats, error)
 }
 
@@ -170,9 +161,9 @@ type queryPlan struct {
 // Serving behavior: cacheable requests (see DESIGN.md §6) are answered
 // from the result cache when a live entry exists — bit-identical to a
 // cold run, with only Stats.Wall and Stats.Cache reflecting the hit —
-// and admission control bounds the goroutines in flight: a request
-// waits for the one unit its caller runs on, and helpers join only on
-// units free right now, which changes scheduling only, never results.
+// and admission control bounds the requests in flight: a request waits
+// for the one unit its caller runs on, which changes scheduling only,
+// never results.
 //
 // Cancellation is cooperative and prompt: ctx is checked before every
 // unit (a tuple block, a run of regions, wells or tiles) and inside the
@@ -238,7 +229,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 		sb.attach(bound, p.shift)
 		defer sb.detach()
 	}
-	items, err := parallel.TopK(ctx, p.q, req.K, p.workers, bound, e.adm)
+	items, err := parallel.TopK(ctx, p.q, req.K, bound)
 	if err != nil {
 		return Result{}, bareCtxErr(ctx, err)
 	}
@@ -383,18 +374,16 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 		}
 	}
 	meter := topk.NewMeter(req.Budget)
-	workers := effectiveWorkers(req.Workers, len(ts.scan))
 	// The units are the blocks of every segment — base shards plus any
 	// live deltas — in one queue ordered by zone bound. Stores number
 	// rows locally; each segment's offset lifts its IDs into the global
 	// tuple index space.
-	bq := colstore.GetBlockQueue(m.Coeffs, colstore.WeightNorm(m.Coeffs), meter, workers)
+	bq := colstore.GetBlockQueue(m.Coeffs, colstore.WeightNorm(m.Coeffs), meter)
 	for _, sh := range ts.scan {
 		bq.Add(sh.store, int64(sh.offset))
 	}
 	return queryPlan{
 		segments: len(ts.scan),
-		workers:  workers,
 		// The shared bound screens pre-intercept scores, so the
 		// MinScore floor is shifted into that scale.
 		floor: floorOf(req, m.Intercept),
@@ -447,7 +436,6 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan
 	u := &sceneUnit{pm: q.Model, pyr: ss.scene.Pyramid(), ctx: ctx, meter: topk.NewMeter(req.Budget)}
 	return queryPlan{
 		segments: 1,
-		workers:  1,
 		floor:    floorOf(req, 0),
 		q:        u,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
@@ -466,7 +454,7 @@ func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan
 // descent over every root cell from one frontier, which orders its own
 // work best-first and stops at the floor itself.
 type sceneUnit struct {
-	taken atomic.Bool
+	taken bool
 	pm    *linear.ProgressiveModel
 	pyr   *pyramid.MultibandPyramid
 	ctx   context.Context
@@ -474,9 +462,15 @@ type sceneUnit struct {
 	st    progressive.Stats
 }
 
-func (u *sceneUnit) Pop(int, float64) (int, bool) { return 0, !u.taken.Swap(true) }
+func (u *sceneUnit) Pop(float64) (int, bool) {
+	if u.taken {
+		return 0, false
+	}
+	u.taken = true
+	return 0, true
+}
 
-func (u *sceneUnit) Run(_, _ int, h *topk.Heap, sb *topk.Bound) error {
+func (u *sceneUnit) Run(_ int, h *topk.Heap, sb *topk.Bound) error {
 	var err error
 	u.st, err = progressive.CombinedInto(u.pm, u.pyr, h, progressive.DescendOpts{Ctx: u.ctx, Bound: sb, Meter: u.meter})
 	return err
@@ -486,88 +480,82 @@ func (u *sceneUnit) Run(_, _ int, h *topk.Heap, sb *topk.Bound) error {
 
 // chunkSize is how many candidates one unit of a scan-shaped family
 // (series regions, wells, tiles) holds: enough to amortize a pop and a
-// context check, few enough that a helper finds work to share.
+// context check, few enough that a cancelled request stops within a
+// handful of candidates.
 const chunkSize = 8
 
 // scanPlan builds the queue of a scan-shaped family (series regions,
 // wells, tiles): fixed-size chunks of candidates in ID order, segment
-// by segment, handed out from one atomic cursor. The scan hook runs on
-// worker w; workers may share a segment, so state it keeps per segment
-// must be per worker too. These families have no per-chunk bound, so
-// no chunk is dropped by the floor; the scan hook may screen single
-// candidates against the shared bound with the one floor rule,
-// topk.Floor(h, sb.Get()), and counts its worker's evaluations,
-// examined and pruned candidates into c. The budget gate runs before
-// every candidate. The scan hook owns the meter: a family
-// whose candidate cost is known up front (series days, rule count)
-// charges the meter BEFORE scoring, so concurrent workers see the spend
-// the moment the work is committed rather than after it completes —
-// the overshoot window is one in-flight candidate's gate race, not a
-// whole candidate's worth of invisible work per worker. Families whose
-// cost is emergent (geology's DP work depends on pruning) charge as
-// soon as the evaluator reports it. Single-worker truncation points are
-// unchanged either way: the gate reads the meter before each candidate,
-// and the previous candidate's charge is visible at that gate under
-// both disciplines.
+// by segment. These families have no per-chunk bound, so no chunk is
+// dropped by the floor; the scan hook may screen single candidates
+// against the shared bound with the one floor rule,
+// topk.Floor(h, sb.Get()), and counts its evaluations, examined and
+// pruned candidates into c. The budget gate runs before every
+// candidate. The scan hook owns the meter: a family whose candidate
+// cost is known up front (series days, rule count) charges it before
+// scoring, and one whose cost is emergent (geology's DP work depends on
+// pruning) charges as soon as the evaluator reports it. Either way the
+// gate before a candidate sees the previous candidate's charge, so the
+// truncation point is the same.
 func scanPlan(req Request, nSegs int, meter *topk.Meter,
 	segSize func(si int) int,
-	scan func(w, si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error,
+	scan func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error,
 ) queryPlan {
-	workers := effectiveWorkers(req.Workers, nSegs)
-	q := &chunkQueue{meter: meter, segSize: segSize, scan: scan, counts: countsArena.get(workers)}
+	q := &chunkQueue{meter: meter, segSize: segSize, scan: scan}
 	for si := 0; si < nSegs; si++ {
 		q.units += (segSize(si) + chunkSize - 1) / chunkSize
 	}
 	return queryPlan{
 		segments: nSegs,
-		workers:  workers,
 		floor:    floorOf(req, 0),
 		q:        q,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
-			st := QueryStats{Shards: nSegs, Truncated: meter.Exhausted()}
-			for _, c := range *q.counts {
-				st.Evaluations += c.evals
-				st.Examined += c.examined
-				st.Pruned += c.pruned
-			}
-			countsArena.put(q.counts)
-			return items, st, nil
+			return items, QueryStats{
+				Evaluations: q.counts.evals,
+				Examined:    q.counts.examined,
+				Pruned:      q.counts.pruned,
+				Shards:      nSegs,
+				Truncated:   meter.Exhausted(),
+			}, nil
 		},
 	}
 }
 
+// scanCounts is a scan-shaped family's work report (see scanPlan):
+// evaluation units spent, candidates examined, candidates screened out.
+type scanCounts struct{ evals, examined, pruned int }
+
 // chunkQueue is scanPlan's queue: unit u is the u-th chunk of
 // candidates, counting chunk by chunk through every segment in order.
 type chunkQueue struct {
-	next    atomic.Int64
+	next    int
 	units   int
 	meter   *topk.Meter
 	segSize func(si int) int
-	scan    func(w, si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error
-	counts  *[]scanCounts // one slot per worker
+	scan    func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error
+	counts  scanCounts
 }
 
-func (q *chunkQueue) Pop(int, float64) (int, bool) {
-	if q.meter.Exhausted() {
+func (q *chunkQueue) Pop(float64) (int, bool) {
+	if q.meter.Exhausted() || q.next == q.units {
 		return 0, false
 	}
-	u := int(q.next.Add(1) - 1)
-	return u, u < q.units
+	q.next++
+	return q.next - 1, true
 }
 
-func (q *chunkQueue) Run(w, u int, h *topk.Heap, sb *topk.Bound) error {
+func (q *chunkQueue) Run(u int, h *topk.Heap, sb *topk.Bound) error {
 	si, n := 0, q.segSize(0)
 	for u >= (n+chunkSize-1)/chunkSize {
 		u -= (n + chunkSize - 1) / chunkSize
 		si++
 		n = q.segSize(si)
 	}
-	c := &(*q.counts)[w]
 	for i := u * chunkSize; i < min(n, (u+1)*chunkSize); i++ {
 		if q.meter.Exhausted() {
 			break // budget exhausted: keep what the heap has
 		}
-		if err := q.scan(w, si, i, h, sb, c); err != nil {
+		if err := q.scan(si, i, h, sb, &q.counts); err != nil {
 			return err
 		}
 	}
@@ -599,7 +587,7 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, 
 	meter := topk.NewMeter(req.Budget)
 	return scanPlan(req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(_, si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
+		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
 			if q.Prefilter != nil && !q.Prefilter(sh.sums[i]) {
 				c.pruned++
@@ -650,7 +638,7 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (que
 	meter := topk.NewMeter(req.Budget)
 	return scanPlan(req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
-		func(_, si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
+		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
 			events := sh.eventsOf(i)
 			meter.Charge(len(events))
@@ -697,23 +685,17 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request) (queryPl
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	// One columnar scanner per segment and worker: the grade closures
-	// bind once and walk the segment's flat strata planes; per well only
-	// the base offset moves, so workers sharing a segment need their
-	// own. Helpers' scanners are made on first use, by the helper.
-	nSegs := len(ws.scan)
-	scanners := make([]*geoShardScanner, effectiveWorkers(req.Workers, nSegs)*nSegs)
+	// One columnar scanner per segment: the grade closures bind once and
+	// walk the segment's flat strata planes; per well only the base
+	// offset moves.
+	scanners := make([]*geoShardScanner, len(ws.scan))
 	for si, sh := range ws.scan {
 		scanners[si] = newGeoShardScanner(sh, q)
 	}
-	return scanPlan(req, nSegs, meter,
+	return scanPlan(req, len(ws.scan), meter,
 		func(si int) int { return len(ws.scan[si].wells) },
-		func(w, si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error {
-			g := scanners[w*nSegs+si]
-			if g == nil {
-				g = newGeoShardScanner(ws.scan[si], q)
-				scanners[w*nSegs+si] = g
-			}
+		func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error {
+			g := scanners[si]
 			n := g.setWell(i)
 			var (
 				best     sproc.Match
@@ -806,9 +788,9 @@ func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request) (query
 	// tile not examined was budget-skipped.
 	return scanPlan(req, 1, meter,
 		func(int) int { return len(sc.Tiles) },
-		func(_, _, ti int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
+		func(_, ti int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			// Rule-evaluation cost is fixed per tile: charge before
-			// scoring so concurrent budget gates see committed work.
+			// scoring.
 			meter.Charge(cost)
 			c.evals += cost
 			c.examined++

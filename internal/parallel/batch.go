@@ -21,9 +21,8 @@ type BatchSpec struct {
 
 // BatchTopK runs each spec as one unit of one pool of `workers`
 // goroutines (0 = GOMAXPROCS): a worker takes a spec and drains its
-// queue with TopK at one worker. Errors are isolated per spec: a
-// failing spec reports its error in the returned slice while the others
-// run to completion. Context cancellation is global — once ctx ends,
+// queue with TopK. Errors are isolated per spec: a failing spec reports
+// its error in the returned slice while the others run to completion. Context cancellation is global — once ctx ends,
 // every spec reports the context error.
 //
 // The returned slices are parallel to specs: results[i] is spec i's
@@ -35,7 +34,7 @@ func BatchTopK(ctx context.Context, workers int, specs []BatchSpec) ([][]topk.It
 		sp := specs[i]
 		bound := topk.NewBound()
 		bound.Raise(sp.Floor)
-		items, err := TopK(ctx, sp.Queue, sp.K, 1, bound, nil)
+		items, err := TopK(ctx, sp.Queue, sp.K, bound)
 		if ce := ctx.Err(); ce != nil && errors.Is(err, ce) {
 			return ce
 		}

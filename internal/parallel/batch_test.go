@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"modelir/internal/topk"
@@ -15,7 +14,7 @@ import (
 // items with IDs u*perUnit..u*perUnit+perUnit-1 scored by score(id).
 func scoreSpec(units, k, perUnit int, score func(id int64) float64) BatchSpec {
 	return BatchSpec{
-		Queue: newScoreQueue(units*perUnit, perUnit, false, func(i int) (float64, bool, error) {
+		Queue: newScoreQueue(units*perUnit, perUnit, func(i int) (float64, bool, error) {
 			return score(int64(i)), true, nil
 		}),
 		K:     k,
@@ -25,13 +24,19 @@ func scoreSpec(units, k, perUnit int, score func(id int64) float64) BatchSpec {
 
 // funcQueue is a one-unit Queue that runs fn.
 type funcQueue struct {
-	taken atomic.Bool
+	taken bool
 	fn    func(h *topk.Heap, sb *topk.Bound) error
 }
 
-func (q *funcQueue) Pop(int, float64) (int, bool) { return 0, !q.taken.Swap(true) }
+func (q *funcQueue) Pop(float64) (int, bool) {
+	if q.taken {
+		return 0, false
+	}
+	q.taken = true
+	return 0, true
+}
 
-func (q *funcQueue) Run(_, _ int, h *topk.Heap, sb *topk.Bound) error { return q.fn(h, sb) }
+func (q *funcQueue) Run(_ int, h *topk.Heap, sb *topk.Bound) error { return q.fn(h, sb) }
 
 // TestBatchMatchesSolo pins that a batched spec returns exactly what
 // its solo TopK drain returns, across uneven unit counts and a shared
@@ -53,15 +58,15 @@ func TestBatchMatchesSolo(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		for i := range specs {
-			specs[i].Queue.(*scoreQueue).next.Store(0)
-			solo[i].Queue.(*scoreQueue).next.Store(0)
+			specs[i].Queue.(*scoreQueue).next = 0
+			solo[i].Queue.(*scoreQueue).next = 0
 		}
 		got, errs := BatchTopK(ctx, workers, specs)
 		for i, sp := range solo {
 			if errs[i] != nil {
 				t.Fatalf("workers=%d spec %d: %v", workers, i, errs[i])
 			}
-			want, err := TopK(ctx, sp.Queue, sp.K, 1, nil, nil)
+			want, err := TopK(ctx, sp.Queue, sp.K, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +89,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 	specs := []BatchSpec{
 		scoreSpec(3, 4, 10, func(id int64) float64 { return float64(id) }),
 		{
-			Queue: newScoreQueue(30, 10, false, func(i int) (float64, bool, error) {
+			Queue: newScoreQueue(30, 10, func(i int) (float64, bool, error) {
 				if i == 15 {
 					return 0, false, boom
 				}
@@ -112,7 +117,7 @@ func TestBatchErrorIsolation(t *testing.T) {
 // TestBatchSpecValidation pins per-spec construction errors.
 func TestBatchSpecValidation(t *testing.T) {
 	specs := []BatchSpec{
-		{Queue: newScoreQueue(3, 1, false, func(int) (float64, bool, error) { return 0, true, nil }), K: 0},
+		{Queue: newScoreQueue(3, 1, func(int) (float64, bool, error) { return 0, true, nil }), K: 0},
 		{Queue: nil, K: 1},
 		scoreSpec(2, 1, 3, func(id int64) float64 { return float64(id) }),
 	}

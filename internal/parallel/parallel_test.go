@@ -6,46 +6,34 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"modelir/internal/topk"
 )
 
 // scoreQueue is a test Queue over items 0..n-1 in units of `per` items,
-// handed out from an atomic cursor. score may skip an item (keep false)
-// or fail it. With slow set, the first unit spins past BreakEven so
-// helpers may join, and every unit yields, so a helper gets to run
-// even on one core. ran[w] counts the units worker w ran.
+// handed out in order. score may skip an item (keep false) or fail it.
 type scoreQueue struct {
-	next   atomic.Int64
+	next   int
 	n, per int
 	score  func(i int) (float64, bool, error)
-	slow   bool
-	ran    [1024]atomic.Int32
 }
 
-func newScoreQueue(n, per int, slow bool, score func(i int) (float64, bool, error)) *scoreQueue {
-	return &scoreQueue{n: n, per: per, slow: slow, score: score}
+func newScoreQueue(n, per int, score func(i int) (float64, bool, error)) *scoreQueue {
+	return &scoreQueue{n: n, per: per, score: score}
 }
 
-func (q *scoreQueue) Pop(int, float64) (int, bool) {
-	u := int(q.next.Add(1) - 1)
-	return u, u*q.per < q.n
-}
-
-func (q *scoreQueue) Run(w, u int, h *topk.Heap, _ *topk.Bound) error {
-	q.ran[w].Add(1)
-	if q.slow {
-		if u == 0 {
-			for t0 := time.Now(); time.Since(t0) <= 2*BreakEven; {
-			}
-		}
-		runtime.Gosched()
+func (q *scoreQueue) Pop(float64) (int, bool) {
+	if q.next*q.per >= q.n {
+		return 0, false
 	}
+	q.next++
+	return q.next - 1, true
+}
+
+func (q *scoreQueue) Run(u int, h *topk.Heap, _ *topk.Bound) error {
 	for i := u * q.per; i < min(q.n, (u+1)*q.per); i++ {
 		s, keep, err := q.score(i)
 		if err != nil {
@@ -58,32 +46,22 @@ func (q *scoreQueue) Run(w, u int, h *topk.Heap, _ *topk.Bound) error {
 	return nil
 }
 
-// helped counts the units helpers ran.
-func (q *scoreQueue) helped() int {
-	n := 0
-	for w := 1; w < len(q.ran); w++ {
-		n += int(q.ran[w].Load())
-	}
-	return n
-}
-
-func topK(n, per, k, workers int, slow bool, score func(i int) (float64, bool, error)) ([]topk.Item, error) {
-	return TopK(context.Background(), newScoreQueue(n, per, slow, score), k, workers, nil, nil)
+func topK(n, per, k int, score func(i int) (float64, bool, error)) ([]topk.Item, error) {
+	return TopK(context.Background(), newScoreQueue(n, per, score), k, nil)
 }
 
 func TestTopKValidation(t *testing.T) {
-	if _, err := TopK(context.Background(), nil, 1, 1, nil, nil); err == nil {
+	if _, err := TopK(context.Background(), nil, 1, nil); err == nil {
 		t.Fatal("want nil queue error")
 	}
-	q := newScoreQueue(5, 1, false, func(int) (float64, bool, error) { return 0, true, nil })
-	if _, err := TopK(context.Background(), q, 0, 1, nil, nil); !errors.Is(err, topk.ErrBadCapacity) {
+	q := newScoreQueue(5, 1, func(int) (float64, bool, error) { return 0, true, nil })
+	if _, err := TopK(context.Background(), q, 0, nil); !errors.Is(err, topk.ErrBadCapacity) {
 		t.Fatalf("k 0: got %v, want ErrBadCapacity", err)
 	}
 }
 
-// TestTopKMatchesSerial: helpers (forced past BreakEven) pop units
-// concurrently into their own heaps, and the merged result equals the
-// one-worker drain bit for bit, ties across units included.
+// TestTopKMatchesSerial: draining units of any size into one heap
+// equals the serial selection bit for bit, ties across units included.
 func TestTopKMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	scores := make([]float64, 10_000)
@@ -92,24 +70,24 @@ func TestTopKMatchesSerial(t *testing.T) {
 	}
 	scorer := func(i int) (float64, bool, error) { return scores[i], true, nil }
 	want := topk.SelectTopK(scores, 25)
-	for _, workers := range []int{1, 2, 3, 8, 24, 1000} {
-		got, err := topK(len(scores), 37, 25, workers, true, scorer)
+	for _, per := range []int{1, 7, 37, 1000, 20_000} {
+		got, err := topK(len(scores), per, 25, scorer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: len %d vs %d", workers, len(got), len(want))
+			t.Fatalf("per=%d: len %d vs %d", per, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d pos %d: %+v vs %+v", workers, i, got[i], want[i])
+				t.Fatalf("per=%d pos %d: %+v vs %+v", per, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 func TestTopKSkip(t *testing.T) {
-	got, err := topK(10, 3, 5, 4, true, func(i int) (float64, bool, error) {
+	got, err := topK(10, 3, 5, func(i int) (float64, bool, error) {
 		return float64(i), i%2 == 0, nil
 	})
 	if err != nil {
@@ -127,21 +105,19 @@ func TestTopKSkip(t *testing.T) {
 
 func TestTopKErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	for _, workers := range []int{1, 8} {
-		_, err := topK(1000, 10, 5, workers, true, func(i int) (float64, bool, error) {
-			if i == 777 {
-				return 0, false, boom
-			}
-			return float64(i), true, nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: error not propagated: %v", workers, err)
+	_, err := topK(1000, 10, 5, func(i int) (float64, bool, error) {
+		if i == 777 {
+			return 0, false, boom
 		}
+		return float64(i), true, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("error not propagated: %v", err)
 	}
 }
 
 func TestTopKZeroItems(t *testing.T) {
-	got, err := topK(0, 4, 5, 4, false, func(int) (float64, bool, error) { return 0, true, nil })
+	got, err := topK(0, 4, 5, func(int) (float64, bool, error) { return 0, true, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,21 +126,19 @@ func TestTopKZeroItems(t *testing.T) {
 	}
 }
 
-// Property: any worker count and unit size yields the exact serial
-// result.
+// Property: any unit size yields the exact serial result.
 func TestTopKDeterminismProperty(t *testing.T) {
-	f := func(seed int64, workersRaw, perRaw uint8) bool {
+	f := func(seed int64, perRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(500)
 		k := 1 + rng.Intn(20)
-		workers := int(workersRaw)%32 + 1
 		scores := make([]float64, n)
 		for i := range scores {
 			scores[i] = float64(rng.Intn(40))
 		}
 		scorer := func(i int) (float64, bool, error) { return scores[i], true, nil }
 		want := topk.SelectTopK(scores, k)
-		got, err := topK(n, int(perRaw)%50+1, k, workers, seed%2 == 0, scorer)
+		got, err := topK(n, int(perRaw)%50+1, k, scorer)
 		if err != nil || len(got) != len(want) {
 			return false
 		}
@@ -180,52 +154,6 @@ func TestTopKDeterminismProperty(t *testing.T) {
 	}
 }
 
-// TestTopKHelpersJoinOnlyWhenAllowed pins the conditions a helper joins
-// under: the request has run past BreakEven, Workers (and GOMAXPROCS)
-// allow more than one worker, and admission has a spare unit without
-// waiting.
-func TestTopKHelpersJoinOnlyWhenAllowed(t *testing.T) {
-	ctx := context.Background()
-	score := func(i int) (float64, bool, error) { return float64(i % 13), true, nil }
-	run := func(workers int, adm *Weighted) *scoreQueue {
-		q := newScoreQueue(2000, 10, true, score)
-		if _, err := TopK(ctx, q, 5, workers, nil, adm); err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	if q := run(1, nil); q.helped() != 0 {
-		t.Fatalf("Workers 1: helpers ran %d units", q.helped())
-	}
-	if runtime.GOMAXPROCS(0) == 1 {
-		if q := run(4, nil); q.helped() != 0 {
-			t.Fatalf("GOMAXPROCS 1: helpers ran %d units", q.helped())
-		}
-		return
-	}
-	if q := run(4, nil); q.helped() == 0 {
-		t.Fatal("Workers 4, unbounded admission: no helper ran a unit")
-	}
-	adm, err := NewWeighted(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := adm.AcquireUpTo(ctx, 2); err != nil || got != 2 {
-		t.Fatalf("acquire: %d, %v", got, err)
-	}
-	if q := run(4, adm); q.helped() != 0 {
-		t.Fatalf("admission exhausted: helpers ran %d units", q.helped())
-	}
-	adm.Release(1)
-	if q := run(4, adm); q.helped() == 0 {
-		t.Fatal("one spare unit: no helper ran a unit")
-	}
-	// The helper gave its unit back.
-	if !adm.TryAcquire() {
-		t.Fatal("helper leaked its admission unit")
-	}
-}
-
 // boundQueue is a test Queue of units with fixed bounds, popped in
 // order; unit u scores one item of score scores[u]. It records the
 // shared floor each unit saw and, like a best-first queue, stops at the
@@ -236,7 +164,7 @@ type boundQueue struct {
 	saw    []float64
 }
 
-func (q *boundQueue) Pop(_ int, floor float64) (int, bool) {
+func (q *boundQueue) Pop(floor float64) (int, bool) {
 	if q.next == len(q.bounds) || q.bounds[q.next] < floor {
 		return 0, false
 	}
@@ -244,19 +172,19 @@ func (q *boundQueue) Pop(_ int, floor float64) (int, bool) {
 	return q.next - 1, true
 }
 
-func (q *boundQueue) Run(_, u int, h *topk.Heap, sb *topk.Bound) error {
+func (q *boundQueue) Run(u int, h *topk.Heap, sb *topk.Bound) error {
 	q.saw = append(q.saw, sb.Get())
 	h.OfferScore(int64(u), q.bounds[u])
 	return nil
 }
 
-// TestTopKPublishesBound: after each unit the caller's heap threshold
-// reaches the shared bound, so the next unit sees it, and the drain
+// TestTopKPublishesBound: after each unit the heap threshold reaches
+// the shared bound, so the next unit sees it, and the drain
 // stops at the first unit bounded strictly below the floor (a tie still
 // runs).
 func TestTopKPublishesBound(t *testing.T) {
 	q := &boundQueue{bounds: []float64{9, 7, 7, 6, 8}}
-	got, err := TopK(context.Background(), q, 1, 1, nil, nil)
+	got, err := TopK(context.Background(), q, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +195,7 @@ func TestTopKPublishesBound(t *testing.T) {
 		t.Fatalf("k=1: ran %d units, saw %v", q.next, q.saw)
 	}
 	q = &boundQueue{bounds: []float64{9, 7, 7, 6, 8}}
-	if _, err := TopK(context.Background(), q, 2, 1, nil, nil); err != nil {
+	if _, err := TopK(context.Background(), q, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Units 0 and 1 fill the heap (floor 7); unit 2 ties it and runs,
@@ -278,13 +206,13 @@ func TestTopKPublishesBound(t *testing.T) {
 }
 
 // TestTopKCtxFloorAndCancel: a caller-held bound seeds the floor every
-// unit sees, the merged threshold is published back to it, and a
+// unit sees, the heap's threshold is published back to it, and a
 // cancelled context returns ctx.Err() unwrapped.
 func TestTopKCtxFloorAndCancel(t *testing.T) {
 	bound := topk.NewBound()
 	bound.Raise(41.5)
 	q := &boundQueue{bounds: []float64{50, 45, 42}}
-	items, err := TopK(context.Background(), q, 2, 1, bound, nil)
+	items, err := TopK(context.Background(), q, 2, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,23 +220,22 @@ func TestTopKCtxFloorAndCancel(t *testing.T) {
 		t.Fatalf("items %v, first unit saw %v", items, q.saw)
 	}
 	if bound.Get() != 45 {
-		t.Fatalf("bound %v after the drain, want the merged threshold 45", bound.Get())
+		t.Fatalf("bound %v after the drain, want the threshold 45", bound.Get())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = TopK(ctx, &boundQueue{bounds: []float64{1}}, 5, 4, nil, nil)
+	_, err = TopK(ctx, &boundQueue{bounds: []float64{1}}, 5, nil)
 	if err != context.Canceled {
 		t.Fatalf("got %v, want bare context.Canceled", err)
 	}
 }
 
 // shardTopK drains items 0..len(scores)-1 split into `shards`
-// contiguous units, one heap per worker, with the first unit slow
-// enough for helpers to join.
-func shardTopK(scores []float64, shards, k, workers int, fail func(i int) error) ([]topk.Item, error) {
+// contiguous units.
+func shardTopK(scores []float64, shards, k int, fail func(i int) error) ([]topk.Item, error) {
 	chunk := max(1, (len(scores)+shards-1)/max(1, shards))
-	return topK(len(scores), chunk, k, workers, true, func(i int) (float64, bool, error) {
+	return topK(len(scores), chunk, k, func(i int) (float64, bool, error) {
 		if fail != nil {
 			if err := fail(i); err != nil {
 				return 0, false, err
@@ -321,22 +248,22 @@ func shardTopK(scores []float64, shards, k, workers int, fail func(i int) error)
 // TestShardTopKValidation: a nil queue and a bad k are errors, and a
 // request with no shards is an empty result, not an error.
 func TestShardTopKValidation(t *testing.T) {
-	if _, err := TopK(context.Background(), nil, 3, 4, nil, nil); err == nil {
+	if _, err := TopK(context.Background(), nil, 3, nil); err == nil {
 		t.Fatal("want nil queue error")
 	}
 	for _, k := range []int{0, -1} {
-		if _, err := shardTopK([]float64{1, 2}, 2, k, 4, nil); !errors.Is(err, topk.ErrBadCapacity) {
+		if _, err := shardTopK([]float64{1, 2}, 2, k, nil); !errors.Is(err, topk.ErrBadCapacity) {
 			t.Fatalf("k %d: got %v, want ErrBadCapacity", k, err)
 		}
 	}
-	items, err := shardTopK(nil, 0, 3, 4, nil)
+	items, err := shardTopK(nil, 0, 3, nil)
 	if err != nil || len(items) != 0 {
 		t.Fatalf("zero shards: items=%v err=%v", items, err)
 	}
 }
 
-// TestShardTopKMergesExactly: shards drained into per-worker heaps merge
-// into the exact top-K, ties across shard boundaries included.
+// TestShardTopKMergesExactly: shards drained as units of one queue give
+// the exact top-K, ties across shard boundaries included.
 func TestShardTopKMergesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	scores := make([]float64, 1000)
@@ -345,7 +272,7 @@ func TestShardTopKMergesExactly(t *testing.T) {
 	}
 	want := topk.SelectTopK(scores, 13)
 	for _, shards := range []int{1, 2, 3, 7, 16} {
-		got, err := shardTopK(scores, shards, 13, 4, nil)
+		got, err := shardTopK(scores, shards, 13, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +292,7 @@ func TestShardTopKMergesExactly(t *testing.T) {
 func TestShardTopKErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	scores := make([]float64, 40)
-	_, err := shardTopK(scores, 4, 2, 2, func(i int) error {
+	_, err := shardTopK(scores, 4, 2, func(i int) error {
 		if i/10 == 2 {
 			return boom
 		}

@@ -7,12 +7,12 @@ import (
 )
 
 // Weighted is the serving layer's admission semaphore: a fixed budget
-// of worker units shared by every in-flight request. A request waits
-// for the unit its caller's goroutine runs on, a helper joins only on a
-// unit free right now (TryAcquire), and a batch takes as many units as
-// are free, at least one and at most its pool width (AcquireUpTo).
-// Waiters are woken FIFO so a steady stream of small requests cannot
-// starve an early large one.
+// of units shared by every in-flight request, one unit per goroutine
+// that drains a queue. A request waits for the unit its caller's
+// goroutine runs on, and a batch takes as many units as are free, at
+// least one and at most its pool width (AcquireUpTo). Waiters are woken
+// FIFO so a steady stream of small requests cannot starve an early
+// large one.
 type Weighted struct {
 	mu      sync.Mutex
 	avail   int
@@ -82,20 +82,6 @@ func (w *Weighted) AcquireUpTo(ctx context.Context, want int) (int, error) {
 			return 0, ctx.Err()
 		}
 	}
-}
-
-// TryAcquire takes one unit if one is free and nobody is queued for
-// one, without waiting, and reports whether it did. The caller must
-// Release the unit. It is how a helper joins a running request: a
-// helper is worth starting only on a core that is idle now.
-func (w *Weighted) TryAcquire() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.avail < 1 || len(w.waiters) > 0 {
-		return false
-	}
-	w.avail--
-	return true
 }
 
 // Release returns n units to the budget and wakes waiters.

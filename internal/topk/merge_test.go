@@ -51,7 +51,7 @@ func shardAndMerge(items []Item, shards, k int) []Item {
 		for _, it := range items[lo:hi] {
 			local.Offer(it)
 		}
-		Merge(merged, local)
+		MergeItems(merged, local.items)
 	}
 	return merged.Results()
 }
@@ -73,12 +73,14 @@ func TestMergeShardedEqualsConcatenated(t *testing.T) {
 	}
 }
 
+// TestMergeItemsMatchesMerge: merging a heap's items in its own array
+// order equals merging its best-first Results.
 func TestMergeItemsMatchesMerge(t *testing.T) {
 	src := MustHeap(4)
 	for i := 0; i < 10; i++ {
 		src.OfferScore(int64(i), float64(i%5))
 	}
-	viaHeap := Merge(MustHeap(3), src).Results()
+	viaHeap := MergeItems(MustHeap(3), src.items).Results()
 	viaItems := MergeItems(MustHeap(3), src.Results()).Results()
 	sameItems(t, viaItems, viaHeap)
 }

@@ -1,8 +1,8 @@
-// Heap pooling: every query allocates per-shard and merge heaps, and a
-// serving engine runs the same K over and over. The pool recycles the
-// heap structs (and their item backing arrays, at whatever size they
-// grew to) across requests so the steady-state hot path allocates
-// nothing for selection state. Nothing is sized from k up front: K comes
+// Heap pooling: every query drains into one heap, and a serving engine
+// runs the same K over and over. The pool recycles the heap structs (and
+// their item backing arrays, at whatever size they grew to) across
+// requests so the steady-state hot path allocates nothing for selection
+// state. Nothing is sized from k up front: K comes
 // off the request, and a heap only grows with the items it retains.
 
 package topk
@@ -21,15 +21,6 @@ func GetHeap(k int) (*Heap, error) {
 	h := heapPool.Get().(*Heap)
 	h.k = k
 	return h, nil
-}
-
-// MustGetHeap is GetHeap for statically valid capacities.
-func MustGetHeap(k int) *Heap {
-	h, err := GetHeap(k)
-	if err != nil {
-		panic(err)
-	}
-	return h
 }
 
 // PutHeap returns a heap to the pool, emptied by Reset so a pooled heap

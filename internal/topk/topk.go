@@ -161,15 +161,9 @@ func siftDown(items []Item, i int) {
 	}
 }
 
-// Merge folds every item of src into dst and returns dst. It is used to
-// combine per-shard heaps produced by parallel scans.
-func Merge(dst, src *Heap) *Heap {
-	return MergeItems(dst, src.items)
-}
-
 // MergeItems offers every item to dst and returns dst. It merges the
 // partial result lists (each already best-first or not — order is
-// irrelevant) that shard workers hand back.
+// irrelevant) that cluster nodes hand back.
 func MergeItems(dst *Heap, items []Item) *Heap {
 	for _, it := range items {
 		dst.Offer(it)

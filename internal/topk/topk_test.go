@@ -98,13 +98,20 @@ func TestFloor(t *testing.T) {
 // off the request, so a heap asking for 2^40 items costs nothing up
 // front and only the items it retains afterwards.
 func TestHugeKSizesNothing(t *testing.T) {
+	get := func(k int) *Heap {
+		h, err := GetHeap(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
 	if !raceEnabled {
-		PutHeap(MustGetHeap(1)) // the pool's first struct is not the point
-		if allocs := testing.AllocsPerRun(20, func() { PutHeap(MustGetHeap(1 << 40)) }); allocs != 0 {
+		PutHeap(get(1)) // the pool's first struct is not the point
+		if allocs := testing.AllocsPerRun(20, func() { PutHeap(get(1 << 40)) }); allocs != 0 {
 			t.Fatalf("GetHeap(1<<40) allocates %.1f times, want 0", allocs)
 		}
 	}
-	for _, h := range []*Heap{MustGetHeap(1 << 40), MustHeap(1 << 40)} {
+	for _, h := range []*Heap{get(1 << 40), MustHeap(1 << 40)} {
 		if cap(h.items) > 16 {
 			t.Fatalf("empty heap of K 1<<40 holds capacity %d", cap(h.items))
 		}
@@ -157,7 +164,7 @@ func TestMerge(t *testing.T) {
 	a.OfferScore(2, 20)
 	b.OfferScore(3, 15)
 	b.OfferScore(4, 25)
-	got := Merge(a, b).Results()
+	got := MergeItems(a, b.Results()).Results()
 	want := []int64{4, 2, 3}
 	for i, id := range want {
 		if got[i].ID != id {

@@ -22,8 +22,8 @@
 // Every query family flows through one entry point — "a query is a
 // model" made literal: build a Request around a family-specific Query
 // value and execute it with Engine.Run, which honors context
-// cancellation and deadlines, per-request tuning (K, Workers, Budget,
-// MinScore), and returns one normalized Result/QueryStats shape.
+// cancellation and deadlines, per-request tuning (K, Budget, MinScore),
+// and returns one normalized Result/QueryStats shape.
 // Engine.RunBatch runs many requests on one shared worker pool.
 //
 // Quick start:

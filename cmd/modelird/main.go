@@ -12,8 +12,9 @@
 //
 // -debug-addr mounts net/http/pprof (profiles, goroutine dumps,
 // /debug/pprof/…) on a SEPARATE listener so the profiling surface is
-// opt-in and never shares a port with serving traffic; empty (the
-// default) disables it entirely.
+// opt-in and never shares a port with serving traffic; it is bound
+// before any role starts, so every role — a node included — can be
+// profiled. Empty (the default) disables it entirely.
 //
 // -data-dir enables durable snapshots (DESIGN.md §10): at boot the
 // daemon restores the engine from a snapshot in that directory if one
@@ -119,6 +120,29 @@ func run(args []string) error {
 		Tuples: *tuples, Scene: *scene, Regions: *regions, Wells: *wells, Seed: *seed,
 	}
 
+	// The debug listener comes up before any role starts, so every role
+	// — the node included — can be profiled.
+	if *debugAddr != "" {
+		// Bind synchronously: the debug surface is an explicit opt-in,
+		// so a taken port or a typo'd address must fail startup, not
+		// degrade into a daemon that silently cannot be profiled.
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			return fmt.Errorf("debug listener %s: %w", *debugAddr, err)
+		}
+		dbg := &http.Server{
+			Handler:           newDebugMux(),
+			ReadHeaderTimeout: 5 * time.Second,
+		}
+		defer dbg.Close() // a role that fails to start takes it down
+		log.Printf("modelird debug (pprof) listening on %s", ln.Addr())
+		go func() {
+			if err := dbg.Serve(ln); err != nil && err != http.ErrServerClosed {
+				log.Printf("modelird debug listener: %v", err)
+			}
+		}()
+	}
+
 	var s *server
 	var buildErr chan error // nil (never fires) except in the single role
 	switch *role {
@@ -164,26 +188,6 @@ func run(args []string) error {
 		return runNode(topo, *addr, *self, cfg, *dataDir)
 	default:
 		return fmt.Errorf("unknown -role %q (want single, router, or node)", *role)
-	}
-
-	if *debugAddr != "" {
-		// Bind synchronously: the debug surface is an explicit opt-in,
-		// so a taken port or a typo'd address must fail startup, not
-		// degrade into a daemon that silently cannot be profiled.
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener %s: %w", *debugAddr, err)
-		}
-		dbg := &http.Server{
-			Handler:           newDebugMux(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		log.Printf("modelird debug (pprof) listening on %s", ln.Addr())
-		go func() {
-			if err := dbg.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Printf("modelird debug listener: %v", err)
-			}
-		}()
 	}
 
 	srv := &http.Server{

@@ -713,3 +713,52 @@ func TestDebugMuxServesPprof(t *testing.T) {
 		t.Fatalf("debug mux serves /stats (status %d); serving and debug surfaces must stay separate", resp.StatusCode)
 	}
 }
+
+// freeAddr returns a loopback address nothing listens on at the moment.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestNodeRoleServesDebugAddr: -debug-addr is honoured on -role=node,
+// whose run never returns while it serves — so a node can be profiled —
+// and an address that cannot be bound fails a node's startup.
+func TestNodeRoleServesDebugAddr(t *testing.T) {
+	node, debug := freeAddr(t), freeAddr(t)
+	exited := make(chan error, 1)
+	go func() {
+		exited <- run([]string{"-role=node", "-addr", node, "-peers", node, "-debug-addr", debug,
+			"-tuples", "200", "-scene", "16", "-regions", "5", "-wells", "5", "-shards", "1"})
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get("http://" + debug + "/debug/pprof/")
+		if err == nil {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+				t.Fatalf("node debug listener: status %d body %.200q", resp.StatusCode, body)
+			}
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("node exited: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node never served /debug/pprof/ on %s: %v", debug, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	err := run([]string{"-role=node", "-addr", freeAddr(t), "-peers", node, "-debug-addr", "127.0.0.1:bad"})
+	if err == nil || !strings.Contains(err.Error(), "debug listener") {
+		t.Fatalf("node with an unbindable -debug-addr: %v, want a debug listener error", err)
+	}
+}

@@ -1,8 +1,9 @@
 // The scatter-gather hop alone: Router.Run against two in-process nodes
 // at replication 2 with the node result cache off, so every iteration
-// pays encode, one stream per partition on the peers' connections, the
-// node's scan, decode and merge — and nothing else. CI prints ns/op and
-// allocs/op on every run (DESIGN.md §9 records the figures).
+// pays encode, one stream to the one node that covers the read (each
+// node holds every partition), the node's scan, decode and merge — and
+// nothing else. CI prints ns/op and allocs/op on every run (DESIGN.md §9
+// records the figures).
 
 package cluster
 

@@ -9,13 +9,13 @@
 // tuple blocks and pyramid descents mid-flight (see DESIGN.md §9).
 //
 // This file is placement: a consistent-hash ring with virtual nodes
-// mapping (dataset, partition) to a replica preference list. Placement
-// is a pure function of the topology, so the router and every node
-// compute identical layouts without coordination.
+// mapping (dataset, partition) to a replica preference list, and the
+// per-read cover that picks which replicas serve. Placement is a pure
+// function of the topology, so the router and every node compute
+// identical layouts without coordination.
 package cluster
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -70,20 +70,39 @@ type Placement struct {
 	Nodes []string
 }
 
-// vnodes is the virtual-node multiplier smoothing the ring. 64 keeps
-// the max/min load ratio close to 1 for small clusters without making
-// ring construction noticeable.
-const vnodes = 64
+// vnodes is the virtual-node multiplier smoothing the ring: a node's
+// share of the ring varies by about 1/sqrt(vnodes), so 256 keeps every
+// node within 0.8x-1.25x its fair share of primaries at 2-5 nodes
+// (TestPlacementSpread) while the ring stays a few thousand entries,
+// built once per placer.
+const vnodes = 256
 
 type ringEntry struct {
 	hash uint64
 	node int // index into Topology.Nodes
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// hash64 is FNV-1a finished with splitmix64's finaliser. Bare FNV-1a
+// mixes its last byte into the low bits only: "ds#0" and "ds#1", or a
+// node's vnodes "addr@0"…"addr@9", differ in the top bits by almost
+// nothing and so land on the same arc of the ring. The finaliser
+// spreads every input bit over the whole word.
+func hash64[T string | []byte](b T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return mix64(h)
+}
+
+// mix64 is splitmix64's finaliser, a bijection on uint64.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func (t Topology) ring() []ringEntry {
@@ -120,11 +139,14 @@ func prefer(ring []ringEntry, nodes []string, key string, r int) []string {
 }
 
 // Layout maps a dataset to its partition placements: one partition per
-// node for partitioned kinds (the fan-out width that keeps every
-// machine busy), a single whole-dataset placement for scenes. The same
-// function runs on the router (to route) and on every node (to decide
-// what to ingest), so agreement is structural. Each call builds the
-// ring afresh; the router and nodes hold a placer instead.
+// node for partitioned kinds, so at replication 1 every node holds a
+// slice, and a single whole-dataset placement for scenes. How many
+// nodes a read touches is the router's cover, not the partition count:
+// at replication = node count every node holds every partition and a
+// read is one hop. The same function runs on the router (to route) and
+// on every node (to decide what to ingest), so agreement is
+// structural. Each call builds the ring afresh; the router and nodes
+// hold a placer instead.
 func (t Topology) Layout(dataset string, kind DataKind) []Placement {
 	return newPlacer(t).layout(dataset, kind)
 }
@@ -135,6 +157,9 @@ func (t Topology) Layout(dataset string, kind DataKind) []Placement {
 type placer struct {
 	topo Topology
 	ring []ringEntry
+	// weight is each node's rendezvous key: the cover breaks ties
+	// between replicas by mix64(request hash ^ weight[addr]).
+	weight map[string]uint64
 
 	mu   sync.RWMutex
 	memo map[placeKey][]Placement
@@ -150,7 +175,11 @@ type placeKey struct {
 const maxPlaceMemo = 4096
 
 func newPlacer(topo Topology) *placer {
-	return &placer{topo: topo, ring: topo.ring(), memo: make(map[placeKey][]Placement)}
+	p := &placer{topo: topo, ring: topo.ring(), weight: make(map[string]uint64, len(topo.Nodes)), memo: make(map[placeKey][]Placement)}
+	for _, n := range topo.Nodes {
+		p.weight[n] = hash64(n)
+	}
+	return p
 }
 
 func (p *placer) layout(dataset string, kind DataKind) []Placement {

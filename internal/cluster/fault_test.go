@@ -72,7 +72,7 @@ func TestNodeKillNoReplica(t *testing.T) {
 	}
 }
 
-// TestNodeKillFailover pins the replicated path: the primary dying
+// TestNodeKillFailover pins the replicated path: the covering node dying
 // mid-query fails over to the replica and the merged result stays
 // bit-identical to the single-node reference.
 func TestNodeKillFailover(t *testing.T) {
@@ -85,7 +85,12 @@ func TestNodeKillFailover(t *testing.T) {
 	if len(victims) < 2 {
 		t.Fatalf("replication 2 should put gauss on both nodes, got %d", len(victims))
 	}
+	// The victim is the node the read is covered by, so it is the one
+	// the read reaches first.
 	victim := victims[0]
+	if covering := coveringNode(t, router, reqs["linear"]); victims[1].Addr() == covering {
+		victim = victims[1]
+	}
 	var once sync.Once
 	victim.opt.BeforeExec = func(dataset string, part int) {
 		once.Do(victim.Kill)

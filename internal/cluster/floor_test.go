@@ -13,6 +13,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"modelir/internal/core"
@@ -21,14 +22,22 @@ import (
 	"modelir/internal/topk"
 )
 
+// queryPayload encodes a 'Q' for the listed partitions, as the router
+// would.
+func queryPayload(t testing.TB, req core.Request, parts []int, floor float64) []byte {
+	t.Helper()
+	body, err := core.AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeQuery(nodeQuery{Parts: parts, Req: req, Floor: floor}, body)
+}
+
 // queryNode runs one partition query over a raw connection, exactly as
 // the router would, with a fixed initial floor.
 func queryNode(t *testing.T, addr string, req core.Request, part int, floor float64) Partial {
 	t.Helper()
-	payload, err := encodeQuery(req, part, floor)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := queryPayload(t, req, []int{part}, floor)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -63,12 +72,14 @@ func queryNode(t *testing.T, addr string, req core.Request, part int, floor floa
 }
 
 // startFloorNodes serves a two-node, unreplicated cluster, each node
-// ingesting its partitions through add, and returns partition → node
-// address. Caching is disabled so a floored and an unfloored query of
-// the same partition both execute (they share a fingerprint; a cache
-// hit would replay the first run's stats and mask the pruning
-// difference).
-func startFloorNodes(t *testing.T, add func(*Node) error) map[int]string {
+// ingesting its partitions of one dataset through add, and returns the
+// dataset's name and partition → node address. The name is the first
+// of base, base-1, base-2, … whose two partitions the layout puts on
+// distinct nodes, so the hot and the cold partition are a cross-node
+// read. Caching is disabled so a floored and an unfloored query of the
+// same partition both execute (they share a fingerprint; a cache hit
+// would replay the first run's stats and mask the pruning difference).
+func startFloorNodes(t *testing.T, base string, kind DataKind, add func(n *Node, dataset string) error) (string, map[int]string) {
 	t.Helper()
 	lns := make([]net.Listener, 2)
 	addrs := make([]string, 2)
@@ -80,11 +91,18 @@ func startFloorNodes(t *testing.T, add func(*Node) error) map[int]string {
 		addrs[i] = lns[i].Addr().String()
 	}
 	topo := Topology{Nodes: addrs, Replication: 1}
+	dataset := base
+	for i := 1; ; i++ {
+		if pl := topo.Layout(dataset, kind); pl[0].Nodes[0] != pl[1].Nodes[0] {
+			break
+		}
+		dataset = base + "-" + strconv.Itoa(i)
+	}
 	opt := NodeOptions{Shards: 2, CacheEntries: -1}
 	byPart := make(map[int]string)
 	for i := range lns {
 		n := NewNode(addrs[i], topo, opt)
-		if err := add(n); err != nil {
+		if err := add(n, dataset); err != nil {
 			t.Fatal(err)
 		}
 		n.mu.Lock()
@@ -99,10 +117,10 @@ func startFloorNodes(t *testing.T, add func(*Node) error) map[int]string {
 		n.ServeListener(lns[i])
 		t.Cleanup(n.Close)
 	}
-	if len(byPart) != 2 {
-		t.Fatalf("expected 2 partitions placed, got %v", byPart)
+	if len(byPart) != 2 || byPart[0] == byPart[1] {
+		t.Fatalf("expected 2 partitions on distinct nodes, got %v", byPart)
 	}
-	return byPart
+	return dataset, byPart
 }
 
 func TestCrossNodeFloorPrunesColdBlocks(t *testing.T) {
@@ -122,13 +140,13 @@ func TestCrossNodeFloorPrunesColdBlocks(t *testing.T) {
 	}
 	pts = append(pts, cold...)
 
-	byPart := startFloorNodes(t, func(n *Node) error { return n.AddTuples("skew", pts) })
+	dataset, byPart := startFloorNodes(t, "skew", KindTuples, func(n *Node, ds string) error { return n.AddTuples(ds, pts) })
 
 	lm, err := linear.New([]string{"x", "y", "z"}, []float64{1, 1, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := core.Request{Dataset: "skew", Query: core.LinearQuery{Model: lm}, K: 8}
+	req := core.Request{Dataset: dataset, Query: core.LinearQuery{Model: lm}, K: 8}
 
 	// The hot partition runs first and publishes its floor: the 8th
 	// best hot score, far above anything in the cold partition.
@@ -186,9 +204,9 @@ func TestCrossNodeFloorPrunesColdWells(t *testing.T) {
 		w.Well += half
 		wells = append(wells, w)
 	}
-	byPart := startFloorNodes(t, func(n *Node) error { return n.AddWells("basin", wells) })
+	dataset, byPart := startFloorNodes(t, "basin", KindWells, func(n *Node, ds string) error { return n.AddWells(ds, wells) })
 
-	req := core.Request{Dataset: "basin", K: 8, Query: core.GeologyQuery{
+	req := core.Request{Dataset: dataset, K: 8, Query: core.GeologyQuery{
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},
 		MaxGapFt: 10, MinGamma: 45, GammaRampAPI: 20,
 	}}

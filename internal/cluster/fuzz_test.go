@@ -3,8 +3,9 @@
 // codec fuzzer pins one property: malformed payloads are refused with
 // canon.ErrCorrupt — never a panic, never an oversized allocation — and
 // a payload that decodes re-encodes to the identical bytes.
-// FuzzPartialCodec covers 'R', FuzzAppendCodec 'A', FuzzSeqStateCodec
-// both directions of 'U'. FuzzFrameStream: arbitrary bytes fed to the
+// FuzzQueryCodec covers the whole 'Q' (its header and body),
+// FuzzPartialCodec 'R', FuzzAppendCodec 'A', FuzzSeqStateCodec both
+// directions of 'U'. FuzzFrameStream: arbitrary bytes fed to the
 // node's connection loop and to the router's demux end in a typed
 // refusal or a clean close. The committed seed corpora in testdata/fuzz
 // cover well-formed inputs plus truncation and misuse shapes.
@@ -20,6 +21,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,18 +43,12 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := encodeQuery(core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, 0, math.Inf(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := queryPayload(t, core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, []int{0}, math.Inf(-1))
 	a, err := encodeAppend(AppendBatch{Dataset: "gauss", Part: 0, Seq: 1, Base: 64, Tuples: [][]float64{{1, 2, 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hugeK, err := encodeQuery(core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 1 << 30}, 0, math.Inf(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hugeK := queryPayload(t, core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 1 << 30}, []int{0}, math.Inf(-1))
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	query, floor, cancel := frameBytes(frameQuery, 1, q), frameBytes(frameFloor, 1, encodeFloor(2.5)), frameBytes(frameCancel, 1, nil)
 	return map[string][]byte{
@@ -118,6 +115,49 @@ func seqStateSeeds() map[string][]byte {
 	}
 }
 
+// querySeeds is FuzzQueryCodec's seed corpus: 'Q' payloads over one
+// and several partitions, with and without floor publishing, plus
+// truncation and misuse shapes of the header.
+func querySeeds(t testing.TB) map[string][]byte {
+	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4, Workers: 2, Budget: 500}
+	one := queryPayload(t, lin, []int{0}, math.Inf(-1))
+	two := queryPayload(t, core.Request{Dataset: "basin", K: 8, Query: core.GeologyQuery{
+		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone}, MaxGapFt: 10,
+	}}, []int{0, 2}, 1.5)
+	body, err := core.AppendRequest(nil, lin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := encodeQuery(nodeQuery{Parts: []int{1, 3, 4}, Publish: true, Req: lin, Floor: -2}, body)
+	// Headers whose partition list is out of order, repeated, empty, or
+	// claims more entries than the payload holds.
+	list := func(parts ...uint64) []byte {
+		b := []byte{wireVersion, 0}
+		b = canon.AppendUint(b, uint64(len(parts)))
+		for _, p := range parts {
+			b = canon.AppendUint(b, p)
+		}
+		return append(b, one[2+16:]...)
+	}
+	huge := append([]byte{wireVersion, 0}, canon.AppendUint(nil, 1<<60)...)
+	return map[string][]byte{
+		"seed-one-part":       one,
+		"seed-two-parts":      two,
+		"seed-publish":        publish,
+		"seed-truncated":      two[:len(two)-3],
+		"seed-bad-version":    append([]byte{wireVersion - 1}, one[1:]...),
+		"seed-bad-flag":       append([]byte{wireVersion, 2}, one[2:]...),
+		"seed-unsorted-parts": list(2, 1),
+		"seed-repeated-part":  list(1, 1),
+		"seed-no-parts":       list(),
+		"seed-huge-count":     append(huge, one[2+16:]...),
+	}
+}
+
 // TestRegenerateFuzzCorpus rewrites the committed seed corpora from the
 // current codecs when REGEN_CORPUS is set; otherwise it verifies every
 // committed well-formed partial still decodes and every other corpus is
@@ -147,6 +187,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"FuzzFrameStream":   frameStreamSeeds(t),
 		"FuzzAppendCodec":   appendSeeds(t),
 		"FuzzSeqStateCodec": seqStateSeeds(),
+		"FuzzQueryCodec":    querySeeds(t),
 	}
 	if os.Getenv("REGEN_CORPUS") != "" {
 		current["FuzzPartialCodec"] = seeds
@@ -194,10 +235,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	}
 }
 
-// TestQueryBodyIsCanonicalRequest pins the 'Q' layout: a fixed header
-// (version, part, Workers, Budget, floor) and then the request's
-// canonical bytes from the encoder the result cache keys with, the same
-// whatever the header holds.
+// TestQueryBodyIsCanonicalRequest pins the 'Q' layout: a header
+// (version, publish flag, partition list, Workers, Budget, floor) and
+// then the request's canonical bytes from the encoder the result cache
+// keys with, the same whatever the header holds.
 func TestQueryBodyIsCanonicalRequest(t *testing.T) {
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
@@ -209,34 +250,92 @@ func TestQueryBodyIsCanonicalRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	type header struct {
-		part, workers, budget int
-		floor                 float64
+		parts           []int
+		publish         bool
+		workers, budget int
+		floor           float64
 	}
-	for _, h := range []header{{0, 0, 0, math.Inf(-1)}, {3, 7, 0, 2.5}, {1, 2, 500, -1}} {
+	for _, h := range []header{{[]int{0}, false, 0, 0, math.Inf(-1)}, {[]int{3}, true, 7, 0, 2.5}, {[]int{0, 1, 4}, false, 2, 500, -1}} {
 		r := req
 		r.Workers, r.Budget = h.workers, h.budget
-		payload, err := encodeQuery(r, h.part, h.floor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(payload[queryHeader:], key) {
+		payload := encodeQuery(nodeQuery{Parts: h.parts, Publish: h.publish, Req: r, Floor: h.floor}, key)
+		if hdr := 2 + 8*(len(h.parts)+4); len(payload) != hdr+len(key) || !bytes.Equal(payload[hdr:], key) {
 			t.Fatalf("header %+v: body differs from the request's canonical bytes", h)
 		}
 		q, err := decodeQuery(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.Part != h.part || q.Req.Workers != h.workers || q.Req.Budget != h.budget || q.Floor != h.floor || q.Req.Dataset != "gauss" {
-			t.Fatalf("header %+v decoded as part %d, %+v, floor %v", h, q.Part, q.Req, q.Floor)
+		if !reflect.DeepEqual(q.Parts, h.parts) || q.Publish != h.publish || q.Req.Workers != h.workers ||
+			q.Req.Budget != h.budget || q.Floor != h.floor || q.Req.Dataset != "gauss" {
+			t.Fatalf("header %+v decoded as parts %v publish %v, %+v, floor %v", h, q.Parts, q.Publish, q.Req, q.Floor)
 		}
 	}
-	// A version-1 'Q' (the body before it was the canonical request) is
-	// refused, not misread.
-	payload, _ := encodeQuery(req, 0, 0)
-	payload[0] = 1
+	// A version-2 'Q' (one partition per frame) is refused, not misread.
+	payload := encodeQuery(nodeQuery{Parts: []int{0}, Req: req}, key)
+	payload[0] = 2
 	if _, err := decodeQuery(payload); !errors.Is(err, canon.ErrCorrupt) {
-		t.Fatalf("version-1 query: err %v, want canon.ErrCorrupt", err)
+		t.Fatalf("version-2 query: err %v, want canon.ErrCorrupt", err)
 	}
+}
+
+// TestQueryPartListCannotBuyAllocation: a 'Q' header's partition count
+// is a length read off the wire, so it is checked against the bytes that
+// follow and against maxWireParts before the list is allocated.
+func TestQueryPartListCannotBuyAllocation(t *testing.T) {
+	claim := func(n uint64, body int) []byte {
+		b := append([]byte{wireVersion, 0}, canon.AppendUint(nil, n)...)
+		return append(b, make([]byte, body)...)
+	}
+	for _, tc := range []struct {
+		n    uint64
+		body int
+	}{
+		{1 << 60, 64}, {math.MaxUint64, 0}, {maxWireParts + 1, 8 * (maxWireParts + 8)}, {0, 64},
+	} {
+		var before, after runtime.MemStats
+		payload := claim(tc.n, tc.body)
+		runtime.ReadMemStats(&before)
+		_, err := decodeQuery(payload)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, canon.ErrCorrupt) {
+			t.Fatalf("%d partitions in %d bytes: err %v, want canon.ErrCorrupt", tc.n, tc.body, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<10 {
+			t.Fatalf("%d partitions in %d bytes: allocated %d bytes", tc.n, tc.body, grew)
+		}
+	}
+	// The cap itself decodes.
+	parts := make([]int, maxWireParts)
+	for i := range parts {
+		parts[i] = i
+	}
+	q, err := decodeQuery(queryPayload(t, linearRequest(t), parts, 0))
+	if err != nil || len(q.Parts) != maxWireParts {
+		t.Fatalf("%d partitions: %d decoded, err %v", maxWireParts, len(q.Parts), err)
+	}
+}
+
+// FuzzQueryCodec: a 'Q' payload either fails with canon.ErrCorrupt or
+// re-encodes — header and canonical body — to itself.
+func FuzzQueryCodec(f *testing.F) {
+	addSeeds(f, querySeeds(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := decodeQuery(data)
+		if err != nil {
+			if !errors.Is(err, canon.ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		body, err := core.AppendRequest(nil, q.Req)
+		if err != nil {
+			t.Fatalf("decoded request does not encode: %v", err)
+		}
+		if enc := encodeQuery(q, body); !bytes.Equal(enc, data) {
+			t.Fatalf("re-encode differs:\n in: %x\nout: %x", data, enc)
+		}
+	})
 }
 
 // FuzzAppendCodec: an 'A' payload either fails with canon.ErrCorrupt or

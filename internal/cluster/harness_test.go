@@ -242,8 +242,8 @@ func TestClusterMinScoreAndBudget(t *testing.T) {
 
 // TestClusterLinearMinScoreFloorRoundsDown is core's rounding repro at 2
 // nodes: both rows score exactly 2^53 after an intercept of 2^53-1, and
-// MinScore 2^53 travels to each node as the request's floor and as the
-// router's gossip seed, so both translations must round down.
+// MinScore 2^53 travels to each node in the request and seeds its
+// screening bound there, so the translation must round down.
 func TestClusterLinearMinScoreFloorRoundsDown(t *testing.T) {
 	lns := make([]net.Listener, 2)
 	addrs := make([]string, 2)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"modelir/internal/colstore"
 	"modelir/internal/core"
 	"modelir/internal/synth"
+	"modelir/internal/topk"
 )
 
 // floorPollInterval is how often the node checks whether its local
@@ -312,10 +314,73 @@ func errorCode(err error) string {
 // wedge every stream's reply behind the write mutex.
 const nodeWriteTimeout = 10 * time.Second
 
-// queryStream is what the read loop needs to reach a running query.
+// queryStream is what the read loop needs to reach a running query:
+// its cancel func and the floors its partition runs share.
 type queryStream struct {
-	sb     *core.SharedBound
 	cancel context.CancelFunc
+
+	mu     sync.Mutex
+	remote float64           // the best floor the router sent
+	merged float64           // the K-th best score of the finished runs merged
+	ran    float64           // the best final floor of a finished run
+	sb     *core.SharedBound // the partition run in progress, if any
+}
+
+func newQueryStream(cancel context.CancelFunc) *queryStream {
+	return &queryStream{cancel: cancel, remote: math.Inf(-1), merged: math.Inf(-1), ran: math.Inf(-1)}
+}
+
+// raise applies a floor from the router to the run in progress and to
+// every later one.
+func (qs *queryStream) raise(f float64) {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	if f > qs.remote {
+		qs.remote = f
+	}
+	qs.sb.Raise(f) // a nil bound (between runs) ignores it
+}
+
+// next starts a partition run: a fresh bound seeded with the router's
+// floor and the merged runs' K-th best score — the same for a repeated
+// read whether the earlier runs were cold or cache hits, so the seeded
+// run's cache entry is found again.
+func (qs *queryStream) next() *core.SharedBound {
+	sb := core.NewSharedBound()
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	sb.Raise(max(qs.remote, qs.merged))
+	qs.sb = sb
+	return sb
+}
+
+// done retires a finished run, keeping its final floor.
+func (qs *queryStream) done(sb *core.SharedBound) {
+	f := sb.Floor()
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	qs.ran = max(qs.ran, f)
+	qs.sb = nil
+}
+
+// prove records the K-th best score of the runs merged so far: K items
+// at or above it exist, so no later partition needs items below it.
+func (qs *queryStream) prove(f float64) {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	qs.merged = max(qs.merged, f)
+}
+
+// floor is the best floor this query has proved or been sent, for
+// publishing: any run's, the merged runs', or the router's.
+func (qs *queryStream) floor() float64 {
+	qs.mu.Lock()
+	defer qs.mu.Unlock()
+	f := max(qs.ran, qs.merged, qs.remote)
+	if qs.sb != nil {
+		f = max(f, qs.sb.Floor())
+	}
+	return f
 }
 
 // handle is one connection's read loop. It executes nothing itself:
@@ -361,14 +426,14 @@ func (n *Node) handle(c net.Conn) {
 				return
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			qs = &queryStream{sb: core.NewSharedBound(), cancel: cancel}
+			qs = newQueryStream(cancel)
 			mu.Lock()
 			streams[stream] = qs
 			mu.Unlock()
 			n.wg.Add(1)
 			go func() {
 				defer n.wg.Done()
-				typ, reply := n.serveQuery(ctx, fc, stream, qs.sb, payload)
+				typ, reply := n.serveQuery(ctx, fc, stream, qs, payload)
 				// Unregister before the terminal frame leaves: once the
 				// router has it, the stream ID is free again.
 				mu.Lock()
@@ -379,7 +444,7 @@ func (n *Node) handle(c net.Conn) {
 			}()
 		case frameFloor:
 			if f, err := decodeFloor(payload); err == nil && qs != nil {
-				qs.sb.Raise(f)
+				qs.raise(f)
 			}
 		case frameCancel:
 			if qs != nil {
@@ -414,95 +479,137 @@ func (n *Node) handle(c net.Conn) {
 	}
 }
 
-// serveQuery executes one query stream and returns its terminal frame.
-func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, sb *core.SharedBound, payload []byte) (byte, []byte) {
+// serveQuery executes one query stream — every partition its 'Q'
+// lists, one after another on this goroutine — and returns its
+// terminal frame: one partial, the listed partitions' runs lifted into
+// global IDs and merged into one top-K.
+//
+// Each partition runs under a bound of its own, seeded before it starts
+// with the best floor known: the router's, or the K-th best score the
+// partitions before it merged to. The seed is a function of the request
+// and the data, so the node's cache stores each run under the request
+// and its seed (core.SharedBound) and a repeated read hits on every
+// listed partition.
+func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *queryStream, payload []byte) (byte, []byte) {
 	q, err := decodeQuery(payload)
 	if err != nil {
 		n.failed.Add(1)
 		return frameError, encodeError("bad-query", err.Error())
 	}
 
+	entries := make([]partEntry, len(q.Parts))
 	n.mu.Lock()
-	entry, ok := n.parts[q.Req.Dataset][q.Part]
+	for i, part := range q.Parts {
+		e, ok := n.parts[q.Req.Dataset][part]
+		if !ok {
+			n.mu.Unlock()
+			n.failed.Add(1)
+			return frameError, encodeError("unknown-dataset",
+				fmt.Sprintf("dataset %q part %d not on this node", q.Req.Dataset, part))
+		}
+		entries[i] = e
+	}
 	n.mu.Unlock()
-	if !ok {
-		n.failed.Add(1)
-		return frameError, encodeError("unknown-dataset",
-			fmt.Sprintf("dataset %q part %d not on this node", q.Req.Dataset, q.Part))
-	}
-	if entry.local == "" {
-		// Empty partition: nothing to scan, empty exact partial.
-		n.served.Add(1)
-		return frameResult, encodePartial(Partial{Floor: q.Floor})
-	}
-	sb.Raise(q.Floor)
+	qs.raise(q.Floor)
 
-	// The fault-injection hook runs with the stream registered and the
-	// connection's read loop live: a cancel or kill arriving while the
-	// hook blocks is observed before execution starts, which is what
-	// makes the fault tests deterministic.
-	if n.opt.BeforeExec != nil {
-		n.opt.BeforeExec(q.Req.Dataset, q.Part)
-	}
-
-	// Floor publisher: piggyback local raises back to the router — a
-	// timer that re-arms itself, so a read done within one poll interval
-	// stops it unfired and costs one goroutine (this one), nothing else.
-	// pub.mu orders the last publish before the terminal frame.
+	// Floor publisher, when other nodes serve the same read: piggyback
+	// local raises back to the router — a timer that re-arms itself, so
+	// a read done within one poll interval stops it unfired and costs no
+	// goroutine but this one. pub.mu orders the last publish before the
+	// terminal frame.
 	var pub struct {
 		mu   sync.Mutex
 		t    *time.Timer
 		done bool
 	}
-	last := q.Floor
-	pub.mu.Lock()
-	pub.t = time.AfterFunc(floorPollInterval, func() {
+	if q.Publish {
+		last := qs.floor()
 		pub.mu.Lock()
-		defer pub.mu.Unlock()
-		if pub.done {
-			return
-		}
-		if f := sb.Floor(); f > last {
-			last = f
-			if fc.send(frameFloor, stream, encodeFloor(f)) != nil {
+		pub.t = time.AfterFunc(floorPollInterval, func() {
+			pub.mu.Lock()
+			defer pub.mu.Unlock()
+			if pub.done {
 				return
 			}
-		}
-		pub.t.Reset(floorPollInterval)
-	})
-	pub.mu.Unlock()
+			if f := qs.floor(); f > last {
+				last = f
+				if fc.send(frameFloor, stream, encodeFloor(f)) != nil {
+					return
+				}
+			}
+			pub.t.Reset(floorPollInterval)
+		})
+		pub.mu.Unlock()
+		defer func() {
+			pub.mu.Lock()
+			pub.done = true
+			pub.mu.Unlock()
+			pub.t.Stop()
+		}()
+	}
 
-	req := q.Req
-	req.Dataset = entry.local
-	res, err := n.eng.RunShared(ctx, req, sb)
-	pub.mu.Lock()
-	pub.done = true
-	pub.mu.Unlock()
-	pub.t.Stop()
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			n.cancelled.Add(1)
-		} else {
+	start := time.Now()
+	var out Partial
+	var merged *topk.Heap // the runs so far, when the 'Q' lists several
+	if len(entries) > 1 {
+		k := q.Req.K
+		if k == 0 {
+			k = core.DefaultK
+		}
+		if merged, err = topk.GetHeap(k); err != nil {
 			n.failed.Add(1)
+			return frameError, encodeError(errorCode(err), err.Error())
 		}
-		return frameError, encodeError(errorCode(err), err.Error())
+		defer topk.PutHeap(merged)
 	}
-	if entry.offset != 0 {
-		for i := range res.Items {
-			res.Items[i].ID += entry.offset
+	for i, e := range entries {
+		if e.local == "" {
+			continue // an empty partition: nothing to scan, nothing to add
+		}
+		// The fault-injection hook runs with the stream registered and
+		// the connection's read loop live: a cancel or kill arriving
+		// while the hook blocks is observed before execution starts,
+		// which is what makes the fault tests deterministic.
+		if n.opt.BeforeExec != nil {
+			n.opt.BeforeExec(q.Req.Dataset, q.Parts[i])
+		}
+		req := q.Req
+		req.Dataset = e.local
+		sb := qs.next()
+		res, err := n.eng.RunShared(ctx, req, sb)
+		qs.done(sb)
+		if err != nil {
+			if errors.Is(err, context.Canceled) {
+				n.cancelled.Add(1)
+			} else {
+				n.failed.Add(1)
+			}
+			return frameError, encodeError(errorCode(err), err.Error())
+		}
+		if e.offset != 0 {
+			for j := range res.Items {
+				res.Items[j].ID += e.offset
+			}
+		}
+		out.Stats.Evaluations += res.Stats.Evaluations
+		out.Stats.Examined += res.Stats.Examined
+		out.Stats.Pruned += res.Stats.Pruned
+		out.Stats.Shards += res.Stats.Shards
+		out.Stats.Truncated = out.Stats.Truncated || res.Stats.Truncated
+		if merged == nil {
+			out.Items = res.Items
+			continue
+		}
+		topk.MergeItems(merged, res.Items)
+		if f, full := merged.Threshold(); full {
+			qs.prove(f)
 		}
 	}
+	if merged != nil {
+		out.Items = merged.Results()
+	}
+	out.Floor = qs.floor()
+	out.Stats.Wall = time.Since(start)
 	n.served.Add(1)
-	return frameResult, encodePartial(Partial{
-		Floor: sb.Floor(),
-		Items: res.Items,
-		Stats: PartialStats{
-			Evaluations: res.Stats.Evaluations,
-			Examined:    res.Stats.Examined,
-			Pruned:      res.Stats.Pruned,
-			Shards:      res.Stats.Shards,
-			Truncated:   res.Stats.Truncated,
-			Wall:        res.Stats.Wall,
-		},
-	})
+	return frameResult, encodePartial(out)
 }

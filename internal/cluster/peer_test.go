@@ -170,8 +170,9 @@ func TestConnBreakFailsInFlightOnce(t *testing.T) {
 		arrived <- struct{}{}
 		<-gate
 	}}, ropt)
-	// The scene is one partition: all 8 reads queue on its primary.
-	primary := router.place.layout("hps", KindScene)[0].Nodes[0]
+	// The scene is one partition, and the 8 reads are one request: all
+	// of them queue on the replica the router's cover picks for it.
+	primary := coveringNode(t, router, reqs["scene"])
 	for i, a := range addrs {
 		if a == primary {
 			victim = nodes[i]

@@ -1,8 +1,10 @@
-// The router role: fan a request out to every partition's node (one
-// stream per partition on the nodes' connections, peer.go), gossip
-// screening-floor raises among the in-flight partitions, fail over to
-// replicas on transport errors, and merge the partial top-Ks with the
-// exact (score, ID) rule — bit-identical to a single-node run.
+// The router role: cover a request's partitions with the fewest nodes
+// that hold them, send each chosen node one stream listing its
+// partitions (on the nodes' connections, peer.go), gossip
+// screening-floor raises when more than one node serves, cover a
+// failed node's partitions again on their other replicas, and merge
+// the partial top-Ks with the exact (score, ID) rule — bit-identical
+// to a single-node run.
 
 package cluster
 
@@ -12,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -248,10 +252,15 @@ func (g *floorGossip) Get() (float64, <-chan struct{}) {
 // Run executes one request across the cluster and returns a result
 // bit-identical (IDs and scores) to a single-node Engine.Run over the
 // union of the partitions. req.Dataset is the dataset's cluster-wide
-// name, and the query must be encodable (core.ErrUnencodableQuery). On
-// a node error the affected partition fails over to its replicas for
-// transport faults; deterministic remote errors surface as typed
-// errors. ctx cancellation aborts the whole fan-out, including remote
+// name, and the query must be encodable (core.ErrUnencodableQuery).
+//
+// A read goes to the fewest servable nodes that hold the dataset's
+// partitions (cover), each sent one 'Q' listing the partitions it
+// serves; at replication = node count that is one node, one hop. A
+// one-node cover runs on the caller's goroutine. When a covering node
+// fails at the transport level its partitions are covered again on
+// their other replicas; deterministic remote errors surface as typed
+// errors. ctx cancellation aborts the whole read, including remote
 // execution.
 func (r *Router) Run(ctx context.Context, req core.Request) (core.Result, error) {
 	if ctx == nil {
@@ -278,56 +287,88 @@ func (r *Router) Run(ctx context.Context, req core.Request) (core.Result, error)
 	if len(placements) == 0 {
 		return core.Result{}, errors.New("cluster: empty topology")
 	}
-
-	seed := math.Inf(-1)
-	if req.MinScore != nil {
-		seed = *req.MinScore
-	}
-	gossip := newFloorGossip(seed)
-
-	partials := make([]Partial, len(placements))
-	errs := make([]error, len(placements))
-	var wg sync.WaitGroup
-	for i, pl := range placements {
-		wg.Add(1)
-		go func(i int, pl Placement) {
-			defer wg.Done()
-			partials[i], errs[i] = r.runPart(ctx, req, pl, gossip)
-		}(i, pl)
-	}
-	wg.Wait()
-
-	// Deterministic error selection: context first (it is what the
-	// caller acted on), then the lowest-partition error.
-	if err := ctx.Err(); err != nil {
+	body, err := core.AppendRequest(nil, req)
+	if err != nil {
 		return core.Result{}, err
 	}
-	for _, err := range errs {
+	reqHash := hash64(body)
+
+	// Each round covers the partitions still unanswered, avoiding the
+	// nodes earlier rounds lost to transport faults. The floor carried
+	// into a later round is the best a finished partial proved; the
+	// request's own MinScore needs no carrying, since every node applies
+	// it from the request.
+	want := make([]int, len(placements))
+	for i := range want {
+		want[i] = i
+	}
+	floor := math.Inf(-1)
+	partials := make([]Partial, 0, 1)
+	var lost map[string]error
+	for len(want) > 0 {
+		covers, err := r.cover(req.Dataset, placements, want, reqHash, lost)
 		if err != nil {
 			return core.Result{}, err
 		}
+		outs := r.scatter(ctx, req, body, covers, floor)
+		// Deterministic error selection: context first (it is what the
+		// caller acted on), then the first typed error in cover order;
+		// only transport faults are covered again.
+		if err := ctx.Err(); err != nil {
+			return core.Result{}, err
+		}
+		for _, o := range outs {
+			if o.err != nil && !o.transport {
+				return core.Result{}, o.err
+			}
+		}
+		want = want[:0]
+		for i, o := range outs {
+			if o.err != nil {
+				if lost == nil {
+					lost = make(map[string]error)
+				}
+				lost[covers[i].addr] = o.err
+				want = append(want, covers[i].parts...)
+				continue
+			}
+			partials = append(partials, o.p)
+			if o.p.Floor > floor {
+				floor = o.p.Floor
+			}
+		}
+		sort.Ints(want)
 	}
 
-	// The partials arrive best-first (a node orders and caches its own
-	// answer), but the merge reads them as unordered sets: the pooled
-	// heap's one ordering pass below is the router's only sort.
-	h, err := topk.GetHeap(req.K)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("cluster: %w", err)
-	}
-	defer topk.PutHeap(h)
+	// A partial arrives best-first (a node orders its own answer), so a
+	// one-node read passes it through. Several partials merge as
+	// unordered sets: the pooled heap's one ordering pass is the
+	// router's only sort.
 	var st core.QueryStats
 	st.Kind = req.Query.Kind()
 	for _, p := range partials {
-		topk.MergeItems(h, p.Items)
 		st.Evaluations += p.Stats.Evaluations
 		st.Examined += p.Stats.Examined
 		st.Pruned += p.Stats.Pruned
 		st.Shards += p.Stats.Shards
 		st.Truncated = st.Truncated || p.Stats.Truncated
 	}
+	var items []topk.Item
+	if len(partials) == 1 && len(partials[0].Items) <= req.K {
+		items = partials[0].Items
+	} else {
+		h, err := topk.GetHeap(req.K)
+		if err != nil {
+			return core.Result{}, fmt.Errorf("cluster: %w", err)
+		}
+		defer topk.PutHeap(h)
+		for _, p := range partials {
+			topk.MergeItems(h, p.Items)
+		}
+		items = h.Results()
+	}
 	st.Wall = time.Since(start)
-	return core.Result{Items: h.Results(), Stats: st}, nil
+	return core.Result{Items: items, Stats: st}, nil
 }
 
 // RunBatch executes the requests concurrently, one scatter-gather per
@@ -346,60 +387,147 @@ func (r *Router) RunBatch(ctx context.Context, reqs []core.Request) []core.Batch
 	return out
 }
 
-// runPart executes one partition, trying its replicas in placement
-// order. Quarantined (stale) and down replicas are skipped outright —
-// a stale replica could answer from missing rows, so it is never
-// served from. Each eligible replica gets ReadAttempts tries with
-// jittered exponential backoff (transient faults should not burn a
-// replica); transport faults then move on to the next replica and feed
-// the health tracker. A typed error from a live node is final.
-func (r *Router) runPart(ctx context.Context, req core.Request, pl Placement, gossip *floorGossip) (Partial, error) {
-	var lastErr error
-	eligible := 0
-	for _, addr := range pl.Nodes {
-		if !r.health.servable(addr) {
-			continue
-		}
-		eligible++
-		for attempt := 1; attempt <= r.opt.ReadAttempts; attempt++ {
-			if err := ctx.Err(); err != nil {
-				return Partial{}, err
-			}
-			if attempt > 1 {
-				if err := r.backoff(ctx, attempt-1); err != nil {
-					return Partial{}, err
-				}
-			}
-			p, err, transport := r.attempt(ctx, req, pl.Part, addr, gossip)
-			if err == nil {
-				r.health.ok(addr)
-				return p, nil
-			}
-			if !transport {
-				return Partial{}, err
-			}
-			lastErr = err
-		}
-	}
-	if eligible == 0 {
-		return Partial{}, fmt.Errorf("%w: %q part %d: every replica quarantined or down",
-			ErrPartitionUnavailable, req.Dataset, pl.Part)
-	}
-	return Partial{}, fmt.Errorf("%w: %q part %d: %v",
-		ErrPartitionUnavailable, req.Dataset, pl.Part, lastErr)
+// coverSet is one node's share of a read: the partitions (indices into
+// the dataset's layout, ascending) it serves with one 'Q'.
+type coverSet struct {
+	addr  string
+	parts []int
 }
 
-// attempt runs one partition on one node, as one stream on the node's
+// cover picks the fewest servable nodes that hold the wanted
+// partitions, greedily: the node holding the most still-uncovered
+// partitions first. Ties go to the rendezvous winner on the request's
+// hash, so a repeated request lands on the same replica (whose cache
+// has its answer) while distinct requests spread over the replicas.
+// Quarantined (stale) and down replicas are skipped outright — a stale
+// replica could answer from missing rows, so it is never served from —
+// and so are the nodes this read lost, mapped to the fault that lost
+// them. A partition no remaining replica holds is
+// ErrPartitionUnavailable.
+func (r *Router) cover(dataset string, pls []Placement, want []int, reqHash uint64, lost map[string]error) ([]coverSet, error) {
+	left := append([]int(nil), want...)
+	var covers []coverSet
+	for len(left) > 0 {
+		best, bestN, bestW := "", 0, uint64(0)
+		for _, p := range left {
+			for _, addr := range pls[p].Nodes {
+				if _, gone := lost[addr]; gone || !r.health.servable(addr) {
+					continue
+				}
+				n := 0
+				for _, q := range left {
+					if slices.Contains(pls[q].Nodes, addr) {
+						n++
+					}
+				}
+				if w := mix64(reqHash ^ r.place.weight[addr]); n > bestN || n == bestN && w > bestW {
+					best, bestN, bestW = addr, n, w
+				}
+			}
+		}
+		if bestN == 0 {
+			return nil, r.unavailable(dataset, pls[left[0]], lost)
+		}
+		cs := coverSet{addr: best, parts: make([]int, 0, bestN)}
+		rest := left[:0]
+		for _, p := range left {
+			if slices.Contains(pls[p].Nodes, best) {
+				cs.parts = append(cs.parts, pls[p].Part)
+			} else {
+				rest = append(rest, p)
+			}
+		}
+		left = rest
+		covers = append(covers, cs)
+	}
+	return covers, nil
+}
+
+// unavailable is the error for a partition no replica can serve: the
+// last transport fault a replica of it failed with, or the health
+// states that ruled every replica out.
+func (r *Router) unavailable(dataset string, pl Placement, lost map[string]error) error {
+	for _, addr := range pl.Nodes {
+		if err, ok := lost[addr]; ok {
+			return fmt.Errorf("%w: %q part %d: %v", ErrPartitionUnavailable, dataset, pl.Part, err)
+		}
+	}
+	return fmt.Errorf("%w: %q part %d: every replica quarantined or down",
+		ErrPartitionUnavailable, dataset, pl.Part)
+}
+
+// nodeOutcome is one covering node's answer, or how it failed.
+type nodeOutcome struct {
+	p         Partial
+	err       error
+	transport bool
+}
+
+// scatter sends each cover set its 'Q' and waits for every answer. A
+// one-node cover runs on the caller's goroutine with no floor gossip;
+// a wider one runs the first node on the caller's goroutine and each
+// other on its own, with one floorGossip hub relaying each node's
+// floor raises to the rest.
+func (r *Router) scatter(ctx context.Context, req core.Request, body []byte, covers []coverSet, floor float64) []nodeOutcome {
+	out := make([]nodeOutcome, len(covers))
+	if len(covers) == 1 {
+		out[0].p, out[0].err, out[0].transport = r.runNode(ctx, req, body, covers[0], floor, nil)
+		return out
+	}
+	gossip := newFloorGossip(floor)
+	var wg sync.WaitGroup
+	for i := 1; i < len(covers); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i].p, out[i].err, out[i].transport = r.runNode(ctx, req, body, covers[i], floor, gossip)
+		}(i)
+	}
+	out[0].p, out[0].err, out[0].transport = r.runNode(ctx, req, body, covers[0], floor, gossip)
+	wg.Wait()
+	return out
+}
+
+// runNode serves one cover set on its node. The node gets ReadAttempts
+// tries with jittered exponential backoff (transient faults should not
+// burn a replica); a typed error from a live node is final, and a
+// transport fault that outlasts the attempts is returned with
+// transport set, for the caller to cover the partitions again
+// elsewhere.
+func (r *Router) runNode(ctx context.Context, req core.Request, body []byte, cs coverSet, floor float64, gossip *floorGossip) (Partial, error, bool) {
+	var lastErr error
+	for attempt := 1; attempt <= r.opt.ReadAttempts; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return Partial{}, err, false
+		}
+		if attempt > 1 {
+			if err := r.backoff(ctx, attempt-1); err != nil {
+				return Partial{}, err, false
+			}
+		}
+		p, err, transport := r.attempt(ctx, req, body, cs, floor, gossip)
+		if err == nil {
+			r.health.ok(cs.addr)
+			return p, nil, false
+		}
+		if !transport {
+			return Partial{}, err, false
+		}
+		lastErr = err
+	}
+	return Partial{}, lastErr, true
+}
+
+// attempt runs one cover set on its node, as one stream on the node's
 // connection. transport reports whether the failure was a
 // connection-level fault (eligible for failover) rather than a
 // node-reported error or a local cancellation.
-func (r *Router) attempt(ctx context.Context, req core.Request, part int, addr string, gossip *floorGossip) (_ Partial, err error, transport bool) {
-	floor, _ := gossip.Get()
-	payload, err := encodeQuery(req, part, floor)
-	if err != nil {
-		return Partial{}, err, false
+func (r *Router) attempt(ctx context.Context, req core.Request, body []byte, cs coverSet, floor float64, gossip *floorGossip) (_ Partial, err error, transport bool) {
+	if gossip != nil {
+		floor, _ = gossip.Get()
 	}
-	rep, err, transport := r.roundTrip(ctx, addr, frameQuery, payload, gossip, floor, 0)
+	payload := encodeQuery(nodeQuery{Parts: cs.parts, Publish: gossip != nil, Req: req, Floor: floor}, body)
+	rep, err, transport := r.roundTrip(ctx, cs.addr, frameQuery, payload, gossip, floor, 0)
 	if err != nil {
 		return Partial{}, err, transport
 	}
@@ -409,10 +537,12 @@ func (r *Router) attempt(ctx context.Context, req core.Request, part int, addr s
 		if err != nil {
 			return Partial{}, err, false
 		}
-		gossip.Raise(p.Floor)
+		if gossip != nil {
+			gossip.Raise(p.Floor)
+		}
 		return p, nil, false
 	case frameError:
-		return Partial{}, remoteError(addr, rep.payload), false
+		return Partial{}, remoteError(cs.addr, rep.payload), false
 	default:
 		return Partial{}, fmt.Errorf("%w: unexpected frame %q", ErrFrame, rep.typ), false
 	}

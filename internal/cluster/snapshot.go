@@ -3,7 +3,8 @@
 // NODE.json placement record — which global partitions this node
 // holds, their engine-local names, and the tuple ID offsets. Placement
 // is a pure function of the topology, so RestoreNode validates the
-// recorded topology against the one the cluster is booting with and
+// recorded topology against the one the cluster is booting with, and
+// the recorded partitions against what the ring assigns this node, and
 // refuses a stale snapshot instead of serving partitions the ring no
 // longer assigns here.
 
@@ -16,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"modelir/internal/core"
@@ -84,9 +86,9 @@ func (n *Node) Snapshot(ctx context.Context, b segment.Backend) error {
 // RestoreNode restores a shard server from a snapshot written by
 // Node.Snapshot: the engine partitions come back serving-ready (in
 // Copy or Map mode) and the placement record is validated against
-// self and topo — a topology that no longer matches the snapshot's is
-// refused, because the ring would route this node partitions it does
-// not hold. The restored node only needs Serve; Close releases any
+// self and topo — a topology that no longer matches the snapshot's, or
+// partitions the ring does not assign this node, are refused, because
+// the ring would route this node partitions it does not hold. The restored node only needs Serve; Close releases any
 // mappings.
 func RestoreNode(self string, topo Topology, opt NodeOptions, b segment.Backend, mode segment.RestoreMode) (*Node, error) {
 	eng, err := core.OpenSnapshot(b, core.RestoreOptions{
@@ -119,13 +121,17 @@ func RestoreNode(self string, topo Topology, opt NodeOptions, b segment.Backend,
 	}
 
 	// Every non-empty partition must be backed by a restored dataset.
-	restored := make(map[string]bool)
+	restored := make(map[string]string) // engine-local name → kind
 	for _, ds := range eng.Datasets() {
-		restored[ds.Name] = true
+		restored[ds.Name] = ds.Kind
 	}
 	n := newNodeOn(self, topo, opt, eng)
+	if err := checkPlacement(n, meta.Parts, restored); err != nil {
+		eng.Close()
+		return nil, err
+	}
 	for _, p := range meta.Parts {
-		if p.Local != "" && !restored[p.Local] {
+		if p.Local != "" && restored[p.Local] == "" {
 			eng.Close()
 			return nil, fmt.Errorf("%w: placement references dataset %q missing from the snapshot", segment.ErrCorrupt, p.Local)
 		}
@@ -135,6 +141,39 @@ func RestoreNode(self string, topo Topology, opt NodeOptions, b segment.Backend,
 		}
 	}
 	return n, nil
+}
+
+// checkPlacement recomputes, for every dataset the record names, the
+// partitions the ring assigns this node, and refuses a record that
+// differs: a snapshot written under another ring (another hash, another
+// vnode count) would otherwise be served, and the router would send
+// this node partitions it does not hold and never send it the ones it
+// does. A scene is one partition; every other kind has one per node.
+func checkPlacement(n *Node, parts []nodePart, kinds map[string]string) error {
+	recorded := make(map[string][]int)
+	scene := make(map[string]bool)
+	for _, p := range parts {
+		recorded[p.Dataset] = append(recorded[p.Dataset], p.Part)
+		if p.Local != "" && kinds[p.Local] == "scenes" {
+			scene[p.Dataset] = true
+		}
+	}
+	for dataset, got := range recorded {
+		kind := KindTuples // every partitioned kind has the same layout
+		if scene[dataset] {
+			kind = KindScene
+		}
+		var want []int
+		for _, a := range n.place.assignments(n.self, dataset, kind, 0) {
+			want = append(want, a.Part)
+		}
+		sort.Ints(got)
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%w: snapshot holds partitions %v of %q, the ring assigns this node %v",
+				segment.ErrCorrupt, got, dataset, want)
+		}
+	}
+	return nil
 }
 
 // readNodeMeta reads and strictly decodes NODE.json. An engine

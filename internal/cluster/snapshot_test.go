@@ -2,8 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 
 	"modelir/internal/segment"
@@ -142,4 +148,112 @@ func TestRestoreNodeValidation(t *testing.T) {
 		t.Fatalf("re-snapshot restore: %v", err)
 	}
 	re2.Close()
+}
+
+// oldRingPrimaries is placement as it was before hash64 had a
+// finaliser: bare FNV-1a over 64 vnodes per node, replication 1. It is
+// kept here only to write the NODE.json such a ring produced.
+func oldRingPrimaries(nodes []string, key string) string {
+	fnv := func(s string) uint64 {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	type entry struct {
+		hash uint64
+		node string
+	}
+	var ring []entry
+	for _, n := range nodes {
+		for v := 0; v < 64; v++ {
+			ring = append(ring, entry{fnv(n + "@" + strconv.Itoa(v)), n})
+		}
+	}
+	sort.Slice(ring, func(a, b int) bool { return ring[a].hash < ring[b].hash })
+	h := fnv(key)
+	i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
+	return ring[i%len(ring)].node
+}
+
+// TestRestoreNodeRefusesOldRing: a NODE.json whose partitions are the
+// ones the old ring assigned — same self, same topology — is refused
+// with ErrCorrupt rather than served: the router would send this node
+// partitions it does not hold.
+func TestRestoreNodeRefusesOldRing(t *testing.T) {
+	f := buildFixtures(t)
+	topo := Topology{Nodes: []string{"10.0.0.1:9001", "10.0.0.2:9001"}, Replication: 1}
+	self := topo.Nodes[0]
+	dir := t.TempDir()
+	b, err := segment.NewDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(self, topo, NodeOptions{Shards: 2})
+	ingest(t, n, f)
+	if err := n.Snapshot(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+
+	raw, err := os.ReadFile(filepath.Join(dir, nodeMetaName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta nodeMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[string]map[int]nodePart)
+	for _, p := range meta.Parts {
+		if held[p.Dataset] == nil {
+			held[p.Dataset] = make(map[int]nodePart)
+		}
+		held[p.Dataset][p.Part] = p
+	}
+	// The old ring's record: a partition this node really holds keeps its
+	// entry; one it does not hold is claimed empty, so only the placement
+	// check can tell.
+	old := meta
+	old.Parts = nil
+	for _, ds := range []struct {
+		name  string
+		parts int
+	}{{"gauss", 2}, {"hps", 1}, {"weather", 2}, {"basin", 2}} {
+		for p := 0; p < ds.parts; p++ {
+			if oldRingPrimaries(topo.Nodes, ds.name+"#"+strconv.Itoa(p)) != self {
+				continue
+			}
+			e, ok := held[ds.name][p]
+			if !ok {
+				e = nodePart{Dataset: ds.name, Part: p}
+			}
+			old.Parts = append(old.Parts, e)
+		}
+	}
+	if reflect.DeepEqual(old.Parts, meta.Parts) {
+		t.Fatal("the old ring assigns this node what the new one does; the fixture proves nothing")
+	}
+	data, err := json.Marshal(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, nodeMetaName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreNode(self, topo, NodeOptions{}, b, segment.Copy); !errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("old-ring record: %v, want ErrCorrupt", err)
+	}
+
+	// The record as written restores.
+	if err := os.WriteFile(filepath.Join(dir, nodeMetaName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := RestoreNode(self, topo, NodeOptions{}, b, segment.Copy)
+	if err != nil {
+		t.Fatalf("current record: %v", err)
+	}
+	re.Close()
 }

@@ -16,8 +16,8 @@
 // the 'H'/'U' echo). Decoding is bounds-checked end to end
 // (canon.Reader), so a truncated or hostile frame fails with
 // canon.ErrCorrupt instead of panicking — the property the codec
-// fuzzers (core.FuzzRequestCodec, FuzzPartialCodec, FuzzAppendCodec,
-// FuzzSeqStateCodec) and FuzzFrameStream pin.
+// fuzzers (core.FuzzRequestCodec, FuzzQueryCodec, FuzzPartialCodec,
+// FuzzAppendCodec, FuzzSeqStateCodec) and FuzzFrameStream pin.
 
 package cluster
 
@@ -39,7 +39,7 @@ import (
 
 // Frame types.
 const (
-	frameQuery  = 'Q' // router → node: one encoded query, opens a stream
+	frameQuery  = 'Q' // router → node: one encoded query over a partition list, opens a stream
 	frameFloor  = 'F' // both ways: 8-byte result-scale floor raise on a query stream
 	frameResult = 'R' // node → router: encoded partial result, ends the stream
 	frameError  = 'E' // node → router: code + message strings, ends the stream
@@ -66,8 +66,9 @@ const (
 
 // wireVersion guards against mixed-version clusters: every payload
 // leads with it and decoding rejects a mismatch. Version 2 made the 'Q'
-// body the canonical request encoding (core.AppendRequest).
-const wireVersion = 2
+// body the canonical request encoding (core.AppendRequest); version 3
+// made a 'Q' list the partitions its node serves, answered by one 'R'.
+const wireVersion = 3
 
 // ErrFrame reports a malformed frame envelope: an unknown type, or a
 // length over the type's cap. The connection it arrived on is closed.
@@ -161,29 +162,47 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// queryHeader is the fixed size of a 'Q' payload's header: version,
-// part, Workers, Budget and the floor. The canonical request follows.
-const queryHeader = 1 + 4*8
-
-// encodeQuery serializes one partition's slice of a request: a header
-// with what the request body leaves out (partition, Workers, Budget) or
-// what changes per send (floor: the router's current screening floor,
-// result scale, so a node joining late starts pre-pruned), then the
-// request's canonical bytes.
-func encodeQuery(req core.Request, part int, floor float64) ([]byte, error) {
-	b := []byte{wireVersion}
-	b = canon.AppendUint(b, uint64(part))
-	b = canon.AppendUint(b, uint64(req.Workers))
-	b = canon.AppendUint(b, uint64(req.Budget))
-	b = canon.AppendFloat(b, floor)
-	return core.AppendRequest(b, req)
-}
+// maxWireParts caps a 'Q' partition list. A dataset has one partition
+// per topology node, so no real cover lists more; the cap is checked
+// before the list is allocated, so a hostile count cannot size one.
+const maxWireParts = 1024
 
 // nodeQuery is a decoded 'Q' payload: the request slice a node executes.
 type nodeQuery struct {
-	Part  int
-	Req   core.Request // Dataset is the cluster-wide name
-	Floor float64
+	// Parts lists the partitions this node serves for the request,
+	// strictly ascending; the node answers them with one partial.
+	Parts []int
+	// Publish asks the node to send its floor raises back as 'F'
+	// frames: set only when other nodes serve the same read, so a
+	// one-node cover costs no floor traffic.
+	Publish bool
+	Req     core.Request // Dataset is the cluster-wide name
+	Floor   float64
+}
+
+// encodeQuery serializes one node's slice of a request: a header with
+// what the request body leaves out (the partition list, the publish
+// flag, Workers, Budget) or what changes per send (floor: the router's
+// best floor so far, result scale, so a node joining late starts
+// pre-pruned), then body, the request's canonical bytes
+// (core.AppendRequest), which the router computes once per read.
+//
+//	version u8 | publish u8 | nparts u64 | part u64 ... | workers u64 |
+//	budget u64 | floor f64 | body
+func encodeQuery(q nodeQuery, body []byte) []byte {
+	b := make([]byte, 0, 2+8*(len(q.Parts)+4)+len(body))
+	b = append(b, wireVersion, 0)
+	if q.Publish {
+		b[1] = 1
+	}
+	b = canon.AppendUint(b, uint64(len(q.Parts)))
+	for _, p := range q.Parts {
+		b = canon.AppendUint(b, uint64(p))
+	}
+	b = canon.AppendUint(b, uint64(q.Req.Workers))
+	b = canon.AppendUint(b, uint64(q.Req.Budget))
+	b = canon.AppendFloat(b, q.Floor)
+	return append(b, body...)
 }
 
 func decodeQuery(payload []byte) (nodeQuery, error) {
@@ -196,25 +215,53 @@ func decodeQuery(payload []byte) (nodeQuery, error) {
 	if v != wireVersion {
 		return q, fmt.Errorf("%w: wire version %d", canon.ErrCorrupt, v)
 	}
-	var hdr [3]uint64
-	for i := range hdr {
-		if hdr[i], err = r.Uint(); err != nil {
+	switch pub, err := r.Byte(); {
+	case err != nil:
+		return q, err
+	case pub > 1:
+		return q, fmt.Errorf("%w: publish flag %d", canon.ErrCorrupt, pub)
+	default:
+		q.Publish = pub == 1
+	}
+	n, err := r.Count(8)
+	if err != nil {
+		return q, err
+	}
+	if n < 1 || n > maxWireParts {
+		return q, fmt.Errorf("%w: %d partitions (want 1 to %d)", canon.ErrCorrupt, n, maxWireParts)
+	}
+	q.Parts = make([]int, n)
+	for i := range q.Parts {
+		p, err := r.Uint()
+		if err != nil {
 			return q, err
 		}
-		if hdr[i] > math.MaxInt32 {
+		// Strictly ascending: one encoding per set, and no partition
+		// served twice into one partial.
+		if p > math.MaxInt32 || i > 0 && int(p) <= q.Parts[i-1] {
+			return q, fmt.Errorf("%w: partition list not strictly ascending", canon.ErrCorrupt)
+		}
+		q.Parts[i] = int(p)
+	}
+	var knobs [2]uint64 // Workers, Budget
+	for i := range knobs {
+		if knobs[i], err = r.Uint(); err != nil {
+			return q, err
+		}
+		if knobs[i] > math.MaxInt32 {
 			return q, canon.ErrCorrupt
 		}
 	}
 	if q.Floor, err = r.Float(); err != nil {
 		return q, err
 	}
-	if q.Req, err = core.DecodeRequest(payload[queryHeader:]); err != nil {
+	if q.Req, err = core.DecodeRequest(payload[len(payload)-r.Remaining():]); err != nil {
 		return q, err
 	}
 	if q.Req.K > maxWireK {
 		return q, fmt.Errorf("%w: K %d over the wire limit %d", canon.ErrCorrupt, q.Req.K, maxWireK)
 	}
-	q.Part, q.Req.Workers, q.Req.Budget = int(hdr[0]), int(hdr[1]), int(hdr[2])
+	q.Req.Workers, q.Req.Budget = int(knobs[0]), int(knobs[1])
 	return q, nil
 }
 
@@ -229,9 +276,10 @@ type PartialStats struct {
 	Wall        time.Duration
 }
 
-// Partial is one node's contribution to a scatter-gathered query: its
-// partition's exact top-K (IDs already lifted into the global space),
-// the node's final screening floor, and the summable stats.
+// Partial is one node's contribution to a scatter-gathered query: the
+// exact top-K over the partitions its 'Q' listed (IDs already lifted
+// into the global space), the node's final screening floor, and the
+// summable stats.
 type Partial struct {
 	Floor float64
 	Items []topk.Item

@@ -35,7 +35,7 @@ type SharedBound struct {
 	b       *topk.Bound
 	shift   float64
 	pending float64 // result-scale floor buffered before attach
-	foreign bool    // any external Raise observed (see foreignRaised)
+	raises  int     // external raises observed (see seed)
 }
 
 // NewSharedBound returns a bound starting at negative infinity.
@@ -52,7 +52,7 @@ func (s *SharedBound) Raise(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !math.IsInf(v, -1) {
-		s.foreign = true
+		s.raises++
 	}
 	if v > s.pending {
 		s.pending = v
@@ -62,21 +62,26 @@ func (s *SharedBound) Raise(v float64) {
 	}
 }
 
-// foreignRaised reports whether any external floor reached this bound.
-// A run influenced by a foreign floor may omit items of the *local*
-// top-K that are hopeless in the foreign query's global merge, so its
-// result must not be cached: an identical future request outside that
-// scatter deserves the full local answer. Foreign raises strictly
-// precede (happens-before, via the mutex) any pruning they cause, so a
-// false reading after the run guarantees the result is the full local
-// top-K.
-func (s *SharedBound) foreignRaised() bool {
+// seed reports the external floor a run starts under and how many
+// external raises the bound has seen so far. A run pruned by a foreign
+// floor may omit items of the *local* top-K that are hopeless in the
+// foreign query's global merge, so it is never cached as the request's
+// answer: an identical request outside that scatter deserves the full
+// local answer. But the unit queue drains on one goroutine, so a run
+// whose every foreign floor arrived before it started is a function of
+// the request, the data and that floor alone, and is cached under the
+// request and the floor together. A raise that arrives while the run
+// drains (raises > the count seed returned) makes it uncacheable.
+// Raises strictly precede (happens-before, via the mutex) any pruning
+// they cause, so an unchanged count after the run proves no raise
+// arrived mid-flight.
+func (s *SharedBound) seed() (floor float64, raises int) {
 	if s == nil {
-		return false
+		return math.Inf(-1), 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.foreign
+	return s.pending, s.raises
 }
 
 // Floor returns the current floor in the result scale: the tightest of
@@ -142,7 +147,10 @@ func (s *SharedBound) detach() {
 // remove items that cannot appear in the merged global top-K. Results
 // for the *local partition* may therefore omit globally hopeless items,
 // which is exactly the contract scatter-gather needs. Such results are
-// not written to the result cache (see foreignRaised); cache *hits* are
+// never written to the cache as the request's answer (see seed): a run
+// seeded before it starts is stored under the request and its seed
+// floor, and served only to a run with the same seed; one raised
+// mid-flight is not stored. Cache *hits* on the request alone are
 // still served, since a cached full local top-K is a superset whose
 // extra items simply lose the global merge.
 func (e *Engine) RunShared(ctx context.Context, req Request, sb *SharedBound) (Result, error) {

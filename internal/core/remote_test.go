@@ -50,11 +50,11 @@ func TestSharedBoundTranslation(t *testing.T) {
 	if got := sb.Floor(); got != 12 {
 		t.Fatalf("Floor after detach = %v, want 12", got)
 	}
-	if !sb.foreignRaised() {
-		t.Fatal("foreignRaised = false after external raise")
+	if _, raises := sb.seed(); raises == 0 {
+		t.Fatal("no raise counted after an external raise")
 	}
-	if NewSharedBound().foreignRaised() {
-		t.Fatal("foreignRaised = true on fresh bound")
+	if _, raises := NewSharedBound().seed(); raises != 0 {
+		t.Fatalf("%d raises on a fresh bound", raises)
 	}
 }
 
@@ -187,4 +187,48 @@ func TestRunSharedForeignFloorNotCached(t *testing.T) {
 		t.Fatal("foreign-floored result was served from cache")
 	}
 	itemsEqual(t, "post-scatter standalone run", got.Items, want.Items)
+}
+
+// A run seeded with a foreign floor before it starts is cached under the
+// request and that floor: the same request under the same seed hits
+// with the same items, while another seed and the unseeded request
+// miss. This is how a cluster node keeps its cache when it carries one
+// partition's floor into the next.
+func TestRunSharedSeededFloorCachedUnderSeed(t *testing.T) {
+	e, req := remoteTestEngine(t)
+	full, err := engineWithArchives(t, 4, buildArchives(t)).Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed float64) Result {
+		t.Helper()
+		sb := NewSharedBound()
+		sb.Raise(seed)
+		res, err := e.RunShared(context.Background(), req, sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seed := full.Items[3].Score
+	cold := run(seed)
+	if cold.Stats.Cache.Hit || len(cold.Items) >= len(full.Items) {
+		t.Fatalf("seeded cold run: hit %v, %d items of %d", cold.Stats.Cache.Hit, len(cold.Items), len(full.Items))
+	}
+	hit := run(seed)
+	if !hit.Stats.Cache.Hit {
+		t.Fatal("the same seed missed the cache")
+	}
+	itemsEqual(t, "seeded hit", hit.Items, cold.Items)
+	if other := run(full.Items[5].Score); other.Stats.Cache.Hit {
+		t.Fatal("another seed was served the first seed's entry")
+	}
+	plain, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats.Cache.Hit {
+		t.Fatal("the unseeded request was served a seeded entry")
+	}
+	itemsEqual(t, "unseeded run", plain.Items, full.Items)
 }

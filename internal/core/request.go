@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"modelir/internal/bayes"
+	"modelir/internal/canon"
 	"modelir/internal/colstore"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
@@ -194,14 +195,19 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	}
 	start := time.Now()
 
-	// Result cache probe.
+	// Result cache probe. A run seeded with a foreign floor keys on the
+	// request and the floor together (see SharedBound.seed).
 	var key *[]byte
 	var gen uint64
+	seed, seedRaises := sb.seed()
 	if e.cache != nil {
 		key = cacheKey(req)
 	}
 	if key != nil {
 		defer releaseKey(key)
+		if seedRaises > 0 {
+			*key = canon.AppendFloat(*key, seed)
+		}
 		// The target dataset's generation is sampled before the plan
 		// resolves its segment list, so an append racing this request
 		// either lands before the sample (the entry is stored under —
@@ -241,10 +247,9 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 		items = filterMinScore(items, *req.MinScore)
 	}
 	st.Kind = req.Query.Kind()
-	// A run pruned by a foreign floor may omit locally-top-K items that
-	// are hopeless only in the remote query's global merge; caching it
-	// would serve a truncated answer to a future standalone request.
-	if key != nil && !sb.foreignRaised() {
+	// A foreign floor raised mid-flight makes the run depend on when it
+	// arrived; caching it would serve an answer no rerun reproduces.
+	if _, raises := sb.seed(); key != nil && raises == seedRaises {
 		e.cachePut(*key, gen, items, st)
 	}
 	st.Wall = time.Since(start)

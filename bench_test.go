@@ -542,6 +542,51 @@ func BenchmarkE7FSMMetadataPruned(b *testing.B) {
 	}
 }
 
+// ---- The finite-state scan layer ----
+
+// BenchmarkFSMScan times the engine's finite-state scan over the load
+// benchmark's weather shape (1,000 regions x 365 days, default shards,
+// cache off): one Run of the fire-ants fsm query and one of the
+// fsm-distance query at horizon 8, each over every region. ns/day is
+// the request's wall time per day scanned, compile of the step table
+// included.
+func BenchmarkFSMScan(b *testing.B) {
+	const regions, days = 1000, 365
+	arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 3, Regions: regions, Days: days})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := core.NewEngineWith(core.Options{CacheEntries: -1})
+	defer e.Close()
+	if err := e.AddSeries("weather", arch); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		q    core.Query
+	}{
+		{"fsm", core.FSMQuery{Machine: fsm.FireAnts()}},
+		{"fsm-distance", core.FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 8}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			req := core.Request{Dataset: "weather", Query: c.q, K: 10}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(ctx, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.Evaluations != regions*days {
+					b.Fatalf("scanned %d days, want %d", res.Stats.Evaluations, regions*days)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*regions*days), "ns/day")
+		})
+	}
+}
+
 // ---- E8: geology knowledge model ----
 
 var e8Engine = sync.OnceValues(func() (*core.Engine, error) {

@@ -2,8 +2,10 @@
 // extraction / behavioral distance buffers (FSM-distance family) and
 // the top-1 SPROC DP's working set (geology family). A serving engine
 // answers thousands of requests, so the buffers are recycled across
-// them; get/put brackets each candidate, so concurrent requests of
-// mixed families share the pools safely.
+// them. A geology get/put brackets each candidate; an FSM-distance
+// request holds one scratch from plan to finish, because its units
+// run on one goroutine. Concurrent requests of mixed families share
+// the pools safely.
 
 package core
 

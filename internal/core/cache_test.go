@@ -311,7 +311,7 @@ func TestFingerprintSemantics(t *testing.T) {
 	// FSM machine and distance queries over the same machine must not
 	// collide with each other.
 	fq := Request{Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts()}, K: 5}
-	dq := Request{Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 0}, K: 5}
+	dq := Request{Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 1}, K: 5}
 	if err := validateRequest(&fq); err != nil {
 		t.Fatal(err)
 	}

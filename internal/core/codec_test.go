@@ -35,17 +35,19 @@ func codecRequests(t testing.TB) map[string]Request {
 	gq.GammaRampAPI = 5
 	gq.Method = GeoDP // what a zero Method decodes as
 	return map[string]Request{
-		"seed-linear-hps":            {Dataset: "tuples", Query: LinearQuery{Model: hps}, K: 10},
-		"seed-scene":                 {Dataset: "hps", Query: SceneQuery{Model: pm}, K: 7, MinScore: &half},
-		"seed-fsm":                   {Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts()}, K: 10},
-		"seed-fsm-prefilter":         {Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts(), Prefilter: FireAntsPrefilter}, K: 10},
-		"seed-fsm-distance":          {Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 6}, K: 5},
-		"seed-geology":               {Dataset: "basin", Query: gq, K: 10},
-		"seed-knowledge":             {Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10},
-		"seed-negzero":               {Dataset: "tuples", Query: LinearQuery{Model: lm}, K: 3, MinScore: &negZero},
-		"seed-equal-absent-minscore": {Dataset: "tuples", Query: LinearQuery{Model: lm}, K: 3},
-		"seed-length-byte-boundary":  {Dataset: strings.Repeat("d", 256), Query: LinearQuery{Model: lm}},
-		"seed-reassociation":         {Dataset: "ab", Query: LinearQuery{Model: lm}, K: 1},
+		"seed-linear-hps":    {Dataset: "tuples", Query: LinearQuery{Model: hps}, K: 10},
+		"seed-scene":         {Dataset: "hps", Query: SceneQuery{Model: pm}, K: 7, MinScore: &half},
+		"seed-fsm":           {Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts()}, K: 10},
+		"seed-fsm-prefilter": {Dataset: "weather", Query: FSMQuery{Machine: fsm.FireAnts(), Prefilter: FireAntsPrefilter}, K: 10},
+		"seed-fsm-distance":  {Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 6}, K: 5},
+		// Encodable, and refused only when run (horizon outside 1..MaxFSMHorizon).
+		"seed-fsm-distance-horizon-0": {Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts()}, K: 5},
+		"seed-geology":                {Dataset: "basin", Query: gq, K: 10},
+		"seed-knowledge":              {Dataset: "hps", Query: KnowledgeQuery{Rules: HPSTileRules()}, K: 10},
+		"seed-negzero":                {Dataset: "tuples", Query: LinearQuery{Model: lm}, K: 3, MinScore: &negZero},
+		"seed-equal-absent-minscore":  {Dataset: "tuples", Query: LinearQuery{Model: lm}, K: 3},
+		"seed-length-byte-boundary":   {Dataset: strings.Repeat("d", 256), Query: LinearQuery{Model: lm}},
+		"seed-reassociation":          {Dataset: "ab", Query: LinearQuery{Model: lm}, K: 1},
 	}
 }
 

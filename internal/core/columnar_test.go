@@ -18,8 +18,9 @@ import (
 // discipline must truncate scans at exactly the hand-computable
 // candidate boundaries.
 
-// TestSeriesShardEventPlaneMatchesClassify: the ingest-time event
-// plane must equal per-query classification for every region.
+// TestSeriesShardEventPlaneMatchesClassify: the ingest-time packed
+// event plane must unpack to per-query classification for every
+// region, holding five days per byte.
 func TestSeriesShardEventPlaneMatchesClassify(t *testing.T) {
 	arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 71, Regions: 37, Days: 120, MeanTempC: 16})
 	if err != nil {
@@ -33,7 +34,11 @@ func TestSeriesShardEventPlaneMatchesClassify(t *testing.T) {
 	for _, sh := range ss.shards {
 		for i, reg := range sh.regions {
 			want := fsm.ClassifySeries(reg.Days)
-			got := sh.eventsOf(i)
+			p, days := sh.eventsOf(i)
+			if len(p) != fsm.PackedLen(len(want)) {
+				t.Fatalf("region %d: %d packed bytes for %d days", reg.Region, len(p), len(want))
+			}
+			got := fsm.AppendUnpacked(nil, p, days)
 			if len(got) != len(want) {
 				t.Fatalf("region %d: %d events, want %d", reg.Region, len(got), len(want))
 			}

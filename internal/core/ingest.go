@@ -120,7 +120,7 @@ func (e *Engine) AppendTuplesAt(name string, base int64, points [][]float64) err
 }
 
 // AppendSeries appends regions to a registered series dataset as one
-// immutable delta segment (summaries and the columnar event plane
+// immutable delta segment (summaries and the packed event plane
 // precomputed). See AppendTuples for the visibility and generation
 // contract.
 func (e *Engine) AppendSeries(name string, rs []synth.RegionSeries) error {

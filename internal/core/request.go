@@ -277,6 +277,10 @@ func validateRequest(req *Request) error {
 	if req.MinScore != nil && math.IsNaN(*req.MinScore) {
 		return errors.New("core: NaN request MinScore")
 	}
+	// Family checks that need no dataset run here, before the cache.
+	if v, ok := req.Query.(interface{ validate() error }); ok {
+		return v.validate()
+	}
 	return nil
 }
 
@@ -590,6 +594,8 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, 
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
+	// One step table per request, read by every unit.
+	tab := fsm.NewTable(q.Machine, packedBytes(ss))
 	return scanPlan(req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
 		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
@@ -598,14 +604,14 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, 
 				c.pruned++
 				return nil
 			}
-			// The columnar event plane replaces per-query
+			// The packed event plane replaces per-query
 			// re-classification; the day count is known up front, so
 			// the budget is charged before the machine runs.
-			events := sh.eventsOf(i)
-			meter.Charge(len(events))
-			c.evals += len(events)
+			events, days := sh.eventsOf(i)
+			meter.Charge(days)
+			c.evals += days
 			c.examined++
-			score, err := fsm.FlyScore(q.Machine, events)
+			score, err := tab.FlyScore(events, days)
 			if err != nil {
 				return err
 			}
@@ -616,6 +622,11 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, 
 		}), nil
 }
 
+// MaxFSMHorizon is the largest FSMDistanceQuery.Horizon a request may
+// carry. One distance costs Horizon steps of the product automaton and
+// checks no context, so the horizon is bounded before any work starts.
+const MaxFSMHorizon = 4096
+
 // FSMDistanceQuery ranks regions by behavioral closeness between the
 // target machine and the machine their data exhibits (Section 3's FSM
 // similarity): scores are 1-distance over strings up to Horizon. Item
@@ -623,12 +634,21 @@ func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, 
 type FSMDistanceQuery struct {
 	Target *fsm.Machine
 	// Horizon bounds the string length of the exact behavioral
-	// distance.
+	// distance: 1..MaxFSMHorizon, checked before the cache and the
+	// scan.
 	Horizon int
 }
 
 // Kind reports the finite-state model family.
 func (FSMDistanceQuery) Kind() ModelKind { return KindFiniteState }
+
+// validate refuses a horizon outside 1..MaxFSMHorizon.
+func (q FSMDistanceQuery) validate() error {
+	if q.Horizon < 1 || q.Horizon > MaxFSMHorizon {
+		return fmt.Errorf("core: FSMDistanceQuery horizon %d outside 1..%d", q.Horizon, MaxFSMHorizon)
+	}
+	return nil
+}
 
 func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
 	if q.Target == nil {
@@ -641,28 +661,36 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (que
 		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
 	}
 	meter := topk.NewMeter(req.Budget)
-	return scanPlan(req, len(ss.scan), meter,
+	// One step table and one distance memo per request. A plan drains
+	// on one goroutine, so its units share them and one scratch.
+	tab := fsm.NewTable(q.Target, packedBytes(ss))
+	memo := fsm.NewDistanceMemo(q.Target, q.Horizon)
+	sc := fsmScratchPool.Get().(*fsm.Scratch)
+	p := scanPlan(req, len(ss.scan), meter,
 		func(si int) int { return len(ss.scan[si].regions) },
 		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
 			sh := ss.scan[si]
-			events := sh.eventsOf(i)
-			meter.Charge(len(events))
-			c.evals += len(events)
+			events, days := sh.eventsOf(i)
+			meter.Charge(days)
+			c.evals += days
 			c.examined++
-			sc := fsmScratchPool.Get().(*fsm.Scratch)
-			extracted, err := fsm.ExtractWith(q.Target, events, sc)
+			extracted, err := tab.Extract(events, days, sc)
 			if err != nil {
-				fsmScratchPool.Put(sc)
 				return err
 			}
-			d, err := fsm.DistanceWith(q.Target, extracted, q.Horizon, sc)
-			fsmScratchPool.Put(sc)
+			d, err := memo.Distance(extracted, sc)
 			if err != nil {
 				return err
 			}
 			h.OfferScore(int64(sh.regions[i].Region), 1-d)
 			return nil
-		}), nil
+		})
+	finish := p.finish
+	p.finish = func(items []topk.Item) ([]topk.Item, QueryStats, error) {
+		fsmScratchPool.Put(sc)
+		return finish(items)
+	}
+	return p, nil
 }
 
 // ---- Knowledge models over composite objects (geology wells) ----

@@ -306,3 +306,64 @@ func TestRunMinScore(t *testing.T) {
 	}
 	itemsEqual(t, "fsm minscore", resF.Items, wantF)
 }
+
+// TestFSMDistanceHorizonValidated pins that a horizon outside
+// 1..MaxFSMHorizon is refused before the cache and the scan: on a
+// series dataset (where a zero horizon once failed at the first region
+// and a huge one ran for minutes), on an unknown dataset, and in a
+// batch. The refusals count no cache miss.
+func TestFSMDistanceHorizonValidated(t *testing.T) {
+	arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 5, Regions: 20, Days: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngineWith(Options{Shards: 2})
+	defer e.Close()
+	if err := e.AddSeries("weather", arch); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		horizon int
+		ok      bool
+	}{
+		{math.MinInt, false},
+		{-1, false},
+		{0, false},
+		{1, true},
+		{8, true},
+		{MaxFSMHorizon, true},
+		{MaxFSMHorizon + 1, false},
+		{math.MaxInt32, false},
+	} {
+		q := FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: c.horizon}
+		for _, ds := range []string{"weather", "missing"} {
+			res, err := e.Run(ctx, Request{Dataset: ds, Query: q, K: 3})
+			switch {
+			case !c.ok && (err == nil || errors.Is(err, ErrUnknownDataset)):
+				t.Fatalf("horizon %d on %q: err %v, want a horizon refusal", c.horizon, ds, err)
+			case c.ok && ds != "missing" && err != nil:
+				t.Fatalf("horizon %d on %q: %v", c.horizon, ds, err)
+			case c.ok && ds == "weather" && len(res.Items) != 3:
+				t.Fatalf("horizon %d: %d items, want 3", c.horizon, len(res.Items))
+			}
+		}
+		br, err := e.RunBatch(ctx, []Request{{Dataset: "weather", Query: q, K: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (br[0].Err == nil) != c.ok {
+			t.Fatalf("horizon %d in a batch: err %v, want ok=%v", c.horizon, br[0].Err, c.ok)
+		}
+	}
+	// Only accepted requests reached the cache: 3 horizons, each a miss
+	// on "weather" and on "missing" then a batch hit, and this one miss
+	// more.
+	res, err := e.Run(ctx, Request{Dataset: "weather", Query: FSMDistanceQuery{Target: fsm.FireAnts(), Horizon: 2}, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.Cache.Misses; got != 7 {
+		t.Fatalf("%d cache misses, want 7 (refused requests must not probe the cache)", got)
+	}
+}

@@ -1,8 +1,8 @@
 // Shard plumbing for the engine: every dataset is partitioned into N
 // contiguous shards at ingest, each shard carrying its own
 // model-specific layout (a norm-ordered columnar store for tuple
-// archives, precomputed metadata summaries and event planes for series,
-// flat strata planes for wells), all built when the shard is
+// archives, precomputed metadata summaries and packed event planes for
+// series, flat strata planes for wells), all built when the shard is
 // constructed. A query's units come from every shard and delta of the
 // dataset (see queryPlan); because shard data is immutable once built,
 // the whole structure is safe for concurrent queries without locks on
@@ -27,6 +27,7 @@ import (
 	"modelir/internal/archive"
 	"modelir/internal/colstore"
 	"modelir/internal/fsm"
+	"modelir/internal/segment"
 	"modelir/internal/synth"
 )
 
@@ -233,23 +234,26 @@ func restoredTupleSet(rows int, shards []*tupleShard) *tupleSet {
 
 // seriesShard is one partition of a series archive with its
 // metadata-level summaries (the prefilter index) built at ingest, plus
-// the columnar event plane: every region's day-classified FSM events
-// in ONE flat allocation, so a query runs machines over contiguous
-// event runs instead of re-classifying raw weather structs per query
-// per region. Classification is deterministic, so precomputing it at
-// ingest changes results by exactly nothing.
+// the packed event plane: every region's day-classified FSM events
+// base 3, five days per byte, in ONE flat allocation, so a query steps
+// a compiled machine over contiguous bytes instead of re-classifying
+// raw weather structs per query per region. Classification is
+// deterministic, so precomputing it at ingest changes results by
+// exactly nothing.
 type seriesShard struct {
 	regions []synth.RegionSeries
 	sums    []synth.DrySpellStats
-	// events is the flat event plane; region i of the shard occupies
-	// events[evOff[i]:evOff[i+1]].
-	events []fsm.Event
+	// events is the packed plane; region i's days[i] events occupy
+	// events[evOff[i]:evOff[i+1]], its last byte holding the
+	// days[i]%5 tail days.
+	events []byte
 	evOff  []int
+	days   []int
 }
 
-// eventsOf returns region i's precomputed event run.
-func (s *seriesShard) eventsOf(i int) []fsm.Event {
-	return s.events[s.evOff[i]:s.evOff[i+1]:s.evOff[i+1]]
+// eventsOf returns region i's packed event run and its day count.
+func (s *seriesShard) eventsOf(i int) ([]byte, int) {
+	return s.events[s.evOff[i]:s.evOff[i+1]:s.evOff[i+1]], s.days[i]
 }
 
 func (s *seriesShard) rawRows() []synth.RegionSeries { return s.regions }
@@ -257,49 +261,64 @@ func (s *seriesShard) place(int)                     {}
 func (s *seriesShard) width() int                    { return 0 }
 
 // newSeriesShard builds one shard over part: metadata summaries plus
-// the flat day-classified event plane. This is the only constructor —
+// the packed day-classified event plane. This is the only constructor —
 // base shards at registration, delta segments at append, merged deltas
 // at compaction — so every segment is bit-identical to the shard a
 // from-scratch build would hold. It never fails; the error completes
 // the constructor shape every appendable kind shares.
 func newSeriesShard(part []synth.RegionSeries) (*seriesShard, error) {
 	sums := make([]synth.DrySpellStats, len(part))
+	days := make([]int, len(part))
 	total := 0
 	for i, reg := range part {
 		sums[i] = synth.SummarizeSeries(reg)
-		total += len(reg.Days)
+		days[i] = len(reg.Days)
+		total += fsm.PackedLen(len(reg.Days))
 	}
-	events := make([]fsm.Event, 0, total)
+	events := make([]byte, 0, total)
 	evOff := make([]int, 1, len(part)+1)
 	for _, reg := range part {
-		for _, d := range reg.Days {
-			events = append(events, fsm.ClassifyDay(d))
-		}
+		events = fsm.AppendPackedSeries(events, reg.Days)
 		evOff = append(evOff, len(events))
 	}
-	return &seriesShard{regions: part, sums: sums, events: events, evOff: evOff}, nil
+	return &seriesShard{regions: part, sums: sums, events: events, evOff: evOff, days: days}, nil
 }
 
 // restoredSeriesSet assembles a series set from snapshot planes: the
 // region table (IDs only — raw days are not persisted), precomputed
-// summaries, and the global flat event plane with per-region lengths.
-// Shard boundaries re-derive from partition(n, shards), which is the
-// same deterministic layout newSeriesSet used at snapshot time, so
-// per-shard state is identical to the built engine's.
-func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, events []fsm.Event, days []int, shards int) (*seriesSet, error) {
+// summaries, and the global event column with per-region day counts,
+// packed here. Shard boundaries re-derive from partition(n, shards),
+// which is the same deterministic layout newSeriesSet used at snapshot
+// time, so per-shard state is identical to the built engine's. Every
+// error wraps segment.ErrCorrupt, a column symbol outside 0..2
+// included.
+func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, col []int64, days []int, shards int) (*seriesSet, error) {
 	n := len(ids)
 	if len(sums) != n || len(days) != n {
-		return nil, fmt.Errorf("core: series planes: %d ids, %d sums, %d day counts", n, len(sums), len(days))
+		return nil, fmt.Errorf("%w: series planes: %d ids, %d sums, %d day counts", segment.ErrCorrupt, n, len(sums), len(days))
 	}
-	gOff := make([]int, n+1)
+	total, packed := 0, 0
 	for i, d := range days {
-		if d < 0 {
-			return nil, fmt.Errorf("core: series planes: region %d has %d days", i, d)
+		if d < 0 || d > len(col)-total {
+			return nil, fmt.Errorf("%w: series planes: region %d has %d days", segment.ErrCorrupt, i, d)
 		}
-		gOff[i+1] = gOff[i] + d
+		total += d
+		packed += fsm.PackedLen(d)
 	}
-	if gOff[n] != len(events) {
-		return nil, fmt.Errorf("core: series planes: %d events for %d summed days", len(events), gOff[n])
+	if total != len(col) {
+		return nil, fmt.Errorf("%w: series planes: %d events for %d summed days", segment.ErrCorrupt, len(col), total)
+	}
+	events := make([]byte, 0, packed)
+	// gOff[i] is region i's byte offset in the global packed plane.
+	gOff := make([]int, n+1)
+	at := 0
+	for i, d := range days {
+		var err error
+		if events, err = fsm.PackColumn(events, col[at:at+d]); err != nil {
+			return nil, fmt.Errorf("%w: series region %d: %v", segment.ErrCorrupt, i, err)
+		}
+		at += d
+		gOff[i+1] = len(events)
 	}
 	regions := make([]synth.RegionSeries, n)
 	for i, id := range ids {
@@ -315,12 +334,23 @@ func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, events []fsm.Event
 		ss.shards = append(ss.shards, &seriesShard{
 			regions: regions[lo:hi],
 			sums:    sums[lo:hi],
-			events:  events[gOff[lo]:gOff[hi]],
+			events:  events[gOff[lo]:gOff[hi]:gOff[hi]],
 			evOff:   evOff,
+			days:    days[lo:hi],
 		})
 	}
 	ss.scan = ss.shards
 	return ss, nil
+}
+
+// packedBytes is the size of the dataset's packed event planes over
+// every scanned segment: the scan an FSM request's step table serves.
+func packedBytes(ss *seriesSet) int {
+	n := 0
+	for _, sh := range ss.scan {
+		n += len(sh.events)
+	}
+	return n
 }
 
 // wellShard is one partition of a well-log archive with its strata

@@ -611,9 +611,10 @@ func snapSeries(w *segment.Writer, info DatasetInfo, ss *seriesSet) error {
 			meta = canon.AppendUint(meta, uint64(sh.sums[i].MaxDrySpell))
 			meta = canon.AppendUint(meta, uint64(sh.sums[i].RainDays))
 			meta = canon.AppendFloat(meta, sh.sums[i].MaxTempAfterDry3)
-			meta = canon.AppendUint(meta, uint64(sh.evOff[i+1]-sh.evOff[i]))
+			p, days := sh.eventsOf(i)
+			meta = canon.AppendUint(meta, uint64(days))
+			events = fsm.AppendUnpacked(events, p, days)
 		}
-		events = append(events, sh.events...)
 	}
 	if err := firstErr(
 		dw.Raw("meta", meta),
@@ -667,11 +668,7 @@ func restoreSeries(dr *segment.DatasetReader, shards int) (*seriesSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss, err := restoredSeriesSet(ids, sums, fsm.DecodeEvents(evCol), days, shards)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", segment.ErrCorrupt, err)
-	}
-	return ss, nil
+	return restoredSeriesSet(ids, sums, evCol, days, shards)
 }
 
 // ---- wells ----

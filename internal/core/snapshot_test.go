@@ -328,3 +328,76 @@ func restoreFile(t *testing.T, path string, data []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotEventColumnUnchanged pins the series section's format
+// across the packed event plane: the writer unpacks every region back to
+// the int64 events column, equal to the classified days, so
+// segment.FormatVersion does not move. Deltas ride along.
+func TestSnapshotEventColumnUnchanged(t *testing.T) {
+	arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 17, Regions: 31, Days: 97, MeanTempC: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngineWith(Options{Shards: 3})
+	defer e.Close()
+	if err := e.AddSeries("weather", arch[:25]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AppendSeries("weather", arch[25:]); err != nil {
+		t.Fatal(err)
+	}
+	b, err := segment.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Snapshot(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := segment.Open(b, segment.Copy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	dr, err := snap.Dataset(kindSeries, "weather")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dr.Ints("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, reg := range arch {
+		want = append(want, fsm.EncodeEvents(fsm.ClassifySeries(reg.Days))...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("events column holds %d values, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("events[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRestoreRefusesBadEventSymbols: the restore step that packs the
+// events column refuses a symbol outside 0..2 as corrupt, rather than
+// restoring a region every later FSM query would fail on.
+func TestRestoreRefusesBadEventSymbols(t *testing.T) {
+	ids := []int{4, 9}
+	sums := make([]synth.DrySpellStats, 2)
+	days := []int{3, 6}
+	good := []int64{0, 1, 2, 2, 2, 1, 0, 0, 1}
+	if _, err := restoredSeriesSet(ids, sums, good, days, 2); err != nil {
+		t.Fatalf("valid column refused: %v", err)
+	}
+	for _, bad := range []int64{3, -1} {
+		for _, at := range []int{0, 4, 8} {
+			col := append([]int64(nil), good...)
+			col[at] = bad
+			if _, err := restoredSeriesSet(ids, sums, col, days, 2); !errors.Is(err, segment.ErrCorrupt) {
+				t.Fatalf("symbol %d at %d: err %v, want segment.ErrCorrupt", bad, at, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Event-plane codec for the snapshot subsystem: an event trace is a
 // plain symbol sequence, so it serializes as one int64 column per
-// archive and restores with a single widening copy. Kept here (rather
+// archive; restore packs the column back (PackColumn). Kept here (rather
 // than in internal/segment) so the segment layer never learns fsm's
 // types.
 
@@ -12,15 +12,6 @@ func EncodeEvents(evs []Event) []int64 {
 	out := make([]int64, len(evs))
 	for i, e := range evs {
 		out[i] = int64(e)
-	}
-	return out
-}
-
-// DecodeEvents narrows a restored int64 column back to an event trace.
-func DecodeEvents(col []int64) []Event {
-	out := make([]Event, len(col))
-	for i, v := range col {
-		out[i] = Event(v)
 	}
 	return out
 }

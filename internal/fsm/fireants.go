@@ -86,11 +86,16 @@ func FlyScore(m *Machine, events []Event) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return flyScore(res, len(events)), nil
+}
+
+// flyScore is FlyScore's ranking of a run over n events.
+func flyScore(res RunResult, n int) float64 {
 	if res.FirstAccept < 0 {
-		return 0, nil
+		return 0
 	}
-	frac := float64(res.AcceptCount) / float64(len(events))
+	frac := float64(res.AcceptCount) / float64(n)
 	// Earlier onset adds up to one extra unit, scaled by recency.
-	onset := 1 - float64(res.FirstAccept)/float64(len(events))
-	return frac + onset, nil
+	onset := 1 - float64(res.FirstAccept)/float64(n)
+	return frac + onset
 }

@@ -1,24 +1,26 @@
 // Allocation-free variants of machine extraction and behavioral
-// distance. The engine's FSM-distance scan runs Extract+Distance once
-// per region per query; the plain entry points allocate a transition
-// count table, a fresh Machine and two probability planes per call.
-// Scratch keeps all of that alive across calls so a steady-state
-// serving scan allocates nothing. Results are bit-identical: the
-// algorithms are the same, only the buffers' lifetimes change.
+// distance. The engine's FSM-distance scan extracts a machine per
+// region (Table.Extract) and scores it against the target; the plain
+// entry points allocate a transition count table, a fresh Machine and
+// two probability planes per call. Scratch keeps all of that alive
+// across calls so a steady-state serving scan allocates nothing.
+// Results are bit-identical: the algorithms are the same, only the
+// buffers' lifetimes change.
 
 package fsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// Scratch is the reusable working set of ExtractWith and DistanceWith.
+// Scratch is the reusable working set of Table.Extract and DistanceWith.
 // A Scratch may be reused across machines of different sizes (buffers
 // regrow as needed) but must not be shared concurrently; pool one per
 // worker.
 type Scratch struct {
-	// counts is Extract's flat transition-count table:
+	// counts is extraction's flat transition-count table:
 	// counts[(s*ne+e)*ns + to].
 	counts []int
 	// prob/next are Distance's product-automaton probability planes.
@@ -56,26 +58,13 @@ func (sc *Scratch) planes(n int) (prob, next []float64) {
 	return prob, next
 }
 
-// ExtractWith is Extract for a single event series, reusing sc's
-// buffers. The returned machine is owned by the scratch and valid only
-// until the next ExtractWith call on the same scratch; its state
-// labels, alphabet and accepting set alias the reference. Behavior is
-// identical to Extract(ref, [][]Event{events}).
-func ExtractWith(ref *Machine, events []Event, sc *Scratch) (*Machine, error) {
-	if ref == nil {
-		return nil, errors.New("fsm: nil reference machine")
-	}
+// majority builds the extracted machine from a transition-count table
+// counts[(s*ne+e)*ns + to] into sc.out: the majority observed successor
+// per (state, event). Ties and the unobserved case resolve exactly as
+// Extract does (first maximum, reference transition when nothing was
+// observed).
+func (sc *Scratch) majority(ref *Machine, counts []int) *Machine {
 	ns, ne := ref.NumStates(), ref.NumEvents()
-	counts := sc.ints(ns * ne * ns)
-	s := ref.start
-	for i, e := range events {
-		if int(e) < 0 || int(e) >= ne {
-			return nil, fmt.Errorf("fsm: event %d at position %d out of range", e, i)
-		}
-		to := ref.trans[s*ne+int(e)]
-		counts[(s*ne+int(e))*ns+to]++
-		s = to
-	}
 	m := &sc.out
 	m.states = ref.states
 	m.alphabet = ref.alphabet
@@ -86,9 +75,6 @@ func ExtractWith(ref *Machine, events []Event, sc *Scratch) (*Machine, error) {
 	}
 	m.trans = m.trans[:ns*ne]
 	for se := 0; se < ns*ne; se++ {
-		// Majority observed successor; ties and the unobserved case
-		// resolve exactly as Extract does (first maximum, reference
-		// transition when nothing was observed).
 		best, bestN := -1, 0
 		row := counts[se*ns : (se+1)*ns]
 		for to, n := range row {
@@ -101,7 +87,7 @@ func ExtractWith(ref *Machine, events []Event, sc *Scratch) (*Machine, error) {
 		}
 		m.trans[se] = best
 	}
-	return m, nil
+	return m
 }
 
 // DistanceWith is Distance reusing sc's probability planes. Behavior
@@ -152,4 +138,57 @@ func DistanceWith(a, b *Machine, maxLen int, sc *Scratch) (float64, error) {
 		total += dis
 	}
 	return total / float64(maxLen), nil
+}
+
+// DistanceMemo memoises DistanceWith(target, b, horizon) within one
+// scan. Distance depends on b only through its start state, alphabet
+// size, accepting set and transition table, so the memo keys on exactly
+// those and is exact for any b. Regions whose data extract the same
+// machine share one distance computation. A memo is not safe for
+// concurrent use.
+type DistanceMemo struct {
+	target  *Machine
+	horizon int
+	key     []byte
+	dist    map[string]float64
+}
+
+// NewDistanceMemo returns an empty memo for distances to target over
+// strings up to horizon.
+func NewDistanceMemo(target *Machine, horizon int) *DistanceMemo {
+	return &DistanceMemo{target: target, horizon: horizon}
+}
+
+// Distance is DistanceWith(target, b, horizon, sc), computed once per
+// distinct behaviour of b. Errors are returned, not memoised.
+func (dm *DistanceMemo) Distance(b *Machine, sc *Scratch) (float64, error) {
+	if b == nil {
+		return DistanceWith(dm.target, b, dm.horizon, sc)
+	}
+	k := binary.AppendUvarint(dm.key[:0], uint64(b.start))
+	k = binary.AppendUvarint(k, uint64(len(b.alphabet)))
+	k = binary.AppendUvarint(k, uint64(len(b.accept)))
+	for _, a := range b.accept {
+		if a {
+			k = append(k, 1)
+		} else {
+			k = append(k, 0)
+		}
+	}
+	for _, to := range b.trans {
+		k = binary.AppendUvarint(k, uint64(to))
+	}
+	dm.key = k
+	if d, ok := dm.dist[string(k)]; ok {
+		return d, nil
+	}
+	d, err := DistanceWith(dm.target, b, dm.horizon, sc)
+	if err != nil {
+		return 0, err
+	}
+	if dm.dist == nil {
+		dm.dist = make(map[string]float64)
+	}
+	dm.dist[string(k)] = d
+	return d, nil
 }

@@ -14,43 +14,55 @@ func randomEventSeries(rng *rand.Rand, n, ne int) []Event {
 	return out
 }
 
-// TestExtractWithMatchesExtract: the scratch-backed single-series
-// extraction must produce exactly the machine Extract produces, for
-// many random series, reusing one scratch throughout.
-func TestExtractWithMatchesExtract(t *testing.T) {
+// mustPack packs an event series the way restore packs a snapshot
+// column.
+func mustPack(t testing.TB, ev []Event) []byte {
+	t.Helper()
+	p, err := PackColumn(nil, EncodeEvents(ev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPackedExtractMatchesExtract: extraction from a packed run, through
+// the compiled step table and day by day, must produce exactly the
+// machine Extract produces, for many random series, reusing one scratch
+// throughout.
+func TestPackedExtractMatchesExtract(t *testing.T) {
 	ref := FireAnts()
 	rng := rand.New(rand.NewSource(41))
 	sc := NewScratch()
+	tabs := []*Table{NewTable(ref, 1<<20), NewTable(ref, 0)}
+	if tabs[0].steps == nil || tabs[1].steps != nil {
+		t.Fatal("compile rule: want one compiled and one day-by-day table")
+	}
 	for trial := 0; trial < 50; trial++ {
 		ev := randomEventSeries(rng, 5+rng.Intn(200), ref.NumEvents())
+		p := mustPack(t, ev)
 		want, err := Extract(ref, [][]Event{ev})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ExtractWith(ref, ev, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.start != want.start || len(got.trans) != len(want.trans) {
-			t.Fatalf("trial %d: shape mismatch", trial)
-		}
-		for i := range want.trans {
-			if got.trans[i] != want.trans[i] {
-				t.Fatalf("trial %d: trans[%d] = %d, want %d", trial, i, got.trans[i], want.trans[i])
+		for ti, tab := range tabs {
+			got, err := tab.Extract(p, len(ev), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.start != want.start || len(got.trans) != len(want.trans) {
+				t.Fatalf("trial %d table %d: shape mismatch", trial, ti)
+			}
+			for i := range want.trans {
+				if got.trans[i] != want.trans[i] {
+					t.Fatalf("trial %d table %d: trans[%d] = %d, want %d", trial, ti, i, got.trans[i], want.trans[i])
+				}
+			}
+			for s := range want.accept {
+				if got.accept[s] != want.accept[s] {
+					t.Fatalf("trial %d table %d: accept[%d] differs", trial, ti, s)
+				}
 			}
 		}
-		for s := range want.accept {
-			if got.accept[s] != want.accept[s] {
-				t.Fatalf("trial %d: accept[%d] differs", trial, s)
-			}
-		}
-	}
-	// Out-of-range events surface the same error.
-	if _, err := ExtractWith(ref, []Event{99}, sc); err == nil {
-		t.Fatal("want out-of-range event error")
-	}
-	if _, err := ExtractWith(nil, nil, sc); err == nil {
-		t.Fatal("want nil reference error")
 	}
 }
 
@@ -63,7 +75,7 @@ func TestDistanceWithMatchesDistance(t *testing.T) {
 	sc := NewScratch()
 	for trial := 0; trial < 30; trial++ {
 		ev := randomEventSeries(rng, 10+rng.Intn(150), ref.NumEvents())
-		ext, err := ExtractWith(ref, ev, sc)
+		ext, err := Extract(ref, [][]Event{ev})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,19 +101,72 @@ func TestDistanceWithMatchesDistance(t *testing.T) {
 	}
 }
 
-// TestScratchSteadyStateZeroAllocs: a warmed-up extract+distance cycle
-// must not allocate — the FSM-distance family's scan-kernel guarantee.
+// TestDistanceMemoMatchesDistance: the memo returns Distance's bits for
+// machines that differ in transitions, accepting set or start alone,
+// computes each distinct machine once, and memoises no error.
+func TestDistanceMemoMatchesDistance(t *testing.T) {
+	ref := FireAnts()
+	sc := NewScratch()
+	memo := NewDistanceMemo(ref, 6)
+	other := func(edit func(m *Machine)) *Machine {
+		m := *ref
+		m.trans = append([]int(nil), ref.trans...)
+		m.accept = append([]bool(nil), ref.accept...)
+		edit(&m)
+		return &m
+	}
+	machines := []*Machine{
+		ref,
+		other(func(m *Machine) { m.trans[1] = 4 }),
+		other(func(m *Machine) { m.accept[0] = true }),
+		other(func(m *Machine) { m.start = 2 }),
+	}
+	for round := 0; round < 2; round++ {
+		for i, m := range machines {
+			want, err := Distance(ref, m, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := memo.Distance(m, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("round %d machine %d: memo %v, Distance %v", round, i, got, want)
+			}
+		}
+	}
+	if len(memo.dist) != len(machines) {
+		t.Fatalf("memo holds %d distances for %d distinct machines", len(memo.dist), len(machines))
+	}
+	if _, err := NewDistanceMemo(ref, 0).Distance(ref, sc); err == nil {
+		t.Fatal("want bad horizon error")
+	}
+	if _, err := memo.Distance(nil, sc); err == nil {
+		t.Fatal("want nil machine error")
+	}
+}
+
+// TestScratchSteadyStateZeroAllocs: a warmed-up packed extract+distance
+// cycle must not allocate — the FSM-distance family's scan-kernel
+// guarantee — whether the distance is computed or served by the memo.
 func TestScratchSteadyStateZeroAllocs(t *testing.T) {
 	ref := FireAnts()
 	rng := rand.New(rand.NewSource(47))
 	ev := randomEventSeries(rng, 365, ref.NumEvents())
+	p := mustPack(t, ev)
+	tab := NewTable(ref, 1<<20)
+	memo := NewDistanceMemo(ref, 8)
 	sc := NewScratch()
 	cycle := func() {
-		ext, err := ExtractWith(ref, ev, sc)
+		ext, err := tab.Extract(p, len(ev), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := DistanceWith(ref, ext, 8, sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := memo.Distance(ext, sc); err != nil {
 			t.Fatal(err)
 		}
 	}

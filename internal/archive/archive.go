@@ -8,7 +8,8 @@
 //   - metadata  — band names, dimensions, global per-band statistics;
 //   - semantics — an optional per-tile label map (e.g. land-cover class);
 //   - features  — per-tile, per-band statistics and histograms;
-//   - raw       — the multiband mean/min/max pyramid (multi-resolution).
+//   - raw       — the multiband pyramid (multi-resolution): the level-0
+//     values and, above them, min/max envelopes up to the 1×1 apex.
 //
 // Archives serialize to a self-describing binary stream (encoding/gob)
 // so they can be staged on disk and memory-mapped per query session.
@@ -30,15 +31,14 @@ import (
 // DefaultTileSize is used when Options.TileSize is zero.
 const DefaultTileSize = 32
 
-// DefaultPyramidLevels is used when Options.PyramidLevels is zero.
-const DefaultPyramidLevels = 5
-
 // DefaultHistogramBins is used when Options.HistogramBins is zero.
 const DefaultHistogramBins = 16
 
 // Options controls archive construction.
 type Options struct {
-	TileSize      int
+	TileSize int
+	// PyramidLevels is the pyramid's level count, level 0 included;
+	// zero builds it to its 1×1 apex.
 	PyramidLevels int
 	HistogramBins int
 	// HistLo/HistHi fix the histogram value range per band; when both are
@@ -92,7 +92,7 @@ func BuildScene(name string, m *raster.Multiband, opt Options) (*Scene, error) {
 		return nil, fmt.Errorf("archive: tile size %d too small", opt.TileSize)
 	}
 	if opt.PyramidLevels == 0 {
-		opt.PyramidLevels = DefaultPyramidLevels
+		opt.PyramidLevels = pyramid.ApexLevels(m.Width(), m.Height())
 	}
 	if opt.PyramidLevels < 1 {
 		return nil, errors.New("archive: need >= 1 pyramid level")
@@ -149,9 +149,9 @@ func BuildScene(name string, m *raster.Multiband, opt Options) (*Scene, error) {
 func (sc *Scene) Pyramid() *pyramid.MultibandPyramid { return sc.pyr }
 
 // Base returns the level-0 multiband scene, materializing it from the
-// pyramid's finest level if the scene was restored planes-only. Level
-// 0 of a mean pyramid is a verbatim clone of the base bands, so the
-// materialized multiband is bit-identical to the built one.
+// pyramid's level-0 plane if the scene was restored planes-only. That
+// plane is a verbatim copy of the base bands, so the materialized
+// multiband is bit-identical to the built one.
 func (sc *Scene) Base() *raster.Multiband {
 	sc.baseOnce.Do(func() {
 		if sc.base != nil || sc.pyr == nil {
@@ -159,7 +159,7 @@ func (sc *Scene) Base() *raster.Multiband {
 		}
 		grids := make([]*raster.Grid, sc.pyr.NumBands())
 		for b := range grids {
-			grids[b] = sc.pyr.Band(b).Level(0).Mean
+			grids[b] = sc.pyr.BaseBand(b)
 		}
 		mb, err := raster.Stack(sc.BandNames, grids...)
 		if err != nil {

@@ -37,7 +37,7 @@ func (sc *Scene) EncodeMeta(w io.Writer) error {
 
 // SceneFromParts decodes metadata written by EncodeMeta and attaches
 // the restored pyramid. The base multiband is left unmaterialized (see
-// Base); geometry and band count are cross-checked so a mismatched
+// Base); geometry and band names are cross-checked so a mismatched
 // pyramid is refused here rather than failing mid-query.
 func SceneFromParts(r io.Reader, pyr *pyramid.MultibandPyramid) (*Scene, error) {
 	var wire sceneWire
@@ -52,6 +52,11 @@ func SceneFromParts(r io.Reader, pyr *pyramid.MultibandPyramid) (*Scene, error) 
 	}
 	if pyr.NumBands() != len(wire.BandNames) {
 		return nil, fmt.Errorf("archive: pyramid has %d bands, meta %d", pyr.NumBands(), len(wire.BandNames))
+	}
+	for b, name := range wire.BandNames {
+		if pyr.BandName(b) != name {
+			return nil, fmt.Errorf("archive: pyramid band %d is %q, meta %q", b, pyr.BandName(b), name)
+		}
 	}
 	if fl := pyr.Flat(0); fl.W != wire.W || fl.H != wire.H {
 		return nil, fmt.Errorf("archive: pyramid base %dx%d, meta %dx%d", fl.W, fl.H, wire.W, wire.H)

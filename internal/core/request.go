@@ -663,7 +663,7 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (que
 	meter := topk.NewMeter(req.Budget)
 	// One step table and one distance memo per request. A plan drains
 	// on one goroutine, so its units share them and one scratch.
-	tab := fsm.NewTable(q.Target, packedBytes(ss))
+	tab := fsm.NewExtractTable(q.Target, packedBytes(ss))
 	memo := fsm.NewDistanceMemo(q.Target, q.Horizon)
 	sc := fsmScratchPool.Get().(*fsm.Scratch)
 	p := scanPlan(req, len(ss.scan), meter,

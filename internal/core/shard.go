@@ -286,39 +286,31 @@ func newSeriesShard(part []synth.RegionSeries) (*seriesShard, error) {
 
 // restoredSeriesSet assembles a series set from snapshot planes: the
 // region table (IDs only — raw days are not persisted), precomputed
-// summaries, and the global event column with per-region day counts,
-// packed here. Shard boundaries re-derive from partition(n, shards),
-// which is the same deterministic layout newSeriesSet used at snapshot
-// time, so per-shard state is identical to the built engine's. Every
-// error wraps segment.ErrCorrupt, a column symbol outside 0..2
-// included.
-func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, col []int64, days []int, shards int) (*seriesSet, error) {
+// summaries, and the global packed event plane with per-region day
+// counts. The plane is adopted, not copied (it may be mmap-backed),
+// after every region's run passes fsm.CheckPacked. Shard boundaries
+// re-derive from partition(n, shards), which is the same deterministic
+// layout newSeriesSet used at snapshot time, so per-shard state is
+// identical to the built engine's. Every error wraps segment.ErrCorrupt.
+func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, events []byte, days []int, shards int) (*seriesSet, error) {
 	n := len(ids)
 	if len(sums) != n || len(days) != n {
 		return nil, fmt.Errorf("%w: series planes: %d ids, %d sums, %d day counts", segment.ErrCorrupt, n, len(sums), len(days))
 	}
-	total, packed := 0, 0
-	for i, d := range days {
-		if d < 0 || d > len(col)-total {
-			return nil, fmt.Errorf("%w: series planes: region %d has %d days", segment.ErrCorrupt, i, d)
-		}
-		total += d
-		packed += fsm.PackedLen(d)
-	}
-	if total != len(col) {
-		return nil, fmt.Errorf("%w: series planes: %d events for %d summed days", segment.ErrCorrupt, len(col), total)
-	}
-	events := make([]byte, 0, packed)
 	// gOff[i] is region i's byte offset in the global packed plane.
 	gOff := make([]int, n+1)
-	at := 0
 	for i, d := range days {
-		var err error
-		if events, err = fsm.PackColumn(events, col[at:at+d]); err != nil {
+		// d/5 bounds d before PackedLen rounds it up.
+		if d < 0 || d/5 > len(events) || fsm.PackedLen(d) > len(events)-gOff[i] {
+			return nil, fmt.Errorf("%w: series planes: region %d has %d days", segment.ErrCorrupt, i, d)
+		}
+		gOff[i+1] = gOff[i] + fsm.PackedLen(d)
+		if err := fsm.CheckPacked(events[gOff[i]:gOff[i+1]], d); err != nil {
 			return nil, fmt.Errorf("%w: series region %d: %v", segment.ErrCorrupt, i, err)
 		}
-		at += d
-		gOff[i+1] = len(events)
+	}
+	if gOff[n] != len(events) {
+		return nil, fmt.Errorf("%w: series planes: %d event bytes for %d packed", segment.ErrCorrupt, len(events), gOff[n])
 	}
 	regions := make([]synth.RegionSeries, n)
 	for i, id := range ids {

@@ -16,8 +16,12 @@
 //	        s<k>.{ids,flat,blockstart,zonelo,zonehi,zonenorm,
 //	               segstart,segblock}
 //	scenes  meta(gob scene metadata) + pyr("PY": band names, level
-//	        geometry) + pyr<l> planes + feat matrix
-//	series  meta("SS": region id/summary/day-count) + events plane
+//	        geometry) + pyr<l> planes (level 0: one value per band and
+//	        cell; coarser: a min/max pair) + feat matrix
+//	series  meta("SS": region id/summary/day-count) + events (the
+//	        packed plane, raw: each region's PackedLen(days) base-3
+//	        bytes back to back, so its byte offset is the sum of the
+//	        runs before it)
 //	wells   meta("WS": well id/stratum-count) + lith/topft/thickft/gamma
 package core
 
@@ -31,7 +35,6 @@ import (
 	"modelir/internal/archive"
 	"modelir/internal/canon"
 	"modelir/internal/colstore"
-	"modelir/internal/fsm"
 	"modelir/internal/pyramid"
 	"modelir/internal/segment"
 	"modelir/internal/synth"
@@ -604,7 +607,7 @@ func snapSeries(w *segment.Writer, info DatasetInfo, ss *seriesSet) error {
 	}
 	meta := []byte("SS")
 	meta = canon.AppendUint(meta, uint64(info.Rows))
-	var events []fsm.Event
+	var events []byte
 	for _, sh := range ss.scan {
 		for i := range sh.regions {
 			meta = canon.AppendUint(meta, uint64(int64(sh.regions[i].Region)))
@@ -613,12 +616,12 @@ func snapSeries(w *segment.Writer, info DatasetInfo, ss *seriesSet) error {
 			meta = canon.AppendFloat(meta, sh.sums[i].MaxTempAfterDry3)
 			p, days := sh.eventsOf(i)
 			meta = canon.AppendUint(meta, uint64(days))
-			events = fsm.AppendUnpacked(events, p, days)
+			events = append(events, p...)
 		}
 	}
 	if err := firstErr(
 		dw.Raw("meta", meta),
-		dw.Ints("events", fsm.EncodeEvents(events)),
+		dw.Raw("events", events),
 	); err != nil {
 		return err
 	}
@@ -664,11 +667,11 @@ func restoreSeries(dr *segment.DatasetReader, shards int) (*seriesSet, error) {
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: trailing series meta", segment.ErrCorrupt)
 	}
-	evCol, err := dr.Ints("events")
+	events, err := dr.Raw("events")
 	if err != nil {
 		return nil, err
 	}
-	return restoredSeriesSet(ids, sums, evCol, days, shards)
+	return restoredSeriesSet(ids, sums, events, days, shards)
 }
 
 // ---- wells ----

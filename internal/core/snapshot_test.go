@@ -6,10 +6,12 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"modelir/internal/archive"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
 	"modelir/internal/segment"
@@ -283,32 +285,36 @@ func TestSnapshotCorruption(t *testing.T) {
 	})
 
 	// A snapshot written by an older format is refused as a version
-	// mismatch, not as damage: the operator's remedy differs.
-	t.Run("version-1-manifest", func(t *testing.T) {
-		path := filepath.Join(dir, segment.ManifestName)
-		orig, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer restoreFile(t, path, orig)
-		cur := fmt.Sprintf(`"format_version": %d,`, segment.FormatVersion)
-		v1 := bytes.Replace(orig, []byte(cur), []byte(`"format_version": 1,`), 1)
-		if bytes.Equal(v1, orig) {
-			t.Fatalf("manifest has no %s field", cur)
-		}
-		if err := os.WriteFile(path, v1, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []segment.RestoreMode{segment.Copy, segment.Map} {
-			_, err := OpenSnapshot(b, RestoreOptions{Mode: mode})
-			if mode == segment.Map && errors.Is(err, segment.ErrMapUnsupported) {
-				continue
+	// mismatch, not as damage: the operator's remedy differs. Version 2
+	// stored full mean/min/max pyramid planes and an int64 events
+	// column.
+	for old := 1; old < segment.FormatVersion; old++ {
+		t.Run(fmt.Sprintf("version-%d-manifest", old), func(t *testing.T) {
+			path := filepath.Join(dir, segment.ManifestName)
+			orig, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !errors.Is(err, segment.ErrVersion) || errors.Is(err, segment.ErrCorrupt) {
-				t.Fatalf("mode %v: got %v, want ErrVersion and not ErrCorrupt", mode, err)
+			defer restoreFile(t, path, orig)
+			cur := fmt.Sprintf(`"format_version": %d,`, segment.FormatVersion)
+			prev := bytes.Replace(orig, []byte(cur), []byte(fmt.Sprintf(`"format_version": %d,`, old)), 1)
+			if bytes.Equal(prev, orig) {
+				t.Fatalf("manifest has no %s field", cur)
 			}
-		}
-	})
+			if err := os.WriteFile(path, prev, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []segment.RestoreMode{segment.Copy, segment.Map} {
+				_, err := OpenSnapshot(b, RestoreOptions{Mode: mode})
+				if mode == segment.Map && errors.Is(err, segment.ErrMapUnsupported) {
+					continue
+				}
+				if !errors.Is(err, segment.ErrVersion) || errors.Is(err, segment.ErrCorrupt) {
+					t.Fatalf("mode %v: got %v, want ErrVersion and not ErrCorrupt", mode, err)
+				}
+			}
+		})
+	}
 
 	t.Run("no-snapshot", func(t *testing.T) {
 		empty, err := segment.NewDir(t.TempDir())
@@ -329,11 +335,10 @@ func restoreFile(t *testing.T, path string, data []byte) {
 	}
 }
 
-// TestSnapshotEventColumnUnchanged pins the series section's format
-// across the packed event plane: the writer unpacks every region back to
-// the int64 events column, equal to the classified days, so
-// segment.FormatVersion does not move. Deltas ride along.
-func TestSnapshotEventColumnUnchanged(t *testing.T) {
+// TestSnapshotEventPlaneRoundTrip: the series section stores the packed
+// event plane itself — every region's base-3 run back to back, deltas
+// riding along — and both restore modes adopt it byte for byte.
+func TestSnapshotEventPlaneRoundTrip(t *testing.T) {
 	arch, err := synth.WeatherArchive(synth.WeatherConfig{Seed: 17, Regions: 31, Days: 97, MeanTempC: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -353,6 +358,10 @@ func TestSnapshotEventColumnUnchanged(t *testing.T) {
 	if err := e.Snapshot(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
+	var want []byte
+	for _, reg := range arch {
+		want = fsm.AppendPackedSeries(want, reg.Days)
+	}
 	snap, err := segment.Open(b, segment.Copy)
 	if err != nil {
 		t.Fatal(err)
@@ -362,42 +371,99 @@ func TestSnapshotEventColumnUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dr.Ints("events")
-	if err != nil {
-		t.Fatal(err)
+	if got, err := dr.Raw("events"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("events section: %d bytes (err %v), want the %d-byte packed plane", len(got), err, len(want))
 	}
-	var want []int64
-	for _, reg := range arch {
-		want = append(want, fsm.EncodeEvents(fsm.ClassifySeries(reg.Days))...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("events column holds %d values, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("events[%d] = %d, want %d", i, got[i], want[i])
+	for _, mode := range []segment.RestoreMode{segment.Copy, segment.Map} {
+		r := openRestored(t, b, mode)
+		var got []byte
+		for _, sh := range r.series["weather"].scan {
+			for i := range sh.regions {
+				p, _ := sh.eventsOf(i)
+				got = append(got, p...)
+			}
+		}
+		r.Close()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v restore: event plane differs from the built one", mode)
 		}
 	}
 }
 
-// TestRestoreRefusesBadEventSymbols: the restore step that packs the
-// events column refuses a symbol outside 0..2 as corrupt, rather than
-// restoring a region every later FSM query would fail on.
+// TestRestoreRefusesBadEventSymbols: restore adopts the packed plane
+// only when every region's run is well-formed — its length, every code
+// below 243, no digit past its tail days — and refuses anything else as
+// corrupt, rather than restoring a region every later FSM query would
+// fail on.
 func TestRestoreRefusesBadEventSymbols(t *testing.T) {
 	ids := []int{4, 9}
 	sums := make([]synth.DrySpellStats, 2)
 	days := []int{3, 6}
-	good := []int64{0, 1, 2, 2, 2, 1, 0, 0, 1}
+	// Region 4: 0,1,2 -> 0+3+18. Region 9: 2,2,1,0,0 | 1 -> 2+6+9, 1.
+	good := []byte{21, 17, 1}
 	if _, err := restoredSeriesSet(ids, sums, good, days, 2); err != nil {
-		t.Fatalf("valid column refused: %v", err)
+		t.Fatalf("valid plane refused: %v", err)
 	}
-	for _, bad := range []int64{3, -1} {
-		for _, at := range []int{0, 4, 8} {
-			col := append([]int64(nil), good...)
-			col[at] = bad
-			if _, err := restoredSeriesSet(ids, sums, col, days, 2); !errors.Is(err, segment.ErrCorrupt) {
-				t.Fatalf("symbol %d at %d: err %v, want segment.ErrCorrupt", bad, at, err)
-			}
+	bad := [][]byte{
+		{243, 17, 1}, {21, 255, 1}, {21, 17, 243}, // a code past 242
+		{27, 17, 1}, {21, 17, 3}, // a digit past the tail days
+		{21, 17}, {21, 17, 1, 0}, {}, // the wrong length
+	}
+	for _, p := range bad {
+		if _, err := restoredSeriesSet(ids, sums, p, days, 2); !errors.Is(err, segment.ErrCorrupt) {
+			t.Fatalf("plane %v: err %v, want segment.ErrCorrupt", p, err)
 		}
+	}
+	if _, err := restoredSeriesSet(ids, sums, good, []int{3, math.MaxInt}, 2); !errors.Is(err, segment.ErrCorrupt) {
+		t.Fatalf("huge day count: err %v, want segment.ErrCorrupt", err)
+	}
+}
+
+// TestSceneSectionSizes pins the scene section layout for bench's scene
+// shape, 512² with four bands, built to its apex by default: level 0
+// stores W·H·B floats and each coarser w×h level 2·w·h·B, its min/max
+// envelopes. No level stores a mean it does not serve.
+func TestSceneSectionSizes(t *testing.T) {
+	sc, err := synth.LandsatScene(synth.SceneConfig{Seed: 5, W: 512, H: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := archive.BuildScene("scene", sc.Bands, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngineWith(Options{Shards: 1})
+	defer e.Close()
+	if err := e.AddScene("scene", arch); err != nil {
+		t.Fatal(err)
+	}
+	mem := segment.NewMem()
+	if err := e.Snapshot(context.Background(), mem); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := segment.Open(mem, segment.Copy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	counts := map[string]int{}
+	for _, s := range snap.Manifest().Datasets[0].Sections {
+		counts[s.Name] = s.Count
+	}
+	const bands = 4
+	want := map[string]int{"pyr0": 512 * 512 * bands}
+	for l, side := 1, 256; side >= 1; l, side = l+1, side/2 {
+		want[fmt.Sprintf("pyr%d", l)] = 2 * side * side * bands
+	}
+	if len(want) != 10 {
+		t.Fatalf("want table holds %d levels", len(want))
+	}
+	for name, n := range want {
+		if counts[name] != n {
+			t.Fatalf("section %s holds %d floats, want %d", name, counts[name], n)
+		}
+	}
+	if _, ok := counts[fmt.Sprintf("pyr%d", len(want))]; ok {
+		t.Fatalf("a pyramid plane past the 1x1 apex")
 	}
 }

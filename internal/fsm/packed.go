@@ -40,41 +40,49 @@ var decode = func() (d [packCodes][packDays]uint8) {
 // PackedLen is the byte length of a packed run of n events.
 func PackedLen(n int) int { return (n + packDays - 1) / packDays }
 
-// pack appends the n symbols sym(0..n-1) five per byte. It stops at the
-// first symbol outside 0..2 and reports its position and value; pos is
-// -1 when every symbol packed.
-func pack(dst []byte, n int, sym func(i int) int64) (out []byte, pos int, bad int64) {
+// pack appends the n events sym(0..n-1), each one of the three packed
+// symbols, five per byte.
+func pack(dst []byte, n int, sym func(i int) Event) []byte {
 	for lo := 0; lo < n; lo += packDays {
 		var code, mul byte = 0, 1
 		for i := lo; i < min(lo+packDays, n); i++ {
-			v := sym(i)
-			if v < 0 || v > 2 {
-				return dst, i, v
-			}
-			code += byte(v) * mul
+			code += byte(sym(i)) * mul
 			mul *= 3
 		}
 		dst = append(dst, code)
 	}
-	return dst, -1, 0
-}
-
-// AppendPackedSeries appends ClassifySeries(days) in packed form without
-// materialising the event slice. Classified days are always packable.
-func AppendPackedSeries(dst []byte, days []synth.DayWeather) []byte {
-	dst, _, _ = pack(dst, len(days), func(i int) int64 { return int64(ClassifyDay(days[i])) })
 	return dst
 }
 
-// PackColumn appends the packed form of a snapshot event column (see
-// EncodeEvents). It refuses a value outside the packed symbols 0..2.
-func PackColumn(dst []byte, col []int64) ([]byte, error) {
-	dst, pos, v := pack(dst, len(col), func(i int) int64 { return col[i] })
-	if pos >= 0 {
-		return dst, fmt.Errorf("fsm: event %d at position %d is not a packed symbol (0..2)", v, pos)
-	}
-	return dst, nil
+// AppendPackedSeries appends ClassifySeries(days) in packed form without
+// materialising the event slice.
+func AppendPackedSeries(dst []byte, days []synth.DayWeather) []byte {
+	return pack(dst, len(days), func(i int) Event { return ClassifyDay(days[i]) })
 }
+
+// CheckPacked refuses p unless it is a well-formed packed run of n
+// events, as a snapshot restore must before adopting it: PackedLen(n)
+// bytes, each a code below 243, with no digit set past the n%5 tail
+// days of the last byte.
+func CheckPacked(p []byte, n int) error {
+	if len(p) != PackedLen(n) {
+		return fmt.Errorf("fsm: %d packed bytes for %d events", len(p), n)
+	}
+	for i, c := range p {
+		if c >= packCodes {
+			return fmt.Errorf("fsm: packed byte %d holds code %d, past %d", i, c, packCodes-1)
+		}
+	}
+	if tail := n % packDays; tail > 0 {
+		if c, limit := p[len(p)-1], pow3[tail]; int(c) >= limit {
+			return fmt.Errorf("fsm: last packed byte %d holds digits past its %d tail days", c, tail)
+		}
+	}
+	return nil
+}
+
+// pow3[k] is 3^k.
+var pow3 = [packDays + 1]int{1, 3, 9, 27, 81, 243}
 
 // AppendUnpacked appends the n events of packed run p.
 func AppendUnpacked(dst []Event, p []byte, n int) []Event {
@@ -93,7 +101,8 @@ func AppendUnpacked(dst []Event, p []byte, n int) []Event {
 // An entry is stored as two parallel planes: steps, the 8 bytes a
 // scoring scan reads per byte, and idx, the count indices only
 // extraction reads. Entry k = s*243+c is steps[k] and idx[k]; both are
-// nil when the table is not compiled.
+// nil when the table is not compiled, and idx is nil in a scoring
+// table (NewTable).
 type Table struct {
 	m     *Machine
 	steps []step
@@ -113,19 +122,27 @@ type step struct {
 	first int8 // offset of the first such day, -1 if none
 }
 
-// NewTable prepares m for scanning packedBytes bytes of packed runs.
-// The step table costs |S|·243·5 steps to build, so it is compiled only
-// when |S|·243 is at most packedBytes: building it never costs more
-// than the scan it serves. (Its count indices must also fit an int32,
-// which any machine small enough to extract from does.)
-func NewTable(m *Machine, packedBytes int) *Table {
+// NewTable prepares m for scoring packedBytes bytes of packed runs
+// (FlyScore). The step table costs |S|·243·5 steps to build, so it is
+// compiled only when |S|·243 is at most packedBytes: building it never
+// costs more than the scan it serves. Its Extract steps day by day.
+func NewTable(m *Machine, packedBytes int) *Table { return newTable(m, packedBytes, false) }
+
+// NewExtractTable is NewTable for extraction: a compiled table also
+// holds the count indices Extract reads per byte. (They must fit an
+// int32, which any machine small enough to extract from does.)
+func NewExtractTable(m *Machine, packedBytes int) *Table { return newTable(m, packedBytes, true) }
+
+func newTable(m *Machine, packedBytes int, extract bool) *Table {
 	t := &Table{m: m}
 	ns, ne := m.NumStates(), m.NumEvents()
-	if ns*packCodes > packedBytes || ns*ne*ns > math.MaxInt32 {
+	if ns*packCodes > packedBytes || (extract && ns*ne*ns > math.MaxInt32) {
 		return t
 	}
 	t.steps = make([]step, ns*packCodes)
-	t.idx = make([][packDays]int32, ns*packCodes)
+	if extract {
+		t.idx = make([][packDays]int32, ns*packCodes)
+	}
 	for s := 0; s < ns; s++ {
 		for c := 0; c < packCodes; c++ {
 			k := s*packCodes + c
@@ -136,7 +153,9 @@ func NewTable(m *Machine, packedBytes int) *Table {
 					break
 				}
 				to := m.trans[cur*ne+int(e)]
-				t.idx[k][d] = int32((cur*ne+int(e))*ns + to)
+				if extract {
+					t.idx[k][d] = int32((cur*ne+int(e))*ns + to)
+				}
 				cur = to
 				if m.accept[cur] {
 					if st.first < 0 {
@@ -227,7 +246,7 @@ func (t *Table) Extract(p []byte, n int, sc *Scratch) (*Machine, error) {
 	ns, ne := ref.NumStates(), ref.NumEvents()
 	counts := sc.ints(ns * ne * ns)
 	s, i := ref.start, 0
-	if t.steps != nil {
+	if t.idx != nil {
 		row := s * packCodes
 		for _, c := range p[:n/packDays] {
 			k := row + int(c)

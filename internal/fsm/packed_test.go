@@ -10,14 +10,18 @@ import (
 )
 
 // TestPackRoundTrip: packing five days per byte and unpacking returns
-// the events, at every length around a byte boundary; the packed form
-// of a weather series equals its classified events; and a column value
-// outside 0..2 is refused at its position.
+// the events, at every length around a byte boundary, and CheckPacked
+// accepts the run; the packed form of a weather series equals its
+// classified events; and CheckPacked refuses a run of the wrong length,
+// a code past 242 and a digit set past the tail days.
 func TestPackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 0; n <= 17; n++ {
 		ev := randomEventSeries(rng, n, 3)
-		p := mustPack(t, ev)
+		p := packEvents(ev)
+		if err := CheckPacked(p, n); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		if len(p) != PackedLen(n) {
 			t.Fatalf("n=%d: %d bytes, want %d", n, len(p), PackedLen(n))
 		}
@@ -31,14 +35,23 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 	for _, reg := range arch {
 		p := AppendPackedSeries(nil, reg.Days)
-		if want := mustPack(t, ClassifySeries(reg.Days)); !reflect.DeepEqual(p, want) {
+		if want := packEvents(ClassifySeries(reg.Days)); !reflect.DeepEqual(p, want) {
 			t.Fatalf("region %d: packed series differs from packed classification", reg.Region)
 		}
 	}
-	for _, col := range [][]int64{{0, 1, 3}, {2, 2, 2, 2, 2, 2, -1}} {
-		if _, err := PackColumn(nil, col); err == nil {
-			t.Fatalf("column %v packed", col)
+	for _, c := range []struct {
+		p []byte
+		n int
+	}{
+		{[]byte{0, 0}, 5}, {[]byte{0}, 6}, {[]byte{243}, 5}, {[]byte{0, 255}, 10},
+		{[]byte{3}, 1}, {[]byte{0, 9}, 7}, {[]byte{0, 81}, 9},
+	} {
+		if err := CheckPacked(c.p, c.n); err == nil {
+			t.Fatalf("run %v of %d events accepted", c.p, c.n)
 		}
+	}
+	if err := CheckPacked([]byte{242, 8}, 7); err != nil {
+		t.Fatalf("largest codes refused: %v", err)
 	}
 }
 
@@ -86,27 +99,27 @@ func FuzzPackedMatchesRun(f *testing.F) {
 		for i, b := range raw {
 			ev[i] = Event(b % 3)
 		}
-		p := mustPack(t, ev)
+		p := packEvents(ev)
 		wantRun, wantRunErr := m.Run(ev)
 		wantScore, wantScoreErr := FlyScore(m, ev)
 		wantExt, wantExtErr := Extract(m, [][]Event{ev})
 		sc := NewScratch()
-		for _, tab := range []*Table{NewTable(m, 1<<20), NewTable(m, 0)} {
+		for _, tab := range []*Table{NewExtractTable(m, 1<<20), NewTable(m, 1<<20), NewExtractTable(m, 0)} {
 			run, err := tab.run(p, len(ev))
 			if !sameErr(err, wantRunErr) || run != wantRun {
-				t.Fatalf("compiled %v: run %+v, %v; want %+v, %v", tab.steps != nil, run, err, wantRun, wantRunErr)
+				t.Fatalf("steps %v idx %v: run %+v, %v; want %+v, %v", tab.steps != nil, tab.idx != nil, run, err, wantRun, wantRunErr)
 			}
 			score, err := tab.FlyScore(p, len(ev))
 			if !sameErr(err, wantScoreErr) || score != wantScore {
-				t.Fatalf("compiled %v: FlyScore %v, %v; want %v, %v", tab.steps != nil, score, err, wantScore, wantScoreErr)
+				t.Fatalf("steps %v idx %v: FlyScore %v, %v; want %v, %v", tab.steps != nil, tab.idx != nil, score, err, wantScore, wantScoreErr)
 			}
 			ext, err := tab.Extract(p, len(ev), sc)
 			if !sameErr(err, wantExtErr) {
-				t.Fatalf("compiled %v: Extract error %v, want %v", tab.steps != nil, err, wantExtErr)
+				t.Fatalf("steps %v idx %v: Extract error %v, want %v", tab.steps != nil, tab.idx != nil, err, wantExtErr)
 			}
 			if err == nil && (ext.start != wantExt.start || !reflect.DeepEqual(ext.trans, wantExt.trans) ||
 				!reflect.DeepEqual(ext.accept, wantExt.accept)) {
-				t.Fatalf("compiled %v: extracted %v, want %v", tab.steps != nil, ext.trans, wantExt.trans)
+				t.Fatalf("steps %v idx %v: extracted %v, want %v", tab.steps != nil, tab.idx != nil, ext.trans, wantExt.trans)
 			}
 		}
 	})

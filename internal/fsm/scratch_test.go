@@ -14,15 +14,9 @@ func randomEventSeries(rng *rand.Rand, n, ne int) []Event {
 	return out
 }
 
-// mustPack packs an event series the way restore packs a snapshot
-// column.
-func mustPack(t testing.TB, ev []Event) []byte {
-	t.Helper()
-	p, err := PackColumn(nil, EncodeEvents(ev))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// packEvents packs an event series of the three packed symbols.
+func packEvents(ev []Event) []byte {
+	return pack(nil, len(ev), func(i int) Event { return ev[i] })
 }
 
 // TestPackedExtractMatchesExtract: extraction from a packed run, through
@@ -33,13 +27,13 @@ func TestPackedExtractMatchesExtract(t *testing.T) {
 	ref := FireAnts()
 	rng := rand.New(rand.NewSource(41))
 	sc := NewScratch()
-	tabs := []*Table{NewTable(ref, 1<<20), NewTable(ref, 0)}
-	if tabs[0].steps == nil || tabs[1].steps != nil {
-		t.Fatal("compile rule: want one compiled and one day-by-day table")
+	tabs := []*Table{NewExtractTable(ref, 1<<20), NewTable(ref, 1<<20), NewExtractTable(ref, 0)}
+	if tabs[0].idx == nil || tabs[1].steps == nil || tabs[1].idx != nil || tabs[2].steps != nil {
+		t.Fatal("compile rule: want an extraction table, a scoring table and a day-by-day table")
 	}
 	for trial := 0; trial < 50; trial++ {
 		ev := randomEventSeries(rng, 5+rng.Intn(200), ref.NumEvents())
-		p := mustPack(t, ev)
+		p := packEvents(ev)
 		want, err := Extract(ref, [][]Event{ev})
 		if err != nil {
 			t.Fatal(err)
@@ -154,8 +148,8 @@ func TestScratchSteadyStateZeroAllocs(t *testing.T) {
 	ref := FireAnts()
 	rng := rand.New(rand.NewSource(47))
 	ev := randomEventSeries(rng, 365, ref.NumEvents())
-	p := mustPack(t, ev)
-	tab := NewTable(ref, 1<<20)
+	p := packEvents(ev)
+	tab := NewExtractTable(ref, 1<<20)
 	memo := NewDistanceMemo(ref, 8)
 	sc := NewScratch()
 	cycle := func() {

@@ -102,15 +102,13 @@ func Flat(m *linear.Model, mp *pyramid.MultibandPyramid, k int) (Result, error) 
 	if err != nil {
 		return res, err
 	}
-	base := mp.Band(0).Level(0).Mean
-	w, hgt := base.Width(), base.Height()
+	base := mp.Flat(0)
+	w, hgt := base.W, base.H
 	nTerms := m.NumTerms()
 	x := make([]float64, nTerms)
 	for y := 0; y < hgt; y++ {
 		for xx := 0; xx < w; xx++ {
-			for i, b := range bind.Bands {
-				x[i] = mp.Band(b).Level(0).Mean.At(xx, y)
-			}
+			base.Means(xx, y, bind.Bands, x)
 			res.Stats.PixelTermEvals += nTerms
 			res.Stats.PixelsVisited++
 			h.OfferScore(int64(y*w+xx), m.EvalUnchecked(x))
@@ -133,8 +131,8 @@ func ProgModel(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int)
 	if k < 1 {
 		return res, errors.New("progressive: k must be >= 1")
 	}
-	base := mp.Band(0).Level(0).Mean
-	w, hgt := base.Width(), base.Height()
+	base := mp.Flat(0)
+	w, hgt := base.W, base.H
 	n := w * hgt
 
 	// Pass 1: coarse sub-model everywhere.
@@ -143,9 +141,7 @@ func ProgModel(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int)
 	c0 := pm.CostAt(0)
 	for y := 0; y < hgt; y++ {
 		for xx := 0; xx < w; xx++ {
-			for i, b := range bind.Bands {
-				x[i] = mp.Band(b).Level(0).Mean.At(xx, y)
-			}
+			base.Means(xx, y, bind.Bands, x)
 			coarse[y*w+xx] = pm.EvalLevelUnchecked(0, x)
 			res.Stats.PixelTermEvals += c0
 			res.Stats.PixelsVisited++
@@ -169,9 +165,7 @@ func ProgModel(pm *linear.ProgressiveModel, mp *pyramid.MultibandPyramid, k int)
 			continue
 		}
 		y, xx := id/w, id%w
-		for i, b := range bind.Bands {
-			x[i] = mp.Band(b).Level(0).Mean.At(xx, y)
-		}
+		base.Means(xx, y, bind.Bands, x)
 		// Charge only the terms the coarse level did not evaluate.
 		res.Stats.PixelTermEvals += fullCost - c0
 		h.OfferScore(int64(id), m.EvalUnchecked(x))
@@ -590,14 +584,12 @@ func RiskSurface(m *linear.Model, mp *pyramid.MultibandPyramid) (*raster.Grid, e
 	if err != nil {
 		return nil, err
 	}
-	base := mp.Band(0).Level(0).Mean
-	out := raster.MustGrid(base.Width(), base.Height())
+	base := mp.Flat(0)
+	out := raster.MustGrid(base.W, base.H)
 	x := make([]float64, m.NumTerms())
-	for y := 0; y < base.Height(); y++ {
-		for xx := 0; xx < base.Width(); xx++ {
-			for i, b := range bind.Bands {
-				x[i] = mp.Band(b).Level(0).Mean.At(xx, y)
-			}
+	for y := 0; y < base.H; y++ {
+		for xx := 0; xx < base.W; xx++ {
+			base.Means(xx, y, bind.Bands, x)
 			out.Set(xx, y, m.EvalUnchecked(x))
 		}
 	}

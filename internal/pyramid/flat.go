@@ -1,24 +1,27 @@
-// Columnar pyramid storage. The per-band Grid pyramids (pyramid.go)
-// keep mean, min and max in six-plus separate allocations per level,
-// so one branch-and-bound cell bound pays a pointer chase per band per
-// plane. FlatLevel rebuilds each level as ONE allocation holding every
-// band's mean/min/max triples in cell-major order:
+// Columnar pyramid storage. A FlatLevel holds one pyramid level of
+// every band in ONE allocation, cell-major, and stores only what the
+// scene descent reads from that level:
 //
-//	vals[((y*W+x)*Bands + b)*3 + plane]   plane: 0=mean 1=min 2=max
+//	level 0:   vals[(y*W+x)*Bands + b]              the cell's value
+//	level ≥ 1: vals[((y*W+x)*Bands + b)*2 + plane]  plane: 0=min 1=max
 //
-// so the whole envelope of a cell — all bands, both bounds — sits in
-// one or two cache lines, read with a single base computation. Cells
-// are row-major blocks of the level below: each level-l cell IS the
-// zone map (min/max box) of the 2×2 block of level-(l-1) cells it
-// covers, which is exactly what the descent's interval bound consumes
-// to prune a whole tile block before touching its pixels.
+// The descent bounds coarse cells by their min/max envelopes and reads
+// values only at full resolution, so a coarse mean is never stored and
+// level 0 stores its value once: the envelope of a single cell is the
+// cell itself, lo = hi = value. The whole envelope of a cell — all
+// bands, both bounds — sits in one or two cache lines, read with a
+// single base computation. Cells are row-major blocks of the level
+// below: each level-l cell IS the zone map (min/max box) of the 2×2
+// block of level-(l-1) cells it covers, which is exactly what the
+// descent's interval bound consumes to prune a whole tile block before
+// touching its pixels.
 //
-// Values are copied verbatim from the Grid pyramids, so every bound
-// and every pixel score computed through the flat view is bit-identical
-// to the Grid path.
+// Envelopes are computed with downMin/downMax's comparisons in their
+// order, so every bound and every pixel score computed through the flat
+// view is bit-identical to the Grid pyramid Build makes.
 package pyramid
 
-import "modelir/internal/raster"
+import "math"
 
 // FlatLevel is one pyramid level across all bands in a single
 // cell-major allocation. See the package comment in flat.go for the
@@ -27,84 +30,84 @@ type FlatLevel struct {
 	// W, H are the level's cell grid dimensions; Scale is the linear
 	// downsampling factor relative to level 0.
 	W, H, Scale int
-	// Bands is the band count (the stride multiplier).
+	// Bands is the band count.
 	Bands int
-	// vals holds W*H*Bands*3 float64s, cell-major then band then
-	// mean/min/max.
-	vals []float64
+	// stride is the values stored per band and cell: 1 at level 0
+	// (the value), 2 above it (min, max).
+	stride int
+	vals   []float64
 }
 
 // Envelope fills lo[i], hi[i] with the min/max envelope of model
 // attribute i (bound to band bands[i]) at cell (x, y). Callers must
 // pass in-bounds coordinates; this is the descent's hot bound path.
 func (fl *FlatLevel) Envelope(x, y int, bands []int, lo, hi []float64) {
-	base := (y*fl.W + x) * fl.Bands * 3
-	v := fl.vals[base : base+fl.Bands*3 : base+fl.Bands*3]
+	n := fl.Bands * fl.stride
+	base := (y*fl.W + x) * n
+	v := fl.vals[base : base+n : base+n]
+	if fl.stride == 1 {
+		for i, b := range bands {
+			lo[i], hi[i] = v[b], v[b]
+		}
+		return
+	}
 	for i, b := range bands {
-		lo[i] = v[b*3+1]
-		hi[i] = v[b*3+2]
+		lo[i] = v[2*b]
+		hi[i] = v[2*b+1]
 	}
 }
 
-// Means fills dst[i] with the mean value of band bands[i] at cell
-// (x, y) — the pixel-evaluation read at level 0.
+// Means fills dst[i] with the value of band bands[i] at cell (x, y) of
+// level 0 — the pixel-evaluation read. Coarser levels store no means.
 func (fl *FlatLevel) Means(x, y int, bands []int, dst []float64) {
-	base := (y*fl.W + x) * fl.Bands * 3
-	v := fl.vals[base : base+fl.Bands*3 : base+fl.Bands*3]
+	base := (y*fl.W + x) * fl.Bands
+	v := fl.vals[base : base+fl.Bands : base+fl.Bands]
 	for i, b := range bands {
-		dst[i] = v[b*3]
+		dst[i] = v[b]
 	}
 }
 
-// At returns one plane value (0=mean, 1=min, 2=max) of band b at cell
-// (x, y) — the single-value accessor tests and tools use.
-func (fl *FlatLevel) At(x, y, b, plane int) float64 {
-	return fl.vals[((y*fl.W+x)*fl.Bands+b)*3+plane]
+// Bounds returns the min/max envelope of band b at cell (x, y).
+func (fl *FlatLevel) Bounds(x, y, b int) (lo, hi float64) {
+	o := ((y*fl.W+x)*fl.Bands + b) * fl.stride
+	return fl.vals[o], fl.vals[o+fl.stride-1]
 }
 
-// buildFlatLevels constructs the cell-major flat view of every level
-// shared by all bands (the minimum level count across bands).
-func buildFlatLevels(bands []*Pyramid) []FlatLevel {
-	if len(bands) == 0 {
-		return nil
-	}
-	nLevels := bands[0].NumLevels()
-	for _, p := range bands[1:] {
-		if p.NumLevels() < nLevels {
-			nLevels = p.NumLevels()
+// downEnvelope builds the level above src: each cell's min/max over the
+// 2×2 block of src cells it covers, per band, comparing the children in
+// downMin/downMax's order.
+func downEnvelope(src *FlatLevel) FlatLevel {
+	nw, nh, nb := (src.W+1)/2, (src.H+1)/2, src.Bands
+	dst := FlatLevel{W: nw, H: nh, Scale: src.Scale * 2, Bands: nb, stride: 2,
+		vals: make([]float64, nw*nh*nb*2)}
+	for y := 0; y < nh; y++ {
+		for x := 0; x < nw; x++ {
+			d := dst.vals[(y*nw+x)*nb*2:][:nb*2]
+			for b := 0; b < nb; b++ {
+				d[2*b], d[2*b+1] = math.Inf(1), math.Inf(-1)
+			}
+			for dy := 0; dy < 2; dy++ {
+				for dx := 0; dx < 2; dx++ {
+					sx, sy := 2*x+dx, 2*y+dy
+					if sx >= src.W || sy >= src.H {
+						continue
+					}
+					for b := 0; b < nb; b++ {
+						lo, hi := src.Bounds(sx, sy, b)
+						if lo < d[2*b] {
+							d[2*b] = lo
+						}
+						if hi > d[2*b+1] {
+							d[2*b+1] = hi
+						}
+					}
+				}
+			}
 		}
 	}
-	nb := len(bands)
-	out := make([]FlatLevel, nLevels)
-	for l := 0; l < nLevels; l++ {
-		lvl := bands[0].Level(l)
-		w, h := lvl.Mean.Width(), lvl.Mean.Height()
-		fl := FlatLevel{W: w, H: h, Scale: lvl.Scale, Bands: nb,
-			vals: make([]float64, w*h*nb*3)}
-		for b, p := range bands {
-			bl := p.Level(l)
-			mean, min, max := bl.Mean, bl.Min, bl.Max
-			fillFlatBand(&fl, b, mean, min, max)
-		}
-		out[l] = fl
-	}
-	return out
+	return dst
 }
 
-func fillFlatBand(fl *FlatLevel, b int, mean, min, max *raster.Grid) {
-	stride := fl.Bands * 3
-	for y := 0; y < fl.H; y++ {
-		mr, nr, xr := mean.Row(y), min.Row(y), max.Row(y)
-		rowBase := y * fl.W * stride
-		for x := 0; x < fl.W; x++ {
-			o := rowBase + x*stride + b*3
-			fl.vals[o] = mr[x]
-			fl.vals[o+1] = nr[x]
-			fl.vals[o+2] = xr[x]
-		}
-	}
-}
-
-// Flat returns the columnar view of level l. The flat planes are built
-// once at BuildMultiband time and shared read-only by every query.
+// Flat returns the columnar view of level l, shared read-only by every
+// query.
 func (mp *MultibandPyramid) Flat(l int) *FlatLevel { return &mp.flat[l] }

@@ -8,16 +8,16 @@
 // per-cell min/max envelopes. The envelopes are what makes progressive
 // pruning *sound*: a coarse cell's [min,max] brackets every fine sample
 // beneath it, so a linear model's value over the block can be bounded
-// without touching the fine data. MultibandPyramid stacks one per band,
-// and FlatLevel (flat.go) is the cell-major view the scene descent
-// reads. The paper's wavelet storage of [3,13] is not reproduced: no
-// query reads wavelet coefficients, so the mean pyramid is the one
-// multi-resolution representation.
+// without touching the fine data. MultibandPyramid stores every band in
+// FlatLevel planes (flat.go), the cell-major view the scene descent
+// reads, and materializes per-band Pyramids from them on demand. The
+// paper's wavelet storage of [3,13] is not reproduced: no query reads
+// wavelet coefficients, so the mean pyramid is the one multi-resolution
+// representation.
 package pyramid
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -28,7 +28,9 @@ import (
 var ErrNoLevels = errors.New("pyramid: need at least one level")
 
 // Level is one resolution of a mean pyramid: the mean surface plus min/max
-// envelopes over the original cells each coarse cell covers.
+// envelopes over the original cells each coarse cell covers. At level 0
+// the three are one grid, since every envelope of a single cell is the
+// cell itself. Level grids are read-only.
 type Level struct {
 	Mean *raster.Grid
 	Min  *raster.Grid
@@ -54,7 +56,8 @@ func Build(g *raster.Grid, levels int) (*Pyramid, error) {
 		return nil, errors.New("pyramid: nil grid")
 	}
 	p := &Pyramid{levels: make([]Level, 0, levels)}
-	cur := Level{Mean: g.Clone(), Min: g.Clone(), Max: g.Clone(), Scale: 1}
+	base := g.Clone()
+	cur := Level{Mean: base, Min: base, Max: base, Scale: 1}
 	p.levels = append(p.levels, cur)
 	for len(p.levels) < levels && (cur.Mean.Width() > 1 || cur.Mean.Height() > 1) {
 		next := Level{
@@ -67,6 +70,17 @@ func Build(g *raster.Grid, levels int) (*Pyramid, error) {
 		cur = next
 	}
 	return p, nil
+}
+
+// ApexLevels is the level count of a pyramid over a w×h surface built
+// to its 1×1 apex, level 0 included.
+func ApexLevels(w, h int) int {
+	n := 1
+	for w > 1 || h > 1 {
+		w, h = (w+1)/2, (h+1)/2
+		n++
+	}
+	return n
 }
 
 // NumLevels returns the number of resolutions (level 0 = finest).
@@ -127,84 +141,96 @@ func downMax(g *raster.Grid) *raster.Grid {
 	return out
 }
 
-// MultibandPyramid carries one Pyramid per band of a scene, aligned by
-// level, so progressive model execution can bound multi-band linear models
-// per coarse cell.
+// MultibandPyramid carries every band of a scene, aligned by level, so
+// progressive model execution can bound multi-band linear models per
+// coarse cell. Its one stored representation is the flat planes
+// (flat.go); the per-band Grid pyramids materialize from them on the
+// first Band call, which no serving path makes.
 type MultibandPyramid struct {
-	names []string
-	// bands holds the per-band Grid pyramids. BuildMultiband populates
-	// it eagerly; a pyramid restored from flat planes (FromFlat) leaves
-	// it nil and materializes lazily on first Band call — the serving
-	// descent reads only the flat view, so a restored archive never
-	// pays for Grid materialization unless an off-engine path asks.
+	names    []string
+	flat     []FlatLevel
 	bands    []*Pyramid
 	bandOnce sync.Once
-	// flat is the columnar per-level view (flat.go): one allocation per
-	// level holding every band's mean/min/max, cell-major.
-	flat []FlatLevel
 }
 
-// BuildMultiband builds aligned pyramids for every band of m.
+// BuildMultiband builds the flat planes of every band of m: level 0
+// holds each band's values, and every coarser level, up to `levels`
+// levels or the 1×1 apex, the min/max envelopes of the level below.
 func BuildMultiband(m *raster.Multiband, levels int) (*MultibandPyramid, error) {
 	if m == nil {
 		return nil, errors.New("pyramid: nil multiband")
 	}
-	out := &MultibandPyramid{names: m.BandNames(), bands: make([]*Pyramid, m.NumBands())}
-	for i := 0; i < m.NumBands(); i++ {
-		p, err := Build(m.Band(i), levels)
-		if err != nil {
-			return nil, fmt.Errorf("band %d: %w", i, err)
-		}
-		out.bands[i] = p
+	if levels < 1 {
+		return nil, ErrNoLevels
 	}
-	out.flat = buildFlatLevels(out.bands)
-	return out, nil
+	w, h, nb := m.Width(), m.Height(), m.NumBands()
+	levels = min(levels, ApexLevels(w, h))
+	base := FlatLevel{W: w, H: h, Scale: 1, Bands: nb, stride: 1, vals: make([]float64, w*h*nb)}
+	for b := 0; b < nb; b++ {
+		g := m.Band(b)
+		for y := 0; y < h; y++ {
+			o := y*w*nb + b
+			for x, v := range g.Row(y) {
+				base.vals[o+x*nb] = v
+			}
+		}
+	}
+	flat := make([]FlatLevel, 1, levels)
+	flat[0] = base
+	for len(flat) < levels {
+		flat = append(flat, downEnvelope(&flat[len(flat)-1]))
+	}
+	return &MultibandPyramid{names: m.BandNames(), flat: flat}, nil
 }
 
 // NumBands returns the band count.
 func (mp *MultibandPyramid) NumBands() int { return len(mp.names) }
 
-// NumLevels returns the common level count (minimum across bands).
-// The flat view is built over exactly that minimum, so its length IS
-// the answer on both the built and the restored path.
+// NumLevels returns the level count.
 func (mp *MultibandPyramid) NumLevels() int { return len(mp.flat) }
 
-// Band returns the pyramid for band i, materializing Grid pyramids
-// from the flat planes first if this pyramid was restored planes-only.
+// Band returns the Grid pyramid of band i, materializing every band's
+// from the flat planes on first call.
 func (mp *MultibandPyramid) Band(i int) *Pyramid {
 	mp.bandOnce.Do(mp.materializeBands)
 	return mp.bands[i]
 }
 
-// materializeBands rebuilds the per-band Grid pyramids from the flat
-// cell-major planes. The flat values were copied verbatim from the
-// grids at build time (or restored bit-identical from a snapshot), so
-// the reverse copy reproduces the Grid path exactly.
-func (mp *MultibandPyramid) materializeBands() {
-	if mp.bands != nil {
-		return
+// BaseBand returns a fresh grid holding band b's level-0 values.
+func (mp *MultibandPyramid) BaseBand(b int) *raster.Grid {
+	fl := &mp.flat[0]
+	g := raster.MustGrid(fl.W, fl.H)
+	for y := 0; y < fl.H; y++ {
+		row := g.Row(y)
+		o := y*fl.W*fl.Bands + b
+		for x := range row {
+			row[x] = fl.vals[o+x*fl.Bands]
+		}
 	}
-	nb := len(mp.names)
-	bands := make([]*Pyramid, nb)
-	for b := 0; b < nb; b++ {
+	return g
+}
+
+// materializeBands rebuilds the per-band Grid pyramids exactly as
+// Build would: level 0 from the base plane, each coarser envelope
+// copied from its plane, and each coarser mean computed as Downsample2
+// of the mean below, the way Build computes it.
+func (mp *MultibandPyramid) materializeBands() {
+	bands := make([]*Pyramid, len(mp.names))
+	for b := range bands {
+		base := mp.BaseBand(b)
 		p := &Pyramid{levels: make([]Level, len(mp.flat))}
-		for l := range mp.flat {
+		p.levels[0] = Level{Mean: base, Min: base, Max: base, Scale: 1}
+		for l := 1; l < len(mp.flat); l++ {
 			fl := &mp.flat[l]
-			mean := raster.MustGrid(fl.W, fl.H)
 			lo := raster.MustGrid(fl.W, fl.H)
 			hi := raster.MustGrid(fl.W, fl.H)
-			stride := fl.Bands * 3
 			for y := 0; y < fl.H; y++ {
-				mr, nr, xr := mean.Row(y), lo.Row(y), hi.Row(y)
-				rowBase := y * fl.W * stride
-				for x := 0; x < fl.W; x++ {
-					o := rowBase + x*stride + b*3
-					mr[x] = fl.vals[o]
-					nr[x] = fl.vals[o+1]
-					xr[x] = fl.vals[o+2]
+				lr, hr := lo.Row(y), hi.Row(y)
+				for x := range lr {
+					lr[x], hr[x] = fl.Bounds(x, y, b)
 				}
 			}
-			p.levels[l] = Level{Mean: mean, Min: lo, Max: hi, Scale: fl.Scale}
+			p.levels[l] = Level{Mean: p.levels[l-1].Mean.Downsample2(), Min: lo, Max: hi, Scale: fl.Scale}
 		}
 		bands[b] = p
 	}

@@ -37,7 +37,7 @@ func corpusManifest() *Manifest {
 			{
 				Name: "weather", Kind: "series", Rows: 60, File: "ds-0001.seg",
 				Sections: []Section{
-					{Name: "events", Type: TypeI64, Count: 21900, Offset: 4096, Len: 175200,
+					{Name: "events", Type: TypeRaw, Count: 4380, Offset: 4096, Len: 4380,
 						SHA256: strings.Repeat("0f", 32)},
 				},
 			},

@@ -41,7 +41,7 @@ import (
 // FormatVersion is the current snapshot format version. A manifest or
 // section header carrying any other version is refused with ErrVersion,
 // so it changes whenever any dataset kind's section layout does.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // ManifestName is the backend file name of the snapshot manifest. It
 // is written last, atomically, so a directory either has a complete

@@ -71,9 +71,8 @@ type Scene struct {
 	// directly — the base grids are).
 	pyr *pyramid.MultibandPyramid
 
-	// base keeps the level-0 bands for serialization. A scene restored
-	// from a snapshot (SceneFromParts) leaves it nil and materializes
-	// lazily from the pyramid's finest level on first Base call.
+	// base is the level-0 multiband Base materializes from the pyramid's
+	// level-0 plane on first call, for built and restored scenes alike.
 	base     *raster.Multiband
 	baseOnce sync.Once
 
@@ -109,7 +108,6 @@ func BuildScene(name string, m *raster.Multiband, opt Options) (*Scene, error) {
 		W:         m.Width(),
 		H:         m.Height(),
 		BandNames: m.BandNames(),
-		base:      m,
 		opts:      opt,
 	}
 	sc.Tiles = raster.TileRect(m.Bounds(), opt.TileSize)
@@ -149,12 +147,12 @@ func BuildScene(name string, m *raster.Multiband, opt Options) (*Scene, error) {
 func (sc *Scene) Pyramid() *pyramid.MultibandPyramid { return sc.pyr }
 
 // Base returns the level-0 multiband scene, materializing it from the
-// pyramid's level-0 plane if the scene was restored planes-only. That
-// plane is a verbatim copy of the base bands, so the materialized
-// multiband is bit-identical to the built one.
+// pyramid's level-0 plane on first call. That plane is a verbatim copy
+// of the bands the scene was built from, so the materialized multiband
+// is bit-identical to them.
 func (sc *Scene) Base() *raster.Multiband {
 	sc.baseOnce.Do(func() {
-		if sc.base != nil || sc.pyr == nil {
+		if sc.pyr == nil {
 			return
 		}
 		grids := make([]*raster.Grid, sc.pyr.NumBands())
@@ -163,8 +161,9 @@ func (sc *Scene) Base() *raster.Multiband {
 		}
 		mb, err := raster.Stack(sc.BandNames, grids...)
 		if err != nil {
-			// SceneFromParts validated band count and geometry, so a
-			// failure here is a broken invariant, not bad input.
+			// BuildScene and SceneFromParts validated band count and
+			// geometry, so a failure here is a broken invariant, not bad
+			// input.
 			panic(fmt.Sprintf("archive: base materialization: %v", err))
 		}
 		sc.base = mb
@@ -213,18 +212,8 @@ type sceneWire struct {
 // level-0 bands; pyramids are rebuilt on load, trading CPU for a 2× file
 // size reduction).
 func (sc *Scene) Encode(w io.Writer) error {
-	wire := sceneWire{
-		Name:      sc.Name,
-		W:         sc.W,
-		H:         sc.H,
-		BandNames: sc.BandNames,
-		BandStats: sc.BandStats,
-		Tiles:     sc.Tiles,
-		Feats:     sc.TileFeatures,
-		Labels:    sc.TileLabels,
-		Opts:      sc.opts,
-	}
-	base := sc.Base() // materializes if the scene was restored planes-only
+	wire := sc.metaWire()
+	base := sc.Base()
 	wire.BandData = make([][]float64, base.NumBands())
 	for b := range wire.BandData {
 		wire.BandData[b] = base.Band(b).Data()
@@ -273,7 +262,6 @@ func ReadScene(r io.Reader) (*Scene, error) {
 		TileFeatures: wire.Feats,
 		TileLabels:   wire.Labels,
 		pyr:          pyr,
-		base:         mb,
 		opts:         wire.Opts,
 	}, nil
 }

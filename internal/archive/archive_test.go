@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"path/filepath"
 	"testing"
@@ -151,5 +152,41 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Fatal("want open error")
+	}
+}
+
+// TestEncodeFromPyramidMatchesInputBands: a built scene keeps no copy of
+// the multiband it was built from, so Encode writes the bands back out
+// of the pyramid's level-0 plane. The bytes must be the ones an encoder
+// reading the input bands writes, for an odd-sized scene with ±0 and
+// negative values too.
+func TestEncodeFromPyramidMatchesInputBands(t *testing.T) {
+	sc, err := synth.LandsatScene(synth.SceneConfig{Seed: 9, W: 77, H: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := sc.Bands
+	d := in.Band(1).Data()
+	d[0], d[1], d[2] = math.Copysign(0, -1), -3.5, math.SmallestNonzeroFloat64
+	a, err := BuildScene("odd", in, Options{TileSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.TileLabels = []int{4, 1}
+
+	var got bytes.Buffer
+	if err := a.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	wire := a.metaWire()
+	for b := 0; b < in.NumBands(); b++ {
+		wire.BandData = append(wire.BandData, in.Band(b).Data())
+	}
+	var want bytes.Buffer
+	if err := gob.NewEncoder(&want).Encode(wire); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Encode wrote %d bytes, the input bands encode to %d, and they differ", got.Len(), want.Len())
 	}
 }

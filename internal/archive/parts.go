@@ -18,7 +18,15 @@ import (
 // EncodeMeta serializes the archive's metadata, feature and semantics
 // levels (everything except the raw bands and pyramid).
 func (sc *Scene) EncodeMeta(w io.Writer) error {
-	wire := sceneWire{
+	if err := gob.NewEncoder(w).Encode(sc.metaWire()); err != nil {
+		return fmt.Errorf("archive: encode meta: %w", err)
+	}
+	return nil
+}
+
+// metaWire is the scene's wire form without the raw bands.
+func (sc *Scene) metaWire() sceneWire {
+	return sceneWire{
 		Name:      sc.Name,
 		W:         sc.W,
 		H:         sc.H,
@@ -29,10 +37,6 @@ func (sc *Scene) EncodeMeta(w io.Writer) error {
 		Labels:    sc.TileLabels,
 		Opts:      sc.opts,
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("archive: encode meta: %w", err)
-	}
-	return nil
 }
 
 // SceneFromParts decodes metadata written by EncodeMeta and attaches

@@ -40,6 +40,14 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// AppendBool appends v as one byte: 1 for true, 0 for false.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 // AppendFloats appends vs count-prefixed, element by element.
 func AppendFloats(b []byte, vs []float64) []byte {
 	b = AppendUint(b, uint64(len(vs)))
@@ -77,6 +85,24 @@ func (r *Reader) Byte() (byte, error) {
 	v := r.b[0]
 	r.b = r.b[1:]
 	return v, nil
+}
+
+// Bool consumes one byte written by AppendBool. Anything but 0 or 1 is
+// ErrCorrupt, so every decoded flag has exactly one encoding.
+func (r *Reader) Bool() (bool, error) {
+	v, err := r.Byte()
+	if err == nil && v > 1 {
+		err = ErrCorrupt
+	}
+	return v == 1, err
+}
+
+// Rest consumes and returns every remaining byte (a payload whose last
+// field runs to the end of the input). It aliases the input.
+func (r *Reader) Rest() []byte {
+	b := r.b
+	r.b = r.b[len(r.b):]
+	return b
 }
 
 // Uint consumes an 8-byte big-endian unsigned integer.

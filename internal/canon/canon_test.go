@@ -85,3 +85,32 @@ func TestReaderTruncation(t *testing.T) {
 		t.Fatalf("zero Reader Byte = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestBoolIsStrict: a flag encodes as exactly 0 or 1, and any other
+// byte is refused, so every decoded flag has one encoding.
+func TestBoolIsStrict(t *testing.T) {
+	b := AppendBool(AppendBool(nil, true), false)
+	if len(b) != 2 || b[0] != 1 || b[1] != 0 {
+		t.Fatalf("AppendBool wrote %v", b)
+	}
+	r := NewReader(append(b, 2))
+	if v, err := r.Bool(); err != nil || !v {
+		t.Fatalf("Bool = %v, %v", v, err)
+	}
+	if v, err := r.Bool(); err != nil || v {
+		t.Fatalf("Bool = %v, %v", v, err)
+	}
+	if _, err := r.Bool(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Bool of 2: err %v, want ErrCorrupt", err)
+	}
+	if _, err := r.Bool(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Bool past the end: err %v, want ErrCorrupt", err)
+	}
+	r = NewReader([]byte{7, 8, 9})
+	if _, err := r.Byte(); err != nil {
+		t.Fatal(err)
+	}
+	if rest := r.Rest(); len(rest) != 2 || rest[0] != 8 || r.Remaining() != 0 {
+		t.Fatalf("Rest = %v, %d remaining", rest, r.Remaining())
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"sync"
 
+	"modelir/internal/colstore"
 	"modelir/internal/synth"
 )
 
@@ -83,16 +84,18 @@ type tokenEntry struct {
 }
 
 // dsIngest is one dataset's write-side cursor: the global tuple row
-// watermark IDs are assigned from, the round-robin batch counter, and
-// the per-partition sequencing state. It is built lazily on the first
-// append by syncing seq state from the partitions' replicas, so a
-// restarted router resumes exactly where the cluster left off.
+// watermark IDs are assigned from, the tuple width batches must have,
+// the round-robin batch counter, and the per-partition sequencing
+// state. It is built lazily on the first append by syncing seq state
+// from the partitions' replicas, so a restarted router resumes exactly
+// where the cluster left off.
 type dsIngest struct {
 	kind DataKind
 
 	mu     sync.Mutex
 	synced bool
 	rows   int64 // next free global tuple row ID
+	width  int   // tuple width; 0 until a partition reports rows or a batch claims it
 	rr     uint64
 	parts  []*partIngestState
 }
@@ -201,12 +204,33 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 	if err != nil {
 		return AppendResult{}, err
 	}
+	if kind == KindTuples {
+		if err := colstore.Check(req.Tuples); err != nil {
+			return AppendResult{Rows: rows}, fmt.Errorf("%w: %q: %w", ErrAppendRefused, req.Dataset, err)
+		}
+	}
 
-	// Assign the batch's owning partition and (for tuples) its global
-	// ID base. The IDs are consumed even if the fan-out fails: the
-	// batch stays in the log and may still apply through catch-up. Only
-	// a refused batch gives them back.
+	// Check a tuple batch's width against the dataset's, then assign the
+	// batch's owning partition and (for tuples) its global ID base. A
+	// batch every replica would refuse is refused here, before it takes
+	// IDs a later batch could take IDs past, and before it can set the
+	// width of an empty partition it lands in; the first batch into a
+	// dataset no partition holds rows of claims the width. The IDs are
+	// consumed even if the fan-out fails: the batch stays in the log and
+	// may still apply through catch-up.
 	ds.mu.Lock()
+	claimed := false
+	if kind == KindTuples {
+		width := len(req.Tuples[0])
+		if ds.width == 0 {
+			ds.width, claimed = width, true
+		}
+		if width != ds.width {
+			ds.mu.Unlock()
+			return AppendResult{Rows: rows}, fmt.Errorf("%w: %q rows have width %d, the dataset %d",
+				ErrAppendRefused, req.Dataset, width, ds.width)
+		}
+	}
 	pa := ds.parts[ds.rr%uint64(len(ds.parts))]
 	ds.rr++
 	base := ds.rows
@@ -220,13 +244,10 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 		Tuples: req.Tuples, Series: req.Series, Wells: req.Wells,
 	}
 	res, err := r.replicate(ctx, pa, batch)
-	if kind == KindTuples && errors.Is(err, ErrAppendRefused) {
-		// No replica holds the refused rows: hand their IDs back unless a
-		// later batch has already taken IDs past them.
+	if claimed && errors.Is(err, ErrAppendRefused) {
+		// The replicas hold rows of another width after all.
 		ds.mu.Lock()
-		if ds.rows == base+int64(rows) {
-			ds.rows = base
-		}
+		ds.width = 0
 		ds.mu.Unlock()
 	}
 	return res, err
@@ -259,7 +280,7 @@ func (r *Router) replicate(ctx context.Context, pa *partIngestState, batch Appen
 	}
 	var targets, missed []string
 	for _, addr := range pa.nodes {
-		if r.health.appendable(addr) {
+		if r.health.servable(addr) {
 			targets = append(targets, addr)
 		} else {
 			missed = append(missed, addr)
@@ -435,9 +456,10 @@ func parseAppendAck(addr string, typ byte, payload []byte, seq uint64) (appendAc
 // ensureIngest returns the dataset's write-side state, syncing it from
 // the cluster on first use: each partition's replicas report their
 // append cursor and row watermark over 'U' frames, the highest cursor
-// seeds the sequence counter, and the highest watermark across
-// partitions seeds the global tuple row counter. Replicas already
-// behind the highest cursor are quarantined immediately.
+// seeds the sequence counter, the highest watermark across partitions
+// seeds the global tuple row counter, and any partition holding rows
+// gives the tuple width. Replicas already behind the highest cursor are
+// quarantined immediately.
 func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind) (*dsIngest, error) {
 	if kind == KindScene {
 		return nil, fmt.Errorf("%w: scenes", ErrNotAppendable)
@@ -464,6 +486,7 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 	}
 	parts := make([]*partIngestState, 0, len(placements))
 	var rows int64
+	width := 0
 	for _, pl := range placements {
 		pa := &partIngestState{part: pl.Part, nodes: pl.Nodes, acked: make(map[string]uint64)}
 		type report struct {
@@ -480,9 +503,9 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 			r.health.ok(addr)
 			rep := report{}
 			for _, e := range entries {
+				width = max(width, e.Width)
 				if e.Dataset == dataset && e.Part == pl.Part {
 					rep = report{lastSeq: e.LastSeq, watermark: e.Watermark}
-					break
 				}
 			}
 			reports[addr] = rep
@@ -527,6 +550,7 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 	sort.Slice(parts, func(i, j int) bool { return parts[i].part < parts[j].part })
 	ds.parts = parts
 	ds.rows = rows
+	ds.width = width
 	ds.synced = true
 	return ds, nil
 }

@@ -1,20 +1,19 @@
-// Catch-up: the road out of quarantine. A stale replica missed one or
-// more append batches; because every partition's appends carry
-// monotone sequence numbers and the router keeps each unacked batch's
-// encoded frame in its per-partition log, the repair is exact — ask the
-// replica for its cursor ('U'), replay precisely the logged batches
-// above it ('A', acked one by one), and the node's idempotent cursor
-// makes re-replaying an already-applied batch a no-op. Only when every
-// partition the replica owns is provably current — and no new batch was
-// missed while verifying (the quarantine generation) — does the health
-// tracker re-admit it.
-//
-// If the log no longer covers the replica's gap (the records were
-// pruned, or the log cap forced them out), replay alone cannot repair
-// it: CatchUp escalates to the snapshot resync path (resync.go), which
-// streams the owed partitions whole from a healthy donor and then
-// replays the remaining log tail. The replica always converges without
-// operator action as long as one healthy donor replica exists.
+// Repair: the road out of quarantine. A stale replica missed one or
+// more append batches. Every partition's appends carry monotone
+// sequence numbers, and the router keeps each batch's encoded frame in
+// the partition's log until every replica acked it, so the repair is
+// exact and runs one partition at a time under that partition's lock:
+// ask the replica for its cursor ('U'); if the log no longer covers the
+// gap above it (the records were pruned, or the log cap forced them
+// out), reinstall the partition from a donor's snapshot first (resync,
+// the node half in resync.go), which moves the cursor to the donor's
+// cut; then replay the logged batches above the cursor ('A', acked one
+// by one). The node's idempotent cursor makes re-replaying an
+// already-applied batch a no-op. Only when every partition the replica
+// owns is provably current — and no new batch was missed while
+// verifying (the quarantine generation) — does the health tracker
+// re-admit it. The replica converges without operator action as long as
+// one healthy donor replica exists.
 //
 // The same exchange doubles as the router's crash recovery: a replica
 // whose cursor is *ahead* of the router's (the router restarted and
@@ -25,16 +24,17 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// catchUpPasses bounds CatchUp's verify loop: each pass replays or
-// resyncs every owed partition, and a pass that ends with the
-// quarantine generation unchanged lifts the quarantine. More passes
-// are only needed when appends keep landing mid-verification.
+// catchUpPasses bounds CatchUp's verify loop: each pass repairs every
+// owned partition, and a pass that ends with the quarantine generation
+// unchanged lifts the quarantine. More passes are only needed when
+// appends keep landing mid-verification.
 const catchUpPasses = 5
 
 // ackDeadline converts the ack timeout into an absolute connection
@@ -48,9 +48,9 @@ func ackDeadline(ctx context.Context, timeout time.Duration) time.Time {
 }
 
 // dialRepair opens a short-lived repair connection for bulk traffic that
-// must stay off the shared peer connection: catch-up's log replay and
-// the resync transfers. The caller owns the socket alone, so it reads
-// replies inline and bounds each exchange with a deadline.
+// must stay off the shared peer connection: log replay and snapshot
+// transfers. The caller owns the socket alone, so it reads replies
+// inline and bounds each exchange with a deadline.
 func (r *Router) dialRepair(ctx context.Context, addr string) (*fconn, error) {
 	conn, err := r.dial(ctx, addr)
 	if err != nil {
@@ -93,11 +93,22 @@ func (r *Router) seqStateOf(ctx context.Context, addr, dataset string) ([]SeqEnt
 	}
 }
 
+// cursorOf is addr's record of one partition; a partition the node
+// reports nothing for reads as never appended to.
+func (r *Router) cursorOf(ctx context.Context, addr, dataset string, part int) (SeqEntry, error) {
+	entries, err := r.seqStateOf(ctx, addr, dataset)
+	for _, e := range entries {
+		if e.Dataset == dataset && e.Part == part {
+			return e, nil
+		}
+	}
+	return SeqEntry{Dataset: dataset, Part: part}, err
+}
+
 // CatchUp brings addr current on every partition it owns and, if the
 // quarantine generation did not move while verifying, re-admits it.
-// Partitions whose log no longer covers the replica's gap escalate to
-// snapshot resync. Safe to call on a healthy replica (the replay set is
-// empty) and idempotent on a stale one.
+// Safe to call on a healthy replica (nothing replays) and idempotent on
+// a stale one.
 func (r *Router) CatchUp(ctx context.Context, addr string) error {
 	for pass := 0; pass < catchUpPasses; pass++ {
 		gen := r.health.quarantineGen(addr)
@@ -108,58 +119,33 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 		}
 		r.ing.mu.Unlock()
 
-		var owed []owedPart
 		for name, ds := range sets {
 			ds.mu.Lock()
-			synced := ds.synced
-			parts := ds.parts
+			synced, parts := ds.synced, ds.parts
 			ds.mu.Unlock()
 			if !synced {
 				continue
 			}
 			var high int64
 			for _, pa := range parts {
-				owns := false
-				for _, n := range pa.nodes {
-					if n == addr {
-						owns = true
-						break
-					}
-				}
-				if !owns {
+				if !slices.Contains(pa.nodes, addr) {
 					continue
 				}
-				res, err := r.catchUpPart(ctx, addr, name, pa)
-				if errors.Is(err, ErrLogPruned) {
-					owed = append(owed, owedPart{dataset: name, pa: pa})
-					continue
-				}
+				rec, err := r.repairPart(ctx, addr, name, pa)
 				if err != nil {
 					return err
 				}
-				if res.watermark > high {
-					high = res.watermark
-				}
+				high = max(high, rec.Watermark)
 			}
 			// Ratchet the global tuple row counter to the highest
 			// watermark any owned partition reported: after a router
 			// restart a re-appearing replica may know of rows this router
 			// never sequenced, and a fresh append must not reuse their
-			// IDs. (Outside pa.mu — AppendSeqs nests ds.mu→pa.mu, never
-			// the reverse.)
+			// IDs. (Outside pa.mu — appends nest ds.mu→pa.mu, never the
+			// reverse.)
 			ds.mu.Lock()
-			if high > ds.rows {
-				ds.rows = high
-			}
+			ds.rows = max(ds.rows, high)
 			ds.mu.Unlock()
-		}
-
-		if len(owed) > 0 {
-			r.health.startResync(addr)
-			if err := r.resyncPeer(ctx, addr, owed); err != nil {
-				return err
-			}
-			continue // verify the repair with a fresh pass
 		}
 		if r.health.caughtUp(addr, gen) {
 			return nil
@@ -169,71 +155,138 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 	return fmt.Errorf("cluster: %s still behind after %d catch-up passes", addr, catchUpPasses)
 }
 
-// catchUpResult reports one partition's catch-up outcome.
-type catchUpResult struct {
-	replayed  int
-	watermark int64
-}
-
-// catchUpPart brings addr current on one partition: its cursor is read
-// over the peer's connection, and a gap is replayed over a repair
-// connection. It holds the partition lock across both so no new batch
-// can interleave; appends to other partitions proceed. A pruned gap
-// returns ErrLogPruned for the caller to escalate.
-func (r *Router) catchUpPart(ctx context.Context, addr, dataset string, pa *partIngestState) (catchUpResult, error) {
+// repairPart brings addr current on one partition and returns its
+// record. It holds the partition lock throughout, so no new batch can
+// interleave; appends to other partitions proceed. The cursor is read
+// over the peer's connection; a replica behind the router gets a repair
+// connection, on which a gap the log no longer covers is first closed
+// by resync and the log above the cursor then replays.
+func (r *Router) repairPart(ctx context.Context, addr, dataset string, pa *partIngestState) (SeqEntry, error) {
 	pa.mu.Lock()
 	defer pa.mu.Unlock()
 
-	entries, err := r.seqStateOf(ctx, addr, dataset)
+	rec, err := r.cursorOf(ctx, addr, dataset, pa.part)
 	if err != nil {
-		return catchUpResult{}, err
+		return rec, err
 	}
-	var lastSeq uint64
-	var watermark int64
-	for _, e := range entries {
-		if e.Dataset == dataset && e.Part == pa.part {
-			lastSeq, watermark = e.LastSeq, e.Watermark
+	if rec.LastSeq < pa.nextSeq-1 {
+		fc, err := r.dialRepair(ctx, addr)
+		if err != nil {
+			r.health.fault(addr)
+			return rec, err
+		}
+		defer fc.c.Close()
+		if len(pa.log) == 0 || pa.log[0].seq > rec.LastSeq+1 {
+			r.health.startResync(addr)
+			if rec, err = r.resync(ctx, fc, addr, pa, rec); err != nil {
+				r.stats.failures.Add(1)
+				return rec, fmt.Errorf("cluster: resync %s %q part %d: %w", addr, dataset, pa.part, err)
+			}
+		}
+		replayed, err := r.replayLog(ctx, fc, addr, pa, rec.LastSeq)
+		r.stats.replayed.Add(int64(replayed))
+		if err != nil {
+			return rec, err
+		}
+	}
+	// The replica now holds every batch this router sequenced. One whose
+	// cursor is ahead holds batches a previous router incarnation
+	// sequenced while this one was syncing: adopt its cursor so new
+	// appends continue above it.
+	pa.nextSeq = max(pa.nextSeq, rec.LastSeq+1)
+	pa.acked[addr] = pa.nextSeq - 1
+	pa.prune()
+	return rec, nil
+}
+
+// resync reinstalls one partition on addr from its first servable
+// replica in placement order, the donor. The donor cuts the partition
+// and streams its snapshot as 'D' chunks, which go out verbatim on
+// addr's repair connection sc (the router never materializes the
+// snapshot); the donor's closing 'Y' record, forwarded as is, commits
+// the install, and addr echoes the record it installed. The caller
+// holds pa.mu. It returns the installed record.
+func (r *Router) resync(ctx context.Context, sc *fconn, addr string, pa *partIngestState, stale SeqEntry) (SeqEntry, error) {
+	donor := ""
+	for _, cand := range pa.nodes {
+		if cand != addr && r.health.servable(cand) {
+			donor = cand
 			break
 		}
 	}
-	want := pa.nextSeq - 1
-	if lastSeq >= want {
-		if lastSeq > want {
-			// The replica is ahead of this router: batches sequenced by a
-			// previous router incarnation landed here while this one was
-			// syncing. Adopt its cursor so new appends continue above it.
-			pa.nextSeq = lastSeq + 1
-		}
-		pa.acked[addr] = lastSeq
-		pa.prune()
-		return catchUpResult{watermark: watermark}, nil
+	if donor == "" {
+		return stale, fmt.Errorf("%w: no healthy donor", ErrPartitionUnavailable)
 	}
-	if len(pa.log) == 0 || pa.log[0].seq > lastSeq+1 {
-		first := pa.nextSeq
-		if len(pa.log) > 0 {
-			first = pa.log[0].seq
-		}
-		return catchUpResult{}, fmt.Errorf("%w: %s needs %q part %d seq %d, log starts at %d",
-			ErrLogPruned, addr, dataset, pa.part, lastSeq+1, first)
-	}
-	fc, err := r.dialRepair(ctx, addr)
+	dc, err := r.dialRepair(ctx, donor)
 	if err != nil {
+		r.health.fault(donor)
+		return stale, err
+	}
+	defer dc.c.Close()
+	ref := encodeRecord(SeqEntry{Dataset: stale.Dataset, Part: stale.Part})
+	if err := dc.send(frameResyncReq, 0, ref); err != nil {
+		r.health.fault(donor)
+		return stale, err
+	}
+	if err := sc.send(frameInstall, 0, ref); err != nil {
 		r.health.fault(addr)
-		return catchUpResult{}, err
+		return stale, err
 	}
-	defer fc.c.Close()
-	replayed, err := r.replayLog(ctx, fc, addr, pa, lastSeq)
+
+	// Pump: donor chunks forward verbatim until the donor's 'Y'.
+	var streamed int64
+	for {
+		_ = dc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+		_ = sc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+		typ, _, pl, err := readFrame(dc.br)
+		if err != nil {
+			r.health.fault(donor)
+			return stale, err
+		}
+		switch typ {
+		case frameResyncChunk, frameResyncState:
+		case frameError:
+			return stale, remoteError(donor, pl)
+		default:
+			return stale, fmt.Errorf("%w: unexpected frame %q from resync donor", ErrFrame, typ)
+		}
+		if err := sc.send(typ, 0, pl); err != nil {
+			r.health.fault(addr)
+			return stale, err
+		}
+		if typ == frameResyncChunk {
+			streamed += int64(len(pl))
+			continue
+		}
+		r.stats.bytesStreamed.Add(streamed)
+		return r.installed(ctx, sc, addr, pl, stale)
+	}
+}
+
+// installed reads the stale replica's answer to the forwarded cut: the
+// same record echoed, or the install's error.
+func (r *Router) installed(ctx context.Context, sc *fconn, addr string, cut []byte, stale SeqEntry) (SeqEntry, error) {
+	_ = sc.c.SetDeadline(ackDeadline(ctx, r.opt.AckTimeout))
+	typ, _, pl, err := readFrame(sc.br)
+	switch {
+	case err != nil:
+		r.health.fault(addr)
+		return stale, err
+	case typ == frameError:
+		return stale, remoteError(addr, pl)
+	case typ != frameResyncState || !bytes.Equal(pl, cut):
+		return stale, fmt.Errorf("%w: install answered %q, not the forwarded cut", ErrFrame, typ)
+	}
+	rec, err := decodeRecord(pl)
 	if err != nil {
-		return catchUpResult{}, err
+		return stale, err
 	}
-	pa.acked[addr] = want
-	pa.prune()
-	return catchUpResult{replayed: replayed, watermark: watermark}, nil
+	r.stats.resyncs.Add(1)
+	return rec, nil
 }
 
 // replayLog replays every logged batch above fromSeq to addr on its
-// repair connection, acked one by one. Caller holds pa.mu. Shared by log
-// catch-up and the post-install tail replay of a snapshot resync.
+// repair connection, acked one by one. Caller holds pa.mu.
 func (r *Router) replayLog(ctx context.Context, fc *fconn, addr string, pa *partIngestState, fromSeq uint64) (int, error) {
 	replayed := 0
 	for _, rec := range pa.log {
@@ -261,8 +314,7 @@ func (r *Router) replayLog(ctx context.Context, fc *fconn, addr string, pa *part
 }
 
 // Reconcile runs one health pass over every topology peer: probe each,
-// and walk any reachable quarantined replica through catch-up (which
-// escalates to snapshot resync when the log no longer covers its gap).
+// and walk any reachable quarantined replica through catch-up.
 // A catch-up failure keeps the replica quarantined, counts in
 // ResyncStats, and records the error against the peer for /stats. It
 // returns the post-pass health map.

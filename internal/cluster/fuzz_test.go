@@ -1,12 +1,13 @@
 // Fuzzing for every byte decoder that faces the network, alongside
-// FuzzRequestCodec in internal/core (the body of a 'Q' frame). Each
-// codec fuzzer pins one property: malformed payloads are refused with
+// FuzzRequestCodec in internal/core (the body of a 'Q' frame).
+// FuzzWirePayloads is keyed by frame type and pins one property for
+// every payload decoder: a malformed payload is refused with
 // canon.ErrCorrupt — never a panic, never an oversized allocation — and
 // a payload that decodes re-encodes to the identical bytes.
-// FuzzQueryCodec covers the whole 'Q' (its header and body),
-// FuzzPartialCodec 'R', FuzzAppendCodec 'A', FuzzSeqStateCodec both
-// directions of 'U'. FuzzFrameStream: arbitrary bytes fed to the
-// node's connection loop and to the router's demux end in a typed
+// FuzzQueryCodec, FuzzPartialCodec, FuzzAppendCodec and
+// FuzzSeqStateCodec run the same check pinned to 'Q', 'R', 'A' and 'U'
+// over their committed corpora. FuzzFrameStream: arbitrary bytes fed to
+// the node's connection loop and to the router's demux end in a typed
 // refusal or a clean close. The committed seed corpora in testdata/fuzz
 // cover well-formed inputs plus truncation and misuse shapes.
 
@@ -16,6 +17,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -27,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"modelir/internal/canon"
 	"modelir/internal/core"
@@ -63,14 +64,20 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 		// A K that would size a 32 GiB heap: found by this fuzzer.
 		"seed-huge-k":   frameBytes(frameQuery, 1, hugeK),
 		"seed-over-cap": cat(frameBytes(frameHealth, 9, nil), []byte{0xff, 0xff, 0xff, 0xff, frameFloor, 0, 0, 0, 1}),
+		// A repair session's opening frames, as a donor and as a stale
+		// replica (whose install of this bogus snapshot is refused).
+		"seed-resync": frameBytes(frameResyncReq, 0, encodeRecord(SeqEntry{Dataset: "gauss"})),
+		"seed-install": cat(frameBytes(frameInstall, 0, encodeRecord(SeqEntry{Dataset: "gauss"})),
+			frameBytes(frameResyncChunk, 0, encodeChunk("MANIFEST.json", []byte("{}"))),
+			frameBytes(frameResyncState, 0, encodeRecord(SeqEntry{Dataset: "gauss", LastSeq: 1, Watermark: 1}))),
 		// The same shapes as a node would send them back.
 		"seed-replies": cat(frameBytes(frameFloor, 1, encodeFloor(3)), frameBytes(frameResult, 1, encodePartial(Partial{Floor: 3})),
 			frameBytes(frameError, 2, encodeError("exec", "boom")), frameBytes(frameFloor, 1, encodeFloor(9))),
 	}
 }
 
-// appendSeeds is FuzzAppendCodec's seed corpus: one batch per row kind
-// plus truncation and misuse shapes.
+// appendSeeds is the 'A' seed corpus: one batch per row kind plus
+// truncation and misuse shapes.
 func appendSeeds(t testing.TB) map[string][]byte {
 	enc := func(b AppendBatch) []byte {
 		p, err := encodeAppend(b)
@@ -98,11 +105,11 @@ func appendSeeds(t testing.TB) map[string][]byte {
 	}
 }
 
-// seqStateSeeds is FuzzSeqStateCodec's seed corpus: the router's
-// request, the node's report, and misuse shapes of both.
+// seqStateSeeds is the 'U' seed corpus: the router's request, the
+// node's report, and misuse shapes of both.
 func seqStateSeeds() map[string][]byte {
 	report := encodeSeqState([]SeqEntry{
-		{Dataset: "gauss", Part: 0, LastSeq: 3, Watermark: 128, Kind: KindTuples},
+		{Dataset: "gauss", Part: 0, LastSeq: 3, Watermark: 128, Offset: 64, Kind: KindTuples, Width: 3},
 		{Dataset: "basin", Part: 1},
 	})
 	return map[string][]byte{
@@ -115,7 +122,40 @@ func seqStateSeeds() map[string][]byte {
 	}
 }
 
-// querySeeds is FuzzQueryCodec's seed corpus: 'Q' payloads over one
+// partialSeeds is the 'R' seed corpus.
+func partialSeeds() map[string][]byte {
+	full := encodePartial(Partial{Items: []topk.Item{{ID: 1, Score: 2}}})
+	return map[string][]byte{
+		"seed-empty": encodePartial(Partial{Floor: math.Inf(-1)}),
+		"seed-items": encodePartial(Partial{
+			Floor: 12.5,
+			Items: []topk.Item{{ID: 3, Score: 9.25}, {ID: 7, Score: 9.25}, {ID: 9, Score: -1}},
+			Stats: PartialStats{Evaluations: 100, Examined: 80, Pruned: 20, Shards: 4},
+		}),
+		"seed-geology-payload": encodePartial(Partial{
+			Items: []topk.Item{{ID: 41, Score: 0.75, Payload: []int{2, 5, 9}}},
+			Stats: PartialStats{Truncated: true},
+		}),
+		"seed-truncated":   full[:len(full)-5],
+		"seed-bad-version": append([]byte{99}, full[1:]...),
+	}
+}
+
+// recordSeeds is the seed corpus of the one-record payloads 'S', 'I'
+// and 'Y'.
+func recordSeeds() map[string][]byte {
+	cut := encodeRecord(SeqEntry{Dataset: "gauss", Part: 2, LastSeq: 9, Watermark: 700, Offset: 600, Kind: KindTuples, Width: 3})
+	return map[string][]byte{
+		"seed-ref":            encodeRecord(SeqEntry{Dataset: "gauss", Part: 2}),
+		"seed-cut":            cut,
+		"seed-two-records":    encodeSeqState([]SeqEntry{{Dataset: "a"}, {Dataset: "b"}}),
+		"seed-no-record":      encodeSeqState(nil),
+		"seed-offset-past-wm": encodeRecord(SeqEntry{Dataset: "gauss", Watermark: 5, Offset: 6}),
+		"seed-truncated":      cut[:len(cut)-1],
+	}
+}
+
+// querySeeds is the 'Q' seed corpus: 'Q' payloads over one
 // and several partitions, with and without floor publishing, plus
 // truncation and misuse shapes of the header.
 func querySeeds(t testing.TB) map[string][]byte {
@@ -123,7 +163,7 @@ func querySeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4, Workers: 2, Budget: 500}
+	lin := core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4, Budget: 500}
 	one := queryPayload(t, lin, []int{0}, math.Inf(-1))
 	two := queryPayload(t, core.Request{Dataset: "basin", K: 8, Query: core.GeologyQuery{
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone}, MaxGapFt: 10,
@@ -160,75 +200,57 @@ func querySeeds(t testing.TB) map[string][]byte {
 
 // TestRegenerateFuzzCorpus rewrites the committed seed corpora from the
 // current codecs when REGEN_CORPUS is set; otherwise it verifies every
-// committed well-formed partial still decodes and every other corpus is
-// current. Run with
+// corpus is current, since a codec change that is not regenerated starts
+// the fuzzers from noise. Run with
 //
 //	REGEN_CORPUS=1 go test ./internal/cluster/ -run TestRegenerateFuzzCorpus
 //
 // after a deliberate wire-format change.
 func TestRegenerateFuzzCorpus(t *testing.T) {
-	full := encodePartial(Partial{Items: []topk.Item{{ID: 1, Score: 2}}})
-	seeds := map[string][]byte{
-		"seed-empty": encodePartial(Partial{Floor: math.Inf(-1)}),
-		"seed-items": encodePartial(Partial{
-			Floor: 12.5,
-			Items: []topk.Item{{ID: 3, Score: 9.25}, {ID: 7, Score: 9.25}, {ID: 9, Score: -1}},
-			Stats: PartialStats{Evaluations: 100, Examined: 80, Pruned: 20, Shards: 4, Wall: time.Millisecond},
-		}),
-		"seed-geology-payload": encodePartial(Partial{
-			Items: []topk.Item{{ID: 41, Score: 0.75, Payload: []int{2, 5, 9}}},
-			Stats: PartialStats{Truncated: true},
-		}),
-		"seed-truncated":   full[:len(full)-5],
-		"seed-bad-version": append([]byte{99}, full[1:]...),
+	corpusFile := func(vals ...string) string {
+		return "go test fuzz v1\n" + strings.Join(vals, "\n") + "\n"
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzPartialCodec")
-	current := map[string]map[string][]byte{
-		"FuzzFrameStream":   frameStreamSeeds(t),
-		"FuzzAppendCodec":   appendSeeds(t),
-		"FuzzSeqStateCodec": seqStateSeeds(),
-		"FuzzQueryCodec":    querySeeds(t),
+	bytesVal := func(b []byte) string { return "[]byte(" + strconv.Quote(string(b)) + ")" }
+	current := map[string]map[string]string{
+		"FuzzFrameStream":  {},
+		"FuzzWirePayloads": {},
 	}
-	if os.Getenv("REGEN_CORPUS") != "" {
-		current["FuzzPartialCodec"] = seeds
-		for fuzzer, set := range current {
-			d := filepath.Join("testdata", "fuzz", fuzzer)
-			if err := os.MkdirAll(d, 0o755); err != nil {
+	for name, b := range frameStreamSeeds(t) {
+		current["FuzzFrameStream"][name] = corpusFile(bytesVal(b))
+	}
+	seeds := wireSeeds(t)
+	for typ, set := range seeds {
+		for name, b := range set {
+			current["FuzzWirePayloads"][string(typ)+"-"+name] = corpusFile(fmt.Sprintf("byte(%q)", typ), bytesVal(b))
+		}
+	}
+	for fuzzer, typ := range map[string]byte{
+		"FuzzQueryCodec": frameQuery, "FuzzPartialCodec": frameResult,
+		"FuzzAppendCodec": frameAppend, "FuzzSeqStateCodec": frameSeqState,
+	} {
+		current[fuzzer] = map[string]string{}
+		for name, b := range seeds[typ] {
+			current[fuzzer][name] = corpusFile(bytesVal(b))
+		}
+	}
+	regen := os.Getenv("REGEN_CORPUS") != ""
+	for fuzzer, set := range current {
+		dir := filepath.Join("testdata", "fuzz", fuzzer)
+		if regen {
+			if err := os.RemoveAll(dir); err != nil {
 				t.Fatal(err)
 			}
-			for name, b := range set {
-				content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-				if err := os.WriteFile(filepath.Join(d, name), []byte(content), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return
-	}
-	for _, name := range []string{"seed-empty", "seed-items", "seed-geology-payload"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s missing (run with REGEN_CORPUS=1): %v", name, err)
-		}
-		lines := strings.SplitN(string(raw), "\n", 3)
-		if len(lines) < 2 || lines[0] != "go test fuzz v1" {
-			t.Fatalf("%s: not a corpus file", name)
-		}
-		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := decodePartial([]byte(b)); err != nil {
-			t.Fatalf("%s no longer decodes: %v", name, err)
-		}
-	}
-	// The other seeds are payloads and streams in the current encoding: a
-	// codec change must regenerate them, or the fuzzer starts from noise.
-	for fuzzer, set := range current {
-		for name, b := range set {
-			want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
-			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", fuzzer, name))
-			if err != nil || string(raw) != want {
+		for name, want := range set {
+			path := filepath.Join(dir, name)
+			if regen {
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if raw, err := os.ReadFile(path); err != nil || string(raw) != want {
 				t.Fatalf("%s/%s missing or stale (run with REGEN_CORPUS=1): %v", fuzzer, name, err)
 			}
 		}
@@ -236,9 +258,10 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 }
 
 // TestQueryBodyIsCanonicalRequest pins the 'Q' layout: a header
-// (version, publish flag, partition list, Workers, Budget, floor) and
-// then the request's canonical bytes from the encoder the result cache
-// keys with, the same whatever the header holds.
+// (version, publish flag, partition list, Budget, floor) and then the
+// request's canonical bytes from the encoder the result cache keys
+// with, the same whatever the header holds. Workers stays off the wire:
+// it never changes an answer.
 func TestQueryBodyIsCanonicalRequest(t *testing.T) {
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
@@ -259,14 +282,14 @@ func TestQueryBodyIsCanonicalRequest(t *testing.T) {
 		r := req
 		r.Workers, r.Budget = h.workers, h.budget
 		payload := encodeQuery(nodeQuery{Parts: h.parts, Publish: h.publish, Req: r, Floor: h.floor}, key)
-		if hdr := 2 + 8*(len(h.parts)+4); len(payload) != hdr+len(key) || !bytes.Equal(payload[hdr:], key) {
+		if hdr := 2 + 8*(len(h.parts)+3); len(payload) != hdr+len(key) || !bytes.Equal(payload[hdr:], key) {
 			t.Fatalf("header %+v: body differs from the request's canonical bytes", h)
 		}
 		q, err := decodeQuery(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(q.Parts, h.parts) || q.Publish != h.publish || q.Req.Workers != h.workers ||
+		if !reflect.DeepEqual(q.Parts, h.parts) || q.Publish != h.publish || q.Req.Workers != 0 ||
 			q.Req.Budget != h.budget || q.Floor != h.floor || q.Req.Dataset != "gauss" {
 			t.Fatalf("header %+v decoded as parts %v publish %v, %+v, floor %v", h, q.Parts, q.Publish, q.Req, q.Floor)
 		}
@@ -316,112 +339,175 @@ func TestQueryPartListCannotBuyAllocation(t *testing.T) {
 	}
 }
 
-// FuzzQueryCodec: a 'Q' payload either fails with canon.ErrCorrupt or
-// re-encodes — header and canonical body — to itself.
-func FuzzQueryCodec(f *testing.F) {
-	addSeeds(f, querySeeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := decodeQuery(data)
-		if err != nil {
-			if !errors.Is(err, canon.ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		body, err := core.AppendRequest(nil, q.Req)
-		if err != nil {
-			t.Fatalf("decoded request does not encode: %v", err)
-		}
-		if enc := encodeQuery(q, body); !bytes.Equal(enc, data) {
-			t.Fatalf("re-encode differs:\n in: %x\nout: %x", data, enc)
-		}
-	})
+// wireSeeds is every payload seed corpus, by frame type.
+func wireSeeds(t testing.TB) map[byte]map[string][]byte {
+	ack := encodeAppendAck(appendAck{Seq: 12, Dup: true, Gen: 40})
+	chunk := encodeChunk("gauss#0.seg", []byte("section bytes"))
+	return map[byte]map[string][]byte{
+		frameQuery:       querySeeds(t),
+		frameResult:      partialSeeds(),
+		frameAppend:      appendSeeds(t),
+		frameSeqState:    seqStateSeeds(),
+		frameResyncReq:   recordSeeds(),
+		frameInstall:     recordSeeds(),
+		frameResyncState: recordSeeds(),
+		frameAppendAck: {
+			"seed-ack":      ack,
+			"seed-bad-flag": append(append(ack[:9:9], 2), ack[10:]...),
+			"seed-trailing": append(append([]byte(nil), ack...), 0),
+		},
+		frameResyncChunk: {
+			"seed-chunk":       chunk,
+			"seed-empty-data":  encodeChunk("MANIFEST.json", nil),
+			"seed-bad-version": append([]byte{wireVersion - 1}, chunk[1:]...),
+		},
+		frameFloor: {
+			"seed-floor": encodeFloor(2.5),
+			"seed-short": encodeFloor(1)[:7],
+			"seed-long":  append(encodeFloor(math.Inf(-1)), 0),
+		},
+		frameError: {
+			"seed-error":    encodeError("exec", "boom"),
+			"seed-trailing": append(encodeError("refused", ""), 1),
+		},
+	}
 }
 
-// FuzzAppendCodec: an 'A' payload either fails with canon.ErrCorrupt or
-// re-encodes to itself.
-func FuzzAppendCodec(f *testing.F) {
-	addSeeds(f, appendSeeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeAppend(data)
-		if err != nil {
-			if !errors.Is(err, canon.ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		enc, err := encodeAppend(b)
-		if err != nil {
-			t.Fatalf("decoded batch does not encode: %v", err)
-		}
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("re-encode differs:\n in: %x\nout: %x", data, enc)
-		}
-	})
-}
-
-// FuzzSeqStateCodec: both 'U' decoders — the router's request and the
-// node's report — either fail with canon.ErrCorrupt or re-encode to the
-// bytes they read.
-func FuzzSeqStateCodec(f *testing.F) {
-	addSeeds(f, seqStateSeeds())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(what string, err error, enc func() []byte) {
+// payloadCodecs maps each frame type to its payload decoders, each
+// paired with its encoder: a codec decodes data and returns the value's
+// encoding. 'U' has one per direction; 'H' and 'C' carry no payload.
+func payloadCodecs(t *testing.T) map[byte][]func(data []byte) ([]byte, error) {
+	record := func(data []byte) ([]byte, error) {
+		e, err := decodeRecord(data)
+		return encodeRecord(e), err
+	}
+	return map[byte][]func([]byte) ([]byte, error){
+		frameQuery: {func(data []byte) ([]byte, error) {
+			q, err := decodeQuery(data)
 			if err != nil {
-				if !errors.Is(err, canon.ErrCorrupt) {
-					t.Fatalf("%s: untyped decode error: %v", what, err)
-				}
-				return
+				return nil, err
 			}
-			if got := enc(); !bytes.Equal(got, data) {
-				t.Fatalf("%s re-encode differs:\n in: %x\nout: %x", what, data, got)
+			body, err := core.AppendRequest(nil, q.Req)
+			if err != nil {
+				t.Fatalf("decoded request does not encode: %v", err)
 			}
-		}
-		ds, err := decodeSeqStateReq(data)
-		check("request", err, func() []byte { return encodeSeqStateReq(ds) })
-		entries, err := decodeSeqState(data)
-		check("report", err, func() []byte { return encodeSeqState(entries) })
-	})
+			return encodeQuery(q, body), nil
+		}},
+		frameResult: {func(data []byte) ([]byte, error) {
+			p, err := decodePartial(data)
+			return encodePartial(p), err
+		}},
+		frameAppend: {func(data []byte) ([]byte, error) {
+			b, err := decodeAppend(data)
+			if err != nil {
+				return nil, err
+			}
+			enc, err := encodeAppend(b)
+			if err != nil {
+				t.Fatalf("decoded batch does not encode: %v", err)
+			}
+			return enc, nil
+		}},
+		frameAppendAck: {func(data []byte) ([]byte, error) {
+			a, err := decodeAppendAck(data)
+			return encodeAppendAck(a), err
+		}},
+		frameSeqState: {func(data []byte) ([]byte, error) {
+			ds, err := decodeSeqStateReq(data)
+			return encodeSeqStateReq(ds), err
+		}, func(data []byte) ([]byte, error) {
+			entries, err := decodeSeqState(data)
+			return encodeSeqState(entries), err
+		}},
+		frameResyncReq:   {record},
+		frameInstall:     {record},
+		frameResyncState: {record},
+		frameResyncChunk: {func(data []byte) ([]byte, error) {
+			name, chunk, err := decodeChunk(data)
+			return encodeChunk(name, chunk), err
+		}},
+		frameFloor: {func(data []byte) ([]byte, error) {
+			f, err := decodeFloor(data)
+			return encodeFloor(f), err
+		}},
+		frameError: {func(data []byte) ([]byte, error) {
+			code, msg, err := decodeError(data)
+			return encodeError(code, msg), err
+		}},
+	}
 }
 
-func FuzzPartialCodec(f *testing.F) {
-	f.Add(encodePartial(Partial{Floor: math.Inf(-1)}))
-	f.Add(encodePartial(Partial{
-		Floor: 12.5,
-		Items: []topk.Item{{ID: 3, Score: 9.25}, {ID: 7, Score: 9.25}},
-		Stats: PartialStats{Evaluations: 100, Examined: 80, Pruned: 20, Shards: 4, Wall: time.Millisecond},
-	}))
-	f.Add(encodePartial(Partial{
-		Floor: 0,
-		Items: []topk.Item{{ID: 41, Score: 0.75, Payload: []int{2, 5, 9}}},
-		Stats: PartialStats{Truncated: true},
-	}))
-	f.Add([]byte{})
-	f.Add([]byte{wireVersion})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := decodePartial(data)
+// checkPayload decodes data as a payload of frame type typ: each of the
+// type's decoders must refuse it with canon.ErrCorrupt or re-encode it
+// to exactly data.
+func checkPayload(t *testing.T, typ byte, data []byte) {
+	for i, codec := range payloadCodecs(t)[typ] {
+		enc, err := codec(data)
 		if err != nil {
-			return // malformed input rejected cleanly — the property under test
+			if !errors.Is(err, canon.ErrCorrupt) {
+				t.Fatalf("%q decoder %d: untyped decode error: %v", typ, i, err)
+			}
+			continue
 		}
-		// Anything that decodes must re-encode to the identical bytes
-		// (the canonical encoding is injective) and decode again to an
-		// equal value.
-		enc := encodePartial(p)
 		if !bytes.Equal(enc, data) {
-			t.Fatalf("re-encode differs:\n in: %x\nout: %x", data, enc)
+			t.Fatalf("%q decoder %d re-encode differs:\n in: %x\nout: %x", typ, i, data, enc)
 		}
-		q, err := decodePartial(enc)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+	}
+}
+
+// FuzzWirePayloads: every payload decoder, chosen by frame type, either
+// refuses with canon.ErrCorrupt or re-encodes to the bytes it read.
+func FuzzWirePayloads(f *testing.F) {
+	f.Fuzz(checkPayload)
+}
+
+// The per-codec fuzzers: FuzzWirePayloads pinned to one frame type.
+func FuzzQueryCodec(f *testing.F)    { fuzzPayloadType(f, frameQuery) }
+func FuzzPartialCodec(f *testing.F)  { fuzzPayloadType(f, frameResult) }
+func FuzzAppendCodec(f *testing.F)   { fuzzPayloadType(f, frameAppend) }
+func FuzzSeqStateCodec(f *testing.F) { fuzzPayloadType(f, frameSeqState) }
+
+func fuzzPayloadType(f *testing.F, typ byte) {
+	addSeeds(f, wireSeeds(f)[typ])
+	f.Fuzz(func(t *testing.T, data []byte) { checkPayload(t, typ, data) })
+}
+
+// TestWireVersion3Refused: a version-3 payload of every versioned type
+// is refused with canon.ErrCorrupt, not misread ('F' and 'E' carry no
+// version).
+func TestWireVersion3Refused(t *testing.T) {
+	codecs := payloadCodecs(t)
+	for typ, seeds := range wireSeeds(t) {
+		if typ == frameFloor || typ == frameError {
+			continue
 		}
-		if q.Floor != p.Floor && !(math.IsNaN(q.Floor) && math.IsNaN(p.Floor)) {
-			t.Fatalf("floor drifted: %v vs %v", q.Floor, p.Floor)
+		for name, b := range seeds {
+			if len(b) == 0 || b[0] != wireVersion {
+				continue
+			}
+			old := append([]byte{3}, b[1:]...)
+			for i, codec := range codecs[typ] {
+				if _, err := codec(old); !errors.Is(err, canon.ErrCorrupt) {
+					t.Fatalf("version-3 %q %s, decoder %d: err %v, want canon.ErrCorrupt", typ, name, i, err)
+				}
+			}
 		}
-		if len(q.Items) != len(p.Items) || q.Stats != p.Stats {
-			t.Fatalf("partial drifted: %+v vs %+v", q, p)
+	}
+}
+
+// TestRecordOffsetWithinWatermark: a record's watermark is its offset
+// plus its rows, so a record whose offset passes its watermark is
+// refused, and one at its watermark (an empty partition) decodes.
+func TestRecordOffsetWithinWatermark(t *testing.T) {
+	for _, e := range []SeqEntry{{Dataset: "d", Watermark: 5, Offset: 6}, {Dataset: "d", Offset: 1}} {
+		if _, err := decodeRecord(encodeRecord(e)); !errors.Is(err, canon.ErrCorrupt) {
+			t.Fatalf("%+v: err %v, want canon.ErrCorrupt", e, err)
 		}
-	})
+	}
+	e := SeqEntry{Dataset: "d", Part: 2, LastSeq: 4, Watermark: 6, Offset: 6, Kind: KindTuples, Width: 3}
+	if got, err := decodeRecord(encodeRecord(e)); err != nil || got != e {
+		t.Fatalf("empty-partition record decoded as %+v, %v", got, err)
+	}
 }
 
 // FuzzFrameStream feeds arbitrary bytes to both ends of the transport:

@@ -21,7 +21,7 @@
 // answer — it is excluded from read failover and from append fan-out
 // (it would only see sequence gaps) until the catch-up exchange
 // (catchup.go) replays its missed batches. Resyncing is the deeper
-// quarantine: the missed batches outlived the router's append log, so
+// quarantine: some missed batches outlived the router's append log, so
 // log replay alone cannot repair it and a snapshot transfer from a
 // healthy donor (resync.go) is in flight or pending. Both quarantine
 // states win over every reachability transition — a probe reaching a
@@ -123,20 +123,13 @@ func (h *healthTracker) state(addr string) HealthState {
 	return h.peer(addr).state
 }
 
-// servable reports whether reads may be served from addr. Stale,
-// Resyncing, and Down peers are excluded: the quarantined states could
-// answer wrong, Down would only burn a dial timeout.
+// servable reports whether reads may be served from addr, and whether
+// it receives append fan-out. Stale, Resyncing, and Down peers are
+// excluded: the quarantined states could answer wrong (and would see
+// sequence gaps), Down would only burn a dial timeout.
 func (h *healthTracker) servable(addr string) bool {
 	s := h.state(addr)
 	return s == Healthy || s == Suspect
-}
-
-// appendable reports whether addr should receive append fan-out.
-// Identical to servable by design: a peer that cannot be read from
-// cannot usefully take writes either (quarantined peers would see
-// sequence gaps, Down is unreachable).
-func (h *healthTracker) appendable(addr string) bool {
-	return h.servable(addr)
 }
 
 func (p *peerHealth) set(s HealthState) {

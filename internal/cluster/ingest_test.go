@@ -398,6 +398,115 @@ func TestClusterIngestRefusedBatchReplicaDown(t *testing.T) {
 	}
 }
 
+// TestClusterIngestRefusedBeforeIDs: tuple batches every replica would
+// refuse — ragged, non-finite, of the wrong width — are refused at the
+// router before they take a sequence number or row IDs, even while good
+// batches are in flight beside them. No node sees one, and the good
+// batches land at exactly the IDs a single-node engine gives them: a
+// refused batch leaves no hole in the ID space.
+func TestClusterIngestRefusedBeforeIDs(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	router, nodes, _ := startIngestCluster(t, 2, 2, 2, pre, NodeOptions{}, testRouterOptions())
+	done := make(chan struct{})
+	var refused atomic.Int64
+	var wg sync.WaitGroup
+	for _, rows := range [][][]float64{{{1, 2}}, {{1, 2, 3}, {4, 5}}, {{1, math.NaN(), 3}}} {
+		rows := rows
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: rows}); !errors.Is(err, ErrAppendRefused) {
+					t.Errorf("bad batch %v: err = %v, want ErrAppendRefused", rows, err)
+					return
+				}
+				refused.Add(1)
+			}
+		}()
+	}
+	appendTails(t, router, tl)
+	close(done)
+	wg.Wait()
+	if refused.Load() == 0 {
+		t.Fatal("no bad batch ran beside the good ones")
+	}
+	for i, n := range nodes {
+		if _, _, failed := n.Stats(); failed != 0 {
+			t.Fatalf("node %d refused %d frames: a bad batch reached it", i, failed)
+		}
+	}
+	runSix(t, "refused beside good", router, reqs, want)
+}
+
+// TestClusterIngestEmptyPartitionKeepsWidth: a dataset with fewer rows
+// than partitions has empty partitions, and a batch landing in one must
+// still have the dataset's width — the router, not the empty
+// partition, decides.
+func TestClusterIngestEmptyPartitionKeepsWidth(t *testing.T) {
+	ctx := context.Background()
+	lns := make([]net.Listener, 3)
+	addrs := make([]string, 3)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	topo := Topology{Nodes: addrs, Replication: 1}
+	ref := core.NewEngineWith(core.Options{Shards: 1})
+	pts := [][]float64{{1, 2, 3}}
+	if err := ref.AddTuples("tiny", pts); err != nil {
+		t.Fatal(err)
+	}
+	for i := range lns {
+		n := NewNode(addrs[i], topo, NodeOptions{Shards: 1})
+		if err := n.AddTuples("tiny", pts); err != nil {
+			t.Fatal(err)
+		}
+		n.ServeListener(lns[i])
+		t.Cleanup(n.Close)
+	}
+	router := newTestRouter(t, topo, testRouterOptions())
+	// One batch per partition, round robin: two of the three are empty.
+	for i := 0; i < len(addrs); i++ {
+		_, err := router.Append(ctx, AppendRequest{Dataset: "tiny", Tuples: [][]float64{{1, 2, 3, 4, 5}}})
+		if !errors.Is(err, ErrAppendRefused) {
+			t.Fatalf("width-5 batch %d: err = %v, want ErrAppendRefused", i, err)
+		}
+	}
+	for i := 0; i < len(addrs); i++ {
+		rows := [][]float64{{float64(i), 0.5, -1}}
+		if _, err := router.Append(ctx, AppendRequest{Dataset: "tiny", Tuples: rows}); err != nil {
+			t.Fatalf("width-3 batch %d: %v", i, err)
+		}
+		if err := ref.AppendTuples("tiny", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := linearRequest(t)
+	req.Dataset = "tiny"
+	got, err := router.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := ref.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	itemsEqual(t, "tiny", got.Items, wantRes.Items)
+}
+
 // TestClusterIngestTokenDedup pins client-retry idempotency: a retried
 // append carrying the same token returns the recorded outcome and adds
 // no rows.

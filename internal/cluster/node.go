@@ -390,9 +390,9 @@ func (qs *queryStream) floor() float64 {
 // cancel. An append failure ends only its stream (the router
 // re-establishes sequencing through catch-up); a malformed frame or a
 // stream ID still in use ends the connection. Losing the connection
-// cancels every query registered on it. The resync frames ('S', 'I',
-// then 'D'/'J') arrive on a repair connection the router opened for
-// that transfer alone.
+// cancels every query registered on it. A repair session ('S', or 'I'
+// followed by 'D' chunks and a 'Y') arrives on a repair connection the
+// router opened for that session alone.
 func (n *Node) handle(c net.Conn) {
 	fc := newFconn(c, nodeWriteTimeout)
 	var mu sync.Mutex // guards streams: the query goroutines unregister themselves
@@ -466,9 +466,9 @@ func (n *Node) handle(c net.Conn) {
 			n.serveResync(fc, payload)
 			return
 		case frameInstall:
-			// Receiver role: accumulate 'D' chunks, install on 'J', ack
-			// with 'Y'. The connection then stays open — the router
-			// replays the remaining log tail as ordinary 'A' frames.
+			// Receiver role: accumulate 'D' chunks, install on the
+			// forwarded 'Y', echo it. The connection then stays open — the
+			// router replays the log above the cut as ordinary 'A' frames.
 			if !n.handleInstall(fc, payload) {
 				return
 			}
@@ -548,7 +548,6 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *que
 		}()
 	}
 
-	start := time.Now()
 	var out Partial
 	var merged *topk.Heap // the runs so far, when the 'Q' lists several
 	if len(entries) > 1 {
@@ -609,7 +608,6 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *que
 		out.Items = merged.Results()
 	}
 	out.Floor = qs.floor()
-	out.Stats.Wall = time.Since(start)
 	n.served.Add(1)
 	return frameResult, encodePartial(out)
 }

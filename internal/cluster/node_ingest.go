@@ -161,11 +161,11 @@ func dataKindOfInfo(kind string) DataKind {
 	}
 }
 
-// seqState reports every partition's append cursor and row watermark
-// (the 'U' reply). dataset filters to one dataset; "" reports all.
-// Scene partitions are omitted: scenes are not appendable. Each entry
-// carries the dataset's kind when any of its partitions here holds
-// rows (0 otherwise), so a restarted router can rediscover datasets.
+// seqState reports every partition's record (the 'U' reply). dataset
+// filters to one dataset; "" reports all. Scene partitions are omitted:
+// scenes are not appendable. Each entry carries the dataset's kind and
+// tuple width when any of its partitions here holds rows (0 otherwise),
+// so a restarted router can rediscover datasets and check appends.
 func (n *Node) seqState(dataset string) []SeqEntry {
 	infos := make(map[string]core.DatasetInfo)
 	for _, ds := range n.eng.Datasets() {
@@ -178,23 +178,24 @@ func (n *Node) seqState(dataset string) []SeqEntry {
 		if dataset != "" && ds != dataset {
 			continue
 		}
-		// The dataset's kind is knowable iff some partition here is
-		// non-empty; empty partitions report it too once found.
-		var dsKind DataKind
+		// The dataset's kind and width are knowable iff some partition
+		// here is non-empty; empty partitions report them too once found.
+		var kind DataKind
+		var width int
 		for _, entry := range parts {
 			if entry.local == "" {
 				continue
 			}
 			if info, ok := infos[entry.local]; ok {
-				dsKind = dataKindOfInfo(info.Kind)
+				kind, width = dataKindOfInfo(info.Kind), info.Width
 				break
 			}
 		}
-		if dsKind == KindScene {
+		if kind == KindScene {
 			continue
 		}
 		for part, entry := range parts {
-			e := SeqEntry{Dataset: ds, Part: part, Kind: dsKind}
+			e := SeqEntry{Dataset: ds, Part: part, Watermark: entry.offset, Offset: entry.offset, Kind: kind, Width: width}
 			if pi := n.ingests[ds][part]; pi != nil {
 				e.LastSeq = pi.lastSeq.Load()
 			}
@@ -203,7 +204,7 @@ func (n *Node) seqState(dataset string) []SeqEntry {
 				if !ok {
 					continue
 				}
-				e.Watermark = entry.offset + int64(info.Rows)
+				e.Watermark += int64(info.Rows)
 			}
 			out = append(out, e)
 		}

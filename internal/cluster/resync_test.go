@@ -12,10 +12,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,8 +73,8 @@ func TestClusterResyncAfterLogPruned(t *testing.T) {
 			health[addrs[1]], router.PeerErrors())
 	}
 	st := router.ResyncStats()
-	if st.Resyncs == 0 || st.BytesStreamed == 0 || st.Partitions == 0 {
-		t.Fatalf("resync stats = %+v, want nonzero resyncs/bytes/partitions", st)
+	if st.Resyncs == 0 || st.BytesStreamed == 0 {
+		t.Fatalf("resync stats = %+v, want nonzero resyncs/bytes", st)
 	}
 
 	// The survivor dies: every answer must now come from the resynced
@@ -78,6 +82,180 @@ func TestClusterResyncAfterLogPruned(t *testing.T) {
 	// reconstructed its state exactly.
 	nodes[0].Kill()
 	runSix(t, "post-resync", router, reqs, want)
+}
+
+// TestRepairReplaysOneAndResyncsTheOther: one replica owes two
+// partitions of a dataset. The log still holds the small batch it
+// missed on one; the large batch it missed on the other outgrew the
+// log cap and was dropped. One reconcile pass repairs both — a replay
+// on the first, a snapshot install on the second — and the replica
+// then answers alone, bit-identically.
+func TestRepairReplaysOneAndResyncsTheOther(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	ropt := testRouterOptions()
+	ropt.MaxLogBytes = 4096 // above the small batch, far below the large one
+	router, nodes, addrs := startIngestCluster(t, 2, 4, 2, pre, NodeOptions{}, ropt)
+	// Both partitions of "gauss" live on both nodes; batches alternate
+	// between them, starting at partition 0.
+	appendTails(t, router, tails{tuples: tl.tuples[:20], series: tl.series, wells: tl.wells})
+	nodes[1].Kill()
+	small, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: tl.tuples[20:30]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Tuples: tl.tuples[30:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Part == large.Part {
+		t.Fatalf("both batches landed on partition %d", small.Part)
+	}
+	if fp := router.ResyncStats().ForcedPrunes; fp != 1 {
+		t.Fatalf("forced prunes = %d, want 1 (the large batch only)", fp)
+	}
+
+	if err := nodes[1].Serve(addrs[1]); err != nil {
+		t.Fatalf("recover node: %v", err)
+	}
+	if health := router.Reconcile(ctx); health[addrs[1]] != Healthy {
+		t.Fatalf("recovered replica health = %v, want healthy (errors: %v)", health[addrs[1]], router.PeerErrors())
+	}
+	if st := router.ResyncStats(); st.Resyncs != 1 || st.ReplayedBatches != 1 || st.Failures != 0 {
+		t.Fatalf("resync stats = %+v, want one resync and one replayed batch", st)
+	}
+	nodes[0].Kill()
+	runSix(t, "replay+resync", router, reqs, want)
+}
+
+// tamperProxy fronts a node at target: frames pass both ways unchanged,
+// except that while tamper is set every 'Y' record the node sends has
+// its watermark raised by one.
+func tamperProxy(t *testing.T, target string, tamper *atomic.Bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() {
+				defer up.Close()
+				io.Copy(up, c)
+			}()
+			go func() {
+				defer c.Close()
+				src, dst := newFconn(up, 0), newFconn(c, 0)
+				for {
+					typ, stream, pl, err := readFrame(src.br)
+					if err != nil {
+						return
+					}
+					if typ == frameResyncState && tamper.Load() {
+						if e, err := decodeRecord(pl); err == nil {
+							e.Watermark++
+							pl = encodeRecord(e)
+						}
+					}
+					if dst.send(typ, stream, pl) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestInstallRefusesWrongWatermark: a snapshot whose record claims one
+// row more than the snapshot holds is refused by the replica installing
+// it, which stays quarantined with its cursors where they were; the
+// next honest transfer heals it.
+func TestInstallRefusesWrongWatermark(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	// The donor is reached through the proxy: its topology address is
+	// the proxy's.
+	lns := make([]net.Listener, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+	}
+	var tamper atomic.Bool
+	addrs := []string{tamperProxy(t, lns[0].Addr().String(), &tamper), lns[1].Addr().String()}
+	topo := Topology{Nodes: addrs, Replication: 2}
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		nodes[i] = NewNode(addrs[i], topo, NodeOptions{Shards: 2})
+		ingest(t, nodes[i], pre)
+		nodes[i].ServeListener(lns[i])
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	ropt := testRouterOptions()
+	ropt.MaxLogBytes = 2048
+	router := newTestRouter(t, topo, ropt)
+
+	appendTails(t, router, tails{tuples: tl.tuples[:800]})
+	nodes[1].Kill()
+	appendTails(t, router, tails{tuples: tl.tuples[800:], series: tl.series, wells: tl.wells})
+	before := nodes[1].seqState("")
+	if err := nodes[1].Serve(addrs[1]); err != nil {
+		t.Fatalf("recover node: %v", err)
+	}
+
+	tamper.Store(true)
+	if st := router.Reconcile(ctx)[addrs[1]]; st != Resyncing {
+		t.Fatalf("replica after a tampered install = %v, want resyncing", st)
+	}
+	if msg := router.PeerErrors()[addrs[1]]; !strings.Contains(msg, "rows") {
+		t.Fatalf("peer error = %q, want the row-count refusal", msg)
+	}
+	if st := router.ResyncStats(); st.Resyncs != 0 || st.Failures == 0 {
+		t.Fatalf("resync stats = %+v, want no resync and a failure", st)
+	}
+	after := nodes[1].seqState("")
+	sortEntries := func(es []SeqEntry) {
+		sort.Slice(es, func(i, j int) bool {
+			return es[i].Dataset < es[j].Dataset || es[i].Dataset == es[j].Dataset && es[i].Part < es[j].Part
+		})
+	}
+	sortEntries(before)
+	sortEntries(after)
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused install moved the replica:\nbefore %+v\nafter  %+v", before, after)
+	}
+
+	tamper.Store(false)
+	if st := router.Reconcile(ctx)[addrs[1]]; st != Healthy {
+		t.Fatalf("replica after an honest install = %v, want healthy (errors: %v)", st, router.PeerErrors())
+	}
+	nodes[0].Kill()
+	runSix(t, "after refused install", router, reqs, want)
 }
 
 // TestRouterRestartMidIngest pins crash recovery: the router dies

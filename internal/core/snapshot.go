@@ -53,6 +53,8 @@ type DatasetInfo struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
 	Rows int    `json:"rows"`
+	// Width is a tuple dataset's attribute count (0 for other kinds).
+	Width int `json:"width,omitempty"`
 	// Gen is the dataset's cache-invalidation generation: 1 at
 	// registration, +1 per append (cache.go).
 	Gen uint64 `json:"gen"`
@@ -70,8 +72,12 @@ type DatasetInfo struct {
 }
 
 func (s *set[S, R]) info(name, kind string) DatasetInfo {
+	var width int
+	if len(s.scan) > 0 {
+		width = s.scan[0].width()
+	}
 	return DatasetInfo{
-		Name: name, Kind: kind, Rows: s.rows, Gen: s.gen, Deltas: len(s.deltas),
+		Name: name, Kind: kind, Rows: s.rows, Width: width, Gen: s.gen, Deltas: len(s.deltas),
 		Compactions: s.compactions, MergedSegments: s.mergedSegments, ReindexedRows: s.reindexedRows,
 	}
 }
@@ -119,61 +125,39 @@ func (e *Engine) datasetsLocked() []DatasetInfo {
 // entries, series/well deltas folded into the global planes — either
 // way the restored engine answers bit-identically.
 func (e *Engine) Snapshot(ctx context.Context, b segment.Backend) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	w, err := segment.NewWriter(b, e.shards)
-	if err != nil {
-		return err
-	}
-	for _, info := range e.datasetsLocked() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		switch info.Kind {
-		case kindTuples:
-			err = snapTuples(w, info, e.tuples[info.Name])
-		case kindScenes:
-			err = snapScene(w, info, e.scenes[info.Name])
-		case kindSeries:
-			err = snapSeries(w, info, e.series[info.Name])
-		case kindWells:
-			err = snapWells(w, info, e.wells[info.Name])
-		}
-		if err != nil {
-			return fmt.Errorf("core: snapshot %s %q: %w", info.Kind, info.Name, err)
-		}
-	}
-	return w.Finish()
+	return e.snapshot(ctx, b, "")
 }
 
-// SnapshotDatasets persists only the named datasets to b — the donor
+// SnapshotDataset persists only the named dataset to b — the donor
 // side of cluster resync, where a replica streams a consistent
-// snapshot of exactly the partitions a stale peer owes. Selection is
-// by name across every kind (engine-local cluster names are unique, so
-// a name selects one dataset in practice); a name matching nothing is
-// an error, because a donor must actually hold what it offered. Like
-// Snapshot it holds the read lock end to end, so the captured state is
-// one consistent cut even under concurrent appends elsewhere.
-func (e *Engine) SnapshotDatasets(ctx context.Context, b segment.Backend, names []string) error {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
+// snapshot of one partition a stale peer owes. Selection is by name
+// across every kind (engine-local cluster names are unique); a name
+// matching nothing is an error, because a donor must actually hold
+// what it offered. Like Snapshot it holds the read lock end to end.
+func (e *Engine) SnapshotDataset(ctx context.Context, b segment.Backend, name string) error {
+	if name == "" {
+		return fmt.Errorf("%w: empty name", ErrUnknownDataset)
 	}
+	return e.snapshot(ctx, b, name)
+}
+
+// snapshot writes every dataset, or only the one named only.
+func (e *Engine) snapshot(ctx context.Context, b segment.Backend, only string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	w, err := segment.NewWriter(b, e.shards)
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]bool, len(names))
+	found := false
 	for _, info := range e.datasetsLocked() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !want[info.Name] {
+		if only != "" && info.Name != only {
 			continue
 		}
-		seen[info.Name] = true
+		found = true
 		switch info.Kind {
 		case kindTuples:
 			err = snapTuples(w, info, e.tuples[info.Name])
@@ -188,109 +172,119 @@ func (e *Engine) SnapshotDatasets(ctx context.Context, b segment.Backend, names 
 			return fmt.Errorf("core: snapshot %s %q: %w", info.Kind, info.Name, err)
 		}
 	}
-	for _, n := range names {
-		if !seen[n] {
-			return fmt.Errorf("%w: %q", ErrUnknownDataset, n)
-		}
+	if only != "" && !found {
+		return fmt.Errorf("%w: %q", ErrUnknownDataset, only)
 	}
 	return w.Finish()
 }
 
-// InstallDatasets replaces (or creates) the named datasets from a
+// InstallDataset replaces (or creates) the named dataset from a
 // snapshot on b — the receiver side of cluster resync. The restore
 // runs in Copy mode (the backend is transient) with every section
-// checksum verified during decode, all outside the engine lock; the
-// swap itself happens atomically under the write lock, and each
-// installed dataset's generation is bumped strictly past the replaced
-// one so cached results over the old state invalidate. Snapshot
-// datasets that are not named are ignored; a named dataset missing
-// from the snapshot is an error. An in-flight compaction of a replaced
-// dataset drops its build at the swap (the installed set does not hold
-// the deltas it captured, so it does not descend from the capture).
-func (e *Engine) InstallDatasets(b segment.Backend, names []string) error {
-	if len(names) == 0 {
-		return nil
-	}
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
+// checksum verified during decode, all outside the engine lock. A
+// restored set whose logical row count is not rows is refused before
+// anything is swapped in. The swap itself happens under the write lock,
+// and the installed dataset's generation is bumped strictly past the
+// replaced one so cached results over the old state invalidate. Other
+// snapshot datasets are ignored; the named one missing is an error. An
+// in-flight compaction of the replaced dataset drops its build at the
+// swap (the installed set does not hold the deltas it captured, so it
+// does not descend from the capture).
+func (e *Engine) InstallDataset(b segment.Backend, name string, rows int) error {
 	snap, err := segment.Open(b, segment.Copy)
 	if err != nil {
 		return err
 	}
 	defer snap.Close()
-
-	type stagedSet struct {
-		name string
-		kind string
-		ts   *tupleSet
-		sc   *sceneSet
-		se   *seriesSet
-		ws   *wellSet
-	}
-	var staged []stagedSet
-	seen := make(map[string]bool, len(names))
 	for _, ds := range snap.Manifest().Datasets {
-		if !want[ds.Name] {
+		if ds.Name != name {
 			continue
 		}
-		seen[ds.Name] = true
-		dr, err := snap.Dataset(ds.Kind, ds.Name)
+		st, err := e.restoreSet(snap, ds)
 		if err != nil {
 			return err
 		}
-		st := stagedSet{name: ds.Name, kind: ds.Kind}
-		switch ds.Kind {
-		case kindTuples:
-			st.ts, err = restoreTuples(dr, ds.Rows)
-		case kindScenes:
-			st.sc, err = restoreScene(dr)
-		case kindSeries:
-			st.se, err = restoreSeries(dr, e.shards)
-		case kindWells:
-			st.ws, err = restoreWells(dr, e.shards)
-		default:
-			err = fmt.Errorf("%w: dataset %q has unknown kind %q", segment.ErrCorrupt, ds.Name, ds.Kind)
+		if st.rows != rows {
+			return fmt.Errorf("%w: install %q restored %d rows, want %d", segment.ErrCorrupt, name, st.rows, rows)
 		}
-		if err != nil {
-			return fmt.Errorf("core: install %s %q: %w", ds.Kind, ds.Name, err)
-		}
-		staged = append(staged, st)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.adoptLocked(name, st)
+		return nil
 	}
-	for _, n := range names {
-		if !seen[n] {
-			return fmt.Errorf("core: install: %w: %q not in snapshot", ErrUnknownDataset, n)
-		}
-	}
+	return fmt.Errorf("core: install: %w: %q not in snapshot", ErrUnknownDataset, name)
+}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, st := range staged {
-		switch st.kind {
-		case kindTuples:
-			if old := e.tuples[st.name]; old != nil {
-				st.ts.gen = old.gen + 1
-			}
-			e.tuples[st.name] = st.ts
-		case kindScenes:
-			if old := e.scenes[st.name]; old != nil {
-				st.sc.gen = old.gen + 1
-			}
-			e.scenes[st.name] = st.sc
-		case kindSeries:
-			if old := e.series[st.name]; old != nil {
-				st.se.gen = old.gen + 1
-			}
-			e.series[st.name] = st.se
-		case kindWells:
-			if old := e.wells[st.name]; old != nil {
-				st.ws.gen = old.gen + 1
-			}
-			e.wells[st.name] = st.ws
-		}
+// restoredSet is one dataset decoded from a snapshot, not yet served:
+// exactly one of the sets is non-nil, and rows is its logical row count
+// (tiles for a scene).
+type restoredSet struct {
+	rows int
+	ts   *tupleSet
+	sc   *sceneSet
+	se   *seriesSet
+	ws   *wellSet
+}
+
+// restoreSet decodes one manifest dataset from snap.
+func (e *Engine) restoreSet(snap *segment.Snapshot, ds segment.Dataset) (restoredSet, error) {
+	var st restoredSet
+	dr, err := snap.Dataset(ds.Kind, ds.Name)
+	if err != nil {
+		return st, err
 	}
-	return nil
+	switch ds.Kind {
+	case kindTuples:
+		if st.ts, err = restoreTuples(dr, ds.Rows); err == nil {
+			st.rows = st.ts.rows
+		}
+	case kindScenes:
+		if st.sc, err = restoreScene(dr); err == nil {
+			st.rows = len(st.sc.scene.Tiles)
+		}
+	case kindSeries:
+		if st.se, err = restoreSeries(dr, e.shards); err == nil {
+			st.rows = st.se.rows
+		}
+	case kindWells:
+		if st.ws, err = restoreWells(dr, e.shards); err == nil {
+			st.rows = st.ws.rows
+		}
+	default:
+		return st, fmt.Errorf("%w: dataset %q has unknown kind %q", segment.ErrCorrupt, ds.Name, ds.Kind)
+	}
+	if err != nil {
+		return st, fmt.Errorf("core: restore %s %q: %w", ds.Kind, ds.Name, err)
+	}
+	return st, nil
+}
+
+// adoptLocked serves a restored set under name, its generation one past
+// the set it replaces (if any). Caller holds e.mu for writing, or owns
+// an engine no one else can reach yet.
+func (e *Engine) adoptLocked(name string, st restoredSet) {
+	switch {
+	case st.ts != nil:
+		if old := e.tuples[name]; old != nil {
+			st.ts.gen = old.gen + 1
+		}
+		e.tuples[name] = st.ts
+	case st.sc != nil:
+		if old := e.scenes[name]; old != nil {
+			st.sc.gen = old.gen + 1
+		}
+		e.scenes[name] = st.sc
+	case st.se != nil:
+		if old := e.series[name]; old != nil {
+			st.se.gen = old.gen + 1
+		}
+		e.series[name] = st.se
+	default:
+		if old := e.wells[name]; old != nil {
+			st.ws.gen = old.gen + 1
+		}
+		e.wells[name] = st.ws
+	}
 }
 
 // RestoreOptions tunes OpenSnapshot.
@@ -352,38 +346,11 @@ func (e *Engine) Close() error {
 
 func (e *Engine) restoreFrom(snap *segment.Snapshot) error {
 	for _, ds := range snap.Manifest().Datasets {
-		dr, err := snap.Dataset(ds.Kind, ds.Name)
+		st, err := e.restoreSet(snap, ds)
 		if err != nil {
 			return err
 		}
-		switch ds.Kind {
-		case kindTuples:
-			ts, err := restoreTuples(dr, ds.Rows)
-			if err != nil {
-				return fmt.Errorf("core: restore tuples %q: %w", ds.Name, err)
-			}
-			e.tuples[ds.Name] = ts
-		case kindScenes:
-			ss, err := restoreScene(dr)
-			if err != nil {
-				return fmt.Errorf("core: restore scene %q: %w", ds.Name, err)
-			}
-			e.scenes[ds.Name] = ss
-		case kindSeries:
-			ss, err := restoreSeries(dr, e.shards)
-			if err != nil {
-				return fmt.Errorf("core: restore series %q: %w", ds.Name, err)
-			}
-			e.series[ds.Name] = ss
-		case kindWells:
-			ws, err := restoreWells(dr, e.shards)
-			if err != nil {
-				return fmt.Errorf("core: restore wells %q: %w", ds.Name, err)
-			}
-			e.wells[ds.Name] = ws
-		default:
-			return fmt.Errorf("%w: dataset %q has unknown kind %q", segment.ErrCorrupt, ds.Name, ds.Kind)
-		}
+		e.adoptLocked(ds.Name, st)
 	}
 	return nil
 }

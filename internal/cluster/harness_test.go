@@ -238,6 +238,19 @@ func TestClusterMinScoreAndBudget(t *testing.T) {
 	if !res.Stats.Truncated {
 		t.Fatal("Truncated not set under a starvation budget")
 	}
+
+	// Negative knobs fail as they do on a local engine, though Workers
+	// never crosses the wire.
+	for _, knob := range []func(*core.Request){
+		func(r *core.Request) { r.Budget = -1 },
+		func(r *core.Request) { r.Workers = -1 },
+	} {
+		rq = reqs["linear"]
+		knob(&rq)
+		if _, err := router.Run(context.Background(), rq); err == nil {
+			t.Fatalf("negative knob in %+v accepted", rq)
+		}
+	}
 }
 
 // TestClusterLinearMinScoreFloorRoundsDown is core's rounding repro at 2

@@ -279,6 +279,11 @@ func (r *Router) Run(ctx context.Context, req core.Request) (core.Result, error)
 	if req.MinScore != nil && math.IsNaN(*req.MinScore) {
 		return core.Result{}, errors.New("cluster: NaN request MinScore")
 	}
+	// Workers does not reach the nodes, so it is checked here as a
+	// local engine would.
+	if req.Budget < 0 || req.Workers < 0 {
+		return core.Result{}, errors.New("cluster: negative request Budget or Workers")
+	}
 	kind, err := dataKindOf(req.Query)
 	if err != nil {
 		return core.Result{}, err

@@ -167,7 +167,7 @@ func run(args []string) error {
 			return err
 		}
 		r := modelir.NewClusterRouterWith(topo, modelir.ClusterRouterOptions{MaxLogBytes: *logCap})
-		// Crash recovery (DESIGN.md §13): re-learn per-partition append
+		// Crash recovery (DESIGN.md §12): re-learn per-partition append
 		// cursors and the global row watermark from the replicas before
 		// serving, so a router restarted mid-ingest never reuses a
 		// global ID range. Best-effort — the append path re-learns

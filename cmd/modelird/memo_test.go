@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"modelir"
-	"modelir/internal/core"
 )
 
 // memoBodies is a hot_batch-shaped set of /run bodies over the demo
@@ -234,9 +233,10 @@ func TestItemsMemoConcurrentFirstHit(t *testing.T) {
 }
 
 // TestItemsMemoSkipsForeignFlooredRun runs a request first with a
-// foreign floor that prunes part of its answer (as a cluster node does
-// inside a scatter): the run is not stored, so /run misses and serves,
-// then memoises, the full answer.
+// foreign floor folded into its MinScore, which prunes part of its
+// answer (as a cluster node does inside a scatter): the run is stored
+// under the floor only, so /run misses and serves, then memoises, the
+// full answer.
 func TestItemsMemoSkipsForeignFlooredRun(t *testing.T) {
 	fx := newMemoFixture(t)
 	body := memoBodies[0]
@@ -252,9 +252,9 @@ func TestItemsMemoSkipsForeignFlooredRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := core.NewSharedBound()
-	sb.Raise(full.Items[3].Score)
-	cut, err := fx.engine.RunShared(context.Background(), req, sb)
+	floored := req
+	floored.MinScore = &full.Items[3].Score
+	cut, err := fx.engine.Run(context.Background(), floored)
 	if err != nil {
 		t.Fatal(err)
 	}

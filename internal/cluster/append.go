@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"modelir/internal/colstore"
+	"modelir/internal/core"
 	"modelir/internal/synth"
 )
 
@@ -86,18 +87,17 @@ type tokenEntry struct {
 // dsIngest is one dataset's write-side cursor: the global tuple row
 // watermark IDs are assigned from, the tuple width batches must have,
 // the round-robin batch counter, and the per-partition sequencing
-// state. It is built lazily on the first append by syncing seq state
-// from the partitions' replicas, so a restarted router resumes exactly
-// where the cluster left off.
+// state. It is built on the first append by syncing seq state from the
+// partitions' replicas, so a restarted router resumes exactly where the
+// cluster left off.
 type dsIngest struct {
 	kind DataKind
 
-	mu     sync.Mutex
-	synced bool
-	rows   int64 // next free global tuple row ID
-	width  int   // tuple width; 0 until a partition reports rows or a batch claims it
-	rr     uint64
-	parts  []*partIngestState
+	mu    sync.Mutex
+	rows  int64 // next free global tuple row ID
+	width int   // tuple width; 0 until a partition reports rows or a batch claims it
+	rr    uint64
+	parts []*partIngestState
 }
 
 // partIngestState sequences one partition's appends. Its lock is held
@@ -149,8 +149,9 @@ func appendKindOf(req AppendRequest) (DataKind, int, error) {
 // the append log, so it may still apply later through catch-up; a
 // caller retrying should carry a Token to stay idempotent. A batch no
 // replica acked and at least one refused fails with ErrAppendRefused
-// and leaves no trace: no sequence number, no log record, no
-// quarantine.
+// (core.ErrUnknownDataset when no node holds the dataset, or holds it
+// as another kind) and leaves no trace: no sequence number, no log
+// record, no quarantine.
 func (r *Router) Append(ctx context.Context, req AppendRequest) (AppendResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -244,8 +245,8 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 		Tuples: req.Tuples, Series: req.Series, Wells: req.Wells,
 	}
 	res, err := r.replicate(ctx, pa, batch)
-	if claimed && errors.Is(err, ErrAppendRefused) {
-		// The replicas hold rows of another width after all.
+	if claimed && refused(err) {
+		// The replicas took none of it: give the width claim back.
 		ds.mu.Lock()
 		ds.width = 0
 		ds.mu.Unlock()
@@ -253,12 +254,18 @@ func (r *Router) appendOnceRouted(ctx context.Context, req AppendRequest, kind D
 	return res, err
 }
 
+// refused reports a batch a node would not take and applied nothing of:
+// ErrAppendRefused, or core.ErrUnknownDataset from a node that does not
+// hold the partition.
+func refused(err error) bool {
+	return errors.Is(err, ErrAppendRefused) || errors.Is(err, core.ErrUnknownDataset)
+}
+
 // replicate assigns the batch its sequence number, logs it, and fans
 // it out to the partition's replicas, all under the partition lock. A
-// batch no replica acked and at least one refused (ErrAppendRefused) is
-// held by none: replicas at the same cursor validate a batch
-// identically, so a replica that failed by transport would have refused
-// it too. It gives its sequence number back, stays out of the log and
+// batch no replica acked and at least one refused is held by none:
+// replicas at the same cursor validate a batch identically, so a
+// replica that failed by transport would have refused it too. It gives its sequence number back, stays out of the log and
 // quarantines no one, so bad input cannot stall the partition or take
 // its nodes out of service, and catch-up never replays a batch every
 // replica refuses.
@@ -303,7 +310,7 @@ func (r *Router) replicate(ctx context.Context, pa *partIngestState, batch Appen
 		switch {
 		case o.err == nil:
 			acked = true
-		case refusal == nil && errors.Is(o.err, ErrAppendRefused):
+		case refusal == nil && refused(o.err):
 			refusal = o.err
 		}
 	}
@@ -429,7 +436,7 @@ func (r *Router) sendAppend(ctx context.Context, addr string, seq uint64, payloa
 // reports whether the failure was connection-level (retryable) rather
 // than node-reported.
 func (r *Router) appendOnce(ctx context.Context, addr string, seq uint64, payload []byte) (_ appendAck, err error, transport bool) {
-	rep, err, transport := r.roundTrip(ctx, addr, frameAppend, payload, nil, 0, r.opt.AckTimeout)
+	rep, err, transport := r.roundTrip(ctx, addr, frameAppend, payload, r.opt.AckTimeout)
 	if err != nil {
 		return appendAck{}, err, transport
 	}
@@ -454,47 +461,60 @@ func parseAppendAck(addr string, typ byte, payload []byte, seq uint64) (appendAc
 }
 
 // ensureIngest returns the dataset's write-side state, syncing it from
-// the cluster on first use: each partition's replicas report their
-// append cursor and row watermark over 'U' frames, the highest cursor
-// seeds the sequence counter, the highest watermark across partitions
-// seeds the global tuple row counter, and any partition holding rows
-// gives the tuple width. Replicas already behind the highest cursor are
-// quarantined immediately.
+// the cluster on first use (syncIngest). A dataset no node reports, or
+// a batch of another kind than the one the nodes report, is
+// core.ErrUnknownDataset, refused before the batch takes a sequence
+// number or a log record, and nothing about it is kept: a dataset
+// registered later is found by the next append. Two first appends may
+// sync at once; the first to finish is kept, and no batch was
+// sequenced against the other.
 func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind) (*dsIngest, error) {
 	if kind == KindScene {
 		return nil, fmt.Errorf("%w: scenes", ErrNotAppendable)
 	}
 	r.ing.mu.Lock()
-	ds, ok := r.ing.sets[dataset]
-	if !ok {
-		ds = &dsIngest{kind: kind}
-		r.ing.sets[dataset] = ds
-	}
+	ds := r.ing.sets[dataset]
 	r.ing.mu.Unlock()
+	if ds == nil {
+		synced, err := r.syncIngest(ctx, dataset, kind)
+		if err != nil {
+			return nil, err
+		}
+		r.ing.mu.Lock()
+		if ds = r.ing.sets[dataset]; ds == nil {
+			ds = synced
+			r.ing.sets[dataset] = ds
+		}
+		r.ing.mu.Unlock()
+	}
 	if ds.kind != kind {
-		return nil, fmt.Errorf("cluster: dataset %q is %v, append payload is %v", dataset, ds.kind, kind)
+		return nil, fmt.Errorf("%w: %q holds %v, the append is %v", core.ErrUnknownDataset, dataset, ds.kind, kind)
 	}
+	return ds, nil
+}
 
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.synced {
-		return ds, nil
-	}
+// syncIngest builds a dataset's write-side state from the cluster: each
+// partition's replicas report their append cursor and row watermark
+// over 'U' frames, the highest cursor seeds the sequence counter, the
+// highest watermark across partitions seeds the global tuple row
+// counter, and any partition holding rows gives the dataset's kind and
+// tuple width. Only once the dataset is known to be one the batch can
+// land in are replicas already behind the highest cursor, or
+// unreachable, quarantined.
+func (r *Router) syncIngest(ctx context.Context, dataset string, kind DataKind) (*dsIngest, error) {
 	placements := r.place.layout(dataset, kind)
 	if len(placements) == 0 {
 		return nil, errors.New("cluster: empty topology")
 	}
-	parts := make([]*partIngestState, 0, len(placements))
-	var rows int64
-	width := 0
-	for _, pl := range placements {
-		pa := &partIngestState{part: pl.Part, nodes: pl.Nodes, acked: make(map[string]uint64)}
-		type report struct {
-			lastSeq   uint64
-			watermark int64
-		}
-		reports := make(map[string]report, len(pl.Nodes))
-		var best report
+	type report struct {
+		lastSeq   uint64
+		watermark int64
+	}
+	ds := &dsIngest{kind: kind}
+	reported, held := false, DataKind(0)
+	reports := make([]map[string]report, len(placements))
+	for i, pl := range placements {
+		reports[i] = make(map[string]report, len(pl.Nodes))
 		for _, addr := range pl.Nodes {
 			entries, err := r.seqStateOf(ctx, addr, dataset)
 			if err != nil {
@@ -503,26 +523,40 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 			r.health.ok(addr)
 			rep := report{}
 			for _, e := range entries {
-				width = max(width, e.Width)
-				if e.Dataset == dataset && e.Part == pl.Part {
+				if e.Dataset != dataset {
+					continue
+				}
+				reported = true
+				held = max(held, e.Kind)
+				ds.width = max(ds.width, e.Width)
+				if e.Part == pl.Part {
 					rep = report{lastSeq: e.LastSeq, watermark: e.Watermark}
 				}
 			}
-			reports[addr] = rep
-			if rep.lastSeq > best.lastSeq {
-				best.lastSeq = rep.lastSeq
-			}
-			if rep.watermark > best.watermark {
-				best.watermark = rep.watermark
-			}
+			reports[i][addr] = rep
 		}
-		if len(reports) == 0 {
+		if len(reports[i]) == 0 {
 			return nil, fmt.Errorf("%w: %q part %d: no replica reachable for ingest sync",
 				ErrPartitionUnavailable, dataset, pl.Part)
 		}
-		pa.nextSeq = best.lastSeq + 1
+	}
+	switch {
+	case !reported:
+		return nil, fmt.Errorf("%w: %q: no node holds it", core.ErrUnknownDataset, dataset)
+	case held != 0 && held != kind:
+		// held is 0 while every partition is empty: the first batch
+		// that lands gives the dataset its kind.
+		return nil, fmt.Errorf("%w: %q holds %v, the append is %v", core.ErrUnknownDataset, dataset, held, kind)
+	}
+	for i, pl := range placements {
+		var last uint64
+		for _, rep := range reports[i] {
+			last = max(last, rep.lastSeq)
+			ds.rows = max(ds.rows, rep.watermark)
+		}
+		pa := &partIngestState{part: pl.Part, nodes: pl.Nodes, nextSeq: last + 1, acked: make(map[string]uint64)}
 		for _, addr := range pl.Nodes {
-			rep, ok := reports[addr]
+			rep, ok := reports[i][addr]
 			if !ok {
 				// Unreachable at sync: quarantine until catch-up proves it
 				// current, and record no acked floor — a missing entry
@@ -535,23 +569,16 @@ func (r *Router) ensureIngest(ctx context.Context, dataset string, kind DataKind
 				continue
 			}
 			pa.acked[addr] = rep.lastSeq
-			if rep.lastSeq < best.lastSeq {
+			if rep.lastSeq < last {
 				// Provably behind this router's log start: quarantine.
 				// Catch-up replays the gap if the log still covers it and
 				// escalates to snapshot resync if not (see catchup.go).
 				r.health.missedAppend(addr)
 			}
 		}
-		if best.watermark > rows {
-			rows = best.watermark
-		}
-		parts = append(parts, pa)
+		ds.parts = append(ds.parts, pa)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].part < parts[j].part })
-	ds.parts = parts
-	ds.rows = rows
-	ds.width = width
-	ds.synced = true
+	sort.Slice(ds.parts, func(i, j int) bool { return ds.parts[i].part < ds.parts[j].part })
 	return ds, nil
 }
 
@@ -613,10 +640,6 @@ func (r *Router) AppendSeqs() map[string]map[int]uint64 {
 	out := make(map[string]map[int]uint64, len(sets))
 	for name, ds := range sets {
 		ds.mu.Lock()
-		if !ds.synced {
-			ds.mu.Unlock()
-			continue
-		}
 		m := make(map[int]uint64, len(ds.parts))
 		for _, pa := range ds.parts {
 			pa.mu.Lock()

@@ -65,7 +65,7 @@ func (r *Router) dialRepair(ctx context.Context, addr string) (*fconn, error) {
 // can lift Down back to Healthy; it never lifts Stale — reachability is
 // not consistency); a failure was already counted by the transport.
 func (r *Router) Probe(ctx context.Context, addr string) error {
-	rep, err, _ := r.roundTrip(ctx, addr, frameHealth, nil, nil, 0, r.opt.AckTimeout)
+	rep, err, _ := r.roundTrip(ctx, addr, frameHealth, nil, r.opt.AckTimeout)
 	if err != nil {
 		return err
 	}
@@ -80,7 +80,7 @@ func (r *Router) Probe(ctx context.Context, addr string) error {
 // seqStateOf asks addr for its append cursors (a 'U' stream on the
 // peer's connection). dataset filters to one dataset; "" asks for all.
 func (r *Router) seqStateOf(ctx context.Context, addr, dataset string) ([]SeqEntry, error) {
-	rep, err, _ := r.roundTrip(ctx, addr, frameSeqState, encodeSeqStateReq(dataset), nil, 0, r.opt.AckTimeout)
+	rep, err, _ := r.roundTrip(ctx, addr, frameSeqState, encodeSeqStateReq(dataset), r.opt.AckTimeout)
 	switch {
 	case err != nil:
 		return nil, err
@@ -121,11 +121,8 @@ func (r *Router) CatchUp(ctx context.Context, addr string) error {
 
 		for name, ds := range sets {
 			ds.mu.Lock()
-			synced, parts := ds.synced, ds.parts
+			parts := ds.parts
 			ds.mu.Unlock()
-			if !synced {
-				continue
-			}
 			var high int64
 			for _, pa := range parts {
 				if !slices.Contains(pa.nodes, addr) {

@@ -4,9 +4,10 @@
 // TCP, and merges the per-node top-K partials with the exact
 // (score desc, ID asc) rule pinned by internal/topk — so node count,
 // like shard count one layer down, changes wall-clock time only, never
-// answers. The screening floor (topk.Bound) is piggybacked both ways on
-// the partial-result streams: a hot node's floor prunes cold nodes'
-// tuple blocks and pyramid descents mid-flight (see DESIGN.md §9).
+// answers. A node carries the screening floor (the K-th best score
+// merged so far) from one partition it serves to the next, and a
+// partition covered again after a failure starts under the floor the
+// first round proved (see DESIGN.md §9).
 //
 // This file is placement: a consistent-hash ring with virtual nodes
 // mapping (dataset, partition) to a replica preference list, and the
@@ -36,6 +37,23 @@ const (
 	KindWells
 	KindScene
 )
+
+// String names the kind by its engine manifest tag ("tuples", "series",
+// "wells", "scenes").
+func (k DataKind) String() string {
+	switch k {
+	case KindTuples:
+		return "tuples"
+	case KindSeries:
+		return "series"
+	case KindWells:
+		return "wells"
+	case KindScene:
+		return "scenes"
+	default:
+		return "kind " + strconv.Itoa(int(k))
+	}
+}
 
 // Partitioned reports whether datasets of this kind split across nodes.
 func (k DataKind) Partitioned() bool { return k != KindScene }

@@ -152,7 +152,7 @@ func TestCancelAbortsRemoteFanout(t *testing.T) {
 	}
 	close(release)
 
-	// The node's handler, released, starts RunShared with its context
+	// The node's handler, released, starts Engine.Run with its context
 	// already cancelled and counts the query as cancelled.
 	deadline := time.Now().Add(30 * time.Second)
 	for {

@@ -1,11 +1,11 @@
-// Cross-node floor propagation, pinned deterministically: a hand-built
-// skewed archive where one partition (hot) scores far above the other
-// (cold). The hot node's published floor, delivered to the cold node in
-// the query frame, must let the cold node prune work it would otherwise
-// do — whole zone-mapped blocks of tuples, whole wells before their
-// pair DP — observable in QueryStats.Pruned.
+// Cross-node floors, pinned deterministically: a hand-built skewed
+// archive where one partition (hot) scores far above the other (cold).
+// The hot partition's floor (its K-th best score), delivered to the
+// cold node in the query frame, must let the cold node prune work it
+// would otherwise do — whole zone-mapped blocks of tuples, whole wells
+// before their pair DP — observable in QueryStats.Pruned.
 // The test drives the wire protocol directly (a raw client instead of
-// the router) so the floor's arrival is ordered, not raced.
+// the router), so which floor each query carries is fixed.
 
 package cluster
 
@@ -34,7 +34,7 @@ func queryPayload(t testing.TB, req core.Request, parts []int, floor float64) []
 }
 
 // queryNode runs one partition query over a raw connection, exactly as
-// the router would, with a fixed initial floor.
+// the router would, under a fixed floor.
 func queryNode(t *testing.T, addr string, req core.Request, part int, floor float64) Partial {
 	t.Helper()
 	payload := queryPayload(t, req, []int{part}, floor)
@@ -47,28 +47,33 @@ func queryNode(t *testing.T, addr string, req core.Request, part int, floor floa
 	if err := fc.send(frameQuery, 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		typ, _, payload, err := readFrame(fc.br)
+	typ, _, reply, err := readFrame(fc.br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch typ {
+	case frameResult:
+		p, err := decodePartial(reply)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch typ {
-		case frameFloor:
-			// Mid-flight floor raises; the test reads the final floor
-			// off the result frame instead.
-		case frameResult:
-			p, err := decodePartial(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		case frameError:
-			code, msg, _ := decodeError(payload)
-			t.Fatalf("node error %s: %s", code, msg)
-		default:
-			t.Fatalf("unexpected frame %q", typ)
-		}
+		return p
+	case frameError:
+		code, msg, _ := decodeError(reply)
+		t.Fatalf("node error %s: %s", code, msg)
+	default:
+		t.Fatalf("unexpected frame %q", typ)
 	}
+	return Partial{}
+}
+
+// kthScore is the floor a partial proves: its K-th best score, or -Inf
+// when it holds fewer than k items.
+func kthScore(p Partial, k int) float64 {
+	if len(p.Items) < k {
+		return math.Inf(-1)
+	}
+	return p.Items[k-1].Score
 }
 
 // startFloorNodes serves a two-node, unreplicated cluster, each node
@@ -148,19 +153,20 @@ func TestCrossNodeFloorPrunesColdBlocks(t *testing.T) {
 	}
 	req := core.Request{Dataset: dataset, Query: core.LinearQuery{Model: lm}, K: 8}
 
-	// The hot partition runs first and publishes its floor: the 8th
-	// best hot score, far above anything in the cold partition.
+	// The hot partition runs first and proves its floor: the 8th best
+	// hot score, far above anything in the cold partition.
 	hot := queryNode(t, byPart[0], req, 0, math.Inf(-1))
-	if hot.Floor < 300 {
-		t.Fatalf("hot floor = %v, want around 3x100", hot.Floor)
+	floor := kthScore(hot, req.K)
+	if floor < 300 {
+		t.Fatalf("hot floor = %v, want around 3x100", floor)
 	}
 
 	// Cold partition without the foreign floor: the baseline scan.
 	base := queryNode(t, byPart[1], req, 1, math.Inf(-1))
-	// Cold partition with the hot node's floor piggybacked in the
-	// query frame: whole blocks fall below the floor's upper bound
-	// and are pruned without evaluation.
-	pruned := queryNode(t, byPart[1], req, 1, hot.Floor)
+	// Cold partition with the hot partition's floor in the query
+	// frame: whole blocks fall below the floor's upper bound and are
+	// pruned without evaluation.
+	pruned := queryNode(t, byPart[1], req, 1, floor)
 
 	if pruned.Stats.Pruned <= base.Stats.Pruned {
 		t.Fatalf("foreign floor did not increase pruning: %d vs %d",
@@ -211,11 +217,12 @@ func TestCrossNodeFloorPrunesColdWells(t *testing.T) {
 		MaxGapFt: 10, MinGamma: 45, GammaRampAPI: 20,
 	}}
 	hot := queryNode(t, byPart[0], req, 0, math.Inf(-1))
-	if hot.Floor != 1 {
-		t.Fatalf("hot floor = %v, want 1", hot.Floor)
+	floor := kthScore(hot, req.K)
+	if floor != 1 {
+		t.Fatalf("hot floor = %v, want 1", floor)
 	}
 	base := queryNode(t, byPart[1], req, 1, math.Inf(-1))
-	pruned := queryNode(t, byPart[1], req, 1, hot.Floor)
+	pruned := queryNode(t, byPart[1], req, 1, floor)
 	if pruned.Stats.Pruned <= base.Stats.Pruned {
 		t.Fatalf("foreign floor did not increase pruning: %d vs %d",
 			pruned.Stats.Pruned, base.Stats.Pruned)

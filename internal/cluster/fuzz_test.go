@@ -45,25 +45,26 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	q := queryPayload(t, core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, []int{0}, math.Inf(-1))
+	floored := queryPayload(t, core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 4}, []int{0}, 2.5)
 	a, err := encodeAppend(AppendBatch{Dataset: "gauss", Part: 0, Seq: 1, Base: 64, Tuples: [][]float64{{1, 2, 3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hugeK := queryPayload(t, core.Request{Dataset: "gauss", Query: core.LinearQuery{Model: lm}, K: 1 << 30}, []int{0}, math.Inf(-1))
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
-	query, floor, cancel := frameBytes(frameQuery, 1, q), frameBytes(frameFloor, 1, encodeFloor(2.5)), frameBytes(frameCancel, 1, nil)
+	query, cancel := frameBytes(frameQuery, 1, q), frameBytes(frameCancel, 1, nil)
 	return map[string][]byte{
-		"seed-query-floor-cancel": cat(query, floor, cancel),
+		"seed-query-floor-cancel": cat(frameBytes(frameQuery, 1, floored), cancel),
 		"seed-append":             frameBytes(frameAppend, 2, a),
-		"seed-interleaved": cat(query, frameBytes(frameQuery, 2, q), frameBytes(frameHealth, 3, nil),
-			frameBytes(frameFloor, 2, encodeFloor(1)), frameBytes(frameSeqState, 4, encodeSeqStateReq("")), floor),
+		"seed-interleaved": cat(query, frameBytes(frameQuery, 2, floored), frameBytes(frameHealth, 3, nil),
+			frameBytes(frameCancel, 2, nil), frameBytes(frameSeqState, 4, encodeSeqStateReq("")), cancel),
 		"seed-truncated-header": query[:5],
 		"seed-truncated-body":   query[:len(query)-3],
 		"seed-unknown-type":     cat(frameBytes(frameHealth, 1, nil), frameBytes('z', 2, []byte("x"))),
 		"seed-stream-reuse":     cat(query, query),
 		// A K that would size a 32 GiB heap: found by this fuzzer.
 		"seed-huge-k":   frameBytes(frameQuery, 1, hugeK),
-		"seed-over-cap": cat(frameBytes(frameHealth, 9, nil), []byte{0xff, 0xff, 0xff, 0xff, frameFloor, 0, 0, 0, 1}),
+		"seed-over-cap": cat(frameBytes(frameHealth, 9, nil), []byte{0xff, 0xff, 0xff, 0xff, frameCancel, 0, 0, 0, 1}),
 		// A repair session's opening frames, as a donor and as a stale
 		// replica (whose install of this bogus snapshot is refused).
 		"seed-resync": frameBytes(frameResyncReq, 0, encodeRecord(SeqEntry{Dataset: "gauss"})),
@@ -71,8 +72,8 @@ func frameStreamSeeds(t testing.TB) map[string][]byte {
 			frameBytes(frameResyncChunk, 0, encodeChunk("MANIFEST.json", []byte("{}"))),
 			frameBytes(frameResyncState, 0, encodeRecord(SeqEntry{Dataset: "gauss", LastSeq: 1, Watermark: 1}))),
 		// The same shapes as a node would send them back.
-		"seed-replies": cat(frameBytes(frameFloor, 1, encodeFloor(3)), frameBytes(frameResult, 1, encodePartial(Partial{Floor: 3})),
-			frameBytes(frameError, 2, encodeError("exec", "boom")), frameBytes(frameFloor, 1, encodeFloor(9))),
+		"seed-replies": cat(frameBytes(frameResult, 1, encodePartial(Partial{Items: []topk.Item{{ID: 1, Score: 3}}})),
+			frameBytes(frameError, 2, encodeError("exec", "boom")), frameBytes(frameResult, 1, encodePartial(Partial{}))),
 	}
 }
 
@@ -126,9 +127,8 @@ func seqStateSeeds() map[string][]byte {
 func partialSeeds() map[string][]byte {
 	full := encodePartial(Partial{Items: []topk.Item{{ID: 1, Score: 2}}})
 	return map[string][]byte{
-		"seed-empty": encodePartial(Partial{Floor: math.Inf(-1)}),
+		"seed-empty": encodePartial(Partial{}),
 		"seed-items": encodePartial(Partial{
-			Floor: 12.5,
 			Items: []topk.Item{{ID: 3, Score: 9.25}, {ID: 7, Score: 9.25}, {ID: 9, Score: -1}},
 			Stats: PartialStats{Evaluations: 100, Examined: 80, Pruned: 20, Shards: 4},
 		}),
@@ -155,9 +155,9 @@ func recordSeeds() map[string][]byte {
 	}
 }
 
-// querySeeds is the 'Q' seed corpus: 'Q' payloads over one
-// and several partitions, with and without floor publishing, plus
-// truncation and misuse shapes of the header.
+// querySeeds is the 'Q' seed corpus: 'Q' payloads over one and several
+// partitions, with and without a floor, plus truncation and misuse
+// shapes of the header.
 func querySeeds(t testing.TB) map[string][]byte {
 	lm, err := linear.New([]string{"a", "b", "c"}, []float64{1, -0.5, 2}, 3)
 	if err != nil {
@@ -172,29 +172,30 @@ func querySeeds(t testing.TB) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	publish := encodeQuery(nodeQuery{Parts: []int{1, 3, 4}, Publish: true, Req: lin, Floor: -2}, body)
+	three := encodeQuery(nodeQuery{Parts: []int{1, 3, 4}, Req: lin, Floor: -2}, body)
+	nan := encodeQuery(nodeQuery{Parts: []int{0}, Req: lin, Floor: math.NaN()}, body)
 	// Headers whose partition list is out of order, repeated, empty, or
 	// claims more entries than the payload holds.
 	list := func(parts ...uint64) []byte {
-		b := []byte{wireVersion, 0}
+		b := []byte{wireVersion}
 		b = canon.AppendUint(b, uint64(len(parts)))
 		for _, p := range parts {
 			b = canon.AppendUint(b, p)
 		}
-		return append(b, one[2+16:]...)
+		return append(b, one[1+16:]...)
 	}
-	huge := append([]byte{wireVersion, 0}, canon.AppendUint(nil, 1<<60)...)
+	huge := append([]byte{wireVersion}, canon.AppendUint(nil, 1<<60)...)
 	return map[string][]byte{
 		"seed-one-part":       one,
 		"seed-two-parts":      two,
-		"seed-publish":        publish,
+		"seed-three-parts":    three,
+		"seed-nan-floor":      nan,
 		"seed-truncated":      two[:len(two)-3],
 		"seed-bad-version":    append([]byte{wireVersion - 1}, one[1:]...),
-		"seed-bad-flag":       append([]byte{wireVersion, 2}, one[2:]...),
 		"seed-unsorted-parts": list(2, 1),
 		"seed-repeated-part":  list(1, 1),
 		"seed-no-parts":       list(),
-		"seed-huge-count":     append(huge, one[2+16:]...),
+		"seed-huge-count":     append(huge, one[1+16:]...),
 	}
 }
 
@@ -258,7 +259,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 }
 
 // TestQueryBodyIsCanonicalRequest pins the 'Q' layout: a header
-// (version, publish flag, partition list, Budget, floor) and then the
+// (version, partition list, Budget, floor) and then the
 // request's canonical bytes from the encoder the result cache keys
 // with, the same whatever the header holds. Workers stays off the wire:
 // it never changes an answer.
@@ -274,24 +275,23 @@ func TestQueryBodyIsCanonicalRequest(t *testing.T) {
 	}
 	type header struct {
 		parts           []int
-		publish         bool
 		workers, budget int
 		floor           float64
 	}
-	for _, h := range []header{{[]int{0}, false, 0, 0, math.Inf(-1)}, {[]int{3}, true, 7, 0, 2.5}, {[]int{0, 1, 4}, false, 2, 500, -1}} {
+	for _, h := range []header{{[]int{0}, 0, 0, math.Inf(-1)}, {[]int{3}, 7, 0, 2.5}, {[]int{0, 1, 4}, 2, 500, -1}} {
 		r := req
 		r.Workers, r.Budget = h.workers, h.budget
-		payload := encodeQuery(nodeQuery{Parts: h.parts, Publish: h.publish, Req: r, Floor: h.floor}, key)
-		if hdr := 2 + 8*(len(h.parts)+3); len(payload) != hdr+len(key) || !bytes.Equal(payload[hdr:], key) {
+		payload := encodeQuery(nodeQuery{Parts: h.parts, Req: r, Floor: h.floor}, key)
+		if hdr := 1 + 8*(len(h.parts)+3); len(payload) != hdr+len(key) || !bytes.Equal(payload[hdr:], key) {
 			t.Fatalf("header %+v: body differs from the request's canonical bytes", h)
 		}
 		q, err := decodeQuery(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(q.Parts, h.parts) || q.Publish != h.publish || q.Req.Workers != 0 ||
+		if !reflect.DeepEqual(q.Parts, h.parts) || q.Req.Workers != 0 ||
 			q.Req.Budget != h.budget || q.Floor != h.floor || q.Req.Dataset != "gauss" {
-			t.Fatalf("header %+v decoded as parts %v publish %v, %+v, floor %v", h, q.Parts, q.Publish, q.Req, q.Floor)
+			t.Fatalf("header %+v decoded as parts %v, %+v, floor %v", h, q.Parts, q.Req, q.Floor)
 		}
 	}
 	// A version-2 'Q' (one partition per frame) is refused, not misread.
@@ -307,7 +307,7 @@ func TestQueryBodyIsCanonicalRequest(t *testing.T) {
 // follow and against maxWireParts before the list is allocated.
 func TestQueryPartListCannotBuyAllocation(t *testing.T) {
 	claim := func(n uint64, body int) []byte {
-		b := append([]byte{wireVersion, 0}, canon.AppendUint(nil, n)...)
+		b := append([]byte{wireVersion}, canon.AppendUint(nil, n)...)
 		return append(b, make([]byte, body)...)
 	}
 	for _, tc := range []struct {
@@ -360,11 +360,6 @@ func wireSeeds(t testing.TB) map[byte]map[string][]byte {
 			"seed-chunk":       chunk,
 			"seed-empty-data":  encodeChunk("MANIFEST.json", nil),
 			"seed-bad-version": append([]byte{wireVersion - 1}, chunk[1:]...),
-		},
-		frameFloor: {
-			"seed-floor": encodeFloor(2.5),
-			"seed-short": encodeFloor(1)[:7],
-			"seed-long":  append(encodeFloor(math.Inf(-1)), 0),
 		},
 		frameError: {
 			"seed-error":    encodeError("exec", "boom"),
@@ -426,10 +421,6 @@ func payloadCodecs(t *testing.T) map[byte][]func(data []byte) ([]byte, error) {
 			name, chunk, err := decodeChunk(data)
 			return encodeChunk(name, chunk), err
 		}},
-		frameFloor: {func(data []byte) ([]byte, error) {
-			f, err := decodeFloor(data)
-			return encodeFloor(f), err
-		}},
 		frameError: {func(data []byte) ([]byte, error) {
 			code, msg, err := decodeError(data)
 			return encodeError(code, msg), err
@@ -472,23 +463,28 @@ func fuzzPayloadType(f *testing.F, typ byte) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkPayload(t, typ, data) })
 }
 
-// TestWireVersion3Refused: a version-3 payload of every versioned type
-// is refused with canon.ErrCorrupt, not misread ('F' and 'E' carry no
-// version).
+// TestWireVersion3Refused: a payload of every versioned type under any
+// version but the current one — 3 and 4 included — is refused with
+// canon.ErrCorrupt, not misread ('E' carries no version).
 func TestWireVersion3Refused(t *testing.T) {
 	codecs := payloadCodecs(t)
 	for typ, seeds := range wireSeeds(t) {
-		if typ == frameFloor || typ == frameError {
+		if typ == frameError {
 			continue
 		}
 		for name, b := range seeds {
 			if len(b) == 0 || b[0] != wireVersion {
 				continue
 			}
-			old := append([]byte{3}, b[1:]...)
-			for i, codec := range codecs[typ] {
-				if _, err := codec(old); !errors.Is(err, canon.ErrCorrupt) {
-					t.Fatalf("version-3 %q %s, decoder %d: err %v, want canon.ErrCorrupt", typ, name, i, err)
+			for v := 0; v <= math.MaxUint8; v++ {
+				if v == wireVersion {
+					continue
+				}
+				old := append([]byte{byte(v)}, b[1:]...)
+				for i, codec := range codecs[typ] {
+					if _, err := codec(old); !errors.Is(err, canon.ErrCorrupt) {
+						t.Fatalf("version-%d %q %s, decoder %d: err %v, want canon.ErrCorrupt", v, typ, name, i, err)
+					}
 				}
 			}
 		}
@@ -571,10 +567,10 @@ func FuzzFrameStream(f *testing.F) {
 		idle, _ := net.Pipe()
 		fc := newFconn(idle, 0)
 		fc.br = bufio.NewReader(bytes.NewReader(data))
-		pc := &peerConn{p: p, fc: fc, done: make(chan struct{}), calls: make(map[uint32]*call)}
-		var calls []*call
+		pc := &peerConn{p: p, fc: fc, done: make(chan struct{}), calls: make(map[uint32]chan reply)}
+		var calls []chan reply
 		for i := 0; i < 4; i++ {
-			_, c, err := pc.open(newFloorGossip(math.Inf(-1)))
+			_, c, err := pc.open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -586,7 +582,7 @@ func FuzzFrameStream(f *testing.F) {
 		}
 		for i, c := range calls {
 			select {
-			case <-c.done:
+			case <-c:
 			default:
 				t.Fatalf("stream %d was left without an outcome", i+1)
 			}

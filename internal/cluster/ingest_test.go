@@ -398,6 +398,129 @@ func TestClusterIngestRefusedBatchReplicaDown(t *testing.T) {
 	}
 }
 
+// reconciledHealthy fails unless every peer is healthy, before and
+// after a Reconcile pass: a refused append must quarantine no one, not
+// even for a pass to lift.
+func reconciledHealthy(t *testing.T, label string, r *Router) {
+	t.Helper()
+	for addr, st := range r.PeerHealth() {
+		if st != Healthy {
+			t.Fatalf("%s: peer %s is %v", label, addr, st)
+		}
+	}
+	for addr, st := range r.Reconcile(context.Background()) {
+		if st != Healthy {
+			t.Fatalf("%s, after Reconcile: peer %s is %v", label, addr, st)
+		}
+	}
+}
+
+// TestClusterIngestUnknownDataset: an append to a dataset no node holds
+// (a typo in POST /append's dataset) is refused as
+// core.ErrUnknownDataset before it takes a sequence number or a log
+// record. No replica is quarantined, the router keeps nothing of the
+// name, and the cluster goes on appending and serving exactly.
+func TestClusterIngestUnknownDataset(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	router, _, _ := startIngestCluster(t, 2, 2, 2, pre, NodeOptions{}, testRouterOptions())
+	for i := 0; i < 2; i++ {
+		res, err := router.Append(ctx, AppendRequest{Dataset: "typo", Tuples: tl.tuples[:10]})
+		if !errors.Is(err, core.ErrUnknownDataset) {
+			t.Fatalf("append %d to an unknown dataset: err = %v, want core.ErrUnknownDataset", i, err)
+		}
+		if len(res.Quarantined) != 0 || res.Seq != 0 {
+			t.Fatalf("append %d to an unknown dataset: %+v", i, res)
+		}
+	}
+	if _, kept := router.AppendSeqs()["typo"]; kept {
+		t.Fatal("the router kept ingest state for an unknown dataset")
+	}
+	reconciledHealthy(t, "after appends to an unknown dataset", router)
+	appendTails(t, router, tl)
+	runSix(t, "after appends to an unknown dataset", router, reqs, want)
+}
+
+// TestClusterIngestWrongKindFirstBatch: a first batch of the wrong kind
+// (series rows for the tuple dataset gauss) is refused as
+// core.ErrUnknownDataset, since the nodes report gauss's kind, and the
+// router does not keep the batch's kind: the tuple appends after it
+// land, and every family answers exactly.
+func TestClusterIngestWrongKindFirstBatch(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	router, _, _ := startIngestCluster(t, 2, 2, 2, pre, NodeOptions{}, testRouterOptions())
+	res, err := router.Append(ctx, AppendRequest{Dataset: "gauss", Series: tl.series[:2]})
+	if !errors.Is(err, core.ErrUnknownDataset) {
+		t.Fatalf("series rows for a tuple dataset: err = %v, want core.ErrUnknownDataset", err)
+	}
+	if len(res.Quarantined) != 0 {
+		t.Fatalf("a wrong-kind batch quarantined %v", res.Quarantined)
+	}
+	if _, kept := router.AppendSeqs()["gauss"]; kept {
+		t.Fatal("the router kept ingest state from a wrong-kind batch")
+	}
+	reconciledHealthy(t, "after a wrong-kind first batch", router)
+	appendTails(t, router, tl)
+	runSix(t, "after a wrong-kind first batch", router, reqs, want)
+}
+
+// TestClusterIngestUnknownDatasetReply: an 'A' every replica answers
+// with unknown-dataset — the router synced the dataset, but the nodes
+// no longer hold the partition, as a node restored from a snapshot cut
+// before the dataset was registered would not — is a refusal like
+// ErrAppendRefused: no sequence number, no log record, no quarantine.
+// Once the nodes hold the dataset again, the appends after it land and
+// every family answers exactly.
+func TestClusterIngestUnknownDatasetReply(t *testing.T) {
+	f := buildFixtures(t)
+	pre, tl := splitFixtures(f)
+	reqs := familyRequests(t, f)
+	want := reference(t, f, reqs)
+	ctx := context.Background()
+
+	router, nodes, _ := startIngestCluster(t, 2, 2, 2, pre, NodeOptions{}, testRouterOptions())
+	if _, err := router.Append(ctx, AppendRequest{Dataset: "basin", Wells: tl.wells[:3]}); err != nil {
+		t.Fatal(err)
+	}
+	seqs := router.AppendSeqs()["basin"]
+	held := make([]map[int]partEntry, len(nodes))
+	for i, n := range nodes {
+		n.mu.Lock()
+		held[i] = n.parts["basin"]
+		delete(n.parts, "basin")
+		n.mu.Unlock()
+	}
+	res, err := router.Append(ctx, AppendRequest{Dataset: "basin", Wells: tl.wells[3:6]})
+	if !errors.Is(err, core.ErrUnknownDataset) {
+		t.Fatalf("append no replica holds: err = %v, want core.ErrUnknownDataset", err)
+	}
+	if len(res.Quarantined) != 0 {
+		t.Fatalf("an unknown-dataset reply quarantined %v", res.Quarantined)
+	}
+	for part, seq := range router.AppendSeqs()["basin"] {
+		if seq != seqs[part] {
+			t.Fatalf("part %d: the refused append moved the sequence from %d to %d", part, seqs[part], seq)
+		}
+	}
+	for i, n := range nodes {
+		n.mu.Lock()
+		n.parts["basin"] = held[i]
+		n.mu.Unlock()
+	}
+	reconciledHealthy(t, "after an unknown-dataset reply", router)
+	appendTails(t, router, tails{tuples: tl.tuples, series: tl.series, wells: tl.wells[3:]})
+	runSix(t, "after an unknown-dataset reply", router, reqs, want)
+}
+
 // TestClusterIngestRefusedBeforeIDs: tuple batches every replica would
 // refuse — ragged, non-finite, of the wrong width — are refused at the
 // router before they take a sequence number or row IDs, even while good

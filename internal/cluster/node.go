@@ -1,13 +1,11 @@
 // The shard-server role: a Node owns a private engine holding its
 // assigned partitions of each dataset and serves every inbound
 // connection with one read loop that demultiplexes the router's
-// streams: a 'Q' starts a query goroutine, 'F'/'C' reach that query's
-// SharedBound/cancel, appends, probes and seq-state requests are
-// answered on the same connection. While a query runs, the node and
-// router exchange floor raises ('F' frames) both ways: remote floors
-// feed the query's SharedBound and prune the local scan mid-flight, and
-// local raises are published back so the router can gossip them to the
-// other nodes.
+// streams: a 'Q' starts a query goroutine, a 'C' cancels it, and
+// appends, probes and seq-state requests are answered on the same
+// connection. A query runs under the floor its 'Q' carries, folded
+// into the request's MinScore, and carries the K-th best score of the
+// partitions it has run into the next one.
 
 package cluster
 
@@ -29,14 +27,6 @@ import (
 	"modelir/internal/synth"
 	"modelir/internal/topk"
 )
-
-// floorPollInterval is how often the node checks whether its local
-// floor rose enough to publish, and how long a query must have run
-// before the first check: a read that finishes sooner has nothing worth
-// gossiping and never starts the publisher. Floor frames are an
-// optimization — the result is bit-identical with or without them — so
-// a coarse interval costs only pruning opportunity, never correctness.
-const floorPollInterval = 200 * time.Microsecond
 
 // NodeOptions configures a shard server.
 type NodeOptions struct {
@@ -314,94 +304,25 @@ func errorCode(err error) string {
 // wedge every stream's reply behind the write mutex.
 const nodeWriteTimeout = 10 * time.Second
 
-// queryStream is what the read loop needs to reach a running query:
-// its cancel func and the floors its partition runs share.
-type queryStream struct {
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	remote float64           // the best floor the router sent
-	merged float64           // the K-th best score of the finished runs merged
-	ran    float64           // the best final floor of a finished run
-	sb     *core.SharedBound // the partition run in progress, if any
-}
-
-func newQueryStream(cancel context.CancelFunc) *queryStream {
-	return &queryStream{cancel: cancel, remote: math.Inf(-1), merged: math.Inf(-1), ran: math.Inf(-1)}
-}
-
-// raise applies a floor from the router to the run in progress and to
-// every later one.
-func (qs *queryStream) raise(f float64) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	if f > qs.remote {
-		qs.remote = f
-	}
-	qs.sb.Raise(f) // a nil bound (between runs) ignores it
-}
-
-// next starts a partition run: a fresh bound seeded with the router's
-// floor and the merged runs' K-th best score — the same for a repeated
-// read whether the earlier runs were cold or cache hits, so the seeded
-// run's cache entry is found again.
-func (qs *queryStream) next() *core.SharedBound {
-	sb := core.NewSharedBound()
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	sb.Raise(max(qs.remote, qs.merged))
-	qs.sb = sb
-	return sb
-}
-
-// done retires a finished run, keeping its final floor.
-func (qs *queryStream) done(sb *core.SharedBound) {
-	f := sb.Floor()
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.ran = max(qs.ran, f)
-	qs.sb = nil
-}
-
-// prove records the K-th best score of the runs merged so far: K items
-// at or above it exist, so no later partition needs items below it.
-func (qs *queryStream) prove(f float64) {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.merged = max(qs.merged, f)
-}
-
-// floor is the best floor this query has proved or been sent, for
-// publishing: any run's, the merged runs', or the router's.
-func (qs *queryStream) floor() float64 {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	f := max(qs.ran, qs.merged, qs.remote)
-	if qs.sb != nil {
-		f = max(f, qs.sb.Floor())
-	}
-	return f
-}
-
 // handle is one connection's read loop. It executes nothing itself:
 // queries, appends, probes and seq-state requests run on their own
 // goroutines and write their terminal frame under the connection's
-// write mutex, so one stream cannot stall another's floor raise or
-// cancel. An append failure ends only its stream (the router
-// re-establishes sequencing through catch-up); a malformed frame or a
-// stream ID still in use ends the connection. Losing the connection
+// write mutex, so one stream cannot stall another's cancel. An append
+// failure ends only its stream (the router re-establishes sequencing
+// through catch-up); a malformed frame or a stream ID still in use ends
+// the connection. Losing the connection
 // cancels every query registered on it. A repair session ('S', or 'I'
 // followed by 'D' chunks and a 'Y') arrives on a repair connection the
 // router opened for that session alone.
 func (n *Node) handle(c net.Conn) {
 	fc := newFconn(c, nodeWriteTimeout)
 	var mu sync.Mutex // guards streams: the query goroutines unregister themselves
-	streams := make(map[uint32]*queryStream)
+	streams := make(map[uint32]context.CancelFunc)
 	defer func() {
 		mu.Lock()
 		defer mu.Unlock()
-		for _, qs := range streams {
-			qs.cancel()
+		for _, cancel := range streams {
+			cancel()
 		}
 	}()
 	refuse := func(stream uint32, msg string) {
@@ -417,23 +338,22 @@ func (n *Node) handle(c net.Conn) {
 			return
 		}
 		mu.Lock()
-		qs := streams[stream]
+		running := streams[stream]
 		mu.Unlock()
 		switch typ {
 		case frameQuery:
-			if qs != nil {
+			if running != nil {
 				refuse(stream, "stream ID already in use")
 				return
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			qs = newQueryStream(cancel)
 			mu.Lock()
-			streams[stream] = qs
+			streams[stream] = cancel
 			mu.Unlock()
 			n.wg.Add(1)
 			go func() {
 				defer n.wg.Done()
-				typ, reply := n.serveQuery(ctx, fc, stream, qs, payload)
+				typ, reply := n.serveQuery(ctx, payload)
 				// Unregister before the terminal frame leaves: once the
 				// router has it, the stream ID is free again.
 				mu.Lock()
@@ -442,13 +362,9 @@ func (n *Node) handle(c net.Conn) {
 				cancel()
 				fc.send(typ, stream, reply)
 			}()
-		case frameFloor:
-			if f, err := decodeFloor(payload); err == nil && qs != nil {
-				qs.raise(f)
-			}
 		case frameCancel:
-			if qs != nil {
-				qs.cancel()
+			if running != nil {
+				running()
 			}
 		case frameAppend, frameSeqState, frameHealth:
 			// An append applies off the read loop: per-partition order is
@@ -484,13 +400,14 @@ func (n *Node) handle(c net.Conn) {
 // terminal frame: one partial, the listed partitions' runs lifted into
 // global IDs and merged into one top-K.
 //
-// Each partition runs under a bound of its own, seeded before it starts
-// with the best floor known: the router's, or the K-th best score the
-// partitions before it merged to. The seed is a function of the request
-// and the data, so the node's cache stores each run under the request
-// and its seed (core.SharedBound) and a repeated read hits on every
-// listed partition.
-func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *queryStream, payload []byte) (byte, []byte) {
+// Each partition runs under the best floor known before it starts: the
+// router's, or the K-th best score the partitions before it merged to.
+// The floor is folded into the run's MinScore (withFloor), so every
+// plan seeds its screening bound with it, and the node's cache stores
+// the run under the request and that floor. The floor is a function of
+// the request and the data, so a repeated read hits on every listed
+// partition.
+func (n *Node) serveQuery(ctx context.Context, payload []byte) (byte, []byte) {
 	q, err := decodeQuery(payload)
 	if err != nil {
 		n.failed.Add(1)
@@ -510,43 +427,7 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *que
 		entries[i] = e
 	}
 	n.mu.Unlock()
-	qs.raise(q.Floor)
-
-	// Floor publisher, when other nodes serve the same read: piggyback
-	// local raises back to the router — a timer that re-arms itself, so
-	// a read done within one poll interval stops it unfired and costs no
-	// goroutine but this one. pub.mu orders the last publish before the
-	// terminal frame.
-	var pub struct {
-		mu   sync.Mutex
-		t    *time.Timer
-		done bool
-	}
-	if q.Publish {
-		last := qs.floor()
-		pub.mu.Lock()
-		pub.t = time.AfterFunc(floorPollInterval, func() {
-			pub.mu.Lock()
-			defer pub.mu.Unlock()
-			if pub.done {
-				return
-			}
-			if f := qs.floor(); f > last {
-				last = f
-				if fc.send(frameFloor, stream, encodeFloor(f)) != nil {
-					return
-				}
-			}
-			pub.t.Reset(floorPollInterval)
-		})
-		pub.mu.Unlock()
-		defer func() {
-			pub.mu.Lock()
-			pub.done = true
-			pub.mu.Unlock()
-			pub.t.Stop()
-		}()
-	}
+	base := withFloor(q.Req, q.Floor)
 
 	var out Partial
 	var merged *topk.Heap // the runs so far, when the 'Q' lists several
@@ -572,11 +453,9 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *que
 		if n.opt.BeforeExec != nil {
 			n.opt.BeforeExec(q.Req.Dataset, q.Parts[i])
 		}
-		req := q.Req
+		req := base
 		req.Dataset = e.local
-		sb := qs.next()
-		res, err := n.eng.RunShared(ctx, req, sb)
-		qs.done(sb)
+		res, err := n.eng.Run(ctx, req)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				n.cancelled.Add(1)
@@ -601,13 +480,24 @@ func (n *Node) serveQuery(ctx context.Context, fc *fconn, stream uint32, qs *que
 		}
 		topk.MergeItems(merged, res.Items)
 		if f, full := merged.Threshold(); full {
-			qs.prove(f)
+			base = withFloor(base, f)
 		}
 	}
 	if merged != nil {
 		out.Items = merged.Results()
 	}
-	out.Floor = qs.floor()
 	n.served.Add(1)
 	return frameResult, encodePartial(out)
+}
+
+// withFloor folds a floor proved elsewhere (K items score at least f)
+// into req's MinScore: nothing below f can enter the merged top-K, so
+// the run may screen and drop it. Every plan seeds its bound from
+// MinScore, and the cache keys on it. A NaN floor, or one that does not
+// raise MinScore, leaves req as it is.
+func withFloor(req core.Request, f float64) core.Request {
+	if f > math.Inf(-1) && (req.MinScore == nil || f > *req.MinScore) {
+		req.MinScore = &f
+	}
+	return req
 }

@@ -147,18 +147,12 @@ func (n *Node) AppendRows(ctx context.Context, b AppendBatch) (dup bool, gen uin
 // dataKindOfInfo maps an engine manifest kind tag to the cluster's
 // DataKind (0 for an unknown tag).
 func dataKindOfInfo(kind string) DataKind {
-	switch kind {
-	case "tuples":
-		return KindTuples
-	case "series":
-		return KindSeries
-	case "wells":
-		return KindWells
-	case "scenes":
-		return KindScene
-	default:
-		return 0
+	for k := KindTuples; k <= KindScene; k++ {
+		if k.String() == kind {
+			return k
+		}
 	}
+	return 0
 }
 
 // seqState reports every partition's record (the 'U' reply). dataset

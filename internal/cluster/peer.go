@@ -36,26 +36,22 @@ type reply struct {
 	err     error
 }
 
-// call is one in-flight stream.
-type call struct {
-	gossip *floorGossip // query streams: where the node's floor raises land
-	done   chan reply   // cap 1: a stream ends once, so the reader never blocks
-}
-
 // peerConn is one established connection and its stream table.
 type peerConn struct {
 	p    *peer
 	fc   *fconn
 	done chan struct{} // closed when readLoop has exited
 
-	mu    sync.Mutex
-	calls map[uint32]*call
+	mu sync.Mutex
+	// calls holds each in-flight stream's reply channel, of capacity 1:
+	// a stream ends once, so the reader never blocks.
+	calls map[uint32]chan reply
 	next  uint32
 	err   error // set once by fail; no stream opens after
 }
 
-func (pc *peerConn) open(gossip *floorGossip) (uint32, *call, error) {
-	c := &call{gossip: gossip, done: make(chan reply, 1)}
+func (pc *peerConn) open() (uint32, chan reply, error) {
+	c := make(chan reply, 1)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.err != nil {
@@ -85,25 +81,16 @@ func (pc *peerConn) send(typ byte, stream uint32, payload []byte) error {
 	return err
 }
 
-// dispatch routes one inbound frame. A floor raise feeds its query's
-// gossip and leaves the stream open; anything else ends the stream. A
-// frame for a stream already finished or dropped goes nowhere, so a
-// late raise from one query can never prune the next.
+// dispatch routes one inbound frame, which ends its stream. A frame for
+// a stream already finished or dropped goes nowhere, so a late reply to
+// one call can never answer the next.
 func (pc *peerConn) dispatch(typ byte, stream uint32, payload []byte) {
 	pc.mu.Lock()
 	c := pc.calls[stream]
-	if c != nil && typ != frameFloor {
-		delete(pc.calls, stream)
-	}
+	delete(pc.calls, stream)
 	pc.mu.Unlock()
-	switch {
-	case c == nil:
-	case typ != frameFloor:
-		c.done <- reply{typ: typ, payload: payload}
-	case c.gossip != nil:
-		if f, err := decodeFloor(payload); err == nil {
-			c.gossip.Raise(f)
-		}
+	if c != nil {
+		c <- reply{typ: typ, payload: payload}
 	}
 }
 
@@ -141,7 +128,7 @@ func (pc *peerConn) fail(err error) {
 		pc.p.r.health.fault(pc.p.addr)
 	}
 	for _, c := range calls {
-		c.done <- reply{err: err}
+		c <- reply{err: err}
 	}
 }
 
@@ -186,7 +173,7 @@ func (p *peer) conn(ctx context.Context) (*peerConn, error) {
 		}
 		return nil, err
 	}
-	pc := &peerConn{p: p, fc: newFconn(c, p.r.opt.AckTimeout), done: make(chan struct{}), calls: make(map[uint32]*call)}
+	pc := &peerConn{p: p, fc: newFconn(c, p.r.opt.AckTimeout), done: make(chan struct{}), calls: make(map[uint32]chan reply)}
 	p.dialled, p.dialErr, p.dials = time.Now(), nil, p.dials+1
 	p.pc.Store(pc)
 	go pc.readLoop()
@@ -206,13 +193,12 @@ func (p *peer) close() {
 }
 
 // roundTrip runs one stream on addr's connection: send the request
-// frame, wait for the terminal frame. A query passes its gossip hub and
-// the floor already encoded in the request; later raises go out as 'F'
-// frames and a cancelled ctx as 'C', both written by the waiting caller,
-// so a stream costs no goroutine. A positive timeout bounds the wait;
-// its expiry is a fault of this call only. transport reports a
-// connection-level failure (retry, fail over), not a cancellation.
-func (r *Router) roundTrip(ctx context.Context, addr string, typ byte, payload []byte, gossip *floorGossip, sent float64, timeout time.Duration) (_ reply, err error, transport bool) {
+// frame, wait for the terminal frame. A cancelled ctx ends a query
+// stream with a 'C', written by the waiting caller, so a stream costs
+// no goroutine. A positive timeout bounds the wait; its expiry is a
+// fault of this call only. transport reports a connection-level
+// failure (retry, fail over), not a cancellation.
+func (r *Router) roundTrip(ctx context.Context, addr string, typ byte, payload []byte, timeout time.Duration) (_ reply, err error, transport bool) {
 	p := r.peers[addr]
 	if p == nil {
 		return reply{}, fmt.Errorf("cluster: %s is not a topology peer", addr), false
@@ -223,7 +209,7 @@ func (r *Router) roundTrip(ctx context.Context, addr string, typ byte, payload [
 	if err != nil {
 		return reply{}, err, fault(err)
 	}
-	stream, c, err := pc.open(gossip)
+	stream, c, err := pc.open()
 	if err == nil {
 		err = pc.send(typ, stream, payload)
 	}
@@ -236,32 +222,19 @@ func (r *Router) roundTrip(ctx context.Context, addr string, typ byte, payload [
 		defer t.Stop()
 		expire = t.C
 	}
-	var raised <-chan struct{} // stays nil without gossip: never ready
-	for {
-		if gossip != nil {
-			var f float64
-			if f, raised = gossip.Get(); f > sent {
-				sent = f
-				if err := pc.send(frameFloor, stream, encodeFloor(f)); err != nil {
-					return reply{}, err, fault(err)
-				}
-			}
+	select {
+	case rep := <-c:
+		return rep, rep.err, fault(rep.err)
+	case <-ctx.Done():
+		pc.drop(stream)
+		if typ == frameQuery {
+			_ = pc.send(frameCancel, stream, nil) // best effort: a failed write breaks the connection, which cancels too
 		}
-		select {
-		case rep := <-c.done:
-			return rep, rep.err, fault(rep.err)
-		case <-raised:
-		case <-ctx.Done():
-			pc.drop(stream)
-			if typ == frameQuery {
-				_ = pc.send(frameCancel, stream, nil) // best effort: a failed write breaks the connection, which cancels too
-			}
-			return reply{}, ctx.Err(), false
-		case <-expire:
-			pc.drop(stream)
-			r.health.fault(addr)
-			return reply{}, fmt.Errorf("cluster: %s: no reply to %q frame within %v", addr, typ, timeout), true
-		}
+		return reply{}, ctx.Err(), false
+	case <-expire:
+		pc.drop(stream)
+		r.health.fault(addr)
+		return reply{}, fmt.Errorf("cluster: %s: no reply to %q frame within %v", addr, typ, timeout), true
 	}
 }
 

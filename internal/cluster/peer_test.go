@@ -265,55 +265,52 @@ func sameItems(a, b []topk.Item) bool {
 	return true
 }
 
-// TestLateFloorCannotCrossStreams scripts the demux directly: a floor
+// TestLateReplyCannotCrossStreams scripts the demux directly: stream
+// IDs are not reused while a caller may still hold one, and a terminal
 // frame for a stream that has finished, or was dropped by a cancelled
-// caller, goes nowhere — not to the query that owned the ID, not to the
+// caller, goes nowhere — not to the call that owned the ID, not to the
 // one opened after it.
-func TestLateFloorCannotCrossStreams(t *testing.T) {
-	pc := &peerConn{calls: make(map[uint32]*call)}
-	floorOf := func(g *floorGossip) float64 { f, _ := g.Get(); return f }
+func TestLateReplyCannotCrossStreams(t *testing.T) {
+	pc := &peerConn{calls: make(map[uint32]chan reply)}
+	pending := func(c chan reply) bool { return len(c) > 0 }
 
-	g1 := newFloorGossip(math.Inf(-1))
-	s1, c1, err := pc.open(g1)
+	s1, c1, err := pc.open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc.dispatch(frameFloor, s1, encodeFloor(5))
-	if got := floorOf(g1); got != 5 {
-		t.Fatalf("live stream's raise: floor %v, want 5", got)
-	}
-	pc.dispatch(frameResult, s1, encodePartial(Partial{Floor: 5}))
-	if rep := <-c1.done; rep.typ != frameResult || rep.err != nil {
+	pc.dispatch(frameResult, s1, encodePartial(Partial{}))
+	if rep := <-c1; rep.typ != frameResult || rep.err != nil {
 		t.Fatalf("terminal frame: %+v", rep)
 	}
 
-	g2 := newFloorGossip(math.Inf(-1))
-	s2, c2, err := pc.open(g2)
+	s2, c2, err := pc.open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2 == s1 {
 		t.Fatalf("stream ID %d reused while the test still remembers it", s1)
 	}
-	pc.dispatch(frameFloor, s1, encodeFloor(9)) // late raise from the finished query
-	if floorOf(g1) != 5 || !math.IsInf(floorOf(g2), -1) {
-		t.Fatalf("late floor crossed streams: g1 %v g2 %v", floorOf(g1), floorOf(g2))
-	}
-	pc.dispatch(frameFloor, s2, encodeFloor(7))
-	if floorOf(g1) != 5 || floorOf(g2) != 7 {
-		t.Fatalf("own raise misrouted: g1 %v g2 %v", floorOf(g1), floorOf(g2))
+	pc.dispatch(frameError, s1, encodeError("exec", "late")) // a second reply to the finished call
+	if pending(c1) || pending(c2) {
+		t.Fatalf("late reply crossed streams: c1 %d c2 %d pending", len(c1), len(c2))
 	}
 
 	pc.drop(s2) // the caller cancelled
-	pc.dispatch(frameFloor, s2, encodeFloor(99))
 	pc.dispatch(frameError, s2, encodeError("cancelled", "context canceled"))
-	if floorOf(g2) != 7 {
-		t.Fatalf("raise reached a dropped stream: %v", floorOf(g2))
+	if pending(c2) {
+		t.Fatalf("dropped stream was handed %+v", <-c2)
 	}
-	select {
-	case rep := <-c2.done:
-		t.Fatalf("dropped stream was handed %+v", rep)
-	default:
+
+	s3, c3, err := pc.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3 == s1 || s3 == s2 {
+		t.Fatalf("stream ID %d reused (earlier %d, %d)", s3, s1, s2)
+	}
+	pc.dispatch(frameResult, s3, encodePartial(Partial{}))
+	if rep := <-c3; rep.typ != frameResult || pending(c1) || pending(c2) {
+		t.Fatalf("own reply misrouted: %+v", rep)
 	}
 }
 
@@ -350,7 +347,8 @@ func TestLayoutMemoMatchesLayout(t *testing.T) {
 // so nine header bytes must not commit memory. A bulk frame claiming the
 // full 64 MiB and then hanging up costs under 1 MiB and a typed error;
 // the same claim on a small frame type, a length over the bulk cap, and
-// an unknown type are ErrFrame before any payload is read.
+// an unknown type (the retired 'F' floor frame among them) are ErrFrame
+// before any payload is read.
 func TestFrameHeaderCannotBuyAllocation(t *testing.T) {
 	// claim is a header announcing n payload bytes, followed by body of them.
 	claim := func(n uint32, typ byte, body int) *bufio.Reader {
@@ -377,8 +375,8 @@ func TestFrameHeaderCannotBuyAllocation(t *testing.T) {
 		n   uint32
 		typ byte
 	}{
-		{maxFrame, frameQuery}, {maxSmallFrame + 1, frameFloor}, {maxResultFrame + 1, frameResult},
-		{maxFrame + 1, frameAppend}, {math.MaxUint32, frameResyncChunk}, {0, 'z'}, {0, 0},
+		{maxFrame, frameQuery}, {maxSmallFrame + 1, frameCancel}, {maxResultFrame + 1, frameResult},
+		{maxFrame + 1, frameAppend}, {math.MaxUint32, frameResyncChunk}, {0, 'z'}, {0, 0}, {8, 'F'},
 	} {
 		if _, _, _, err := readFrame(claim(tc.n, tc.typ, 16)); !errors.Is(err, ErrFrame) {
 			t.Fatalf("%q frame of %d bytes: err %v, want ErrFrame", tc.typ, tc.n, err)

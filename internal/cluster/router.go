@@ -1,10 +1,9 @@
 // The router role: cover a request's partitions with the fewest nodes
 // that hold them, send each chosen node one stream listing its
-// partitions (on the nodes' connections, peer.go), gossip
-// screening-floor raises when more than one node serves, cover a
-// failed node's partitions again on their other replicas, and merge
-// the partial top-Ks with the exact (score, ID) rule — bit-identical
-// to a single-node run.
+// partitions (on the nodes' connections, peer.go), cover a failed
+// node's partitions again on their other replicas, and merge the
+// partial top-Ks with the exact (score, ID) rule — bit-identical to a
+// single-node run.
 
 package cluster
 
@@ -213,42 +212,6 @@ func dataKindOf(q core.Query) (DataKind, error) {
 	}
 }
 
-// floorGossip is the router-side hub for one query's screening floor:
-// the running maximum over every node's published raises, with a
-// broadcast channel the in-flight attempts wait on (each forwards a
-// raise to its own node).
-type floorGossip struct {
-	mu    sync.Mutex
-	floor float64
-	ch    chan struct{}
-}
-
-func newFloorGossip(seed float64) *floorGossip {
-	return &floorGossip{floor: seed, ch: make(chan struct{})}
-}
-
-// Raise lifts the gossiped floor and wakes every waiting attempt.
-func (g *floorGossip) Raise(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v <= g.floor {
-		return
-	}
-	g.floor = v
-	close(g.ch)
-	g.ch = make(chan struct{})
-}
-
-// Get returns the current floor and a channel closed at the next raise.
-func (g *floorGossip) Get() (float64, <-chan struct{}) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.floor, g.ch
-}
-
 // Run executes one request across the cluster and returns a result
 // bit-identical (IDs and scores) to a single-node Engine.Run over the
 // union of the partitions. req.Dataset is the dataset's cluster-wide
@@ -300,9 +263,10 @@ func (r *Router) Run(ctx context.Context, req core.Request) (core.Result, error)
 
 	// Each round covers the partitions still unanswered, avoiding the
 	// nodes earlier rounds lost to transport faults. The floor carried
-	// into a later round is the best a finished partial proved; the
-	// request's own MinScore needs no carrying, since every node applies
-	// it from the request.
+	// into a later round is the best a finished partial proved: a
+	// partial arrives best-first, so a full one's K-th item scores it.
+	// The request's own MinScore needs no carrying, since every node
+	// applies it from the request.
 	want := make([]int, len(placements))
 	for i := range want {
 		want[i] = i
@@ -338,8 +302,8 @@ func (r *Router) Run(ctx context.Context, req core.Request) (core.Result, error)
 				continue
 			}
 			partials = append(partials, o.p)
-			if o.p.Floor > floor {
-				floor = o.p.Floor
+			if len(o.p.Items) >= req.K && o.p.Items[req.K-1].Score > floor {
+				floor = o.p.Items[req.K-1].Score
 			}
 		}
 		sort.Ints(want)
@@ -468,27 +432,20 @@ type nodeOutcome struct {
 	transport bool
 }
 
-// scatter sends each cover set its 'Q' and waits for every answer. A
-// one-node cover runs on the caller's goroutine with no floor gossip;
-// a wider one runs the first node on the caller's goroutine and each
-// other on its own, with one floorGossip hub relaying each node's
-// floor raises to the rest.
+// scatter sends each cover set its 'Q', all under the same send-time
+// floor, and waits for every answer: the first node on the caller's
+// goroutine, each other on its own.
 func (r *Router) scatter(ctx context.Context, req core.Request, body []byte, covers []coverSet, floor float64) []nodeOutcome {
 	out := make([]nodeOutcome, len(covers))
-	if len(covers) == 1 {
-		out[0].p, out[0].err, out[0].transport = r.runNode(ctx, req, body, covers[0], floor, nil)
-		return out
-	}
-	gossip := newFloorGossip(floor)
 	var wg sync.WaitGroup
 	for i := 1; i < len(covers); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i].p, out[i].err, out[i].transport = r.runNode(ctx, req, body, covers[i], floor, gossip)
+			out[i].p, out[i].err, out[i].transport = r.runNode(ctx, req, body, covers[i], floor)
 		}(i)
 	}
-	out[0].p, out[0].err, out[0].transport = r.runNode(ctx, req, body, covers[0], floor, gossip)
+	out[0].p, out[0].err, out[0].transport = r.runNode(ctx, req, body, covers[0], floor)
 	wg.Wait()
 	return out
 }
@@ -499,7 +456,7 @@ func (r *Router) scatter(ctx context.Context, req core.Request, body []byte, cov
 // transport fault that outlasts the attempts is returned with
 // transport set, for the caller to cover the partitions again
 // elsewhere.
-func (r *Router) runNode(ctx context.Context, req core.Request, body []byte, cs coverSet, floor float64, gossip *floorGossip) (Partial, error, bool) {
+func (r *Router) runNode(ctx context.Context, req core.Request, body []byte, cs coverSet, floor float64) (Partial, error, bool) {
 	var lastErr error
 	for attempt := 1; attempt <= r.opt.ReadAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -510,7 +467,7 @@ func (r *Router) runNode(ctx context.Context, req core.Request, body []byte, cs 
 				return Partial{}, err, false
 			}
 		}
-		p, err, transport := r.attempt(ctx, req, body, cs, floor, gossip)
+		p, err, transport := r.attempt(ctx, req, body, cs, floor)
 		if err == nil {
 			r.health.ok(cs.addr)
 			return p, nil, false
@@ -527,25 +484,16 @@ func (r *Router) runNode(ctx context.Context, req core.Request, body []byte, cs 
 // connection. transport reports whether the failure was a
 // connection-level fault (eligible for failover) rather than a
 // node-reported error or a local cancellation.
-func (r *Router) attempt(ctx context.Context, req core.Request, body []byte, cs coverSet, floor float64, gossip *floorGossip) (_ Partial, err error, transport bool) {
-	if gossip != nil {
-		floor, _ = gossip.Get()
-	}
-	payload := encodeQuery(nodeQuery{Parts: cs.parts, Publish: gossip != nil, Req: req, Floor: floor}, body)
-	rep, err, transport := r.roundTrip(ctx, cs.addr, frameQuery, payload, gossip, floor, 0)
+func (r *Router) attempt(ctx context.Context, req core.Request, body []byte, cs coverSet, floor float64) (_ Partial, err error, transport bool) {
+	payload := encodeQuery(nodeQuery{Parts: cs.parts, Req: req, Floor: floor}, body)
+	rep, err, transport := r.roundTrip(ctx, cs.addr, frameQuery, payload, 0)
 	if err != nil {
 		return Partial{}, err, transport
 	}
 	switch rep.typ {
 	case frameResult:
 		p, err := decodePartial(rep.payload)
-		if err != nil {
-			return Partial{}, err, false
-		}
-		if gossip != nil {
-			gossip.Raise(p.Floor)
-		}
-		return p, nil, false
+		return p, err, false
 	case frameError:
 		return Partial{}, remoteError(cs.addr, rep.payload), false
 	default:

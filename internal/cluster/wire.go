@@ -5,17 +5,16 @@
 //
 //	len u32 | type u8 | stream u32 | payload (len bytes)
 //
-// and one connection carries many streams at once. The thirteen frame
+// and one connection carries many streams at once. The twelve frame
 // types, their caps and their payloads are declared here and tabled in
 // DESIGN.md §9. On a router's shared connection to a node, a stream
 // opens with a request ('Q', 'A', 'H', 'U') under an ID the router
-// allocates; floor raises flow both ways as 'F' frames on a query's
-// stream, 'C' cancels that stream alone, and the stream ends with one
-// terminal frame from the node ('R', 'E', 'K', or the 'H'/'U' echo).
-// Repair sessions ('S', 'I', 'D', 'Y') run on short-lived connections of
-// their own (catchup.go, resync.go).
+// allocates, 'C' cancels a query's stream alone, and the stream ends
+// with one terminal frame from the node ('R', 'E', 'K', or the 'H'/'U'
+// echo). Repair sessions ('S', 'I', 'D', 'Y') run on short-lived
+// connections of their own (catchup.go, resync.go).
 //
-// Every payload but 'F' and 'E' leads with wireVersion and is decoded
+// Every payload but 'E' leads with wireVersion and is decoded
 // through decodeVersioned, which refuses another version and trailing
 // bytes. Decoding is bounds-checked end to end (canon.Reader), so a
 // truncated or hostile payload fails with canon.ErrCorrupt instead of
@@ -43,7 +42,6 @@ import (
 // Frame types.
 const (
 	frameQuery       = 'Q' // router → node: one encoded query over a partition list, opens a stream
-	frameFloor       = 'F' // both ways: 8-byte result-scale floor raise on a query stream
 	frameResult      = 'R' // node → router: encoded partial result, ends the stream
 	frameError       = 'E' // node → router: code + message strings, ends the stream
 	frameCancel      = 'C' // router → node: abort this stream's query; the connection stays up
@@ -81,8 +79,10 @@ const (
 // version 3 made a 'Q' list the partitions its node serves, answered by
 // one 'R'; version 4 made SeqEntry the one per-partition record ('U',
 // 'S', 'I', 'Y'), folded the install commit into 'Y', and dropped the
-// node wall time from 'R' and the worker count from 'Q'.
-const wireVersion = 4
+// node wall time from 'R' and the worker count from 'Q'; version 5
+// dropped the 'F' floor frame, the publish flag from 'Q' and the floor
+// from 'R'.
+const wireVersion = 5
 
 // ErrFrame reports a malformed frame envelope: an unknown type, or a
 // length over the type's cap. The connection it arrived on is closed.
@@ -95,7 +95,7 @@ func frameCap(typ byte) int {
 		return maxFrame
 	case frameResult:
 		return maxResultFrame
-	case frameQuery, frameFloor, frameError, frameCancel, frameAppendAck, frameHealth,
+	case frameQuery, frameError, frameCancel, frameAppendAck, frameHealth,
 		frameSeqState, frameResyncReq, frameInstall, frameResyncState:
 		return maxSmallFrame
 	default:
@@ -221,28 +221,24 @@ type nodeQuery struct {
 	// Parts lists the partitions this node serves for the request,
 	// strictly ascending; the node answers them with one partial.
 	Parts []int
-	// Publish asks the node to send its floor raises back as 'F'
-	// frames: set only when other nodes serve the same read, so a
-	// one-node cover costs no floor traffic.
-	Publish bool
-	Req     core.Request // Dataset is the cluster-wide name
-	Floor   float64
+	Req   core.Request // Dataset is the cluster-wide name
+	// Floor is the best floor the router knows at send time, in the
+	// result scale: K items score at least it (-Inf for none).
+	Floor float64
 }
 
 // encodeQuery serializes one node's slice of a request: a header with
-// what the request body leaves out (the partition list, the publish
-// flag, Budget) or what changes per send (floor: the router's best
-// floor so far, result scale, so a node joining late starts
-// pre-pruned), then body, the request's canonical bytes
-// (core.AppendRequest), which the router computes once per read.
-// Workers does not cross the wire: it never changes an answer.
+// what the request body leaves out (the partition list, Budget) or what
+// changes per send (floor: the best floor an earlier round's partials
+// proved, so a partition covered again starts pre-pruned), then body,
+// the request's canonical bytes (core.AppendRequest), which the router
+// computes once per read. Workers does not cross the wire: it never
+// changes an answer.
 //
-//	version u8 | publish u8 | nparts u64 | part u64 ... | budget u64 |
-//	floor f64 | body
+//	version u8 | nparts u64 | part u64 ... | budget u64 | floor f64 | body
 func encodeQuery(q nodeQuery, body []byte) []byte {
-	b := make([]byte, 0, 2+8*(len(q.Parts)+3)+len(body))
-	b = canon.AppendBool(append(b, wireVersion), q.Publish)
-	b = canon.AppendUint(b, uint64(len(q.Parts)))
+	b := make([]byte, 0, 1+8*(len(q.Parts)+3)+len(body))
+	b = canon.AppendUint(append(b, wireVersion), uint64(len(q.Parts)))
 	for _, p := range q.Parts {
 		b = canon.AppendUint(b, uint64(p))
 	}
@@ -255,10 +251,6 @@ func decodeQuery(payload []byte) (nodeQuery, error) {
 	var q nodeQuery
 	r := canon.NewReader(payload)
 	err := decodeVersioned(r, func() error {
-		var err error
-		if q.Publish, err = r.Bool(); err != nil {
-			return err
-		}
 		n, err := r.Count(8)
 		if err != nil {
 			return err
@@ -312,10 +304,8 @@ type PartialStats struct {
 
 // Partial is one node's contribution to a scatter-gathered query: the
 // exact top-K over the partitions its 'Q' listed (IDs already lifted
-// into the global space), the node's final screening floor, and the
-// summable stats.
+// into the global space), best first, and the summable stats.
 type Partial struct {
-	Floor float64
 	Items []topk.Item
 	Stats PartialStats
 }
@@ -324,8 +314,7 @@ type Partial struct {
 // wire only for the []int strata lists geology queries attach; other
 // payload types are dropped (no current query family produces them).
 func encodePartial(p Partial) []byte {
-	b := canon.AppendFloat([]byte{wireVersion}, p.Floor)
-	b = canon.AppendUint(b, uint64(p.Stats.Evaluations))
+	b := canon.AppendUint([]byte{wireVersion}, uint64(p.Stats.Evaluations))
 	b = canon.AppendUint(b, uint64(p.Stats.Examined))
 	b = canon.AppendUint(b, uint64(p.Stats.Pruned))
 	b = canon.AppendUint(b, uint64(p.Stats.Shards))
@@ -351,9 +340,6 @@ func decodePartial(payload []byte) (Partial, error) {
 	r := canon.NewReader(payload)
 	err := decodeVersioned(r, func() error {
 		var err error
-		if p.Floor, err = r.Float(); err != nil {
-			return err
-		}
 		for _, dst := range [4]*int{&p.Stats.Evaluations, &p.Stats.Examined, &p.Stats.Pruned, &p.Stats.Shards} {
 			v, err := readInt(r, math.MaxInt64/2)
 			if err != nil {
@@ -406,17 +392,7 @@ func decodePartial(payload []byte) (Partial, error) {
 	return p, err
 }
 
-// ---- 'F' and 'E' ----
-
-// encodeFloor serializes an 'F' payload: one result-scale floor value.
-func encodeFloor(f float64) []byte { return canon.AppendFloat(nil, f) }
-
-func decodeFloor(payload []byte) (float64, error) {
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("%w: floor of %d bytes", canon.ErrCorrupt, len(payload))
-	}
-	return canon.NewReader(payload).Float()
-}
+// ---- 'E' ----
 
 // encodeError serializes an 'E' payload: a machine-readable code plus a
 // human-readable message.

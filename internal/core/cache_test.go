@@ -591,16 +591,17 @@ func TestAppendItemsMemo(t *testing.T) {
 		t.Fatalf("failed encode kept %d memo bytes", bytesNow()-keyOnly)
 	}
 
-	// A foreign-floored run is not stored, so the standalone request
-	// after it misses, and its first hit memoises the full answer.
+	// A run under a foreign floor (a MinScore a cluster node folds in)
+	// is stored under that floor, so the standalone request after it
+	// misses, and its first hit memoises the full answer.
 	wide := Request{Dataset: "gauss", Query: LinearQuery{Model: testLinearModel(t)}, K: 7}
 	full, err := engineWithArchivesOpts(t, Options{Shards: 4, CacheEntries: -1}, a).Run(ctx, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := NewSharedBound()
-	sb.Raise(full.Items[2].Score)
-	cut, err := e.RunShared(ctx, wide, sb)
+	floored := wide
+	floored.MinScore = &full.Items[2].Score
+	cut, err := e.Run(ctx, floored)
 	if err != nil {
 		t.Fatal(err)
 	}

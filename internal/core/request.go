@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"modelir/internal/bayes"
-	"modelir/internal/canon"
 	"modelir/internal/colstore"
 	"modelir/internal/fsm"
 	"modelir/internal/linear"
@@ -142,15 +141,19 @@ type queryPlan struct {
 	segments int
 	// floor seeds the screening bound (-Inf for none).
 	floor float64
-	// shift is the offset between the internal screening-score scale the
-	// units publish to the bound and the caller-visible result scale
-	// (the linear family screens pre-intercept; everyone else 0).
-	// RunShared uses it to translate floors exchanged across processes.
-	shift float64
 	q     parallel.Queue
 	// finish turns the top-K into the caller-visible items and
 	// normalized stats (score shifts, the queue's counters).
 	finish func(items []topk.Item) ([]topk.Item, QueryStats, error)
+}
+
+// bareCtxErr surfaces cancellation as the bare ctx.Err() the caller
+// acted on, not wrapped in annotations.
+func bareCtxErr(ctx context.Context, err error) error {
+	if ce := ctx.Err(); ce != nil && errors.Is(err, ce) {
+		return ce
+	}
+	return err
 }
 
 // Run executes one request: resolve the dataset, compile the query into
@@ -171,19 +174,6 @@ type queryPlan struct {
 // scene descent per frontier pop, so a cancelled or timed-out request
 // stops burning CPU and returns ctx.Err().
 func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
-	return e.runReq(ctx, req, nil)
-}
-
-// bareCtxErr surfaces cancellation as the bare ctx.Err() the caller
-// acted on, not wrapped in annotations.
-func bareCtxErr(ctx context.Context, err error) error {
-	if ce := ctx.Err(); ce != nil && errors.Is(err, ce) {
-		return ce
-	}
-	return err
-}
-
-func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -195,19 +185,14 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	}
 	start := time.Now()
 
-	// Result cache probe. A run seeded with a foreign floor keys on the
-	// request and the floor together (see SharedBound.seed).
+	// Result cache probe.
 	var key *[]byte
 	var gen uint64
-	seed, seedRaises := sb.seed()
 	if e.cache != nil {
 		key = cacheKey(req)
 	}
 	if key != nil {
 		defer releaseKey(key)
-		if seedRaises > 0 {
-			*key = canon.AppendFloat(*key, seed)
-		}
 		// The target dataset's generation is sampled before the plan
 		// resolves its segment list, so an append racing this request
 		// either lands before the sample (the entry is stored under —
@@ -231,10 +216,6 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 	defer release()
 	bound := topk.NewBound()
 	bound.Raise(p.floor)
-	if sb != nil {
-		sb.attach(bound, p.shift)
-		defer sb.detach()
-	}
 	items, err := parallel.TopK(ctx, p.q, req.K, bound)
 	if err != nil {
 		return Result{}, bareCtxErr(ctx, err)
@@ -247,9 +228,7 @@ func (e *Engine) runReq(ctx context.Context, req Request, sb *SharedBound) (Resu
 		items = filterMinScore(items, *req.MinScore)
 	}
 	st.Kind = req.Query.Kind()
-	// A foreign floor raised mid-flight makes the run depend on when it
-	// arrived; caching it would serve an answer no rerun reproduces.
-	if _, raises := sb.seed(); key != nil && raises == seedRaises {
+	if key != nil {
 		e.cachePut(*key, gen, items, st)
 	}
 	st.Wall = time.Since(start)
@@ -396,7 +375,6 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 		// The shared bound screens pre-intercept scores, so the
 		// MinScore floor is shifted into that scale.
 		floor: floorOf(req, m.Intercept),
-		shift: m.Intercept,
 		q:     bq,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			// The model's intercept shifts every score identically; add

@@ -393,7 +393,7 @@ type (
 	// peer: established when, re-established how many times.
 	ClusterPeerConnStats = cluster.PeerConnStats
 	// ClusterResyncStats counts the router's replica-resync and crash-
-	// recovery events (DESIGN.md §13): snapshot resyncs run, bytes
+	// recovery events (DESIGN.md §12): snapshot resyncs run, bytes
 	// streamed, batches replayed, forced log prunes.
 	ClusterResyncStats = cluster.ResyncStats
 )

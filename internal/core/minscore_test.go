@@ -91,13 +91,38 @@ func TestMinScoreFloorPrunes(t *testing.T) {
 	itemsEqual(t, "items at/above the floor", got.Items, want.Items[:n])
 }
 
-// A run under a floor is cached under the request and that floor,
-// since MinScore is part of the cache key: the same request under the
-// same floor hits with the same items, while another floor and the
-// unfloored request miss, and the unfloored request still gets the
-// full local answer. This is how a cluster node keeps its cache when
-// it carries one partition's floor into the next.
-func TestMinScoreFloorCachedUnderFloor(t *testing.T) {
+// A run pruned by a floor proved elsewhere must not poison the result
+// cache: an identical unfloored request afterwards misses and gets the
+// full local answer.
+func TestRunSharedForeignFloorNotCached(t *testing.T) {
+	e, req := minScoreTestEngine(t)
+	want, err := engineWithArchives(t, 4, buildArchives(t)).Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := want.Items[0].Score // aggressive foreign floor
+	floored := req
+	floored.MinScore = &floor
+	if _, err := e.Run(context.Background(), floored); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Cache.Hit {
+		t.Fatal("foreign-floored result was served from cache")
+	}
+	itemsEqual(t, "unfloored run after a floored one", got.Items, want.Items)
+}
+
+// A run seeded with a floor before it starts is cached under the
+// request and that floor, since MinScore is part of the cache key: the
+// same request under the same floor hits with the same items, while
+// another floor and the unfloored request miss, and the unfloored
+// request still gets the full local answer. This is how a cluster node
+// keeps its cache when it carries one partition's floor into the next.
+func TestRunSharedSeededFloorCachedUnderSeed(t *testing.T) {
 	e, req := minScoreTestEngine(t)
 	full, err := engineWithArchives(t, 4, buildArchives(t)).Run(context.Background(), req)
 	if err != nil {

@@ -9,11 +9,16 @@
 // 1, each holding one of a dataset's three partitions, so every read is
 // one 'Q' per node, run in parallel. It reports rows examined per read (rows/op) beside ns/op,
 // which is what a floor shared between the nodes would have to lower.
+// The pair case is bench's cluster shape over the same data: two nodes
+// at replication 2, two shards each, so every read is one 'Q' listing
+// both partitions of a dataset, which the node drains as one read; its
+// linear reads ask for K log-uniform over 10-200 as bench's do.
 
 package cluster
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"net"
 	"strconv"
@@ -44,17 +49,20 @@ func BenchmarkRouterRun(b *testing.B) {
 			}
 		})
 	}
-	b.Run("spread", benchSpread)
+	b.Run("spread", func(b *testing.B) { benchCover(b, 3, 1, 1, false) })
+	b.Run("pair", func(b *testing.B) { benchCover(b, 2, 2, 2, true) })
 }
 
-// benchSpread runs linear and geology reads over 60k 8-wide Gaussian
-// tuples and 400 wells, spread over three one-shard nodes at
-// replication 1 with the node cache off. The linear reads cycle through
-// 64 seeded models, so no one coefficient vector sets the figure.
-// Placement keys on the listeners' ports, so each dataset's name is the
-// first of base, base-1, base-2, … whose partitions land on three
-// distinct nodes: the cover is the same shape on every run.
-func benchSpread(b *testing.B) {
+// benchCover runs linear and geology reads over 60k 8-wide Gaussian
+// tuples and 400 wells on `count` nodes of `shards` shards at
+// `replication`, with the node cache off. The linear reads cycle
+// through 64 seeded models, so no one coefficient vector sets the
+// figure, each with K 10 or, when logK is set, K log-uniform over
+// 10-200. Placement keys on the listeners' ports, so each dataset's
+// name is the first of base-0, base-1, … whose partitions land on
+// distinct nodes (any name at full replication): the cover is the same
+// shape on every run.
+func benchCover(b *testing.B, count, replication, shards int, logK bool) {
 	pts, err := synth.GaussianTuples(61, 60000, 8)
 	if err != nil {
 		b.Fatal(err)
@@ -63,7 +71,7 @@ func benchSpread(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lns := make([]net.Listener, 3)
+	lns := make([]net.Listener, count)
 	addrs := make([]string, len(lns))
 	for i := range lns {
 		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
@@ -71,19 +79,22 @@ func benchSpread(b *testing.B) {
 		}
 		addrs[i] = lns[i].Addr().String()
 	}
-	topo := Topology{Nodes: addrs, Replication: 1}
+	topo := Topology{Nodes: addrs, Replication: replication}
 	spread := func(base string, kind DataKind) string {
 		for i := 0; ; i++ {
 			name := base + "-" + strconv.Itoa(i)
-			pl := topo.Layout(name, kind)
-			if n0, n1, n2 := pl[0].Nodes[0], pl[1].Nodes[0], pl[2].Nodes[0]; n0 != n1 && n1 != n2 && n0 != n2 {
+			seen := make(map[string]bool)
+			for _, pl := range topo.Layout(name, kind) {
+				seen[pl.Nodes[0]] = true
+			}
+			if replication == count || len(seen) == count {
 				return name
 			}
 		}
 	}
 	gauss, basin := spread("gauss", KindTuples), spread("basin", KindWells)
 	for i, addr := range addrs {
-		n := NewNode(addr, topo, NodeOptions{Shards: 1, CacheEntries: -1})
+		n := NewNode(addr, topo, NodeOptions{Shards: shards, CacheEntries: -1})
 		if err := n.AddTuples(gauss, pts); err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +118,11 @@ func benchSpread(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		linearReqs = append(linearReqs, core.Request{Dataset: gauss, Query: core.LinearQuery{Model: lm}, K: 10})
+		k := 10
+		if logK {
+			k = int(math.Round(10 * math.Pow(20, rng.Float64())))
+		}
+		linearReqs = append(linearReqs, core.Request{Dataset: gauss, Query: core.LinearQuery{Model: lm}, K: k})
 	}
 	geology := []core.Request{{Dataset: basin, K: 12, Query: core.GeologyQuery{
 		Sequence: []synth.Lithology{synth.Shale, synth.Sandstone, synth.Siltstone},

@@ -166,11 +166,11 @@ func TestOneHopPerRead(t *testing.T) {
 	}
 }
 
-// TestRepeatedReadHitsNodeCache: the covering node runs each listed
-// partition under a bound of its own, so its result cache keeps every
-// partition's answer and a repeated read is served from it — one hit
-// per listed partition, no new entry — with identical items. (A
-// prefiltered fsm query is never cached, on a node or anywhere else.)
+// TestRepeatedReadHitsNodeCache: the covering node drains every listed
+// partition as one read, so its result cache keeps one entry per read
+// — the first read stores one — and a repeated read is served from it
+// with one hit, no new entry, and identical items. (A prefiltered fsm
+// query is never cached, on a node or anywhere else.)
 func TestRepeatedReadHitsNodeCache(t *testing.T) {
 	f := buildFixtures(t)
 	reqs := familyRequests(t, f)
@@ -187,17 +187,22 @@ func TestRepeatedReadHitsNodeCache(t *testing.T) {
 				node = n
 			}
 		}
+		before := node.eng.CacheStats()
 		first, err := router.Run(context.Background(), rq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := node.eng.CacheStats()
+		if stored := st.Stores - before.Stores; stored != 1 {
+			t.Fatalf("%s over %d partitions: first read stored %d node cache entries, want 1",
+				name, len(covers[0].parts), stored)
+		}
 		second, err := router.Run(context.Background(), rq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		after := node.eng.CacheStats()
-		if hits := int(after.Hits - st.Hits); hits != len(covers[0].parts) || after.Stores != st.Stores {
+		if hits := after.Hits - st.Hits; hits != 1 || after.Stores != st.Stores {
 			t.Fatalf("%s over %d partitions: repeat read hit the node cache %d times and stored %d entries",
 				name, len(covers[0].parts), hits, after.Stores-st.Stores)
 		}

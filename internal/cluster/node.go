@@ -3,9 +3,9 @@
 // connection with one read loop that demultiplexes the router's
 // streams: a 'Q' starts a query goroutine, a 'C' cancels it, and
 // appends, probes and seq-state requests are answered on the same
-// connection. A query runs under the floor its 'Q' carries, folded
-// into the request's MinScore, and carries the K-th best score of the
-// partitions it has run into the next one.
+// connection. A query drains every partition its 'Q' lists as one
+// queue, under the floor the 'Q' carries folded into the request's
+// MinScore.
 
 package cluster
 
@@ -25,7 +25,6 @@ import (
 	"modelir/internal/colstore"
 	"modelir/internal/core"
 	"modelir/internal/synth"
-	"modelir/internal/topk"
 )
 
 // NodeOptions configures a shard server.
@@ -395,18 +394,14 @@ func (n *Node) handle(c net.Conn) {
 	}
 }
 
-// serveQuery executes one query stream — every partition its 'Q'
-// lists, one after another on this goroutine — and returns its
-// terminal frame: one partial, the listed partitions' runs lifted into
-// global IDs and merged into one top-K.
-//
-// Each partition runs under the best floor known before it starts: the
-// router's, or the K-th best score the partitions before it merged to.
-// The floor is folded into the run's MinScore (withFloor), so every
-// plan seeds its screening bound with it, and the node's cache stores
-// the run under the request and that floor. The floor is a function of
-// the request and the data, so a repeated read hits on every listed
-// partition.
+// serveQuery executes one query stream and returns its terminal frame:
+// one partial, the exact top-K over every partition its 'Q' lists.
+// The listed partitions are one drain (core.RunParts): a linear read
+// queues the blocks of all of them, their IDs lifted by each range's
+// offset, and the other families scan them in list order, under the
+// router's floor folded into the request's MinScore (withFloor). The
+// node's cache keeps one entry per read, keyed on the request, the
+// floor and the partition list.
 func (n *Node) serveQuery(ctx context.Context, payload []byte) (byte, []byte) {
 	q, err := decodeQuery(payload)
 	if err != nil {
@@ -414,9 +409,9 @@ func (n *Node) serveQuery(ctx context.Context, payload []byte) (byte, []byte) {
 		return frameError, encodeError("bad-query", err.Error())
 	}
 
-	entries := make([]partEntry, len(q.Parts))
+	parts := make([]core.Part, 0, len(q.Parts))
 	n.mu.Lock()
-	for i, part := range q.Parts {
+	for _, part := range q.Parts {
 		e, ok := n.parts[q.Req.Dataset][part]
 		if !ok {
 			n.mu.Unlock()
@@ -424,38 +419,24 @@ func (n *Node) serveQuery(ctx context.Context, payload []byte) (byte, []byte) {
 			return frameError, encodeError("unknown-dataset",
 				fmt.Sprintf("dataset %q part %d not on this node", q.Req.Dataset, part))
 		}
-		entries[i] = e
+		if e.local != "" { // an empty partition has nothing to scan
+			parts = append(parts, core.Part{Dataset: e.local, Offset: e.offset})
+		}
 	}
 	n.mu.Unlock()
-	base := withFloor(q.Req, q.Floor)
+	// The fault-injection hook runs with the stream registered and the
+	// connection's read loop live: a cancel or kill arriving while the
+	// hook blocks is observed before execution starts, which is what
+	// makes the fault tests deterministic.
+	if n.opt.BeforeExec != nil {
+		for _, part := range q.Parts {
+			n.opt.BeforeExec(q.Req.Dataset, part)
+		}
+	}
 
 	var out Partial
-	var merged *topk.Heap // the runs so far, when the 'Q' lists several
-	if len(entries) > 1 {
-		k := q.Req.K
-		if k == 0 {
-			k = core.DefaultK
-		}
-		if merged, err = topk.GetHeap(k); err != nil {
-			n.failed.Add(1)
-			return frameError, encodeError(errorCode(err), err.Error())
-		}
-		defer topk.PutHeap(merged)
-	}
-	for i, e := range entries {
-		if e.local == "" {
-			continue // an empty partition: nothing to scan, nothing to add
-		}
-		// The fault-injection hook runs with the stream registered and
-		// the connection's read loop live: a cancel or kill arriving
-		// while the hook blocks is observed before execution starts,
-		// which is what makes the fault tests deterministic.
-		if n.opt.BeforeExec != nil {
-			n.opt.BeforeExec(q.Req.Dataset, q.Parts[i])
-		}
-		req := base
-		req.Dataset = e.local
-		res, err := n.eng.Run(ctx, req)
+	if len(parts) > 0 {
+		res, err := core.RunParts(ctx, n.eng, withFloor(q.Req, q.Floor), parts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				n.cancelled.Add(1)
@@ -464,27 +445,14 @@ func (n *Node) serveQuery(ctx context.Context, payload []byte) (byte, []byte) {
 			}
 			return frameError, encodeError(errorCode(err), err.Error())
 		}
-		if e.offset != 0 {
-			for j := range res.Items {
-				res.Items[j].ID += e.offset
-			}
-		}
-		out.Stats.Evaluations += res.Stats.Evaluations
-		out.Stats.Examined += res.Stats.Examined
-		out.Stats.Pruned += res.Stats.Pruned
-		out.Stats.Shards += res.Stats.Shards
-		out.Stats.Truncated = out.Stats.Truncated || res.Stats.Truncated
-		if merged == nil {
-			out.Items = res.Items
-			continue
-		}
-		topk.MergeItems(merged, res.Items)
-		if f, full := merged.Threshold(); full {
-			base = withFloor(base, f)
-		}
-	}
-	if merged != nil {
-		out.Items = merged.Results()
+		st := res.Stats
+		out = Partial{Items: res.Items, Stats: PartialStats{
+			Evaluations: st.Evaluations,
+			Examined:    st.Examined,
+			Pruned:      st.Pruned,
+			Shards:      st.Shards,
+			Truncated:   st.Truncated,
+		}}
 	}
 	n.served.Add(1)
 	return frameResult, encodePartial(out)

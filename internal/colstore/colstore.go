@@ -391,8 +391,14 @@ func (s *Store) ScanSegment(si int, w []float64, wNorm float64, h *topk.Heap, sb
 			st.RowsZonePruned += hi - lo
 			continue
 		}
-		if m := s.scoreBlock(kern, lo, hi, w, 0, h, shared, sc.scores[:hi-lo]); m > segMax {
-			segMax = m
+		// The block's scores are still in the scratch: their max is the
+		// segment's vote, which only this Onion path reads.
+		scores := sc.scores[:hi-lo]
+		s.scoreBlock(kern, lo, hi, w, 0, h, shared, scores)
+		for _, v := range scores {
+			if v > segMax {
+				segMax = v
+			}
 		}
 		st.RowsScored += hi - lo
 		meter.Charge(hi - lo)
@@ -443,15 +449,12 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 // already retained here or published by a sibling, so it cannot reach
 // the merged top-K and never costs a heap operation; a tied row is
 // offered, since its smaller id can still win. The floor only rises, so
-// the local part is refreshed only after an offer h accepts.
-func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, offset int64, h *topk.Heap, shared float64, scores []float64) float64 {
+// the local part is refreshed only after an offer h accepts. The
+// scores are left in scores.
+func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, offset int64, h *topk.Heap, shared float64, scores []float64) {
 	kern(s.cols, lo, hi, w, scores)
-	blockMax := math.Inf(-1)
 	floor := topk.Floor(h, shared)
 	for i, v := range scores {
-		if v > blockMax {
-			blockMax = v
-		}
 		if v < floor {
 			continue
 		}
@@ -459,5 +462,4 @@ func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, offset int6
 			floor = topk.Floor(h, shared)
 		}
 	}
-	return blockMax
 }

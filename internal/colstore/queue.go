@@ -103,7 +103,7 @@ func (q *BlockQueue) Add(s *Store, offset int64) {
 func (q *BlockQueue) Pop(floor float64) (unit int, ok bool) {
 	if !q.built {
 		for i := len(q.heap)/2 - 1; i >= 0; i-- {
-			q.down(i)
+			q.down(i, q.heap[i])
 		}
 		q.built = true
 	}
@@ -120,9 +120,10 @@ func (q *BlockQueue) Pop(floor float64) (unit int, ok bool) {
 	default:
 		top := q.heap[0]
 		n := len(q.heap) - 1
-		q.heap[0] = q.heap[n]
-		q.heap = q.heap[:n]
-		q.down(0)
+		last := q.heap[n]
+		if q.heap = q.heap[:n]; n > 0 {
+			q.down(0, last)
+		}
 		seg := &q.segs[top.seg]
 		q.queued -= seg.s.blockStart[top.b+1] - seg.s.blockStart[top.b]
 		return seg.first + int(top.b), true
@@ -132,23 +133,36 @@ func (q *BlockQueue) Pop(floor float64) (unit int, ok bool) {
 	return 0, false
 }
 
-// down restores the heap below index i.
-func (q *BlockQueue) down(i int) {
+// down places blk into the hole at index i: the child ahead moves up
+// into the hole while it is ahead of blk, and blk is written once,
+// where the hole stops. The child is chosen without a branch (the left
+// one, plus one when the right is ahead of it), the choice a swap-based
+// sift makes, so the pop order is the same.
+func (q *BlockQueue) down(i int, blk queuedBlock) {
 	h := q.heap
 	for {
-		l, r, best := 2*i+1, 2*i+2, i
-		if l < len(h) && ahead(h[l], h[best]) {
-			best = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < len(h) && ahead(h[r], h[best]) {
-			best = r
+		if c+1 < len(h) {
+			c += b2i(ahead(h[c+1], h[c]))
 		}
-		if best == i {
-			return
+		if !ahead(h[c], blk) {
+			break
 		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = blk
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Run scores the block unit names into h, screening rows against h and

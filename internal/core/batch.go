@@ -84,12 +84,12 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 		var key *[]byte
 		var gen uint64
 		if e.cache != nil {
-			key = cacheKey(req)
+			key = cacheKey(req, ownParts(req))
 		}
 		if key != nil {
 			// Per-dataset generation, sampled before the plan resolves
 			// the shard list — same staleness argument as runReq.
-			gen = e.generationOf(req)
+			gen = e.generationOf(req, ownParts(req))
 			if res, ok := e.cacheGet(*key, gen, start); ok {
 				out[i].Result = res
 				releaseKey(key)
@@ -134,7 +134,7 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 	plans := make([]queryPlan, 0, len(exec))
 	specs := make([]parallel.BatchSpec, 0, len(exec))
 	for _, en := range exec {
-		p, err := en.req.Query.plan(ctx, e, en.req)
+		p, err := en.req.Query.plan(ctx, e, en.req, ownParts(en.req))
 		if err != nil {
 			fillBatchErr(out, en, bareCtxErr(ctx, err))
 			continue

@@ -4,7 +4,8 @@
 // serving layer's encoded items.
 //
 // The key is the request's canonical encoding (AppendRequest, codec.go),
-// built in a pooled buffer: equal bytes mean equal requests, and the
+// followed by the part list when RunParts reads other datasets than the
+// request's own, built in a pooled buffer: equal bytes mean equal requests, and the
 // encoding leaves out Workers, which is ignored, so requests that
 // differ only in Workers share a cache line. Three things opt a request
 // out of the cache:
@@ -20,7 +21,8 @@
 // Invalidation is generation-based and PER DATASET: every set carries
 // a generation counter (1 at registration, +1 per append; compaction
 // leaves it alone — content is unchanged), results are stamped with
-// the target dataset's generation sampled before execution, and
+// the target datasets' generations (summed over RunParts' parts)
+// sampled before execution, and
 // qcache.Get refuses entries stamped with any other generation. So a
 // write to dataset A never evicts dataset B's entries — the engine-
 // wide epoch scheme this replaces evicted everything on every
@@ -39,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"modelir/internal/canon"
 	"modelir/internal/qcache"
 	"modelir/internal/topk"
 )
@@ -163,34 +166,44 @@ func (e *Engine) CacheStats() qcache.Stats {
 	return e.cache.Stats()
 }
 
-// generationOf resolves the generation of the dataset a validated
-// request targets: the per-dataset cache-invalidation stamp sampled
-// before execution. Returns 0 for an unknown dataset — results are
-// only ever stored with a live set's generation (>= 1), so a 0 probe
-// can never hit, and the plan will fail the request with
+// generationOf resolves the cache-invalidation stamp of the datasets
+// a validated request reads, sampled before execution: the sum of the
+// parts' generations. A dataset's generation only rises (1 at
+// registration, +1 per append, old+1 at an install), so the sum moves
+// whenever any part changes. Returns 0 when a part is unknown —
+// results are only ever stored with live sets' generations (>= 1), so
+// a 0 probe can never hit, and the plan will fail the request with
 // ErrUnknownDataset before anything could be stored.
-func (e *Engine) generationOf(req Request) uint64 {
+func (e *Engine) generationOf(req Request, parts []Part) uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	switch req.Query.(type) {
-	case LinearQuery:
-		if ts, ok := e.tuples[req.Dataset]; ok {
-			return ts.gen
+	var sum uint64
+	for _, p := range parts {
+		var gen uint64
+		switch req.Query.(type) {
+		case LinearQuery:
+			if ts, ok := e.tuples[p.Dataset]; ok {
+				gen = ts.gen
+			}
+		case SceneQuery, KnowledgeQuery:
+			if ss, ok := e.scenes[p.Dataset]; ok {
+				gen = ss.gen
+			}
+		case FSMQuery, FSMDistanceQuery:
+			if ss, ok := e.series[p.Dataset]; ok {
+				gen = ss.gen
+			}
+		case GeologyQuery:
+			if ws, ok := e.wells[p.Dataset]; ok {
+				gen = ws.gen
+			}
 		}
-	case SceneQuery, KnowledgeQuery:
-		if ss, ok := e.scenes[req.Dataset]; ok {
-			return ss.gen
+		if gen == 0 {
+			return 0
 		}
-	case FSMQuery, FSMDistanceQuery:
-		if ss, ok := e.series[req.Dataset]; ok {
-			return ss.gen
-		}
-	case GeologyQuery:
-		if ws, ok := e.wells[req.Dataset]; ok {
-			return ws.gen
-		}
+		sum += gen
 	}
-	return 0
+	return sum
 }
 
 // keyPool holds the buffers cache keys are built in.
@@ -200,10 +213,13 @@ var keyPool = sync.Pool{New: func() any { return new([]byte) }}
 // buffer in the pool; request keys are a few hundred bytes.
 const maxPooledKey = 64 << 10
 
-// cacheKey encodes a validated request's cache key into a pooled buffer,
-// or returns nil when the request is not cacheable. The caller hands a
+// cacheKey encodes a validated request's cache key over parts into a
+// pooled buffer, or returns nil when the request is not cacheable: the
+// request's canonical bytes, then — unless parts is the request's own
+// dataset alone — the part list. The canonical encoding is
+// self-delimiting, so the two shapes never collide. The caller hands a
 // key back with releaseKey once nothing references its bytes.
-func cacheKey(req Request) *[]byte {
+func cacheKey(req Request, parts []Part) *[]byte {
 	if req.Budget > 0 {
 		return nil
 	}
@@ -212,6 +228,12 @@ func cacheKey(req Request) *[]byte {
 	}
 	kp := keyPool.Get().(*[]byte)
 	b, err := AppendRequest((*kp)[:0], req)
+	if len(parts) != 1 || parts[0] != (Part{Dataset: req.Dataset}) {
+		b = canon.AppendUint(b, uint64(len(parts)))
+		for _, p := range parts {
+			b = canon.AppendUint(canon.AppendString(b, p.Dataset), uint64(p.Offset))
+		}
+	}
 	*kp = b
 	if err != nil {
 		releaseKey(kp)

@@ -173,7 +173,7 @@ func genOf(t *testing.T, e *Engine, name string) uint64 {
 
 // requestKey is cacheKey's bytes as a comparable value.
 func requestKey(req Request) (string, bool) {
-	kp := cacheKey(req)
+	kp := cacheKey(req, ownParts(req))
 	if kp == nil {
 		return "", false
 	}
@@ -564,9 +564,9 @@ func TestAppendItemsMemo(t *testing.T) {
 	if err := validateRequest(&req); err != nil {
 		t.Fatal(err)
 	}
-	key := cacheKey(req)
+	key := cacheKey(req, ownParts(req))
 	defer releaseKey(key)
-	gen := e.generationOf(req)
+	gen := e.generationOf(req, ownParts(req))
 	hit, _ := e.Run(ctx, req)
 	other := append([]topk.Item(nil), hit.Items[1:]...)
 	e.cachePut(*key, gen, other, hit.Stats)

@@ -126,9 +126,69 @@ type Result struct {
 type Query interface {
 	// Kind reports the model family.
 	Kind() ModelKind
-	// plan compiles the query against the engine into a single-use
-	// unit queue.
-	plan(ctx context.Context, e *Engine, req Request) (queryPlan, error)
+	// plan compiles the query against the engine's datasets named by
+	// parts into one single-use unit queue.
+	plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error)
+}
+
+// Part is one registered dataset a read drains, and the offset its
+// item IDs are lifted by: a cluster node answers a read over several
+// of its partitions as one drain over their segments (see RunParts).
+// Only tuple IDs are positional; the other families refuse a non-zero
+// offset.
+type Part struct {
+	Dataset string
+	Offset  int64
+}
+
+// eachPart resolves every part's dataset in sets under one read lock
+// and hands it to fn, in list order.
+func eachPart[V any](e *Engine, sets map[string]*V, parts []Part, fn func(Part, *V) error) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, p := range parts {
+		v, ok := sets[p.Dataset]
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownDataset, p.Dataset)
+		}
+		if err := fn(p, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// intrinsicSegments concatenates the parts' scan lists in list order.
+// Region and well IDs are intrinsic to the rows, so an offset is
+// refused.
+func intrinsicSegments[S rowShard[R], R any](e *Engine, sets map[string]*set[S, R], parts []Part) ([]S, error) {
+	var segs []S
+	err := eachPart(e, sets, parts, func(p Part, s *set[S, R]) error {
+		if p.Offset != 0 {
+			return fmt.Errorf("core: dataset %q: offset %d on intrinsic IDs", p.Dataset, p.Offset)
+		}
+		if segs == nil {
+			segs = s.scan[:len(s.scan):len(s.scan)] // appends below copy
+		} else {
+			segs = append(segs, s.scan...)
+		}
+		return nil
+	})
+	return segs, err
+}
+
+// sceneOf resolves the one part a scene or tile read takes.
+func (e *Engine) sceneOf(parts []Part) (*sceneSet, error) {
+	if len(parts) != 1 || parts[0].Offset != 0 {
+		return nil, errors.New("core: a scene read takes exactly one part, at offset 0")
+	}
+	e.mu.RLock()
+	ss, ok := e.scenes[parts[0].Dataset]
+	e.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, parts[0].Dataset)
+	}
+	return ss, nil
 }
 
 // queryPlan is one compiled request: a queue of units, each with an
@@ -136,9 +196,6 @@ type Query interface {
 // runs as one unit of its pool. Plans are single-use — the queue
 // carries the per-execution accounting state (budget meter, counters).
 type queryPlan struct {
-	// segments is how many segments the units come from
-	// (QueryStats.Shards).
-	segments int
 	// floor seeds the screening bound (-Inf for none).
 	floor float64
 	q     parallel.Queue
@@ -174,6 +231,21 @@ func bareCtxErr(ctx context.Context, err error) error {
 // scene descent per frontier pop, so a cancelled or timed-out request
 // stops burning CPU and returns ctx.Err().
 func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
+	return RunParts(ctx, e, req, ownParts(req))
+}
+
+// ownParts is the one part a plain request reads: its own dataset.
+func ownParts(req Request) []Part { return []Part{{Dataset: req.Dataset}} }
+
+// RunParts is Engine.Run over the datasets parts names instead of
+// req.Dataset, drained as one queue into one top-K: a cluster node
+// answers a read over several of its partitions with it. Linear reads
+// queue the blocks of every part, their IDs lifted by the part's
+// offset; the series and well families scan the parts' segments in
+// list order; scene and knowledge reads take exactly one part. The
+// result is cached under the request and the part list, stamped with
+// the parts' generations, and req.Budget meters the whole drain.
+func RunParts(ctx context.Context, e *Engine, req Request, parts []Part) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -189,23 +261,23 @@ func (e *Engine) Run(ctx context.Context, req Request) (Result, error) {
 	var key *[]byte
 	var gen uint64
 	if e.cache != nil {
-		key = cacheKey(req)
+		key = cacheKey(req, parts)
 	}
 	if key != nil {
 		defer releaseKey(key)
-		// The target dataset's generation is sampled before the plan
-		// resolves its segment list, so an append racing this request
-		// either lands before the sample (the entry is stored under —
-		// and valid for — the new generation) or after it (the entry is
+		// The parts' generations are sampled before the plan resolves
+		// their segment lists, so an append racing this request either
+		// lands before the sample (the entry is stored under — and
+		// valid for — the new generation) or after it (the entry is
 		// stamped stale the moment it is written). Other datasets'
 		// generations are untouched, so their entries stay live.
-		gen = e.generationOf(req)
+		gen = e.generationOf(req, parts)
 		if res, ok := e.cacheGet(*key, gen, start); ok {
 			return res, nil
 		}
 	}
 
-	p, err := req.Query.plan(ctx, e, req)
+	p, err := req.Query.plan(ctx, e, req, parts)
 	if err != nil {
 		return Result{}, bareCtxErr(ctx, err)
 	}
@@ -345,33 +417,33 @@ type LinearQuery struct {
 // Kind reports the linear model family.
 func (LinearQuery) Kind() ModelKind { return KindLinear }
 
-func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
+func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error) {
 	if q.Model == nil {
 		return queryPlan{}, errors.New("core: LinearQuery needs a model")
 	}
 	m := q.Model
-	e.mu.RLock()
-	ts, ok := e.tuples[req.Dataset]
-	e.mu.RUnlock()
-	if !ok {
-		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
-	}
-	for _, sh := range ts.scan {
-		if len(m.Coeffs) != sh.store.Dim() {
-			return queryPlan{}, fmt.Errorf("core: model has %d coefficients, tuples have %d attributes", len(m.Coeffs), sh.store.Dim())
-		}
-	}
 	meter := topk.NewMeter(req.Budget)
-	// The units are the blocks of every segment — base shards plus any
-	// live deltas — in one queue ordered by zone bound. Stores number
-	// rows locally; each segment's offset lifts its IDs into the global
-	// tuple index space.
+	// The units are the blocks of every segment of every part — base
+	// shards plus any live deltas — in one queue ordered by zone bound.
+	// Stores number rows locally; each segment's offset, plus its
+	// part's, lifts its IDs into the global tuple index space.
 	bq := colstore.GetBlockQueue(m.Coeffs, colstore.WeightNorm(m.Coeffs), meter)
-	for _, sh := range ts.scan {
-		bq.Add(sh.store, int64(sh.offset))
+	segs := 0
+	err := eachPart(e, e.tuples, parts, func(p Part, ts *tupleSet) error {
+		for _, sh := range ts.scan {
+			if len(m.Coeffs) != sh.store.Dim() {
+				return fmt.Errorf("core: model has %d coefficients, tuples have %d attributes", len(m.Coeffs), sh.store.Dim())
+			}
+			bq.Add(sh.store, int64(sh.offset)+p.Offset)
+		}
+		segs += len(ts.scan)
+		return nil
+	})
+	if err != nil {
+		bq.Release()
+		return queryPlan{}, err
 	}
 	return queryPlan{
-		segments: len(ts.scan),
 		// The shared bound screens pre-intercept scores, so the
 		// MinScore floor is shifted into that scale.
 		floor: floorOf(req, m.Intercept),
@@ -390,7 +462,7 @@ func (q LinearQuery) plan(ctx context.Context, e *Engine, req Request) (queryPla
 				Evaluations: st.RowsScored,
 				Examined:    st.RowsScored,
 				Pruned:      st.RowsZonePruned,
-				Shards:      len(ts.scan),
+				Shards:      segs,
 				Truncated:   meter.Exhausted(),
 			}, nil
 		},
@@ -410,21 +482,18 @@ type SceneQuery struct {
 // Kind reports the linear model family.
 func (SceneQuery) Kind() ModelKind { return KindLinear }
 
-func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
+func (q SceneQuery) plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error) {
 	if q.Model == nil {
 		return queryPlan{}, errors.New("core: SceneQuery needs a progressive model")
 	}
-	e.mu.RLock()
-	ss, ok := e.scenes[req.Dataset]
-	e.mu.RUnlock()
-	if !ok {
-		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
+	ss, err := e.sceneOf(parts)
+	if err != nil {
+		return queryPlan{}, err
 	}
 	u := &sceneUnit{pm: q.Model, pyr: ss.scene.Pyramid(), ctx: ctx, meter: topk.NewMeter(req.Budget)}
 	return queryPlan{
-		segments: 1,
-		floor:    floorOf(req, 0),
-		q:        u,
+		floor: floorOf(req, 0),
+		q:     u,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			return items, QueryStats{
 				Evaluations: u.st.Work(),
@@ -493,9 +562,8 @@ func scanPlan(req Request, nSegs int, meter *topk.Meter,
 		q.units += (segSize(si) + chunkSize - 1) / chunkSize
 	}
 	return queryPlan{
-		segments: nSegs,
-		floor:    floorOf(req, 0),
-		q:        q,
+		floor: floorOf(req, 0),
+		q:     q,
 		finish: func(items []topk.Item) ([]topk.Item, QueryStats, error) {
 			return items, QueryStats{
 				Evaluations: q.counts.evals,
@@ -561,23 +629,21 @@ type FSMQuery struct {
 // Kind reports the finite-state model family.
 func (FSMQuery) Kind() ModelKind { return KindFiniteState }
 
-func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
+func (q FSMQuery) plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error) {
 	if q.Machine == nil {
 		return queryPlan{}, errors.New("core: FSMQuery needs a machine")
 	}
-	e.mu.RLock()
-	ss, ok := e.series[req.Dataset]
-	e.mu.RUnlock()
-	if !ok {
-		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
+	segs, err := intrinsicSegments(e, e.series, parts)
+	if err != nil {
+		return queryPlan{}, err
 	}
 	meter := topk.NewMeter(req.Budget)
 	// One step table per request, read by every unit.
-	tab := fsm.NewTable(q.Machine, packedBytes(ss))
-	return scanPlan(req, len(ss.scan), meter,
-		func(si int) int { return len(ss.scan[si].regions) },
+	tab := fsm.NewTable(q.Machine, packedBytes(segs))
+	return scanPlan(req, len(segs), meter,
+		func(si int) int { return len(segs[si].regions) },
 		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
-			sh := ss.scan[si]
+			sh := segs[si]
 			if q.Prefilter != nil && !q.Prefilter(sh.sums[i]) {
 				c.pruned++
 				return nil
@@ -628,26 +694,24 @@ func (q FSMDistanceQuery) validate() error {
 	return nil
 }
 
-func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
+func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error) {
 	if q.Target == nil {
 		return queryPlan{}, errors.New("core: FSMDistanceQuery needs a target machine")
 	}
-	e.mu.RLock()
-	ss, ok := e.series[req.Dataset]
-	e.mu.RUnlock()
-	if !ok {
-		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
+	segs, err := intrinsicSegments(e, e.series, parts)
+	if err != nil {
+		return queryPlan{}, err
 	}
 	meter := topk.NewMeter(req.Budget)
 	// One step table and one distance memo per request. A plan drains
 	// on one goroutine, so its units share them and one scratch.
-	tab := fsm.NewExtractTable(q.Target, packedBytes(ss))
+	tab := fsm.NewExtractTable(q.Target, packedBytes(segs))
 	memo := fsm.NewDistanceMemo(q.Target, q.Horizon)
 	sc := fsmScratchPool.Get().(*fsm.Scratch)
-	p := scanPlan(req, len(ss.scan), meter,
-		func(si int) int { return len(ss.scan[si].regions) },
+	p := scanPlan(req, len(segs), meter,
+		func(si int) int { return len(segs[si].regions) },
 		func(si, i int, h *topk.Heap, _ *topk.Bound, c *scanCounts) error {
-			sh := ss.scan[si]
+			sh := segs[si]
 			events, days := sh.eventsOf(i)
 			meter.Charge(days)
 			c.evals += days
@@ -676,7 +740,7 @@ func (q FSMDistanceQuery) plan(ctx context.Context, e *Engine, req Request) (que
 // Kind reports the knowledge model family.
 func (GeologyQuery) Kind() ModelKind { return KindKnowledge }
 
-func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
+func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error) {
 	if err := q.Validate(); err != nil {
 		return queryPlan{}, err
 	}
@@ -689,22 +753,20 @@ func (q GeologyQuery) plan(ctx context.Context, e *Engine, req Request) (queryPl
 	default:
 		return queryPlan{}, fmt.Errorf("core: unknown geology method %d", method)
 	}
-	e.mu.RLock()
-	ws, ok := e.wells[req.Dataset]
-	e.mu.RUnlock()
-	if !ok {
-		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
+	segs, err := intrinsicSegments(e, e.wells, parts)
+	if err != nil {
+		return queryPlan{}, err
 	}
 	meter := topk.NewMeter(req.Budget)
 	// One columnar scanner per segment: the grade closures bind once and
 	// walk the segment's flat strata planes; per well only the base
 	// offset moves.
-	scanners := make([]*geoShardScanner, len(ws.scan))
-	for si, sh := range ws.scan {
+	scanners := make([]*geoShardScanner, len(segs))
+	for si, sh := range segs {
 		scanners[si] = newGeoShardScanner(sh, q)
 	}
-	return scanPlan(req, len(ws.scan), meter,
-		func(si int) int { return len(ws.scan[si].wells) },
+	return scanPlan(req, len(segs), meter,
+		func(si int) int { return len(segs[si].wells) },
 		func(si, i int, h *topk.Heap, sb *topk.Bound, c *scanCounts) error {
 			g := scanners[si]
 			n := g.setWell(i)
@@ -771,15 +833,13 @@ type KnowledgeQuery struct {
 // Kind reports the knowledge model family.
 func (KnowledgeQuery) Kind() ModelKind { return KindKnowledge }
 
-func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request) (queryPlan, error) {
+func (q KnowledgeQuery) plan(ctx context.Context, e *Engine, req Request, parts []Part) (queryPlan, error) {
 	if q.Rules == nil || q.Rules.Len() == 0 {
 		return queryPlan{}, errors.New("core: empty rule set")
 	}
-	e.mu.RLock()
-	ss, ok := e.scenes[req.Dataset]
-	e.mu.RUnlock()
-	if !ok {
-		return queryPlan{}, fmt.Errorf("%w: %q", ErrUnknownDataset, req.Dataset)
+	ss, err := e.sceneOf(parts)
+	if err != nil {
+		return queryPlan{}, err
 	}
 	sc := ss.scene
 	// Compile the rule set against the scene's feature-matrix columns

@@ -335,11 +335,11 @@ func restoredSeriesSet(ids []int, sums []synth.DrySpellStats, events []byte, day
 	return ss, nil
 }
 
-// packedBytes is the size of the dataset's packed event planes over
-// every scanned segment: the scan an FSM request's step table serves.
-func packedBytes(ss *seriesSet) int {
+// packedBytes is the size of the packed event planes of segs: the scan
+// an FSM request's step table serves.
+func packedBytes(segs []*seriesShard) int {
 	n := 0
-	for _, sh := range ss.scan {
+	for _, sh := range segs {
 		n += len(sh.events)
 	}
 	return n

@@ -314,46 +314,64 @@ type descender struct {
 	started, filled bool
 }
 
-// pqPush inserts a frontier entry (max-heap on upper bound).
+// pqPush inserts a frontier entry (max-heap on upper bound): parents
+// whose bound is strictly below the entry's move down into the hole,
+// and the entry is written once, where the hole stops.
 func (d *descender) pqPush(e cellEntry) {
 	pq := append(d.sc.pq, e)
 	i := len(pq) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if pq[parent].upper >= pq[i].upper {
+		if pq[parent].upper >= e.upper {
 			break
 		}
-		pq[i], pq[parent] = pq[parent], pq[i]
+		pq[i] = pq[parent]
 		i = parent
 	}
+	pq[i] = e
 	d.sc.pq = pq
 }
 
-// pqPop removes and returns the highest-bound entry.
+// pqPop removes and returns the highest-bound entry. The last entry
+// fills the root's hole: the higher child moves up while its bound is
+// strictly above the entry's, and the entry is written once, where the
+// hole stops. The child is chosen without a branch — the right one only
+// when its bound is strictly higher, so ties go left as they did when
+// the sift swapped — and the pop order is unchanged.
 func (d *descender) pqPop() cellEntry {
 	pq := d.sc.pq
 	top := pq[0]
 	n := len(pq) - 1
-	pq[0] = pq[n]
+	e := pq[n]
 	pq = pq[:n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && pq[l].upper > pq[largest].upper {
-			largest = l
-		}
-		if r < n && pq[r].upper > pq[largest].upper {
-			largest = r
-		}
-		if largest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		pq[i], pq[largest] = pq[largest], pq[i]
-		i = largest
+		if c+1 < n {
+			c += b2i(pq[c+1].upper > pq[c].upper)
+		}
+		if !(pq[c].upper > e.upper) {
+			break
+		}
+		pq[i] = pq[c]
+		i = c
+	}
+	if n > 0 {
+		pq[i] = e
 	}
 	d.sc.pq = pq
 	return top
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // bound upper-bounds the model over cell (cx, cy) of `level` from the

@@ -61,8 +61,8 @@ func (b *Bound) Raise(v float64) {
 // merged top-K, so it never reaches a heap, while a candidate tied with
 // it can still win the smaller-ID tie-break and is kept.
 func Floor(h *Heap, shared float64) float64 {
-	if len(h.items) == h.k && h.items[0].Score > shared {
-		return h.items[0].Score
+	if len(h.scores) == h.k && h.scores[0] > shared {
+		return h.scores[0]
 	}
 	return shared
 }

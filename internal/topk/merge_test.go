@@ -18,6 +18,18 @@ func refTopK(items []Item, k int) []Item {
 	return all
 }
 
+// stored is h's items in the order the heap holds them.
+func stored(h *Heap) []Item {
+	out := make([]Item, len(h.scores))
+	for i := range out {
+		out[i] = Item{ID: h.ids[i], Score: h.scores[i]}
+		if h.payloads != nil {
+			out[i].Payload = h.payloads[i]
+		}
+	}
+	return out
+}
+
 func sameItems(t *testing.T, got, want []Item) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -49,9 +61,13 @@ func shardAndMerge(items []Item, shards, k int) []Item {
 		}
 		local := MustHeap(k)
 		for _, it := range items[lo:hi] {
-			local.Offer(it)
+			if it.Payload == nil {
+				local.OfferScore(it.ID, it.Score)
+			} else {
+				local.Offer(it)
+			}
 		}
-		MergeItems(merged, local.items)
+		MergeItems(merged, stored(local))
 	}
 	return merged.Results()
 }
@@ -80,7 +96,7 @@ func TestMergeItemsMatchesMerge(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		src.OfferScore(int64(i), float64(i%5))
 	}
-	viaHeap := MergeItems(MustHeap(3), src.items).Results()
+	viaHeap := MergeItems(MustHeap(3), stored(src)).Results()
 	viaItems := MergeItems(MustHeap(3), src.Results()).Results()
 	sameItems(t, viaItems, viaHeap)
 }
@@ -161,16 +177,21 @@ func TestBoundNegativeRange(t *testing.T) {
 }
 
 // FuzzHeapMerge asserts the sharded-merge invariant the engine relies
-// on: for any scores (ties included), any k and any shard count, the
-// merged top-K of per-shard heaps equals the top-K of the concatenated
-// input.
+// on: for any scores (dense ties and signed zeros included), any k up
+// to 512 and any shard count, the merged top-K of per-shard heaps
+// equals the top-K of the concatenated input — IDs, score bits and
+// payloads. Every payloadEvery-th item carries a payload of its own and
+// is offered with Offer; the rest go through OfferScore, as a linear
+// scan's rows do beside geology's strata lists.
 func FuzzHeapMerge(f *testing.F) {
-	f.Add(int64(1), 10, 3, 2, false)
-	f.Add(int64(2), 100, 1, 7, true)
-	f.Add(int64(3), 1, 5, 5, false)
-	f.Add(int64(4), 257, 16, 4, true)
-	f.Fuzz(func(t *testing.T, seed int64, n, k, shards int, quantize bool) {
-		if n < 1 || n > 2000 || k < 1 || k > 64 || shards < 1 || shards > 32 {
+	f.Add(int64(1), 10, 3, 2, false, uint8(0))
+	f.Add(int64(2), 100, 1, 7, true, uint8(0))
+	f.Add(int64(3), 1, 5, 5, false, uint8(0))
+	f.Add(int64(4), 257, 16, 4, true, uint8(0))
+	f.Add(int64(5), 1500, 200, 3, false, uint8(3))
+	f.Add(int64(6), 2000, 512, 2, true, uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n, k, shards int, quantize bool, payloadEvery uint8) {
+		if n < 1 || n > 2000 || k < 1 || k > 512 || shards < 1 || shards > 32 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -179,10 +200,14 @@ func FuzzHeapMerge(f *testing.F) {
 			s := rng.NormFloat64()
 			if quantize {
 				// Few distinct values: dense ties exercise the ID
-				// tie-break across shard boundaries.
-				s = float64(int(s * 2))
+				// tie-break across shard boundaries, and zeros keep
+				// their sign (-0 ties +0).
+				s = math.Copysign(float64(int(s*2)), s)
 			}
 			items[i] = Item{ID: int64(i), Score: s}
+			if payloadEvery > 0 && i%int(payloadEvery) == 0 {
+				items[i].Payload = &items[i].ID
+			}
 		}
 		want := refTopK(items, k)
 		got := shardAndMerge(items, shards, k)
@@ -190,9 +215,10 @@ func FuzzHeapMerge(f *testing.F) {
 			t.Fatalf("got %d items, want %d", len(got), len(want))
 		}
 		for i := range want {
-			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-				t.Fatalf("pos %d: got %v/%v want %v/%v",
-					i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) ||
+				got[i].Payload != want[i].Payload {
+				t.Fatalf("pos %d: got %v/%v/%v want %v/%v/%v", i,
+					got[i].ID, got[i].Score, got[i].Payload, want[i].ID, want[i].Score, want[i].Payload)
 			}
 		}
 	})

@@ -30,10 +30,16 @@ var ErrBadCapacity = errors.New("topk: capacity must be >= 1")
 // a K far above the candidate count (a request asking for "everything")
 // costs only the candidates.
 //
+// The items are held in parallel slices: a sift compares and moves
+// scores and IDs alone, and payloads get a slice of their own only once
+// an item with a payload is offered.
+//
 // The zero value is not usable; construct with NewHeap.
 type Heap struct {
-	k     int
-	items []Item
+	k        int
+	scores   []float64
+	ids      []int64
+	payloads []any // nil until a payload is offered, then parallel to scores
 }
 
 // NewHeap returns a Heap that keeps the k highest-scoring items.
@@ -55,10 +61,10 @@ func MustHeap(k int) *Heap {
 }
 
 // Len returns the number of items currently retained.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return len(h.scores) }
 
 // Full reports whether the heap holds K items.
-func (h *Heap) Full() bool { return len(h.items) == h.k }
+func (h *Heap) Full() bool { return len(h.scores) == h.k }
 
 // Threshold returns the score an item must exceed to enter a full heap.
 // For a non-full heap it returns negative infinity semantics via ok=false.
@@ -66,43 +72,61 @@ func (h *Heap) Threshold() (score float64, ok bool) {
 	if !h.Full() {
 		return 0, false
 	}
-	return h.items[0].Score, true
+	return h.scores[0], true
 }
 
 // worse reports whether item a ranks strictly worse than b
 // (lower score, or equal score with larger ID).
-func worse(a, b Item) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+func worse(a, b Item) bool { return worseThan(a.Score, a.ID, b.Score, b.ID) }
+
+// worseThan is worse over a score and an ID each.
+func worseThan(as float64, aid int64, bs float64, bid int64) bool {
+	if as != bs {
+		return as < bs
 	}
-	return a.ID > b.ID
+	return aid > bid
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Offer inserts the item if it ranks among the current top K.
-// It reports whether the item was retained.
+// It reports whether the item was retained. The first item offered
+// with a payload gives the heap its payload slice.
 func (h *Heap) Offer(it Item) bool {
-	if len(h.items) < h.k {
-		h.items = append(h.items, it)
-		h.siftUp(len(h.items) - 1)
-		return true
+	if it.Payload != nil && h.payloads == nil {
+		h.payloads = make([]any, len(h.scores), cap(h.scores))
 	}
-	if !worse(h.items[0], it) {
-		return false
-	}
-	h.items[0] = it
-	siftDown(h.items, 0)
-	return true
+	return h.offer(it.Score, it.ID, it.Payload)
 }
 
-// OfferScore is a convenience wrapper around Offer without payload.
+// OfferScore offers an item without payload.
 func (h *Heap) OfferScore(id int64, score float64) bool {
-	return h.Offer(Item{ID: id, Score: score})
+	return h.offer(score, id, nil)
+}
+
+// offer is Offer once the payload slice exists if p needs it.
+func (h *Heap) offer(s float64, id int64, p any) bool {
+	if len(h.scores) < h.k {
+		h.push(s, id, p)
+		return true
+	}
+	if !worseThan(h.scores[0], h.ids[0], s, id) {
+		return false
+	}
+	h.siftDown(0, s, id, p)
+	return true
 }
 
 // Results returns the retained items ordered best-first (descending score,
 // ascending ID on ties). The heap is unchanged; the returned slice is fresh.
 func (h *Heap) Results() []Item {
-	return h.AppendResults(make([]Item, 0, len(h.items)))
+	return h.AppendResults(make([]Item, 0, len(h.scores)))
 }
 
 // AppendResults appends the retained items to dst ordered best-first
@@ -110,55 +134,116 @@ func (h *Heap) Results() []Item {
 // slice. Pass a reused dst[:0] and no garbage is produced. This is the
 // one place results are put in order: the copy is already a min-heap on
 // `worse`, so heapsort finishes in place - each step moves the worst
-// remaining item behind the shrinking heap - with the comparison
-// inlined rather than called through a closure or a reflected swapper.
+// remaining item behind the shrinking heap (siftItems) - with the
+// comparison inlined rather than called through a closure or a
+// reflected swapper.
 func (h *Heap) AppendResults(dst []Item) []Item {
 	start := len(dst)
-	dst = append(dst, h.items...)
+	for i, s := range h.scores {
+		it := Item{ID: h.ids[i], Score: s}
+		if h.payloads != nil {
+			it.Payload = h.payloads[i]
+		}
+		dst = append(dst, it)
+	}
 	out := dst[start:]
 	for n := len(out) - 1; n > 0; n-- {
-		out[0], out[n] = out[n], out[0]
-		siftDown(out[:n], 0)
+		last := out[n]
+		out[n] = out[0]
+		siftItems(out[:n], last)
 	}
 	return dst
 }
 
-// Reset empties the heap, retaining capacity. The items are cleared so
-// a reused heap never pins payloads it no longer holds.
+// Reset empties the heap, retaining the capacity of its scores and
+// IDs. The payload slice is dropped, so a reused heap never pins
+// payloads it no longer holds and a pooled heap sifts no payloads until
+// its next user offers one.
 func (h *Heap) Reset() {
-	clear(h.items)
-	h.items = h.items[:0]
+	h.scores, h.ids, h.payloads = h.scores[:0], h.ids[:0], nil
 }
 
-func (h *Heap) siftUp(i int) {
+// push adds an item to a heap that is not full and sifts it up:
+// parents it ranks worse than move down into the hole it leaves, and it
+// is written once, where the hole stops.
+func (h *Heap) push(s float64, id int64, p any) {
+	h.scores = append(h.scores, s)
+	h.ids = append(h.ids, id)
+	if h.payloads != nil {
+		h.payloads = append(h.payloads, p)
+	}
+	scores, ids := h.scores, h.ids
+	i := len(scores) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !worse(h.items[i], h.items[parent]) {
+		if !worseThan(s, id, scores[parent], ids[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		scores[i], ids[i] = scores[parent], ids[parent]
+		if h.payloads != nil {
+			h.payloads[i] = h.payloads[parent]
+		}
 		i = parent
+	}
+	scores[i], ids[i] = s, id
+	if h.payloads != nil {
+		h.payloads[i] = p
 	}
 }
 
-// siftDown restores the min-heap property of items below index i.
-func siftDown(items []Item, i int) {
-	n := len(items)
+// siftDown places an item into the hole at index i: the worse child
+// moves up into the hole while it ranks worse than the item, and the
+// item is written once, where the hole stops. The child is chosen
+// without a branch — the left one, plus one when the right is worse —
+// since which child is worse is a coin flip a predicted branch loses at
+// every level. It is the choice the swap-based sift made (the left
+// child unless the right is strictly worse), so the heap's layout, and
+// every pop, comes out the same.
+func (h *Heap) siftDown(i int, s float64, id int64, p any) {
+	scores, ids, payloads := h.scores, h.ids, h.payloads
+	n := len(scores)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && worse(items[l], items[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && worse(items[r], items[smallest]) {
-			smallest = r
+		if c+1 < n {
+			c += b2i(worseThan(scores[c+1], ids[c+1], scores[c], ids[c]))
 		}
-		if smallest == i {
-			return
+		if !worseThan(scores[c], ids[c], s, id) {
+			break
 		}
-		items[i], items[smallest] = items[smallest], items[i]
-		i = smallest
+		scores[i], ids[i] = scores[c], ids[c]
+		if payloads != nil {
+			payloads[i] = payloads[c]
+		}
+		i = c
 	}
+	scores[i], ids[i] = s, id
+	if payloads != nil {
+		payloads[i] = p
+	}
+}
+
+// siftItems is siftDown for a min-heap of Items with its hole at the
+// root, AppendResults' heapsort step.
+func siftItems(items []Item, it Item) {
+	i, n := 0, len(items)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n {
+			c += b2i(worse(items[c+1], items[c]))
+		}
+		if !worse(items[c], it) {
+			break
+		}
+		items[i] = items[c]
+		i = c
+	}
+	items[i] = it
 }
 
 // MergeItems offers every item to dst and returns dst. It merges the

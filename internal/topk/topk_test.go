@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -112,20 +113,21 @@ func TestHugeKSizesNothing(t *testing.T) {
 		}
 	}
 	for _, h := range []*Heap{get(1 << 40), MustHeap(1 << 40)} {
-		if cap(h.items) > 16 {
-			t.Fatalf("empty heap of K 1<<40 holds capacity %d", cap(h.items))
+		if cap(h.scores) > 16 || cap(h.ids) > 16 || h.payloads != nil {
+			t.Fatalf("empty heap of K 1<<40 holds capacity %d/%d/%d", cap(h.scores), cap(h.ids), cap(h.payloads))
 		}
 		for i := 0; i < 100; i++ {
 			h.OfferScore(int64(i), float64(i))
 		}
-		if h.Len() != 100 || h.Full() || cap(h.items) > 256 {
-			t.Fatalf("100 offers into K 1<<40: len %d, full %v, capacity %d", h.Len(), h.Full(), cap(h.items))
+		if h.Len() != 100 || h.Full() || cap(h.scores) > 256 || cap(h.ids) > 256 || h.payloads != nil {
+			t.Fatalf("100 offers into K 1<<40: len %d, full %v, capacity %d/%d/%d",
+				h.Len(), h.Full(), cap(h.scores), cap(h.ids), cap(h.payloads))
 		}
 	}
 }
 
-// TestPutHeapClearsRetainedItems: a pooled heap keeps the capacity it
-// grew to but pins no payload, including after a Reset.
+// TestPutHeapClearsRetainedItems: a pooled heap keeps the capacity its
+// scores and IDs grew to but pins no payload, including after a Reset.
 func TestPutHeapClearsRetainedItems(t *testing.T) {
 	h := MustHeap(8)
 	for i := 0; i < 8; i++ {
@@ -133,14 +135,16 @@ func TestPutHeapClearsRetainedItems(t *testing.T) {
 	}
 	h.Reset()
 	h.OfferScore(9, 9)
-	PutHeap(h)
-	for i, it := range h.items[:cap(h.items)] {
-		if it != (Item{}) {
-			t.Fatalf("pooled heap slot %d still holds %+v", i, it)
-		}
+	if h.payloads != nil {
+		t.Fatalf("reset heap still holds %d payload slots", cap(h.payloads))
 	}
-	if cap(h.items) < 8 {
-		t.Fatalf("pooled heap dropped its capacity: %d", cap(h.items))
+	h.Offer(Item{ID: 10, Score: 10, Payload: h})
+	PutHeap(h)
+	if h.payloads != nil {
+		t.Fatalf("pooled heap still holds %d payload slots", cap(h.payloads))
+	}
+	if cap(h.scores) < 8 || cap(h.ids) < 8 {
+		t.Fatalf("pooled heap dropped its capacity: %d/%d", cap(h.scores), cap(h.ids))
 	}
 }
 
@@ -272,16 +276,61 @@ func TestOfferReportsRetention(t *testing.T) {
 	}
 }
 
-func BenchmarkHeapOffer(b *testing.B) {
-	b.ReportAllocs()
-	h := MustHeap(100)
+// normOrderedScores is what a linear scan offers: the scores w·x of
+// rows Gaussian in dim attributes, in descending order of |x| as a
+// norm-ordered store holds them.
+func normOrderedScores(n, dim int) []float64 {
 	rng := rand.New(rand.NewSource(1))
-	scores := make([]float64, 4096)
-	for i := range scores {
-		scores[i] = rng.Float64()
+	w := make([]float64, dim)
+	for d := range w {
+		w[d] = rng.NormFloat64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.OfferScore(int64(i), scores[i&4095])
+	type row struct{ norm, score float64 }
+	rows := make([]row, n)
+	for i := range rows {
+		for d := range w {
+			x := rng.NormFloat64()
+			rows[i].norm += x * x
+			rows[i].score += w[d] * x
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].norm > rows[j].norm })
+	scores := make([]float64, n)
+	for i, r := range rows {
+		scores[i] = r.score
+	}
+	return scores
+}
+
+// BenchmarkHeapOffer times the path a scanned block takes into a
+// query's heap: 1,024-row blocks of norm-ordered scores, each row gated
+// by topk.Floor as colstore's scoreBlock gates it, and offered when it
+// is not below the floor. A pass fills a fresh heap from four blocks.
+// Nearly all of the time is sifts, so it reports ns per accepted offer.
+func BenchmarkHeapOffer(b *testing.B) {
+	const block = 1024
+	scores := normOrderedScores(4*block, 8)
+	for _, k := range []int{10, 45, 200} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			h := MustHeap(k)
+			accepted := 0
+			for i := 0; i < b.N; i++ {
+				h.Reset()
+				for lo := 0; lo < len(scores); lo += block {
+					floor := Floor(h, math.Inf(-1))
+					for j, v := range scores[lo : lo+block] {
+						if v < floor {
+							continue
+						}
+						if h.OfferScore(int64(lo+j), v) {
+							accepted++
+							floor = Floor(h, math.Inf(-1))
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accepted), "ns/accept")
+			b.ReportMetric(float64(accepted)/float64(b.N), "accepts/op")
+		})
 	}
 }

@@ -450,7 +450,7 @@ func (s *Store) Scan(w []float64, wNorm float64, h *topk.Heap, sb *topk.Bound, m
 // the merged top-K and never costs a heap operation; a tied row is
 // offered, since its smaller id can still win. The floor only rises, so
 // the local part is refreshed only after an offer h accepts. The
-// scores are left in scores.
+// block's scores stay in scores, where ScanSegment reads their maximum.
 func (s *Store) scoreBlock(kern kernelFunc, lo, hi int, w []float64, offset int64, h *topk.Heap, shared float64, scores []float64) {
 	kern(s.cols, lo, hi, w, scores)
 	floor := topk.Floor(h, shared)

@@ -11,7 +11,7 @@ import (
 // and truncate to k.
 func refTopK(items []Item, k int) []Item {
 	all := append([]Item(nil), items...)
-	sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
+	sort.Slice(all, func(i, j int) bool { return worse(all[j].Score, all[j].ID, all[i].Score, all[i].ID) })
 	if len(all) > k {
 		all = all[:k]
 	}

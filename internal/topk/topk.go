@@ -75,12 +75,10 @@ func (h *Heap) Threshold() (score float64, ok bool) {
 	return h.scores[0], true
 }
 
-// worse reports whether item a ranks strictly worse than b
-// (lower score, or equal score with larger ID).
-func worse(a, b Item) bool { return worseThan(a.Score, a.ID, b.Score, b.ID) }
-
-// worseThan is worse over a score and an ID each.
-func worseThan(as float64, aid int64, bs float64, bid int64) bool {
+// worse reports whether the item scoring as with ID aid ranks strictly
+// worse than the one scoring bs with ID bid (lower score, or equal
+// score with larger ID).
+func worse(as float64, aid int64, bs float64, bid int64) bool {
 	if as != bs {
 		return as < bs
 	}
@@ -116,10 +114,10 @@ func (h *Heap) offer(s float64, id int64, p any) bool {
 		h.push(s, id, p)
 		return true
 	}
-	if !worseThan(h.scores[0], h.ids[0], s, id) {
+	if !worse(h.scores[0], h.ids[0], s, id) {
 		return false
 	}
-	h.siftDown(0, s, id, p)
+	h.siftDown(len(h.scores), s, id, p)
 	return true
 }
 
@@ -132,25 +130,36 @@ func (h *Heap) Results() []Item {
 // AppendResults appends the retained items to dst ordered best-first
 // (descending score, ascending ID on ties) and returns the extended
 // slice. Pass a reused dst[:0] and no garbage is produced. This is the
-// one place results are put in order: the copy is already a min-heap on
-// `worse`, so heapsort finishes in place - each step moves the worst
-// remaining item behind the shrinking heap (siftItems) - with the
-// comparison inlined rather than called through a closure or a
-// reflected swapper.
+// one place results are put in order: the heap is heapsorted in place -
+// each step moves the worst remaining item behind the shrinking heap,
+// with the comparison inlined rather than called through a closure or a
+// reflected swapper - and copied out best-first. Reversed, the sorted
+// slices are worst-first, which is a min-heap again, so the heap keeps
+// its items and stays usable; only their layout changes.
 func (h *Heap) AppendResults(dst []Item) []Item {
-	start := len(dst)
-	for i, s := range h.scores {
-		it := Item{ID: h.ids[i], Score: s}
-		if h.payloads != nil {
-			it.Payload = h.payloads[i]
+	scores, ids, payloads := h.scores, h.ids, h.payloads
+	for n := len(scores) - 1; n > 0; n-- {
+		s, id := scores[n], ids[n]
+		scores[n], ids[n] = scores[0], ids[0]
+		var p any
+		if payloads != nil {
+			p, payloads[n] = payloads[n], payloads[0]
+		}
+		h.siftDown(n, s, id, p)
+	}
+	for i, s := range scores {
+		it := Item{ID: ids[i], Score: s}
+		if payloads != nil {
+			it.Payload = payloads[i]
 		}
 		dst = append(dst, it)
 	}
-	out := dst[start:]
-	for n := len(out) - 1; n > 0; n-- {
-		last := out[n]
-		out[n] = out[0]
-		siftItems(out[:n], last)
+	for i, j := 0, len(scores)-1; i < j; i, j = i+1, j-1 {
+		scores[i], scores[j] = scores[j], scores[i]
+		ids[i], ids[j] = ids[j], ids[i]
+		if payloads != nil {
+			payloads[i], payloads[j] = payloads[j], payloads[i]
+		}
 	}
 	return dst
 }
@@ -176,7 +185,7 @@ func (h *Heap) push(s float64, id int64, p any) {
 	i := len(scores) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !worseThan(s, id, scores[parent], ids[parent]) {
+		if !worse(s, id, scores[parent], ids[parent]) {
 			break
 		}
 		scores[i], ids[i] = scores[parent], ids[parent]
@@ -191,26 +200,26 @@ func (h *Heap) push(s float64, id int64, p any) {
 	}
 }
 
-// siftDown places an item into the hole at index i: the worse child
-// moves up into the hole while it ranks worse than the item, and the
-// item is written once, where the hole stops. The child is chosen
-// without a branch — the left one, plus one when the right is worse —
-// since which child is worse is a coin flip a predicted branch loses at
-// every level. It is the choice the swap-based sift made (the left
-// child unless the right is strictly worse), so the heap's layout, and
-// every pop, comes out the same.
-func (h *Heap) siftDown(i int, s float64, id int64, p any) {
+// siftDown places an item into the hole at the root of the heap's
+// first n items: the worse child moves up into the hole while it ranks
+// worse than the item, and the item is written once, where the hole
+// stops. The child is chosen without a branch — the left one, plus one
+// when the right is worse — since which child is worse is a coin flip
+// a predicted branch loses at every level. It is the choice the
+// swap-based sift made (the left child unless the right is strictly
+// worse), so the heap's layout, and every pop, comes out the same.
+func (h *Heap) siftDown(n int, s float64, id int64, p any) {
 	scores, ids, payloads := h.scores, h.ids, h.payloads
-	n := len(scores)
+	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
 		if c+1 < n {
-			c += b2i(worseThan(scores[c+1], ids[c+1], scores[c], ids[c]))
+			c += b2i(worse(scores[c+1], ids[c+1], scores[c], ids[c]))
 		}
-		if !worseThan(scores[c], ids[c], s, id) {
+		if !worse(scores[c], ids[c], s, id) {
 			break
 		}
 		scores[i], ids[i] = scores[c], ids[c]
@@ -223,27 +232,6 @@ func (h *Heap) siftDown(i int, s float64, id int64, p any) {
 	if payloads != nil {
 		payloads[i] = p
 	}
-}
-
-// siftItems is siftDown for a min-heap of Items with its hole at the
-// root, AppendResults' heapsort step.
-func siftItems(items []Item, it Item) {
-	i, n := 0, len(items)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n {
-			c += b2i(worse(items[c+1], items[c]))
-		}
-		if !worse(items[c], it) {
-			break
-		}
-		items[i] = items[c]
-		i = c
-	}
-	items[i] = it
 }
 
 // MergeItems offers every item to dst and returns dst. It merges the

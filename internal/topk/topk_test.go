@@ -314,6 +314,7 @@ func BenchmarkHeapOffer(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			h := MustHeap(k)
 			accepted := 0
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h.Reset()
 				for lo := 0; lo < len(scores); lo += block {

@@ -83,13 +83,14 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) ([]BatchResult, e
 		}
 		var key *[]byte
 		var gen uint64
+		parts := ownParts(req)
 		if e.cache != nil {
-			key = cacheKey(req, ownParts(req))
+			key = cacheKey(req, parts)
 		}
 		if key != nil {
 			// Per-dataset generation, sampled before the plan resolves
 			// the shard list — same staleness argument as runReq.
-			gen = e.generationOf(req, ownParts(req))
+			gen = e.generationOf(req, parts)
 			if res, ok := e.cacheGet(*key, gen, start); ok {
 				out[i].Result = res
 				releaseKey(key)

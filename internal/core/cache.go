@@ -5,9 +5,9 @@
 //
 // The key is the request's canonical encoding (AppendRequest, codec.go),
 // followed by the part list when RunParts reads other datasets than the
-// request's own, built in a pooled buffer: equal bytes mean equal requests, and the
-// encoding leaves out Workers, which is ignored, so requests that
-// differ only in Workers share a cache line. Three things opt a request
+// request's own, built in a pooled buffer: equal bytes mean equal
+// requests, and the encoding leaves out Workers, which is ignored, so
+// requests that differ only in Workers share a cache line. Three things opt a request
 // out of the cache:
 //
 //   - Budget > 0 — a truncated run is a best-effort answer, not the
@@ -21,12 +21,11 @@
 // Invalidation is generation-based and PER DATASET: every set carries
 // a generation counter (1 at registration, +1 per append; compaction
 // leaves it alone — content is unchanged), results are stamped with
-// the target datasets' generations (summed over RunParts' parts)
-// sampled before execution, and
-// qcache.Get refuses entries stamped with any other generation. So a
-// write to dataset A never evicts dataset B's entries — the engine-
-// wide epoch scheme this replaces evicted everything on every
-// registration. Staleness safety is unchanged: the generation is
+// the generation of the datasets they read (summed over RunParts'
+// parts) sampled before execution, and qcache.Get refuses entries
+// stamped with any other generation. So a write to dataset A never
+// evicts dataset B's entries — the engine-wide epoch scheme this
+// replaces evicted everything on every registration. Staleness safety is unchanged: the generation is
 // sampled BEFORE the plan resolves the dataset's shard list, so an
 // append racing the request either lands before the sample (the entry
 // is stored under — and valid for — the new generation) or after it

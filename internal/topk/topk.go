@@ -122,7 +122,8 @@ func (h *Heap) offer(s float64, id int64, p any) bool {
 }
 
 // Results returns the retained items ordered best-first (descending score,
-// ascending ID on ties). The heap is unchanged; the returned slice is fresh.
+// ascending ID on ties). The heap keeps its items; the returned slice is
+// fresh.
 func (h *Heap) Results() []Item {
 	return h.AppendResults(make([]Item, 0, len(h.scores)))
 }
